@@ -73,7 +73,7 @@ def translate_curve(curve: AdmissibleCurve, theta: float,
     controls = ControlPair(h(v_new), hb(w_new / v_new))
 
     q_theta = _quat_r_theta(theta)
-    lift = np.array([sphere.quat_mul(z, q_theta) for z in curve.lift])
+    lift = sphere.quat_mul(curve.lift, q_theta)
     rho_nodes = np.arctan2(1.0, curve.kappa) - theta
     kappa_nodes = np.cos(rho_nodes) / np.sin(rho_nodes)
     v_nodes = curve.speed * (np.cos(theta) - np.sin(theta) * curve.kappa)

@@ -235,9 +235,9 @@ def rotation_number_condensed(curve: AdmissibleCurve, h=None,
                               tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Winding of the stereographic image of a condensed curve.
 
-    Projects from the antipode of the barycenter hemisphere; the sign
-    convention makes a condensed circle traversed k times have rotation
-    number k.
+    Projects from the antipode of `h`, any hemisphere containing the
+    caustic cloud (by default the barycenter one); the sign convention
+    makes a condensed circle traversed k times have rotation number k.
     """
     if h is None:
         h = sphere.containing_hemisphere(classification_cloud(curve, tol), tol)
@@ -382,6 +382,9 @@ class ComponentLabel:
     borderline: bool
     margin: float
     status_tag: str
+    # the analysis the label was decided from; not part of the label
+    status: CondensedStatus | None = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.j <= self.n:
@@ -413,7 +416,11 @@ def classify_component(curve: AdmissibleCurve,
 
     Pipeline: reduce to (kappa0, +inf) form, test condensed/diffuse on the
     caustic cloud, compute the rotation number when it can decide, and fall
-    back to the lift parity for the two large components.
+    back to the lift parity for the two large components.  The winding is
+    taken around the hemisphere LP's direction: its margin exceeds
+    `borderline_margin`, and every hemisphere containing the cloud gives
+    the same rotation number.  The label keeps the `CondensedStatus` it was
+    decided from.
     """
     reduced, _ = reduce_to_k0(curve, tol)
     n = component_count(curve.bounds)
@@ -422,10 +429,11 @@ def classify_component(curve: AdmissibleCurve,
 
     nu = None
     if status.condensed and not status.borderline and n >= 3:
-        nu = rotation_number_condensed(reduced, tol=tol)
+        nu = rotation_number_condensed(reduced, h=status.hemisphere, tol=tol)
         j = nu if nu <= n - 2 else _parity_label(n, parity)
     else:
         j = _parity_label(n, parity)
     return ComponentLabel(n=n, j=j, condensed=status.condensed, nu=nu,
                           parity=parity, borderline=status.borderline,
-                          margin=status.margin, status_tag=status.tag)
+                          margin=status.margin, status_tag=status.tag,
+                          status=status)

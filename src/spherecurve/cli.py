@@ -17,7 +17,7 @@ import numpy as np
 
 from . import factory, goodbands, grafting, homotopy
 from .bands import caustic_band, regular_band
-from .classify import classify_component, condensed_status, reduce_to_k0
+from .classify import classify_component
 from .curves import (
     CurvatureBounds,
     curve_from_json,
@@ -137,8 +137,7 @@ def cmd_classify(args) -> int:
         print(f"error: cannot parse curve: {exc}", file=sys.stderr)
         return 2
     label = classify_component(curve, tol)
-    reduced, _ = reduce_to_k0(curve, tol)
-    status = condensed_status(reduced, tol)
+    status = label.status
     report = label.to_dict()
     report["witnesses"] = {
         "hemisphere": None if status.hemisphere is None

@@ -162,7 +162,7 @@ def controls_from_functions(f_vhat, f_what, n: int, domain: float = 1.0) -> Cont
 # ------------------------------------------------------------------ #
 
 def _step_quats(v, w, dt) -> np.ndarray:
-    """exp(dt/2 (w i + v k)) for per-interval arrays v, w."""
+    """exp(dt/2 (w i + v k)) for per-interval arrays v, w (dt may be an array)."""
     hx = 0.5 * dt * np.asarray(w, dtype=float)
     hz = 0.5 * dt * np.asarray(v, dtype=float)
     a = np.hypot(hx, hz)
@@ -191,6 +191,22 @@ def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
         w, x, y, z = nw * inv, nx * inv, ny * inv, nz * inv
         out[i + 1] = (w, x, y, z)
     return out
+
+
+def _product_quats(steps: np.ndarray) -> np.ndarray:
+    """Ordered product steps[0] * steps[1] * ..., by pairwise halving.
+
+    Log depth in the number of factors, each level one batched product,
+    renormalized; agrees with the sequential `_chain_quats` endpoint to
+    roundoff.
+    """
+    q = np.asarray(steps, dtype=float)
+    while q.shape[0] > 1:
+        if q.shape[0] % 2:
+            q = np.vstack([q, sphere.QUAT_ONE])
+        q = sphere.quat_mul(q[0::2], q[1::2])
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return q[0]
 
 
 def frames_from_lift(lift: np.ndarray) -> np.ndarray:
@@ -261,6 +277,9 @@ class AdmissibleCurve:
     speed: np.ndarray       # (n+1,)
     kappa: np.ndarray       # (n+1,)
     closed: bool
+    # True when the lift is the exact integral of the controls from its first
+    # sample (set by `integrate_curve`), so re-integrating them reproduces it
+    integrated: bool = False
 
     @property
     def n(self) -> int:
@@ -293,37 +312,34 @@ class AdmissibleCurve:
         return float(np.abs(self.frames[-1] - self.frames[0]).max())
 
     def eval_lift(self, ts) -> np.ndarray:
-        """Exact lift at arbitrary parameters for piecewise-constant controls.
+        """Lift at an array of parameters, (m,) -> (m, 4), in one batch.
 
-        Between nodes the lift is z_i * exp(delta * Lambda_i); for curves
-        whose samples were constructed pointwise this is a local (one-step)
-        approximation that never accumulates.
+        Between nodes the lift is z_i * exp(delta * Lambda_i), exact for
+        piecewise-constant controls; a parameter within 1e-12 of a node
+        returns the stored node sample, which is exact.  For curves whose
+        samples were constructed pointwise the in-between value is a local
+        (one-step) approximation that never accumulates.  Pass all
+        parameters in one call: each call recomputes `interval_vk`.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         v, kap = self.interval_vk()
-        w = v * kap
         h = self.dt
         snap = 1e-12 * max(1.0, self.domain)
         idx = np.clip((ts / h).astype(int), 0, self.n - 1)
-        delta = ts - idx * h
         near = np.clip(np.round(ts / h).astype(int), 0, self.n)
-        out = np.empty((ts.size, 4))
-        for j, (i, d, k) in enumerate(zip(idx, delta, near)):
-            if abs(ts[j] - k * h) <= snap:
-                out[j] = self.lift[k]       # stored node samples are exact
-            else:
-                step = sphere.quat_exp([0.5 * d * w[i], 0.0, 0.5 * d * v[i]])
-                out[j] = sphere.quat_mul(self.lift[i], step)
+        steps = _step_quats(v[idx], v[idx] * kap[idx], ts - idx * h)
+        out = sphere.quat_mul(self.lift[idx], steps)
+        on_node = np.abs(ts - near * h) <= snap
+        out[on_node] = self.lift[near[on_node]]
         return out
 
     def rotated(self, rotation) -> "AdmissibleCurve":
         """Left action of a rotation; controls and curvature are unchanged."""
         R = np.asarray(rotation, dtype=float)
         q = sphere.rotation_to_quat(R)
-        lift = np.array([sphere.quat_mul(q, z) for z in self.lift])
         return dataclasses.replace(
             self,
-            lift=lift,
+            lift=sphere.quat_mul(q, self.lift),
             gamma=self.gamma @ R.T,
             tangent=self.tangent @ R.T,
             normal=self.normal @ R.T,
@@ -406,7 +422,7 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
     curve = AdmissibleCurve(
         bounds=bounds, controls=controls, domain=float(domain), lift=lift,
         gamma=frames[:, :, 0], tangent=frames[:, :, 1], normal=frames[:, :, 2],
-        speed=v_nodes, kappa=k_nodes, closed=False)
+        speed=v_nodes, kappa=k_nodes, closed=False, integrated=True)
     defect = curve.closure_defect()
     closed = defect <= tol.closure
     if require_closed and not closed:
@@ -527,8 +543,26 @@ def _bound_from_json(x) -> float:
     return float(x)
 
 
-def curve_to_json(curve: AdmissibleCurve) -> dict:
-    """Serializable control form; a non-unit domain is relabeled to [0, 1]."""
+def _reintegration_closes(bounds, v_hat, w_hat, q0, tol) -> bool:
+    """Whether integrating the written controls gives a closed curve."""
+    _, h_inv, _, hb_inv = control_transforms(bounds)
+    v = h_inv(v_hat)
+    steps = _step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
+    z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
+    ends = frames_from_lift(np.array([z0, sphere.quat_mul(z0, _product_quats(steps))]))
+    return float(np.abs(ends[1] - ends[0]).max()) <= tol.closure
+
+
+def curve_to_json(curve: AdmissibleCurve,
+                  tol: ToleranceProfile = DEFAULT_TOL) -> dict:
+    """Serializable control form; a non-unit domain is relabeled to [0, 1].
+
+    A closed curve whose written controls would not re-integrate to a
+    closed curve (node-sampled curves whose controls are averages) also
+    carries its node samples as `lift`, `speed` and `kappa`, from which
+    `curve_from_json` rebuilds it exactly.  Curves made by `integrate_curve`
+    re-integrate by construction and skip the check.
+    """
     v, kap = curve.interval_vk()
     if curve.domain != 1.0:
         h, _, hb, _ = control_transforms(curve.bounds)
@@ -546,11 +580,19 @@ def curve_to_json(curve: AdmissibleCurve) -> dict:
     q0 = curve.frames[0]
     if np.abs(q0 - np.eye(3)).max() > 1e-12:
         out["q0"] = [float(x) for x in q0.reshape(-1)]
+    else:
+        q0 = None
+    if curve.closed and not curve.integrated \
+            and not _reintegration_closes(curve.bounds, v_hat, w_hat, q0, tol):
+        out["lift"] = curve.lift.tolist()
+        out["speed"] = (curve.speed * curve.domain).tolist()
+        out["kappa"] = curve.kappa.tolist()
     return out
 
 
 def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    """Parse either the control schema or the raw {"gamma": [...]} form."""
+    """Parse the control schema, with or without node samples, or the raw
+    {"gamma": [...]} form."""
     if "gamma" in doc:
         bounds = CurvatureBounds(_bound_from_json(doc.get("kappa1", "-inf")),
                                  _bound_from_json(doc.get("kappa2", "+inf")))
@@ -560,6 +602,19 @@ def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Admissibl
                              _bound_from_json(doc["kappa2"]))
     controls = ControlPair(np.asarray(doc["v_hat"], dtype=float),
                            np.asarray(doc["w_hat"], dtype=float))
+    if "lift" in doc:
+        lift = np.asarray(doc["lift"], dtype=float)
+        speed = np.asarray(doc["speed"], dtype=float)
+        kappa = np.asarray(doc["kappa"], dtype=float)
+        nodes = controls.n + 1
+        if lift.shape != (nodes, 4) or speed.shape != (nodes,) \
+                or kappa.shape != (nodes,):
+            raise ValueError("node samples must cover the n + 1 grid nodes")
+        _, h_inv, _, hb_inv = control_transforms(bounds)
+        curve = curve_from_node_data(
+            bounds, lift, speed, kappa, tol=tol,
+            interval_vk=(h_inv(controls.v_hat), hb_inv(controls.w_hat)))
+        return dataclasses.replace(curve, controls=controls)
     q0 = doc.get("q0")
     q0 = np.asarray(q0, dtype=float).reshape(3, 3) if q0 is not None else None
     return integrate_curve(controls, bounds, q0=q0, tol=tol)

@@ -19,6 +19,7 @@ from . import sphere
 from .classify import antipodal_fiber_witness, classification_cloud, condensed_status, rotation_number_nondiffuse
 from .curves import (
     AdmissibleCurve,
+    _chain_quats,
     cot,
     curve_from_node_data,
     reparametrize_by_curvature,
@@ -177,40 +178,46 @@ def _splice_arcs(base: AdmissibleCurve, insertions, tol: ToleranceProfile):
 
     Returns (curve, frame_defect) where frame_defect is the deviation of the
     final lift from the original one (zero when the inserted rotations
-    multiply to the identity).
+    multiply to the identity).  The result's nodes fall on alternating copy
+    pieces (the base, left-multiplied by the prefix of the rotations
+    inserted before them) and arc pieces; all copy nodes are evaluated in
+    one `eval_lift` call.
     """
     ins = sorted(insertions, key=lambda a: a.t)
     if any(not 0.0 < a.t < base.domain for a in ins):
         raise DomainError("insertions must be interior")
     T = base.domain
     total_extra = sum(a.sigma for a in ins)
+    t_ins = np.array([a.t for a in ins])
+    sigma = np.array([a.sigma for a in ins])
+    lam = np.array([[math.cos(a.rho), 0.0, math.sin(a.rho)]
+                    for a in ins]).reshape(-1, 3)
+    v_arc = np.array([math.sin(a.rho) for a in ins])
+    k_arc = np.array([cot(a.rho) for a in ins])
 
     # prefix quaternions exp(sigma chi / 2) accumulated left to right
-    prefixes = [sphere.QUAT_ONE.copy()]
-    arc_starts = []
-    for a in ins:
-        node = int(round(a.t / base.dt))
-        z_t = base.lift[node]
-        lam = np.array([math.cos(a.rho), 0.0, math.sin(a.rho)])
-        rot = sphere.quat_mul(
-            sphere.quat_mul(z_t, sphere.quat_exp(0.5 * a.sigma * lam)),
-            sphere.quat_conj(z_t))
-        arc_starts.append(sphere.quat_mul(prefixes[-1], z_t))
-        prefixes.append(sphere.quat_normalize(sphere.quat_mul(prefixes[-1], rot)))
+    z_t = base.lift[np.rint(t_ins / base.dt).astype(int)]
+    rot = sphere.quat_mul(
+        sphere.quat_mul(z_t, sphere.quat_exp(0.5 * sigma[:, None] * lam)),
+        sphere.quat_conj(z_t))
+    prefixes = _chain_quats(sphere.QUAT_ONE, rot)
+    arc_starts = sphere.quat_mul(prefixes[:-1], z_t)
 
-    # pieces: (u_start, u_end, kind, payload)
-    pieces = []
-    cursor = 0.0
-    src_prev = 0.0
-    for idx, a in enumerate(ins):
-        pieces.append(("copy", cursor, cursor + (a.t - src_prev),
-                       src_prev, prefixes[idx]))
-        cursor += a.t - src_prev
-        pieces.append(("arc", cursor, cursor + a.sigma, idx, None))
-        cursor += a.sigma
-        src_prev = a.t
-    pieces.append(("copy", cursor, cursor + (T - src_prev), src_prev,
-                   prefixes[-1]))
+    # pieces copy_0, arc_0, copy_1, ..., arc_{k-1}, copy_k on the new
+    # parameter; copy_i starts at src_lo[i] on the base
+    src_lo = np.concatenate([[0.0], t_ins])
+    lengths = np.empty(2 * len(ins) + 1)
+    lengths[0::2] = np.diff(np.append(src_lo, T))
+    lengths[1::2] = sigma
+    hi = np.cumsum(lengths)
+    lo = np.concatenate([[0.0], hi[:-1]])
+
+    def pieces_at(uu):
+        pi = np.searchsorted(hi + 1e-15, uu, side="left")
+        pi = np.minimum(pi, lengths.size - 1)
+        copy = pi % 2 == 0
+        t_src = np.clip(src_lo[pi // 2] + (uu - lo[pi]), 0.0, T)
+        return pi, copy, t_src
 
     new_T = T + total_extra
     n_out = max(base.n, int(math.ceil(new_T / base.dt)))
@@ -218,48 +225,30 @@ def _splice_arcs(base: AdmissibleCurve, insertions, tol: ToleranceProfile):
     lift = np.empty((n_out + 1, 4))
     v_nodes = np.empty(n_out + 1)
     k_nodes = np.empty(n_out + 1)
-    v_b, k_b = base.interval_vk()
 
-    def piece_at(uu, start):
-        pi = start
-        while pi + 1 < len(pieces) and uu > pieces[pi][2] + 1e-15:
-            pi += 1
-        return pi
-
-    pi = 0
-    for j, uj in enumerate(u):
-        pi = piece_at(uj, pi)
-        kind, lo, hi, payload, pref = pieces[pi]
-        if kind == "copy":
-            t_src = min(max(payload + (uj - lo), 0.0), T)
-            lift[j] = sphere.quat_mul(pref, base.eval_lift(t_src)[0])
-            node = min(int(round(t_src / base.dt)), base.n)
-            v_nodes[j] = base.speed[node]
-            k_nodes[j] = base.kappa[node]
-        else:
-            a = ins[payload]
-            lam = np.array([math.cos(a.rho), 0.0, math.sin(a.rho)])
-            step = sphere.quat_exp(0.5 * (uj - lo) * lam)
-            lift[j] = sphere.quat_mul(arc_starts[payload], step)
-            v_nodes[j] = math.sin(a.rho)
-            k_nodes[j] = cot(a.rho)
-        lift[j] = sphere.quat_normalize(lift[j])
+    pi, copy, t_src = pieces_at(u)
+    t_src = t_src[copy]
+    lift[copy] = sphere.quat_mul(prefixes[pi[copy] // 2], base.eval_lift(t_src))
+    node = np.minimum(np.rint(t_src / base.dt).astype(int), base.n)
+    v_nodes[copy] = base.speed[node]
+    k_nodes[copy] = base.kappa[node]
+    arc = ~copy
+    a = pi[arc] // 2
+    step = sphere.quat_exp((0.5 * (u[arc] - lo[pi[arc]]))[:, None] * lam[a])
+    lift[arc] = sphere.quat_mul(arc_starts[a], step)
+    v_nodes[arc] = v_arc[a]
+    k_nodes[arc] = k_arc[a]
+    lift /= np.linalg.norm(lift, axis=1, keepdims=True)
 
     # interval controls from the piece at each interval midpoint
+    v_b, k_b = base.interval_vk()
+    pi, copy, t_src = pieces_at(0.5 * (u[:-1] + u[1:]))
+    node = np.minimum(t_src[copy] / base.dt, base.n - 1).astype(int)
     v_int = np.empty(n_out)
     k_int = np.empty(n_out)
-    pi = 0
-    for j in range(n_out):
-        um = 0.5 * (u[j] + u[j + 1])
-        pi = piece_at(um, pi)
-        kind, lo, hi, payload, _ = pieces[pi]
-        if kind == "copy":
-            t_src = min(max(payload + (um - lo), 0.0), T)
-            node = min(int(t_src / base.dt), base.n - 1)
-            v_int[j], k_int[j] = v_b[node], k_b[node]
-        else:
-            a = ins[payload]
-            v_int[j], k_int[j] = math.sin(a.rho), cot(a.rho)
+    v_int[copy], k_int[copy] = v_b[node], k_b[node]
+    a = pi[~copy] // 2
+    v_int[~copy], k_int[~copy] = v_arc[a], k_arc[a]
 
     defect = float(np.linalg.norm(prefixes[-1] - sphere.QUAT_ONE))
     out = curve_from_node_data(base.bounds, lift, v_nodes, k_nodes,
@@ -382,7 +371,8 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
         cand = sphere.containing_simplex(
             pts, np.zeros(3), tol.replace(seed=tol.seed + 97 * attempt))
         nodes = [tags[i][0] for i in cand.indices]
-        if cand.indices.size != 4 or len(set(nodes)) != 4:
+        # node 0 sits at t = 0, where no arc can be inserted
+        if cand.indices.size != 4 or len(set(nodes)) != 4 or 0 in nodes:
             continue
         chis = pts[cand.indices]
         volume = abs(np.linalg.det(chis[1:] - chis[0]))

@@ -50,19 +50,23 @@ def is_rotation(R, tol: float = 1e-10) -> bool:
 # ------------------------------------------------------------------ #
 
 def quat_mul(q1, q2) -> np.ndarray:
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
+    """Hamilton product of quaternions of shape (4,) or rows of (m, 4).
+
+    A (4,) operand multiplies every row of an (m, 4) one.
+    """
+    w1, x1, y1, z1 = np.asarray(q1, dtype=float).T
+    w2, x2, y2, z2 = np.asarray(q2, dtype=float).T
     return np.array([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    ]).T
 
 
 def quat_conj(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([w, -x, -y, -z])
+    """Conjugate of a quaternion (4,) or of the rows of (m, 4)."""
+    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_normalize(q) -> np.ndarray:
@@ -74,13 +78,17 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_exp(v) -> np.ndarray:
-    """Exponential of a pure-imaginary quaternion given by its 3-vector part."""
+    """Exponential of pure-imaginary quaternions given by their 3-vector parts.
+
+    Broadcasts over leading axes: (..., 3) -> (..., 4).  Vectors shorter
+    than 1e-14 map to the identity exactly.
+    """
     v = np.asarray(v, dtype=float)
-    a = np.linalg.norm(v)
-    if a < 1e-14:
-        return QUAT_ONE.copy()
-    s = np.sin(a) / a
-    return np.array([np.cos(a), s * v[0], s * v[1], s * v[2]])
+    a = np.linalg.norm(v, axis=-1, keepdims=True)
+    small = a < 1e-14
+    safe = np.where(small, 1.0, a)
+    out = np.concatenate([np.cos(a), (np.sin(safe) / safe) * v], axis=-1)
+    return np.where(small, QUAT_ONE, out)
 
 
 def quat_to_rotation(z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -308,20 +316,62 @@ def _face_lp(points: np.ndarray, axis: int, sign: float):
     return h, -res.fun
 
 
+# Active-set sizes of the hemisphere LP: the initial strided working set,
+# the most violated points added per round, and the slack below which a
+# point of the full cloud counts as violated (roundoff on unit points).
+_LP_WORKING_SET = 256
+_LP_BATCH = 64
+_LP_VIOLATION = 1e-13
+
+
+def _face_lp_active(points: np.ndarray, axis: int, sign: float,
+                    work: np.ndarray):
+    """`_face_lp` on the full cloud, solved on a growing working set.
+
+    Solves the face LP on `points[work]`, then checks the solution against
+    every point with one matrix product and adds the worst violators, until
+    no point of the full cloud violates by more than roundoff (Clarkson's
+    active-set scheme).  The working-set optimum bounds the full optimum
+    from above and is feasible for the full cloud at exit, so the optimal
+    margins coincide.
+    """
+    while True:
+        out = _face_lp(points[work], axis, sign)
+        if out is None:  # pragma: no cover - tiny LPs are always feasible
+            return None
+        h, m = out
+        slack = points @ h - m
+        viol = np.flatnonzero(slack < -_LP_VIOLATION)
+        viol = viol[~np.isin(viol, work)]
+        if viol.size == 0:
+            return out
+        if viol.size > _LP_BATCH:
+            viol = viol[np.argpartition(slack[viol], _LP_BATCH)[:_LP_BATCH]]
+        work = np.union1d(work, viol)
+
+
 def best_hemisphere(points, tol: ToleranceProfile = DEFAULT_TOL):
     """Margin-maximizing direction over the unit ball, solved facewise.
 
-    Returns (h, margin) with h unit and margin = min_i <p_i, h>.  The search
-    runs a 3-variable LP on each face of the cube and normalizes the winner;
-    this is exact enough at 1e-9 margins and fully deterministic.
+    Returns (h, margin) with h unit and margin = min_i <p_i, h> over every
+    input point.  On each face of the cube a 3-variable LP maximizes the
+    margin of the unnormalized direction; the best normalized face winner
+    is returned.  Each face LP runs on about 256 strided points and adds
+    the worst violators of the full cloud in batches until none is left,
+    so its optimal margin is that of the LP over the whole cloud while the
+    solver only sees the few hundred points that matter.  Where a face LP
+    has several optimal directions (symmetric clouds such as circles'),
+    the one returned may differ from a whole-cloud solve's.  Deterministic.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("empty point list")
+    work = np.unique(np.linspace(0, points.shape[0] - 1,
+                                 _LP_WORKING_SET).astype(int))
     best_h, best_margin = None, -np.inf
     for axis in range(3):
         for sign in (1.0, -1.0):
-            out = _face_lp(points, axis, sign)
+            out = _face_lp_active(points, axis, sign, work)
             if out is None:
                 continue
             h, _ = out

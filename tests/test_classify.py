@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -240,3 +241,73 @@ class TestEquatorialInequality:
             classify.equatorial_inequality_check(0.4, [1.0, 1.0, 1.0])
         with pytest.raises(DomainError):
             classify.equatorial_inequality_check(2.0, [0.0, math.pi / 2, math.pi / 2])
+
+
+class TestOneAnalysisPerLabel:
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        orig = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("bounds,rho,k", [
+        ((0.0, math.inf), 0.7, 1),       # n = 3, rotation number decides
+        ((1.0, 4.0), 0.5, 2),            # reduced by translation, n = 6
+        ((0.0, math.inf), 0.7, 4),       # n = 3, parity decides
+    ])
+    def test_one_lp_and_no_barycenter(self, monkeypatch, bounds, rho, k):
+        from spherecurve import sphere
+        curve = sc.make_circle(rho, k, sc.CurvatureBounds(*bounds), n=256)
+        lp = self._count(monkeypatch, sphere, "best_hemisphere")
+        bary = self._count(monkeypatch, sphere, "hemisphere_barycenter")
+        label = classify.classify_component(curve)
+        assert len(lp) == 1 and not bary
+        assert label.nu == k
+        reduced, _ = classify.reduce_to_k0(curve)
+        fresh = classify.condensed_status(reduced)
+        assert label.status.margin == fresh.margin == label.margin
+        assert np.array_equal(label.status.hemisphere, fresh.hemisphere)
+        assert label.status.tag == label.status_tag
+
+    def test_lp_direction_gives_the_barycenter_winding(self, bounds_k0, rng):
+        from conftest import random_rotation
+        for k in (1, 2, 3):
+            curve = sc.make_circle(0.6, k, bounds_k0, n=256).rotated(
+                random_rotation(rng))
+            status = classify.condensed_status(curve)
+            assert status.margin > sc.DEFAULT_TOL.borderline_margin
+            assert classify.rotation_number_condensed(
+                curve, h=status.hemisphere) == classify.rotation_number_condensed(curve) == k
+
+    def test_status_is_not_part_of_the_label(self, bounds_k0):
+        curve = sc.make_circle(0.7, 1, bounds_k0, n=256)
+        label = classify.classify_component(curve)
+        bare = classify.ComponentLabel(
+            n=label.n, j=label.j, condensed=label.condensed, nu=label.nu,
+            parity=label.parity, borderline=label.borderline,
+            margin=label.margin, status_tag=label.status_tag)
+        assert bare == label
+        assert bare.status is None and label.status is not None
+        assert "status" in label.to_dict() and label.to_dict() == bare.to_dict()
+
+    def test_cli_witnesses_come_from_the_label(self, bounds_k0, tmp_path,
+                                               monkeypatch):
+        from spherecurve import cli, sphere
+        path = tmp_path / "c.json"
+        out = tmp_path / "l.json"
+        curve = sc.make_circle(0.7, 2, bounds_k0, n=256)
+        path.write_text(cli.dumps(sc.curve_to_json(curve)))
+        lp = self._count(monkeypatch, sphere, "best_hemisphere")
+        assert cli.main(["classify", str(path), "-o", str(out)]) == 0
+        assert len(lp) == 1
+        report = json.loads(out.read_text())
+        status = classify.condensed_status(curve)
+        assert report["witnesses"] == {
+            "hemisphere": list(status.hemisphere),
+            "antipodal_defect": status.antipodal_defect}

@@ -279,3 +279,95 @@ class TestJsonInterchange:
         assert c2.domain == 1.0
         assert np.abs(c2.gamma[0] - c.gamma[0]).max() < 1e-9
         assert abs(sc.total_curvature(c2) - sc.total_curvature(c)) < 1e-6
+
+
+def scalar_eval_lift(curve, t):
+    """One parameter at a time: the stored node sample when t is within
+    1e-12 of a node, else z_i * exp(delta (w i + v k) / 2) on its interval."""
+    v, kap = curve.interval_vk()
+    h = curve.dt
+    node = min(max(int(round(t / h)), 0), curve.n)
+    if abs(t - node * h) <= 1e-12 * max(1.0, curve.domain):
+        return curve.lift[node]
+    i = min(max(int(t / h), 0), curve.n - 1)
+    d = t - i * h
+    step = sphere.quat_exp([0.5 * d * v[i] * kap[i], 0.0, 0.5 * d * v[i]])
+    return sphere.quat_mul(curve.lift[i], step)
+
+
+class TestBatchedEvalLift:
+    @pytest.mark.parametrize("build", ["integrated", "node_sampled"])
+    def test_matches_scalar_formula(self, build, rng, bounds_k0):
+        if build == "integrated":
+            from spherecurve.factory import random_open_curve
+            c = random_open_curve(sc.CurvatureBounds(-1.5, 1.5), rng, n=128)
+        else:
+            c = sc.reparametrize_by_curvature(sc.make_circle(0.7, 2, bounds_k0, n=128))
+        ts = np.concatenate([
+            rng.uniform(0.0, c.domain, 300),          # off-node
+            c.grid,                                   # on every node
+            c.grid[1:-1] + 1e-13 * max(1.0, c.domain),  # snaps to the node
+            [0.0, c.domain]])
+        batch = c.eval_lift(ts)
+        assert batch.shape == (ts.size, 4)
+        for t, z in zip(ts, batch):
+            assert np.abs(z - scalar_eval_lift(c, t)).max() <= 1e-15
+        on_nodes = c.eval_lift(c.grid)
+        assert np.array_equal(on_nodes, c.lift)
+
+    def test_off_node_matches_integration(self, rng):
+        # for integrated curves the partial step is the exact integral
+        from spherecurve.factory import random_open_controls
+        bounds = sc.CurvatureBounds(-2.0, 2.0)
+        controls = random_open_controls(bounds, rng, n=64)
+        coarse = sc.integrate_curve(controls, bounds)
+        fine = sc.integrate_curve(
+            cur.ControlPair(np.repeat(controls.v_hat, 4),
+                            np.repeat(controls.w_hat, 4)), bounds)
+        quarter = coarse.eval_lift(fine.grid)
+        assert np.abs(quarter - fine.lift).max() < 1e-12
+
+
+class TestNodeSampleJson:
+    def test_diffuse_example_round_trip(self):
+        from spherecurve import factory
+        from spherecurve.cli import dumps
+        from spherecurve.classify import classify_component
+        curve = factory.diffuse_example()
+        doc = sc.curve_to_json(curve)
+        assert {"lift", "speed", "kappa"} <= set(doc)
+        back = sc.curve_from_json(json.loads(dumps(doc)))
+        assert back.closed
+        assert np.array_equal(back.lift, curve.lift)
+        assert np.array_equal(back.controls.v_hat, curve.controls.v_hat)
+        assert np.array_equal(back.kappa, curve.kappa)
+        label = classify_component(back)
+        assert label.status_tag == "Diffuse"
+        assert label == classify_component(curve)
+        # dropping the node samples falls back to re-integration, which
+        # does not close
+        legacy = {k: v for k, v in doc.items()
+                  if k not in ("lift", "speed", "kappa")}
+        assert not sc.curve_from_json(legacy).closed
+
+    def test_closing_curves_keep_the_control_schema(self, bounds_k0):
+        circle = sc.make_circle(0.8, 2, bounds_k0, n=64)
+        assert circle.integrated
+        assert set(sc.curve_to_json(circle)) == {"kappa1", "kappa2", "n",
+                                                 "v_hat", "w_hat"}
+        resampled = sc.reparametrize_by_curvature(circle)
+        assert not resampled.integrated and resampled.closed
+        assert "lift" not in sc.curve_to_json(resampled)
+
+    def test_product_matches_sequential_chain(self, rng):
+        steps = rng.normal(size=(37, 4))
+        steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+        chain = cur._chain_quats(sphere.QUAT_ONE, steps)[-1]
+        assert np.abs(cur._product_quats(steps) - chain).max() < 1e-13
+
+    def test_node_samples_must_cover_the_grid(self):
+        from spherecurve import factory
+        doc = sc.curve_to_json(factory.diffuse_example())
+        doc["kappa"] = doc["kappa"][:-1]
+        with pytest.raises(ValueError):
+            sc.curve_from_json(doc)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherecurve as sc
-from spherecurve import classify, factory, grafting as gr
+from spherecurve import classify, factory, grafting as gr, sphere
 from spherecurve.errors import (
     BudgetExceeded,
     DomainError,
@@ -166,6 +166,149 @@ class TestSimplexGraft:
         comp = gr.compose_grafting(rec1.phi, rec2.phi)
         assert comp.s1 == pytest.approx(rec2.phi.s1, abs=1e-9)
         assert comp.s0 == pytest.approx(rec1.phi.s0, abs=1e-9)
+
+
+class TestSimplexInsertionsInterior:
+    def test_candidate_on_node_zero_is_skipped(self, neither_small, monkeypatch):
+        # node 0 sits at t = 0, where no arc can be inserted; relabel the
+        # first vertex of the first simplex drawn as node 0
+        tol = sc.DEFAULT_TOL
+        base = gr.ensure_curvature_param(neither_small, tol)
+        pts, tags = gr._caustic_samples_with_tags(base, tol)
+        first = sphere.containing_simplex(pts, np.zeros(3), tol)
+        moved = tags[first.indices[0]][0]
+        relabeled = [(0 if node == moved else node, th) for node, th in tags]
+        monkeypatch.setattr(gr, "_caustic_samples_with_tags",
+                            lambda curve, tol: (pts, relabeled))
+        out, rec = gr.graft_simplex_step(base, 0.05, tol)
+        assert all(0.0 < arc.t < base.domain for arc in rec.arcs)
+        assert rec.frame_defect <= 1e-12
+        growth = sc.total_curvature(out) - sc.total_curvature(base)
+        assert abs(growth - 0.05) <= 1e-9
+
+    def test_seeded_chain_with_a_vertex_at_t0(self):
+        # the fourth chain base drawn by the graft benchmark at seed 107: its
+        # second step drew a simplex with a vertex at t = 0 and raised
+        # DomainError("insertions must be interior")
+        rng = np.random.default_rng([107, 2])
+        curve = factory.neither_example(rho0=0.5, n_loops=8, dip=0.2, base_n=256)
+        for _ in range(4):
+            tol = sc.DEFAULT_TOL.replace(seed=int(rng.integers(2 ** 31)))
+            axis = rng.normal(size=3)
+            rotation = sphere.rotation_about(axis / np.linalg.norm(axis),
+                                             rng.uniform(0.0, 2.0 * math.pi))
+        cur = gr.ensure_curvature_param(curve.rotated(rotation), tol)
+        for _ in range(2):
+            out, rec = gr.graft_simplex_step(cur, 0.05, tol)
+            assert rec.frame_defect <= 1e-12
+            growth = sc.total_curvature(out) - sc.total_curvature(cur)
+            assert abs(growth - 0.05) <= 1e-9
+            cur = out
+
+
+class TestBatchedSplice:
+    def test_copy_pieces_use_one_lift_evaluation(self, diffuse_curve, monkeypatch):
+        from spherecurve.curves import AdmissibleCurve
+        base = gr.ensure_curvature_param(diffuse_curve)
+        calls = []
+        orig = AdmissibleCurve.eval_lift
+
+        def counting(self, ts):
+            calls.append(np.size(ts))
+            return orig(self, ts)
+
+        monkeypatch.setattr(AdmissibleCurve, "eval_lift", counting)
+        out, rec = gr.graft_antipodal_circles(base, 1.7)
+        assert len(calls) == 1
+        assert calls[0] < out.n + 1           # arc nodes are not looked up
+        assert rec.frame_defect < 1e-12
+
+    @pytest.mark.parametrize("s", [0.3, 1.7])
+    def test_matches_node_by_node_reference(self, diffuse_curve, s):
+        _, rec = gr.graft_antipodal_circles(diffuse_curve, s)
+        out, defect = gr._splice_arcs(rec.base, rec.arcs, sc.DEFAULT_TOL)
+        lift, v_nodes, k_nodes, v_int, k_int, ref_defect = \
+            reference_splice(rec.base, rec.arcs)
+        assert np.abs(out.lift - lift).max() <= 4e-16
+        assert np.array_equal(out.speed, v_nodes)
+        assert np.array_equal(out.kappa, k_nodes)
+        h, _, hb, _ = sc.control_transforms(out.bounds)
+        assert np.array_equal(out.controls.v_hat, h(v_int))
+        assert np.array_equal(out.controls.w_hat, hb(k_int))
+        assert abs(defect - ref_defect) <= 1e-15
+
+
+def reference_splice(base, insertions):
+    """Node-by-node splice with scalar quaternions: the loop the batched
+    `_splice_arcs` replaced, kept as its reference."""
+    ins = sorted(insertions, key=lambda a: a.t)
+    T = base.domain
+    prefixes = [sphere.QUAT_ONE.copy()]
+    arc_starts = []
+    for a in ins:
+        z_t = base.lift[int(round(a.t / base.dt))]
+        lam = np.array([math.cos(a.rho), 0.0, math.sin(a.rho)])
+        rot = sphere.quat_mul(
+            sphere.quat_mul(z_t, sphere.quat_exp(0.5 * a.sigma * lam)),
+            sphere.quat_conj(z_t))
+        arc_starts.append(sphere.quat_mul(prefixes[-1], z_t))
+        prefixes.append(sphere.quat_normalize(sphere.quat_mul(prefixes[-1], rot)))
+    pieces = []             # (kind, u_start, u_end, payload, prefix)
+    cursor, src_prev = 0.0, 0.0
+    for idx, a in enumerate(ins):
+        pieces.append(("copy", cursor, cursor + (a.t - src_prev), src_prev,
+                       prefixes[idx]))
+        cursor += a.t - src_prev
+        pieces.append(("arc", cursor, cursor + a.sigma, idx, None))
+        cursor += a.sigma
+        src_prev = a.t
+    pieces.append(("copy", cursor, cursor + (T - src_prev), src_prev,
+                   prefixes[-1]))
+
+    def piece_at(uu, pi):
+        while pi + 1 < len(pieces) and uu > pieces[pi][2] + 1e-15:
+            pi += 1
+        return pi
+
+    new_T = T + sum(a.sigma for a in ins)
+    n_out = max(base.n, int(math.ceil(new_T / base.dt)))
+    u = np.linspace(0.0, new_T, n_out + 1)
+    lift = np.empty((n_out + 1, 4))
+    v_nodes = np.empty(n_out + 1)
+    k_nodes = np.empty(n_out + 1)
+    pi = 0
+    for j, uj in enumerate(u):
+        pi = piece_at(uj, pi)
+        kind, lo, _, payload, pref = pieces[pi]
+        if kind == "copy":
+            t_src = min(max(payload + (uj - lo), 0.0), T)
+            lift[j] = sphere.quat_mul(pref, base.eval_lift([t_src])[0])
+            node = min(int(round(t_src / base.dt)), base.n)
+            v_nodes[j], k_nodes[j] = base.speed[node], base.kappa[node]
+        else:
+            a = ins[payload]
+            lam = np.array([math.cos(a.rho), 0.0, math.sin(a.rho)])
+            step = sphere.quat_exp(0.5 * (uj - lo) * lam)
+            lift[j] = sphere.quat_mul(arc_starts[payload], step)
+            v_nodes[j], k_nodes[j] = math.sin(a.rho), sc.cot(a.rho)
+        lift[j] = sphere.quat_normalize(lift[j])
+    v_b, k_b = base.interval_vk()
+    v_int = np.empty(n_out)
+    k_int = np.empty(n_out)
+    pi = 0
+    for j in range(n_out):
+        um = 0.5 * (u[j] + u[j + 1])
+        pi = piece_at(um, pi)
+        kind, lo, _, payload, _ = pieces[pi]
+        if kind == "copy":
+            t_src = min(max(payload + (um - lo), 0.0), T)
+            node = min(int(t_src / base.dt), base.n - 1)
+            v_int[j], k_int[j] = v_b[node], k_b[node]
+        else:
+            a = ins[payload]
+            v_int[j], k_int[j] = math.sin(a.rho), sc.cot(a.rho)
+    defect = float(np.linalg.norm(prefixes[-1] - sphere.QUAT_ONE))
+    return lift, v_nodes, k_nodes, v_int, k_int, defect
 
 
 class TestGraftUntilResolved:

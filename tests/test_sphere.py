@@ -244,6 +244,121 @@ class TestHemispheres:
             assert abs(margin - lp_hemisphere_oracle(pts)) < 1e-7
 
 
+def full_cloud_hemisphere(points):
+    """The six face LPs over the whole cloud: the direct, slow oracle."""
+    best_h, best_margin = None, -np.inf
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            h, _ = sphere._face_lp(points, axis, sign)
+            hu = h / np.linalg.norm(h)
+            margin = float(np.min(points @ hu))
+            if margin > best_margin:
+                best_h, best_margin = hu, margin
+    return best_h, best_margin
+
+
+def assert_matches_oracle(points, unique=True):
+    """Active-set answer equals the full-cloud one.
+
+    With `unique=False` the direction is not compared: on symmetric clouds
+    (circles) a face LP has a segment of optimal directions, and the two
+    solves may return different ends of it with the same margin.
+    """
+    from spherecurve.tolerances import DEFAULT_TOL as tol
+    h, margin = sphere.best_hemisphere(points)
+    h_full, margin_full = full_cloud_hemisphere(points)
+    assert abs(margin - margin_full) <= 1e-12
+    assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
+    assert margin == float(np.min(points @ h))
+    if unique:
+        assert np.abs(h - h_full).max() <= 1e-12
+    assert (margin >= -tol.feasibility_margin) \
+        == (margin_full >= -tol.feasibility_margin)
+    assert (abs(margin) < tol.borderline_margin) \
+        == (abs(margin_full) < tol.borderline_margin)
+
+
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@st.composite
+def hemisphere_clouds(draw):
+    """Caps, hemispheres and origin-in-hull clouds of 300 to 1500 points."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(["cap", "hemisphere", "hull"]))
+    size = draw(st.integers(300, 1500))
+    rng = np.random.default_rng(seed)
+    pts = _unit_rows(rng.normal(size=(size, 3)))
+    axis = _unit_rows(rng.normal(size=(1, 3)))[0]
+    if kind == "cap":
+        # points within angle `radius` of the axis
+        radius = draw(st.floats(0.05, 1.5))
+        cos_ang = np.cos(radius * np.sqrt(rng.uniform(size=size)))
+        e, f = sphere.plane_basis(axis)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
+        sin_ang = np.sqrt(1.0 - cos_ang ** 2)
+        pts = (cos_ang[:, None] * axis
+               + sin_ang[:, None] * (np.cos(phi)[:, None] * e
+                                     + np.sin(phi)[:, None] * f))
+    elif kind == "hemisphere":
+        pts = pts * np.sign(pts @ axis)[:, None]
+    return pts
+
+
+class TestActiveSetHemisphere:
+    @settings(max_examples=25, deadline=None)
+    @given(hemisphere_clouds())
+    def test_margins_match_lp_oracle(self, points):
+        assert_matches_oracle(points)
+
+    def test_corpus_clouds_match_lp_oracle(self, bounds_k0, neither_small,
+                                           diffuse_curve):
+        from spherecurve import classify, curves, grafting
+        circles = [curves.make_circle(0.7, k, bounds_k0, n=512) for k in (1, 3)]
+        circles.append(curves.make_circle(0.4, 2, curves.CurvatureBounds(1.0, 4.0),
+                                          n=512))
+        # (curve, whether its face LPs have a single optimum): circles and
+        # the two-lobe diffuse rose are symmetric about the z axis
+        cases = [(c, False) for c in circles] + [
+            (diffuse_curve, False),
+            (grafting.ensure_curvature_param(neither_small), True)]
+        tags = []
+        for curve, unique in cases:
+            reduced, _ = classify.reduce_to_k0(curve)
+            cloud = classify.classification_cloud(reduced)
+            assert cloud.shape[0] > 4 * sphere._LP_WORKING_SET
+            assert_matches_oracle(cloud, unique)
+            tags.append(classify.condensed_status(reduced).tag)
+        assert tags == ["Condensed"] * 3 + ["Diffuse", "Neither"]
+
+    def test_small_cloud_solves_directly(self):
+        pts = np.eye(3)
+        h, margin = sphere.best_hemisphere(pts)
+        assert margin == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+        assert np.allclose(h, np.full(3, 1.0 / math.sqrt(3.0)))
+
+
+class TestBatchedQuaternions:
+    def test_broadcast_matches_scalar(self, rng):
+        a = _unit_rows(rng.normal(size=(7, 4)))
+        b = _unit_rows(rng.normal(size=(7, 4)))
+        v = rng.normal(size=(7, 3))
+        prod = sphere.quat_mul(a, b)
+        for i in range(7):
+            assert np.array_equal(prod[i], sphere.quat_mul(a[i], b[i]))
+            assert np.array_equal(sphere.quat_exp(v)[i], sphere.quat_exp(v[i]))
+        assert np.array_equal(sphere.quat_mul(a[0], b), np.array(
+            [sphere.quat_mul(a[0], q) for q in b]))
+        assert np.array_equal(sphere.quat_conj(a)[:, 1:], -a[:, 1:])
+
+    def test_exp_of_tiny_vectors_is_identity(self):
+        out = sphere.quat_exp(np.array([[0.0, 0.0, 0.0], [1e-15, 0.0, 0.0],
+                                        [0.3, 0.0, 0.0]]))
+        assert np.array_equal(out[:2], np.tile(sphere.QUAT_ONE, (2, 1)))
+        assert out[2] == pytest.approx([math.cos(0.3), math.sin(0.3), 0, 0])
+
+
 class TestContainingSimplex:
     def test_target_is_a_point(self, rng):
         pts = rng.normal(size=(30, 3))
