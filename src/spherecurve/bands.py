@@ -175,16 +175,3 @@ def caustic_curve(curve: AdmissibleCurve) -> CausticCurve:
            + np.sin(rho)[:, None] * curve.normal)
     return CausticCurve(t=curve.grid, chi=chi)
 
-
-def classification_cloud(curve: AdmissibleCurve,
-                         tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Decimated caustic-band point cloud used by the classifiers.
-
-    The cloud always contains the exact caustic points chi(t) so that the
-    boundary of the band image is represented at full t-resolution.
-    """
-    stride = max(1, curve.n // tol.classify_t_nodes)
-    band = caustic_band(curve, m=tol.band_theta_nodes // 2 + 1,
-                        t_stride=stride, tol=tol)
-    chi = caustic_curve(curve).chi
-    return np.vstack([band.points, chi])

@@ -82,6 +82,12 @@ def _cloud_spacing(curve: AdmissibleCurve, tol: ToleranceProfile) -> float:
     return max(float(seg.max()), dtheta)
 
 
+# parallel-tangent pairs tested against the fiber per array block, and the
+# points of the fiber walked per pair
+_WITNESS_BLOCK = 1024
+_WITNESS_STEPS = 64
+
+
 def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
                             hi_margin: float = 0.0,
                             tol: ToleranceProfile = DEFAULT_TOL):
@@ -90,12 +96,14 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
     Fibers of the band over two parameters are arcs of great circles; two
     great circles intersect in an antipodal pair of points, computed from
     the cross product of the tangents.  The search scans node pairs and
-    returns ((i, theta_i), (j, theta_j), defect) with
-    C(t_i, theta_i) = -C(t_j, theta_j) exactly (defect ~ roundoff) and both
-    angles in [lo, rho0 - hi_margin].
+    returns ((i, theta_i), (j, theta_j), defect) with both angles in
+    [lo, rho0 - hi_margin] and the measured defect
+    |C(t_i, theta_i) + C(t_j, theta_j)| (roundoff for crossing fibers).
 
     Node pairs with near-parallel tangents share the same great circle; for
-    those the fiber arcs are intersected directly.
+    those, 64 points of fiber j are tested for membership in fiber i, all
+    pairs of a block at once, and the first hit in pair-then-point order
+    is returned.
     """
     rho0 = curve.bounds.rho1
     hi = rho0 - hi_margin
@@ -110,7 +118,7 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
     u = np.cross(tg[ii], tg[jj])
     norms = np.linalg.norm(u, axis=1)
     ok = norms > 1e-8
-    best = None
+    pair, best = None, -np.inf
 
     if np.any(ok):
         uu = u[ok] / norms[ok, None]
@@ -127,32 +135,38 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
                                     np.minimum(th_j - lo, hi - th_j))
                 margin = np.where(feas, margin, -np.inf)
                 k = int(np.argmax(margin))
-                cand = ((int(idx[i_ok[k]]), float(th_i[k])),
-                        (int(idx[j_ok[k]]), float(th_j[k])), 0.0)
-                if best is None or margin[k] > best[3]:
-                    best = (*cand, float(margin[k]))
+                if margin[k] > best:
+                    pair = ((int(idx[i_ok[k]]), float(th_i[k])),
+                            (int(idx[j_ok[k]]), float(th_j[k])))
+                    best = margin[k]
 
-    if best is not None:
-        return best[:3]
+    if pair is None:
+        # parallel-tangent pairs: both fibers live on one great circle
+        par = (~ok) & (np.abs(np.einsum("ij,ij->i", g[jj], tg[ii])) < 1e-6)
+        steps = np.linspace(0.0, rho0, _WITNESS_STEPS)
+        in_range = (steps >= lo) & (steps <= hi)
+        c, s = np.cos(steps)[None, :, None], np.sin(steps)[None, :, None]
+        i_par, j_par = ii[par], jj[par]
+        for start in range(0, i_par.size, _WITNESS_BLOCK):
+            bi = i_par[start:start + _WITNESS_BLOCK]
+            bj = j_par[start:start + _WITNESS_BLOCK]
+            p = -(c * g[bj, None, :] + s * nr[bj, None, :])   # (pairs, steps, 3)
+            a = np.arctan2(np.einsum("psk,pk->ps", p, nr[bi]),
+                           np.einsum("psk,pk->ps", p, g[bi]))
+            hit = ((a >= lo) & (a <= hi) & in_range
+                   & (np.abs(np.einsum("psk,pk->ps", p, tg[bi])) < 1e-6))
+            if np.any(hit):
+                k, step = np.unravel_index(int(np.argmax(hit)), hit.shape)
+                pair = ((int(idx[bi[k]]), float(a[k, step])),
+                        (int(idx[bj[k]]), float(steps[step])))
+                break
 
-    # parallel-tangent pairs: both fibers live on one great circle
-    par = (~ok) & (np.abs(np.einsum("ij,ij->i", g[jj], tg[ii])) < 1e-6)
-    for i_p, j_p in zip(ii[par], jj[par]):
-        # angle of a point p on the circle spanned by (g_i, n_i)
-        def ang(p, i=i_p):
-            return math.atan2(float(p @ nr[i]), float(p @ g[i]))
-
-        a0, a1 = 0.0, rho0                      # fiber i as angles
-        b0, b1 = ang(-g[j_p]), ang(-(math.cos(rho0) * g[j_p]
-                                     + math.sin(rho0) * nr[j_p]))
-        # walk fiber j in small steps and test membership in fiber i range
-        steps = np.linspace(0.0, rho0, 64)
-        for th_j in steps:
-            p = -(np.cos(th_j) * g[j_p] + np.sin(th_j) * nr[j_p])
-            a = ang(p)
-            if lo <= a <= hi and lo <= th_j <= hi and abs(float(p @ tg[i_p])) < 1e-6:
-                return ((int(idx[i_p]), float(a)), (int(idx[j_p]), float(th_j)), 0.0)
-    return None
+    if pair is None:
+        return None
+    (i, th_i), (j, th_j) = pair
+    c_i = math.cos(th_i) * curve.gamma[i] + math.sin(th_i) * curve.normal[i]
+    c_j = math.cos(th_j) * curve.gamma[j] + math.sin(th_j) * curve.normal[j]
+    return (*pair, float(np.linalg.norm(c_i + c_j)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,6 +180,9 @@ class CondensedStatus:
     hemisphere: np.ndarray | None
     antipodal_pair: tuple | None
     antipodal_defect: float
+    # the caustic cloud the status was decided on; not part of the status
+    cloud: np.ndarray | None = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     @property
     def tag(self) -> str:
@@ -206,15 +223,7 @@ def condensed_status(curve: AdmissibleCurve,
                            borderline=bool(borderline), margin=float(margin),
                            hemisphere=h if condensed else None,
                            antipodal_pair=pair,
-                           antipodal_defect=float(defect))
-
-
-def is_condensed(curve: AdmissibleCurve,
-                 tol: ToleranceProfile = DEFAULT_TOL) -> CondensedStatus:
-    return condensed_status(curve, tol)
-
-
-is_diffuse = is_condensed
+                           antipodal_defect=float(defect), cloud=cloud)
 
 
 # ------------------------------------------------------------------ #
@@ -283,28 +292,27 @@ def _count_fiber_hits(curve: AdmissibleCurve, b: np.ndarray) -> int:
     """Roots of <b, tangent> whose fiber angle lies in the regular range.
 
     The closed curve is scanned over one period with the seam value pinned
-    to the start value, so a root exactly on the seam is counted once.
+    to the start value, so a root exactly on the seam is counted once.  All
+    sign changes are located and their fiber angles measured at once.
     """
     rho0 = curve.bounds.rho1
-    g, tg, nr = curve.gamma, curve.tangent, curve.normal
-    f = tg @ b
+    g, nr = curve.gamma, curve.normal
+    f = curve.tangent @ b
     f[-1] = f[0]
-    count = 0
-    for i in range(curve.n):
-        a, c = f[i], f[i + 1]
-        if a == 0.0:
-            frac = 0.0
-        elif a * c < 0.0:
-            frac = a / (a - c)
-        else:
-            continue
-        p = sphere.unit_vector((1 - frac) * g[i] + frac * g[i + 1])
-        q = (1 - frac) * nr[i] + frac * nr[i + 1]
-        q = sphere.unit_vector(q - p * (q @ p))
-        theta = math.atan2(float(b @ q), float(b @ p))
-        if rho0 - math.pi < theta < 0.0:
-            count += 1
-    return count
+    a, c = f[:-1], f[1:]
+    i = np.flatnonzero((a == 0.0) | (a * c < 0.0))
+    a, c = a[i], c[i]
+    frac = np.zeros(i.size)
+    moving = a != 0.0
+    frac[moving] = a[moving] / (a[moving] - c[moving])
+    frac = frac[:, None]
+    p = (1 - frac) * g[i] + frac * g[i + 1]
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    q = (1 - frac) * nr[i] + frac * nr[i + 1]
+    q -= p * np.einsum("ij,ij->i", q, p)[:, None]
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    theta = np.arctan2(q @ b, p @ b)
+    return int(np.count_nonzero((rho0 - math.pi < theta) & (theta < 0.0)))
 
 
 def rotation_number_nondiffuse(curve: AdmissibleCurve,
@@ -315,11 +323,13 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
     Picks a witness point b in the gap between the caustic cloud C and its
     antipode D on some fiber, then counts the parameters t whose fiber hits
     b inside the regular band range.  A second witness from an independent
-    fiber must agree.
+    fiber must agree.  The cloud of `status`, when it carries one, is used
+    instead of building it again.
     """
     if status is not None and status.diffuse:
         raise NoGapFound("curve is diffuse; the separating annulus is empty")
-    cloud = classification_cloud(curve, tol)
+    cloud = status.cloud if status is not None and status.cloud is not None \
+        else classification_cloud(curve, tol)
     tree_c = cKDTree(cloud)
     tree_d = cKDTree(-cloud)
     delta = 2.0 * _cloud_spacing(curve, tol)

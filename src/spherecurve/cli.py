@@ -33,6 +33,8 @@ from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 def _fmt(value):
     if isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("NaN has no JSON representation")
         if math.isinf(value):
             return '"-inf"' if value < 0 else '"+inf"'
         return format(value, ".17g")
@@ -54,7 +56,11 @@ def _fmt(value):
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats.
+
+    Infinities are written as the strings "-inf" / "+inf"; NaN raises
+    ValueError, since JSON has no token for it.
+    """
     return _fmt(obj)
 
 
@@ -129,13 +135,7 @@ def cmd_gen(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _tol_from_args(args)
-    try:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-        curve = curve_from_json(doc, tol)
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
-        print(f"error: cannot parse curve: {exc}", file=sys.stderr)
-        return 2
+    curve = _load(args.input, tol)
     label = classify_component(curve, tol)
     status = label.status
     report = label.to_dict()
@@ -348,14 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exit codes are documented in README.md.
+
+    Library errors exit with 1, unreadable or invalid input (missing files,
+    malformed JSON, missing keys, out-of-range values) with 2, each with
+    one line on stderr.
+    """
     args = build_parser().parse_args(argv)
-    if getattr(args, "step", None) is None and args.command == "graft":
-        args.step = _tol_from_args(args).graft_step
     try:
+        if getattr(args, "step", None) is None and args.command == "graft":
+            args.step = _tol_from_args(args).graft_step
         return args.func(args)
     except SphereCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

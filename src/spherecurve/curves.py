@@ -209,39 +209,21 @@ def _product_quats(steps: np.ndarray) -> np.ndarray:
     return q[0]
 
 
-def frames_from_lift(lift: np.ndarray) -> np.ndarray:
-    """Rotation matrices (m, 3, 3) for an array of unit quaternions."""
-    w, x, y, z = lift[:, 0], lift[:, 1], lift[:, 2], lift[:, 3]
-    R = np.empty((lift.shape[0], 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
-
-
 def lift_from_frames(frames: np.ndarray, z0=None) -> np.ndarray:
-    """Continuous quaternion lift of a frame path, sign-tracked node to node."""
-    m = frames.shape[0]
-    out = np.empty((m, 4))
-    q = sphere.rotation_to_quat(frames[0])
-    if z0 is not None:
-        if np.dot(q, z0) < 0:
-            q = -q
-    elif q[0] < 0:
-        q = -q
-    out[0] = q
-    for i in range(1, m):
-        q = sphere.rotation_to_quat(frames[i])
-        if np.dot(q, out[i - 1]) < 0:
-            q = -q
-        out[i] = q
-    return out
+    """Continuous quaternion lift of a frame path (m, 3, 3) -> (m, 4).
+
+    One batched `rotation_to_quat`, then sign tracking: node i keeps the
+    sign of node i - 1 times sign(<q_i, q_{i-1}>), a running product.  The
+    first node is the lift closest to `z0` when given, else the one with
+    nonnegative scalar part.  Consecutive frames a half-turn apart
+    (<q_i, q_{i-1}> = 0) keep the previous sign.
+    """
+    q = sphere.rotation_to_quat(frames)
+    ref = q[0, 0] if z0 is None else np.dot(q[0], z0)
+    flips = np.empty(q.shape[0])
+    flips[0] = -1.0 if ref < 0 else 1.0
+    flips[1:] = np.where(np.einsum("ij,ij->i", q[1:], q[:-1]) < 0, -1.0, 1.0)
+    return q * np.cumprod(flips)[:, None]
 
 
 # ------------------------------------------------------------------ #
@@ -379,7 +361,7 @@ def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
         v_int, k_int = (np.asarray(a, dtype=float) for a in interval_vk)
     h, _, hb, _ = control_transforms(bounds)
     controls = ControlPair(h(v_int), hb(k_int))
-    frames = frames_from_lift(lift)
+    frames = sphere.quat_to_rotation(lift)
     curve = AdmissibleCurve(
         bounds=bounds, controls=controls, domain=float(domain), lift=lift,
         gamma=frames[:, :, 0], tangent=frames[:, :, 1], normal=frames[:, :, 2],
@@ -418,7 +400,7 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
     lift = _chain_quats(z0, _step_quats(v, w, dt))
     v_nodes = np.append(v, v[-1])
     k_nodes = np.append(kap, kap[-1])
-    frames = frames_from_lift(lift)
+    frames = sphere.quat_to_rotation(lift)
     curve = AdmissibleCurve(
         bounds=bounds, controls=controls, domain=float(domain), lift=lift,
         gamma=frames[:, :, 0], tangent=frames[:, :, 1], normal=frames[:, :, 2],
@@ -549,7 +531,8 @@ def _reintegration_closes(bounds, v_hat, w_hat, q0, tol) -> bool:
     v = h_inv(v_hat)
     steps = _step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
     z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
-    ends = frames_from_lift(np.array([z0, sphere.quat_mul(z0, _product_quats(steps))]))
+    ends = sphere.quat_to_rotation(
+        np.array([z0, sphere.quat_mul(z0, _product_quats(steps))]))
     return float(np.abs(ends[1] - ends[0]).max()) <= tol.closure
 
 
@@ -625,13 +608,6 @@ def load_curve(path, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
         return curve_from_json(json.load(fh), tol)
 
 
-def _slerp(p, q, f):
-    ang = math.acos(max(-1.0, min(1.0, float(np.dot(p, q)))))
-    if ang < 1e-12:
-        return p
-    return (math.sin((1 - f) * ang) * p + math.sin(f * ang) * q) / math.sin(ang)
-
-
 def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
                       tol: ToleranceProfile = DEFAULT_TOL,
                       close: bool = True) -> AdmissibleCurve:
@@ -678,26 +654,26 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
     frames = np.stack([res, tan, nor], axis=-1)
     lift = lift_from_frames(frames)
 
-    # controls from one-step frame logarithms
-    v_int = np.empty(n)
-    k_int = np.empty(n)
+    # controls from one-step frame logarithms, all intervals at once
+    rel = sphere.quat_mul(sphere.quat_conj(lift[:-1]), lift[1:])
+    rel *= np.where(rel[:, :1] < 0, -1.0, 1.0)
+    vec = rel[:, 1:]
+    norm = np.linalg.norm(vec, axis=1)
+    ang = 2.0 * np.arctan2(norm, rel[:, 0])
+    rotates = norm > 1e-15
+    omega = np.where(rotates[:, None],
+                     (ang / np.where(rotates, norm, 1.0))[:, None] * vec, 0.0)
     dt = 1.0 / n
-    for i in range(n):
-        rel = sphere.quat_mul(sphere.quat_conj(lift[i]), lift[i + 1])
-        if rel[0] < 0:
-            rel = -rel
-        vec = rel[1:]
-        norm = np.linalg.norm(vec)
-        ang = 2.0 * math.atan2(norm, rel[0])
-        omega = (ang / norm) * vec if norm > 1e-15 else np.zeros(3)
-        v_int[i] = omega[2] / dt
-        k_int[i] = omega[0] / omega[2] if abs(omega[2]) > 1e-15 else 0.0
+    v_int = omega[:, 2] / dt
+    turning = np.abs(omega[:, 2]) > 1e-15
+    k_int = np.where(turning,
+                     omega[:, 0] / np.where(turning, omega[:, 2], 1.0), 0.0)
     if np.any(v_int <= 0):
         raise NonPositiveSpeed("imported points double back on themselves")
 
     slack = tol.import_kappa_slack
     lo, hi = bounds.kappa1, bounds.kappa2
-    margin = 1e-9 if math.isfinite(hi - lo) else 1e-9
+    margin = 1e-9
     if np.any(k_int <= lo - slack) or np.any(k_int >= hi + slack):
         raise CurvatureOutOfBounds("imported curvature escapes the bounds")
     k_int = np.clip(k_int,

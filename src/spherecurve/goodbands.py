@@ -16,12 +16,7 @@ import math
 import numpy as np
 
 from . import sphere
-from .classify import (
-    classification_cloud,
-    condensed_status,
-    reduce_to_k0,
-    rotation_number_condensed,
-)
+from .classify import condensed_status, reduce_to_k0, rotation_number_condensed
 from .curves import AdmissibleCurve, CurvatureBounds, cot, curve_from_points
 from .errors import (
     DomainError,
@@ -141,8 +136,7 @@ def band_from_condensed(curve: AdmissibleCurve,
     status = condensed_status(reduced, tol)
     if not status.condensed:
         raise NotCondensed("caustic cloud is not contained in a hemisphere")
-    cloud = classification_cloud(reduced, tol)
-    h = sphere.containing_hemisphere(cloud, tol)
+    h = sphere.containing_hemisphere(status.cloud, tol)
     nu = rotation_number_condensed(reduced, h=h, tol=tol)
 
     u1, u2 = sphere.plane_basis(h)
@@ -280,6 +274,29 @@ def _nearest_indices(lam_p, phi_p, lam_q, phi_q, nu):
     return idx, np.clip(frac, -0.5, 0.5)
 
 
+def _track_ends(band: AcceptableBand) -> tuple[np.ndarray, np.ndarray]:
+    """Far ends (lam, phi) of the tracks from every + boundary node.
+
+    Each track ends on the - boundary between its nearest sample and the
+    neighbor on the side of the parabolic offset; the longitude is that of
+    the samples, not wrapped toward the track's start.
+    """
+    K = band.k_nodes
+    idx, frac = _nearest_indices(band.lam, band.theta_plus,
+                                 band.lam, band.theta_minus, band.nu)
+    j2 = np.where(frac >= 0, (idx + 1) % K, (idx - 1) % K)
+    w = np.abs(frac)
+    lq = band.lam[idx] + np.sign(frac) * (2.0 * math.pi * band.nu / K) * w
+    pq = (1 - w) * band.theta_minus[idx] + w * band.theta_minus[j2]
+    return lq, pq
+
+
+def _orient(p, q, r) -> np.ndarray:
+    """Orientation of the chart triangles (p, q, r), rows of (K, 2) arrays."""
+    return ((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
+            - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
+
+
 def central_curve(band: GoodBand, n: int | None = None,
                   tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     """The equidistant mid-locus of a good band.
@@ -288,74 +305,53 @@ def central_curve(band: GoodBand, n: int | None = None,
     geodesic to the - boundary and keep its midpoint; the locus projects to
     a closed admissible curve with radius of curvature in
     [R/2, pi - R/2].  Neighboring tracks are checked for crossings inside
-    the band, which would signal a resolution failure.
+    the band, which would signal a resolution failure.  All tracks are
+    computed at once.
     """
     K = band.k_nodes
     nu = band.nu
-    mids = np.empty((K, 2))              # (lam, phi) on the cover
-    ends = np.empty((K, 2))
-    idx, frac = _nearest_indices(band.lam, band.theta_plus,
-                                 band.lam, band.theta_minus, nu)
-    for k in range(K):
-        lp, pp = band.lam[k], band.theta_plus[k]
-        j = int(idx[k])
-        f = float(frac[k])
-        j2 = (j + 1) % K if f >= 0 else (j - 1) % K
-        w = abs(f)
-        # interpolate the boundary point between samples j and j2
-        lq_base = band.lam[j] + np.sign(f) * (2.0 * math.pi * nu / K) * w
-        pq = (1 - w) * band.theta_minus[j] + w * band.theta_minus[j2]
-        lq = lp + _wrap_dlam(np.array([lq_base - lp]), nu)[0]
-        p3 = band.embed(lp % (2 * math.pi), pp)
-        q3 = band.embed(lq % (2 * math.pi), pq)
-        ang = math.acos(max(-1.0, min(1.0, float(p3 @ q3))))
-        if ang < 1e-12:
-            raise TrackCrossing("degenerate track of zero length")
-        m3 = (math.sin(0.5 * ang) * p3 + math.sin(0.5 * ang) * q3) / math.sin(ang)
-        m3 /= np.linalg.norm(m3)
-        b = band.frame @ m3
-        lam_m = math.atan2(b[1], b[0])
-        target = 0.5 * (lp + lq)
-        lam_m += 2.0 * math.pi * round((target - lam_m) / (2.0 * math.pi))
-        mids[k] = (lam_m, math.asin(max(-1.0, min(1.0, b[2]))))
-        ends[k] = (lq, pq)
+    lp, pp = band.lam, band.theta_plus
+    lq, pq = _track_ends(band)
+    lq = lp + _wrap_dlam(lq - lp, nu)
+    p3 = band.embed(lp % (2 * math.pi), pp)
+    q3 = band.embed(lq % (2 * math.pi), pq)
+    ang = np.arccos(np.clip(np.einsum("ij,ij->i", p3, q3), -1.0, 1.0))
+    if np.any(ang < 1e-12):
+        raise TrackCrossing("degenerate track of zero length")
+    half = np.sin(0.5 * ang)[:, None]
+    m3 = (half * p3 + half * q3) / np.sin(ang)[:, None]
+    m3 /= np.linalg.norm(m3, axis=1, keepdims=True)
+    b = m3 @ band.frame.T
+    lam_m = np.arctan2(b[:, 1], b[:, 0])
+    target = 0.5 * (lp + lq)
+    lam_m += 2.0 * math.pi * np.round((target - lam_m) / (2.0 * math.pi))
+    phi_m = np.arcsin(np.clip(b[:, 2], -1.0, 1.0))
 
     # neighboring tracks must not cross inside the band beyond the grid
-    # quantization (clearance of half a meridian spacing)
+    # quantization (clearance of half a meridian spacing); track K - 1 is
+    # compared with track 0 one covering period further on
     spacing = 2.0 * math.pi * nu / K
-    for k in range(K):
-        k2 = (k + 1) % K
-        shift = 2.0 * math.pi * nu if k2 == 0 else 0.0
-        a0 = np.array([band.lam[k], band.theta_plus[k]])
-        a1 = ends[k]
-        b0 = np.array([band.lam[k2] + shift, band.theta_plus[k2]])
-        b1 = ends[k2] + np.array([shift, 0.0])
-        if _segment_gap(a0, a1, b0, b1) < -1e-9:
-            depth = min(np.linalg.norm(a1 - b1), np.linalg.norm(a0 - b0))
-            if depth > 0.5 * spacing:
-                raise TrackCrossing(
-                    f"tracks {k} and {k2} cross inside the band")
+    a0 = np.stack([lp, pp], axis=1)
+    a1 = np.stack([lq, pq], axis=1)
+    shift = np.zeros((K, 2))
+    shift[-1, 0] = 2.0 * math.pi * nu
+    b0 = np.roll(a0, -1, axis=0) + shift
+    b1 = np.roll(a1, -1, axis=0) + shift
+    crossing = ((_orient(a0, a1, b0) * _orient(a0, a1, b1) < 0)
+                & (_orient(b0, b1, a0) * _orient(b0, b1, a1) < 0))
+    depth = np.minimum(np.linalg.norm(a1 - b1, axis=1),
+                       np.linalg.norm(a0 - b0, axis=1))
+    bad = np.flatnonzero(crossing & (depth > 0.5 * spacing))
+    if bad.size:
+        k = int(bad[0])
+        raise TrackCrossing(f"tracks {k} and {(k + 1) % K} cross inside the band")
 
-    pts = band.embed(mids[:, 0] % (2 * math.pi), mids[:, 1])
+    pts = band.embed(lam_m % (2 * math.pi), phi_m)
     R = band.R
     pad = max(tol.band_tol, 1e-3)
     kap1 = cot(R / 2.0 - pad)
     bounds = CurvatureBounds(-kap1, kap1)
     return curve_from_points(pts, bounds, n=n or tol.default_n, tol=tol)
-
-
-def _segment_gap(a0, a1, b0, b1) -> float:
-    """Signed separation proxy of two chart segments; negative = crossing."""
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    d1 = orient(a0, a1, b0)
-    d2 = orient(a0, a1, b1)
-    d3 = orient(b0, b1, a0)
-    d4 = orient(b0, b1, a1)
-    if (d1 * d2 < 0) and (d3 * d4 < 0):
-        return -1.0
-    return 1.0
 
 
 # ------------------------------------------------------------------ #
@@ -398,24 +394,12 @@ def track_field_lipschitz(band: GoodBand) -> float:
     the measured worst ratio |delta direction| / |delta base point| over
     neighboring meridians is reported for diagnostics.
     """
-    idx, frac = _nearest_indices(band.lam, band.theta_plus,
-                                 band.lam, band.theta_minus, band.nu)
-    K = band.k_nodes
-    dirs = np.empty((K, 3))
-    base = np.empty((K, 3))
-    for k in range(K):
-        j = int(idx[k])
-        f = float(frac[k])
-        j2 = (j + 1) % K if f >= 0 else (j - 1) % K
-        w = abs(f)
-        lq = band.lam[j] + np.sign(f) * (2.0 * math.pi * band.nu / K) * w
-        pq = (1 - w) * band.theta_minus[j] + w * band.theta_minus[j2]
-        p3 = band.embed(band.lam[k] % (2 * math.pi), band.theta_plus[k])
-        q3 = band.embed(lq % (2 * math.pi), pq)
-        d = q3 - p3 * float(p3 @ q3)
-        n = np.linalg.norm(d)
-        dirs[k] = d / n if n > 1e-15 else 0.0
-        base[k] = p3
+    lq, pq = _track_ends(band)
+    base = band.embed(band.lam % (2 * math.pi), band.theta_plus)
+    q3 = band.embed(lq % (2 * math.pi), pq)
+    d = q3 - base * np.einsum("ij,ij->i", base, q3)[:, None]
+    n = np.linalg.norm(d, axis=1, keepdims=True)
+    dirs = np.where(n > 1e-15, d / np.where(n > 1e-15, n, 1.0), 0.0)
     num = np.linalg.norm(np.diff(dirs, axis=0), axis=1)
     den = np.linalg.norm(np.diff(base, axis=0), axis=1)
     good = den > 1e-12

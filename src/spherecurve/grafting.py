@@ -290,12 +290,9 @@ def graft_antipodal_circles(curve: AdmissibleCurve, s: float,
     witness = antipodal_fiber_witness(base, lo=margin, hi_margin=margin, tol=tol)
     if witness is None:
         raise NotDiffuse("no antipodal caustic witness at this resolution")
-    (i1, th1), (i2, th2), _ = witness
+    (i1, th1), (i2, th2), defect_w = witness
     if i1 == i2:
         raise NotDiffuse("witness pair degenerated to a single fiber")
-    chi1 = (math.cos(th1) * base.gamma[i1] + math.sin(th1) * base.normal[i1])
-    chi2 = (math.cos(th2) * base.gamma[i2] + math.sin(th2) * base.normal[i2])
-    defect_w = float(np.linalg.norm(chi1 + chi2))
     if defect_w > tol.antipodal_chord:
         raise AntipodalDefect(f"witness defect {defect_w:.3e}")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import sphere
 from .bands import translate_curve
-from .classify import classification_cloud, condensed_status, rotation_number_condensed
+from .classify import condensed_status, rotation_number_condensed
 from .curves import (
     AdmissibleCurve,
     ControlPair,
@@ -208,12 +208,6 @@ def bend_k_equator(k: int, steps: int | None = None,
 # Loops: local insertion and global spreading
 # ------------------------------------------------------------------ #
 
-def _loop_lift(u: float, n_loops: int, rho: float) -> np.ndarray:
-    """Lift of the rho-circle traversed n_loops times, at parameter u."""
-    axis = math.pi * n_loops * u
-    return sphere.quat_exp([axis * math.cos(rho), 0.0, axis * math.sin(rho)])
-
-
 def add_loops(curve: AdmissibleCurve, t0: float, n_loops: int,
               rho_small: float, epsilon: float,
               tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
@@ -239,57 +233,43 @@ def add_loops(curve: AdmissibleCurve, t0: float, n_loops: int,
     n_src = curve.n
     v_src, k_src = curve.interval_vk()
     n_tgt = 2 * n_src
-    v_tgt = np.empty(n_tgt)
-    k_tgt = np.empty(n_tgt)
-    lift = np.empty((n_tgt + 1, 4))
-    v_nodes = np.empty(n_tgt + 1)
-    k_nodes = np.empty(n_tgt + 1)
-
-    a_end = 2 * (t0_i - 2 * eps_i)          # plain copy, halves of intervals
+    w0 = t0_i - 2 * eps_i                   # source node where the window opens
+    a_end = 2 * w0                          # plain copy, halves of intervals
     b_end = a_end + 2 * eps_i               # pre-window, compressed 2:1
     c_end = b_end + 4 * eps_i               # inserted loops
     d_end = c_end + 2 * eps_i               # post-window, compressed 2:1
 
     loop_speed = 2.0 * math.pi * n_loops * math.sin(rho_small) / (2.0 * eps_i * h_step)
     loop_kappa = cot(rho_small)
-    z_ins = curve.lift[t0_i]
     sign = (-1.0) ** n_loops
 
-    for j in range(n_tgt):
-        if j < a_end:
-            src = j // 2
-            v_tgt[j], k_tgt[j] = v_src[src], k_src[src]
-        elif j < b_end:
-            src = (t0_i - 2 * eps_i) + (j - a_end)
-            v_tgt[j], k_tgt[j] = 2.0 * v_src[src], k_src[src]
-        elif j < c_end:
-            v_tgt[j], k_tgt[j] = loop_speed, loop_kappa
-        elif j < d_end:
-            src = t0_i + (j - c_end)
-            v_tgt[j], k_tgt[j] = 2.0 * v_src[src], k_src[src]
-        else:
-            src = j // 2
-            v_tgt[j], k_tgt[j] = v_src[src], k_src[src]
+    v_tgt = np.empty(n_tgt)
+    k_tgt = np.empty(n_tgt)
+    for tgt, src in ((v_tgt, v_src), (k_tgt, k_src)):
+        tgt[:a_end] = np.repeat(src[:w0], 2)
+        tgt[a_end:b_end] = src[w0:t0_i]
+        tgt[c_end:d_end] = src[t0_i:t0_i + 2 * eps_i]
+        tgt[d_end:] = np.repeat(src[t0_i + 2 * eps_i:], 2)
+    v_tgt[a_end:b_end] *= 2.0
+    v_tgt[c_end:d_end] *= 2.0
+    v_tgt[b_end:c_end] = loop_speed
+    k_tgt[b_end:c_end] = loop_kappa
 
-    for j in range(n_tgt + 1):
-        if j <= a_end:
-            t_src = j * 0.5 * h_step
-            lift[j] = curve.eval_lift(t_src)[0]
-        elif j <= b_end:
-            src_node = (t0_i - 2 * eps_i) + (j - a_end)
-            lift[j] = curve.lift[src_node]
-        elif j <= c_end:
-            u = (j - b_end) / (4.0 * eps_i)
-            lift[j] = sphere.quat_mul(z_ins, _loop_lift(u, n_loops, rho_small))
-        elif j <= d_end:
-            src_node = t0_i + (j - c_end)
-            lift[j] = sign * curve.lift[src_node]
-        else:
-            t_src = j * 0.5 * h_step
-            lift[j] = sign * curve.eval_lift(t_src)[0]
+    # node lifts: the plain copies at half-steps in one batched evaluation,
+    # the compressed windows from the node samples, the loops in closed form
+    lift = np.empty((n_tgt + 1, 4))
+    plain = np.r_[0:a_end + 1, d_end + 1:n_tgt + 1]
+    lift[plain] = curve.eval_lift(plain * 0.5 * h_step)
+    lift[d_end + 1:] *= sign
+    lift[a_end + 1:b_end + 1] = curve.lift[w0 + 1:t0_i + 1]
+    axis = math.pi * n_loops * (np.arange(1, 4 * eps_i + 1) / (4.0 * eps_i))
+    lift[b_end + 1:c_end + 1] = sphere.quat_mul(curve.lift[t0_i], sphere.quat_exp(
+        np.stack([axis * math.cos(rho_small), np.zeros_like(axis),
+                  axis * math.sin(rho_small)], axis=1)))
+    lift[c_end + 1:d_end + 1] = sign * curve.lift[t0_i + 1:t0_i + 2 * eps_i + 1]
 
-    v_nodes[:-1], k_nodes[:-1] = v_tgt, k_tgt
-    v_nodes[-1], k_nodes[-1] = v_tgt[-1], k_tgt[-1]
+    v_nodes = np.append(v_tgt, v_tgt[-1])
+    k_nodes = np.append(k_tgt, k_tgt[-1])
     out = curve_from_node_data(curve.bounds, lift, v_nodes, k_nodes,
                                domain=curve.domain, closed=curve.closed, tol=tol)
     h, _, hb, _ = control_transforms(curve.bounds)
@@ -625,8 +605,7 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     status = condensed_status(reduced, tol)
     if not status.condensed:
         raise NotCondensed("caustic cloud is not contained in a hemisphere")
-    cloud = classification_cloud(reduced, tol)
-    h = sphere.containing_hemisphere(cloud, tol)
+    h = sphere.containing_hemisphere(status.cloud, tol)
     nu = rotation_number_condensed(reduced, h=h, tol=tol)
     bounds = reduced.bounds
 

@@ -1,7 +1,9 @@
 """Primitives for S^2, SO(3), the unit quaternions S^3 and spherical convexity.
 
 Vectors are plain numpy arrays: shape (3,) for points of S^2, (4,) for
-quaternions in scalar-first order [w, x, y, z], (3, 3) for rotations.
+quaternions in scalar-first order [w, x, y, z], (3, 3) for rotations.  The
+quaternion and rotation maps broadcast over leading axes, so a whole frame
+path converts in one call.
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ def unit_vector(v) -> np.ndarray:
     if n < 1e-12:
         raise ValueError("cannot normalize a near-zero vector")
     return v / n
-
-
-def is_unit_vector(v, tol: float = 1e-12) -> bool:
-    return abs(float(np.dot(v, v)) - 1.0) <= 3.0 * tol
-
-
-def is_rotation(R, tol: float = 1e-10) -> bool:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    defect = np.abs(R.T @ R - np.eye(3)).max()
-    return defect <= tol and abs(np.linalg.det(R) - 1.0) <= tol
 
 
 # ------------------------------------------------------------------ #
@@ -92,53 +82,67 @@ def quat_exp(v) -> np.ndarray:
 
 
 def quat_to_rotation(z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Project a unit quaternion to SO(3) via v -> z v z^-1 on imaginaries.
+    """Project unit quaternions to SO(3) via v -> z v z^-1 on imaginaries.
 
-    The kernel is {1, -1}: quat_to_rotation(z) == quat_to_rotation(-z).
-    Inputs that drift off S^3 by more than 1e-9 are renormalized with a
-    warning rather than rejected.
+    Broadcasts over leading axes: (..., 4) -> (..., 3, 3).  The kernel is
+    {1, -1}: quat_to_rotation(z) == quat_to_rotation(-z).  Quaternions that
+    drift off S^3 by more than 1e-9 are renormalized with a warning rather
+    than rejected; smaller drifts beyond `tol.unit_norm` are renormalized
+    silently.
     """
     z = np.asarray(z, dtype=float)
-    n2 = float(np.dot(z, z))
-    if abs(n2 - 1.0) > 1e-9:
+    n2 = np.sum(z * z, axis=-1, keepdims=True)
+    drift = np.abs(n2 - 1.0)
+    if np.any(drift > 1e-9):
         warnings.warn("quaternion drifted off S^3; renormalizing", UnitDriftWarning)
-        z = z / np.sqrt(n2)
-    elif abs(n2 - 1.0) > tol.unit_norm:
-        z = z / np.sqrt(n2)
-    w, x, y, zc = z
-    return np.array([
-        [1 - 2 * (y * y + zc * zc), 2 * (x * y - w * zc), 2 * (x * zc + w * y)],
-        [2 * (x * y + w * zc), 1 - 2 * (x * x + zc * zc), 2 * (y * zc - w * x)],
-        [2 * (x * zc - w * y), 2 * (y * zc + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    if np.any(drift > tol.unit_norm):
+        z = np.where(drift > tol.unit_norm, z / np.sqrt(n2), z)
+    w, x, y, zc = np.moveaxis(z, -1, 0)
+    R = np.empty(z.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (y * y + zc * zc)
+    R[..., 0, 1] = 2 * (x * y - w * zc)
+    R[..., 0, 2] = 2 * (x * zc + w * y)
+    R[..., 1, 0] = 2 * (x * y + w * zc)
+    R[..., 1, 1] = 1 - 2 * (x * x + zc * zc)
+    R[..., 1, 2] = 2 * (y * zc - w * x)
+    R[..., 2, 0] = 2 * (x * zc - w * y)
+    R[..., 2, 1] = 2 * (y * zc + w * x)
+    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
 
 
 def rotation_to_quat(R) -> np.ndarray:
-    """Lift a rotation matrix to one of its two unit quaternions (Shepperd)."""
+    """Lift rotation matrices to one of their two unit quaternions (Shepperd).
+
+    Broadcasts over leading axes: (..., 3, 3) -> (..., 4).  Each matrix
+    takes the branch of its largest pivot (the trace, else the largest
+    diagonal entry), so no branch divides by a small number.
+    """
     R = np.asarray(R, dtype=float)
-    m00, m01, m02 = R[0]
-    m10, m11, m12 = R[1]
-    m20, m21, m22 = R[2]
+    m00, m01, m02 = R[..., 0, 0], R[..., 0, 1], R[..., 0, 2]
+    m10, m11, m12 = R[..., 1, 0], R[..., 1, 1], R[..., 1, 2]
+    m20, m21, m22 = R[..., 2, 0], R[..., 2, 1], R[..., 2, 2]
     tr = m00 + m11 + m22
-    if tr > 0.0:
-        s = 0.5 / np.sqrt(tr + 1.0)
-        q = np.array([0.25 / s, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s])
-    elif m00 > m11 and m00 > m22:
-        s = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
-        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
-    elif m11 > m22:
-        s = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
-        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
-    else:
-        s = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
-        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
-    return quat_normalize(q)
-
-
-def rotate_vector(q, v) -> np.ndarray:
-    """Apply the rotation represented by unit quaternion q to a 3-vector."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    return quat_mul(quat_mul(q, qv), quat_conj(q))[1:]
+    # every branch is evaluated on every matrix and only the selected one
+    # kept; the others may take square roots of negative numbers
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s0 = 0.5 / np.sqrt(tr + 1.0)
+        s1 = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
+        s2 = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
+        s3 = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
+        branches = [
+            [0.25 / s0, (m21 - m12) * s0, (m02 - m20) * s0, (m10 - m01) * s0],
+            [(m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1],
+            [(m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2],
+            [(m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3],
+        ]
+    first = tr > 0.0
+    second = ~first & (m00 > m11) & (m00 > m22)
+    third = ~first & ~second & (m11 > m22)
+    q = np.select([first[..., None], second[..., None], third[..., None]],
+                  [np.stack(b, axis=-1) for b in branches[:3]],
+                  np.stack(branches[3], axis=-1))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
@@ -262,10 +266,6 @@ class StereoChart:
 def stereographic(p, pole, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Conformal projection of p from `pole` onto the plane pole-perp."""
     return StereoChart(pole, tol).project(p)
-
-
-def unstereographic(x, pole, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    return StereoChart(pole, tol).unproject(x)
 
 
 def mobius_dilate(p, r: float, pole, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -503,6 +503,10 @@ def fibonacci_lattice(m: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+# lattice directions tested against the cloud per matrix product
+_BARYCENTER_BLOCK = 4096
+
+
 def hemisphere_barycenter(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Barycenter of the set of closed hemispheres containing the cloud.
 
@@ -519,7 +523,10 @@ def hemisphere_barycenter(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> n
         cloud = cloud[:: cloud.shape[0] // 1024]
 
     def centroid(directions):
-        keep = np.min(directions @ cloud.T, axis=1) >= 0.0
+        # row blocks bound the direction-by-point matrix to a few MB
+        keep = np.concatenate([
+            np.min(directions[i:i + _BARYCENTER_BLOCK] @ cloud.T, axis=1) >= 0.0
+            for i in range(0, directions.shape[0], _BARYCENTER_BLOCK)])
         if not np.any(keep):
             raise EmptyDual("no lattice direction contains the cloud")
         c = directions[keep].mean(axis=0)

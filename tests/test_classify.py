@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -311,3 +312,141 @@ class TestOneAnalysisPerLabel:
         assert report["witnesses"] == {
             "hemisphere": list(status.hemisphere),
             "antipodal_defect": status.antipodal_defect}
+
+
+def loop_antipodal_fiber_witness(curve, lo=0.0, hi_margin=0.0, tol=sc.DEFAULT_TOL):
+    """The witness search with the parallel-tangent fallback walking each
+    pair's fiber point by point; reports no defect."""
+    rho0 = curve.bounds.rho1
+    hi = rho0 - hi_margin
+    stride = classify._classify_stride(curve, tol)
+    idx = np.arange(0, curve.n, stride)
+    g, tg, nr = curve.gamma[idx], curve.tangent[idx], curve.normal[idx]
+    ii, jj = np.triu_indices(idx.size, k=1)
+    u = np.cross(tg[ii], tg[jj])
+    norms = np.linalg.norm(u, axis=1)
+    ok = norms > 1e-8
+    best = None
+    if np.any(ok):
+        uu = u[ok] / norms[ok, None]
+        i_ok, j_ok = ii[ok], jj[ok]
+        for sign in (1.0, -1.0):
+            w = sign * uu
+            th_i = np.arctan2(np.einsum("ij,ij->i", w, nr[i_ok]),
+                              np.einsum("ij,ij->i", w, g[i_ok]))
+            th_j = np.arctan2(np.einsum("ij,ij->i", -w, nr[j_ok]),
+                              np.einsum("ij,ij->i", -w, g[j_ok]))
+            feas = (th_i >= lo) & (th_i <= hi) & (th_j >= lo) & (th_j <= hi)
+            if np.any(feas):
+                margin = np.minimum(np.minimum(th_i - lo, hi - th_i),
+                                    np.minimum(th_j - lo, hi - th_j))
+                margin = np.where(feas, margin, -np.inf)
+                k = int(np.argmax(margin))
+                if best is None or margin[k] > best[2]:
+                    best = ((int(idx[i_ok[k]]), float(th_i[k])),
+                            (int(idx[j_ok[k]]), float(th_j[k])), float(margin[k]))
+    if best is not None:
+        return best[:2]
+    par = (~ok) & (np.abs(np.einsum("ij,ij->i", g[jj], tg[ii])) < 1e-6)
+    for i_p, j_p in zip(ii[par], jj[par]):
+        for th_j in np.linspace(0.0, rho0, 64):
+            p = -(np.cos(th_j) * g[j_p] + np.sin(th_j) * nr[j_p])
+            a = math.atan2(float(p @ nr[i_p]), float(p @ g[i_p]))
+            if lo <= a <= hi and lo <= th_j <= hi and abs(float(p @ tg[i_p])) < 1e-6:
+                return (int(idx[i_p]), float(a)), (int(idx[j_p]), float(th_j))
+    return None
+
+
+def loop_count_fiber_hits(curve, b):
+    """Sign changes of <b, tangent> visited one interval at a time."""
+    rho0 = curve.bounds.rho1
+    g, tg, nr = curve.gamma, curve.tangent, curve.normal
+    f = tg @ b
+    f[-1] = f[0]
+    count = 0
+    for i in range(curve.n):
+        a, c = f[i], f[i + 1]
+        if a == 0.0:
+            frac = 0.0
+        elif a * c < 0.0:
+            frac = a / (a - c)
+        else:
+            continue
+        p = sc.sphere.unit_vector((1 - frac) * g[i] + frac * g[i + 1])
+        q = (1 - frac) * nr[i] + frac * nr[i + 1]
+        q = sc.sphere.unit_vector(q - p * (q @ p))
+        theta = math.atan2(float(b @ q), float(b @ p))
+        if rho0 - math.pi < theta < 0.0:
+            count += 1
+    return count
+
+
+class TestBatchedWitness:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_fold_circles_match_loop(self, k):
+        # (kappa1, rho): no antipodal pair (every parallel pair walked),
+        # a hit deep inside fiber j, a hit at its start
+        for kappa1, rho in ((0.0, 0.8), (-1.0, 0.4), (-0.3, 1.7)):
+            curve = sc.make_circle(rho, k, sc.CurvatureBounds(kappa1, math.inf),
+                                   n=256)
+            reduced, _ = classify.reduce_to_k0(curve)
+            got = classify.antipodal_fiber_witness(reduced)
+            want = loop_antipodal_fiber_witness(reduced)
+            assert (got is None) == (want is None) == (kappa1 == 0.0)
+            if got is not None:
+                self.assert_same_pair(reduced, got, want)
+
+    def test_diffuse_example_matches_loop(self, diffuse_curve):
+        reduced, _ = classify.reduce_to_k0(diffuse_curve)
+        for lo, hi_margin in ((0.0, 0.0), (1e-9, 1e-9)):
+            got = classify.antipodal_fiber_witness(reduced, lo, hi_margin)
+            self.assert_same_pair(
+                reduced, got, loop_antipodal_fiber_witness(reduced, lo, hi_margin))
+
+    @staticmethod
+    def assert_same_pair(curve, got, want):
+        (i, th_i), (j, th_j), defect = got
+        assert (i, j) == (want[0][0], want[1][0])
+        assert abs(th_i - want[0][1]) < 1e-12 and abs(th_j - want[1][1]) < 1e-12
+        chi_i = math.cos(th_i) * curve.gamma[i] + math.sin(th_i) * curve.normal[i]
+        chi_j = math.cos(th_j) * curve.gamma[j] + math.sin(th_j) * curve.normal[j]
+        assert defect == float(np.linalg.norm(chi_i + chi_j))
+        assert defect < 1e-12
+
+    def test_status_reports_the_measured_defect(self, diffuse_curve):
+        st = classify.condensed_status(diffuse_curve)
+        c = diffuse_curve
+        (i, th_i), (j, th_j) = st.antipodal_pair
+        chi_i = math.cos(th_i) * c.gamma[i] + math.sin(th_i) * c.normal[i]
+        chi_j = math.cos(th_j) * c.gamma[j] + math.sin(th_j) * c.normal[j]
+        assert st.antipodal_defect == float(np.linalg.norm(chi_i + chi_j))
+        assert st.antipodal_defect < 1e-12
+
+    def test_fiber_hits_match_loop(self, neither_small, rng, bounds_k0):
+        curves = [neither_small, sc.make_circle(0.6, 3, bounds_k0, n=256)]
+        for curve in curves:
+            bs = rng.normal(size=(12, 3))
+            bs /= np.linalg.norm(bs, axis=1, keepdims=True)
+            counts = [classify._count_fiber_hits(curve, b) for b in bs]
+            assert counts == [loop_count_fiber_hits(curve, b) for b in bs]
+            assert any(counts)
+
+
+class TestStatusCarriesCloud:
+    def test_cloud_is_kept_but_not_compared(self, bounds_k0):
+        curve = sc.make_circle(0.7, 1, bounds_k0, n=256)
+        st = classify.condensed_status(curve)
+        assert np.array_equal(st.cloud, classify.classification_cloud(curve))
+        assert "cloud" not in repr(st)
+        assert not {f.name: f for f in dataclasses.fields(st)}["cloud"].compare
+
+    def test_nondiffuse_rotation_reuses_the_cloud(self, neither_small, monkeypatch):
+        st = classify.condensed_status(neither_small)
+        builds = []
+        real = classify.classification_cloud
+        monkeypatch.setattr(classify, "classification_cloud",
+                            lambda *a, **k: builds.append(1) or real(*a, **k))
+        with_status = classify.rotation_number_nondiffuse(neither_small, st)
+        assert builds == []
+        assert with_status == classify.rotation_number_nondiffuse(neither_small)
+        assert builds == [1]

@@ -173,3 +173,51 @@ class TestSeedEnv:
         # deterministic generation is unaffected by the seed for circles
         doc = json.loads(out.read_text())
         assert doc["n"] == 64
+
+
+class TestErrorBoundary:
+    """Bad input ends in one stderr line and exit code 2, never a traceback."""
+
+    @pytest.fixture
+    def bad_inputs(self, tmp_path):
+        malformed = tmp_path / "bad.json"
+        malformed.write_text("{not json")
+        no_controls = tmp_path / "keys.json"
+        no_controls.write_text(json.dumps({"kappa1": 0.0, "kappa2": "+inf"}))
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({"kappa1": 0.0, "kappa2": "+inf", "n": 8,
+                                     "v_hat": [1.0] * 8, "w_hat": [0.0] * 8}))
+        return {"missing": tmp_path / "missing.json", "malformed": malformed,
+                "no_controls": no_controls, "short": short}
+
+    @pytest.mark.parametrize("command", [
+        ["classify"], ["loops"], ["shrink"], ["graft"], ["graft", "--mode", "simplex"],
+        ["bands", "--central"], ["validate"], ["export-band", "CSV"]])
+    @pytest.mark.parametrize("kind", ["missing", "malformed", "no_controls", "short"])
+    def test_bad_input_exit_2(self, command, kind, bad_inputs, tmp_path, capsys):
+        argv = [command[0], str(bad_inputs[kind])] + [
+            str(tmp_path / "out.csv") if a == "CSV" else a for a in command[1:]]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_tolerance_profile_exit_2(self, tmp_path, capsys):
+        assert run_cli("--tol-profile", str(tmp_path / "none.json"), "graft",
+                       str(tmp_path / "c.json")) == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError")
+
+    def test_library_error_exit_1(self, tmp_path, capsys):
+        c = tmp_path / "c.json"
+        run_cli("gen", "circle", "--rho", "0.8", "--k", "1", "--kappa1", "0",
+                "-n", "64", "-o", str(c))
+        # a condensed circle has no antipodal caustic points to graft at
+        assert run_cli("graft", str(c), "--mode", "antipodal") == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_dumps_refuses_nan(self):
+        with pytest.raises(ValueError):
+            cli.dumps({"margin": float("nan")})
+        with pytest.raises(ValueError):
+            cli.dumps([np.array([1.0, np.nan])])
+        assert cli.dumps([math.inf, -math.inf]) == '["+inf","-inf"]'

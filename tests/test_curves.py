@@ -371,3 +371,81 @@ class TestNodeSampleJson:
         doc["kappa"] = doc["kappa"][:-1]
         with pytest.raises(ValueError):
             sc.curve_from_json(doc)
+
+
+def loop_lift_from_frames(frames, z0=None):
+    """Node by node: each quaternion takes the sign nearer its predecessor."""
+    out = np.empty((frames.shape[0], 4))
+    q = sphere.rotation_to_quat(frames[0])
+    if z0 is not None:
+        if np.dot(q, z0) < 0:
+            q = -q
+    elif q[0] < 0:
+        q = -q
+    out[0] = q
+    for i in range(1, frames.shape[0]):
+        q = sphere.rotation_to_quat(frames[i])
+        if np.dot(q, out[i - 1]) < 0:
+            q = -q
+        out[i] = q
+    return out
+
+
+def random_frame_path(rng, m, step):
+    """Random walk in SO(3) with rotation steps of up to `step` radians."""
+    from conftest import random_rotation
+    frames = [random_rotation(rng)]
+    for _ in range(m - 1):
+        axis = rng.normal(size=3)
+        frames.append(frames[-1] @ sphere.rotation_about(
+            axis, rng.uniform(0.0, step)))
+    return np.array(frames)
+
+
+class TestBatchedLift:
+    def test_shrink_frames_match_loop(self, bounds_k0):
+        from spherecurve import homotopy
+        path = homotopy.shrink_condensed(sc.make_circle(0.7, 2, bounds_k0, n=128),
+                                         steps=6)
+        for curve in path.curves:
+            lift = cur.lift_from_frames(curve.frames)
+            assert np.abs(lift - loop_lift_from_frames(curve.frames)).max() <= 2.3e-16
+            assert np.abs(lift - curve.lift).max() < 1e-12
+
+    @pytest.mark.parametrize("step", [0.3, 1.5])
+    def test_random_paths_with_sign_flips_match_loop(self, rng, step):
+        frames = random_frame_path(rng, 400, step)
+        raw = sphere.rotation_to_quat(frames)
+        # the unsigned Shepperd lifts jump sign often; the tracked one never
+        assert np.any(np.einsum("ij,ij->i", raw[1:], raw[:-1]) < 0)
+        lift = cur.lift_from_frames(frames)
+        assert np.array_equal(np.abs(lift), np.abs(raw))
+        assert np.all(np.einsum("ij,ij->i", lift[1:], lift[:-1]) >= 0)
+        assert np.array_equal(lift, loop_lift_from_frames(frames))
+        z0 = -lift[0]
+        assert np.array_equal(cur.lift_from_frames(frames, z0=z0),
+                              loop_lift_from_frames(frames, z0=z0))
+        assert np.array_equal(cur.lift_from_frames(frames, z0=z0), -lift)
+
+    def test_frame_logs_match_loop(self, bounds_k0):
+        # curve_from_points recovers the controls of a circle from one-step
+        # frame logarithms; the batched logs equal the per-interval ones
+        c = sc.make_circle(0.8, 2, bounds_k0, n=256)
+        fitted = cur.curve_from_points(c.gamma, bounds_k0, n=128)
+        lift = fitted.lift
+        dt = 1.0 / 128
+        v_loop = np.empty(128)
+        k_loop = np.empty(128)
+        for i in range(128):
+            rel = sphere.quat_mul(sphere.quat_conj(lift[i]), lift[i + 1])
+            if rel[0] < 0:
+                rel = -rel
+            vec = rel[1:]
+            norm = np.linalg.norm(vec)
+            ang = 2.0 * math.atan2(norm, rel[0])
+            omega = (ang / norm) * vec if norm > 1e-15 else np.zeros(3)
+            v_loop[i] = omega[2] / dt
+            k_loop[i] = omega[0] / omega[2] if abs(omega[2]) > 1e-15 else 0.0
+        assert np.abs(fitted.speed[:-1] - v_loop).max() <= 1e-12 * v_loop.max()
+        assert np.abs(fitted.kappa[:-1] - k_loop).max() <= 1e-9
+        assert np.abs(fitted.kappa - sc.cot(0.8)).max() < 1e-2

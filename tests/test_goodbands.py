@@ -5,7 +5,7 @@ import pytest
 
 import spherecurve as sc
 from spherecurve import classify, goodbands as gb, homotopy as ho
-from spherecurve.errors import DomainError
+from spherecurve.errors import DomainError, TrackCrossing
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +151,112 @@ class TestTrackDiagnostics:
         assert np.isfinite(lip) and lip >= 0.0
         # rotationally symmetric bands have slowly varying tracks
         assert lip < 10.0
+
+
+def loop_track_ends(band):
+    """Far end of each track, one + boundary node at a time."""
+    K = band.k_nodes
+    idx, frac = gb._nearest_indices(band.lam, band.theta_plus,
+                                    band.lam, band.theta_minus, band.nu)
+    ends = np.empty((K, 2))
+    for k in range(K):
+        j, f = int(idx[k]), float(frac[k])
+        j2 = (j + 1) % K if f >= 0 else (j - 1) % K
+        w = abs(f)
+        ends[k] = (band.lam[j] + np.sign(f) * (2.0 * math.pi * band.nu / K) * w,
+                   (1 - w) * band.theta_minus[j] + w * band.theta_minus[j2])
+    return ends
+
+
+def loop_central_points(band, ends=None):
+    """Mid-locus of the tracks node by node, with the pairwise crossing
+    check of neighboring tracks; raises TrackCrossing like central_curve."""
+    K, nu = band.k_nodes, band.nu
+    ends = loop_track_ends(band) if ends is None else ends.copy()
+    mids = np.empty((K, 2))
+    for k in range(K):
+        lp, pp = band.lam[k], band.theta_plus[k]
+        lq = lp + gb._wrap_dlam(np.array([ends[k, 0] - lp]), nu)[0]
+        ends[k, 0] = lq
+        p3 = band.embed(lp % (2 * math.pi), pp)
+        q3 = band.embed(lq % (2 * math.pi), ends[k, 1])
+        ang = math.acos(max(-1.0, min(1.0, float(p3 @ q3))))
+        m3 = (math.sin(0.5 * ang) * p3 + math.sin(0.5 * ang) * q3) / math.sin(ang)
+        b = band.frame @ (m3 / np.linalg.norm(m3))
+        lam_m = math.atan2(b[1], b[0])
+        lam_m += 2.0 * math.pi * round((0.5 * (lp + lq) - lam_m) / (2.0 * math.pi))
+        mids[k] = (lam_m, math.asin(max(-1.0, min(1.0, b[2]))))
+
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    for k in range(K):
+        k2 = (k + 1) % K
+        shift = np.array([2.0 * math.pi * nu if k2 == 0 else 0.0, 0.0])
+        a0 = np.array([band.lam[k], band.theta_plus[k]])
+        b0 = np.array([band.lam[k2], band.theta_plus[k2]]) + shift
+        a1, b1 = ends[k], ends[k2] + shift
+        if orient(a0, a1, b0) * orient(a0, a1, b1) < 0 \
+                and orient(b0, b1, a0) * orient(b0, b1, a1) < 0:
+            if min(np.linalg.norm(a1 - b1), np.linalg.norm(a0 - b0)) \
+                    > 0.5 * 2.0 * math.pi * nu / K:
+                raise TrackCrossing(f"tracks {k} and {k2} cross inside the band")
+    return band.embed(mids[:, 0] % (2 * math.pi), mids[:, 1])
+
+
+def loop_track_field_lipschitz(band):
+    ends = loop_track_ends(band)
+    dirs = np.empty((band.k_nodes, 3))
+    base = np.empty((band.k_nodes, 3))
+    for k in range(band.k_nodes):
+        p3 = band.embed(band.lam[k] % (2 * math.pi), band.theta_plus[k])
+        q3 = band.embed(ends[k, 0] % (2 * math.pi), ends[k, 1])
+        d = q3 - p3 * float(p3 @ q3)
+        n = np.linalg.norm(d)
+        dirs[k] = d / n if n > 1e-15 else 0.0
+        base[k] = p3
+    num = np.linalg.norm(np.diff(dirs, axis=0), axis=1)
+    den = np.linalg.norm(np.diff(base, axis=0), axis=1)
+    good = den > 1e-12
+    return float(np.max(num[good] / den[good]))
+
+
+class TestBatchedTracks:
+    @pytest.fixture(scope="class")
+    def bands(self, circle_band, band_tol):
+        lopsided = sc.make_circle(0.8, 1, sc.CurvatureBounds(-0.3, math.inf), n=512)
+        return [circle_band,
+                gb.retract_to_good(gb.band_from_condensed(lopsided, band_tol),
+                                   tol=band_tol)]
+
+    def test_central_curve_matches_loop(self, bands, band_tol, monkeypatch):
+        fitted = []
+        real = gb.curve_from_points
+        monkeypatch.setattr(gb, "curve_from_points",
+                            lambda pts, *a, **k: fitted.append(pts) or real(pts, *a, **k))
+        for band in bands:
+            central = gb.central_curve(band, tol=band_tol)
+            want = loop_central_points(band)
+            assert np.abs(fitted[-1] - want).max() < 4e-15
+            oracle = real(want, central.bounds, n=band_tol.default_n, tol=band_tol)
+            assert np.abs(central.gamma - oracle.gamma).max() < 1e-13
+            assert np.abs(central.lift - oracle.lift).max() < 1e-13
+
+    def test_lipschitz_matches_loop(self, bands):
+        for band in bands:
+            lip = gb.track_field_lipschitz(band)
+            assert abs(lip - loop_track_field_lipschitz(band)) <= 1e-13 * max(1.0, lip)
+
+    def test_crossing_tracks_raise_like_loop(self, circle_band, monkeypatch):
+        # tracks whose ends are pushed past their neighbors' by several
+        # meridian spacings, alternately forward and back
+        ends = loop_track_ends(circle_band)
+        spacing = 2.0 * math.pi * circle_band.nu / circle_band.k_nodes
+        swing = np.where(np.arange(circle_band.k_nodes) % 2 == 0, 3.0, -3.0)
+        ends[200:, 0] += spacing * swing[200:]
+        monkeypatch.setattr(gb, "_track_ends", lambda band: (ends[:, 0], ends[:, 1]))
+        with pytest.raises(TrackCrossing) as want:
+            loop_central_points(circle_band, ends)
+        with pytest.raises(TrackCrossing) as got:
+            gb.central_curve(circle_band)
+        assert str(got.value) == str(want.value) == "tracks 200 and 201 cross inside the band"

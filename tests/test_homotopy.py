@@ -256,3 +256,68 @@ class TestShrinkOpenHemisphere:
         for cv in path.curves[1:]:
             cloud = classification_cloud(cv)
             assert sphere.hemisphere_feasible(cloud, closed=False) is not None
+
+
+def loop_add_loops(curve, t0, n_loops, rho_small, epsilon):
+    """add_loops one target interval and one node at a time, each plain
+    node lift from its own eval_lift call."""
+    from spherecurve import sphere
+    h_step = curve.dt
+    t0_i = int(round(t0 / h_step))
+    eps_i = max(1, int(round(epsilon / h_step)))
+    n_src = curve.n
+    v_src, k_src = curve.interval_vk()
+    n_tgt = 2 * n_src
+    v_tgt, k_tgt = np.empty(n_tgt), np.empty(n_tgt)
+    lift = np.empty((n_tgt + 1, 4))
+    a_end = 2 * (t0_i - 2 * eps_i)
+    b_end = a_end + 2 * eps_i
+    c_end = b_end + 4 * eps_i
+    d_end = c_end + 2 * eps_i
+    loop_speed = 2.0 * math.pi * n_loops * math.sin(rho_small) / (2.0 * eps_i * h_step)
+    loop_kappa = sc.cot(rho_small)
+    z_ins = curve.lift[t0_i]
+    sign = (-1.0) ** n_loops
+    for j in range(n_tgt):
+        if j < a_end:
+            src = j // 2
+            v_tgt[j], k_tgt[j] = v_src[src], k_src[src]
+        elif j < b_end:
+            src = (t0_i - 2 * eps_i) + (j - a_end)
+            v_tgt[j], k_tgt[j] = 2.0 * v_src[src], k_src[src]
+        elif j < c_end:
+            v_tgt[j], k_tgt[j] = loop_speed, loop_kappa
+        elif j < d_end:
+            src = t0_i + (j - c_end)
+            v_tgt[j], k_tgt[j] = 2.0 * v_src[src], k_src[src]
+        else:
+            src = j // 2
+            v_tgt[j], k_tgt[j] = v_src[src], k_src[src]
+    for j in range(n_tgt + 1):
+        if j <= a_end:
+            lift[j] = curve.eval_lift(j * 0.5 * h_step)[0]
+        elif j <= b_end:
+            lift[j] = curve.lift[(t0_i - 2 * eps_i) + (j - a_end)]
+        elif j <= c_end:
+            axis = math.pi * n_loops * ((j - b_end) / (4.0 * eps_i))
+            lift[j] = sphere.quat_mul(z_ins, sphere.quat_exp(
+                [axis * math.cos(rho_small), 0.0, axis * math.sin(rho_small)]))
+        elif j <= d_end:
+            lift[j] = sign * curve.lift[t0_i + (j - c_end)]
+        else:
+            lift[j] = sign * curve.eval_lift(j * 0.5 * h_step)[0]
+    return v_tgt, k_tgt, lift
+
+
+class TestBatchedAddLoops:
+    @pytest.mark.parametrize("n_loops", [1, 2, 3])
+    def test_bit_identical_to_loop(self, loops_base, n_loops):
+        for base, t0, eps in ((loops_base, 0.5, 0.05),
+                              (sc.reparametrize_by_curvature(loops_base), 0.37, 0.02)):
+            out = ho.add_loops(base, t0 * base.domain, n_loops, 0.3, eps * base.domain)
+            v_tgt, k_tgt, lift = loop_add_loops(base, t0 * base.domain, n_loops,
+                                                0.3, eps * base.domain)
+            assert np.array_equal(out.lift, lift)
+            assert np.array_equal(out.speed[:-1], v_tgt)
+            assert np.array_equal(out.kappa[:-1], k_tgt)
+            assert out.speed[-1] == v_tgt[-1] and out.kappa[-1] == k_tgt[-1]

@@ -421,3 +421,79 @@ class TestBarycenter:
             pert = cloud + 1e-4 * rng.normal(size=cloud.shape)
             pert /= np.linalg.norm(pert, axis=1, keepdims=True)
             assert np.linalg.norm(sphere.hemisphere_barycenter(pert) - h0) < 1e-2
+
+
+def scalar_rotation_to_quat(R):
+    """One matrix at a time, branching in Python: the Shepperd oracle."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(R, dtype=float)
+    tr = m00 + m11 + m22
+    if tr > 0.0:
+        s = 0.5 / np.sqrt(tr + 1.0)
+        q = np.array([0.25 / s, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s])
+    elif m00 > m11 and m00 > m22:
+        s = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
+        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
+    elif m11 > m22:
+        s = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
+        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
+    else:
+        s = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
+        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
+    return q / np.linalg.norm(q)
+
+
+class TestBatchedRotations:
+    def shepperd_cases(self, rng):
+        """Rotations near the identity (trace branch) and near the half-turns
+        about e1, e2 and e3 (the three diagonal branches), 8 of each."""
+        cases = []
+        for axis in (None, *np.eye(3)):
+            for _ in range(8):
+                wobble = sphere.rotation_about(rng.normal(size=3),
+                                               rng.uniform(0.0, 0.3))
+                cases.append(wobble if axis is None
+                             else sphere.rotation_about(axis, math.pi) @ wobble)
+            if axis is not None:
+                cases.append(sphere.rotation_about(axis, math.pi))
+        return np.array(cases)
+
+    def test_every_shepperd_branch_matches_scalar(self, rng):
+        Rs = self.shepperd_cases(rng)
+        tr = np.trace(Rs, axis1=1, axis2=2)
+        diag = np.argmax(np.diagonal(Rs, axis1=1, axis2=2), axis=1)
+        branch = np.where(tr > 0, 0, 1 + diag)
+        assert set(branch) == {0, 1, 2, 3}
+        qs = sphere.rotation_to_quat(Rs)
+        for R, q in zip(Rs, qs):
+            assert np.abs(q - scalar_rotation_to_quat(R)).max() <= 2.3e-16
+            assert np.abs(sphere.quat_to_rotation(q) - R).max() < 1e-14
+
+    def test_half_turns_lift_to_their_axes(self):
+        for axis in np.eye(3):
+            q = sphere.rotation_to_quat(sphere.rotation_about(axis, math.pi))
+            assert np.abs(q[1:] - axis).max() < 1e-15
+            assert abs(q[0]) < 1e-15
+
+    def test_shapes_broadcast(self, rng):
+        Rs = self.shepperd_cases(rng)[:12].reshape(3, 4, 3, 3)
+        qs = sphere.rotation_to_quat(Rs)
+        assert qs.shape == (3, 4, 4)
+        assert sphere.rotation_to_quat(Rs[1, 2]).shape == (4,)
+        back = sphere.quat_to_rotation(qs)
+        assert back.shape == (3, 4, 3, 3)
+        assert np.abs(back - Rs).max() < 1e-14
+
+    def test_quat_to_rotation_rows_match_single_calls(self, rng):
+        qs = _unit_rows(rng.normal(size=(9, 4)))
+        Rs = sphere.quat_to_rotation(qs)
+        for q, R in zip(qs, Rs):
+            assert np.array_equal(R, sphere.quat_to_rotation(q))
+
+    def test_drift_warns_and_renormalizes_per_row(self, rng):
+        qs = _unit_rows(rng.normal(size=(4, 4)))
+        drifted = qs.copy()
+        drifted[2] *= 1.0 + 1e-6
+        with pytest.warns(sphere.UnitDriftWarning):
+            Rs = sphere.quat_to_rotation(drifted)
+        assert np.array_equal(Rs[[0, 1, 3]], sphere.quat_to_rotation(qs[[0, 1, 3]]))
+        assert np.abs(Rs[2] - sphere.quat_to_rotation(qs[2])).max() < 1e-15
