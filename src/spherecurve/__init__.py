@@ -34,6 +34,7 @@ from .classify import (
     CondensedStatus,
     classify_component,
     component_count,
+    condensed_axis,
     condensed_status,
     reduce_to_k0,
     rotation_number_condensed,
@@ -86,6 +87,7 @@ __all__ = [
     "collapse_condensed_negative",
     "component_count",
     "compose_grafting",
+    "condensed_axis",
     "condensed_status",
     "contract_band",
     "control_transforms",

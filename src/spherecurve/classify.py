@@ -23,7 +23,15 @@ from .curves import (
     LiftParity,
     lift_parity,
 )
-from .errors import DomainError, FiberCountMismatch, NoGapFound, WindingResidual
+from .errors import (
+    DomainError,
+    EmptyDual,
+    FiberCountMismatch,
+    NearZeroCentroid,
+    NoGapFound,
+    NotCondensed,
+    WindingResidual,
+)
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 
@@ -181,8 +189,7 @@ class CondensedStatus:
     antipodal_pair: tuple | None
     antipodal_defect: float
     # the caustic cloud the status was decided on; not part of the status
-    cloud: np.ndarray | None = dataclasses.field(
-        default=None, compare=False, repr=False)
+    cloud: np.ndarray = dataclasses.field(compare=False, repr=False)
 
     @property
     def tag(self) -> str:
@@ -240,16 +247,14 @@ def winding_number_planar(xy_tangents: np.ndarray,
     return int(round(turns))
 
 
-def rotation_number_condensed(curve: AdmissibleCurve, h=None,
+def rotation_number_condensed(curve: AdmissibleCurve, h,
                               tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Winding of the stereographic image of a condensed curve.
 
     Projects from the antipode of `h`, any hemisphere containing the
-    caustic cloud (by default the barycenter one); the sign convention
-    makes a condensed circle traversed k times have rotation number k.
+    caustic cloud; the sign convention makes a condensed circle traversed
+    k times have rotation number k.
     """
-    if h is None:
-        h = sphere.containing_hemisphere(classification_cloud(curve, tol), tol)
     chart = sphere.StereoChart(-np.asarray(h, dtype=float), tol)
     try:
         d = chart.project_d(curve.gamma, curve.tangent)
@@ -259,6 +264,29 @@ def rotation_number_condensed(curve: AdmissibleCurve, h=None,
     if nu < 1:
         raise WindingResidual(f"condensed curve produced winding {nu} < 1")
     return nu
+
+
+def condensed_axis(curve: AdmissibleCurve,
+                   tol: ToleranceProfile = DEFAULT_TOL):
+    """(status, h, nu) of a condensed curve in (kappa0, +inf) form.
+
+    h is the barycenter of the hemispheres containing the caustic cloud,
+    the canonical axis of the Mobius shrink and of the band frame; when the
+    barycenter is degenerate or its containment fails on the full cloud,
+    the status's LP direction is used instead.  nu is the rotation number
+    around h.  Raises NotCondensed when no closed hemisphere contains the
+    cloud.
+    """
+    status = condensed_status(curve, tol)
+    if not status.condensed:
+        raise NotCondensed("caustic cloud is not contained in a hemisphere")
+    try:
+        h = sphere.hemisphere_barycenter(status.cloud, tol)
+        if float(np.min(status.cloud @ h)) < -100.0 * tol.feasibility_margin:
+            h = status.hemisphere
+    except (EmptyDual, NearZeroCentroid):
+        h = status.hemisphere
+    return status, h, rotation_number_condensed(curve, h, tol)
 
 
 def _membership_gap(curve: AdmissibleCurve, t_index: int, tree_c, tree_d,
@@ -316,22 +344,20 @@ def _count_fiber_hits(curve: AdmissibleCurve, b: np.ndarray) -> int:
 
 
 def rotation_number_nondiffuse(curve: AdmissibleCurve,
-                               status: CondensedStatus | None = None,
+                               status: CondensedStatus,
                                tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Sheet count of the band covering over the separating annulus.
 
     Picks a witness point b in the gap between the caustic cloud C and its
     antipode D on some fiber, then counts the parameters t whose fiber hits
     b inside the regular band range.  A second witness from an independent
-    fiber must agree.  The cloud of `status`, when it carries one, is used
-    instead of building it again.
+    fiber must agree.  C is the cloud `status` (from `condensed_status`)
+    was decided on.
     """
-    if status is not None and status.diffuse:
+    if status.diffuse:
         raise NoGapFound("curve is diffuse; the separating annulus is empty")
-    cloud = status.cloud if status is not None and status.cloud is not None \
-        else classification_cloud(curve, tol)
-    tree_c = cKDTree(cloud)
-    tree_d = cKDTree(-cloud)
+    tree_c = cKDTree(status.cloud)
+    tree_d = cKDTree(-status.cloud)
     delta = 2.0 * _cloud_spacing(curve, tol)
 
     counts = []
@@ -439,7 +465,7 @@ def classify_component(curve: AdmissibleCurve,
 
     nu = None
     if status.condensed and not status.borderline and n >= 3:
-        nu = rotation_number_condensed(reduced, h=status.hemisphere, tol=tol)
+        nu = rotation_number_condensed(reduced, status.hemisphere, tol)
         j = nu if nu <= n - 2 else _parity_label(n, parity)
     else:
         j = _parity_label(n, parity)

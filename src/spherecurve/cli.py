@@ -23,6 +23,7 @@ from .curves import (
     curve_from_json,
     curve_to_json,
     lift_parity,
+    load_curve,
     make_circle,
     total_curvature,
 )
@@ -96,11 +97,6 @@ def _bounds_from_args(args) -> CurvatureBounds:
     return CurvatureBounds(parse(args.kappa1, 0.0), parse(args.kappa2, math.inf))
 
 
-def _load(path, tol):
-    with open(path) as fh:
-        return curve_from_json(json.load(fh), tol)
-
-
 def _path_to_jsonl(path_obj, report) -> str:
     lines = [dumps(curve_to_json(c)) for c in path_obj.curves]
     lines.append(dumps(report))
@@ -135,7 +131,7 @@ def cmd_gen(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _tol_from_args(args)
-    curve = _load(args.input, tol)
+    curve = load_curve(args.input, tol)
     label = classify_component(curve, tol)
     status = label.status
     report = label.to_dict()
@@ -161,7 +157,7 @@ def cmd_bend(args) -> int:
 
 def cmd_loops(args) -> int:
     tol = _tol_from_args(args)
-    curve = _load(args.input, tol)
+    curve = load_curve(args.input, tol)
     if args.spread:
         out = homotopy.spread_loops(curve, args.n_loops, args.rho, tol=tol)
     else:
@@ -180,7 +176,7 @@ def cmd_loops(args) -> int:
 
 def cmd_shrink(args) -> int:
     tol = _tol_from_args(args)
-    curve = _load(args.input, tol)
+    curve = load_curve(args.input, tol)
     path = homotopy.shrink_condensed(curve, steps=args.steps, tol=tol)
     rep = validate_path(path, tol=tol)
     _write(args.output, _path_to_jsonl(path, _report_of(rep)))
@@ -189,7 +185,7 @@ def cmd_shrink(args) -> int:
 
 def cmd_graft(args) -> int:
     tol = _tol_from_args(args)
-    curve = _load(args.input, tol)
+    curve = load_curve(args.input, tol)
     lines = []
     if args.mode == "antipodal":
         out, rec = grafting.graft_antipodal_circles(curve, args.step, tol)
@@ -214,7 +210,7 @@ def cmd_graft(args) -> int:
 
 def cmd_bands(args) -> int:
     tol = _tol_from_args(args)
-    curve = _load(args.input, tol)
+    curve = load_curve(args.input, tol)
     band = goodbands.band_from_condensed(curve, tol)
     report = {
         "nu": band.nu,
@@ -261,7 +257,7 @@ def cmd_validate(args) -> int:
 
 def cmd_export_band(args) -> int:
     tol = _tol_from_args(args)
-    curve = _load(args.input, tol)
+    curve = load_curve(args.input, tol)
     grid = (caustic_band if args.caustic else regular_band)(curve, tol=tol)
     grid.to_csv(args.csv)
     return 0

@@ -382,15 +382,13 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
 
     Each grid interval contributes the exact exponential of
     (dt/2)(w i + v k) in S^3, so the result has no renormalization drift
-    and analytic closed curves close to roundoff.
+    and analytic closed curves close to roundoff.  The node samples and
+    checks are those of `curve_from_node_data`; the given controls are
+    kept.
     """
     _, h_inv, _, hb_inv = control_transforms(bounds)
     v = h_inv(controls.v_hat)
     kap = hb_inv(controls.w_hat)
-    if np.any(v <= 0):  # h_inv > 0 by construction; guard anyway
-        raise NonPositiveSpeed("integrated speed must be positive")
-    if not bounds.contains(kap):
-        raise CurvatureOutOfBounds("controls map outside the open bounds")
     w = v * kap
     dt = domain / controls.n
     if q0 is None:
@@ -398,18 +396,11 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
     else:
         z0 = sphere.rotation_to_quat(np.asarray(q0, dtype=float))
     lift = _chain_quats(z0, _step_quats(v, w, dt))
-    v_nodes = np.append(v, v[-1])
-    k_nodes = np.append(kap, kap[-1])
-    frames = sphere.quat_to_rotation(lift)
-    curve = AdmissibleCurve(
-        bounds=bounds, controls=controls, domain=float(domain), lift=lift,
-        gamma=frames[:, :, 0], tangent=frames[:, :, 1], normal=frames[:, :, 2],
-        speed=v_nodes, kappa=k_nodes, closed=False, integrated=True)
-    defect = curve.closure_defect()
-    closed = defect <= tol.closure
-    if require_closed and not closed:
-        raise NotClosed(f"frame closure defect {defect:.3e} exceeds {tol.closure:.1e}")
-    return dataclasses.replace(curve, closed=closed)
+    curve = curve_from_node_data(bounds, lift, np.append(v, v[-1]),
+                                 np.append(kap, kap[-1]), domain=domain,
+                                 tol=tol, require_closed=require_closed,
+                                 interval_vk=(v, kap))
+    return dataclasses.replace(curve, controls=controls, integrated=True)
 
 
 def make_circle(rho: float, k: int, bounds: CurvatureBounds,

@@ -16,13 +16,12 @@ import math
 import numpy as np
 
 from . import sphere
-from .classify import condensed_status, reduce_to_k0, rotation_number_condensed
+from .classify import condensed_axis, reduce_to_k0
 from .curves import AdmissibleCurve, CurvatureBounds, cot, curve_from_points
 from .errors import (
     DomainError,
     MeridianMiss,
     NonConvergence,
-    NotCondensed,
     TrackCrossing,
 )
 from .homotopy import HomotopyPath, normalize_initial_frame
@@ -133,11 +132,7 @@ def band_from_condensed(curve: AdmissibleCurve,
     if kappa0 >= 0:
         raise DomainError("band extraction requires kappa0 < 0 after reduction")
     rho0 = reduced.bounds.rho1
-    status = condensed_status(reduced, tol)
-    if not status.condensed:
-        raise NotCondensed("caustic cloud is not contained in a hemisphere")
-    h = sphere.containing_hemisphere(status.cloud, tol)
-    nu = rotation_number_condensed(reduced, h=h, tol=tol)
+    _, h, nu = condensed_axis(reduced, tol)
 
     u1, u2 = sphere.plane_basis(h)
     frame = np.vstack([u1, u2, h])

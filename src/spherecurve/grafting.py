@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import sphere
-from .classify import antipodal_fiber_witness, classification_cloud, condensed_status, rotation_number_nondiffuse
+from .classify import antipodal_fiber_witness, condensed_status, rotation_number_nondiffuse
 from .curves import (
     AdmissibleCurve,
     _chain_quats,
@@ -33,6 +33,7 @@ from .errors import (
     DegenerateSimplex,
     DomainError,
     NotDiffuse,
+    NotInHull,
     NotNonCondensed,
 )
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -347,7 +348,9 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
     Picks four caustic points in general position whose convex hull
     contains the origin, then solves for arc lengths sigma_i >= 0 with
     sum sigma_i = s such that the product of the inserted rotations is the
-    identity (Newton on S^3).  Total curvature grows by exactly s.
+    identity (Newton on S^3).  Total curvature grows by exactly s.  Raises
+    NotNonCondensed when the origin is not in the convex hull of the
+    caustic samples, the simplex search's own finding.
     """
     if s < 0:
         raise DomainError("graft length must be nonnegative")
@@ -358,15 +361,15 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
     if s == 0.0:
         return base, _record(base, base, (), 0.0)
 
-    cloud = classification_cloud(base, tol)
-    if not sphere.origin_in_hull_interior(cloud, tol):
-        raise NotNonCondensed("caustic cloud fits in a closed hemisphere")
-
     pts, tags = _caustic_samples_with_tags(base, tol)
     last_error = DegenerateSimplex("no four-node simplex containing the origin")
     for attempt in range(12):
-        cand = sphere.containing_simplex(
-            pts, np.zeros(3), tol.replace(seed=tol.seed + 97 * attempt))
+        try:
+            cand = sphere.containing_simplex(
+                pts, np.zeros(3), tol.replace(seed=tol.seed + 97 * attempt))
+        except NotInHull as exc:
+            raise NotNonCondensed(
+                "origin is not in the hull of the caustic samples") from exc
         nodes = [tags[i][0] for i in cand.indices]
         # node 0 sits at t = 0, where no arc can be inserted
         if cand.indices.size != 4 or len(set(nodes)) != 4 or 0 in nodes:

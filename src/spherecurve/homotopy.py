@@ -15,7 +15,7 @@ import numpy as np
 
 from . import sphere
 from .bands import translate_curve
-from .classify import condensed_status, rotation_number_condensed
+from .classify import condensed_axis
 from .curves import (
     AdmissibleCurve,
     ControlPair,
@@ -31,7 +31,6 @@ from .errors import (
     CurvatureBoundTooTight,
     DomainError,
     NonpositiveRotation,
-    NotCondensed,
     ParameterOverlap,
     RadiusOutOfBounds,
     StageToleranceFailure,
@@ -602,11 +601,7 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     reduced, kappa0 = reduce_to_k0(curve, tol)
     if kappa0 < 0:
         raise DomainError("shrink_condensed requires kappa0 >= 0 after reduction")
-    status = condensed_status(reduced, tol)
-    if not status.condensed:
-        raise NotCondensed("caustic cloud is not contained in a hemisphere")
-    h = sphere.containing_hemisphere(status.cloud, tol)
-    nu = rotation_number_condensed(reduced, h=h, tol=tol)
+    _, h, nu = condensed_axis(reduced, tol)
     bounds = reduced.bounds
 
     # find the shrink factor: small image plus a planar curvature margin

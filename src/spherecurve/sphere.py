@@ -387,26 +387,6 @@ def best_hemisphere(points, tol: ToleranceProfile = DEFAULT_TOL):
     return best_h, best_margin
 
 
-def hemisphere_feasible(points, closed: bool = False,
-                        tol: ToleranceProfile = DEFAULT_TOL):
-    """Direction of an open (or closed) hemisphere containing the points.
-
-    Returns the margin-maximizing unit vector, or None when no hemisphere of
-    the requested kind exists at margin tolerance `tol.feasibility_margin`.
-    """
-    h, margin = best_hemisphere(points, tol)
-    eps = tol.feasibility_margin
-    if closed:
-        return h if margin >= -eps else None
-    return h if margin > eps else None
-
-
-def origin_in_hull_interior(points, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True iff no closed hemisphere contains the points."""
-    _, margin = best_hemisphere(points, tol)
-    return margin < -tol.feasibility_margin
-
-
 @dataclasses.dataclass(frozen=True)
 class SphericalSimplex:
     """Up to 4 points of S^2 whose convex combination hits a target."""
@@ -448,8 +428,8 @@ def containing_simplex(points, target, tol: ToleranceProfile = DEFAULT_TOL) -> S
     """Vertices from `points` whose convex combination reproduces `target`.
 
     Tries seeded random quadruples first, then falls back to a linear
-    program plus Caratheodory reduction.  Raises NotInHull when both fail,
-    which signals that the caller's in-hull precondition was violated.
+    program plus Caratheodory reduction.  Raises NotInHull when both fail:
+    the target is not in the convex hull of the points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float)
@@ -545,23 +525,3 @@ def hemisphere_barycenter(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> n
         rot = rotation_about(axis, ang)
     fine = fibonacci_lattice(8 * tol.lattice_size)
     return centroid(fine @ rot.T)
-
-
-def containing_hemisphere(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Barycenter hemisphere with LP fallback for degenerate dual cones.
-
-    Any valid containing hemisphere works for winding-number purposes, so a
-    near-zero dual centroid, or a barycenter whose containment fails on the
-    full cloud, falls back to the margin-maximizing direction.
-    """
-    cloud = np.atleast_2d(np.asarray(point_cloud, dtype=float))
-    try:
-        h = hemisphere_barycenter(cloud, tol)
-        if float(np.min(cloud @ h)) >= -100.0 * tol.feasibility_margin:
-            return h
-    except (EmptyDual, NearZeroCentroid):
-        pass
-    h = hemisphere_feasible(cloud, closed=True, tol=tol)
-    if h is None:
-        raise EmptyDual("no containing hemisphere for the cloud")
-    return h

@@ -15,7 +15,6 @@ class ToleranceProfile:
     """
 
     unit_norm: float = 1e-12          # |q| - 1 after constructors
-    orthonormality: float = 1e-10     # frame column defects
     feasibility_margin: float = 1e-9  # epsilon of the hemisphere LP
     closure: float = 1e-7             # frame defect allowed for `closed`
     borderline_margin: float = 1e-4   # |margin| below this => equatorial regime

@@ -210,7 +210,7 @@ class TestCriterion9:
             status = classify.condensed_status(reduced)
             if not status.condensed or status.diffuse or status.borderline:
                 continue
-            nu_c = classify.rotation_number_condensed(reduced)
+            nu_c = classify.rotation_number_condensed(reduced, status.hemisphere)
             nu_n = classify.rotation_number_nondiffuse(reduced, status)
             ok &= nu_c == nu_n
             checked += 1

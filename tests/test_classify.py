@@ -7,7 +7,7 @@ import pytest
 
 import spherecurve as sc
 from spherecurve import classify, factory
-from spherecurve.errors import DomainError, NoGapFound
+from spherecurve.errors import DomainError, NoGapFound, NotCondensed
 
 
 class TestComponentCount:
@@ -39,6 +39,19 @@ class TestComponentCount:
             sc.CurvatureBounds(1.01, math.inf)) == 5
 
 
+def nondiffuse(curve):
+    """Sheet count of the covering, from a freshly computed status."""
+    return classify.rotation_number_nondiffuse(
+        curve, classify.condensed_status(curve))
+
+
+def barycenter_winding(curve):
+    """Rotation number around the barycenter axis of the caustic cloud."""
+    from spherecurve import sphere
+    h = sphere.hemisphere_barycenter(classify.classification_cloud(curve))
+    return classify.rotation_number_condensed(curve, h)
+
+
 class TestCondensedStatus:
     def test_circle_condensed_nonneg_kappa0(self, bounds_k0):
         for rho in (0.3, 0.8, 1.2):
@@ -68,24 +81,27 @@ class TestCondensedStatus:
 class TestRotationNumbers:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_condensed_circles(self, k, bounds_k0):
+        from spherecurve import sphere
         c = sc.make_circle(0.6, k, bounds_k0, n=256)
-        assert classify.rotation_number_condensed(c) == k
+        status, h, nu = classify.condensed_axis(c)
+        assert np.array_equal(h, sphere.hemisphere_barycenter(status.cloud))
+        assert nu == k
 
     def test_positive_for_condensed(self, bounds_k0):
         c = sc.make_circle(1.1, 1, bounds_k0, n=256)
-        assert classify.rotation_number_condensed(c) >= 1
+        assert classify.condensed_axis(c)[2] >= 1
 
     def test_rotation_equivariance(self, bounds_k0, rng):
         from conftest import random_rotation
         c = sc.make_circle(0.8, 2, bounds_k0, n=256)
-        values = {classify.rotation_number_condensed(c.rotated(random_rotation(rng)))
+        values = {barycenter_winding(c.rotated(random_rotation(rng)))
                   for _ in range(20)}
         assert values == {2}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_nondiffuse_agrees_with_condensed(self, k, bounds_k0):
         c = sc.make_circle(0.6, k, bounds_k0, n=256)
-        assert classify.rotation_number_nondiffuse(c) == k
+        assert nondiffuse(c) == k
 
     def test_nondiffuse_witness_independence(self, bounds_k0):
         # the count is an internal double-witness vote; a third independent
@@ -93,8 +109,8 @@ class TestRotationNumbers:
         from conftest import random_rotation
         rng = np.random.default_rng(5)
         c = sc.make_circle(0.75, 3, bounds_k0, n=256)
-        a = classify.rotation_number_nondiffuse(c)
-        b = classify.rotation_number_nondiffuse(c.rotated(random_rotation(rng)))
+        a = nondiffuse(c)
+        b = nondiffuse(c.rotated(random_rotation(rng)))
         assert a == b == 3
 
     def test_nondiffuse_rejects_diffuse(self, diffuse_curve):
@@ -106,7 +122,7 @@ class TestRotationNumbers:
         # kappa0 = 0, non-diffuse, nu = 1 implies tot < 8 pi
         for rho in (0.4, 0.9, 1.4):
             c = sc.make_circle(rho, 1, bounds_k0, n=256)
-            assert classify.rotation_number_nondiffuse(c) == 1
+            assert nondiffuse(c) == 1
             assert sc.total_curvature(c) < 8 * math.pi
 
 
@@ -284,7 +300,7 @@ class TestOneAnalysisPerLabel:
             status = classify.condensed_status(curve)
             assert status.margin > sc.DEFAULT_TOL.borderline_margin
             assert classify.rotation_number_condensed(
-                curve, h=status.hemisphere) == classify.rotation_number_condensed(curve) == k
+                curve, status.hemisphere) == classify.condensed_axis(curve)[2] == k
 
     def test_status_is_not_part_of_the_label(self, bounds_k0):
         curve = sc.make_circle(0.7, 1, bounds_k0, n=256)
@@ -432,6 +448,22 @@ class TestBatchedWitness:
             assert any(counts)
 
 
+class TestCondensedAxis:
+    def test_uncontained_barycenter_takes_the_status_direction(
+            self, bounds_k0, monkeypatch):
+        from spherecurve import sphere
+        c = sc.make_circle(0.6, 1, bounds_k0, n=256)
+        status = classify.condensed_status(c)
+        monkeypatch.setattr(sphere, "hemisphere_barycenter",
+                            lambda cloud, tol: -status.hemisphere)
+        _, h, nu = classify.condensed_axis(c)
+        assert np.array_equal(h, status.hemisphere) and nu == 1
+
+    def test_rejects_non_condensed(self, neither_small):
+        with pytest.raises(NotCondensed):
+            classify.condensed_axis(neither_small)
+
+
 class TestStatusCarriesCloud:
     def test_cloud_is_kept_but_not_compared(self, bounds_k0):
         curve = sc.make_circle(0.7, 1, bounds_k0, n=256)
@@ -448,5 +480,5 @@ class TestStatusCarriesCloud:
                             lambda *a, **k: builds.append(1) or real(*a, **k))
         with_status = classify.rotation_number_nondiffuse(neither_small, st)
         assert builds == []
-        assert with_status == classify.rotation_number_nondiffuse(neither_small)
+        assert with_status == nondiffuse(neither_small)
         assert builds == [1]

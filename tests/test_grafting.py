@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ class TestAntipodalGraft:
             assert 0.0 < arc.rho < rho0
 
 
+def count_calls(monkeypatch, fn):
+    """Count calls of `fn` under every spherecurve name bound to it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "spherecurve" or name.startswith("spherecurve."):
+            for key in [k for k, v in vars(mod).items() if v is fn]:
+                monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
 class TestSimplexGraft:
     def test_zero_length_identity(self, neither_small):
         out, rec = gr.graft_simplex_step(neither_small, 0.0)
@@ -151,10 +167,14 @@ class TestSimplexGraft:
         sigmas = np.array([arc.sigma for arc in rec.arcs])
         assert np.abs(sigmas / s - w).max() < 0.1
 
-    def test_condensed_rejected(self):
+    def test_condensed_rejected(self, monkeypatch):
+        # the simplex search decides; no cloud is built and no LP solved
         c = sc.make_circle(0.6, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
+        clouds = count_calls(monkeypatch, classify.classification_cloud)
+        lps = count_calls(monkeypatch, sphere.best_hemisphere)
         with pytest.raises(NotNonCondensed):
             gr.graft_simplex_step(c, 0.01)
+        assert clouds == [] and lps == []
 
     def test_step_cap_enforced(self, neither_small):
         with pytest.raises(DomainError):
@@ -166,6 +186,19 @@ class TestSimplexGraft:
         comp = gr.compose_grafting(rec1.phi, rec2.phi)
         assert comp.s1 == pytest.approx(rec2.phi.s1, abs=1e-9)
         assert comp.s0 == pytest.approx(rec1.phi.s0, abs=1e-9)
+
+
+class TestOneAnalysisPerGraft:
+    def test_loop_body_builds_one_cloud_and_solves_one_lp(
+            self, neither_small, monkeypatch):
+        cur = gr.ensure_curvature_param(neither_small)
+        clouds = count_calls(monkeypatch, classify.classification_cloud)
+        lps = count_calls(monkeypatch, sphere.best_hemisphere)
+        status = classify.condensed_status(cur)
+        assert status.tag == "Neither"
+        out, rec = gr.graft_simplex_step(cur, 0.05)
+        assert rec.frame_defect < 1e-12
+        assert len(clouds) == 1 and len(lps) == 1
 
 
 class TestSimplexInsertionsInterior:
@@ -333,7 +366,8 @@ class TestGraftUntilResolved:
             neither_small, step=2.5, budget=60.0, tol=tol)
         assert status.tag != "Neither"
         rho0 = out.bounds.rho1
-        nu = classify.rotation_number_nondiffuse(neither_small)
+        nu = classify.rotation_number_nondiffuse(
+            neither_small, classify.condensed_status(neither_small))
         bound = 4 * math.pi * nu / math.cos(rho0 / 2.0) ** 2
         assert sc.total_curvature(out) < bound
 

@@ -197,7 +197,7 @@ class TestShrink:
         path = ho.shrink_condensed(c, steps=13)
         rep = ho.validate_path(path)
         assert rep.passed
-        assert classify.rotation_number_condensed(path.curves[-1]) == 2
+        assert classify.condensed_axis(path.curves[-1])[2] == 2
         # ends at a circle: constant curvature
         last = path.curves[-1]
         assert last.kappa.max() - last.kappa.min() < 1e-3
@@ -217,8 +217,31 @@ class TestShrink:
     def test_nu_constant_along_path(self):
         c = sc.make_circle(0.6, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
         path = ho.shrink_condensed(c, steps=9)
-        nus = {classify.rotation_number_condensed(cv) for cv in path.curves}
+        nus = {classify.condensed_axis(cv)[2] for cv in path.curves}
         assert nus == {2}
+
+
+class TestShrinkAxis:
+    def test_empty_dual_takes_the_status_direction(self, monkeypatch):
+        from spherecurve import sphere
+        from spherecurve.errors import EmptyDual
+        c = sc.make_circle(0.7, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
+        status = classify.condensed_status(c)
+        lp, axes = [], []
+        real_lp, real_mobius = sphere.best_hemisphere, ho.mobius_shrink_curve
+
+        def empty(*args, **kwargs):
+            raise EmptyDual("no lattice direction contains the cloud")
+
+        monkeypatch.setattr(sphere, "hemisphere_barycenter", empty)
+        monkeypatch.setattr(sphere, "best_hemisphere",
+                            lambda *a, **k: lp.append(1) or real_lp(*a, **k))
+        monkeypatch.setattr(ho, "mobius_shrink_curve",
+                            lambda cv, r, h, *a: axes.append(h) or real_mobius(cv, r, h, *a))
+        path = ho.shrink_condensed(c, steps=9)
+        assert len(lp) == 1
+        assert axes and all(np.array_equal(h, status.hemisphere) for h in axes)
+        assert ho.validate_path(path).passed
 
 
 class TestValidatePath:
@@ -254,8 +277,8 @@ class TestShrinkOpenHemisphere:
         c = sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
         path = ho.shrink_condensed(c, steps=9)
         for cv in path.curves[1:]:
-            cloud = classification_cloud(cv)
-            assert sphere.hemisphere_feasible(cloud, closed=False) is not None
+            _, margin = sphere.best_hemisphere(classification_cloud(cv))
+            assert margin > sc.DEFAULT_TOL.feasibility_margin
 
 
 def loop_add_loops(curve, t0, n_loops, rho_small, epsilon):

@@ -8,6 +8,12 @@ from scipy.optimize import linprog
 
 from spherecurve import sphere
 from spherecurve.errors import DegenerateProjection, NotInHull
+from spherecurve.tolerances import DEFAULT_TOL
+
+# margin tolerance of the hemisphere decision: margin > EPS means an open
+# hemisphere holds the points, margin >= -EPS a closed one, and
+# margin < -EPS puts the origin inside their convex hull
+EPS = DEFAULT_TOL.feasibility_margin
 
 
 def rodrigues(axis, angle):
@@ -190,24 +196,25 @@ class TestHemispheres:
     def test_small_cluster(self, rng):
         pts = np.column_stack([0.1 * rng.normal(size=(40, 2)), np.ones(40)])
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        h = sphere.hemisphere_feasible(pts, closed=False)
-        assert h is not None
+        h, margin = sphere.best_hemisphere(pts)
+        assert margin > EPS
         assert np.min(pts @ h) > 0
 
     def test_third_roots_of_unity(self):
         zeta = np.array([[1, 0, 0],
                          [-0.5, math.sqrt(3) / 2, 0],
                          [-0.5, -math.sqrt(3) / 2, 0]])
-        assert sphere.hemisphere_feasible(zeta, closed=False) is None
-        h = sphere.hemisphere_feasible(zeta, closed=True)
-        assert h is not None and abs(abs(h[2]) - 1.0) < 1e-9
+        # in a closed hemisphere but in no open one
+        h, margin = sphere.best_hemisphere(zeta)
+        assert -EPS <= margin <= EPS
+        assert abs(abs(h[2]) - 1.0) < 1e-9
 
     def test_antipodal_pair(self):
         p = sphere.unit_vector([0.6, -0.7, 0.38])
         pts = np.vstack([p, -p])
-        assert sphere.hemisphere_feasible(pts, closed=False) is None
-        h = sphere.hemisphere_feasible(pts, closed=True)
-        assert h is not None and abs(h @ p) < 1e-8
+        h, margin = sphere.best_hemisphere(pts)
+        assert -EPS <= margin <= EPS
+        assert abs(h @ p) < 1e-8
 
     def test_open_implies_not_origin_in_hull(self, rng):
         # A.2 implication chain on random clustered clouds
@@ -215,25 +222,28 @@ class TestHemispheres:
             center = sphere.unit_vector(rng.normal(size=3))
             pts = center + 0.4 * rng.normal(size=(30, 3))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            if sphere.hemisphere_feasible(pts, closed=False) is not None:
-                assert not sphere.origin_in_hull_interior(pts)
+            _, margin = sphere.best_hemisphere(pts)
+            if margin > EPS:
+                # the origin is then not in the hull: no convex combination
+                with pytest.raises(NotInHull):
+                    sphere.containing_simplex(pts, np.zeros(3))
 
     def test_origin_in_hull_tetrahedron(self):
         tet = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                        dtype=float) / math.sqrt(3)
-        assert sphere.origin_in_hull_interior(tet)
+        assert sphere.best_hemisphere(tet)[1] < -EPS
 
     def test_one_hemisphere_is_never_enclosing(self, rng):
         pts = rng.normal(size=(60, 3))
         pts[:, 2] = np.abs(pts[:, 2]) + 0.05
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        assert not sphere.origin_in_hull_interior(pts)
+        assert sphere.best_hemisphere(pts)[1] >= -EPS
 
     def test_equator_plus_poles_with_lp_oracle(self):
         t = np.linspace(0, 2 * math.pi, 12, endpoint=False)
         pts = np.vstack([np.column_stack([np.cos(t), np.sin(t), 0 * t]),
                          [0, 0, 1], [0, 0, -1]])
-        assert sphere.origin_in_hull_interior(pts)
+        assert sphere.best_hemisphere(pts)[1] < -EPS
         assert lp_hemisphere_oracle(pts) < -1e-9
 
     def test_margins_match_lp_oracle(self, rng):
@@ -376,7 +386,7 @@ class TestContainingSimplex:
     def test_random_cloud_residual(self, rng):
         pts = rng.normal(size=(200, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        assert sphere.origin_in_hull_interior(pts)
+        assert sphere.best_hemisphere(pts)[1] < -EPS
         s = sphere.containing_simplex(pts, np.zeros(3))
         assert s.check()
         assert np.linalg.norm(s.combination()) < 1e-9
