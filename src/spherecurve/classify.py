@@ -179,7 +179,16 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
 
 @dataclasses.dataclass(frozen=True)
 class CondensedStatus:
-    """Outcome of the hemisphere and antipodal tests on the caustic cloud."""
+    """Outcome of the hemisphere and antipodal tests on the caustic cloud.
+
+    `antipodal_pair` has two forms.  When the fiber witness finds an exact
+    pair it is ((i, theta_i), (j, theta_j)), node indices with fiber
+    angles, and `antipodal_defect` is the measured |C(t_i, theta_i) +
+    C(t_j, theta_j)|.  Otherwise the sampled search over the cloud decides:
+    `antipodal_defect` is the smallest chord |x + y| over pairs of cloud
+    samples, and the pair is those two points (x, y) when the defect is
+    below `tol.antipodal_chord` (the curve is diffuse), else None.
+    """
 
     condensed: bool
     diffuse: bool
@@ -202,6 +211,32 @@ class CondensedStatus:
         return "Neither"
 
 
+# rows of the Gram matrix held at once by the antipodal search
+_ANTIPODAL_BLOCK = 64
+
+
+def _most_antipodal(points: np.ndarray) -> tuple[float, int, int]:
+    """(chord, i, j) of the most nearly antipodal pair of unit vectors.
+
+    For unit vectors |x + y|^2 = 2 + 2<x, y>, so each point's most
+    antipodal partner minimizes its row of the Gram matrix.  The rows are
+    formed in blocks of `_ANTIPODAL_BLOCK`, so the temporaries take
+    O(block x N) memory, and the chord |x + y| is measured directly on the
+    N (point, partner) pairs.  A nearest-neighbour tree cannot prune here:
+    every query -x lies far from the cloud.
+    """
+    n = points.shape[0]
+    partner = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _ANTIPODAL_BLOCK):
+        block = points[start:start + _ANTIPODAL_BLOCK]
+        partner[start:start + block.shape[0]] = np.argmin(block @ points.T,
+                                                          axis=1)
+    s = points + points[partner]
+    chord = np.sqrt(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2])
+    i = int(np.argmin(chord))
+    return float(chord[i]), i, int(partner[i])
+
+
 def condensed_status(curve: AdmissibleCurve,
                      tol: ToleranceProfile = DEFAULT_TOL) -> CondensedStatus:
     """Condensed and diffuse flags for a closed curve in (kappa0, +inf) form.
@@ -220,12 +255,9 @@ def condensed_status(curve: AdmissibleCurve,
         diffuse, pair, defect = True, witness[:2], witness[2]
     else:
         sub = cloud[:: max(1, cloud.shape[0] // 4096)]
-        tree = cKDTree(sub)
-        d, nearest = tree.query(-sub, k=1)
-        k = int(np.argmin(d))
-        defect = float(d[k])
+        defect, i, j = _most_antipodal(sub)
         diffuse = defect < tol.antipodal_chord
-        pair = (sub[k].copy(), sub[nearest[k]].copy()) if diffuse else None
+        pair = (sub[i].copy(), sub[j].copy()) if diffuse else None
     return CondensedStatus(condensed=bool(condensed), diffuse=bool(diffuse),
                            borderline=bool(borderline), margin=float(margin),
                            hemisphere=h if condensed else None,
@@ -289,15 +321,24 @@ def condensed_axis(curve: AdmissibleCurve,
     return status, h, rotation_number_condensed(curve, h, tol)
 
 
-def _membership_gap(curve: AdmissibleCurve, t_index: int, tree_c, tree_d,
+def _membership_gap(curve: AdmissibleCurve, t_index: int, tree_c,
                     delta: float, tol: ToleranceProfile):
-    """Midpoint of the annulus gap on the fiber over one node."""
+    """Midpoint of the annulus gap on the fiber over one node.
+
+    `tree_c` holds the caustic cloud C; distances to its antipode D = -C are
+    those of the negated queries to C.  Only distances below delta matter,
+    so the queries are bounded by it.
+    """
     rho0 = curve.bounds.rho1
     thetas = np.linspace(rho0 - math.pi, 0.0, 512)
     pts = (np.cos(thetas)[:, None] * curve.gamma[t_index]
            + np.sin(thetas)[:, None] * curve.normal[t_index])
-    in_c = tree_c.query(pts, k=1)[0] < delta
-    in_d = tree_d.query(pts, k=1)[0] < delta
+
+    def near(q):
+        return tree_c.query(q, k=1, distance_upper_bound=delta)[0] < delta
+
+    in_c = near(pts)
+    in_d = near(-pts)
     idx_c = np.flatnonzero(in_c)
     if idx_c.size == 0:
         return None
@@ -311,7 +352,7 @@ def _membership_gap(curve: AdmissibleCurve, t_index: int, tree_c, tree_d,
     mid = 0.5 * (thetas[theta0_idx] + thetas[theta1_idx])
     b = (math.cos(mid) * curve.gamma[t_index]
          + math.sin(mid) * curve.normal[t_index])
-    if tree_c.query(b, k=1)[0] < delta or tree_d.query(b, k=1)[0] < delta:
+    if near(b) or near(-b):
         return None
     return b
 
@@ -357,14 +398,13 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
     if status.diffuse:
         raise NoGapFound("curve is diffuse; the separating annulus is empty")
     tree_c = cKDTree(status.cloud)
-    tree_d = cKDTree(-status.cloud)
     delta = 2.0 * _cloud_spacing(curve, tol)
 
     counts = []
     tried = 0
     for frac in (0.0, 0.37, 0.61, 0.13, 0.83, 0.29, 0.47, 0.71):
         t_index = int(frac * curve.n)
-        b = _membership_gap(curve, t_index, tree_c, tree_d, delta, tol)
+        b = _membership_gap(curve, t_index, tree_c, delta, tol)
         if b is None:
             continue
         tried += 1

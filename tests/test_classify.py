@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import spherecurve as sc
 from spherecurve import classify, factory
@@ -482,3 +485,164 @@ class TestStatusCarriesCloud:
         assert builds == []
         assert with_status == nondiffuse(neither_small)
         assert builds == [1]
+
+
+def tree_most_antipodal(points):
+    """The k-d tree search `condensed_status` used before: (chord, i, j)."""
+    d, nearest = cKDTree(points).query(-points, k=1)
+    k = int(np.argmin(d))
+    return float(d[k]), k, int(nearest[k])
+
+
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _cap(rng, axis, radius, size):
+    """`size` points within angle `radius` of the unit vector `axis`."""
+    from spherecurve import sphere
+    e, f = sphere.plane_basis(axis)
+    ang = radius * np.sqrt(rng.uniform(size=size))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    return (np.cos(ang)[:, None] * axis
+            + np.sin(ang)[:, None] * (np.cos(phi)[:, None] * e
+                                      + np.sin(phi)[:, None] * f))
+
+
+@st.composite
+def antipodal_clouds(draw):
+    """(points, below): random, cap, k-fold circle or threshold-pair clouds.
+
+    A threshold cloud is a cap of half-angle 1 plus one point whose chord
+    to the cap's first point is just below (below=True) or just above
+    (below=False) `antipodal_chord`; every other cap point keeps 0.01 away
+    from that first point.  below is None for the other kinds.
+    """
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(["random", "cap", "circle", "threshold"]))
+    size = draw(st.integers(2, 600))
+    rng = np.random.default_rng(seed)
+    axis = _unit_rows(rng.normal(size=(1, 3)))[0]
+    below = None
+    if kind == "random":
+        pts = _unit_rows(rng.normal(size=(size, 3)))
+    elif kind == "cap":
+        pts = _cap(rng, axis, draw(st.floats(0.05, 1.5)), size)
+    elif kind == "circle":
+        # k copies of one circle: every point has k exactly tied partners;
+        # mirrored, the cloud holds a whole latitude band's symmetry
+        k = draw(st.integers(1, 5))
+        m = max(1, size // k)
+        z = draw(st.floats(-0.99, 0.99))
+        th = np.tile(np.linspace(0.0, 2.0 * math.pi, m, endpoint=False), k)
+        r = math.sqrt(1.0 - z * z)
+        pts = np.stack([r * np.cos(th), r * np.sin(th), np.full(th.size, z)],
+                       axis=1)
+        if draw(st.booleans()):
+            pts = np.vstack([pts, pts * [1.0, 1.0, -1.0]])
+    else:
+        below = draw(st.booleans())
+        pts = _cap(rng, axis, 1.0, size)
+        x = pts[0]
+        pts = np.vstack([x, pts[np.linalg.norm(pts - x, axis=1) > 0.01]])
+        chord = sc.DEFAULT_TOL.antipodal_chord * (1.0 - 1e-6 if below
+                                                  else 1.0 + 1e-6)
+        v = np.cross(x, _unit_rows(rng.normal(size=(1, 3)))[0])
+        v /= np.linalg.norm(v)
+        a = 2.0 * math.asin(0.5 * chord)
+        pts = np.vstack([pts, -(math.cos(a) * x + math.sin(a) * v)])
+    return pts, below
+
+
+class TestMostAntipodal:
+    @settings(max_examples=60, deadline=None)
+    @given(antipodal_clouds())
+    def test_matches_tree_search(self, cloud):
+        points, below = cloud
+        chord_tol = sc.DEFAULT_TOL.antipodal_chord
+        defect, i, j = classify._most_antipodal(points)
+        oracle = tree_most_antipodal(points)[0]
+        assert abs(defect - oracle) <= 1e-15
+        assert (defect < chord_tol) == (oracle < chord_tol)
+        if below is not None:
+            assert (defect < chord_tol) == below
+        s = points[i] + points[j]
+        assert defect == math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
+
+    def test_memory_stays_blocked(self):
+        # a full 6000 x 6000 Gram matrix would take 288 MB
+        import tracemalloc
+        th = np.linspace(0.0, 2.0 * math.pi, 6000, endpoint=False)
+        points = np.stack([0.8 * np.cos(th), 0.8 * np.sin(th),
+                           np.full(th.size, 0.6)], axis=1)
+        tracemalloc.start()
+        try:
+            classify._most_antipodal(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_status_builds_no_tree(self, bounds_k0, monkeypatch):
+        built = []
+        monkeypatch.setattr(classify, "cKDTree",
+                            lambda *a, **k: built.append(1) or cKDTree(*a, **k))
+        st_ = classify.condensed_status(sc.make_circle(0.7, 2, bounds_k0, n=256))
+        assert built == []
+        sub = st_.cloud[:: max(1, st_.cloud.shape[0] // 4096)]
+        assert abs(st_.antipodal_defect - tree_most_antipodal(sub)[0]) <= 1e-15
+        assert not st_.diffuse and st_.antipodal_pair is None
+
+
+def two_tree_membership_gap(curve, t_index, cloud, delta):
+    """The annulus-gap search with a tree for C and one for D = -C, and
+    unbounded queries."""
+    tree_c, tree_d = cKDTree(cloud), cKDTree(-cloud)
+    rho0 = curve.bounds.rho1
+    thetas = np.linspace(rho0 - math.pi, 0.0, 512)
+    pts = (np.cos(thetas)[:, None] * curve.gamma[t_index]
+           + np.sin(thetas)[:, None] * curve.normal[t_index])
+    in_c = tree_c.query(pts, k=1)[0] < delta
+    in_d = tree_d.query(pts, k=1)[0] < delta
+    idx_c = np.flatnonzero(in_c)
+    if idx_c.size == 0:
+        return None
+    theta1_idx = idx_c[0]
+    idx_d = np.flatnonzero(in_d[:theta1_idx])
+    if idx_d.size == 0:
+        return None
+    theta0_idx = idx_d[-1]
+    if theta0_idx + 1 >= theta1_idx:
+        return None
+    mid = 0.5 * (thetas[theta0_idx] + thetas[theta1_idx])
+    b = (math.cos(mid) * curve.gamma[t_index]
+         + math.sin(mid) * curve.normal[t_index])
+    if tree_c.query(b, k=1)[0] < delta or tree_d.query(b, k=1)[0] < delta:
+        return None
+    return b
+
+
+class TestMembershipGap:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_bounded_tree_matches_two(self, k, bounds_k0):
+        curve = sc.make_circle(0.6, k, bounds_k0, n=256)
+        status = classify.condensed_status(curve)
+        tree_c = cKDTree(status.cloud)
+        delta = 2.0 * classify._cloud_spacing(curve, sc.DEFAULT_TOL)
+        for frac in (0.0, 0.37, 0.61, 0.13, 0.83, 0.29, 0.47, 0.71):
+            t_index = int(frac * curve.n)
+            got = classify._membership_gap(curve, t_index, tree_c, delta,
+                                           sc.DEFAULT_TOL)
+            want = two_tree_membership_gap(curve, t_index, status.cloud, delta)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+
+    def test_nondiffuse_builds_one_tree(self, bounds_k0, monkeypatch):
+        curve = sc.make_circle(0.6, 2, bounds_k0, n=256)
+        status = classify.condensed_status(curve)
+        built = []
+        monkeypatch.setattr(classify, "cKDTree",
+                            lambda *a, **k: built.append(1) or cKDTree(*a, **k))
+        assert classify.rotation_number_nondiffuse(curve, status) == 2
+        assert built == [1]
