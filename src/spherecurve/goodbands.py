@@ -53,13 +53,20 @@ class AcceptableBand:
                 + np.multiply.outer(np.sin(phi), h))
 
     def boundary_distances(self) -> tuple[np.ndarray, np.ndarray]:
-        """d(p, dA-) for p on dA+ and d(q, dA+) for q on dA-, per meridian."""
-        s = max(1, self.k_nodes // 1024)
-        d_plus = _dist_to_profile(self.lam, self.theta_plus,
-                                  self.lam[::s], self.theta_minus[::s], self.nu)
-        d_minus = _dist_to_profile(self.lam, self.theta_minus,
-                                   self.lam[::s], self.theta_plus[::s], self.nu)
-        return d_plus, d_minus
+        """d(p, dA-) for p on dA+ and d(q, dA+) for q on dA-, per meridian.
+
+        The opposite boundary is sampled at every `_boundary_stride`-th node;
+        the nearest sample comes from `_nearest_samples`.
+        """
+        s = _boundary_stride(self.k_nodes)
+
+        def dist(phi_p, phi_q):
+            _, (_, mid, _) = _nearest_samples(self.lam, phi_p, self.lam[::s],
+                                              phi_q[::s], self.nu)
+            return np.arccos(np.clip(mid, -1.0, 1.0))
+
+        return dist(self.theta_plus, self.theta_minus), \
+            dist(self.theta_minus, self.theta_plus)
 
     def is_good(self, tol_band: float) -> bool:
         d_plus, d_minus = self.boundary_distances()
@@ -77,14 +84,95 @@ def _wrap_dlam(dlam: np.ndarray, nu: int) -> np.ndarray:
     return (dlam + period / 2.0) % period - period / 2.0
 
 
-def _dist_to_profile(lam_p, phi_p, lam_q, phi_q, nu) -> np.ndarray:
-    """min over q of the covering distance from each p to the profile."""
-    dlam = _wrap_dlam(lam_p[:, None] - lam_q[None, :], nu)
-    usable = np.abs(dlam) <= math.pi
-    cosd = (np.sin(phi_p)[:, None] * np.sin(phi_q)[None, :]
-            + np.cos(phi_p)[:, None] * np.cos(phi_q)[None, :] * np.cos(dlam))
-    cosd = np.where(usable, cosd, -1.0)
-    return np.arccos(np.clip(cosd.max(axis=1), -1.0, 1.0))
+# The opposite boundary is sampled at every s-th node, s = K // this.
+_BOUNDARY_SAMPLES = 1024
+# Entries per row block of the kernels below (512 kB per temporary).
+_BLOCK_ENTRIES = 1 << 16
+# First half-width, in samples, of the nearest-sample search window.
+_WINDOW = 32
+# Rounding guard of the window certificate: the entries and the bound are
+# each within a few ulp of their exact values, far below this.
+_BOUND_GUARD = 1e-12
+
+
+def _boundary_stride(k_nodes: int) -> int:
+    return max(1, k_nodes // _BOUNDARY_SAMPLES)
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """Consecutive slices of `rows`, each with at most _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return (rows[i:i + step] for i in range(0, rows.size, step))
+
+
+def _nearest_samples(lam_p, phi_p, lam_q, phi_q, nu):
+    """Sample of the q profile nearest to each p, in the covering metric.
+
+    Returns (idx, (left, mid, right)): idx is the first column of the
+    largest cos d(p, q_j) -- the argmax of the dense row, ties to the
+    smallest column -- and left, mid, right are cos d at columns
+    idx - 1, idx, idx + 1 (mod the sample count).
+
+    Each row is searched in a window of 2W + 2 samples around its meridian,
+    W = _WINDOW at first.  Outside the window every usable sample lies at
+    |dlam| >= D, the smaller |dlam| of the two samples just beyond the
+    window edges (with the samples ascending within one covering period,
+    |dlam| is unimodal along the rest of the circle).  Since
+    cos phi_p cos phi_q >= 0 and cos is decreasing on [0, pi], such a sample
+    has cos d <= max over phi in [min phi_q, max phi_q] of
+    sin phi_p sin phi + cos phi_p cos phi cos D, a sinusoid in phi whose
+    maximum is at its peak or an interval end; unusable samples have -1.
+    A row whose window maximum exceeds that bound by _BOUND_GUARD has no
+    equal or larger entry outside, so its window argmax is the dense one,
+    bit for bit.  Uncertified rows retry with W doubled, and search the
+    whole row in blocks once the window would cover it.
+    """
+    n, k = lam_p.size, lam_q.size
+    period = 2.0 * math.pi * nu
+    sin_p, cos_p = np.sin(phi_p), np.cos(phi_p)
+    sin_q, cos_q = np.sin(phi_q), np.cos(phi_q)
+
+    def cosd(rows, cols):
+        """cos d(p_row, q_col), -1 where |dlam| exceeds pi."""
+        dlam = _wrap_dlam(lam_p[rows, None] - lam_q[cols], nu)
+        cos_d = (sin_p[rows, None] * sin_q[cols]
+                 + cos_p[rows, None] * cos_q[cols] * np.cos(dlam))
+        return np.where(np.abs(dlam) <= math.pi, cos_d, -1.0)
+
+    idx = np.empty(n, dtype=np.intp)
+    todo = np.arange(n)
+    if (lam_q[0] >= 0.0 and lam_q[-1] < period and np.all(np.diff(lam_q) > 0.0)
+            and np.all(cos_p >= 0.0) and np.all(cos_q >= 0.0)):
+        centre = np.searchsorted(lam_q, lam_p % period)
+        lo, hi = phi_q.min(), phi_q.max()
+        half = _WINDOW
+        while todo.size and 2 * half + 2 < k:
+            offsets = np.arange(-half - 1, half + 1)
+            left = []
+            for rows in _row_blocks(todo, offsets.size):
+                cols = (centre[rows, None] + offsets) % k
+                vals = cosd(rows, cols)
+                top = vals.max(axis=1)
+                edge = np.minimum(
+                    np.abs(_wrap_dlam(lam_p[rows] - lam_q[(centre[rows] - half - 2) % k], nu)),
+                    np.abs(_wrap_dlam(lam_p[rows] - lam_q[(centre[rows] + half + 1) % k], nu)))
+                a = sin_p[rows]
+                b = cos_p[rows] * np.cos(np.minimum(edge, math.pi))
+                peak = np.arctan2(a, b)
+                bound = np.where((lo <= peak) & (peak <= hi), np.hypot(a, b),
+                                 np.maximum(a * math.sin(lo) + b * math.cos(lo),
+                                            a * math.sin(hi) + b * math.cos(hi)))
+                done = bound + _BOUND_GUARD < top
+                first = np.where(vals == top[:, None], cols, k).min(axis=1)
+                idx[rows[done]] = first[done]
+                left.append(rows[~done])
+            todo = np.concatenate(left)
+            half *= 2
+    everything = np.arange(k)
+    for rows in _row_blocks(todo, k):
+        idx[rows] = np.argmax(cosd(rows, everything), axis=1)
+    around = cosd(np.arange(n), (idx[:, None] + np.arange(-1, 2)) % k)
+    return idx, tuple(around.T)
 
 
 # ------------------------------------------------------------------ #
@@ -181,27 +269,65 @@ def contract_band(band: AcceptableBand, s: float) -> AcceptableBand:
         theta_minus=(1.0 - s) * band.theta_minus - s * band.R)
 
 
-def _trim_profile(lam_grid, theta_move, lam_bdry, phi_bdry, cutoff, nu, upper):
-    """Largest (smallest) latitude within `cutoff` of the opposite boundary.
+def _cap_reach(dlam, sin_q, cos_q, cos_cutoff, upper) -> np.ndarray:
+    """Highest (lowest) latitude of each cutoff cap on the meridian dlam away.
 
-    Closed form per boundary sample: the cutoff circle around (lam_q, phi_q)
-    meets the meridian lam in latitudes atan2(B, A) +- acos(cos c / r); by
-    the monotonicity of the distance in latitude the reachable set on each
-    meridian is an interval, so its extreme is a max (min) over samples.
+    The cutoff circle around (lam_q, phi_q) meets that meridian in the
+    latitudes atan2(B, A) +- acos(cos c / r); caps that miss it, or lie more
+    than half a turn away, give -inf (+inf).
     """
-    dlam = _wrap_dlam(lam_grid[:, None] - lam_bdry[None, :], nu)
-    usable = np.abs(dlam) <= math.pi
-    A = np.cos(phi_bdry)[None, :] * np.cos(dlam)
-    B = np.sin(phi_bdry)[None, :] * np.ones_like(dlam)
+    A = cos_q * np.cos(dlam)
+    B = sin_q * np.ones_like(dlam)
     r = np.hypot(A, B)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = math.cos(cutoff) / r
-        ok = usable & (np.abs(ratio) <= 1.0)
+        ratio = cos_cutoff / r
+        ok = (np.abs(dlam) <= math.pi) & (np.abs(ratio) <= 1.0)
         half = np.arccos(np.clip(ratio, -1.0, 1.0))
         center = np.arctan2(B, A)
         cand = center + half if upper else center - half
-    cand = np.where(ok, cand, -np.inf if upper else np.inf)
+    return np.where(ok, cand, -np.inf if upper else np.inf)
+
+
+def _all_sample_reach(lam_rows, lam_bdry, sin_q, cos_q, cos_cutoff, nu, upper):
+    """Extreme cap reach on the given meridians over every boundary sample."""
+    dlam = _wrap_dlam(lam_rows[:, None] - lam_bdry[None, :], nu)
+    cand = _cap_reach(dlam, sin_q[None, :], cos_q[None, :], cos_cutoff, upper)
     return cand.max(axis=1) if upper else cand.min(axis=1)
+
+
+def _trim_profile(lam_grid, theta_move, lam_bdry, phi_bdry, cutoff, nu, upper):
+    """Largest (smallest) latitude within `cutoff` of the opposite boundary.
+
+    By the monotonicity of the distance in latitude the reachable set on
+    each meridian is an interval, so its extreme is a max (min) of the
+    closed-form cap reach (`_cap_reach`) over the boundary samples.  The
+    caller keeps min(theta_move, result) for the upper trim and
+    max(theta_move, result) for the lower one.
+
+    Certificate: each meridian first tries only the samples next to it in
+    covering longitude (the three around its `searchsorted` position).  If
+    one of those caps already reaches theta_move (cand >= theta_move for the
+    upper trim, cand <= theta_move for the lower), the all-sample extreme
+    does too, and the caller's min (max) returns theta_move whatever that
+    extreme is; such rows return theta_move itself.  Only the other rows
+    evaluate the closed form over all samples, in row blocks, so the trimmed
+    profile is bit-identical to the all-sample one.
+    """
+    sin_q, cos_q = np.sin(phi_bdry), np.cos(phi_bdry)
+    cos_cutoff = math.cos(cutoff)
+    m = lam_bdry.size
+    near = (np.searchsorted(lam_bdry, lam_grid)[:, None] + np.arange(-1, 2)) % m
+    dlam = _wrap_dlam(lam_grid[:, None] - lam_bdry[near], nu)
+    cand = _cap_reach(dlam, sin_q[near], cos_q[near], cos_cutoff, upper)
+    if upper:
+        moved = np.flatnonzero(~(cand.max(axis=1) >= theta_move))
+    else:
+        moved = np.flatnonzero(~(cand.min(axis=1) <= theta_move))
+    out = theta_move.copy()
+    for rows in _row_blocks(moved, m):
+        out[rows] = _all_sample_reach(lam_grid[rows], lam_bdry, sin_q, cos_q,
+                                      cos_cutoff, nu, upper)
+    return out
 
 
 def retract_to_good(band: AcceptableBand, max_iter: int = 60,
@@ -213,14 +339,21 @@ def retract_to_good(band: AcceptableBand, max_iter: int = 60,
     odd n and vice versa for even n; theta+ is nonincreasing and theta-
     nondecreasing along the way.  Converges when consecutive profiles move
     less than band_tol / 4.
+
+    Each trim is output-sensitive (see `_trim_profile`): a meridian whose
+    neighbouring caps already reach its current latitude is certified
+    unchanged without the all-sample closed form.  The certificate only
+    skips rows whose trimmed value is provably the old one, so every
+    iterate, the iteration count and the result are exactly those of the
+    all-sample trim.
     """
     R = band.R
     tp = band.theta_plus.copy()
     tm = band.theta_minus.copy()
     history = [(tp.copy(), tm.copy())]
+    s = _boundary_stride(band.k_nodes)
     for n in range(1, max_iter + 1):
         cutoff = R + 2.0 ** (-n)
-        s = max(1, band.k_nodes // 1024)
         if n % 2 == 1:
             new = _trim_profile(band.lam, tp, band.lam[::s], tm[::s], cutoff,
                                 band.nu, upper=True)
@@ -250,18 +383,12 @@ def _nearest_indices(lam_p, phi_p, lam_q, phi_q, nu):
 
     Returns (indices, fractional offsets in [-1/2, 1/2]) so that callers can
     interpolate the boundary between samples; this keeps adjacent tracks
-    ordered instead of snapping to shared grid points.
+    ordered instead of snapping to shared grid points.  The nearest sample
+    and its two neighbours come from the windowed search of
+    `_nearest_samples`, whose certificate makes them identical to the
+    argmax of the full covering-distance row.
     """
-    dlam = _wrap_dlam(lam_p[:, None] - lam_q[None, :], nu)
-    usable = np.abs(dlam) <= math.pi
-    cosd = (np.sin(phi_p)[:, None] * np.sin(phi_q)[None, :]
-            + np.cos(phi_p)[:, None] * np.cos(phi_q)[None, :] * np.cos(dlam))
-    cosd = np.where(usable, cosd, -1.0)
-    idx = np.argmax(cosd, axis=1)
-    k = cosd.shape[1]
-    left = cosd[np.arange(len(idx)), (idx - 1) % k]
-    mid = cosd[np.arange(len(idx)), idx]
-    right = cosd[np.arange(len(idx)), (idx + 1) % k]
+    idx, (left, mid, right) = _nearest_samples(lam_p, phi_p, lam_q, phi_q, nu)
     denom = left - 2.0 * mid + right
     frac = np.where(np.abs(denom) > 1e-15,
                     0.5 * (left - right) / np.where(np.abs(denom) > 1e-15, denom, 1.0),

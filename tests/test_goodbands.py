@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherecurve as sc
 from spherecurve import classify, goodbands as gb, homotopy as ho
-from spherecurve.errors import DomainError, TrackCrossing
+from spherecurve.errors import DomainError, SphereCurveError, TrackCrossing
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +283,194 @@ class TestBatchedTracks:
         with pytest.raises(TrackCrossing) as got:
             gb.central_curve(circle_band)
         assert str(got.value) == str(want.value) == "tracks 200 and 201 cross inside the band"
+
+
+# ------------------------------------------------------------------ #
+# Dense oracles of the output-sensitive kernels
+# ------------------------------------------------------------------ #
+
+def dense_trim_profile(lam_grid, theta_move, lam_bdry, phi_bdry, cutoff, nu, upper):
+    """The closed form over every (meridian, boundary sample) pair."""
+    dlam = gb._wrap_dlam(lam_grid[:, None] - lam_bdry[None, :], nu)
+    usable = np.abs(dlam) <= math.pi
+    A = np.cos(phi_bdry)[None, :] * np.cos(dlam)
+    B = np.sin(phi_bdry)[None, :] * np.ones_like(dlam)
+    r = np.hypot(A, B)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = math.cos(cutoff) / r
+        ok = usable & (np.abs(ratio) <= 1.0)
+        half = np.arccos(np.clip(ratio, -1.0, 1.0))
+        center = np.arctan2(B, A)
+        cand = center + half if upper else center - half
+    cand = np.where(ok, cand, -np.inf if upper else np.inf)
+    return cand.max(axis=1) if upper else cand.min(axis=1)
+
+
+def dense_cosd(lam_p, phi_p, lam_q, phi_q, nu):
+    dlam = gb._wrap_dlam(lam_p[:, None] - lam_q[None, :], nu)
+    usable = np.abs(dlam) <= math.pi
+    cosd = (np.sin(phi_p)[:, None] * np.sin(phi_q)[None, :]
+            + np.cos(phi_p)[:, None] * np.cos(phi_q)[None, :] * np.cos(dlam))
+    return np.where(usable, cosd, -1.0)
+
+
+def dense_nearest_indices(lam_p, phi_p, lam_q, phi_q, nu):
+    cosd = dense_cosd(lam_p, phi_p, lam_q, phi_q, nu)
+    idx = np.argmax(cosd, axis=1)
+    k = cosd.shape[1]
+    left = cosd[np.arange(len(idx)), (idx - 1) % k]
+    mid = cosd[np.arange(len(idx)), idx]
+    right = cosd[np.arange(len(idx)), (idx + 1) % k]
+    denom = left - 2.0 * mid + right
+    frac = np.where(np.abs(denom) > 1e-15,
+                    0.5 * (left - right) / np.where(np.abs(denom) > 1e-15, denom, 1.0),
+                    0.0)
+    return idx, np.clip(frac, -0.5, 0.5)
+
+
+def dense_dist_to_profile(lam_p, phi_p, lam_q, phi_q, nu):
+    cosd = dense_cosd(lam_p, phi_p, lam_q, phi_q, nu)
+    return np.arccos(np.clip(cosd.max(axis=1), -1.0, 1.0))
+
+
+def dense_boundary_distances(band):
+    s = max(1, band.k_nodes // 1024)
+    return (dense_dist_to_profile(band.lam, band.theta_plus, band.lam[::s],
+                                  band.theta_minus[::s], band.nu),
+            dense_dist_to_profile(band.lam, band.theta_minus, band.lam[::s],
+                                  band.theta_plus[::s], band.nu))
+
+
+def retraction(band, tol, trim=None):
+    """(history, None) of retract_to_good, or (None, error type name)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if trim is not None:
+            mp.setattr(gb, "_trim_profile", trim)
+        try:
+            return gb.retract_to_good(band, tol=tol, return_history=True)[1], None
+        except SphereCurveError as exc:
+            return None, type(exc).__name__
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def small_tol():
+    return sc.DEFAULT_TOL.replace(band_k_nodes=512)
+
+
+@pytest.fixture(scope="module")
+def oracle_bands(small_tol):
+    """nu = 1, 2, 3 circle bands and the retracted lopsided band."""
+    bounds = sc.CurvatureBounds(-0.4, math.inf)
+    bands = [gb.band_from_condensed(sc.make_circle(math.pi / 2 - 0.2, nu, bounds, n=512),
+                                    small_tol)
+             for nu in (1, 2, 3)]
+    lopsided = sc.make_circle(0.8, 1, sc.CurvatureBounds(-0.3, math.inf), n=512)
+    bands.append(gb.retract_to_good(gb.band_from_condensed(lopsided, small_tol),
+                                    tol=small_tol))
+    return bands
+
+
+class TestOutputSensitiveKernels:
+    @settings(max_examples=12, deadline=None)
+    @given(which=st.integers(0, 3), s=st.floats(0.0, 1.0))
+    def test_bit_equal_to_dense_oracles(self, oracle_bands, small_tol, which, s):
+        band = gb.contract_band(oracle_bands[which], s)
+        got, got_err = retraction(band, small_tol)
+        want, want_err = retraction(band, small_tol, trim=dense_trim_profile)
+        assert got_err == want_err
+        if want is not None:
+            assert len(got) == len(want)
+            assert all(same_bits(g[0], w[0]) and same_bits(g[1], w[1])
+                       for g, w in zip(got, want))
+        args = (band.lam, band.theta_plus, band.lam, band.theta_minus, band.nu)
+        idx, frac = gb._nearest_indices(*args)
+        want_idx, want_frac = dense_nearest_indices(*args)
+        assert same_bits(idx, want_idx) and same_bits(frac, want_frac)
+        for got_d, want_d in zip(band.boundary_distances(),
+                                 dense_boundary_distances(band)):
+            assert same_bits(got_d, want_d)
+
+    def test_wrap_tie_breaks_to_smallest_column(self):
+        # row 0 sits on column 0, which is pushed away; columns 1 and K - 1
+        # are equally near.  Column K - 1 comes first in the window around
+        # row 0, so only the argmax tie rule picks column 1.
+        k, nu = 512, 1
+        lam = np.arange(k) * (2.0 * math.pi * nu / k)
+        phi_p = np.full(k, 0.3)
+        phi_q = np.full(k, 0.3)
+        phi_q[0] = -0.3
+        cosd = dense_cosd(lam[:1], phi_p[:1], lam, phi_q, nu)[0]
+        assert cosd[1] == cosd[k - 1] == cosd.max() > cosd[0]
+        idx, frac = gb._nearest_indices(lam, phi_p, lam, phi_q, nu)
+        want_idx, want_frac = dense_nearest_indices(lam, phi_p, lam, phi_q, nu)
+        assert idx[0] == 1
+        assert same_bits(idx, want_idx) and same_bits(frac, want_frac)
+
+    def test_far_nearest_sample_widens_window(self):
+        # the - profile comes close to the + one only in a bump 0.6 rad east
+        # of every meridian's own window of 2 * 32 samples (0.39 rad each
+        # way), so the first window must fail its bound and widen
+        k, nu = 512, 1
+        lam = np.arange(k) * (2.0 * math.pi * nu / k)
+        phi_p = np.zeros(k)
+        phi_q = np.full(k, -1.0)
+        bump = np.abs(gb._wrap_dlam(lam - 0.6, nu)) < 0.05
+        phi_q[bump] = 0.0
+        idx, frac = gb._nearest_indices(lam, phi_p, lam, phi_q, nu)
+        want_idx, want_frac = dense_nearest_indices(lam, phi_p, lam, phi_q, nu)
+        assert bump[idx[0]]
+        assert same_bits(idx, want_idx) and same_bits(frac, want_frac)
+
+    def test_trim_one_ulp_from_the_reach(self, oracle_bands):
+        # profiles one ulp above, at and below the all-sample reach: only
+        # rows strictly past it may move, and they move to the reach
+        for band in oracle_bands:
+            for upper in (True, False):
+                move, bdry = ((band.theta_plus, band.theta_minus) if upper
+                              else (band.theta_minus, band.theta_plus))
+                args = (band.lam, bdry, band.R + 2.0 ** -5, band.nu, upper)
+                reach = dense_trim_profile(band.lam, move, *args)
+                step = np.array([np.inf, 0.0, -np.inf])[np.arange(band.k_nodes) % 3]
+                theta = np.where(step == 0.0, reach, np.nextafter(reach, step))
+                keep = np.minimum if upper else np.maximum
+                got = keep(theta, gb._trim_profile(band.lam, theta, *args))
+                assert same_bits(got, keep(theta, reach))
+
+    def test_circle_bands_certify_every_row(self, oracle_bands, small_tol, monkeypatch):
+        rows = []
+        real = gb._all_sample_reach
+        monkeypatch.setattr(gb, "_all_sample_reach",
+                            lambda lam, *a: rows.append(lam.size) or real(lam, *a))
+        for band in oracle_bands[:3]:
+            gb.retract_to_good(band, tol=small_tol)
+        assert sum(rows) == 0
+
+    def test_maximal_band_iterations_match_oracle(self, circle_band, band_tol):
+        maximal = gb.contract_band(circle_band, 1.0)
+        got, _ = retraction(maximal, band_tol)
+        want, _ = retraction(maximal, band_tol, trim=dense_trim_profile)
+        assert len(got) == len(want) > 2
+
+    def test_traced_peak_memory(self):
+        # the dense kernels peaked at 148 MB (retraction) and 132 MB
+        # (central curve) of traced allocations on this band
+        bounds = sc.CurvatureBounds(-0.4, math.inf)
+        band = gb.band_from_condensed(sc.make_circle(math.pi / 2 - 0.15, 2, bounds, n=512))
+        assert band.k_nodes == 2048
+        maximal = gb.contract_band(band, 1.0)
+        tracemalloc.start()
+        try:
+            good = gb.retract_to_good(maximal)
+            retract_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            gb.central_curve(good)
+            central_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert retract_peak < 32 * 2**20
+        assert central_peak < 32 * 2**20
