@@ -25,9 +25,7 @@ from .curves import (
 )
 from .errors import (
     DomainError,
-    EmptyDual,
     FiberCountMismatch,
-    NearZeroCentroid,
     NoGapFound,
     NotCondensed,
     WindingResidual,
@@ -188,6 +186,9 @@ class CondensedStatus:
     `antipodal_defect` is the smallest chord |x + y| over pairs of cloud
     samples, and the pair is those two points (x, y) when the defect is
     below `tol.antipodal_chord` (the curve is diffuse), else None.
+    `margin` is the signed distance from the origin to the hull of the
+    cloud, which does not depend on the curve's placement, and
+    `hemisphere` its max-margin direction (see `sphere.best_hemisphere`).
     """
 
     condensed: bool
@@ -246,7 +247,7 @@ def condensed_status(curve: AdmissibleCurve,
     and the condensed side of the label cannot be trusted.
     """
     cloud = classification_cloud(curve, tol)
-    h, margin = sphere.best_hemisphere(cloud, tol)
+    h, margin = sphere.best_hemisphere(cloud)
     condensed = margin >= -tol.feasibility_margin
     borderline = abs(margin) < tol.borderline_margin
 
@@ -302,22 +303,17 @@ def condensed_axis(curve: AdmissibleCurve,
                    tol: ToleranceProfile = DEFAULT_TOL):
     """(status, h, nu) of a condensed curve in (kappa0, +inf) form.
 
-    h is the barycenter of the hemispheres containing the caustic cloud,
-    the canonical axis of the Mobius shrink and of the band frame; when the
-    barycenter is degenerate or its containment fails on the full cloud,
-    the status's LP direction is used instead.  nu is the rotation number
-    around h.  Raises NotCondensed when no closed hemisphere contains the
-    cloud.
+    h is `status.hemisphere`, the exact max-margin direction of the caustic
+    cloud: the deepest axis of the hemispheres containing it, unique and
+    rotating with the curve whenever the margin is positive.  It is the
+    axis of the Mobius shrink and of the band frame.  nu is the rotation
+    number around h.  Raises NotCondensed when no closed hemisphere
+    contains the cloud.
     """
     status = condensed_status(curve, tol)
     if not status.condensed:
         raise NotCondensed("caustic cloud is not contained in a hemisphere")
-    try:
-        h = sphere.hemisphere_barycenter(status.cloud, tol)
-        if float(np.min(status.cloud @ h)) < -100.0 * tol.feasibility_margin:
-            h = status.hemisphere
-    except (EmptyDual, NearZeroCentroid):
-        h = status.hemisphere
+    h = status.hemisphere
     return status, h, rotation_number_condensed(curve, h, tol)
 
 
@@ -493,7 +489,7 @@ def classify_component(curve: AdmissibleCurve,
     Pipeline: reduce to (kappa0, +inf) form, test condensed/diffuse on the
     caustic cloud, compute the rotation number when it can decide, and fall
     back to the lift parity for the two large components.  The winding is
-    taken around the hemisphere LP's direction: its margin exceeds
+    taken around the max-margin direction: its margin exceeds
     `borderline_margin`, and every hemisphere containing the cloud gives
     the same rotation number.  The label keeps the `CondensedStatus` it was
     decided from.

@@ -212,9 +212,10 @@ def band_from_condensed(curve: AdmissibleCurve,
                         tol: ToleranceProfile = DEFAULT_TOL) -> GoodBand:
     """Lift the regular band of a condensed curve (kappa0 < 0) to the cover.
 
-    The hemisphere axis comes from the caustic-cloud barycenter; the band
-    boundaries are the curve itself and its antipodal edge, and the result
-    is a good band of width pi - rho0.
+    The hemisphere axis is the caustic cloud's max-margin direction from
+    `condensed_axis`, which reuses the status's one hemisphere solve; the
+    band boundaries are the curve itself and its antipodal edge, and the
+    result is a good band of width pi - rho0.
     """
     reduced, kappa0 = reduce_to_k0(curve, tol)
     if kappa0 >= 0:

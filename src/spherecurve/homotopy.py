@@ -589,11 +589,11 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
                      tol: ToleranceProfile = DEFAULT_TOL) -> HomotopyPath:
     """Deform a condensed curve (kappa0 >= 0 after reduction) into a circle.
 
-    Stage 1 shrinks the curve toward the barycenter hemisphere axis through
-    Mobius dilatations, which can only raise the curvature of a condensed
-    curve; stage 2 projects the small curve to the tangent plane, runs the
-    planar Whitney-Graustein deformation and lifts the result back.  The
-    path ends at a circle traversed nu times.
+    Stage 1 shrinks the curve toward the max-margin hemisphere axis of
+    `condensed_axis` through Mobius dilatations, which can only raise the
+    curvature of a condensed curve; stage 2 projects the small curve to the
+    tangent plane, runs the planar Whitney-Graustein deformation and lifts
+    the result back.  The path ends at a circle traversed nu times.
     """
     from .classify import reduce_to_k0
 

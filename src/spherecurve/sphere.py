@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from .errors import (
     DegenerateProjection,
@@ -291,100 +292,100 @@ def mobius_dilate(p, r: float, pole, tol: ToleranceProfile = DEFAULT_TOL) -> np.
 # Hemisphere feasibility and convexity predicates
 # ------------------------------------------------------------------ #
 
-def _face_lp(points: np.ndarray, axis: int, sign: float):
-    """Maximize m with <p_i, h> >= m over the box face h[axis] = sign."""
-    other = [j for j in range(3) if j != axis]
-    m = points.shape[0]
-    # variables: (h[other0], h[other1], margin); minimize -margin
-    a_ub = np.empty((m, 3))
-    a_ub[:, 0] = -points[:, other[0]]
-    a_ub[:, 1] = -points[:, other[1]]
-    a_ub[:, 2] = 1.0
-    b_ub = sign * points[:, axis]
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(-1.0, 1.0), (-1.0, 1.0), (-2.0, 2.0)],
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - tiny LPs are always feasible
-        return None
-    h = np.zeros(3)
-    h[axis] = sign
-    h[other[0]], h[other[1]] = res.x[0], res.x[1]
-    return h, -res.fun
+# Sizes of the hemisphere solve: the initial strided working set; per
+# round, the worst violators added and the facets nearest the origin probed
+# for the point of the full cloud farthest beyond them; and the probe rows
+# per matrix product.  A point violates when it lies below the working-set
+# margin by more than roundoff; a working set is flat along any centred
+# singular value below _HULL_FLAT times the largest.
+_HULL_WORKING_SET = 512
+_HULL_BATCH = 64
+_HULL_PROBE_BLOCK = 4
+_HULL_VIOLATION = 1e-13
+_HULL_FLAT = 1e-10
 
 
-# Active-set sizes of the hemisphere LP: the initial strided working set,
-# the most violated points added per round, and the slack below which a
-# point of the full cloud counts as violated (roundoff on unit points).
-_LP_WORKING_SET = 256
-_LP_BATCH = 64
-_LP_VIOLATION = 1e-13
+def _nearest_on_segments(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Point of least norm on the union of the segments [p_i, q_i]."""
+    d = q - p
+    dd = np.einsum("ij,ij->i", d, d)
+    t = -np.einsum("ij,ij->i", p, d) / np.where(dd > 0.0, dd, 1.0)
+    x = p + np.clip(t, 0.0, 1.0)[:, None] * d
+    return x[int(np.argmin(np.einsum("ij,ij->i", x, x)))]
 
 
-def _face_lp_active(points: np.ndarray, axis: int, sign: float,
-                    work: np.ndarray):
-    """`_face_lp` on the full cloud, solved on a growing working set.
+def _hull_solve(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, probes): the max-margin direction of the points w, and minus the
+    normals of the `_HULL_BATCH` hull facets nearest the origin.
 
-    Solves the face LP on `points[work]`, then checks the solution against
-    every point with one matrix product and adds the worst violators, until
-    no point of the full cloud violates by more than roundoff (Clarkson's
-    active-set scheme).  The working-set optimum bounds the full optimum
-    from above and is feasible for the full cloud at exit, so the optimal
-    margins coincide.
+    A flat set (under four points, coplanar or collinear) has no facets and
+    no probes; when its hull holds the origin, h is the normal of its plane
+    or line whose largest entry is positive.
     """
-    while True:
-        out = _face_lp(points[work], axis, sign)
-        if out is None:  # pragma: no cover - tiny LPs are always feasible
-            return None
-        h, m = out
-        slack = points @ h - m
-        viol = np.flatnonzero(slack < -_LP_VIOLATION)
-        viol = viol[~np.isin(viol, work)]
-        if viol.size == 0:
-            return out
-        if viol.size > _LP_BATCH:
-            viol = viol[np.argpartition(slack[viol], _LP_BATCH)[:_LP_BATCH]]
-        work = np.union1d(work, viol)
+    centre = w.mean(axis=0)
+    # two zero rows give the SVD three right singular vectors for any w
+    _, s, vt = np.linalg.svd(np.vstack([w - centre, np.zeros((2, 3))]),
+                             full_matrices=False)
+    normal = vt[2] if vt[2][np.argmax(np.abs(vt[2]))] > 0.0 else -vt[2]
+    probes, foot, inside = np.empty((0, 3)), None, False
+    if s[2] > _HULL_FLAT * s[0]:
+        hull = ConvexHull(w)
+        eq = hull.equations      # outward unit normal n, offset: n.x + off <= 0
+        near = np.argsort(-eq[:, 3], kind="stable")[:_HULL_BATCH]
+        probes = -eq[near, :3]
+        if eq[near[0], 3] <= 0.0:        # the origin is inside or on the hull
+            return probes[0], probes
+        # the foot of the farthest facet plane, or an edge facing the origin
+        foot = eq[near[0], 3] * probes[0]
+        inside = np.max(eq @ np.append(foot, 1.0)) <= 1e-12
+        tri = hull.simplices[eq[:, 3] > 0.0]
+        edges = np.stack([tri.ravel(), np.roll(tri, -1, axis=1).ravel()], axis=1)
+    elif s[1] > _HULL_FLAT * s[0]:
+        poly = ConvexHull((w - centre) @ vt[:2].T)
+        foot = (centre @ normal) * normal
+        inside = np.max(poly.equations @ np.append(-vt[:2] @ centre, 1.0)) <= 1e-12
+        edges = poly.simplices
+    else:
+        u = (w - centre) @ vt[0]
+        edges = np.array([[np.argmin(u), np.argmax(u)]])
+    x = foot if inside else _nearest_on_segments(w[edges[:, 0]], w[edges[:, 1]])
+    norm = np.linalg.norm(x)
+    return (x / norm if norm > 1e-15 else normal), probes
 
 
-def best_hemisphere(points, tol: ToleranceProfile = DEFAULT_TOL):
-    """Margin-maximizing direction over the unit ball, solved facewise.
+def best_hemisphere(points):
+    """Direction h maximizing the margin min_i <p_i, h> over unit vectors.
 
-    Returns (h, margin) with h unit and margin = min_i <p_i, h> over every
-    input point.  On each face of the cube a 3-variable LP maximizes the
-    margin of the unnormalized direction; the best normalized face winner
-    is returned.  Each face LP runs on about 256 strided points and adds
-    the worst violators of the full cloud in batches until none is left,
-    so its optimal margin is that of the LP over the whole cloud while the
-    solver only sees the few hundred points that matter.  Where a face LP
-    has several optimal directions (symmetric clouds such as circles'),
-    the one returned may differ from a whole-cloud solve's.  Deterministic.
+    Returns (h, margin), margin = min_i <p_i, h> over every input point: the
+    signed distance from the origin to the convex hull of the points
+    (Quickhull: Barber, Dobkin & Huhdanpaa 1996), which does not depend on
+    how the cloud is placed.  Origin outside: h points at the hull's
+    least-norm point, unique and rotating with the cloud.  Origin inside or
+    on the boundary: h is minus the outward normal of the nearest facet
+    plane, the first in Qhull's order on ties.  The hull is built on about
+    512 strided points; each round adds the 64 worst violators of its
+    answer in the full cloud, and the point farthest beyond each of the 64
+    facet planes nearest the origin, until no point violates by more than
+    roundoff (Clarkson's scheme).  The working-set margin bounds the full
+    one from above and is attained on the full cloud at exit, so the two
+    coincide.  Deterministic.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("empty point list")
     work = np.unique(np.linspace(0, points.shape[0] - 1,
-                                 _LP_WORKING_SET).astype(int))
-    best_h, best_margin = None, -np.inf
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            out = _face_lp_active(points, axis, sign, work)
-            if out is None:
-                continue
-            h, _ = out
-            norm = np.linalg.norm(h)
-            if norm < 1e-12:
-                continue
-            hu = h / norm
-            margin = float(np.min(points @ hu))
-            if margin > best_margin:
-                best_h, best_margin = hu, margin
-    if best_h is None:  # pragma: no cover
-        raise RuntimeError("hemisphere LP failed on all faces")
-    return best_h, best_margin
+                                 _HULL_WORKING_SET).astype(int))
+    while True:
+        h, probes = _hull_solve(points[work])
+        margins = points @ h
+        viol = np.flatnonzero(margins < margins[work].min() - _HULL_VIOLATION)
+        if viol.size == 0:
+            return h, float(margins.min())
+        if viol.size > _HULL_BATCH:
+            viol = viol[np.argpartition(margins[viol], _HULL_BATCH)[:_HULL_BATCH]]
+        lowest = [np.argmin(probes[i:i + _HULL_PROBE_BLOCK] @ points.T, axis=1)
+                  for i in range(0, probes.shape[0], _HULL_PROBE_BLOCK)]
+        work = np.union1d(work, np.concatenate([viol, *lowest]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -493,13 +494,14 @@ def hemisphere_barycenter(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> n
     Samples the dual cone {h : <p, h> >= 0 for all p} on a Fibonacci lattice,
     averages the surviving directions in R^3 and normalizes.  A second pass
     re-runs the average with the lattice re-aligned to the first estimate,
-    which cancels the lattice-orientation bias.
+    which cancels the lattice-orientation bias.  No library function calls
+    it: the canonical axis is `best_hemisphere`'s max-margin direction.
     """
     cloud = np.atleast_2d(np.asarray(point_cloud, dtype=float))
     if cloud.shape[0] > 2048:
-        # the barycenter is a canonical but heuristic choice; a fixed
-        # deterministic decimation keeps the dual-cone filter cheap and the
-        # caller re-checks containment on the full cloud
+        # the barycenter is a heuristic choice; a fixed deterministic
+        # decimation keeps the dual-cone filter cheap, so the result need
+        # not contain the full cloud
         cloud = cloud[:: cloud.shape[0] // 1024]
 
     def centroid(directions):

@@ -15,7 +15,7 @@ class ToleranceProfile:
     """
 
     unit_norm: float = 1e-12          # |q| - 1 after constructors
-    feasibility_margin: float = 1e-9  # epsilon of the hemisphere LP
+    feasibility_margin: float = 1e-9  # hemisphere margin counted as zero
     closure: float = 1e-7             # frame defect allowed for `closed`
     borderline_margin: float = 1e-4   # |margin| below this => equatorial regime
     antipodal_chord: float = 1e-3     # |p + q| for an antipodal witness

@@ -71,6 +71,31 @@ class TestClassify:
         bad.write_text("{not json")
         assert run_cli("classify", str(bad)) == 2
 
+    @pytest.mark.parametrize("bounds,turns,loops", [
+        ((1.0, 4.0), 2, 2),          # a circle with two loops, n = 6
+        ((2.0, math.inf), 3, 0),     # a 3-fold circle, n = 7
+    ])
+    def test_margin_is_placement_invariant(self, tmp_path, bounds, turns, loops):
+        from conftest import random_rotation
+        bounds = sc.CurvatureBounds(*bounds)
+        rho = 0.5 * (bounds.rho1 + bounds.rho2)
+        if loops:
+            hi = min(bounds.rho1, 1.0)
+            curve = sc.add_loops(sc.make_circle(rho, turns, bounds, n=512), 0.5,
+                                 loops, bounds.rho2 + 0.4 * (hi - bounds.rho2), 0.05)
+        else:
+            curve = sc.make_circle(rho, turns, bounds, n=1024)
+        rng = np.random.default_rng(6)
+        margins = []
+        for i in range(2):
+            path, rep = tmp_path / f"c{i}.json", tmp_path / f"r{i}.json"
+            placed = curve.rotated(random_rotation(rng))
+            path.write_text(cli.dumps(sc.curve_to_json(placed)))
+            assert run_cli("classify", str(path), "-o", str(rep)) == 0
+            margins.append(json.loads(rep.read_text())["margin"])
+        assert abs(margins[0] - margins[1]) <= 1e-12
+        assert margins[0] > sc.DEFAULT_TOL.borderline_margin
+
     def test_strict_borderline_exit_3(self, tmp_path):
         out, rep = tmp_path / "c.json", tmp_path / "r.json"
         # geodesic circle in kappa0 < 0: equatorial margin, borderline

@@ -56,23 +56,19 @@ class TestBandFromCondensed:
             assert band.nu == nu
             assert band.lam[-1] + band.lam[1] == pytest.approx(2 * math.pi * nu)
 
-    def test_empty_dual_takes_the_status_direction(self, band_tol, monkeypatch):
+    def test_axis_is_the_status_direction(self, band_tol, monkeypatch):
         from spherecurve import sphere
-        from spherecurve.errors import EmptyDual
         bounds = sc.CurvatureBounds(-0.4, math.inf)
         curve = sc.make_circle(math.pi / 2 - 0.2, 1, bounds, n=256)
         status = classify.condensed_status(curve, band_tol)
-        lp = []
-        real_lp = sphere.best_hemisphere
-
-        def empty(*args, **kwargs):
-            raise EmptyDual("no lattice direction contains the cloud")
-
-        monkeypatch.setattr(sphere, "hemisphere_barycenter", empty)
+        lp, bary = [], []
+        real_lp, real_bary = sphere.best_hemisphere, sphere.hemisphere_barycenter
+        monkeypatch.setattr(sphere, "hemisphere_barycenter",
+                            lambda *a, **k: bary.append(1) or real_bary(*a, **k))
         monkeypatch.setattr(sphere, "best_hemisphere",
                             lambda *a, **k: lp.append(1) or real_lp(*a, **k))
         band = gb.band_from_condensed(curve, band_tol)
-        assert len(lp) == 1
+        assert len(lp) == 1 and not bary
         assert np.array_equal(band.frame[2], status.hemisphere)
         assert band.nu == 1
 

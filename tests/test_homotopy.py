@@ -222,24 +222,21 @@ class TestShrink:
 
 
 class TestShrinkAxis:
-    def test_empty_dual_takes_the_status_direction(self, monkeypatch):
+    def test_axis_is_the_status_direction(self, monkeypatch):
         from spherecurve import sphere
-        from spherecurve.errors import EmptyDual
         c = sc.make_circle(0.7, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
         status = classify.condensed_status(c)
-        lp, axes = [], []
-        real_lp, real_mobius = sphere.best_hemisphere, ho.mobius_shrink_curve
-
-        def empty(*args, **kwargs):
-            raise EmptyDual("no lattice direction contains the cloud")
-
-        monkeypatch.setattr(sphere, "hemisphere_barycenter", empty)
+        lp, bary, axes = [], [], []
+        real_lp, real_bary = sphere.best_hemisphere, sphere.hemisphere_barycenter
+        real_mobius = ho.mobius_shrink_curve
+        monkeypatch.setattr(sphere, "hemisphere_barycenter",
+                            lambda *a, **k: bary.append(1) or real_bary(*a, **k))
         monkeypatch.setattr(sphere, "best_hemisphere",
                             lambda *a, **k: lp.append(1) or real_lp(*a, **k))
         monkeypatch.setattr(ho, "mobius_shrink_curve",
                             lambda cv, r, h, *a: axes.append(h) or real_mobius(cv, r, h, *a))
         path = ho.shrink_condensed(c, steps=9)
-        assert len(lp) == 1
+        assert len(lp) == 1 and not bary
         assert axes and all(np.array_equal(h, status.hemisphere) for h in axes)
         assert ho.validate_path(path).passed
 

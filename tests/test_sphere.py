@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from spherecurve import sphere
 from spherecurve.errors import DegenerateProjection, NotInHull
@@ -172,24 +172,56 @@ class TestMobius:
         assert svals[-1] < 1e-8
 
 
-def lp_hemisphere_oracle(points):
-    """Brute-force LP oracle: is there a unit h with <p_i, h> >= 0?"""
-    best = -np.inf
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            other = [j for j in range(3) if j != axis]
-            a_ub = np.column_stack([-points[:, other[0]],
-                                    -points[:, other[1]],
-                                    np.ones(len(points))])
-            res = linprog(c=[0, 0, -1], A_ub=a_ub,
-                          b_ub=sign * points[:, axis],
-                          bounds=[(-1, 1), (-1, 1), (-2, 2)], method="highs")
-            if res.success:
-                h = np.zeros(3)
-                h[axis] = sign
-                h[other[0]], h[other[1]] = res.x[0], res.x[1]
-                best = max(best, np.min(points @ (h / np.linalg.norm(h))))
-    return best
+def closest_on_triangle(a, b, c):
+    """Point of triangle abc nearest the origin, by Voronoi regions
+    (Ericson, Real-Time Collision Detection, 5.1.5)."""
+    ab, ac, ap = b - a, c - a, -a
+    d1, d2 = ab @ ap, ac @ ap
+    if d1 <= 0 and d2 <= 0:
+        return a
+    bp = -b
+    d3, d4 = ab @ bp, ac @ bp
+    if d3 >= 0 and d4 <= d3:
+        return b
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        return a + d1 / (d1 - d3) * ab
+    cp = -c
+    d5, d6 = ab @ cp, ac @ cp
+    if d6 >= 0 and d5 <= d6:
+        return c
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        return a + d2 / (d2 - d6) * ac
+    va = d3 * d6 - d5 * d4
+    if va <= 0 and d4 - d3 >= 0 and d5 - d6 >= 0:
+        return b + (d4 - d3) / ((d4 - d3) + (d5 - d6)) * (c - b)
+    # inside the face: the foot of the plane, exact to roundoff in its
+    # direction even when the face passes close to the origin
+    n = np.cross(ab, ac)
+    n /= np.linalg.norm(n)
+    return (n @ a) * n
+
+
+def hull_hemisphere_oracle(points):
+    """The signed distance from the origin to the hull of the whole cloud.
+
+    One Quickhull over every point, no working set.  Origin outside: h
+    points at the nearest point of the facets facing the origin, each
+    triangle searched on its own.  Origin inside or on the boundary: h is
+    minus the outward normal of the nearest facet plane.  Returns (h,
+    margin) with margin = min <p, h>.
+    """
+    hull = ConvexHull(points)
+    normals, offsets = hull.equations[:, :3], hull.equations[:, 3]
+    f = int(np.argmax(offsets))
+    h = -normals[f]
+    if offsets[f] > 0:
+        near = [closest_on_triangle(*points[tri])
+                for tri in hull.simplices[offsets > 0]]
+        x = min(near, key=np.linalg.norm)
+        h = x / np.linalg.norm(x)
+    return h, float(np.min(points @ h))
 
 
 class TestHemispheres:
@@ -244,48 +276,32 @@ class TestHemispheres:
         pts = np.vstack([np.column_stack([np.cos(t), np.sin(t), 0 * t]),
                          [0, 0, 1], [0, 0, -1]])
         assert sphere.best_hemisphere(pts)[1] < -EPS
-        assert lp_hemisphere_oracle(pts) < -1e-9
+        assert hull_hemisphere_oracle(pts)[1] < -1e-9
 
     def test_margins_match_lp_oracle(self, rng):
         for _ in range(10):
             pts = rng.normal(size=(25, 3))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            _, margin = sphere.best_hemisphere(pts)
-            assert abs(margin - lp_hemisphere_oracle(pts)) < 1e-7
+            assert_matches_oracle(pts)
 
 
-def full_cloud_hemisphere(points):
-    """The six face LPs over the whole cloud: the direct, slow oracle."""
-    best_h, best_margin = None, -np.inf
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            h, _ = sphere._face_lp(points, axis, sign)
-            hu = h / np.linalg.norm(h)
-            margin = float(np.min(points @ hu))
-            if margin > best_margin:
-                best_h, best_margin = hu, margin
-    return best_h, best_margin
+def assert_matches_oracle(points):
+    """Working-set answer equals the whole-cloud hull's.
 
-
-def assert_matches_oracle(points, unique=True):
-    """Active-set answer equals the full-cloud one.
-
-    With `unique=False` the direction is not compared: on symmetric clouds
-    (circles) a face LP has a segment of optimal directions, and the two
-    solves may return different ends of it with the same margin.
+    Margins agree everywhere; directions only where the margin exceeds
+    `borderline_margin`, where the max-margin direction is unique (facet
+    ties make it ambiguous for clouds around the origin).
     """
-    from spherecurve.tolerances import DEFAULT_TOL as tol
     h, margin = sphere.best_hemisphere(points)
-    h_full, margin_full = full_cloud_hemisphere(points)
+    h_full, margin_full = hull_hemisphere_oracle(points)
     assert abs(margin - margin_full) <= 1e-12
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
     assert margin == float(np.min(points @ h))
-    if unique:
+    if margin > DEFAULT_TOL.borderline_margin:
         assert np.abs(h - h_full).max() <= 1e-12
-    assert (margin >= -tol.feasibility_margin) \
-        == (margin_full >= -tol.feasibility_margin)
-    assert (abs(margin) < tol.borderline_margin) \
-        == (abs(margin_full) < tol.borderline_margin)
+    assert (margin >= -EPS) == (margin_full >= -EPS)
+    assert (abs(margin) < DEFAULT_TOL.borderline_margin) \
+        == (abs(margin_full) < DEFAULT_TOL.borderline_margin)
 
 
 def _unit_rows(x):
@@ -328,25 +344,108 @@ class TestActiveSetHemisphere:
         circles = [curves.make_circle(0.7, k, bounds_k0, n=512) for k in (1, 3)]
         circles.append(curves.make_circle(0.4, 2, curves.CurvatureBounds(1.0, 4.0),
                                           n=512))
-        # (curve, whether its face LPs have a single optimum): circles and
-        # the two-lobe diffuse rose are symmetric about the z axis
-        cases = [(c, False) for c in circles] + [
-            (diffuse_curve, False),
-            (grafting.ensure_curvature_param(neither_small), True)]
         tags = []
-        for curve, unique in cases:
+        for curve in circles + [diffuse_curve,
+                                grafting.ensure_curvature_param(neither_small)]:
             reduced, _ = classify.reduce_to_k0(curve)
             cloud = classify.classification_cloud(reduced)
-            assert cloud.shape[0] > 4 * sphere._LP_WORKING_SET
-            assert_matches_oracle(cloud, unique)
+            assert cloud.shape[0] > 4 * sphere._HULL_WORKING_SET
+            assert_matches_oracle(cloud)
             tags.append(classify.condensed_status(reduced).tag)
         assert tags == ["Condensed"] * 3 + ["Diffuse", "Neither"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(hemisphere_clouds(), st.integers(0, 2 ** 32 - 1))
+    def test_margin_is_rotation_invariant(self, points, seed):
+        from conftest import random_rotation
+        R = random_rotation(np.random.default_rng(seed))
+        h, margin = sphere.best_hemisphere(points)
+        h_rot, margin_rot = sphere.best_hemisphere(points @ R.T)
+        assert abs(margin_rot - margin) <= 1e-12
+        if margin > DEFAULT_TOL.borderline_margin:
+            assert np.abs(h_rot - R @ h).max() <= 1e-12
 
     def test_small_cloud_solves_directly(self):
         pts = np.eye(3)
         h, margin = sphere.best_hemisphere(pts)
         assert margin == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
         assert np.allclose(h, np.full(3, 1.0 / math.sqrt(3.0)))
+
+    def test_nearest_point_on_an_edge(self, rng):
+        # a cap of 2000 points strictly above the chord between a and b,
+        # which come last so the strided working set misses them: the
+        # hull's least-norm point is the chord's midpoint, on an edge
+        alpha = 0.6
+        a = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+        b = np.array([-math.sin(alpha), 0.0, math.cos(alpha)])
+        cos_ang = np.cos((alpha - 0.05) * np.sqrt(rng.uniform(size=2000)))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=2000)
+        sin_ang = np.sqrt(1.0 - cos_ang ** 2)
+        cap = np.column_stack([sin_ang * np.cos(phi), sin_ang * np.sin(phi),
+                               cos_ang])
+        points = np.vstack([cap, a, b])
+        h, margin = sphere.best_hemisphere(points)
+        assert margin == pytest.approx(math.cos(alpha), abs=1e-12)
+        assert np.abs(h - [0.0, 0.0, 1.0]).max() <= 1e-12
+        assert_matches_oracle(points)
+
+    def test_flat_clouds(self):
+        t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+        # a small circle: the polygon's plane holds its least-norm point
+        cap = 0.6 * ring + [0.0, 0.0, 0.8]
+        h, margin = sphere.best_hemisphere(cap)
+        assert margin == pytest.approx(0.8, abs=1e-12)
+        assert np.abs(h - [0.0, 0.0, 1.0]).max() <= 1e-12
+        # a great circle holds the origin: its plane's normal, margin 0
+        h, margin = sphere.best_hemisphere(ring)
+        assert abs(margin) <= 1e-15 and np.abs(h - [0.0, 0.0, 1.0]).max() <= 1e-15
+        # an arc of a great circle: the nearest point is on its chord
+        arc = ring[:50]
+        h, margin = sphere.best_hemisphere(arc)
+        half = 0.5 * (t[49] - t[0])
+        assert margin == pytest.approx(math.cos(half), abs=1e-12)
+        assert np.abs(h - [math.cos(half), math.sin(half), 0.0]).max() <= 1e-12
+
+    def test_collinear_clouds(self):
+        p = sphere.unit_vector([0.6, -0.7, 0.38])
+        q = sphere.unit_vector([0.1, 0.2, 0.9])
+        h, margin = sphere.best_hemisphere(np.array([p, p, -p, -p, p]))
+        assert abs(margin) <= 1e-15 and abs(h @ p) <= 1e-12
+        h, margin = sphere.best_hemisphere(np.array([p, q, q]))
+        assert np.abs(h - sphere.unit_vector(p + q)).max() <= 1e-12
+        assert margin == pytest.approx(np.linalg.norm(p + q) / 2, abs=1e-12)
+        h, margin = sphere.best_hemisphere(q)
+        assert np.array_equal(h, q) and margin == q @ q
+
+    def test_degenerate_clouds_repeat_across_processes(self):
+        import contextlib
+        import io
+        import os
+        import subprocess
+        import sys
+        code = """
+import math, numpy as np
+from spherecurve import sphere
+t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+p = sphere.unit_vector([0.6, -0.7, 0.38])
+zeta = ring[[0, 66, 133]]
+for cloud in (zeta, np.array([p, -p]), np.eye(3), ring, ring[:50]):
+    h, margin = sphere.best_hemisphere(cloud)
+    print(repr([float(x) for x in h]), repr(margin))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(sphere.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        runs = [subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout
+                for _ in range(2)]
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(code, {})
+        assert runs[0] == runs[1] == here.getvalue()
+        assert runs[0].count("\n") == 5
 
 
 class TestBatchedQuaternions:
