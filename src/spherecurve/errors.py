@@ -10,7 +10,7 @@ class DegenerateProjection(SphereCurveError):
 
 
 class NotInHull(SphereCurveError):
-    """No containing simplex found; target likely outside the convex hull."""
+    """The target is not strictly inside the convex hull of the points."""
 
 
 class EmptyDual(SphereCurveError):

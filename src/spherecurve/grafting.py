@@ -32,6 +32,8 @@ from .errors import (
     ContinuationDiverged,
     DegenerateSimplex,
     DomainError,
+    FiberCountMismatch,
+    NoGapFound,
     NotDiffuse,
     NotInHull,
     NotNonCondensed,
@@ -434,7 +436,6 @@ def graft_until_resolved(curve: AdmissibleCurve, step: float | None = None,
     rho0 = cur.bounds.rho1
     spent = 0.0
     history = [cur]
-    from .errors import FiberCountMismatch, NoGapFound
 
     while True:
         status = condensed_status(cur, tol)

@@ -12,11 +12,11 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateProjection,
+    DegenerateSimplex,
     EmptyDual,
     NearZeroCentroid,
     NotInHull,
@@ -390,9 +390,9 @@ def best_hemisphere(points):
 
 @dataclasses.dataclass(frozen=True)
 class SphericalSimplex:
-    """Up to 4 points of S^2 whose convex combination hits a target."""
+    """One or four points of S^2 whose convex combination hits a target."""
 
-    vertices: np.ndarray        # (k, 3), k <= 4
+    vertices: np.ndarray        # (k, 3), k = 1 or 4
     weights: np.ndarray         # (k,), positive, sums to 1
     indices: np.ndarray         # positions of the vertices in the input list
 
@@ -404,37 +404,40 @@ class SphericalSimplex:
         return bool(np.all(w > 0) and abs(w.sum() - 1.0) <= tol)
 
 
-def _reduce_caratheodory(points: np.ndarray, weights: np.ndarray, target: np.ndarray):
-    """Shrink the support of a convex combination down to <= 4 points."""
-    idx = np.flatnonzero(weights > 1e-14)
-    w = weights[idx].astype(float)
-    w /= w.sum()
-    while idx.size > 4:
-        cols = np.vstack([points[idx].T, np.ones(idx.size)])  # 4 x m, m > 4
-        _, _, vt = np.linalg.svd(cols)
-        lam = vt[-1]
-        if np.max(lam) <= 0:
-            lam = -lam
-        pos = lam > 1e-14
-        t = np.min(w[pos] / lam[pos])
-        w = w - t * lam
-        w[np.argmin(np.abs(w))] = 0.0
-        keep = w > 1e-14
-        idx, w = idx[keep], w[keep]
-        w /= w.sum()
-    return idx, w
+def _strict_hull(w: np.ndarray):
+    """ConvexHull of w when its interior holds the origin, else None.
+
+    Flat sets and sets under four points have no interior; Qhull's
+    refusal to build them counts as a no.
+    """
+    try:
+        hull = ConvexHull(w)
+    except QhullError:
+        return None
+    return hull if np.max(hull.equations[:, 3]) < 0.0 else None
 
 
 def containing_simplex(points, target, tol: ToleranceProfile = DEFAULT_TOL) -> SphericalSimplex:
-    """Vertices from `points` whose convex combination reproduces `target`.
+    """Four of `points` whose convex combination, all weights positive, is
+    `target`; a single point when one lies within 1e-9 of the target.
 
-    Tries seeded random quadruples first, then falls back to a linear
-    program plus Caratheodory reduction.  Raises NotInHull when both fail:
-    the target is not in the convex hull of the points.
+    Builds the hull of points - target (Quickhull), first on the strided
+    working set of `best_hemisphere` and on the whole set only when that
+    hull does not hold the target strictly inside.  The ray from a hull
+    vertex v through the target leaves the hull through a facet F, so the
+    target lies in the tetrahedron of v and F; its barycentric weights
+    come from one 4x4 solve.  `tol.seed` orders the vertices tried: the
+    first whose tetrahedron holds the target strictly, with residual at
+    most 1e-9, is returned, so another seed usually gives another simplex.
+    Raises NotInHull when the target is not strictly inside the hull:
+    outside it, on its boundary, or the set is flat or has fewer than four
+    points.  Raises DegenerateSimplex when it is, but every vertex ray
+    leaves through a facet's boundary, as at the centre of an octahedron,
+    where no four of the points hold it strictly.  Deterministic for a
+    fixed seed.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float)
-    n = points.shape[0]
 
     d0 = np.linalg.norm(points - target, axis=1)
     hit = int(np.argmin(d0))
@@ -442,33 +445,28 @@ def containing_simplex(points, target, tol: ToleranceProfile = DEFAULT_TOL) -> S
         return SphericalSimplex(points[hit][None, :], np.array([1.0]),
                                 np.array([hit]))
 
-    rng = np.random.default_rng(tol.seed)
-    if n >= 4:
-        rhs = np.concatenate([target, [1.0]])
-        for _ in range(tol.simplex_budget):
-            idx = rng.choice(n, size=4, replace=False)
-            a = np.vstack([points[idx].T, np.ones(4)])
-            det = np.linalg.det(a)
-            if abs(det) < 1e-10:
-                continue
-            s = np.linalg.solve(a, rhs)
-            if np.min(s) <= 1e-10:
-                continue
-            if np.linalg.norm(s @ points[idx] - target) <= 1e-9:
-                return SphericalSimplex(points[idx], s, idx)
+    w = points - target
+    work = np.unique(np.linspace(0, w.shape[0] - 1,
+                                 _HULL_WORKING_SET).astype(int))
+    hull = _strict_hull(w[work])
+    if hull is None and work.size < w.shape[0]:
+        work = np.arange(w.shape[0])
+        hull = _strict_hull(w[work])
+    if hull is None:
+        raise NotInHull("the target is not strictly inside the hull of the points")
 
-    # LP fallback: a convex combination picked by a seeded random objective
-    # (different seeds explore different vertices), then support reduction.
-    a_eq = np.vstack([points.T, np.ones(n)])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(c=rng.normal(size=n), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0.0, 1.0)] * n, method="highs")
-    if not res.success:
-        raise NotInHull("no convex combination reproduces the target")
-    idx, w = _reduce_caratheodory(points, res.x, target)
-    if np.linalg.norm(w @ points[idx] - target) > 1e-9 or np.min(w) <= 0:
-        raise NotInHull("convex combination residual too large")
-    return SphericalSimplex(points[idx], w, idx)
+    normals, offsets = hull.equations[:, :3], hull.equations[:, 3]
+    rhs = np.append(target, 1.0)
+    for v in np.random.default_rng(tol.seed).permutation(hull.vertices):
+        nv = normals @ w[work[v]]
+        leaving = np.flatnonzero(nv < 0.0)
+        facet = leaving[np.argmin(offsets[leaving] / nv[leaving])]
+        idx = work[np.append(v, hull.simplices[facet])]
+        weights = np.linalg.solve(np.vstack([points[idx].T, np.ones(4)]), rhs)
+        if np.min(weights) > 0.0 \
+                and np.linalg.norm(weights @ points[idx] - target) <= 1e-9:
+            return SphericalSimplex(points[idx], weights, idx)
+    raise DegenerateSimplex("every hull vertex's ray leaves through a facet boundary")
 
 
 # ------------------------------------------------------------------ #

@@ -30,9 +30,8 @@ class ToleranceProfile:
     graft_step: float = 0.05          # default simplex graft increment
     continuation_tol: float = 1e-12   # |G - 1| target of the Newton solve
     continuation_max_iter: int = 50
-    simplex_budget: int = 2000        # random quadruples before fallback
     import_kappa_slack: float = 1e-6  # clamp width for imported curvature
-    seed: int = 2018
+    seed: int = 2018                  # first hull vertex of the simplex graft
 
     def replace(self, **kw) -> "ToleranceProfile":
         return dataclasses.replace(self, **kw)

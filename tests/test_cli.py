@@ -232,12 +232,13 @@ class TestErrorBoundary:
                        str(tmp_path / "c.json")) == 2
         assert capsys.readouterr().err.startswith("error: FileNotFoundError")
 
-    def test_removed_tolerance_field_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field", ["orthonormality", "simplex_budget"])
+    def test_removed_tolerance_field_exit_2(self, tmp_path, capsys, field):
         profile = tmp_path / "tol.json"
-        profile.write_text('{"orthonormality": 1e-10}')
+        profile.write_text(json.dumps({field: 1}))
         assert run_cli("--tol-profile", str(profile), "gen", "circle", "--rho",
                        "0.8", "--k", "1", "-o", str(tmp_path / "c.json")) == 2
-        assert "orthonormality" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_library_error_exit_1(self, tmp_path, capsys):
         c = tmp_path / "c.json"

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherecurve as sc
 from spherecurve import classify, factory, grafting as gr, sphere
@@ -179,6 +181,18 @@ class TestSimplexGraft:
     def test_step_cap_enforced(self, neither_small):
         with pytest.raises(DomainError):
             gr.graft_simplex_step(neither_small, 1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, sc.DEFAULT_TOL.graft_step, exclude_min=True))
+    def test_growth_frame_and_interior_insertions(self, neither_small, seed, s):
+        tol = sc.DEFAULT_TOL.replace(seed=seed)
+        base = gr.ensure_curvature_param(neither_small, tol)
+        out, rec = gr.graft_simplex_step(base, s, tol)
+        growth = sc.total_curvature(out) - sc.total_curvature(base)
+        assert abs(growth - s) <= 1e-9
+        assert rec.frame_defect <= 1e-12
+        assert all(0.0 < arc.t < base.domain for arc in rec.arcs)
 
     def test_transitivity_via_composition(self, neither_small):
         out1, rec1 = gr.graft_simplex_step(neither_small, 0.02)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from spherecurve import sphere
-from spherecurve.errors import DegenerateProjection, NotInHull
+from spherecurve.errors import DegenerateProjection, DegenerateSimplex, NotInHull
 from spherecurve.tolerances import DEFAULT_TOL
 
 # margin tolerance of the hemisphere decision: margin > EPS means an open
@@ -427,6 +427,7 @@ class TestActiveSetHemisphere:
         code = """
 import math, numpy as np
 from spherecurve import sphere
+from spherecurve.errors import NotInHull
 t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
 ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
 p = sphere.unit_vector([0.6, -0.7, 0.38])
@@ -434,6 +435,10 @@ zeta = ring[[0, 66, 133]]
 for cloud in (zeta, np.array([p, -p]), np.eye(3), ring, ring[:50]):
     h, margin = sphere.best_hemisphere(cloud)
     print(repr([float(x) for x in h]), repr(margin))
+    try:
+        print(sphere.containing_simplex(cloud, np.zeros(3)).indices)
+    except NotInHull as exc:
+        print(repr(exc))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(sphere.__file__)),
@@ -445,7 +450,7 @@ for cloud in (zeta, np.array([p, -p]), np.eye(3), ring, ring[:50]):
         with contextlib.redirect_stdout(here):
             exec(code, {})
         assert runs[0] == runs[1] == here.getvalue()
-        assert runs[0].count("\n") == 5
+        assert runs[0].count("\n") == 10
 
 
 class TestBatchedQuaternions:
@@ -497,6 +502,56 @@ class TestContainingSimplex:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         with pytest.raises(NotInHull):
             sphere.containing_simplex(pts, np.array([0.0, 0.0, -0.9]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(hemisphere_clouds(), st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_the_hemisphere_margin(self, points, seed):
+        tol = DEFAULT_TOL.replace(seed=seed)
+        margin = sphere.best_hemisphere(points)[1]
+        if margin < -EPS:
+            s = sphere.containing_simplex(points, np.zeros(3), tol)
+            assert s.weights.shape == (4,) and np.all(s.weights > 0)
+            assert np.linalg.norm(s.combination()) <= 1e-12
+        elif margin > EPS:
+            with pytest.raises(NotInHull):
+                sphere.containing_simplex(points, np.zeros(3), tol)
+
+    def test_point_outside_the_working_set(self, rng):
+        # an upper cap holds no simplex around the origin; the one point
+        # below it sits where the strided working set does not look
+        cap = rng.normal(size=(2000, 3))
+        cap[:, 2] = np.abs(cap[:, 2]) + 0.05
+        cap = _unit_rows(cap)
+        work = np.unique(np.linspace(0, 2000, sphere._HULL_WORKING_SET)
+                         .astype(int))
+        k = int(np.setdiff1d(np.arange(2001), work)[100])
+        points = np.insert(cap, k, [0.0, 0.0, -1.0], axis=0)
+        s = sphere.containing_simplex(points, np.zeros(3))
+        assert k in s.indices
+        assert s.weights.shape == (4,) and np.all(s.weights > 0)
+        assert np.linalg.norm(s.combination()) <= 1e-12
+
+    def test_flat_and_small_sets_are_not_in_hull(self):
+        t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+        p = sphere.unit_vector([0.6, -0.7, 0.38])
+        for cloud in (ring[[0, 66, 133]], ring, np.array([p, -p, p, -p, p])):
+            with pytest.raises(NotInHull):
+                sphere.containing_simplex(cloud, np.zeros(3))
+
+    def test_vertex_rays_through_a_vertex(self):
+        # every four vertices of an octahedron include an antipodal pair, so
+        # none holds its centre strictly; one more point gives the only
+        # vertex whose ray leaves through the inside of a facet
+        octahedron = np.vstack([np.eye(3), -np.eye(3)])
+        with pytest.raises(DegenerateSimplex):
+            sphere.containing_simplex(octahedron, np.zeros(3))
+        points = np.vstack([octahedron, sphere.unit_vector([0.5, 0.3, 0.8])])
+        for seed in range(10):
+            s = sphere.containing_simplex(points, np.zeros(3),
+                                          DEFAULT_TOL.replace(seed=seed))
+            assert 6 in s.indices and np.all(s.weights > 0)
+            assert np.linalg.norm(s.combination()) <= 1e-12
 
 
 class TestBarycenter:
