@@ -176,37 +176,26 @@ def _step_quats(v, w, dt) -> np.ndarray:
 
 
 def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
-    """Cumulative right-products z_{i+1} = z_i * steps_i, renormalized."""
-    n = steps.shape[0]
-    out = np.empty((n + 1, 4))
-    w, x, y, z = float(z0[0]), float(z0[1]), float(z0[2]), float(z0[3])
-    out[0] = (w, x, y, z)
-    for i in range(n):
-        w2, x2, y2, z2 = steps[i]
-        nw = w * w2 - x * x2 - y * y2 - z * z2
-        nx = w * x2 + x * w2 + y * z2 - z * y2
-        ny = w * y2 - x * z2 + y * w2 + z * x2
-        nz = w * z2 + x * y2 - y * x2 + z * w2
-        inv = 1.0 / math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
-        w, x, y, z = nw * inv, nx * inv, ny * inv, nz * inv
-        out[i + 1] = (w, x, y, z)
-    return out
+    """Cumulative right-products z_{i+1} = z_i * steps_i, (n, 4) -> (n + 1, 4).
 
-
-def _product_quats(steps: np.ndarray) -> np.ndarray:
-    """Ordered product steps[0] * steps[1] * ..., by pairwise halving.
-
-    Log depth in the number of factors, each level one batched product,
-    renormalized; agrees with the sequential `_chain_quats` endpoint to
-    roundoff.
+    An inclusive Hillis-Steele scan (Hillis & Steele 1986) on one (4, n + 1)
+    component-row array holding z0 and the steps: at shift 1, 2, 4, ... <= n
+    every column from `shift` on becomes the Hamilton product of the column
+    `shift` earlier (the left factor) and itself, renormalized once per
+    level.  ceil(log2(n + 1)) batched levels; node i is z0 * steps_0 * ...
+    * steps_{i-1} to roundoff.
     """
-    q = np.asarray(steps, dtype=float)
-    while q.shape[0] > 1:
-        if q.shape[0] % 2:
-            q = np.vstack([q, sphere.QUAT_ONE])
-        q = sphere.quat_mul(q[0::2], q[1::2])
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return q[0]
+    n = steps.shape[0]
+    q = np.empty((4, n + 1))
+    q[:, 0] = z0
+    q[:, 1:] = steps.T
+    shift = 1
+    while shift <= n:
+        # transposed views: quat_mul reads and returns component rows
+        prod = sphere.quat_mul(q[:, :-shift].T, q[:, shift:].T).T
+        q[:, shift:] = prod / np.sqrt(np.einsum("ij,ij->j", prod, prod))
+        shift *= 2
+    return np.ascontiguousarray(q.T)
 
 
 def lift_from_frames(frames: np.ndarray, z0=None) -> np.ndarray:
@@ -214,12 +203,17 @@ def lift_from_frames(frames: np.ndarray, z0=None) -> np.ndarray:
 
     One batched `rotation_to_quat`, then sign tracking: node i keeps the
     sign of node i - 1 times sign(<q_i, q_{i-1}>), a running product.  The
-    first node is the lift closest to `z0` when given, else the one with
-    nonnegative scalar part.  Consecutive frames a half-turn apart
+    first node is the lift closest to `z0` when given, else the one whose
+    first component of magnitude > 1e-8 is positive: the scalar part unless
+    the first frame is a half-turn, where that part is roundoff and its sign
+    would be Shepperd's branch choice.  Consecutive frames a half-turn apart
     (<q_i, q_{i-1}> = 0) keep the previous sign.
     """
     q = sphere.rotation_to_quat(frames)
-    ref = q[0, 0] if z0 is None else np.dot(q[0], z0)
+    if z0 is None:
+        ref = q[0, np.argmax(np.abs(q[0]) > 1e-8)]
+    else:
+        ref = np.dot(q[0], z0)
     flips = np.empty(q.shape[0])
     flips[0] = -1.0 if ref < 0 else 1.0
     flips[1:] = np.where(np.einsum("ij,ij->i", q[1:], q[:-1]) < 0, -1.0, 1.0)
@@ -279,6 +273,10 @@ class AdmissibleCurve:
     def frames(self) -> np.ndarray:
         return np.stack([self.gamma, self.tangent, self.normal], axis=-1)
 
+    def frame(self, i: int) -> np.ndarray:
+        """The frame (gamma, t, n) at node i as columns, (3, 3)."""
+        return np.stack([self.gamma[i], self.tangent[i], self.normal[i]], axis=-1)
+
     @property
     def rho(self) -> np.ndarray:
         return np.arctan2(1.0, self.kappa)
@@ -291,7 +289,7 @@ class AdmissibleCurve:
         return v, kap
 
     def closure_defect(self) -> float:
-        return float(np.abs(self.frames[-1] - self.frames[0]).max())
+        return float(np.abs(self.frame(-1) - self.frame(0)).max())
 
     def eval_lift(self, ts) -> np.ndarray:
         """Lift at an array of parameters, (m,) -> (m, 4), in one batch.
@@ -522,8 +520,7 @@ def _reintegration_closes(bounds, v_hat, w_hat, q0, tol) -> bool:
     v = h_inv(v_hat)
     steps = _step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
     z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
-    ends = sphere.quat_to_rotation(
-        np.array([z0, sphere.quat_mul(z0, _product_quats(steps))]))
+    ends = sphere.quat_to_rotation(_chain_quats(z0, steps)[[0, -1]])
     return float(np.abs(ends[1] - ends[0]).max()) <= tol.closure
 
 
@@ -548,12 +545,12 @@ def curve_to_json(curve: AdmissibleCurve,
         "kappa1": _bound_to_json(curve.bounds.kappa1),
         "kappa2": _bound_to_json(curve.bounds.kappa2),
         "n": curve.n,
-        "v_hat": [float(x) for x in v_hat],
-        "w_hat": [float(x) for x in w_hat],
+        "v_hat": v_hat.tolist(),
+        "w_hat": w_hat.tolist(),
     }
-    q0 = curve.frames[0]
+    q0 = curve.frame(0)
     if np.abs(q0 - np.eye(3)).max() > 1e-12:
-        out["q0"] = [float(x) for x in q0.reshape(-1)]
+        out["q0"] = q0.reshape(-1).tolist()
     else:
         q0 = None
     if curve.closed and not curve.integrated \

@@ -66,7 +66,7 @@ class ValidationReport:
 
 def normalize_initial_frame(curve: AdmissibleCurve) -> AdmissibleCurve:
     """Left-translate so that Phi(0) = I and z(0) = 1."""
-    out = curve.rotated(curve.frames[0].T)
+    out = curve.rotated(curve.frame(0).T)
     lift = out.lift if out.lift[0, 0] > 0 else -out.lift
     return dataclasses.replace(out, lift=lift)
 

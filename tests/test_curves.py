@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherecurve as sc
 from spherecurve import curves as cur
@@ -359,12 +361,6 @@ class TestNodeSampleJson:
         assert not resampled.integrated and resampled.closed
         assert "lift" not in sc.curve_to_json(resampled)
 
-    def test_product_matches_sequential_chain(self, rng):
-        steps = rng.normal(size=(37, 4))
-        steps /= np.linalg.norm(steps, axis=1, keepdims=True)
-        chain = cur._chain_quats(sphere.QUAT_ONE, steps)[-1]
-        assert np.abs(cur._product_quats(steps) - chain).max() < 1e-13
-
     def test_node_samples_must_cover_the_grid(self):
         from spherecurve import factory
         doc = sc.curve_to_json(factory.diffuse_example())
@@ -373,14 +369,144 @@ class TestNodeSampleJson:
             sc.curve_from_json(doc)
 
 
+def loop_chain_quats(z0, steps):
+    """Interval by interval: z_{i+1} = z_i * steps_i, renormalized."""
+    n = steps.shape[0]
+    out = np.empty((n + 1, 4))
+    w, x, y, z = float(z0[0]), float(z0[1]), float(z0[2]), float(z0[3])
+    out[0] = (w, x, y, z)
+    for i in range(n):
+        w2, x2, y2, z2 = steps[i]
+        nw = w * w2 - x * x2 - y * y2 - z * z2
+        nx = w * x2 + x * w2 + y * z2 - z * y2
+        ny = w * y2 - x * z2 + y * w2 + z * x2
+        nz = w * z2 + x * y2 - y * x2 + z * w2
+        inv = 1.0 / math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
+        w, x, y, z = nw * inv, nx * inv, ny * inv, nz * inv
+        out[i + 1] = (w, x, y, z)
+    return out
+
+
+def unit_rows(rng, m):
+    q = rng.normal(size=(m, 4))
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+# interval counts at and around the scan's level boundaries
+SCAN_SIZES = st.one_of(
+    st.sampled_from([0, 1, 2, 3] + [2 ** k + d for k in range(2, 12)
+                                    for d in (-1, 0, 1)]),
+    st.integers(0, 3000))
+
+
+class TestChainScan:
+    @settings(max_examples=50, deadline=None)
+    @given(SCAN_SIZES, st.integers(0, 2 ** 32 - 1))
+    def test_matches_sequential_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        steps = unit_rows(rng, n)
+        z0 = unit_rows(rng, 1)[0]
+        before = steps.copy()
+        got = cur._chain_quats(z0, steps)
+        assert got.shape == (n + 1, 4)
+        assert np.array_equal(steps, before)
+        assert np.array_equal(got[0], z0)
+        assert np.abs(got - loop_chain_quats(z0, steps)).max() <= 1e-13
+        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= sc.DEFAULT_TOL.unit_norm
+
+    @pytest.mark.parametrize("n", [16, 1023, 1024, 12288])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_k_fold_circles_close(self, bounds_k0, n, k):
+        circle = sc.make_circle(0.8, k, bounds_k0, n=n)
+        assert circle.closure_defect() <= 1e-14
+        assert sc.lift_parity(circle).sign == (-1) ** k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+           st.floats(-10.0, -4.0), st.booleans())
+    def test_reintegration_check_is_integrate_curve(self, bounds_k0, seed, k,
+                                                    log_kick, rotate):
+        # a k-fold circle's controls, kicked by 10^log_kick: the closure
+        # defect straddles tol.closure over the range of kicks
+        from conftest import random_rotation
+        from spherecurve import factory
+        tol = sc.DEFAULT_TOL
+        rng = np.random.default_rng(seed)
+        circle = sc.make_circle(0.8, k, bounds_k0, n=128)
+        kicked = circle.controls.w_hat + 10.0 ** log_kick * rng.normal(size=128)
+        wild = factory.random_open_controls(bounds_k0, rng, n=128)
+        q0 = random_rotation(rng) if rotate else None
+        for v_hat, w_hat in [(circle.controls.v_hat, circle.controls.w_hat),
+                             (circle.controls.v_hat, kicked),
+                             (wild.v_hat, wild.w_hat)]:
+            curve = sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds_k0,
+                                       q0=q0, tol=tol)
+            assert cur._reintegration_closes(bounds_k0, v_hat, w_hat, q0, tol) \
+                == (curve.closure_defect() <= tol.closure)
+
+
+def loop_curve_to_json(curve, tol=sc.DEFAULT_TOL):
+    """The control schema built float by float from the stacked frames;
+    `curve_to_json` must match it bit for bit."""
+    v, kap = curve.interval_vk()
+    if curve.domain != 1.0:
+        h, _, hb, _ = sc.control_transforms(curve.bounds)
+        v_hat = h(v * curve.domain)
+        w_hat = hb(kap)
+    else:
+        v_hat, w_hat = curve.controls.v_hat, curve.controls.w_hat
+    out = {
+        "kappa1": cur._bound_to_json(curve.bounds.kappa1),
+        "kappa2": cur._bound_to_json(curve.bounds.kappa2),
+        "n": curve.n,
+        "v_hat": [float(x) for x in v_hat],
+        "w_hat": [float(x) for x in w_hat],
+    }
+    q0 = curve.frames[0]
+    if np.abs(q0 - np.eye(3)).max() > 1e-12:
+        out["q0"] = [float(x) for x in q0.reshape(-1)]
+    else:
+        q0 = None
+    if curve.closed and not curve.integrated \
+            and not cur._reintegration_closes(curve.bounds, v_hat, w_hat, q0, tol):
+        out["lift"] = curve.lift.tolist()
+        out["speed"] = (curve.speed * curve.domain).tolist()
+        out["kappa"] = curve.kappa.tolist()
+    return out
+
+
+class TestEndRows:
+    def test_json_and_closure_defect_are_bit_identical(self, bounds_k0, rng):
+        from conftest import random_rotation
+        from spherecurve import factory
+        circle = sc.make_circle(0.8, 2, bounds_k0, n=256)
+        curves = [circle,
+                  circle.rotated(random_rotation(rng)),
+                  sc.reparametrize_by_curvature(circle),
+                  factory.diffuse_example(),
+                  factory.random_open_curve(bounds_k0, rng, n=200)]
+        for curve in curves:
+            assert curve.closure_defect() == float(
+                np.abs(curve.frames[-1] - curve.frames[0]).max())
+            assert np.array_equal(curve.frame(0), curve.frames[0])
+            doc = sc.curve_to_json(curve)
+            want = loop_curve_to_json(curve)
+            assert doc == want
+            assert json.dumps(doc) == json.dumps(want)
+            assert all(type(x) is float for key in ("v_hat", "w_hat", "q0")
+                       for x in doc.get(key, []))
+        assert "q0" in sc.curve_to_json(curves[1])
+
+
 def loop_lift_from_frames(frames, z0=None):
-    """Node by node: each quaternion takes the sign nearer its predecessor."""
+    """Node by node: each quaternion takes the sign nearer its predecessor;
+    the first one has its first component of magnitude > 1e-8 positive."""
     out = np.empty((frames.shape[0], 4))
     q = sphere.rotation_to_quat(frames[0])
     if z0 is not None:
         if np.dot(q, z0) < 0:
             q = -q
-    elif q[0] < 0:
+    elif q[np.flatnonzero(np.abs(q) > 1e-8)[0]] < 0:
         q = -q
     out[0] = q
     for i in range(1, frames.shape[0]):
@@ -449,3 +575,18 @@ class TestBatchedLift:
         assert np.abs(fitted.speed[:-1] - v_loop).max() <= 1e-12 * v_loop.max()
         assert np.abs(fitted.kappa[:-1] - k_loop).max() <= 1e-9
         assert np.abs(fitted.kappa - sc.cot(0.8)).max() < 1e-2
+
+    def test_perturbed_half_turn_starts_keep_one_lift(self, bounds_k0):
+        # the scalar part of a half-turn start is roundoff, so its sign is
+        # Shepperd's branch choice; the first component > 1e-8 decides
+        axis = sphere.unit_vector([0.147, 0.0, -0.989])
+        path = sc.make_circle(0.8, 1, bounds_k0, n=64).frames
+        lifts = []
+        for eps in np.linspace(-1e-15, 1e-15, 41):
+            start = sphere.rotation_about(axis, math.pi + eps)
+            lift = cur.lift_from_frames(start @ path)
+            assert np.array_equal(lift, loop_lift_from_frames(start @ path))
+            lifts.append(lift)
+        assert np.abs(lifts[0][0, 1:] - axis).max() < 1e-13
+        for lift in lifts[1:]:
+            assert np.abs(lift - lifts[0]).max() <= 1e-13
