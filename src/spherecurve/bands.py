@@ -14,13 +14,7 @@ import math
 import numpy as np
 
 from . import sphere
-from .curves import (
-    AdmissibleCurve,
-    ControlPair,
-    CurvatureBounds,
-    control_transforms,
-    cot,
-)
+from .curves import AdmissibleCurve, CurvatureBounds, cot, curve_from_node_data
 from .errors import ThetaOutOfRange
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -67,23 +61,13 @@ def translate_curve(curve: AdmissibleCurve, theta: float,
 
     rho1 = min(curve.bounds.rho1 - theta, math.pi)
     rho2 = max(curve.bounds.rho2 - theta, 0.0)
-    new_bounds = CurvatureBounds(cot(rho1), cot(rho2))
-
-    h, _, hb, _ = control_transforms(new_bounds)
-    controls = ControlPair(h(v_new), hb(w_new / v_new))
-
-    q_theta = _quat_r_theta(theta)
-    lift = sphere.quat_mul(curve.lift, q_theta)
     rho_nodes = np.arctan2(1.0, curve.kappa) - theta
-    kappa_nodes = np.cos(rho_nodes) / np.sin(rho_nodes)
-    v_nodes = curve.speed * (np.cos(theta) - np.sin(theta) * curve.kappa)
-
-    return AdmissibleCurve(
-        bounds=new_bounds, controls=controls, domain=curve.domain, lift=lift,
-        gamma=c * curve.gamma + s * curve.normal,
-        tangent=curve.tangent.copy(),
-        normal=-s * curve.gamma + c * curve.normal,
-        speed=v_nodes, kappa=kappa_nodes, closed=curve.closed)
+    return curve_from_node_data(
+        CurvatureBounds(cot(rho1), cot(rho2)),
+        sphere.quat_mul(curve.lift, _quat_r_theta(theta)),
+        curve.speed * (c - s * curve.kappa),
+        np.cos(rho_nodes) / np.sin(rho_nodes), domain=curve.domain,
+        closed=curve.closed, tol=tol, interval_vk=(v_new, w_new / v_new))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,14 +88,12 @@ class BandGrid:
         return self.samples.reshape(-1, 3)
 
     def to_csv(self, path) -> None:
+        """One row t, theta, x, y, z per sample, t-major, 17 digits."""
         nt, m, _ = self.samples.shape
-        with open(path, "w") as fh:
-            fh.write("t,theta,x,y,z\n")
-            for i in range(nt):
-                for j in range(m):
-                    x, y, z = self.samples[i, j]
-                    fh.write(f"{self.t[i]:.17g},{self.theta[j]:.17g},"
-                             f"{x:.17g},{y:.17g},{z:.17g}\n")
+        rows = np.column_stack([np.repeat(self.t, m), np.tile(self.theta, nt),
+                                self.points])
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+                   header="t,theta,x,y,z", comments="")
 
 
 def _band(curve: AdmissibleCurve, thetas: np.ndarray, t_stride: int) -> BandGrid:

@@ -22,6 +22,7 @@ from .curves import (
     CurvatureBounds,
     LiftParity,
     lift_parity,
+    total_curvature,
 )
 from .errors import (
     DomainError,
@@ -57,7 +58,6 @@ def reduce_to_k0(curve: AdmissibleCurve,
 
 def _classify_stride(curve: AdmissibleCurve, tol: ToleranceProfile) -> int:
     """Decimation stride: at least eight samples per winding of the curve."""
-    from .curves import total_curvature
     loops = total_curvature(curve) / (2.0 * math.pi)
     target = max(tol.classify_t_nodes, int(8.0 * loops))
     return max(1, curve.n // target)
@@ -288,7 +288,7 @@ def rotation_number_condensed(curve: AdmissibleCurve, h,
     caustic cloud; the sign convention makes a condensed circle traversed
     k times have rotation number k.
     """
-    chart = sphere.StereoChart(-np.asarray(h, dtype=float), tol)
+    chart = sphere.StereoChart(-np.asarray(h, dtype=float))
     try:
         d = chart.project_d(curve.gamma, curve.tangent)
     except Exception as exc:

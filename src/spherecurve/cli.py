@@ -88,11 +88,7 @@ def _tol_from_args(args) -> ToleranceProfile:
 
 def _bounds_from_args(args) -> CurvatureBounds:
     def parse(x, default):
-        if x is None:
-            return default
-        if isinstance(x, str) and x in ("-inf", "+inf", "inf"):
-            return -math.inf if x == "-inf" else math.inf
-        return float(x)
+        return default if x is None else float(x)
 
     return CurvatureBounds(parse(args.kappa1, 0.0), parse(args.kappa2, math.inf))
 
@@ -212,21 +208,22 @@ def cmd_bands(args) -> int:
     tol = _tol_from_args(args)
     curve = load_curve(args.input, tol)
     band = goodbands.band_from_condensed(curve, tol)
+    stride = max(1, band.k_nodes // args.profile_nodes)
     report = {
         "nu": band.nu,
         "R": band.R,
-        "lam": list(band.lam[:: max(1, band.k_nodes // args.profile_nodes)]),
-        "theta_plus": list(band.theta_plus[:: max(1, band.k_nodes // args.profile_nodes)]),
-        "theta_minus": list(band.theta_minus[:: max(1, band.k_nodes // args.profile_nodes)]),
+        "lam": list(band.lam[::stride]),
+        "theta_plus": list(band.theta_plus[::stride]),
+        "theta_minus": list(band.theta_minus[::stride]),
     }
     if args.central:
         central = goodbands.central_curve(band, tol=tol)
         report["central_curve"] = curve_to_json(central)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("lam,theta_plus,theta_minus\n")
-            for lam, tp, tm in zip(band.lam, band.theta_plus, band.theta_minus):
-                fh.write(f"{lam:.17g},{tp:.17g},{tm:.17g}\n")
+        np.savetxt(args.csv, np.column_stack([band.lam, band.theta_plus,
+                                              band.theta_minus]),
+                   fmt="%.17g", delimiter=",",
+                   header="lam,theta_plus,theta_minus", comments="")
     _write(args.output, dumps(report))
     return 0
 

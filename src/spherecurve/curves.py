@@ -10,6 +10,7 @@ built analytically close to roundoff.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -235,21 +236,26 @@ class LiftParity:
             raise ValueError("parity sign must be +1 or -1")
 
 
+def _end_gap(lift: np.ndarray) -> float:
+    """Largest entry of Phi(last) - Phi(first) for the frames of a lift."""
+    ends = sphere.quat_to_rotation(lift[[0, -1]])
+    return float(np.abs(ends[1] - ends[0]).max())
+
+
 @dataclasses.dataclass(frozen=True)
 class AdmissibleCurve:
-    """Sampled admissible curve with frame, lift and curvature profile.
+    """Sampled admissible curve with lift and curvature profile.
 
     All arrays live on the n+1 nodes of the uniform grid over [0, domain];
-    controls are the n per-interval constants.  Instances are immutable.
+    controls are the n per-interval constants.  The lift is the only stored
+    frame: `frames` and its columns gamma, tangent and normal are derived
+    from it once per instance.  Instances are immutable.
     """
 
     bounds: CurvatureBounds
     controls: ControlPair
     domain: float
     lift: np.ndarray        # (n+1, 4) unit quaternions
-    gamma: np.ndarray       # (n+1, 3)
-    tangent: np.ndarray     # (n+1, 3)
-    normal: np.ndarray      # (n+1, 3)
     speed: np.ndarray       # (n+1,)
     kappa: np.ndarray       # (n+1,)
     closed: bool
@@ -269,13 +275,28 @@ class AdmissibleCurve:
     def dt(self) -> float:
         return self.domain / self.n
 
-    @property
+    @functools.cached_property
     def frames(self) -> np.ndarray:
-        return np.stack([self.gamma, self.tangent, self.normal], axis=-1)
+        """Node frames (gamma, t, n) as columns, (n+1, 3, 3), read-only."""
+        frames = sphere.quat_to_rotation(self.lift)
+        frames.flags.writeable = False
+        return frames
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.frames[:, :, 0]
+
+    @property
+    def tangent(self) -> np.ndarray:
+        return self.frames[:, :, 1]
+
+    @property
+    def normal(self) -> np.ndarray:
+        return self.frames[:, :, 2]
 
     def frame(self, i: int) -> np.ndarray:
         """The frame (gamma, t, n) at node i as columns, (3, 3)."""
-        return np.stack([self.gamma[i], self.tangent[i], self.normal[i]], axis=-1)
+        return sphere.quat_to_rotation(self.lift[i])
 
     @property
     def rho(self) -> np.ndarray:
@@ -289,7 +310,7 @@ class AdmissibleCurve:
         return v, kap
 
     def closure_defect(self) -> float:
-        return float(np.abs(self.frame(-1) - self.frame(0)).max())
+        return _end_gap(self.lift)
 
     def eval_lift(self, ts) -> np.ndarray:
         """Lift at an array of parameters, (m,) -> (m, 4), in one batch.
@@ -315,15 +336,8 @@ class AdmissibleCurve:
 
     def rotated(self, rotation) -> "AdmissibleCurve":
         """Left action of a rotation; controls and curvature are unchanged."""
-        R = np.asarray(rotation, dtype=float)
-        q = sphere.rotation_to_quat(R)
-        return dataclasses.replace(
-            self,
-            lift=sphere.quat_mul(q, self.lift),
-            gamma=self.gamma @ R.T,
-            tangent=self.tangent @ R.T,
-            normal=self.normal @ R.T,
-        )
+        q = sphere.rotation_to_quat(np.asarray(rotation, dtype=float))
+        return dataclasses.replace(self, lift=sphere.quat_mul(q, self.lift))
 
     def with_bounds(self, bounds: CurvatureBounds) -> "AdmissibleCurve":
         """Reinterpret the curve inside wider (or equal) curvature bounds."""
@@ -359,17 +373,16 @@ def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
         v_int, k_int = (np.asarray(a, dtype=float) for a in interval_vk)
     h, _, hb, _ = control_transforms(bounds)
     controls = ControlPair(h(v_int), hb(k_int))
-    frames = sphere.quat_to_rotation(lift)
-    curve = AdmissibleCurve(
-        bounds=bounds, controls=controls, domain=float(domain), lift=lift,
-        gamma=frames[:, :, 0], tangent=frames[:, :, 1], normal=frames[:, :, 2],
-        speed=v_nodes, kappa=kappa_nodes, closed=False)
-    defect = curve.closure_defect()
-    if closed is None:
-        closed = defect <= tol.closure
-    if require_closed and not closed:
-        raise NotClosed(f"frame closure defect {defect:.3e} exceeds {tol.closure:.1e}")
-    return dataclasses.replace(curve, closed=bool(closed))
+    if closed is None or require_closed:
+        defect = _end_gap(lift)
+        if closed is None:
+            closed = defect <= tol.closure
+        if require_closed and not closed:
+            raise NotClosed(
+                f"frame closure defect {defect:.3e} exceeds {tol.closure:.1e}")
+    return AdmissibleCurve(bounds=bounds, controls=controls,
+                           domain=float(domain), lift=lift, speed=v_nodes,
+                           kappa=kappa_nodes, closed=bool(closed))
 
 
 def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
@@ -520,8 +533,7 @@ def _reintegration_closes(bounds, v_hat, w_hat, q0, tol) -> bool:
     v = h_inv(v_hat)
     steps = _step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
     z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
-    ends = sphere.quat_to_rotation(_chain_quats(z0, steps)[[0, -1]])
-    return float(np.abs(ends[1] - ends[0]).max()) <= tol.closure
+    return _end_gap(_chain_quats(z0, steps)) <= tol.closure
 
 
 def curve_to_json(curve: AdmissibleCurve,
@@ -597,30 +609,27 @@ def load_curve(path, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
 
 
 def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
-                      tol: ToleranceProfile = DEFAULT_TOL,
-                      close: bool = True) -> AdmissibleCurve:
-    """Fit an admissible curve through raw sphere points.
+                      tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
+    """Fit a closed admissible curve through raw sphere points.
 
-    A periodic cubic spline through the points is resampled uniformly by
-    arc length; curvature comes from discrete frame differences and is
-    clamped strictly inside the bounds (within a small slack) or the
-    import is rejected.
+    A periodic cubic spline through the points (the first point closes the
+    loop) is resampled uniformly by arc length; curvature comes from
+    discrete frame differences and is clamped strictly inside the bounds
+    (within a small slack) or the import is rejected.
     """
     from scipy.interpolate import CubicSpline
 
     pts = np.asarray(points, dtype=float)
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    if close and np.linalg.norm(pts[0] - pts[-1]) > 1e-12:
+    if np.linalg.norm(pts[0] - pts[-1]) > 1e-12:
         pts = np.vstack([pts, pts[0]])
-    elif close:
-        pts = pts.copy()
+    else:
         pts[-1] = pts[0]
     n = n or tol.default_n
 
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    spline = CubicSpline(cum, pts, axis=0,
-                         bc_type="periodic" if close else "not-a-knot")
+    spline = CubicSpline(cum, pts, axis=0, bc_type="periodic")
 
     # uniform arc-length positions via a dense pass over the spline
     dense_u = np.linspace(0.0, cum[-1], 8 * n + 1)
@@ -635,9 +644,8 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
     tan = spline(u, 1)
     tan -= res * np.sum(tan * res, axis=1, keepdims=True)
     tan /= np.linalg.norm(tan, axis=1, keepdims=True)
-    if close:
-        res[-1] = res[0]
-        tan[-1] = tan[0]
+    res[-1] = res[0]
+    tan[-1] = tan[0]
     nor = np.cross(res, tan)
     frames = np.stack([res, tan, nor], axis=-1)
     lift = lift_from_frames(frames)
@@ -667,7 +675,7 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
     k_int = np.clip(k_int,
                     lo + margin if math.isfinite(lo) else -np.inf,
                     hi - margin if math.isfinite(hi) else np.inf)
-    k_nodes = np.append(k_int, k_int[0] if close else k_int[-1])
-    v_nodes = np.append(v_int, v_int[0] if close else v_int[-1])
+    k_nodes = np.append(k_int, k_int[0])
+    v_nodes = np.append(v_int, v_int[0])
     return curve_from_node_data(bounds, lift, v_nodes, k_nodes, domain=1.0,
-                                closed=close, tol=tol)
+                                closed=True, tol=tol)

@@ -16,7 +16,12 @@ import math
 import numpy as np
 
 from . import sphere
-from .classify import antipodal_fiber_witness, condensed_status, rotation_number_nondiffuse
+from .classify import (
+    _classify_stride,
+    antipodal_fiber_witness,
+    condensed_status,
+    rotation_number_nondiffuse,
+)
 from .curves import (
     AdmissibleCurve,
     _chain_quats,
@@ -311,8 +316,6 @@ def graft_antipodal_circles(curve: AdmissibleCurve, s: float,
 
 def _caustic_samples_with_tags(curve: AdmissibleCurve, tol: ToleranceProfile):
     """Interior caustic-band samples tagged by (node, theta)."""
-    from .classify import _classify_stride
-
     rho0 = curve.bounds.rho1
     stride = _classify_stride(curve, tol)
     nodes = np.arange(0, curve.n, stride)
@@ -364,7 +367,7 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
         return base, _record(base, base, (), 0.0)
 
     pts, tags = _caustic_samples_with_tags(base, tol)
-    last_error = DegenerateSimplex("no four-node simplex containing the origin")
+    failure = (DegenerateSimplex, "no four-node simplex containing the origin")
     for attempt in range(12):
         try:
             cand = sphere.containing_simplex(
@@ -388,13 +391,16 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
         try:
             sigmas = _continuation(chis, weights, s, tol)
         except (ContinuationDiverged, DegenerateSimplex) as exc:
-            last_error = exc
+            # keep the type and message, not the exception: its traceback
+            # holds this frame, and that cycle would keep the caustic
+            # samples and curves alive until a full garbage collection
+            failure = (type(exc), str(exc))
             continue
         ins = tuple(ArcInsertion(t=base.grid[nt[0]], rho=nt[1], sigma=float(sg))
                     for nt, sg in zip(arcs_nt, sigmas) if sg > 0.0)
         result, defect = _splice_arcs(base, ins, tol)
         return result, _record(base, result, ins, defect)
-    raise last_error
+    raise failure[0](failure[1])
 
 
 def _continuation(chis, weights, s, tol: ToleranceProfile) -> np.ndarray:

@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from . import sphere
-from .bands import translate_curve
-from .classify import condensed_axis
+from .classify import condensed_axis, reduce_to_k0, winding_number_planar
 from .curves import (
     AdmissibleCurve,
     ControlPair,
@@ -24,11 +23,13 @@ from .curves import (
     control_transforms,
     curve_from_node_data,
     integrate_curve,
+    lift_from_frames,
     lift_parity,
     reparametrize_by_curvature,
 )
 from .errors import (
     CurvatureBoundTooTight,
+    CurvatureOutOfBounds,
     DomainError,
     NonpositiveRotation,
     ParameterOverlap,
@@ -66,9 +67,8 @@ class ValidationReport:
 
 def normalize_initial_frame(curve: AdmissibleCurve) -> AdmissibleCurve:
     """Left-translate so that Phi(0) = I and z(0) = 1."""
-    out = curve.rotated(curve.frame(0).T)
-    lift = out.lift if out.lift[0, 0] > 0 else -out.lift
-    return dataclasses.replace(out, lift=lift)
+    lift = sphere.quat_mul(sphere.quat_conj(curve.lift[0]), curve.lift)
+    return dataclasses.replace(curve, lift=lift)
 
 
 def kappa_margin(curve: AdmissibleCurve, bounds: CurvatureBounds) -> float:
@@ -267,13 +267,10 @@ def add_loops(curve: AdmissibleCurve, t0: float, n_loops: int,
                   axis * math.sin(rho_small)], axis=1)))
     lift[c_end + 1:d_end + 1] = sign * curve.lift[t0_i + 1:t0_i + 2 * eps_i + 1]
 
-    v_nodes = np.append(v_tgt, v_tgt[-1])
-    k_nodes = np.append(k_tgt, k_tgt[-1])
-    out = curve_from_node_data(curve.bounds, lift, v_nodes, k_nodes,
-                               domain=curve.domain, closed=curve.closed, tol=tol)
-    h, _, hb, _ = control_transforms(curve.bounds)
-    controls = ControlPair(h(v_tgt), hb(k_tgt))
-    return dataclasses.replace(out, controls=controls)
+    return curve_from_node_data(curve.bounds, lift, np.append(v_tgt, v_tgt[-1]),
+                                np.append(k_tgt, k_tgt[-1]), domain=curve.domain,
+                                closed=curve.closed, tol=tol,
+                                interval_vk=(v_tgt, k_tgt))
 
 
 def _sigma_and_derivatives(u: np.ndarray, rho: float):
@@ -331,7 +328,6 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
     det = np.einsum("ni,ni->n", a, np.cross(b, c))
     kappa = det / speed ** 3
     if not bounds.contains(kappa):
-        from .errors import CurvatureOutOfBounds
         raise CurvatureOutOfBounds(
             f"spread curvature range [{kappa.min():.4f}, {kappa.max():.4f}] "
             f"escapes ({bounds.kappa1:.4f}, {bounds.kappa2:.4f}); increase n")
@@ -349,8 +345,6 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
 
 def _tracked_lift(frames: np.ndarray, closed: bool) -> np.ndarray:
     """Sign-continuous lift; for closed inputs the endpoint frame is exact."""
-    from .curves import lift_from_frames
-
     lift = lift_from_frames(frames)
     if closed:
         # frames[-1] == frames[0] exactly; keep the tracked sign
@@ -392,7 +386,6 @@ class PlanarCurve:
         return PlanarCurve(self.xy * factor, self.vel * factor, self.acc * factor)
 
     def winding(self, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-        from .classify import winding_number_planar
         return winding_number_planar(self.vel, tol)
 
 
@@ -538,7 +531,7 @@ def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
                         tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     """Apply the dilatation T_r toward h (projection center -h) to a curve."""
     bounds = bounds or curve.bounds
-    chart = sphere.StereoChart(-np.asarray(h, dtype=float), tol)
+    chart = sphere.StereoChart(-np.asarray(h, dtype=float))
     d1, d2 = _node_derivatives(curve)
     x = chart.project(curve.gamma)
     dx = chart.project_d(curve.gamma, d1)
@@ -595,8 +588,6 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     tangent plane, runs the planar Whitney-Graustein deformation and lifts
     the result back.  The path ends at a circle traversed nu times.
     """
-    from .classify import reduce_to_k0
-
     steps = steps or tol.path_steps
     reduced, kappa0 = reduce_to_k0(curve, tol)
     if kappa0 < 0:

@@ -177,10 +177,9 @@ class StereoChart:
     circle.  First and second derivatives of both directions are exact.
     """
 
-    def __init__(self, pole, tol: ToleranceProfile = DEFAULT_TOL):
+    def __init__(self, pole):
         self.pole = unit_vector(pole)
         self.v1, self.v2 = plane_basis(self.pole)
-        self.tol = tol
 
     def _check(self, p):
         c = np.asarray(p, dtype=float) @ self.pole
@@ -264,12 +263,12 @@ class StereoChart:
             - base * (2.0 * uv * w * w - 8.0 * xu * xv * w ** 3)[..., None]
 
 
-def stereographic(p, pole, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def stereographic(p, pole) -> np.ndarray:
     """Conformal projection of p from `pole` onto the plane pole-perp."""
-    return StereoChart(pole, tol).project(p)
+    return StereoChart(pole).project(p)
 
 
-def mobius_dilate(p, r: float, pole, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def mobius_dilate(p, r: float, pole) -> np.ndarray:
     """Dilatation T_r: conjugate scaling by r with projection from `pole`.
 
     T_1 is the identity; every T_r fixes the pole and its antipode and maps
@@ -280,7 +279,7 @@ def mobius_dilate(p, r: float, pole, tol: ToleranceProfile = DEFAULT_TOL) -> np.
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
     pts = np.atleast_2d(p).copy()
-    chart = StereoChart(pole, tol)
+    chart = StereoChart(pole)
     near_pole = np.arccos(np.clip(pts @ chart.pole, -1.0, 1.0)) < 1e-8
     regular = ~near_pole
     if np.any(regular):

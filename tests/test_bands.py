@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spherecurve as sc
 from spherecurve import bands
@@ -65,6 +67,40 @@ class TestTranslate:
         ct = bands.translate_curve(geodesicish, 0.35)
         assert sc.lift_parity(ct).sign == sc.lift_parity(geodesicish).sign
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(-0.95, 0.95))
+    def test_matches_trig_translation(self, seed, frac):
+        # the translate is built from its lift alone; its frames match
+        # Phi R_theta and the column trig formulas, and its node and
+        # interval data match the closed forms bit for bit
+        from conftest import random_rotation
+        from spherecurve import factory
+        assume(frac != 0.0)
+        rng = np.random.default_rng(seed)
+        bounds = sc.CurvatureBounds(-1.0, 2.0)
+        curve = factory.random_open_curve(bounds, rng, n=96) if seed % 2 \
+            else sc.make_circle(rng.uniform(0.6, 2.2), 2, bounds, n=64)
+        curve = curve.rotated(random_rotation(rng))
+        lo, hi = bands.theta_range(curve)
+        theta = frac * (hi if frac > 0 else -lo)
+        ct = bands.translate_curve(curve, theta)
+        c, s = math.cos(theta), math.sin(theta)
+        g, t, n = curve.gamma, curve.tangent, curve.normal
+        assert np.abs(ct.frames - curve.frames @ bands._rotation_r_theta(theta)).max() <= 4e-15
+        assert np.abs(ct.gamma - (c * g + s * n)).max() <= 4e-15
+        assert np.abs(ct.tangent - t).max() <= 4e-15
+        assert np.abs(ct.normal - (-s * g + c * n)).max() <= 4e-15
+        rho = np.arctan2(1.0, curve.kappa) - theta
+        assert np.array_equal(ct.kappa, np.cos(rho) / np.sin(rho))
+        assert np.array_equal(ct.speed, curve.speed * (c - s * curve.kappa))
+        v, k = curve.interval_vk()
+        w = v * k
+        v_new, w_new = c * v - s * w, c * w + s * v
+        h, _, hb, _ = sc.control_transforms(ct.bounds)
+        assert np.array_equal(ct.controls.v_hat, h(v_new))
+        assert np.array_equal(ct.controls.w_hat, hb(w_new / v_new))
+        assert ct.closed == curve.closed and ct.domain == curve.domain
+
 
 class TestRegularBand:
     def test_fiber_through_curve(self, geodesicish):
@@ -105,6 +141,24 @@ class TestRegularBand:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,theta,x,y,z"
         assert len(lines) == 1 + grid.samples.shape[0] * grid.samples.shape[1]
+
+    def test_csv_bytes_match_row_loop(self, caustic_circle, tmp_path):
+        grid = bands.caustic_band(caustic_circle, m=17, t_stride=4)
+        path = tmp_path / "band.csv"
+        grid.to_csv(path)
+        assert path.read_bytes() == loop_band_csv(grid).encode()
+
+
+def loop_band_csv(grid):
+    """The band CSV written one f-string per sample."""
+    nt, m, _ = grid.samples.shape
+    out = ["t,theta,x,y,z\n"]
+    for i in range(nt):
+        for j in range(m):
+            x, y, z = grid.samples[i, j]
+            out.append(f"{grid.t[i]:.17g},{grid.theta[j]:.17g},"
+                       f"{x:.17g},{y:.17g},{z:.17g}\n")
+    return "".join(out)
 
 
 @pytest.fixture(scope="module")

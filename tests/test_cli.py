@@ -189,6 +189,41 @@ class TestBands:
         assert len(rows) > 64
 
 
+    def test_bands_csv_bytes_match_row_loop(self, tmp_path):
+        c = tmp_path / "c.json"
+        out = tmp_path / "b.json"
+        csv = tmp_path / "b.csv"
+        run_cli("gen", "circle", "--rho", "1.2", "--k", "2", "--kappa1", "-0.4",
+                "-n", "256", "-o", str(c))
+        tolf = tmp_path / "tol.json"
+        tolf.write_text(json.dumps({"band_k_nodes": 512}))
+        assert run_cli("--tol-profile", str(tolf), "bands", str(c), "--csv",
+                       str(csv), "--profile-nodes", "48", "-o", str(out)) == 0
+        band = sc.band_from_condensed(sc.load_curve(c),
+                                      sc.DEFAULT_TOL.replace(band_k_nodes=512))
+        want = "lam,theta_plus,theta_minus\n" + "".join(
+            f"{lam:.17g},{tp:.17g},{tm:.17g}\n"
+            for lam, tp, tm in zip(band.lam, band.theta_plus, band.theta_minus))
+        assert csv.read_bytes() == want.encode()
+        doc = json.loads(out.read_text())
+        stride = 512 // 48
+        assert doc["lam"] == band.lam[::stride].tolist()
+        assert doc["theta_minus"] == band.theta_minus[::stride].tolist()
+
+
+class TestBoundsArgs:
+    @pytest.mark.parametrize("k1, k2, want", [
+        (None, None, (0.0, math.inf)),
+        ("-inf", "inf", (-math.inf, math.inf)),
+        ("-1.5", "+inf", (-1.5, math.inf)),
+        ("-Infinity", "2", (-math.inf, 2.0)),
+    ])
+    def test_parse(self, k1, k2, want):
+        import argparse
+        b = cli._bounds_from_args(argparse.Namespace(kappa1=k1, kappa2=k2))
+        assert (b.kappa1, b.kappa2) == want
+
+
 class TestSeedEnv:
     def test_env_seed_changes_tolerance_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPHERECURVE_SEED", "123")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -590,3 +591,71 @@ class TestBatchedLift:
         assert np.abs(lifts[0][0, 1:] - axis).max() < 1e-13
         for lift in lifts[1:]:
             assert np.abs(lift - lifts[0]).max() <= 1e-13
+
+
+def frame_curve(kind, base, seed):
+    """One curve of each construction path from a circle or an open curve."""
+    from conftest import random_rotation
+    from spherecurve import bands, factory
+    from spherecurve.homotopy import normalize_initial_frame
+    rng = np.random.default_rng(seed)
+    bounds = sc.CurvatureBounds(-1.0, 2.0)
+    if base == "circle":
+        curve = sc.make_circle(rng.uniform(0.6, 2.2), int(rng.integers(1, 4)),
+                               bounds, n=64)
+    else:
+        curve = factory.random_open_curve(bounds, rng, n=96)
+    if kind == "integrated":
+        return curve
+    if kind == "node_data":
+        return sc.reparametrize_by_curvature(curve)
+    rotated = curve.rotated(random_rotation(rng))
+    if kind == "rotated":
+        return rotated
+    if kind == "translated":
+        lo, hi = bands.theta_range(rotated)
+        return bands.translate_curve(rotated, rng.uniform(0.9 * lo, 0.9 * hi))
+    return normalize_initial_frame(rotated)
+
+
+class TestLiftIsTheFrame:
+    def test_no_stored_frame_columns(self):
+        names = {f.name for f in dataclasses.fields(sc.AdmissibleCurve)}
+        assert not names & {"gamma", "tangent", "normal", "frames"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["integrated", "node_data", "rotated",
+                                 "translated", "normalized"]),
+           base=st.sampled_from(["circle", "open"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_views_are_the_cached_frames(self, kind, base, seed):
+        curve = frame_curve(kind, base, seed)
+        frames = curve.frames
+        assert curve.frames is frames
+        assert np.array_equal(frames, sphere.quat_to_rotation(curve.lift))
+        for col, name in enumerate(("gamma", "tangent", "normal")):
+            view = getattr(curve, name)
+            assert np.array_equal(view, frames[:, :, col])
+            assert not view.flags.writeable
+        for i in range(curve.n + 1):
+            assert np.array_equal(curve.frame(i), frames[i])
+        assert np.array_equal(curve.frame(-1), frames[-1])
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.frames = frames
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.sampled_from(["circle", "open"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rotation_matches_the_matrix_product(self, base, seed):
+        # the parent stored R @ Phi column by column; the rotated lift gives
+        # the same frames to a few ulps
+        from conftest import random_rotation
+        curve = frame_curve("integrated", base, seed)
+        R = random_rotation(np.random.default_rng(seed))
+        rotated = curve.rotated(R)
+        assert np.abs(rotated.frames - R @ curve.frames).max() <= 4e-15
+        assert rotated.speed is curve.speed and rotated.kappa is curve.kappa
+        assert rotated.controls is curve.controls

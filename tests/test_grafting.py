@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 
@@ -10,6 +11,8 @@ import spherecurve as sc
 from spherecurve import classify, factory, grafting as gr, sphere
 from spherecurve.errors import (
     BudgetExceeded,
+    ContinuationDiverged,
+    DegenerateSimplex,
     DomainError,
     NotDiffuse,
     NotNonCondensed,
@@ -193,6 +196,41 @@ class TestSimplexGraft:
         assert abs(growth - s) <= 1e-9
         assert rec.frame_defect <= 1e-12
         assert all(0.0 < arc.t < base.domain for arc in rec.arcs)
+
+    @pytest.mark.parametrize("error", [ContinuationDiverged, DegenerateSimplex])
+    def test_failed_attempt_leaves_no_reference_cycle(self, neither_small,
+                                                      monkeypatch, error):
+        # a caught continuation failure must not keep the step's frame, and
+        # with it the caustic samples, alive until a full collection
+        fails = []
+        real = gr._continuation
+
+        def first_fails(*args):
+            if not fails:
+                fails.append(1)
+                raise error("forced")
+            return real(*args)
+
+        monkeypatch.setattr(gr, "_continuation", first_fails)
+        gc.collect()
+        gc.disable()
+        try:
+            out, rec = gr.graft_simplex_step(neither_small, 0.02)
+            del out, rec
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert fails == [1]
+        assert unreachable == 0
+
+    def test_every_attempt_failing_raises_the_last_error(self, neither_small,
+                                                         monkeypatch):
+        def always_fails(*args):
+            raise ContinuationDiverged("forced")
+
+        monkeypatch.setattr(gr, "_continuation", always_fails)
+        with pytest.raises(ContinuationDiverged, match="forced"):
+            gr.graft_simplex_step(neither_small, 0.02)
 
     def test_transitivity_via_composition(self, neither_small):
         out1, rec1 = gr.graft_simplex_step(neither_small, 0.02)

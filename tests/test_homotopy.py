@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -341,3 +342,26 @@ class TestBatchedAddLoops:
             assert np.array_equal(out.speed[:-1], v_tgt)
             assert np.array_equal(out.kappa[:-1], k_tgt)
             assert out.speed[-1] == v_tgt[-1] and out.kappa[-1] == k_tgt[-1]
+            h, _, hb, _ = sc.control_transforms(base.bounds)
+            assert np.array_equal(out.controls.v_hat, h(v_tgt))
+            assert np.array_equal(out.controls.w_hat, hb(k_tgt))
+
+
+class TestNormalizeInitialFrame:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identity_start_from_any_rotation(self, loops_base, seed):
+        from conftest import random_rotation
+        from spherecurve import factory
+        rng = np.random.default_rng(seed)
+        base = loops_base if seed % 2 else factory.random_open_curve(
+            sc.CurvatureBounds(-1.0, 2.0), rng, n=96)
+        R = random_rotation(rng)
+        curve = base.rotated(R)
+        # both signs of the lift normalize to the same curve
+        for lift in (curve.lift, -curve.lift):
+            out = ho.normalize_initial_frame(dataclasses.replace(curve, lift=lift))
+            assert np.abs(out.frame(0) - np.eye(3)).max() <= 1e-15
+            assert np.abs(out.lift[0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-15
+            assert np.abs(out.frames - base.frames).max() <= 4e-15
+            assert out.speed is base.speed and out.controls is base.controls
+            assert out.closed == base.closed
