@@ -32,9 +32,13 @@ def _quat_r_theta(theta: float) -> np.ndarray:
 
 
 def theta_range(curve: AdmissibleCurve) -> tuple[float, float]:
-    """Admissible translation offsets, from the sampled curvature extrema."""
+    """Admissible translation offsets, from the sampled curvature extrema.
+
+    Padded inward by 1e-9, so that at either end every node keeps its radius
+    of curvature inside (0, pi).
+    """
     rho = curve.rho
-    return float(rho.max() - math.pi - _PAD), float(rho.min() + _PAD)
+    return float(rho.max() - math.pi + _PAD), float(rho.min() - _PAD)
 
 
 def translate_curve(curve: AdmissibleCurve, theta: float,

@@ -13,7 +13,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import sphere
 from .bands import caustic_band, caustic_curve, translate_curve
@@ -78,14 +77,6 @@ def classification_cloud(curve: AdmissibleCurve,
     outer = math.cos(rho0) * curve.gamma + math.sin(rho0) * curve.normal
     chi = caustic_curve(curve).chi
     return np.vstack([band.points, curve.gamma, outer, chi])
-
-
-def _cloud_spacing(curve: AdmissibleCurve, tol: ToleranceProfile) -> float:
-    # the cloud keeps the boundary curves at full resolution, so membership
-    # tests are limited by the node chords and the theta grid only
-    seg = np.linalg.norm(np.diff(curve.gamma, axis=0), axis=1)
-    dtheta = curve.bounds.rho1 / max(tol.band_theta_nodes // 2, 1)
-    return max(float(seg.max()), dtheta)
 
 
 # parallel-tangent pairs tested against the fiber per array block, and the
@@ -189,6 +180,8 @@ class CondensedStatus:
     `margin` is the signed distance from the origin to the hull of the
     cloud, which does not depend on the curve's placement, and
     `hemisphere` its max-margin direction (see `sphere.best_hemisphere`).
+    The cloud itself, `classification_cloud(curve)`, is local to
+    `condensed_status`; the status keeps no samples.
     """
 
     condensed: bool
@@ -198,8 +191,6 @@ class CondensedStatus:
     hemisphere: np.ndarray | None
     antipodal_pair: tuple | None
     antipodal_defect: float
-    # the caustic cloud the status was decided on; not part of the status
-    cloud: np.ndarray = dataclasses.field(compare=False, repr=False)
 
     @property
     def tag(self) -> str:
@@ -263,7 +254,7 @@ def condensed_status(curve: AdmissibleCurve,
                            borderline=bool(borderline), margin=float(margin),
                            hemisphere=h if condensed else None,
                            antipodal_pair=pair,
-                           antipodal_defect=float(defect), cloud=cloud)
+                           antipodal_defect=float(defect))
 
 
 # ------------------------------------------------------------------ #
@@ -317,56 +308,27 @@ def condensed_axis(curve: AdmissibleCurve,
     return status, h, rotation_number_condensed(curve, h, tol)
 
 
-def _membership_gap(curve: AdmissibleCurve, t_index: int, tree_c,
-                    delta: float, tol: ToleranceProfile):
-    """Midpoint of the annulus gap on the fiber over one node.
+# candidates placed on each witness fiber, and the angular margin that
+# keeps a free candidate's roots off the band edges and the seam at +-pi
+_GAP_CANDIDATES = 128
+_GAP_MARGIN = 1e-9
 
-    `tree_c` holds the caustic cloud C; distances to its antipode D = -C are
-    those of the negated queries to C.  Only distances below delta matter,
-    so the queries are bounded by it.
+
+def _fiber_root_angles(curve: AdmissibleCurve, points: np.ndarray):
+    """(candidate index, fiber angle) of every root of <b, tangent>.
+
+    `points` is an (m, 3) block of candidates b; f = tangent @ points.T is
+    formed once.  The closed curve is scanned over one period with the
+    seam value pinned to the start value, so a root exactly on the seam is
+    counted once.  Each sign change is located by linear interpolation and
+    its angle atan2(<b, n>, <b, gamma>) measured on the interpolated frame.
     """
-    rho0 = curve.bounds.rho1
-    thetas = np.linspace(rho0 - math.pi, 0.0, 512)
-    pts = (np.cos(thetas)[:, None] * curve.gamma[t_index]
-           + np.sin(thetas)[:, None] * curve.normal[t_index])
-
-    def near(q):
-        return tree_c.query(q, k=1, distance_upper_bound=delta)[0] < delta
-
-    in_c = near(pts)
-    in_d = near(-pts)
-    idx_c = np.flatnonzero(in_c)
-    if idx_c.size == 0:
-        return None
-    theta1_idx = idx_c[0]                      # first contact with C
-    idx_d = np.flatnonzero(in_d[:theta1_idx])
-    if idx_d.size == 0:
-        return None
-    theta0_idx = idx_d[-1]                     # last contact with D below it
-    if theta0_idx + 1 >= theta1_idx:
-        return None
-    mid = 0.5 * (thetas[theta0_idx] + thetas[theta1_idx])
-    b = (math.cos(mid) * curve.gamma[t_index]
-         + math.sin(mid) * curve.normal[t_index])
-    if near(b) or near(-b):
-        return None
-    return b
-
-
-def _count_fiber_hits(curve: AdmissibleCurve, b: np.ndarray) -> int:
-    """Roots of <b, tangent> whose fiber angle lies in the regular range.
-
-    The closed curve is scanned over one period with the seam value pinned
-    to the start value, so a root exactly on the seam is counted once.  All
-    sign changes are located and their fiber angles measured at once.
-    """
-    rho0 = curve.bounds.rho1
     g, nr = curve.gamma, curve.normal
-    f = curve.tangent @ b
+    f = curve.tangent @ points.T
     f[-1] = f[0]
     a, c = f[:-1], f[1:]
-    i = np.flatnonzero((a == 0.0) | (a * c < 0.0))
-    a, c = a[i], c[i]
+    i, k = np.nonzero((a == 0.0) | (a * c < 0.0))
+    a, c = a[i, k], c[i, k]
     frac = np.zeros(i.size)
     moving = a != 0.0
     frac[moving] = a[moving] / (a[moving] - c[moving])
@@ -376,8 +338,10 @@ def _count_fiber_hits(curve: AdmissibleCurve, b: np.ndarray) -> int:
     q = (1 - frac) * nr[i] + frac * nr[i + 1]
     q -= p * np.einsum("ij,ij->i", q, p)[:, None]
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    theta = np.arctan2(q @ b, p @ b)
-    return int(np.count_nonzero((rho0 - math.pi < theta) & (theta < 0.0)))
+    b = points[k]
+    theta = np.arctan2(np.einsum("ij,ij->i", q, b),
+                       np.einsum("ij,ij->i", p, b))
+    return k, theta
 
 
 def rotation_number_nondiffuse(curve: AdmissibleCurve,
@@ -385,30 +349,44 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
                                tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Sheet count of the band covering over the separating annulus.
 
-    Picks a witness point b in the gap between the caustic cloud C and its
-    antipode D on some fiber, then counts the parameters t whose fiber hits
-    b inside the regular band range.  A second witness from an independent
-    fiber must agree.  C is the cloud `status` (from `condensed_status`)
-    was decided on.
+    A point b lies on the fiber over t exactly when <b, T(t)> = 0, at the
+    angle atan2(<b, n(t)>, <b, gamma(t)>).  So b is in the band B iff some
+    root has its angle in [0, rho0], and in -B iff some root has it in
+    [-pi, rho0 - pi].  b lies in the gap between B and -B iff every root
+    angle lies in (rho0 - pi, 0) u (rho0, pi), here with a margin of 1e-9
+    at each end; nu is then the number of roots in (rho0 - pi, 0).  On a
+    witness fiber, 128 candidates strictly inside (rho0 - pi, 0) are tested
+    at once and the middle free one, in fiber order, is counted; a second
+    witness fiber must agree.  Only `status.diffuse` is read, and `tol` is
+    unused: the signature matches the other rotation numbers.
+
+    Known limit: a tangency of <b, T> between two nodes is a double root
+    without a sign change, which the scan misses.
     """
     if status.diffuse:
         raise NoGapFound("curve is diffuse; the separating annulus is empty")
-    tree_c = cKDTree(status.cloud)
-    delta = 2.0 * _cloud_spacing(curve, tol)
+    rho0 = curve.bounds.rho1
+    lo, m = rho0 - math.pi, _GAP_MARGIN
+    thetas = np.linspace(lo, 0.0, _GAP_CANDIDATES + 2)[1:-1]
+    cos_t, sin_t = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
 
     counts = []
-    tried = 0
     for frac in (0.0, 0.37, 0.61, 0.13, 0.83, 0.29, 0.47, 0.71):
         t_index = int(frac * curve.n)
-        b = _membership_gap(curve, t_index, tree_c, delta, tol)
-        if b is None:
+        cand = cos_t * curve.gamma[t_index] + sin_t * curve.normal[t_index]
+        k, theta = _fiber_root_angles(curve, cand)
+        inner = (lo + m < theta) & (theta < -m)
+        outer = (rho0 + m < theta) & (theta < math.pi - m)
+        blocked = np.bincount(k[~(inner | outer)], minlength=thetas.size)
+        free = np.flatnonzero(blocked == 0)
+        if free.size == 0:
             continue
-        tried += 1
-        counts.append(_count_fiber_hits(curve, b))
+        mid = free[free.size // 2]
+        counts.append(int(np.count_nonzero(inner[k == mid])))
         if len(counts) == 2:
             break
     if not counts:
-        raise NoGapFound("no annulus gap at this resolution; reclassify")
+        raise NoGapFound("no candidate on any witness fiber lies in the gap")
     if len(counts) == 2 and counts[0] != counts[1]:
         raise FiberCountMismatch(f"witnesses disagree: {counts}")
     return counts[0]

@@ -30,6 +30,14 @@ def neither_small():
 
 
 @pytest.fixture(scope="session")
+def neither_coarse():
+    # the neither curve on a 256-node base (2048 intervals), as grafted by
+    # the graft_chain benchmark workload
+    from spherecurve import factory
+    return factory.neither_example(rho0=0.5, n_loops=8, dip=0.2, base_n=256)
+
+
+@pytest.fixture(scope="session")
 def diffuse_curve():
     from spherecurve import factory
     return factory.diffuse_example(kappa0=0.3, n_loops=24)

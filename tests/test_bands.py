@@ -63,6 +63,18 @@ class TestTranslate:
         with pytest.raises(ThetaOutOfRange):
             bands.translate_curve(c, math.pi / 3 - math.pi - 0.01)
 
+    def test_both_ends_of_theta_range_translate(self, neither_coarse):
+        # the range is padded inward, so at either end every node keeps a
+        # positive radius of curvature and a positive speed
+        from spherecurve import grafting
+        circle = sc.make_circle(math.pi / 2 - 0.15, 2,
+                                sc.CurvatureBounds(-0.4, math.inf), n=512)
+        for curve in (circle, grafting.ensure_curvature_param(neither_coarse)):
+            for theta in bands.theta_range(curve):
+                moved = bands.translate_curve(curve, theta)
+                assert 0.0 < moved.rho.min() <= moved.rho.max() < math.pi
+                assert np.all(moved.speed > 0.0)
+
     def test_parity_preserved(self, geodesicish):
         ct = bands.translate_curve(geodesicish, 0.35)
         assert sc.lift_parity(ct).sign == sc.lift_parity(geodesicish).sign

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -218,6 +218,35 @@ class TestClassifyTables:
         assert lab.j in (lab.n - 1, lab.n)
         assert (-1) ** lab.j == lab.parity.sign
         assert not lab.condensed
+
+
+class TestExactNonDiffuse:
+    @settings(max_examples=30, deadline=None)
+    @given(kappa1=st.sampled_from([-1.0, -0.4, 0.0, 0.3, 1.0]),
+           k=st.integers(1, 5), frac=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2 ** 32 - 1), rotate=st.booleans())
+    @example(kappa1=-1.0, k=2, frac=0.84 / (0.75 * math.pi), seed=0,
+             rotate=False)
+    @example(kappa1=-1.0, k=1, frac=0.835 / (0.75 * math.pi), seed=3,
+             rotate=True)
+    def test_k_fold_circles_match_condensed(self, kappa1, k, frac, seed,
+                                            rotate):
+        from conftest import random_rotation
+        bounds = sc.CurvatureBounds(kappa1, math.inf)
+        curve = sc.make_circle(frac * bounds.rho1, k, bounds, n=256)
+        if rotate:
+            curve = curve.rotated(random_rotation(np.random.default_rng(seed)))
+        status = classify.condensed_status(curve)
+        assume(status.condensed and not status.diffuse and not status.borderline)
+        nu = classify.rotation_number_condensed(curve, status.hemisphere)
+        assert classify.rotation_number_nondiffuse(curve, status) == nu == k
+
+    def test_neither_curve_and_rotations(self, neither_coarse):
+        from conftest import random_rotation
+        rng = np.random.default_rng(11)
+        curves = [neither_coarse] + [neither_coarse.rotated(random_rotation(rng))
+                                     for _ in range(2)]
+        assert [nondiffuse(c) for c in curves] == [33, 33, 33]
 
 
 class TestNonDiffuseBound:
@@ -441,13 +470,33 @@ class TestBatchedWitness:
         assert st.antipodal_defect < 1e-12
 
     def test_fiber_hits_match_loop(self, neither_small, rng, bounds_k0):
-        curves = [neither_small, sc.make_circle(0.6, 3, bounds_k0, n=256)]
-        for curve in curves:
+        circle = sc.make_circle(0.6, 3, bounds_k0, n=256)
+        for curve in (neither_small, circle):
+            rho0 = curve.bounds.rho1
             bs = rng.normal(size=(12, 3))
             bs /= np.linalg.norm(bs, axis=1, keepdims=True)
-            counts = [classify._count_fiber_hits(curve, b) for b in bs]
+            # points on the fibers over the seam t = 0 and two inner nodes,
+            # at angles off the range ends (rho0 - pi, 0)
+            th = rho0 - math.pi + (np.arange(6) + 0.5) * math.pi / 6
+            on_fibers = [np.cos(th)[:, None] * curve.gamma[i]
+                         + np.sin(th)[:, None] * curve.normal[i]
+                         for i in (0, 37, curve.n // 2)]
+            bs = np.vstack([bs, *on_fibers])
+            k, theta = classify._fiber_root_angles(curve, bs)
+            inner = (rho0 - math.pi < theta) & (theta < 0.0)
+            counts = np.bincount(k[inner], minlength=len(bs)).tolist()
             assert counts == [loop_count_fiber_hits(curve, b) for b in bs]
             assert any(counts)
+        # the circle starts at e1 heading along e2: <b, T(0)> is exactly 0
+        # for b = (cos a, 0, sin a), a root on the seam counted once
+        assert circle.tangent[0].tolist() == [0.0, 1.0, 0.0]
+        rho0 = circle.bounds.rho1
+        th = np.linspace(rho0 - math.pi, 0.0, 7)[1:-1]
+        seam = np.stack([np.cos(th), np.zeros(th.size), np.sin(th)], axis=1)
+        assert not np.any(circle.tangent[0] @ seam.T)
+        k, theta = classify._fiber_root_angles(circle, seam)
+        inner = (rho0 - math.pi < theta) & (theta < 0.0)
+        assert np.bincount(k[inner], minlength=th.size).tolist() == [3] * th.size
 
 
 class TestCondensedAxis:
@@ -457,23 +506,21 @@ class TestCondensedAxis:
 
 
 class TestStatusCarriesCloud:
-    def test_cloud_is_kept_but_not_compared(self, bounds_k0):
-        curve = sc.make_circle(0.7, 1, bounds_k0, n=256)
-        st = classify.condensed_status(curve)
-        assert np.array_equal(st.cloud, classify.classification_cloud(curve))
-        assert "cloud" not in repr(st)
-        assert not {f.name: f for f in dataclasses.fields(st)}["cloud"].compare
+    def test_cloud_is_not_a_field(self, bounds_k0):
+        names = {f.name for f in dataclasses.fields(classify.CondensedStatus)}
+        assert "cloud" not in names
+        st = classify.condensed_status(sc.make_circle(0.7, 1, bounds_k0, n=256))
+        assert not hasattr(st, "cloud")
 
-    def test_nondiffuse_rotation_reuses_the_cloud(self, neither_small, monkeypatch):
+    def test_nondiffuse_rotation_builds_no_cloud(self, neither_small,
+                                                 monkeypatch):
         st = classify.condensed_status(neither_small)
         builds = []
         real = classify.classification_cloud
         monkeypatch.setattr(classify, "classification_cloud",
                             lambda *a, **k: builds.append(1) or real(*a, **k))
-        with_status = classify.rotation_number_nondiffuse(neither_small, st)
+        assert classify.rotation_number_nondiffuse(neither_small, st) >= 1
         assert builds == []
-        assert with_status == nondiffuse(neither_small)
-        assert builds == [1]
 
 
 def tree_most_antipodal(points):
@@ -572,66 +619,11 @@ class TestMostAntipodal:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    def test_status_builds_no_tree(self, bounds_k0, monkeypatch):
-        built = []
-        monkeypatch.setattr(classify, "cKDTree",
-                            lambda *a, **k: built.append(1) or cKDTree(*a, **k))
-        st_ = classify.condensed_status(sc.make_circle(0.7, 2, bounds_k0, n=256))
-        assert built == []
-        sub = st_.cloud[:: max(1, st_.cloud.shape[0] // 4096)]
+    def test_status_builds_no_tree(self, bounds_k0):
+        assert not hasattr(classify, "cKDTree")
+        curve = sc.make_circle(0.7, 2, bounds_k0, n=256)
+        st_ = classify.condensed_status(curve)
+        cloud = classify.classification_cloud(curve)
+        sub = cloud[:: max(1, cloud.shape[0] // 4096)]
         assert abs(st_.antipodal_defect - tree_most_antipodal(sub)[0]) <= 1e-15
         assert not st_.diffuse and st_.antipodal_pair is None
-
-
-def two_tree_membership_gap(curve, t_index, cloud, delta):
-    """The annulus-gap search with a tree for C and one for D = -C, and
-    unbounded queries."""
-    tree_c, tree_d = cKDTree(cloud), cKDTree(-cloud)
-    rho0 = curve.bounds.rho1
-    thetas = np.linspace(rho0 - math.pi, 0.0, 512)
-    pts = (np.cos(thetas)[:, None] * curve.gamma[t_index]
-           + np.sin(thetas)[:, None] * curve.normal[t_index])
-    in_c = tree_c.query(pts, k=1)[0] < delta
-    in_d = tree_d.query(pts, k=1)[0] < delta
-    idx_c = np.flatnonzero(in_c)
-    if idx_c.size == 0:
-        return None
-    theta1_idx = idx_c[0]
-    idx_d = np.flatnonzero(in_d[:theta1_idx])
-    if idx_d.size == 0:
-        return None
-    theta0_idx = idx_d[-1]
-    if theta0_idx + 1 >= theta1_idx:
-        return None
-    mid = 0.5 * (thetas[theta0_idx] + thetas[theta1_idx])
-    b = (math.cos(mid) * curve.gamma[t_index]
-         + math.sin(mid) * curve.normal[t_index])
-    if tree_c.query(b, k=1)[0] < delta or tree_d.query(b, k=1)[0] < delta:
-        return None
-    return b
-
-
-class TestMembershipGap:
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_one_bounded_tree_matches_two(self, k, bounds_k0):
-        curve = sc.make_circle(0.6, k, bounds_k0, n=256)
-        status = classify.condensed_status(curve)
-        tree_c = cKDTree(status.cloud)
-        delta = 2.0 * classify._cloud_spacing(curve, sc.DEFAULT_TOL)
-        for frac in (0.0, 0.37, 0.61, 0.13, 0.83, 0.29, 0.47, 0.71):
-            t_index = int(frac * curve.n)
-            got = classify._membership_gap(curve, t_index, tree_c, delta,
-                                           sc.DEFAULT_TOL)
-            want = two_tree_membership_gap(curve, t_index, status.cloud, delta)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert np.array_equal(got, want)
-
-    def test_nondiffuse_builds_one_tree(self, bounds_k0, monkeypatch):
-        curve = sc.make_circle(0.6, 2, bounds_k0, n=256)
-        status = classify.condensed_status(curve)
-        built = []
-        monkeypatch.setattr(classify, "cKDTree",
-                            lambda *a, **k: built.append(1) or cKDTree(*a, **k))
-        assert classify.rotation_number_nondiffuse(curve, status) == 2
-        assert built == [1]

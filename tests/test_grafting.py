@@ -424,6 +424,24 @@ class TestGraftUntilResolved:
         assert sc.total_curvature(out) < bound
 
 
+    def test_bound_is_checked_on_every_iteration(self, neither_coarse,
+                                                 monkeypatch):
+        nus = []
+        real = gr.rotation_number_nondiffuse
+
+        def spy(*args, **kwargs):
+            nus.append(None)            # stays None when the call raises
+            nus[-1] = real(*args, **kwargs)
+            return nus[-1]
+
+        monkeypatch.setattr(gr, "rotation_number_nondiffuse", spy)
+        tol = sc.DEFAULT_TOL.replace(graft_step=2.5)
+        out, status, history = gr.graft_until_resolved(
+            neither_coarse, step=2.5, budget=60.0, tol=tol)
+        assert status.tag != "Neither"
+        assert len(nus) == len(history) - 1 >= 1
+        assert all(isinstance(nu, int) for nu in nus)
+
 class TestRoundTripResolve:
     def test_resolve_after_json_round_trip(self, neither_small):
         # re-integrating the serialized controls perturbs a coil curve just
