@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import sphere
-from .bands import caustic_band, caustic_curve, translate_curve
+from .bands import translate_curve
 from .curves import (
     AdmissibleCurve,
     CurvatureBounds,
@@ -62,21 +62,19 @@ def _classify_stride(curve: AdmissibleCurve, tol: ToleranceProfile) -> int:
     return max(1, curve.n // target)
 
 
-def classification_cloud(curve: AdmissibleCurve,
-                         tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Caustic-band image sampled for the hemisphere and antipodal tests.
+def classification_cloud(curve: AdmissibleCurve) -> np.ndarray:
+    """The caustic band's fibers by their ends and midpoints.
 
-    The boundary of the image lies on the curve itself and on the outer
-    translate C(t, rho0); both are kept at full t-resolution, the band
-    interior is decimated.
+    Each fiber {cos theta gamma(t) + sin theta n(t) : theta in [0, rho0]}
+    is a great-circle arc of length rho0 <= pi.  The rows are gamma,
+    C(t, rho0/2) and C(t, rho0) at every node, stacked.  Every arc point
+    is c1 a + c2 b with c1, c2 >= 0 and c1 + c2 >= 1, a and b two of its
+    fiber's three points, so a positive margin of this cloud is the band's.
     """
-    stride = _classify_stride(curve, tol)
-    band = caustic_band(curve, m=tol.band_theta_nodes // 2 + 1,
-                        t_stride=stride, tol=tol)
     rho0 = curve.bounds.rho1
-    outer = math.cos(rho0) * curve.gamma + math.sin(rho0) * curve.normal
-    chi = caustic_curve(curve).chi
-    return np.vstack([band.points, curve.gamma, outer, chi])
+    g, nr = curve.gamma, curve.normal
+    return np.vstack([g, math.cos(rho0 / 2) * g + math.sin(rho0 / 2) * nr,
+                      math.cos(rho0) * g + math.sin(rho0) * nr])
 
 
 # parallel-tangent pairs tested against the fiber per array block, and the
@@ -170,18 +168,18 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
 class CondensedStatus:
     """Outcome of the hemisphere and antipodal tests on the caustic cloud.
 
-    `antipodal_pair` has two forms.  When the fiber witness finds an exact
-    pair it is ((i, theta_i), (j, theta_j)), node indices with fiber
-    angles, and `antipodal_defect` is the measured |C(t_i, theta_i) +
-    C(t_j, theta_j)|.  Otherwise the sampled search over the cloud decides:
-    `antipodal_defect` is the smallest chord |x + y| over pairs of cloud
-    samples, and the pair is those two points (x, y) when the defect is
-    below `tol.antipodal_chord` (the curve is diffuse), else None.
-    `margin` is the signed distance from the origin to the hull of the
-    cloud, which does not depend on the curve's placement, and
-    `hemisphere` its max-margin direction (see `sphere.best_hemisphere`).
-    The cloud itself, `classification_cloud(curve)`, is local to
-    `condensed_status`; the status keeps no samples.
+    `margin` is the signed distance from the origin to the hull of
+    `classification_cloud(curve)`, independent of the curve's placement,
+    and `hemisphere` its max-margin direction (`sphere.best_hemisphere`).
+    `antipodal_defect` has three forms.  When 2 margin >=
+    `tol.antipodal_chord` it is 2 margin, a certified lower bound on
+    |x + y| over band points x, y, and `antipodal_pair` is None.  Else,
+    when the fiber witness finds an exact pair, the pair is ((i, theta_i),
+    (j, theta_j)), node indices with fiber angles, and the defect is the
+    measured |C(t_i, theta_i) + C(t_j, theta_j)|.  Else the Gram search
+    over at most 4096 cloud rows gives the smallest chord |x + y|, and the
+    pair is those rows (x, y) when it is below `tol.antipodal_chord` (the
+    curve is diffuse), else None.  The status keeps no samples.
     """
 
     condensed: bool
@@ -237,16 +235,17 @@ def condensed_status(curve: AdmissibleCurve,
     the equatorial regime where the hemisphere margin is numerically zero
     and the condensed side of the label cannot be trusted.
     """
-    cloud = classification_cloud(curve, tol)
+    cloud = classification_cloud(curve)
     h, margin = sphere.best_hemisphere(cloud)
     condensed = margin >= -tol.feasibility_margin
     borderline = abs(margin) < tol.borderline_margin
 
-    witness = antipodal_fiber_witness(curve, tol=tol)
-    if witness is not None:
+    if 2.0 * margin >= tol.antipodal_chord:    # |x + y| >= <x + y, h> >= 2m
+        diffuse, pair, defect = False, None, 2.0 * margin
+    elif (witness := antipodal_fiber_witness(curve, tol=tol)) is not None:
         diffuse, pair, defect = True, witness[:2], witness[2]
     else:
-        sub = cloud[:: max(1, cloud.shape[0] // 4096)]
+        sub = cloud[:: -(-cloud.shape[0] // 4096)]
         defect, i, j = _most_antipodal(sub)
         diffuse = defect < tol.antipodal_chord
         pair = (sub[i].copy(), sub[j].copy()) if diffuse else None

@@ -24,7 +24,7 @@ class ToleranceProfile:
     lattice_size: int = 4096          # Fibonacci directions for barycenters
     default_n: int = 1024             # curve grid intervals
     band_theta_nodes: int = 64        # theta resolution of band grids
-    classify_t_nodes: int = 256       # t decimation for classification clouds
+    classify_t_nodes: int = 256       # witness and graft-sample t stride
     band_k_nodes: int = 2048          # covering-cylinder meridian nodes
     path_steps: int = 65              # frames per homotopy path
     graft_step: float = 0.05          # default simplex graft increment

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,3 +50,18 @@ def random_rotation(rng):
     angle = rng.uniform(0.0, 2.0 * math.pi)
     from spherecurve import sphere
     return sphere.rotation_about(axis, angle)
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of `fn` under every spherecurve name bound to it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "spherecurve" or name.startswith("spherecurve."):
+            for key in [k for k, v in vars(mod).items() if v is fn]:
+                monkeypatch.setattr(mod, key, counting)
+    return calls

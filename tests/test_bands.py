@@ -217,10 +217,31 @@ class TestCausticBand:
 
 class TestClassificationCloud:
     def test_cloud_contains_curve_and_caustic(self):
+        # every caustic point and every point of a dense band is c1 a + c2 b
+        # of two of its node's cloud rows, c1, c2 >= 0 and c1 + c2 >= 1
+        from spherecurve import factory
         from spherecurve.classify import classification_cloud
-        c = sc.make_circle(0.6, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
-        cloud = classification_cloud(c)
-        from scipy.spatial import cKDTree
-        tree = cKDTree(cloud)
-        assert tree.query(c.gamma)[0].max() < 1e-12
-        assert tree.query(bands.caustic_curve(c).chi)[0].max() < 1e-12
+        bounds = sc.CurvatureBounds(0.0, math.inf)
+        for c in (sc.make_circle(0.6, 1, bounds, n=256),
+                  factory.random_open_curve(bounds, np.random.default_rng(5),
+                                            n=256)):
+            g, mid, end = classification_cloud(c).reshape(3, -1, 3)
+            assert np.array_equal(g, c.gamma)
+            rho0 = c.bounds.rho1
+            grid = bands.caustic_band(c, m=64)
+            nodes = np.arange(c.gamma.shape[0])
+            theta = np.concatenate([np.tile(grid.theta, nodes.size), c.rho])
+            node = np.concatenate([np.repeat(nodes, grid.theta.size), nodes])
+            x = np.vstack([grid.points, bands.caustic_curve(c).chi])
+            assert np.all((0.0 <= theta) & (theta <= rho0))
+            near = (theta <= rho0 / 2)[:, None]
+            a = np.where(near, g[node], mid[node])
+            b = np.where(near, mid[node], end[node])
+            # coefficients by cross products: exactly 0 at a fiber's ends
+            ab = np.cross(a, b)
+            nn = np.einsum("ij,ij->i", ab, ab)
+            c1 = np.einsum("ij,ij->i", np.cross(x, b), ab) / nn
+            c2 = np.einsum("ij,ij->i", np.cross(a, x), ab) / nn
+            assert np.abs(c1[:, None] * a + c2[:, None] * b - x).max() <= 1e-12
+            assert c1.min() >= 0.0 and c2.min() >= 0.0
+            assert (c1 + c2).min() >= 1.0 - 1e-12

@@ -619,11 +619,85 @@ class TestMostAntipodal:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    def test_status_builds_no_tree(self, bounds_k0):
+    def test_status_builds_no_tree(self, neither_small):
+        # neither curve: no margin certificate and no witness pair, so the
+        # Gram search decides, on a cloud subsampled to at most 4096 rows
         assert not hasattr(classify, "cKDTree")
-        curve = sc.make_circle(0.7, 2, bounds_k0, n=256)
-        st_ = classify.condensed_status(curve)
-        cloud = classify.classification_cloud(curve)
-        sub = cloud[:: max(1, cloud.shape[0] // 4096)]
+        st_ = classify.condensed_status(neither_small)
+        cloud = classify.classification_cloud(neither_small)
+        sub = cloud[:: -(-cloud.shape[0] // 4096)]
+        assert cloud.shape[0] > 4096 >= sub.shape[0]
         assert abs(st_.antipodal_defect - tree_most_antipodal(sub)[0]) <= 1e-15
         assert not st_.diffuse and st_.antipodal_pair is None
+
+
+def band_cloud(curve, tol=sc.DEFAULT_TOL):
+    """Margin oracle: the caustic band sampled on 33 thetas at the witness
+    stride, with the curve, its outer translate C(t, rho0) and its
+    caustic at every node."""
+    from spherecurve import bands
+    stride = classify._classify_stride(curve, tol)
+    band = bands.caustic_band(curve, m=tol.band_theta_nodes // 2 + 1,
+                              t_stride=stride, tol=tol)
+    rho0 = curve.bounds.rho1
+    outer = math.cos(rho0) * curve.gamma + math.sin(rho0) * curve.normal
+    return np.vstack([band.points, curve.gamma, outer,
+                      bands.caustic_curve(curve).chi])
+
+
+@st.composite
+def margin_curves(draw):
+    """A rotated k-fold circle, or a closed curve through the points of a
+    random open curve, in (kappa0, +inf) form."""
+    from conftest import random_rotation
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        kappa0 = draw(st.sampled_from([-1.0, -0.4, 0.0, 0.3, 1.0]))
+        bounds = sc.CurvatureBounds(kappa0, math.inf)
+        rho = draw(st.floats(0.05, 0.95)) * bounds.rho1
+        circle = sc.make_circle(rho, draw(st.integers(1, 5)), bounds, n=256)
+        return circle.rotated(random_rotation(rng))
+    path = factory.random_open_curve(sc.CurvatureBounds(-1.0, 1.0), rng, n=96)
+    closed = sc.curve_from_points(path.gamma, sc.UNBOUNDED, n=256)
+    kappa0 = float(closed.kappa.min()) - draw(st.floats(0.01, 1.0))
+    return closed.with_bounds(sc.CurvatureBounds(kappa0, math.inf))
+
+
+class TestMarginCertificate:
+    def test_condensed_circle_runs_no_search(self, bounds_k0, monkeypatch):
+        from conftest import count_calls
+        circle = sc.make_circle(0.7, 2, bounds_k0, n=256)
+        witness = count_calls(monkeypatch, classify.antipodal_fiber_witness)
+        gram = count_calls(monkeypatch, classify._most_antipodal)
+        st_ = classify.condensed_status(circle)
+        assert 2.0 * st_.margin >= sc.DEFAULT_TOL.antipodal_chord
+        assert witness == [] and gram == []
+        assert st_.tag == "Condensed" and st_.antipodal_pair is None
+        assert st_.antipodal_defect == 2.0 * st_.margin
+
+    def test_uncertified_curves_still_search(self, neither_small,
+                                             diffuse_curve, monkeypatch):
+        # the witness runs on each; the Gram search runs where it finds no
+        # pair, as without the certificate
+        from conftest import count_calls
+        both = sc.make_circle(math.pi / 2, 1, sc.CurvatureBounds(-1.0, math.inf),
+                              n=256)
+        for curve, tag, grams in ((both, "Both", 0), (diffuse_curve, "Diffuse", 0),
+                                  (neither_small, "Neither", 1)):
+            witness = count_calls(monkeypatch, classify.antipodal_fiber_witness)
+            gram = count_calls(monkeypatch, classify._most_antipodal)
+            st_ = classify.condensed_status(curve)
+            assert 2.0 * st_.margin < sc.DEFAULT_TOL.antipodal_chord
+            assert st_.tag == tag
+            assert (len(witness), len(gram)) == (1, grams)
+            monkeypatch.undo()
+
+    @settings(max_examples=30, deadline=None)
+    @given(margin_curves())
+    def test_end_margin_matches_band_margin(self, curve):
+        from spherecurve import sphere
+        _, ends = sphere.best_hemisphere(classify.classification_cloud(curve))
+        _, band = sphere.best_hemisphere(band_cloud(curve))
+        assert np.sign(ends) == np.sign(band)
+        if band > 0.0:
+            assert abs(ends - band) <= 1e-14

@@ -1,6 +1,5 @@
 import gc
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spherecurve as sc
+from conftest import count_calls
 from spherecurve import classify, factory, grafting as gr, sphere
 from spherecurve.errors import (
     BudgetExceeded,
@@ -127,21 +127,6 @@ class TestAntipodalGraft:
         rho0 = rec.base.bounds.rho1
         for arc in rec.arcs:
             assert 0.0 < arc.rho < rho0
-
-
-def count_calls(monkeypatch, fn):
-    """Count calls of `fn` under every spherecurve name bound to it."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "spherecurve" or name.startswith("spherecurve."):
-            for key in [k for k, v in vars(mod).items() if v is fn]:
-                monkeypatch.setattr(mod, key, counting)
-    return calls
 
 
 class TestSimplexGraft:

@@ -341,9 +341,10 @@ class TestActiveSetHemisphere:
     def test_corpus_clouds_match_lp_oracle(self, bounds_k0, neither_small,
                                            diffuse_curve):
         from spherecurve import classify, curves, grafting
-        circles = [curves.make_circle(0.7, k, bounds_k0, n=512) for k in (1, 3)]
+        # n = 1024: the end cloud of each circle still exceeds four working sets
+        circles = [curves.make_circle(0.7, k, bounds_k0, n=1024) for k in (1, 3)]
         circles.append(curves.make_circle(0.4, 2, curves.CurvatureBounds(1.0, 4.0),
-                                          n=512))
+                                          n=1024))
         tags = []
         for curve in circles + [diffuse_curve,
                                 grafting.ensure_curvature_param(neither_small)]:
