@@ -77,10 +77,24 @@ def classification_cloud(curve: AdmissibleCurve) -> np.ndarray:
                       math.cos(rho0) * g + math.sin(rho0) * nr])
 
 
-# parallel-tangent pairs tested against the fiber per array block, and the
-# points of the fiber walked per pair
+# parallel-tangent pairs tested against the fiber per array block, the
+# points of the fiber walked per pair, and the slack of the cap bound that
+# covers the 1e-6 off-circle tolerance of that walk
 _WITNESS_BLOCK = 1024
 _WITNESS_STEPS = 64
+_CAP_SLACK = 2e-6
+
+
+def _meeting_pairs(curve: AdmissibleCurve, lo: float, hi: float,
+                   tol: ToleranceProfile):
+    """Strided nodes idx and the pairs ii < jj of them, in row-major order,
+    whose fiber midpoints c = C(t, (lo + hi) / 2) pass the cap bound
+    <c_i, c_j> <= -cos(hi - lo) + `_CAP_SLACK`."""
+    idx = np.arange(0, curve.n, _classify_stride(curve, tol))
+    mid = 0.5 * (lo + hi)
+    c = math.cos(mid) * curve.gamma[idx] + math.sin(mid) * curve.normal[idx]
+    ii, jj = np.nonzero(np.triu(c @ c.T <= -math.cos(hi - lo) + _CAP_SLACK, 1))
+    return idx, ii, jj
 
 
 def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
@@ -92,8 +106,16 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
     great circles intersect in an antipodal pair of points, computed from
     the cross product of the tangents.  The search scans node pairs and
     returns ((i, theta_i), (j, theta_j), defect) with both angles in
-    [lo, rho0 - hi_margin] and the measured defect
+    [lo, hi], hi = rho0 - hi_margin, and the measured defect
     |C(t_i, theta_i) + C(t_j, theta_j)| (roundoff for crossing fibers).
+    Only the pairs whose fibers can meet are scanned (`_meeting_pairs`).
+    Each fiber is an arc of length hi - lo about its midpoint
+    c = C(t, (lo + hi) / 2), so a point w on fiber i with -w on fiber j
+    puts c_i within hi - lo of -c_j: <c_i, c_j> <= -cos(hi - lo).  Pairs
+    above that bound plus a slack of 2e-6 are dropped; the slack covers
+    the 1e-6 off-circle tolerance of the parallel-tangent test below, as
+    cos(x + d) >= cos x - d.  The kept pairs stay in row-major order, so
+    the result is bit for bit that of the scan over every pair.
 
     Node pairs with near-parallel tangents share the same great circle; for
     those, 64 points of fiber j are tested for membership in fiber i, all
@@ -102,14 +124,11 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
     """
     rho0 = curve.bounds.rho1
     hi = rho0 - hi_margin
-    stride = _classify_stride(curve, tol)
-    idx = np.arange(0, curve.n, stride)
+    idx, ii, jj = _meeting_pairs(curve, lo, hi, tol)
     g = curve.gamma[idx]
     tg = curve.tangent[idx]
     nr = curve.normal[idx]
-    m = idx.size
 
-    ii, jj = np.triu_indices(m, k=1)
     u = np.cross(tg[ii], tg[jj])
     norms = np.linalg.norm(u, axis=1)
     ok = norms > 1e-8
@@ -137,11 +156,12 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
 
     if pair is None:
         # parallel-tangent pairs: both fibers live on one great circle
-        par = (~ok) & (np.abs(np.einsum("ij,ij->i", g[jj], tg[ii])) < 1e-6)
+        i_par, j_par = ii[~ok], jj[~ok]
+        par = np.abs(np.einsum("ij,ij->i", g[j_par], tg[i_par])) < 1e-6
+        i_par, j_par = i_par[par], j_par[par]
         steps = np.linspace(0.0, rho0, _WITNESS_STEPS)
         in_range = (steps >= lo) & (steps <= hi)
         c, s = np.cos(steps)[None, :, None], np.sin(steps)[None, :, None]
-        i_par, j_par = ii[par], jj[par]
         for start in range(0, i_par.size, _WITNESS_BLOCK):
             bi = i_par[start:start + _WITNESS_BLOCK]
             bj = j_par[start:start + _WITNESS_BLOCK]

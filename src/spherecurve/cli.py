@@ -8,6 +8,7 @@ are JSONL (one curve per line, trailing report object).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -260,7 +261,10 @@ def cmd_export_band(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: every `parse_args` call
+    returns a fresh namespace, and no default is mutable."""
     p = argparse.ArgumentParser(prog="spherecurve")
     p.add_argument("--tol-profile", default=None,
                    help="JSON file of tolerance overrides")

@@ -315,7 +315,7 @@ def graft_antipodal_circles(curve: AdmissibleCurve, s: float,
 # ------------------------------------------------------------------ #
 
 def _caustic_samples_with_tags(curve: AdmissibleCurve, tol: ToleranceProfile):
-    """Interior caustic-band samples tagged by (node, theta)."""
+    """Interior caustic-band samples, with the node and theta of each."""
     rho0 = curve.bounds.rho1
     stride = _classify_stride(curve, tol)
     nodes = np.arange(0, curve.n, stride)
@@ -325,8 +325,8 @@ def _caustic_samples_with_tags(curve: AdmissibleCurve, tol: ToleranceProfile):
     thetas = np.linspace(pad, rho0 - pad, tol.band_theta_nodes // 2 + 1)
     pts = (np.cos(thetas)[None, :, None] * curve.gamma[nodes, None, :]
            + np.sin(thetas)[None, :, None] * curve.normal[nodes, None, :])
-    tags = [(int(i), float(th)) for i in nodes for th in thetas]
-    return pts.reshape(-1, 3), tags
+    return (pts.reshape(-1, 3), np.repeat(nodes, thetas.size),
+            np.tile(thetas, nodes.size))
 
 
 def _exp_chain(sigmas, chis_half):
@@ -366,7 +366,7 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
     if s == 0.0:
         return base, _record(base, base, (), 0.0)
 
-    pts, tags = _caustic_samples_with_tags(base, tol)
+    pts, node_of, theta_of = _caustic_samples_with_tags(base, tol)
     failure = (DegenerateSimplex, "no four-node simplex containing the origin")
     for attempt in range(12):
         try:
@@ -375,19 +375,18 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
         except NotInHull as exc:
             raise NotNonCondensed(
                 "origin is not in the hull of the caustic samples") from exc
-        nodes = [tags[i][0] for i in cand.indices]
+        nodes = node_of[cand.indices]
         # node 0 sits at t = 0, where no arc can be inserted
-        if cand.indices.size != 4 or len(set(nodes)) != 4 or 0 in nodes:
+        if cand.indices.size != 4 or np.unique(nodes).size != 4 or 0 in nodes:
             continue
         chis = pts[cand.indices]
         volume = abs(np.linalg.det(chis[1:] - chis[0]))
         if volume < 1e-3:                  # nearly coplanar: poor jacobian
             continue
-        order = np.argsort([tags[i][0] for i in cand.indices])
+        order = np.argsort(nodes)
         idx = cand.indices[order]
         weights = cand.weights[order]
         chis = pts[idx]
-        arcs_nt = [tags[i] for i in idx]
         try:
             sigmas = _continuation(chis, weights, s, tol)
         except (ContinuationDiverged, DegenerateSimplex) as exc:
@@ -396,8 +395,9 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
             # samples and curves alive until a full garbage collection
             failure = (type(exc), str(exc))
             continue
-        ins = tuple(ArcInsertion(t=base.grid[nt[0]], rho=nt[1], sigma=float(sg))
-                    for nt, sg in zip(arcs_nt, sigmas) if sg > 0.0)
+        ins = tuple(ArcInsertion(t=base.grid[int(node_of[i])],
+                                 rho=float(theta_of[i]), sigma=float(sg))
+                    for i, sg in zip(idx, sigmas) if sg > 0.0)
         result, defect = _splice_arcs(base, ins, tol)
         return result, _record(base, result, ins, defect)
     raise failure[0](failure[1])

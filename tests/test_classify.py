@@ -362,8 +362,18 @@ class TestOneAnalysisPerLabel:
 
 
 def loop_antipodal_fiber_witness(curve, lo=0.0, hi_margin=0.0, tol=sc.DEFAULT_TOL):
-    """The witness search with the parallel-tangent fallback walking each
-    pair's fiber point by point; reports no defect."""
+    """The witness search over every strided node pair, with the
+    parallel-tangent fallback walking each pair's fiber point by point."""
+    pair = _loop_witness_pair(curve, lo, hi_margin, tol)
+    if pair is None:
+        return None
+    (i, th_i), (j, th_j) = pair
+    c_i = math.cos(th_i) * curve.gamma[i] + math.sin(th_i) * curve.normal[i]
+    c_j = math.cos(th_j) * curve.gamma[j] + math.sin(th_j) * curve.normal[j]
+    return (*pair, float(np.linalg.norm(c_i + c_j)))
+
+
+def _loop_witness_pair(curve, lo, hi_margin, tol):
     rho0 = curve.bounds.rho1
     hi = rho0 - hi_margin
     stride = classify._classify_stride(curve, tol)
@@ -395,12 +405,18 @@ def loop_antipodal_fiber_witness(curve, lo=0.0, hi_margin=0.0, tol=sc.DEFAULT_TO
     if best is not None:
         return best[:2]
     par = (~ok) & (np.abs(np.einsum("ij,ij->i", g[jj], tg[ii])) < 1e-6)
+    steps = np.linspace(0.0, rho0, 64)
+    c, s = np.cos(steps)[None, :, None], np.sin(steps)[None, :, None]
     for i_p, j_p in zip(ii[par], jj[par]):
-        for th_j in np.linspace(0.0, rho0, 64):
-            p = -(np.cos(th_j) * g[j_p] + np.sin(th_j) * nr[j_p])
-            a = math.atan2(float(p @ nr[i_p]), float(p @ g[i_p]))
-            if lo <= a <= hi and lo <= th_j <= hi and abs(float(p @ tg[i_p])) < 1e-6:
-                return (int(idx[i_p]), float(a)), (int(idx[j_p]), float(th_j))
+        # one pair's fiber points, by the kernels of the batched walk, so
+        # the angles agree to the bit (libm atan2 and a @ b do not)
+        p = -(c * g[[j_p], None, :] + s * nr[[j_p], None, :])
+        a = np.arctan2(np.einsum("psk,pk->ps", p, nr[[i_p]]),
+                       np.einsum("psk,pk->ps", p, g[[i_p]]))[0]
+        off = np.einsum("psk,pk->ps", p, tg[[i_p]])[0]
+        for step, th_j in enumerate(steps):
+            if lo <= a[step] <= hi and lo <= th_j <= hi and abs(off[step]) < 1e-6:
+                return (int(idx[i_p]), float(a[step])), (int(idx[j_p]), float(th_j))
     return None
 
 
@@ -661,6 +677,40 @@ def margin_curves(draw):
     closed = sc.curve_from_points(path.gamma, sc.UNBOUNDED, n=256)
     kappa0 = float(closed.kappa.min()) - draw(st.floats(0.01, 1.0))
     return closed.with_bounds(sc.CurvatureBounds(kappa0, math.inf))
+
+
+# witness angle margins: none, grafting's 1e-9, or a wide one
+witness_margins = st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0.0, 0.3))
+
+
+class TestCapPruning:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_unpruned_oracle(self, data, neither_coarse, diffuse_curve):
+        # bit for bit on (i, theta_i, j, theta_j, defect), or None on both
+        from conftest import random_rotation
+        kind = data.draw(st.sampled_from(["neither", "diffuse", "margin"]))
+        if kind == "margin":
+            curve = data.draw(margin_curves())
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            base = neither_coarse if kind == "neither" else diffuse_curve
+            curve = base.rotated(random_rotation(rng))
+        curve, _ = classify.reduce_to_k0(curve)
+        lo, hi_margin = data.draw(witness_margins), data.draw(witness_margins)
+        got = classify.antipodal_fiber_witness(curve, lo, hi_margin)
+        assert got == loop_antipodal_fiber_witness(curve, lo, hi_margin)
+
+    def test_only_meeting_pairs_reach_the_cross_product(self, neither_coarse,
+                                                        diffuse_curve):
+        kept = []
+        for curve in (neither_coarse, diffuse_curve):
+            curve, _ = classify.reduce_to_k0(curve)
+            idx, ii, jj = classify._meeting_pairs(
+                curve, 0.0, curve.bounds.rho1, sc.DEFAULT_TOL)
+            assert np.all(ii < jj)
+            kept.append(ii.size / (idx.size * (idx.size - 1) // 2))
+        assert kept[0] == 0.0 and 0.0 < kept[1] <= 0.4
 
 
 class TestMarginCertificate:

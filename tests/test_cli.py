@@ -289,3 +289,35 @@ class TestErrorBoundary:
         with pytest.raises(ValueError):
             cli.dumps([np.array([1.0, np.nan])])
         assert cli.dumps([math.inf, -math.inf]) == '["+inf","-inf"]'
+
+
+class TestParserReuse:
+    def test_graft_step_default_after_explicit_step(self, tmp_path, monkeypatch):
+        # the parser is built once; a step given to one call must not
+        # become the default of the next
+        from spherecurve import grafting
+        from spherecurve.errors import DomainError
+        c = tmp_path / "c.json"
+        assert run_cli("gen", "circle", "--rho", "0.8", "--k", "1",
+                       "--kappa1", "0", "-n", "64", "-o", str(c)) == 0
+        steps = []
+
+        def record(curve, s, tol):
+            steps.append(s)
+            raise DomainError("recorded")
+
+        monkeypatch.setattr(grafting, "graft_simplex_step", record)
+        assert run_cli("graft", str(c), "--mode", "simplex", "--step", "0.01") == 1
+        assert run_cli("graft", str(c), "--mode", "simplex") == 1
+        assert steps == [0.01, sc.DEFAULT_TOL.graft_step]
+
+    def test_subcommands_get_independent_namespaces(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        graft = parser.parse_args(["graft", "a.json", "--step", "0.01"])
+        classify = parser.parse_args(["classify", "b.json"])
+        bare = parser.parse_args(["graft", "a.json"])
+        assert graft is not bare and graft.step == 0.01 and bare.step is None
+        assert classify.func is cli.cmd_classify and classify.input == "b.json"
+        assert not hasattr(classify, "step") and not hasattr(classify, "mode")
+        assert graft.func is cli.cmd_graft and graft.input == "a.json"

@@ -244,12 +244,12 @@ class TestSimplexInsertionsInterior:
         # first vertex of the first simplex drawn as node 0
         tol = sc.DEFAULT_TOL
         base = gr.ensure_curvature_param(neither_small, tol)
-        pts, tags = gr._caustic_samples_with_tags(base, tol)
+        pts, node_of, theta_of = gr._caustic_samples_with_tags(base, tol)
         first = sphere.containing_simplex(pts, np.zeros(3), tol)
-        moved = tags[first.indices[0]][0]
-        relabeled = [(0 if node == moved else node, th) for node, th in tags]
+        moved = node_of[first.indices[0]]
+        relabeled = np.where(node_of == moved, 0, node_of)
         monkeypatch.setattr(gr, "_caustic_samples_with_tags",
-                            lambda curve, tol: (pts, relabeled))
+                            lambda curve, tol: (pts, relabeled, theta_of))
         out, rec = gr.graft_simplex_step(base, 0.05, tol)
         assert all(0.0 < arc.t < base.domain for arc in rec.arcs)
         assert rec.frame_defect <= 1e-12
