@@ -24,6 +24,7 @@ from .curves import (
     total_curvature,
 )
 from .errors import (
+    DegenerateProjection,
     DomainError,
     FiberCountMismatch,
     NoGapFound,
@@ -301,7 +302,7 @@ def rotation_number_condensed(curve: AdmissibleCurve, h,
     chart = sphere.StereoChart(-np.asarray(h, dtype=float))
     try:
         d = chart.project_d(curve.gamma, curve.tangent)
-    except Exception as exc:
+    except DegenerateProjection as exc:
         raise WindingResidual(f"projection degenerate: {exc}") from exc
     nu = -winding_number_planar(d, tol)
     if nu < 1:

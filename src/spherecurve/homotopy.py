@@ -28,10 +28,12 @@ from .curves import (
     reparametrize_by_curvature,
 )
 from .errors import (
+    AmbiguousParity,
     CurvatureBoundTooTight,
     CurvatureOutOfBounds,
     DomainError,
     NonpositiveRotation,
+    NotClosed,
     ParameterOverlap,
     RadiusOutOfBounds,
     StageToleranceFailure,
@@ -91,7 +93,7 @@ def validate_path(path: HomotopyPath, bounds: CurvatureBounds | None = None,
         defect = max(defect, c.closure_defect())
         try:
             parities.append(lift_parity(c).sign)
-        except Exception as exc:  # reported, not thrown
+        except (NotClosed, AmbiguousParity) as exc:  # reported, not thrown
             parities.append(0)
             notes.append(str(exc))
     constant = len(set(parities)) == 1 and (not parities or parities[0] != 0)
@@ -529,17 +531,13 @@ def _frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol):
 def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
                         bounds: CurvatureBounds | None = None,
                         tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    """Apply the dilatation T_r toward h (projection center -h) to a curve."""
+    """Apply the dilatation T_r toward h to a curve.
+
+    T_r is the Lorentz boost along h, one linear-fractional map of R^3
+    (`sphere.mobius_dilate`): no chart, and no point of S^2 is singular.
+    """
     bounds = bounds or curve.bounds
-    chart = sphere.StereoChart(-np.asarray(h, dtype=float))
-    d1, d2 = _node_derivatives(curve)
-    x = chart.project(curve.gamma)
-    dx = chart.project_d(curve.gamma, d1)
-    d2x = chart.project_d2(curve.gamma, d1, d1) + chart.project_d(curve.gamma, d2)
-    p = chart.unproject(r * x)
-    dp = chart.unproject_d(r * x, r * dx)
-    d2p = (chart.unproject_d2(r * x, r * dx, r * dx)
-           + chart.unproject_d(r * x, r * d2x))
+    p, dp, d2p = sphere.mobius_dilate(r, h, curve.gamma, *_node_derivatives(curve))
     return _frames_from_point_data(p, dp, d2p, bounds, curve.domain,
                                    curve.closed, tol)
 
@@ -582,8 +580,9 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
                      tol: ToleranceProfile = DEFAULT_TOL) -> HomotopyPath:
     """Deform a condensed curve (kappa0 >= 0 after reduction) into a circle.
 
-    Stage 1 shrinks the curve toward the max-margin hemisphere axis of
-    `condensed_axis` through Mobius dilatations, which can only raise the
+    Stage 1 shrinks the curve toward the max-margin hemisphere axis h of
+    `condensed_axis` through Mobius dilatations T_r, the Lorentz boosts
+    along h (no chart, no singular point), which can only raise the
     curvature of a condensed curve; stage 2 projects the small curve to the
     tangent plane, runs the planar Whitney-Graustein deformation and lifts
     the result back.  The path ends at a circle traversed nu times.

@@ -155,7 +155,7 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ #
-# Stereographic charts and Mobius dilatations
+# Stereographic chart and Mobius dilatations
 # ------------------------------------------------------------------ #
 
 def plane_basis(pole) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +174,7 @@ class StereoChart:
     The image plane is pole-perp, with coordinates in a basis (v1, v2) such
     that (v1, v2, pole) is positively oriented.  The antipode of the pole maps
     to the origin and the equator orthogonal to the pole maps to the unit
-    circle.  First and second derivatives of both directions are exact.
+    circle.
     """
 
     def __init__(self, pole):
@@ -205,86 +205,36 @@ class StereoChart:
             + (p - np.multiply.outer(c, self.pole)) * (s * s * uc)[..., None]
         return np.stack([q @ self.v1, q @ self.v2], axis=-1)
 
-    def project_d2(self, p, u, w) -> np.ndarray:
-        """Second differential of `project` at p applied to (u, w)."""
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        c = self._check(p)
-        uc = u @ self.pole
-        wc = w @ self.pole
-        s = 1.0 / (1.0 - c)
-        q = (u - np.multiply.outer(uc, self.pole)) * (s * s * wc)[..., None] \
-            + (w - np.multiply.outer(wc, self.pole)) * (s * s * uc)[..., None] \
-            + (p - np.multiply.outer(c, self.pole)) * (2.0 * s ** 3 * uc * wc)[..., None]
-        return np.stack([q @ self.v1, q @ self.v2], axis=-1)
 
-    def _embed(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.multiply.outer(x[..., 0], self.v1) + np.multiply.outer(x[..., 1], self.v2)
+def mobius_dilate(r: float, h, p, dp, d2p):
+    """T_r toward h along a curve p(t), with its two t-derivatives.
 
-    def unproject(self, x) -> np.ndarray:
-        """Inverse map: plane coordinates back to S^2."""
-        xh = self._embed(x)
-        r2 = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
-        w = 1.0 / (r2 + 1.0)
-        return (2.0 * xh + np.multiply.outer(r2 - 1.0, self.pole)) * w[..., None]
-
-    def unproject_d(self, x, u) -> np.ndarray:
-        xh = self._embed(x)
-        uh = self._embed(u)
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        r2 = np.sum(x * x, axis=-1)
-        xu = np.sum(x * u, axis=-1)
-        w = 1.0 / (r2 + 1.0)
-        base = 2.0 * xh + np.multiply.outer(r2 - 1.0, self.pole)
-        return (2.0 * uh + np.multiply.outer(2.0 * xu, self.pole)) * w[..., None] \
-            - base * (2.0 * xu * w * w)[..., None]
-
-    def unproject_d2(self, x, u, v) -> np.ndarray:
-        xh = self._embed(x)
-        uh = self._embed(u)
-        vh = self._embed(v)
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        r2 = np.sum(x * x, axis=-1)
-        xu = np.sum(x * u, axis=-1)
-        xv = np.sum(x * v, axis=-1)
-        uv = np.sum(u * v, axis=-1)
-        w = 1.0 / (r2 + 1.0)
-        base = 2.0 * xh + np.multiply.outer(r2 - 1.0, self.pole)
-        du = (2.0 * uh + np.multiply.outer(2.0 * xu, self.pole))
-        dv = (2.0 * vh + np.multiply.outer(2.0 * xv, self.pole))
-        return np.multiply.outer(2.0 * uv * w, self.pole) \
-            - du * (2.0 * xv * w * w)[..., None] \
-            - dv * (2.0 * xu * w * w)[..., None] \
-            - base * (2.0 * uv * w * w - 8.0 * xu * xv * w ** 3)[..., None]
-
-
-def stereographic(p, pole) -> np.ndarray:
-    """Conformal projection of p from `pole` onto the plane pole-perp."""
-    return StereoChart(pole).project(p)
-
-
-def mobius_dilate(p, r: float, pole) -> np.ndarray:
-    """Dilatation T_r: conjugate scaling by r with projection from `pole`.
-
-    T_1 is the identity; every T_r fixes the pole and its antipode and maps
-    circles to circles.
+    T_r, x -> r x in the stereographic chart from -h, is the Lorentz boost
+    along h, one linear-fractional map of R^3: T_r(p) = N(p) / D(p) with
+    N(p) = 2r p + ((1 - r)^2 <p, h> + 1 - r^2) h and
+    D(p) = 1 + r^2 + (1 - r^2) <p, h> >= 2 r^2, so no point is singular.
+    The part of q orthogonal to h, x = 2r p_perp / D, takes the quotient
+    rule: dx = (2r dp_perp - x D') / D and d2x = (2r d2p_perp - 2 dx D'
+    - x D'') / D, D' = (1 - r^2) <dp, h>, D'' = (1 - r^2) <d2p, h>.  The
+    part along h, y = 1 - 2r^2 (1 - <p, h>) / D, has dy = 4r^2 <dp, h> / D^2
+    and d2y = (4r^2 <d2p, h> / D - 2 dy D') / D, where the quotient rule
+    would cancel terms of size <dp, h> down to r^2 <dp, h>.  p, dp and d2p
+    have shape (3,) or (M, 3), and so have q, dq and d2q.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("dilatation factor must lie in (0, 1]")
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    pts = np.atleast_2d(p).copy()
-    chart = StereoChart(pole)
-    near_pole = np.arccos(np.clip(pts @ chart.pole, -1.0, 1.0)) < 1e-8
-    regular = ~near_pole
-    if np.any(regular):
-        pts[regular] = chart.unproject(r * chart.project(pts[regular]))
-    return pts[0] if single else pts
+    h = unit_vector(h)
+    p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))
+    s, s1, s2 = (p @ h)[..., None], (dp @ h)[..., None], (d2p @ h)[..., None]
+    b = 1.0 - r * r
+    d, d1, d2 = 1.0 + r * r + b * s, b * s1, b * s2
+    x = 2.0 * r * (p - s * h) / d
+    dx = (2.0 * r * (dp - s1 * h) - x * d1) / d
+    d2x = (2.0 * r * (d2p - s2 * h) - 2.0 * dx * d1 - x * d2) / d
+    y = 1.0 - 2.0 * r * r * (1.0 - s) / d
+    dy = 4.0 * r * r * s1 / (d * d)
+    d2y = (4.0 * r * r * s2 / d - 2.0 * dy * d1) / d
+    return x + y * h, dx + dy * h, d2x + d2y * h
 
 
 # ------------------------------------------------------------------ #

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 import spherecurve as sc
 from spherecurve import classify, factory
-from spherecurve.errors import DomainError, NoGapFound, NotCondensed
+from spherecurve.errors import DomainError, NoGapFound, NotCondensed, WindingResidual
 
 
 class TestComponentCount:
@@ -126,6 +126,24 @@ class TestRotationNumbers:
             c = sc.make_circle(rho, 1, bounds_k0, n=256)
             assert nondiffuse(c) == 1
             assert sc.total_curvature(c) < 8 * math.pi
+
+
+class TestCondensedWindingErrors:
+    def test_node_at_projection_centre_is_a_winding_residual(self, bounds_k0):
+        c = sc.make_circle(0.6, 1, bounds_k0, n=64)
+        with pytest.raises(WindingResidual, match="projection degenerate"):
+            classify.rotation_number_condensed(c, -c.gamma[0])
+
+    def test_other_errors_propagate(self, bounds_k0, monkeypatch):
+        from spherecurve import sphere
+
+        def broken(self, p, u):
+            raise TypeError("not a projection failure")
+
+        monkeypatch.setattr(sphere.StereoChart, "project_d", broken)
+        c = sc.make_circle(0.6, 1, bounds_k0, n=64)
+        with pytest.raises(TypeError, match="not a projection failure"):
+            classify.rotation_number_condensed(c, classify.condensed_status(c).hemisphere)
 
 
 class TestReduction:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spherecurve as sc
-from spherecurve import classify, homotopy as ho
+from spherecurve import classify, homotopy as ho, sphere
 from spherecurve.errors import (
     CurvatureBoundTooTight,
     NonpositiveRotation,
@@ -251,6 +251,31 @@ class TestValidatePath:
         assert rep.passed
         assert rep.max_closure_defect < 1e-12
         assert set(rep.parities) == {-1}
+
+    def test_ambiguous_parity_is_reported(self):
+        c = sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=128)
+        lift = c.lift.copy()
+        # z(1) orthogonal to z(0): the parity is undecided
+        lift[-1] = sphere.quat_mul(lift[0], [0.0, 1.0, 0.0, 0.0])
+        odd = dataclasses.replace(c, lift=lift)
+        path = ho.HomotopyPath(bounds=c.bounds, s_values=np.linspace(0, 1, 2),
+                               curves=(c, odd), provenance="custom")
+        rep = ho.validate_path(path)
+        assert rep.parities == (-1, 0)
+        assert not rep.passed
+        assert "|<z(1), z(0)>|" in rep.notes
+
+    def test_other_errors_propagate(self, monkeypatch):
+        c = sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=128)
+        path = ho.HomotopyPath(bounds=c.bounds, s_values=np.linspace(0, 1, 2),
+                               curves=(c, c), provenance="custom")
+
+        def broken(curve):
+            raise TypeError("not a parity failure")
+
+        monkeypatch.setattr(ho, "lift_parity", broken)
+        with pytest.raises(TypeError, match="not a parity failure"):
+            ho.validate_path(path)
 
 
 class TestLoopCompatibility:

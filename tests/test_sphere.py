@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from spherecurve import sphere
-from spherecurve.errors import DegenerateProjection, DegenerateSimplex, NotInHull
+from spherecurve import factory, homotopy, sphere
+from spherecurve.curves import UNBOUNDED, CurvatureBounds, curve_from_points, make_circle
+from spherecurve.errors import (
+    DegenerateProjection,
+    DegenerateSimplex,
+    NonPositiveSpeed,
+    NotInHull,
+)
 from spherecurve.tolerances import DEFAULT_TOL
 
 # margin tolerance of the hemisphere decision: margin > EPS means an open
@@ -104,27 +110,18 @@ class TestQuatExp:
 class TestStereographic:
     def test_antipode_of_center_maps_to_origin(self):
         pole = sphere.unit_vector([0.3, -0.4, 0.86])
-        assert np.abs(sphere.stereographic(-pole, pole)).max() < 1e-15
+        assert np.abs(sphere.StereoChart(pole).project(-pole)).max() < 1e-15
 
     def test_equator_maps_to_unit_radius(self):
         pole = np.array([0.0, 0.0, 1.0])
         p = np.array([1.0, 0.0, 0.0])
         # similar triangles: point orthogonal to the pole lands at radius 1
-        assert abs(np.linalg.norm(sphere.stereographic(p, pole)) - 1.0) < 1e-14
-
-    def test_round_trip(self, rng):
-        pole = sphere.unit_vector(rng.normal(size=3))
-        chart = sphere.StereoChart(pole)
-        pts = rng.normal(size=(1000, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts = pts[pts @ pole < 0.99]
-        back = chart.unproject(chart.project(pts))
-        assert np.abs(back - pts).max() < 1e-10
+        assert abs(np.linalg.norm(sphere.StereoChart(pole).project(p)) - 1.0) < 1e-14
 
     def test_degenerate_projection(self):
         pole = np.array([0.0, 0.0, 1.0])
         with pytest.raises(DegenerateProjection):
-            sphere.stereographic(pole, pole)
+            sphere.StereoChart(pole).project(pole)
 
     def test_projection_derivative_fd(self, rng):
         pole = sphere.unit_vector(rng.normal(size=3))
@@ -141,23 +138,115 @@ class TestStereographic:
         assert np.abs(fd - chart.project_d(p, u)).max() < 1e-5
 
 
+# Oracle of `mobius_dilate`: T_r through the stereographic chart from -h
+# (project, scale by r, map back), with derivatives by the chain rule
+# through the chart and its inverse, as the library computed it before the
+# closed form.
+
+def chart_project_d2(chart, p, u, w):
+    c = chart._check(p)
+    uc = u @ chart.pole
+    wc = w @ chart.pole
+    s = 1.0 / (1.0 - c)
+    q = (u - np.multiply.outer(uc, chart.pole)) * (s * s * wc)[..., None] \
+        + (w - np.multiply.outer(wc, chart.pole)) * (s * s * uc)[..., None] \
+        + (p - np.multiply.outer(c, chart.pole)) * (2.0 * s ** 3 * uc * wc)[..., None]
+    return np.stack([q @ chart.v1, q @ chart.v2], axis=-1)
+
+
+def chart_embed(chart, x):
+    return np.multiply.outer(x[..., 0], chart.v1) + np.multiply.outer(x[..., 1], chart.v2)
+
+
+def chart_unproject(chart, x):
+    r2 = np.sum(x ** 2, axis=-1)
+    w = 1.0 / (r2 + 1.0)
+    return (2.0 * chart_embed(chart, x)
+            + np.multiply.outer(r2 - 1.0, chart.pole)) * w[..., None]
+
+
+def chart_unproject_d(chart, x, u):
+    r2 = np.sum(x * x, axis=-1)
+    xu = np.sum(x * u, axis=-1)
+    w = 1.0 / (r2 + 1.0)
+    base = 2.0 * chart_embed(chart, x) + np.multiply.outer(r2 - 1.0, chart.pole)
+    return (2.0 * chart_embed(chart, u) + np.multiply.outer(2.0 * xu, chart.pole)) * w[..., None] \
+        - base * (2.0 * xu * w * w)[..., None]
+
+
+def chart_unproject_d2(chart, x, u, v):
+    r2 = np.sum(x * x, axis=-1)
+    xu = np.sum(x * u, axis=-1)
+    xv = np.sum(x * v, axis=-1)
+    uv = np.sum(u * v, axis=-1)
+    w = 1.0 / (r2 + 1.0)
+    base = 2.0 * chart_embed(chart, x) + np.multiply.outer(r2 - 1.0, chart.pole)
+    du = 2.0 * chart_embed(chart, u) + np.multiply.outer(2.0 * xu, chart.pole)
+    dv = 2.0 * chart_embed(chart, v) + np.multiply.outer(2.0 * xv, chart.pole)
+    return np.multiply.outer(2.0 * uv * w, chart.pole) \
+        - du * (2.0 * xv * w * w)[..., None] \
+        - dv * (2.0 * xu * w * w)[..., None] \
+        - base * (2.0 * uv * w * w - 8.0 * xu * xv * w ** 3)[..., None]
+
+
+def chart_dilate(r, h, p, dp, d2p):
+    chart = sphere.StereoChart(-np.asarray(h, dtype=float))
+    x = chart.project(p)
+    dx = chart.project_d(p, dp)
+    d2x = chart_project_d2(chart, p, dp, dp) + chart.project_d(p, d2p)
+    return (chart_unproject(chart, r * x),
+            chart_unproject_d(chart, r * x, r * dx),
+            chart_unproject_d2(chart, r * x, r * dx, r * dx)
+            + chart_unproject_d(chart, r * x, r * d2x))
+
+
+# (bounds, turns) of the circles the deform_paths benchmark shrinks
+SHRINK_SLOTS = (((0.0, math.inf), 1), ((0.5, math.inf), 2),
+                ((1.0, 4.0), 3), ((1.0, 4.0), 1))
+
+
+@st.composite
+def dilation_inputs(draw):
+    """(r, h, (p, dp, d2p)): a k-fold circle under a shrink slot's bounds or
+    a closed curve through a random open curve's points, its node
+    derivatives, a random axis h and r log-uniform in [2^-30, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        (k1, k2), k = draw(st.sampled_from(SHRINK_SLOTS))
+        bounds = CurvatureBounds(k1, k2)
+        rho = bounds.rho2 + draw(st.floats(0.05, 0.95)) * (bounds.rho1 - bounds.rho2)
+        curve = make_circle(rho, k, bounds, n=256)
+    else:
+        path = factory.random_open_curve(CurvatureBounds(-1.0, 1.0), rng, n=96)
+        try:
+            curve = curve_from_points(path.gamma, UNBOUNDED, n=256)
+        except NonPositiveSpeed:        # the closing chord doubles back
+            reject()
+    r = 2.0 ** -draw(st.floats(0.0, 30.0))
+    h = sphere.unit_vector(rng.normal(size=3))
+    return r, h, (curve.gamma, *homotopy._node_derivatives(curve))
+
+
 class TestMobius:
     def test_r_one_is_identity(self, rng):
-        pole = sphere.unit_vector(rng.normal(size=3))
+        h = sphere.unit_vector(rng.normal(size=3))
         pts = rng.normal(size=(50, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        assert np.abs(sphere.mobius_dilate(pts, 1.0, pole) - pts).max() < 1e-12
+        dp, d2p = rng.normal(size=(2, 50, 3))
+        for got, want in zip(sphere.mobius_dilate(1.0, h, pts, dp, d2p), (pts, dp, d2p)):
+            assert np.abs(got - want).max() < 1e-12
 
     def test_fixed_points(self):
-        pole = sphere.unit_vector([0.1, 0.2, 0.97])
+        h = -sphere.unit_vector([0.1, 0.2, 0.97])
+        zero = np.zeros(3)
         for r in (0.2, 0.5, 0.9):
-            assert np.abs(sphere.mobius_dilate(-pole, r, pole) + pole).max() < 1e-12
-            assert np.abs(sphere.mobius_dilate(pole, r, pole) - pole).max() < 1e-12
+            assert np.abs(sphere.mobius_dilate(r, h, -h, zero, zero)[0] + h).max() < 1e-12
+            assert np.abs(sphere.mobius_dilate(r, h, h, zero, zero)[0] - h).max() < 1e-12
 
     def test_circles_map_to_circles_plane_fit_oracle(self, rng):
-        pole = sphere.unit_vector(rng.normal(size=3))
+        h = sphere.unit_vector(rng.normal(size=3))
         center = sphere.unit_vector(rng.normal(size=3))
-        if center @ pole > 0:
+        if center @ h < 0:
             center = -center
         e = sphere.unit_vector(np.cross(center, [0.0, 1.0, 0.2]))
         f = np.cross(center, e)
@@ -165,11 +254,46 @@ class TestMobius:
         rho = 0.5
         circle = (math.cos(rho) * center[None, :]
                   + math.sin(rho) * (np.cos(t)[:, None] * e + np.sin(t)[:, None] * f))
-        image = sphere.mobius_dilate(circle, 0.4, pole)
+        zero = np.zeros_like(circle)
+        image = sphere.mobius_dilate(0.4, h, circle, zero, zero)[0]
         # plane-fit oracle: images must stay coplanar
         centered = image - image.mean(axis=0)
         _, svals, _ = np.linalg.svd(centered)
         assert svals[-1] < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(dilation_inputs())
+    def test_matches_chart_oracle(self, inputs):
+        # compared where <p, h> >= -1/2, so D >= 1/2: nearer -h, T_r
+        # magnifies the inputs' roundoff by up to 1/r and neither form can
+        # reproduce the other to 1e-14.  Of h and -h, the one keeping more
+        # nodes is used.
+        r, h, pdata = inputs
+        if np.count_nonzero(pdata[0] @ h >= -0.5) < np.count_nonzero(pdata[0] @ h <= 0.5):
+            h = -h
+        keep = pdata[0] @ h >= -0.5
+        for got, want in zip(sphere.mobius_dilate(r, h, *pdata), chart_dilate(r, h, *pdata)):
+            assert np.abs(got[keep] - want[keep]).max() <= 1e-14 * np.abs(want[keep]).max()
+
+    def test_antipode_of_axis_is_regular(self):
+        # a node at -h maps to -h and its velocity is scaled by 1/r; the
+        # chart from -h raised DegenerateProjection at that node
+        h = np.array([0.0, 0.0, 1.0])
+        circle = make_circle(0.6, 1, UNBOUNDED, n=64)
+        circle = circle.rotated(sphere.rotation_about(np.cross(circle.gamma[0], -h),
+                                                      math.acos(-circle.gamma[0][2])))
+        assert np.abs(circle.gamma[0] + h).max() < 1e-15
+        p, dp, d2p = circle.gamma.copy(), *homotopy._node_derivatives(circle)
+        # exactly at -h, with a velocity exactly tangent there
+        p[0], dp[0, 2] = -h, 0.0
+        for r in (1.0, 0.5, 2.0 ** -10):
+            q, dq, d2q = sphere.mobius_dilate(r, h, p, dp, d2p)
+            assert np.all(np.isfinite(q)) and np.all(np.isfinite(dq)) and np.all(np.isfinite(d2q))
+            assert np.abs(q[0] + h).max() < 1e-15
+            assert np.abs(dq[0] - dp[0] / r).max() <= 1e-15 * np.abs(dp[0]).max() / r
+        shrunk = homotopy.mobius_shrink_curve(circle, 0.5, h)
+        assert np.abs(shrunk.gamma[0] + h).max() < 1e-15
+        assert np.all(np.isfinite(shrunk.kappa))
 
 
 def closest_on_triangle(a, b, c):
