@@ -149,11 +149,6 @@ class CausticCurve:
     t: np.ndarray
     chi: np.ndarray
 
-    def diameter(self) -> float:
-        pts = self.chi
-        return float(max(np.linalg.norm(pts - pts[i], axis=1).max()
-                         for i in range(0, len(pts), max(1, len(pts) // 64))))
-
 
 def caustic_curve(curve: AdmissibleCurve) -> CausticCurve:
     rho = curve.rho

@@ -78,58 +78,149 @@ def classification_cloud(curve: AdmissibleCurve) -> np.ndarray:
                       math.cos(rho0) * g + math.sin(rho0) * nr])
 
 
-# parallel-tangent pairs tested against the fiber per array block, the
-# points of the fiber walked per pair, and the slack of the cap bound that
-# covers the 1e-6 off-circle tolerance of that walk
-_WITNESS_BLOCK = 1024
-_WITNESS_STEPS = 64
-_CAP_SLACK = 2e-6
+# slack of the cap bound: roundoff in the Gram of the fiber midpoints
+_CAP_SLACK = 1e-12
 
 
-def _meeting_pairs(curve: AdmissibleCurve, lo: float, hi: float,
+def _meeting_pairs(g: np.ndarray, nr: np.ndarray, lo: float, hi: float,
                    tol: ToleranceProfile):
-    """Strided nodes idx and the pairs ii < jj of them, in row-major order,
-    whose fiber midpoints c = C(t, (lo + hi) / 2) pass the cap bound
-    <c_i, c_j> <= -cos(hi - lo) + `_CAP_SLACK`."""
-    idx = np.arange(0, curve.n, _classify_stride(curve, tol))
+    """Fiber pairs ii < jj, in row-major order, that can come within
+    `tol.antipodal_chord` of each other's antipodes, and a lower bound on
+    the chord of every other pair (inf when there is none).
+
+    Fiber k is the arc cos theta g_k + sin theta nr_k, theta in [lo, hi],
+    of length L = hi - lo about its midpoint c_k.  A point x of arc i and y
+    of arc j have angle(x, -y) >= arccos(-<c_i, c_j>) - L, so a pair whose
+    chord |x + y| can fall below the tolerance has <c_i, c_j> <=
+    -cos(min(pi, L + delta)), delta = 2 asin(antipodal_chord / 2).  The
+    other pairs are dropped, and 2 sin((arccos(-min <c_i, c_j>) - L) / 2)
+    over them bounds their chords from below.  `_CAP_SLACK` widens both
+    tests against roundoff in the Gram.
+    """
     mid = 0.5 * (lo + hi)
-    c = math.cos(mid) * curve.gamma[idx] + math.sin(mid) * curve.normal[idx]
-    ii, jj = np.nonzero(np.triu(c @ c.T <= -math.cos(hi - lo) + _CAP_SLACK, 1))
-    return idx, ii, jj
+    c = math.cos(mid) * g + math.sin(mid) * nr
+    gram = c @ c.T
+    delta = 2.0 * math.asin(min(1.0, 0.5 * tol.antipodal_chord))
+    reach = min(math.pi, hi - lo + delta)
+    keep = np.triu(gram <= _CAP_SLACK - math.cos(reach), 1)
+    dropped = gram[~(keep | np.tri(len(c), dtype=bool))]
+    bound = math.inf
+    if dropped.size:
+        gap = math.acos(min(1.0, _CAP_SLACK - float(dropped.min()))) - (hi - lo)
+        bound = 2.0 * math.sin(0.5 * max(0.0, gap))
+    ii, jj = np.nonzero(keep)
+    return ii, jj, bound
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> of (3, rows) coordinates, summed in one fixed order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
+def _end_chords(p: np.ndarray, g: np.ndarray, nr: np.ndarray, lo: float,
+                hi: float, to_lo: np.ndarray, to_hi: np.ndarray):
+    """Least chord |p + C(theta)| over theta in [lo, hi] and its angle,
+    C(theta) = cos theta g + sin theta nr, for each column of the (3, rows)
+    coordinates.  The nearest point of the great circle to -p is at
+    phi = atan2(<-p, nr>, <-p, g>), so the least is at phi clipped to
+    [lo, hi] or at an end; to_lo and to_hi are the chords to the ends.
+    Ties go to the first of (clipped, lo, hi).
+    """
+    theta = np.clip(np.arctan2(-_dot(p, nr), -_dot(p, g)), lo, hi)
+    chord = _norm(p + np.cos(theta) * g + np.sin(theta) * nr)
+    for to_end, end in ((to_lo, lo), (to_hi, hi)):
+        nearer = to_end < chord
+        chord = np.where(nearer, to_end, chord)
+        theta = np.where(nearer, end, theta)
+    return chord, theta
 
 
 def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
                             hi_margin: float = 0.0,
                             tol: ToleranceProfile = DEFAULT_TOL):
-    """Exact antipodal pair of caustic-band points, or None.
+    """Least chord between the caustic band's fibers and their antipodes.
 
-    Fibers of the band over two parameters are arcs of great circles; two
-    great circles intersect in an antipodal pair of points, computed from
-    the cross product of the tangents.  The search scans node pairs and
-    returns ((i, theta_i), (j, theta_j), defect) with both angles in
-    [lo, hi], hi = rho0 - hi_margin, and the measured defect
-    |C(t_i, theta_i) + C(t_j, theta_j)| (roundoff for crossing fibers).
-    Only the pairs whose fibers can meet are scanned (`_meeting_pairs`).
-    Each fiber is an arc of length hi - lo about its midpoint
-    c = C(t, (lo + hi) / 2), so a point w on fiber i with -w on fiber j
-    puts c_i within hi - lo of -c_j: <c_i, c_j> <= -cos(hi - lo).  Pairs
-    above that bound plus a slack of 2e-6 are dropped; the slack covers
-    the 1e-6 off-circle tolerance of the parallel-tangent test below, as
-    cos(x + d) >= cos x - d.  The kept pairs stay in row-major order, so
-    the result is bit for bit that of the scan over every pair.
+    The fiber over t is the arc C(t, theta) = cos theta gamma(t) +
+    sin theta n(t), theta in [lo, hi], hi = rho0 - hi_margin, of the great
+    circle orthogonal to T(t).  Over the pairs i < j of strided nodes (the
+    stride of `_classify_stride`) this finds the least chord
+    |C(t_i, theta_i) + C(t_j, theta_j)| and returns (pair, chord).  pair
+    is ((i, theta_i), (j, theta_j)), node indices with fiber angles, when
+    the chord is below `tol.antipodal_chord`, else None; then chord is a
+    lower bound on every strided pair's chord: the least exact chord of
+    the pairs `_meeting_pairs` keeps and its cap bound on the others.
 
-    Node pairs with near-parallel tangents share the same great circle; for
-    those, 64 points of fiber j are tested for membership in fiber i, all
-    pairs of a block at once, and the first hit in pair-then-point order
-    is returned.
+    Crossings come first.  The great circles of fibers i and j meet in
+    +-w, w along T_i x T_j, and the pair crosses when both angles of w and
+    -w lie in [lo, hi]; the crossing with the largest angle margin is
+    returned with its measured chord (roundoff).  With no crossing, the
+    least chord of two arcs is at an end of one of them: for each of the
+    four ends p, the nearest point of the other fiber to -p is at the
+    angle atan2(<-p, n>, <-p, gamma>) clipped to [lo, hi], or at an end
+    (`_end_chords`).  The same formula covers fibers on one great circle
+    (tangents within 1e-8 of parallel), which the crossing test skips; two
+    such fibers whose circles cross inside both arcs get a chord within
+    about 1e-8 of 0.  An empty range, lo > hi, gives (None, inf).
+
+    Known limit: only the fibers over strided nodes are tested, so a chord
+    below the tolerance between fibers over the nodes in between is missed.
     """
-    rho0 = curve.bounds.rho1
-    hi = rho0 - hi_margin
-    idx, ii, jj = _meeting_pairs(curve, lo, hi, tol)
-    g = curve.gamma[idx]
-    tg = curve.tangent[idx]
-    nr = curve.normal[idx]
+    idx = np.arange(0, curve.n, _classify_stride(curve, tol))
+    pair, chord = _fiber_witness(curve.gamma[idx], curve.tangent[idx],
+                                 curve.normal[idx], lo,
+                                 curve.bounds.rho1 - hi_margin, tol)
+    if pair is None:
+        return None, chord
+    (i, th_i), (j, th_j) = pair
+    return ((int(idx[i]), th_i), (int(idx[j]), th_j)), chord
 
+
+def _fiber_witness(g: np.ndarray, tg: np.ndarray, nr: np.ndarray,
+                   lo: float, hi: float, tol: ToleranceProfile):
+    """`antipodal_fiber_witness` on the fibers cos theta g_k + sin theta
+    nr_k, theta in [lo, hi], tg_k normal to each; pair indices are rows."""
+    if hi < lo:                 # empty arcs
+        return None, math.inf
+    ii, jj, bound = _meeting_pairs(g, nr, lo, hi, tol)
+    pair = _crossing(g, tg, nr, ii, jj, lo, hi)
+    if pair is not None:
+        (i, th_i), (j, th_j) = pair
+        c_i = math.cos(th_i) * g[i] + math.sin(th_i) * nr[i]
+        c_j = math.cos(th_j) * g[j] + math.sin(th_j) * nr[j]
+        return pair, float(np.linalg.norm(c_i + c_j))
+    if ii.size == 0:
+        return None, bound
+
+    # (3, pairs) coordinates of both fibers and their ends, the chords
+    # between the ends, then the least chord of each end against the other
+    # fiber: lo and hi of fiber i, then lo and hi of fiber j
+    g_t, nr_t = np.ascontiguousarray(g.T), np.ascontiguousarray(nr.T)
+    gi, ni, gj, nj = g_t[:, ii], nr_t[:, ii], g_t[:, jj], nr_t[:, jj]
+    ends_i = [np.cos(a) * gi + np.sin(a) * ni for a in (lo, hi)]
+    ends_j = [np.cos(a) * gj + np.sin(a) * nj for a in (lo, hi)]
+    between = [[_norm(e_i + e_j) for e_j in ends_j] for e_i in ends_i]
+    chords, thetas = zip(
+        *[_end_chords(ends_i[a], gj, nj, lo, hi, *between[a]) for a in (0, 1)],
+        *[_end_chords(ends_j[b], gi, ni, lo, hi, between[0][b], between[1][b])
+          for b in (0, 1)])
+    k, r = np.unravel_index(int(np.argmin(np.stack(chords, axis=1))),
+                            (ii.size, 4))
+    chord = float(chords[r][k])
+    if chord >= tol.antipodal_chord:
+        return None, min(chord, bound)
+    end, other = (lo, hi)[r % 2], float(thetas[r][k])
+    th_i, th_j = (end, other) if r < 2 else (other, end)
+    return ((int(ii[k]), th_i), (int(jj[k]), th_j)), chord
+
+
+def _crossing(g, tg, nr, ii, jj, lo, hi):
+    """The pair of `ii`, `jj` whose great circles cross inside both arcs
+    with the largest angle margin, as ((i, theta_i), (j, theta_j)), or
+    None.  Tangents within 1e-8 of parallel are skipped."""
     u = np.cross(tg[ii], tg[jj])
     norms = np.linalg.norm(u, axis=1)
     ok = norms > 1e-8
@@ -151,56 +242,28 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
                 margin = np.where(feas, margin, -np.inf)
                 k = int(np.argmax(margin))
                 if margin[k] > best:
-                    pair = ((int(idx[i_ok[k]]), float(th_i[k])),
-                            (int(idx[j_ok[k]]), float(th_j[k])))
+                    pair = ((int(i_ok[k]), float(th_i[k])),
+                            (int(j_ok[k]), float(th_j[k])))
                     best = margin[k]
-
-    if pair is None:
-        # parallel-tangent pairs: both fibers live on one great circle
-        i_par, j_par = ii[~ok], jj[~ok]
-        par = np.abs(np.einsum("ij,ij->i", g[j_par], tg[i_par])) < 1e-6
-        i_par, j_par = i_par[par], j_par[par]
-        steps = np.linspace(0.0, rho0, _WITNESS_STEPS)
-        in_range = (steps >= lo) & (steps <= hi)
-        c, s = np.cos(steps)[None, :, None], np.sin(steps)[None, :, None]
-        for start in range(0, i_par.size, _WITNESS_BLOCK):
-            bi = i_par[start:start + _WITNESS_BLOCK]
-            bj = j_par[start:start + _WITNESS_BLOCK]
-            p = -(c * g[bj, None, :] + s * nr[bj, None, :])   # (pairs, steps, 3)
-            a = np.arctan2(np.einsum("psk,pk->ps", p, nr[bi]),
-                           np.einsum("psk,pk->ps", p, g[bi]))
-            hit = ((a >= lo) & (a <= hi) & in_range
-                   & (np.abs(np.einsum("psk,pk->ps", p, tg[bi])) < 1e-6))
-            if np.any(hit):
-                k, step = np.unravel_index(int(np.argmax(hit)), hit.shape)
-                pair = ((int(idx[bi[k]]), float(a[k, step])),
-                        (int(idx[bj[k]]), float(steps[step])))
-                break
-
-    if pair is None:
-        return None
-    (i, th_i), (j, th_j) = pair
-    c_i = math.cos(th_i) * curve.gamma[i] + math.sin(th_i) * curve.normal[i]
-    c_j = math.cos(th_j) * curve.gamma[j] + math.sin(th_j) * curve.normal[j]
-    return (*pair, float(np.linalg.norm(c_i + c_j)))
+    return pair
 
 
 @dataclasses.dataclass(frozen=True)
 class CondensedStatus:
-    """Outcome of the hemisphere and antipodal tests on the caustic cloud.
+    """Outcome of the hemisphere and antipodal tests on the caustic band.
 
     `margin` is the signed distance from the origin to the hull of
     `classification_cloud(curve)`, independent of the curve's placement,
     and `hemisphere` its max-margin direction (`sphere.best_hemisphere`).
-    `antipodal_defect` has three forms.  When 2 margin >=
-    `tol.antipodal_chord` it is 2 margin, a certified lower bound on
-    |x + y| over band points x, y, and `antipodal_pair` is None.  Else,
-    when the fiber witness finds an exact pair, the pair is ((i, theta_i),
-    (j, theta_j)), node indices with fiber angles, and the defect is the
-    measured |C(t_i, theta_i) + C(t_j, theta_j)|.  Else the Gram search
-    over at most 4096 cloud rows gives the smallest chord |x + y|, and the
-    pair is those rows (x, y) when it is below `tol.antipodal_chord` (the
-    curve is diffuse), else None.  The status keeps no samples.
+    `antipodal_defect` bounds the chord |x + y| over band points x, y.
+    When 2 margin >= `tol.antipodal_chord` it is 2 margin, certified since
+    |x + y| >= <x + y, h> >= 2 margin, and `antipodal_pair` is None.
+    Otherwise it is what `antipodal_fiber_witness` returns: with a pair
+    ((i, theta_i), (j, theta_j)), node indices with fiber angles, the
+    measured chord |C(t_i, theta_i) + C(t_j, theta_j)|, below the
+    tolerance (the curve is diffuse); without one, a lower bound on the
+    chord between the fibers over any two strided nodes.  Fibers between
+    strided nodes are not tested.  The status keeps no samples.
     """
 
     condensed: bool
@@ -222,32 +285,6 @@ class CondensedStatus:
         return "Neither"
 
 
-# rows of the Gram matrix held at once by the antipodal search
-_ANTIPODAL_BLOCK = 64
-
-
-def _most_antipodal(points: np.ndarray) -> tuple[float, int, int]:
-    """(chord, i, j) of the most nearly antipodal pair of unit vectors.
-
-    For unit vectors |x + y|^2 = 2 + 2<x, y>, so each point's most
-    antipodal partner minimizes its row of the Gram matrix.  The rows are
-    formed in blocks of `_ANTIPODAL_BLOCK`, so the temporaries take
-    O(block x N) memory, and the chord |x + y| is measured directly on the
-    N (point, partner) pairs.  A nearest-neighbour tree cannot prune here:
-    every query -x lies far from the cloud.
-    """
-    n = points.shape[0]
-    partner = np.empty(n, dtype=np.intp)
-    for start in range(0, n, _ANTIPODAL_BLOCK):
-        block = points[start:start + _ANTIPODAL_BLOCK]
-        partner[start:start + block.shape[0]] = np.argmin(block @ points.T,
-                                                          axis=1)
-    s = points + points[partner]
-    chord = np.sqrt(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2])
-    i = int(np.argmin(chord))
-    return float(chord[i]), i, int(partner[i])
-
-
 def condensed_status(curve: AdmissibleCurve,
                      tol: ToleranceProfile = DEFAULT_TOL) -> CondensedStatus:
     """Condensed and diffuse flags for a closed curve in (kappa0, +inf) form.
@@ -256,21 +293,15 @@ def condensed_status(curve: AdmissibleCurve,
     the equatorial regime where the hemisphere margin is numerically zero
     and the condensed side of the label cannot be trusted.
     """
-    cloud = classification_cloud(curve)
-    h, margin = sphere.best_hemisphere(cloud)
+    h, margin = sphere.best_hemisphere(classification_cloud(curve))
     condensed = margin >= -tol.feasibility_margin
     borderline = abs(margin) < tol.borderline_margin
 
     if 2.0 * margin >= tol.antipodal_chord:    # |x + y| >= <x + y, h> >= 2m
-        diffuse, pair, defect = False, None, 2.0 * margin
-    elif (witness := antipodal_fiber_witness(curve, tol=tol)) is not None:
-        diffuse, pair, defect = True, witness[:2], witness[2]
+        pair, defect = None, 2.0 * margin
     else:
-        sub = cloud[:: -(-cloud.shape[0] // 4096)]
-        defect, i, j = _most_antipodal(sub)
-        diffuse = defect < tol.antipodal_chord
-        pair = (sub[i].copy(), sub[j].copy()) if diffuse else None
-    return CondensedStatus(condensed=bool(condensed), diffuse=bool(diffuse),
+        pair, defect = antipodal_fiber_witness(curve, tol=tol)
+    return CondensedStatus(condensed=bool(condensed), diffuse=pair is not None,
                            borderline=bool(borderline), margin=float(margin),
                            hemisphere=h if condensed else None,
                            antipodal_pair=pair,

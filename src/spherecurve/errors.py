@@ -81,10 +81,6 @@ class NotNonCondensed(SphereCurveError):
     """Operation requires a non-condensed curve."""
 
 
-class AntipodalDefect(SphereCurveError):
-    """Best antipodal witness pair is not accurate enough to graft against."""
-
-
 class ContinuationDiverged(SphereCurveError):
     """Newton continuation failed to restore the endpoint frame."""
 

@@ -68,11 +68,6 @@ class AcceptableBand:
         return dist(self.theta_plus, self.theta_minus), \
             dist(self.theta_minus, self.theta_plus)
 
-    def is_good(self, tol_band: float) -> bool:
-        d_plus, d_minus = self.boundary_distances()
-        return bool(np.abs(d_plus - self.R).max() <= tol_band
-                    and np.abs(d_minus - self.R).max() <= tol_band)
-
 
 @dataclasses.dataclass(frozen=True)
 class GoodBand(AcceptableBand):

@@ -31,7 +31,6 @@ from .curves import (
     total_curvature,
 )
 from .errors import (
-    AntipodalDefect,
     BoundViolation,
     BudgetExceeded,
     ContinuationDiverged,
@@ -156,21 +155,6 @@ class GraftRecord:
     arcs: tuple
     frame_defect: float
 
-    def result_vk_at(self, u: float):
-        """(speed, kappa) of the result at parameter u, from the exact
-        splice structure rather than the resampled grid."""
-        offset = 0.0
-        for arc in self.arcs:
-            start = self.phi(arc.t)
-            if start <= u < start + arc.sigma:
-                return math.sin(arc.rho), cot(arc.rho)
-            if u >= start + arc.sigma:
-                offset += arc.sigma
-        t = min(max(u - offset, 0.0), self.base.domain)
-        v, k = self.base.interval_vk()
-        i = min(int(t / self.base.dt), self.base.n - 1)
-        return float(v[i]), float(k[i])
-
 
 def ensure_curvature_param(curve: AdmissibleCurve,
                            tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
@@ -280,13 +264,21 @@ def _record(base, result, ins, defect):
 # Grafting circles at antipodal caustic points (diffuse curves)
 # ------------------------------------------------------------------ #
 
+# largest witness chord grafted at: a crossing of two fibers (roundoff), or
+# two fibers on one great circle that overlap
+_GRAFT_CHORD = 1e-6
+
+
 def graft_antipodal_circles(curve: AdmissibleCurve, s: float,
                             tol: ToleranceProfile = DEFAULT_TOL):
     """Insert two arcs of length s at antipodal caustic points.
 
     The two inserted rotations exp(s chi/2) exp(-s chi/2) cancel exactly, so
     the endpoint lifted frame is conserved and the total curvature grows by
-    exactly 2 s.  Requires a diffuse curve in (kappa0, +inf) form.
+    exactly 2 s.  Requires a diffuse curve in (kappa0, +inf) form.  The
+    points are the pair of `antipodal_fiber_witness` with angles 1e-9
+    inside the band; a pair whose chord exceeds 1e-6 is a near miss, not
+    an antipodal pair, and raises NotDiffuse like no pair at all.
     """
     if s < 0:
         raise DomainError("graft length must be nonnegative")
@@ -295,14 +287,13 @@ def graft_antipodal_circles(curve: AdmissibleCurve, s: float,
         return base, _record(base, base, (), 0.0)
 
     margin = 1e-9
-    witness = antipodal_fiber_witness(base, lo=margin, hi_margin=margin, tol=tol)
-    if witness is None:
+    pair, chord = antipodal_fiber_witness(base, lo=margin, hi_margin=margin,
+                                          tol=tol)
+    if pair is None:
         raise NotDiffuse("no antipodal caustic witness at this resolution")
-    (i1, th1), (i2, th2), defect_w = witness
-    if i1 == i2:
-        raise NotDiffuse("witness pair degenerated to a single fiber")
-    if defect_w > tol.antipodal_chord:
-        raise AntipodalDefect(f"witness defect {defect_w:.3e}")
+    if chord > _GRAFT_CHORD:
+        raise NotDiffuse(f"nearest antipodal caustic points miss by {chord:.3e}")
+    (i1, th1), (i2, th2) = pair
 
     ins = (ArcInsertion(t=base.grid[i1], rho=th1, sigma=s),
            ArcInsertion(t=base.grid[i2], rho=th2, sigma=s))

@@ -60,14 +60,6 @@ def quat_conj(q) -> np.ndarray:
     return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n < 1e-12:
-        raise ValueError("cannot normalize a near-zero quaternion")
-    return q / n
-
-
 def quat_exp(v) -> np.ndarray:
     """Exponential of pure-imaginary quaternions given by their 3-vector parts.
 
@@ -187,15 +179,9 @@ class StereoChart:
             raise DegenerateProjection("point coincides with projection center")
         return c
 
-    def project(self, p) -> np.ndarray:
-        """Map points of S^2 (shape (3,) or (M,3)) to plane coordinates."""
-        p = np.asarray(p, dtype=float)
-        c = self._check(p)
-        q = (p - np.multiply.outer(c, self.pole)) / (1.0 - c)[..., None]
-        return np.stack([q @ self.v1, q @ self.v2], axis=-1)
-
     def project_d(self, p, u) -> np.ndarray:
-        """Differential of `project` at p applied to a tangent vector u."""
+        """Differential of the projection at p (shape (3,) or (M, 3))
+        applied to a tangent vector u, in plane coordinates."""
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
         c = self._check(p)
@@ -344,13 +330,6 @@ class SphericalSimplex:
     vertices: np.ndarray        # (k, 3), k = 1 or 4
     weights: np.ndarray         # (k,), positive, sums to 1
     indices: np.ndarray         # positions of the vertices in the input list
-
-    def combination(self) -> np.ndarray:
-        return self.weights @ self.vertices
-
-    def check(self, tol: float = 1e-10) -> bool:
-        w = self.weights
-        return bool(np.all(w > 0) and abs(w.sum() - 1.0) <= tol)
 
 
 def _strict_hull(w: np.ndarray):

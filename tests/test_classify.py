@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 import spherecurve as sc
 from spherecurve import classify, factory
-from spherecurve.errors import DomainError, NoGapFound, NotCondensed, WindingResidual
+from spherecurve.errors import (
+    DomainError,
+    NoGapFound,
+    NonPositiveSpeed,
+    NotCondensed,
+    WindingResidual,
+)
 
 
 class TestComponentCount:
@@ -380,24 +385,36 @@ class TestOneAnalysisPerLabel:
 
 
 def loop_antipodal_fiber_witness(curve, lo=0.0, hi_margin=0.0, tol=sc.DEFAULT_TOL):
-    """The witness search over every strided node pair, with the
-    parallel-tangent fallback walking each pair's fiber point by point."""
-    pair = _loop_witness_pair(curve, lo, hi_margin, tol)
-    if pair is None:
-        return None
-    (i, th_i), (j, th_j) = pair
-    c_i = math.cos(th_i) * curve.gamma[i] + math.sin(th_i) * curve.normal[i]
-    c_j = math.cos(th_j) * curve.gamma[j] + math.sin(th_j) * curve.normal[j]
-    return (*pair, float(np.linalg.norm(c_i + c_j)))
-
-
-def _loop_witness_pair(curve, lo, hi_margin, tol):
-    rho0 = curve.bounds.rho1
-    hi = rho0 - hi_margin
-    stride = classify._classify_stride(curve, tol)
-    idx = np.arange(0, curve.n, stride)
+    """The witness over every strided node pair, unpruned: the max-margin
+    crossing when a pair crosses, else each pair's least endpoint chord,
+    one first fiber at a time.  Returns (pair, chord) with the exact least
+    chord over every pair when no pair is below `tol.antipodal_chord`."""
+    hi = curve.bounds.rho1 - hi_margin
+    idx = np.arange(0, curve.n, classify._classify_stride(curve, tol))
     g, tg, nr = curve.gamma[idx], curve.tangent[idx], curve.normal[idx]
-    ii, jj = np.triu_indices(idx.size, k=1)
+    pair = _loop_crossing(g, tg, nr, lo, hi)
+    if pair is not None:
+        (i, th_i), (j, th_j) = pair
+        c_i = math.cos(th_i) * g[i] + math.sin(th_i) * nr[i]
+        c_j = math.cos(th_j) * g[j] + math.sin(th_j) * nr[j]
+        return (((int(idx[i]), th_i), (int(idx[j]), th_j)),
+                float(np.linalg.norm(c_i + c_j)))
+    ends = [np.cos(a) * g + np.sin(a) * nr for a in (lo, hi)]
+    best, pair = math.inf, None
+    for i in range(idx.size - 1):
+        js = np.arange(i + 1, idx.size)
+        chords, th_i, th_j = _loop_end_chords(ends, g, nr, i, js, lo, hi)
+        k = int(np.argmin(chords))
+        if chords.flat[k] < best:
+            row, col = divmod(k, chords.shape[1])
+            best = float(chords.flat[k])
+            pair = ((int(idx[i]), float(th_i[row, col])),
+                    (int(idx[js[row]]), float(th_j[row, col])))
+    return (pair if best < tol.antipodal_chord else None), best
+
+
+def _loop_crossing(g, tg, nr, lo, hi):
+    ii, jj = np.triu_indices(len(g), k=1)
     u = np.cross(tg[ii], tg[jj])
     norms = np.linalg.norm(u, axis=1)
     ok = norms > 1e-8
@@ -418,24 +435,40 @@ def _loop_witness_pair(curve, lo, hi_margin, tol):
                 margin = np.where(feas, margin, -np.inf)
                 k = int(np.argmax(margin))
                 if best is None or margin[k] > best[2]:
-                    best = ((int(idx[i_ok[k]]), float(th_i[k])),
-                            (int(idx[j_ok[k]]), float(th_j[k])), float(margin[k]))
-    if best is not None:
-        return best[:2]
-    par = (~ok) & (np.abs(np.einsum("ij,ij->i", g[jj], tg[ii])) < 1e-6)
-    steps = np.linspace(0.0, rho0, 64)
-    c, s = np.cos(steps)[None, :, None], np.sin(steps)[None, :, None]
-    for i_p, j_p in zip(ii[par], jj[par]):
-        # one pair's fiber points, by the kernels of the batched walk, so
-        # the angles agree to the bit (libm atan2 and a @ b do not)
-        p = -(c * g[[j_p], None, :] + s * nr[[j_p], None, :])
-        a = np.arctan2(np.einsum("psk,pk->ps", p, nr[[i_p]]),
-                       np.einsum("psk,pk->ps", p, g[[i_p]]))[0]
-        off = np.einsum("psk,pk->ps", p, tg[[i_p]])[0]
-        for step, th_j in enumerate(steps):
-            if lo <= a[step] <= hi and lo <= th_j <= hi and abs(off[step]) < 1e-6:
-                return (int(idx[i_p]), float(a[step])), (int(idx[j_p]), float(th_j))
-    return None
+                    best = ((int(i_ok[k]), float(th_i[k])),
+                            (int(j_ok[k]), float(th_j[k])), float(margin[k]))
+    return None if best is None else best[:2]
+
+
+def _loop_end_chords(ends, g, nr, i, js, lo, hi):
+    """(chords, theta_i, theta_j), each (len(js), 4): the least chord of
+    the end lo, then hi, of fiber i, then of each fiber j, against the
+    other fiber, at the nearest of its clipped angle, lo and hi (the first
+    on ties).  The arithmetic follows `classify._end_chords` step by step,
+    so the chords agree to the bit."""
+    def dot(a, b):
+        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+    between = [[np.sqrt(dot(s, s)) for s in (ends[a][i] + ends[b][js] for b in (0, 1))]
+               for a in (0, 1)]
+    chords, th_i, th_j = [], [], []
+    for end_on_i in (True, False):
+        for a, th_end in enumerate((lo, hi)):
+            if end_on_i:
+                p, go, no, to_lo, to_hi = ends[a][i], g[js], nr[js], *between[a]
+            else:
+                p, go, no = ends[a][js], g[i], nr[i]
+                to_lo, to_hi = between[0][a], between[1][a]
+            phi = np.clip(np.arctan2(-dot(p, no), -dot(p, go)), lo, hi)
+            s = p + np.cos(phi)[:, None] * go + np.sin(phi)[:, None] * no
+            best, th = np.sqrt(dot(s, s)), phi
+            for to, th_to in ((to_lo, lo), (to_hi, hi)):
+                nearer = to < best
+                best, th = np.where(nearer, to, best), np.where(nearer, th_to, th)
+            chords.append(best)
+            th_i.append(np.full(js.size, th_end) if end_on_i else th)
+            th_j.append(th if end_on_i else np.full(js.size, th_end))
+    return tuple(np.stack(x, axis=1) for x in (chords, th_i, th_j))
 
 
 def loop_count_fiber_hits(curve, b):
@@ -462,37 +495,40 @@ def loop_count_fiber_hits(curve, b):
     return count
 
 
+def assert_matches_loop(got, want):
+    """Bit for bit when the oracle finds a pair; else no pair, and a chord
+    no larger than the oracle's exact least chord."""
+    if want[0] is not None:
+        assert got == want
+    else:
+        assert got[0] is None and got[1] <= want[1]
+
+
 class TestBatchedWitness:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_k_fold_circles_match_loop(self, k):
-        # (kappa1, rho): no antipodal pair (every parallel pair walked),
-        # a hit deep inside fiber j, a hit at its start
+        # (kappa1, rho): no antipodal pair (the fibers over t and t + pi
+        # share a great circle and miss by 2 cos 0.8), a crossing deep
+        # inside fiber j, a crossing at its start
         for kappa1, rho in ((0.0, 0.8), (-1.0, 0.4), (-0.3, 1.7)):
             curve = sc.make_circle(rho, k, sc.CurvatureBounds(kappa1, math.inf),
                                    n=256)
             reduced, _ = classify.reduce_to_k0(curve)
             got = classify.antipodal_fiber_witness(reduced)
             want = loop_antipodal_fiber_witness(reduced)
-            assert (got is None) == (want is None) == (kappa1 == 0.0)
-            if got is not None:
-                self.assert_same_pair(reduced, got, want)
+            assert_matches_loop(got, want)
+            assert (got[0] is None) == (kappa1 == 0.0)
+            if kappa1 == 0.0:
+                assert abs(want[1] - 2.0 * math.cos(rho)) < 1e-12
+            else:
+                assert got[1] < 1e-12
 
     def test_diffuse_example_matches_loop(self, diffuse_curve):
         reduced, _ = classify.reduce_to_k0(diffuse_curve)
         for lo, hi_margin in ((0.0, 0.0), (1e-9, 1e-9)):
             got = classify.antipodal_fiber_witness(reduced, lo, hi_margin)
-            self.assert_same_pair(
-                reduced, got, loop_antipodal_fiber_witness(reduced, lo, hi_margin))
-
-    @staticmethod
-    def assert_same_pair(curve, got, want):
-        (i, th_i), (j, th_j), defect = got
-        assert (i, j) == (want[0][0], want[1][0])
-        assert abs(th_i - want[0][1]) < 1e-12 and abs(th_j - want[1][1]) < 1e-12
-        chi_i = math.cos(th_i) * curve.gamma[i] + math.sin(th_i) * curve.normal[i]
-        chi_j = math.cos(th_j) * curve.gamma[j] + math.sin(th_j) * curve.normal[j]
-        assert defect == float(np.linalg.norm(chi_i + chi_j))
-        assert defect < 1e-12
+            assert got == loop_antipodal_fiber_witness(reduced, lo, hi_margin)
+            assert got[1] < 1e-12
 
     def test_status_reports_the_measured_defect(self, diffuse_curve):
         st = classify.condensed_status(diffuse_curve)
@@ -557,112 +593,121 @@ class TestStatusCarriesCloud:
         assert builds == []
 
 
-def tree_most_antipodal(points):
-    """The k-d tree search `condensed_status` used before: (chord, i, j)."""
-    d, nearest = cKDTree(points).query(-points, k=1)
-    k = int(np.argmin(d))
-    return float(d[k]), k, int(nearest[k])
+def random_frame(rng):
+    """Rows e1, e2, e3 of a random orthonormal frame."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q.T
 
 
-def _unit_rows(x):
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def _cap(rng, axis, radius, size):
-    """`size` points within angle `radius` of the unit vector `axis`."""
-    from spherecurve import sphere
-    e, f = sphere.plane_basis(axis)
-    ang = radius * np.sqrt(rng.uniform(size=size))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
-    return (np.cos(ang)[:, None] * axis
-            + np.sin(ang)[:, None] * (np.cos(phi)[:, None] * e
-                                      + np.sin(phi)[:, None] * f))
+def near_miss_fibers(chord, lo, hi, at_hi, rng):
+    """(g, tg, nr) of two fibers over [lo, hi] whose least chord is
+    `chord`, between the end hi (at_hi) or lo of fiber 0 and the middle of
+    fiber 1: the antipode of fiber 1 meets the great circle of fiber 0 at
+    right angles, at the angle a = 2 asin(chord / 2) beyond that end."""
+    e1, e2, e3 = random_frame(rng)
+    a = 2.0 * math.asin(0.5 * chord)
+    q = math.cos(hi + a if at_hi else lo - a) * e1 \
+        + math.sin(hi + a if at_hi else lo - a) * e2
+    mid = 0.5 * (lo + hi)
+    # cos theta g1 + sin theta n1 = -(cos(theta - mid) q + sin(theta - mid) e3)
+    g1 = -(math.cos(mid) * q - math.sin(mid) * e3)
+    n1 = -(math.sin(mid) * q + math.cos(mid) * e3)
+    return (np.array([e1, g1]), np.array([e3, np.cross(g1, n1)]),
+            np.array([e2, n1]))
 
 
 @st.composite
-def antipodal_clouds(draw):
-    """(points, below): random, cap, k-fold circle or threshold-pair clouds.
-
-    A threshold cloud is a cap of half-angle 1 plus one point whose chord
-    to the cap's first point is just below (below=True) or just above
-    (below=False) `antipodal_chord`; every other cap point keeps 0.01 away
-    from that first point.  below is None for the other kinds.
-    """
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    kind = draw(st.sampled_from(["random", "cap", "circle", "threshold"]))
-    size = draw(st.integers(2, 600))
-    rng = np.random.default_rng(seed)
-    axis = _unit_rows(rng.normal(size=(1, 3)))[0]
-    below = None
-    if kind == "random":
-        pts = _unit_rows(rng.normal(size=(size, 3)))
-    elif kind == "cap":
-        pts = _cap(rng, axis, draw(st.floats(0.05, 1.5)), size)
-    elif kind == "circle":
-        # k copies of one circle: every point has k exactly tied partners;
-        # mirrored, the cloud holds a whole latitude band's symmetry
-        k = draw(st.integers(1, 5))
-        m = max(1, size // k)
-        z = draw(st.floats(-0.99, 0.99))
-        th = np.tile(np.linspace(0.0, 2.0 * math.pi, m, endpoint=False), k)
-        r = math.sqrt(1.0 - z * z)
-        pts = np.stack([r * np.cos(th), r * np.sin(th), np.full(th.size, z)],
-                       axis=1)
-        if draw(st.booleans()):
-            pts = np.vstack([pts, pts * [1.0, 1.0, -1.0]])
-    else:
-        below = draw(st.booleans())
-        pts = _cap(rng, axis, 1.0, size)
-        x = pts[0]
-        pts = np.vstack([x, pts[np.linalg.norm(pts - x, axis=1) > 0.01]])
-        chord = sc.DEFAULT_TOL.antipodal_chord * (1.0 - 1e-6 if below
-                                                  else 1.0 + 1e-6)
-        v = np.cross(x, _unit_rows(rng.normal(size=(1, 3)))[0])
-        v /= np.linalg.norm(v)
-        a = 2.0 * math.asin(0.5 * chord)
-        pts = np.vstack([pts, -(math.cos(a) * x + math.sin(a) * v)])
-    return pts, below
+def fiber_pairs(draw):
+    """(g, tg, nr, lo, hi): two fibers in general position, on one great
+    circle in either direction, or a near miss of a drawn chord."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.floats(0.0, 1.0))
+    hi = lo + draw(st.floats(0.01, math.pi - 1.0))
+    kind = draw(st.sampled_from(["general", "coplanar", "near miss"]))
+    if kind == "near miss":
+        return (*near_miss_fibers(draw(st.floats(1e-6, 0.5)), lo, hi,
+                                  draw(st.booleans()), rng), lo, hi)
+    (g0, n0, t0), (g1, n1, t1) = random_frame(rng), random_frame(rng)
+    if kind == "coplanar":
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        g1 = math.cos(phi) * g0 + math.sin(phi) * n0
+        n1 = draw(st.sampled_from([1.0, -1.0])) * (-math.sin(phi) * g0
+                                                   + math.cos(phi) * n0)
+        t1 = np.cross(g1, n1)
+    return (np.array([g0, g1]), np.array([t0, t1]), np.array([n0, n1]),
+            lo, hi)
 
 
-class TestMostAntipodal:
+class TestArcChords:
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("at_hi", [True, False])
+    @pytest.mark.parametrize("below", [True, False])
+    def test_two_fiber_threshold(self, below, at_hi, swap):
+        # a chord 1e-6 (relative) below the tolerance is a pair, one above
+        # is not; either way the chord is the exact one
+        tol = sc.DEFAULT_TOL
+        target = tol.antipodal_chord * (1.0 - 1e-6 if below else 1.0 + 1e-6)
+        lo, hi = 0.2, 1.3
+        g, tg, nr = near_miss_fibers(target, lo, hi, at_hi,
+                                     np.random.default_rng(7))
+        rows = [1, 0] if swap else [0, 1]
+        pair, chord = classify._fiber_witness(g[rows], tg[rows], nr[rows],
+                                              lo, hi, tol)
+        assert abs(chord - target) <= 1e-12
+        if not below:
+            assert pair is None
+            return
+        end, mid = (hi if at_hi else lo), 0.5 * (lo + hi)
+        want = ((0, mid), (1, end)) if swap else ((0, end), (1, mid))
+        assert [k for k, _ in pair] == [0, 1]
+        assert all(abs(th - w) <= 1e-12 for (_, th), (_, w) in zip(pair, want))
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_threshold_circle(self, below):
+        # the fibers over t and t + pi of a circle of radius rho share a
+        # great circle and miss each other's antipodes by 2 cos rho, as
+        # the band misses its antipode; 2 margin is the same chord, so the
+        # certificate decides above the tolerance and the arcs below it
+        tol = sc.DEFAULT_TOL
+        target = tol.antipodal_chord * (1.0 - 1e-6 if below else 1.0 + 1e-6)
+        rho = math.acos(0.5 * target)
+        circle = sc.make_circle(rho, 1, sc.CurvatureBounds(-1.0, math.inf),
+                                n=256)
+        st_ = classify.condensed_status(circle)
+        assert st_.diffuse == below and (st_.antipodal_pair is not None) == below
+        assert abs(st_.antipodal_defect - target) <= 1e-12
+
     @settings(max_examples=60, deadline=None)
-    @given(antipodal_clouds())
-    def test_matches_tree_search(self, cloud):
-        points, below = cloud
-        chord_tol = sc.DEFAULT_TOL.antipodal_chord
-        defect, i, j = classify._most_antipodal(points)
-        oracle = tree_most_antipodal(points)[0]
-        assert abs(defect - oracle) <= 1e-15
-        assert (defect < chord_tol) == (oracle < chord_tol)
-        if below is not None:
-            assert (defect < chord_tol) == below
-        s = points[i] + points[j]
-        assert defect == math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
+    @given(fiber_pairs())
+    def test_dense_walk_bounds_the_chord(self, fibers):
+        # chords of 257 angles on each arc: none below the least chord,
+        # and the least of them within (hi - lo) / 256 of it.  The chord
+        # tolerance of 2 keeps every pair and returns every chord below 2.
+        g, tg, nr, lo, hi = fibers
+        tol = sc.DEFAULT_TOL.replace(antipodal_chord=2.0)
+        pair, chord = classify._fiber_witness(g, tg, nr, lo, hi, tol)
+        th = np.linspace(lo, hi, 257)
+        arcs = [np.cos(th)[:, None] * g[k] + np.sin(th)[:, None] * nr[k]
+                for k in (0, 1)]
+        dense = np.linalg.norm(arcs[0][:, None] + arcs[1][None], axis=2).min()
+        assert chord <= dense + 1e-12
+        assert dense <= chord + (hi - lo) / 256 + 1e-12
+        if pair is not None:
+            (_, th_0), (_, th_1) = pair
+            assert lo <= th_0 <= hi and lo <= th_1 <= hi
+            x = math.cos(th_0) * g[0] + math.sin(th_0) * nr[0]
+            y = math.cos(th_1) * g[1] + math.sin(th_1) * nr[1]
+            assert abs(np.linalg.norm(x + y) - chord) <= 1e-15
 
-    def test_memory_stays_blocked(self):
-        # a full 6000 x 6000 Gram matrix would take 288 MB
-        import tracemalloc
-        th = np.linspace(0.0, 2.0 * math.pi, 6000, endpoint=False)
-        points = np.stack([0.8 * np.cos(th), 0.8 * np.sin(th),
-                           np.full(th.size, 0.6)], axis=1)
-        tracemalloc.start()
-        try:
-            classify._most_antipodal(points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-
-    def test_status_builds_no_tree(self, neither_small):
-        # neither curve: no margin certificate and no witness pair, so the
-        # Gram search decides, on a cloud subsampled to at most 4096 rows
-        assert not hasattr(classify, "cKDTree")
+    def test_status_reports_the_witness_bound(self, neither_small):
+        # no margin certificate and no pair: the defect is the kernel's
+        # lower bound, at most the exact least chord over every pair
         st_ = classify.condensed_status(neither_small)
-        cloud = classify.classification_cloud(neither_small)
-        sub = cloud[:: -(-cloud.shape[0] // 4096)]
-        assert cloud.shape[0] > 4096 >= sub.shape[0]
-        assert abs(st_.antipodal_defect - tree_most_antipodal(sub)[0]) <= 1e-15
+        assert 2.0 * st_.margin < sc.DEFAULT_TOL.antipodal_chord
         assert not st_.diffuse and st_.antipodal_pair is None
+        assert st_.antipodal_defect == classify.antipodal_fiber_witness(neither_small)[1]
+        exact = loop_antipodal_fiber_witness(neither_small)[1]
+        assert sc.DEFAULT_TOL.antipodal_chord <= st_.antipodal_defect <= exact
 
 
 def band_cloud(curve, tol=sc.DEFAULT_TOL):
@@ -692,9 +737,21 @@ def margin_curves(draw):
         circle = sc.make_circle(rho, draw(st.integers(1, 5)), bounds, n=256)
         return circle.rotated(random_rotation(rng))
     path = factory.random_open_curve(sc.CurvatureBounds(-1.0, 1.0), rng, n=96)
-    closed = sc.curve_from_points(path.gamma, sc.UNBOUNDED, n=256)
+    try:
+        closed = sc.curve_from_points(path.gamma, sc.UNBOUNDED, n=256)
+    except NonPositiveSpeed:        # the closing chord doubles back
+        reject()
     kappa0 = float(closed.kappa.min()) - draw(st.floats(0.01, 1.0))
     return closed.with_bounds(sc.CurvatureBounds(kappa0, math.inf))
+
+
+def test_margin_curves_rejects_points_that_double_back():
+    # seed 513's open curve is one `margin_curves` rejects: closing it
+    # through its points raises in the importer
+    path = factory.random_open_curve(sc.CurvatureBounds(-1.0, 1.0),
+                                     np.random.default_rng(513), n=96)
+    with pytest.raises(NonPositiveSpeed, match="double back"):
+        sc.curve_from_points(path.gamma, sc.UNBOUNDED, n=256)
 
 
 # witness angle margins: none, grafting's 1e-9, or a wide one
@@ -705,7 +762,8 @@ class TestCapPruning:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_unpruned_oracle(self, data, neither_coarse, diffuse_curve):
-        # bit for bit on (i, theta_i, j, theta_j, defect), or None on both
+        # bit for bit on ((i, theta_i), (j, theta_j)) and the chord when
+        # the oracle finds a pair; else no pair and a chord at most its own
         from conftest import random_rotation
         kind = data.draw(st.sampled_from(["neither", "diffuse", "margin"]))
         if kind == "margin":
@@ -716,16 +774,23 @@ class TestCapPruning:
             curve = base.rotated(random_rotation(rng))
         curve, _ = classify.reduce_to_k0(curve)
         lo, hi_margin = data.draw(witness_margins), data.draw(witness_margins)
+        if lo > curve.bounds.rho1 - hi_margin:
+            # empty arcs: no pair, and no chord to bound
+            assert classify.antipodal_fiber_witness(curve, lo, hi_margin) \
+                == (None, math.inf)
+            return
         got = classify.antipodal_fiber_witness(curve, lo, hi_margin)
-        assert got == loop_antipodal_fiber_witness(curve, lo, hi_margin)
+        assert_matches_loop(got, loop_antipodal_fiber_witness(curve, lo, hi_margin))
 
     def test_only_meeting_pairs_reach_the_cross_product(self, neither_coarse,
                                                         diffuse_curve):
         kept = []
         for curve in (neither_coarse, diffuse_curve):
             curve, _ = classify.reduce_to_k0(curve)
-            idx, ii, jj = classify._meeting_pairs(
-                curve, 0.0, curve.bounds.rho1, sc.DEFAULT_TOL)
+            idx = np.arange(0, curve.n, classify._classify_stride(curve, sc.DEFAULT_TOL))
+            ii, jj, _ = classify._meeting_pairs(
+                curve.gamma[idx], curve.normal[idx], 0.0, curve.bounds.rho1,
+                sc.DEFAULT_TOL)
             assert np.all(ii < jj)
             kept.append(ii.size / (idx.size * (idx.size - 1) // 2))
         assert kept[0] == 0.0 and 0.0 < kept[1] <= 0.4
@@ -736,28 +801,25 @@ class TestMarginCertificate:
         from conftest import count_calls
         circle = sc.make_circle(0.7, 2, bounds_k0, n=256)
         witness = count_calls(monkeypatch, classify.antipodal_fiber_witness)
-        gram = count_calls(monkeypatch, classify._most_antipodal)
         st_ = classify.condensed_status(circle)
         assert 2.0 * st_.margin >= sc.DEFAULT_TOL.antipodal_chord
-        assert witness == [] and gram == []
+        assert witness == []
         assert st_.tag == "Condensed" and st_.antipodal_pair is None
         assert st_.antipodal_defect == 2.0 * st_.margin
 
     def test_uncertified_curves_still_search(self, neither_small,
                                              diffuse_curve, monkeypatch):
-        # the witness runs on each; the Gram search runs where it finds no
-        # pair, as without the certificate
+        # the arc kernel runs once on each and decides
         from conftest import count_calls
         both = sc.make_circle(math.pi / 2, 1, sc.CurvatureBounds(-1.0, math.inf),
                               n=256)
-        for curve, tag, grams in ((both, "Both", 0), (diffuse_curve, "Diffuse", 0),
-                                  (neither_small, "Neither", 1)):
+        for curve, tag in ((both, "Both"), (diffuse_curve, "Diffuse"),
+                           (neither_small, "Neither")):
             witness = count_calls(monkeypatch, classify.antipodal_fiber_witness)
-            gram = count_calls(monkeypatch, classify._most_antipodal)
             st_ = classify.condensed_status(curve)
             assert 2.0 * st_.margin < sc.DEFAULT_TOL.antipodal_chord
             assert st_.tag == tag
-            assert (len(witness), len(gram)) == (1, grams)
+            assert len(witness) == 1
             monkeypatch.undo()
 
     @settings(max_examples=30, deadline=None)

@@ -233,7 +233,7 @@ class TestLiftParity:
         import dataclasses
         c = sc.make_circle(0.7, 1, bounds_k0, n=64)
         lift = c.lift.copy()
-        lift[-1] = sphere.quat_normalize([0.5, 0.5, 0.5, 0.5])
+        lift[-1] = [0.5, 0.5, 0.5, 0.5]
         broken = dataclasses.replace(c, lift=lift)
         with pytest.raises(AmbiguousParity):
             sc.lift_parity(broken)

@@ -103,7 +103,9 @@ class TestContractRetract:
         tm = np.array([h[1] for h in hist])
         assert np.all(np.diff(tp, axis=0) <= 1e-12)
         assert np.all(np.diff(tm, axis=0) >= -1e-12)
-        assert good.is_good(2 * band_tol.band_tol)
+        d_plus, d_minus = good.boundary_distances()
+        assert np.abs(d_plus - good.R).max() <= 2 * band_tol.band_tol
+        assert np.abs(d_minus - good.R).max() <= 2 * band_tol.band_tol
 
     def test_retracted_width(self, circle_band, band_tol):
         maximal = gb.contract_band(circle_band, 1.0)

@@ -74,6 +74,22 @@ class TestGraftingFunctions:
         assert phi.preimage(1.1) == pytest.approx(0.7)
 
 
+def result_vk_at(rec, u):
+    """(speed, kappa) of a graft's result at parameter u, from the exact
+    splice structure rather than the resampled grid."""
+    offset = 0.0
+    for arc in rec.arcs:
+        start = rec.phi(arc.t)
+        if start <= u < start + arc.sigma:
+            return math.sin(arc.rho), sc.cot(arc.rho)
+        if u >= start + arc.sigma:
+            offset += arc.sigma
+    t = min(max(u - offset, 0.0), rec.base.domain)
+    v, k = rec.base.interval_vk()
+    i = min(int(t / rec.base.dt), rec.base.n - 1)
+    return float(v[i]), float(k[i])
+
+
 class TestAntipodalGraft:
     def test_zero_length_identity(self, diffuse_curve):
         out, rec = gr.graft_antipodal_circles(diffuse_curve, 0.0)
@@ -103,6 +119,16 @@ class TestAntipodalGraft:
         with pytest.raises(NotDiffuse):
             gr.graft_antipodal_circles(c, 1.0)
 
+    def test_near_miss_rejected(self):
+        # the fibers over t and t + pi of this circle share a great circle
+        # and miss each other's antipodes by 2 cos rho = 1e-4: below the
+        # diffuse tolerance, but no antipodal pair to graft at
+        rho = math.acos(0.5e-4)
+        c = sc.make_circle(rho, 1, sc.CurvatureBounds(-1.0, math.inf), n=256)
+        assert classify.condensed_status(c).diffuse
+        with pytest.raises(NotDiffuse, match="miss"):
+            gr.graft_antipodal_circles(c, 1.0)
+
     def test_lambda_pullback(self, diffuse_curve):
         # the exact splice structure must pull the logarithmic derivative
         # back along phi; the base values are looked up independently
@@ -111,7 +137,7 @@ class TestAntipodalGraft:
         ts = rec.base.domain * np.array([0.11, 0.43, 0.77, 0.93])
         for t in ts:
             i = min(int(t / rec.base.dt), rec.base.n - 1)
-            v_r, k_r = rec.result_vk_at(float(rec.phi(t)) + 1e-9)
+            v_r, k_r = result_vk_at(rec, float(rec.phi(t)) + 1e-9)
             assert abs(k_r - kb[i]) < 1e-8
             assert abs(v_r - vb[i]) < 1e-8
         # the resampled grid agrees at its own resolution
@@ -322,7 +348,8 @@ def reference_splice(base, insertions):
             sphere.quat_mul(z_t, sphere.quat_exp(0.5 * a.sigma * lam)),
             sphere.quat_conj(z_t))
         arc_starts.append(sphere.quat_mul(prefixes[-1], z_t))
-        prefixes.append(sphere.quat_normalize(sphere.quat_mul(prefixes[-1], rot)))
+        prefix = sphere.quat_mul(prefixes[-1], rot)
+        prefixes.append(prefix / np.linalg.norm(prefix))
     pieces = []             # (kind, u_start, u_end, payload, prefix)
     cursor, src_prev = 0.0, 0.0
     for idx, a in enumerate(ins):
@@ -361,7 +388,7 @@ def reference_splice(base, insertions):
             step = sphere.quat_exp(0.5 * (uj - lo) * lam)
             lift[j] = sphere.quat_mul(arc_starts[payload], step)
             v_nodes[j], k_nodes[j] = math.sin(a.rho), sc.cot(a.rho)
-        lift[j] = sphere.quat_normalize(lift[j])
+        lift[j] /= np.linalg.norm(lift[j])
     v_b, k_b = base.interval_vk()
     v_int = np.empty(n_out)
     k_int = np.empty(n_out)

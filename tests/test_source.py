@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import spherecurve
 
@@ -32,3 +33,73 @@ class TestExceptClauses:
                 "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
                 "try:\n    pass\nexcept ValueError:\n    pass\n")
         assert list(broad_handlers(ast.parse(code))) == [3, 7]
+
+
+REPO = SRC.parents[1]
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+# public API kept without a caller in src/ or bench/, __all__ or README.md
+UNREFERENCED_OK = {
+    "with_bounds",                  # the test strategies widen bounds with it
+    "random_open_curve",            # random test and benchmark inputs
+    "equatorial_inequality_check",  # self-test of the boundary analysis
+}
+
+
+def public_defs(tree):
+    """Names of the public top-level functions and methods of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def referenced_names(tree):
+    """Every name, attribute and dotted-name string constant, part by part.
+
+    Strings count so that tables naming functions (bench/tracing.py) do;
+    prose in docstrings and comments does not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED_NAME.match(node.value)):
+            yield from node.value.split(".")
+
+
+def unreferenced(defining, referring, exported, documented):
+    """Public defs of the `defining` sources that no `referring` source
+    names, sorted, less those `exported` or `documented`."""
+    used = {name for text in referring for name in referenced_names(ast.parse(text))}
+    return sorted({name for text in defining for name in public_defs(ast.parse(text))
+                   if not name.startswith("_") and name not in used
+                   and name not in exported and name not in documented})
+
+
+class TestDeadCode:
+    def test_public_api_has_a_caller(self):
+        lib = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+        bench = [p.read_text() for p in sorted((REPO / "bench").glob("*.py"))]
+        documented = set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+        dead = unreferenced(lib, lib + bench, set(spherecurve.__all__), documented)
+        assert sorted(set(dead) - UNREFERENCED_OK) == [], \
+            "delete these or give them a caller"
+
+    def test_detector_finds_unreferenced_defs(self):
+        lib = ("def used():\n    pass\n"
+               "def dead():\n    '''used and traced are named here'''\n"
+               "def exported():\n    pass\n"
+               "def documented():\n    pass\n"
+               "def traced():\n    pass\n"
+               "def _private():\n    pass\n"
+               "class K:\n"
+               "    def method(self):\n        used()\n"
+               "    def dead_method(self):\n        pass\n"
+               "    def __repr__(self):\n        return ''\n")
+        caller = "K().method()\nTARGETS = ('mod', 'traced')\n"
+        assert unreferenced([lib], [lib, caller], {"exported"}, {"documented"}) \
+            == ["dead", "dead_method"]
