@@ -164,7 +164,11 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
     (`_end_chords`).  The same formula covers fibers on one great circle
     (tangents within 1e-8 of parallel), which the crossing test skips; two
     such fibers whose circles cross inside both arcs get a chord within
-    about 1e-8 of 0.  An empty range, lo > hi, gives (None, inf).
+    about 1e-8 of 0.  Both exact tests run only on the pairs a screen of
+    matrix products cannot rule out (`_screen`): a crossing must lie
+    within L/2 of both arcs' midpoints, and an end's distance to the other
+    fiber's plane bounds its chord, so the result is the one over every
+    pair.  An empty range, lo > hi, gives (None, inf).
 
     Known limit: only the fibers over strided nodes are tested, so a chord
     below the tolerance between fibers over the nodes in between is missed.
@@ -186,15 +190,84 @@ def _fiber_witness(g: np.ndarray, tg: np.ndarray, nr: np.ndarray,
     if hi < lo:                 # empty arcs
         return None, math.inf
     ii, jj, bound = _meeting_pairs(g, nr, lo, hi, tol)
-    pair = _crossing(g, tg, nr, ii, jj, lo, hi)
+    if ii.size == 0:
+        return None, bound
+    may_cross, lower = _screen(g, tg, nr, ii, jj, lo, hi)
+    pair = _crossing(g, tg, nr, ii[may_cross], jj[may_cross], lo, hi)
     if pair is not None:
         (i, th_i), (j, th_j) = pair
         c_i = math.cos(th_i) * g[i] + math.sin(th_i) * nr[i]
         c_j = math.cos(th_j) * g[j] + math.sin(th_j) * nr[j]
         return pair, float(np.linalg.norm(c_i + c_j))
-    if ii.size == 0:
-        return None, bound
 
+    # exact end chords of the pairs whose lower bound is within the
+    # tolerance; when none of them is below it, of the pairs whose bound
+    # is not above the least chord found (every pair when there is none)
+    rows = np.flatnonzero(lower <= tol.antipodal_chord + _SCREEN_SLACK)
+    chord, k, th_i, th_j = _least_end_chord(g, nr, ii[rows], jj[rows], lo, hi)
+    if not chord <= tol.antipodal_chord:
+        rows = np.flatnonzero(~(lower > chord + _SCREEN_SLACK))
+        chord, k, th_i, th_j = _least_end_chord(g, nr, ii[rows], jj[rows],
+                                                lo, hi)
+    if chord >= tol.antipodal_chord:
+        return None, min(chord, bound)
+    return ((int(ii[rows[k]]), th_i), (int(jj[rows[k]]), th_j)), chord
+
+
+# slack of the screens below: roundoff in their products, and the error
+# of |T_i x T_j| read off the Gram of the tangents
+_SCREEN_SLACK = 1e-12
+_SCREEN_NORM = 1e-7
+
+
+def _screen(g, tg, nr, ii, jj, lo, hi):
+    """(may_cross, lower) for the pairs `ii`, `jj`, from products of the
+    fibers' frames only.
+
+    may_cross is False where the great circles of fibers i and j cannot
+    cross inside both arcs.  A crossing +-w, w = u / |u|, u = T_i x T_j,
+    lies on arc i only if <+-w, c_i> >= cos(L / 2), c_i the arc's
+    midpoint and L = hi - lo, and <u, c_i> = <c_i x T_i, T_j>; on arc j,
+    -+w needs <u, c_j> = -<c_j x T_j, T_i> of the opposite sign.  Arcs
+    of length pi or more are not screened.  lower bounds each pair's
+    least end chord: an end e of fiber i is |<e, T_j>| from fiber j's
+    plane, so |e + y| >= |<e, T_j>| for y on fiber j.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    ij, ji = ii * len(g) + jj, jj * len(g) + ii
+
+    def at_pairs(v):
+        """<v_i, T_j> and <v_j, T_i> over the pairs, from one product."""
+        d = (v @ tg.T).ravel()
+        return d[ij], d[ji]
+
+    dist = [np.abs(x) for a in (lo, hi)
+            for x in at_pairs(math.cos(a) * g + math.sin(a) * nr)]
+    lower = np.minimum(np.minimum(dist[0], dist[1]),
+                       np.minimum(dist[2], dist[3]))
+    if math.cos(half) <= 0.0:
+        return np.ones(ii.size, dtype=bool), lower
+    t = at_pairs(tg)[0]
+    norm = np.sqrt(np.maximum(0.0, 1.0 - t * t)) - _SCREEN_NORM
+    floor = (math.cos(half) - 1e-9) * np.maximum(0.0, norm) - _SCREEN_SLACK
+    p_ij, p_ji = at_pairs(np.cross(math.cos(mid) * g + math.sin(mid) * nr, tg))
+    may_cross = (((p_ij >= floor) & (p_ji >= floor))
+                 | ((p_ij <= -floor) & (p_ji <= -floor)))
+    return may_cross, lower
+
+
+def _least_end_chord(g, nr, ii, jj, lo, hi):
+    """(chord, k, theta_i, theta_j): the least chord over the pairs `ii`,
+    `jj` of fibers whose great circles do not cross inside both arcs, the
+    first pair k attaining it and the angles of its two points; chord is
+    inf when there is no pair.
+
+    The least chord of two such arcs is at an end of one of them: for
+    each of the four ends p, the nearest point of the other fiber to -p
+    (`_end_chords`).
+    """
+    if ii.size == 0:
+        return math.inf, None, None, None
     # (3, pairs) coordinates of both fibers and their ends, the chords
     # between the ends, then the least chord of each end against the other
     # fiber: lo and hi of fiber i, then lo and hi of fiber j
@@ -209,12 +282,9 @@ def _fiber_witness(g: np.ndarray, tg: np.ndarray, nr: np.ndarray,
           for b in (0, 1)])
     k, r = np.unravel_index(int(np.argmin(np.stack(chords, axis=1))),
                             (ii.size, 4))
-    chord = float(chords[r][k])
-    if chord >= tol.antipodal_chord:
-        return None, min(chord, bound)
     end, other = (lo, hi)[r % 2], float(thetas[r][k])
     th_i, th_j = (end, other) if r < 2 else (other, end)
-    return ((int(ii[k]), th_i), (int(jj[k]), th_j)), chord
+    return float(chords[r][k]), int(k), th_i, th_j
 
 
 def _crossing(g, tg, nr, ii, jj, lo, hi):
@@ -254,7 +324,12 @@ class CondensedStatus:
 
     `margin` is the signed distance from the origin to the hull of
     `classification_cloud(curve)`, independent of the curve's placement,
-    and `hemisphere` its max-margin direction (`sphere.best_hemisphere`).
+    and `hemisphere` its max-margin direction (`sphere.best_hemisphere`:
+    Wolfe's minimum-norm point when the margin is positive, else the
+    hull), set only on a condensed curve.  With a positive margin, the
+    band lies in <x, h> >= margin and its antipode in <x, h> <= -margin,
+    so `rotation_number_nondiffuse` takes its gap point on the equator of
+    h.
     `antipodal_defect` bounds the chord |x + y| over band points x, y.
     When 2 margin >= `tol.antipodal_chord` it is 2 margin, certified since
     |x + y| >= <x + y, h> >= 2 margin, and `antipodal_pair` is None.
@@ -359,8 +434,9 @@ def condensed_axis(curve: AdmissibleCurve,
     return status, h, rotation_number_condensed(curve, h, tol)
 
 
-# candidates placed on each witness fiber, and the angular margin that
-# keeps a free candidate's roots off the band edges and the seam at +-pi
+# candidates placed on each witness fiber of a curve that is not
+# condensed, and the angular margin that keeps a free candidate's roots
+# off the band edges and the seam at +-pi
 _GAP_CANDIDATES = 128
 _GAP_MARGIN = 1e-9
 
@@ -406,10 +482,14 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
     [-pi, rho0 - pi].  b lies in the gap between B and -B iff every root
     angle lies in (rho0 - pi, 0) u (rho0, pi), here with a margin of 1e-9
     at each end; nu is then the number of roots in (rho0 - pi, 0).  On a
-    witness fiber, 128 candidates strictly inside (rho0 - pi, 0) are tested
-    at once and the middle free one, in fiber order, is counted; a second
-    witness fiber must agree.  Only `status.diffuse` is read, and `tol` is
-    unused: the signature matches the other rotation numbers.
+    condensed curve the one candidate on a witness fiber is where its
+    great circle crosses <x, h> = 0 inside (rho0 - pi, 0), h =
+    `status.hemisphere`: B lies in <x, h> >= margin and -B in
+    <x, h> <= -margin, so that point is in the gap.  Otherwise 128
+    candidates strictly inside (rho0 - pi, 0) are tested at once and the
+    middle free one, in fiber order, is counted.  A second witness fiber
+    must agree.  `status.diffuse` and `status.hemisphere` are read, and
+    `tol` is unused: the signature matches the other rotation numbers.
 
     Known limit: a tangency of <b, T> between two nodes is a double root
     without a sign change, which the scan misses.
@@ -418,13 +498,16 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
         raise NoGapFound("curve is diffuse; the separating annulus is empty")
     rho0 = curve.bounds.rho1
     lo, m = rho0 - math.pi, _GAP_MARGIN
-    thetas = np.linspace(lo, 0.0, _GAP_CANDIDATES + 2)[1:-1]
-    cos_t, sin_t = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    h = status.hemisphere
+    grid = np.linspace(lo, 0.0, _GAP_CANDIDATES + 2)[1:-1]
 
     counts = []
     for frac in (0.0, 0.37, 0.61, 0.13, 0.83, 0.29, 0.47, 0.71):
         t_index = int(frac * curve.n)
-        cand = cos_t * curve.gamma[t_index] + sin_t * curve.normal[t_index]
+        g, nr = curve.gamma[t_index], curve.normal[t_index]
+        # <C(theta), h> runs from <= -margin at rho0 - pi to >= margin at 0
+        thetas = grid if h is None else np.array([math.atan2(-(g @ h), nr @ h)])
+        cand = np.cos(thetas)[:, None] * g + np.sin(thetas)[:, None] * nr
         k, theta = _fiber_root_angles(curve, cand)
         inner = (lo + m < theta) & (theta < -m)
         outer = (rho0 + m < theta) & (theta < math.pi - m)

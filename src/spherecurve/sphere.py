@@ -227,17 +227,105 @@ def mobius_dilate(r: float, h, p, dp, d2p):
 # Hemisphere feasibility and convexity predicates
 # ------------------------------------------------------------------ #
 
-# Sizes of the hemisphere solve: the initial strided working set; per
-# round, the worst violators added and the facets nearest the origin probed
-# for the point of the full cloud farthest beyond them; and the probe rows
-# per matrix product.  A point violates when it lies below the working-set
+# Sizes of the hull solves: the initial strided working sets of
+# `containing_simplex` and of `best_hemisphere`; per round, the worst
+# violators added and the facets nearest the origin probed for the point
+# of the full cloud farthest beyond them; and the entries of one probe
+# product (1 MB).  A point violates when it lies below the working-set
 # margin by more than roundoff; a working set is flat along any centred
 # singular value below _HULL_FLAT times the largest.
 _HULL_WORKING_SET = 512
+_HEMISPHERE_WORKING_SET = 64
 _HULL_BATCH = 64
-_HULL_PROBE_BLOCK = 4
+_HULL_PROBE_ENTRIES = 1 << 17
 _HULL_VIOLATION = 1e-13
 _HULL_FLAT = 1e-10
+
+# Wolfe's minimum-norm-point iteration, run before any hull: at most
+# _WOLFE_ITERATIONS entering points; an iterate shorter than _WOLFE_ZERO
+# (the default feasibility margin) leaves the margin to the hull solve; a
+# dual gap |x| - min <p, x/|x|> of at most _WOLFE_GAP certifies it.
+_WOLFE_ITERATIONS = 32
+_WOLFE_ZERO = 1e-9
+_WOLFE_GAP = 1e-14
+
+
+def _affine_weights(corral: np.ndarray) -> np.ndarray:
+    """Weights, summing to 1, of the least-norm point of the affine hull
+    of the rows of `corral`."""
+    base, d = corral[0], corral[1:] - corral[0]
+    beta = np.linalg.lstsq(d.T, -base, rcond=None)[0]
+    return np.concatenate([[1.0 - beta.sum()], beta])
+
+
+def _corral_axis(corral: np.ndarray):
+    """Direction of the least-norm point of the affine hull of one, two or
+    three rows, or None when they are degenerate.
+
+    The normal comes from cross products: a point, the normal
+    d x (a x b) of a line through a and b, d = b - a, within their plane,
+    or the normal of a plane.  Unlike x/|x| for the combined point x, it
+    carries no roundoff of size eps/|x| when x is short.
+    """
+    a = corral[0]
+    if corral.shape[0] == 1:
+        n = a
+    elif corral.shape[0] == 2:
+        n = np.cross(corral[1] - a, np.cross(a, corral[1]))
+    else:
+        n = np.cross(corral[1] - a, corral[2] - a)
+    norm = np.linalg.norm(n)
+    if not norm > 0.0:
+        return None
+    return n / norm if n @ a > 0.0 else -n / norm
+
+
+def _min_norm_margin(points: np.ndarray):
+    """(h, margin) from Wolfe's minimum-norm-point iteration, or None.
+
+    Wolfe 1976, "Finding the nearest point in a polytope".  The iterate x
+    is the least-norm point of the affine hull of a corral of points, a
+    convex combination of them with positive weights.  Each major step
+    adds the point argmin <p, h> of the whole cloud, h the direction of x
+    (`_corral_axis`); minor steps drop the corral points whose weights
+    would turn negative.  min <p, h> bounds the margin from below and |x|
+    from above, so a gap of at most `_WOLFE_GAP` returns (h, min <p, h>).
+    None when |x| falls below `_WOLFE_ZERO` (the origin is in or near the
+    hull), when the entering point is already in the corral (a stall), on
+    a degenerate corral, or after `_WOLFE_ITERATIONS` entering points.
+    """
+    corral, weights = [0], np.ones(1)
+    for _ in range(_WOLFE_ITERATIONS):
+        vertices = points[corral]
+        norm = np.linalg.norm(weights @ vertices)
+        h = _corral_axis(vertices[:3]) if norm >= _WOLFE_ZERO else None
+        if h is None:
+            return None
+        margins = points @ h
+        j = int(np.argmin(margins))
+        if margins[j] > 0.0 and norm - margins[j] <= _WOLFE_GAP:
+            return h, float(margins[j])
+        if j in corral:
+            return None
+        corral.append(j)
+        weights = np.append(weights, 0.0)
+        while True:
+            alpha = _affine_weights(points[corral])
+            if np.all(alpha > 0.0):
+                weights = alpha
+                break
+            # step from the weights toward alpha until one weight reaches 0;
+            # weights >= 0 >= alpha on `out`, so a zero step has zero weight
+            out = np.flatnonzero(alpha <= 0.0)
+            step = weights[out] - alpha[out]
+            ratio = weights[out] / np.where(step > 0.0, step, 1.0)
+            k = int(np.argmin(ratio))
+            weights = weights + ratio[k] * (alpha - weights)
+            weights[out[k]] = 0.0
+            keep = weights > 0.0
+            corral = [c for c, kept in zip(corral, keep) if kept]
+            weights = weights[keep]
+    return None
 
 
 def _nearest_on_segments(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -249,32 +337,47 @@ def _nearest_on_segments(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return x[int(np.argmin(np.einsum("ij,ij->i", x, x)))]
 
 
-def _hull_solve(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, probes): the max-margin direction of the points w, and minus the
-    normals of the `_HULL_BATCH` hull facets nearest the origin.
-
-    A flat set (under four points, coplanar or collinear) has no facets and
-    no probes; when its hull holds the origin, h is the normal of its plane
-    or line whose largest entry is positive.
-    """
+def _centred_axes(w: np.ndarray):
+    """(centre, singular values, right singular vectors, normal) of the
+    rows of w about their centre; normal is the last singular vector with
+    its largest entry positive."""
     centre = w.mean(axis=0)
     # two zero rows give the SVD three right singular vectors for any w
     _, s, vt = np.linalg.svd(np.vstack([w - centre, np.zeros((2, 3))]),
                              full_matrices=False)
-    normal = vt[2] if vt[2][np.argmax(np.abs(vt[2]))] > 0.0 else -vt[2]
-    probes, foot, inside = np.empty((0, 3)), None, False
-    if s[2] > _HULL_FLAT * s[0]:
-        hull = ConvexHull(w)
+    return centre, s, vt, (vt[2] if vt[2][np.argmax(np.abs(vt[2]))] > 0.0
+                           else -vt[2])
+
+
+def _hull_solve(w: np.ndarray, hull=None):
+    """(h, probes, hull): the max-margin direction of the points w, minus
+    the normals of the `_HULL_BATCH` hull facets nearest the origin, and
+    the incremental Quickhull of w.
+
+    `hull`, when given, is an incremental hull of the rows of w (in the
+    order they were added) and is used as it is: points added to a solid
+    set leave it solid.  A flat set (under four points, coplanar or
+    collinear) has no facets, no probes and no hull; when its hull holds
+    the origin, h is the normal of its plane or line whose largest entry
+    is positive.
+    """
+    if hull is None:
+        centre, s, vt, normal = _centred_axes(w)
+        if s[2] > _HULL_FLAT * s[0]:
+            hull = ConvexHull(w, incremental=True)
+    probes, foot, inside, rows = np.empty((0, 3)), None, False, w
+    if hull is not None:
         eq = hull.equations      # outward unit normal n, offset: n.x + off <= 0
         near = np.argsort(-eq[:, 3], kind="stable")[:_HULL_BATCH]
         probes = -eq[near, :3]
         if eq[near[0], 3] <= 0.0:        # the origin is inside or on the hull
-            return probes[0], probes
+            return probes[0], probes, hull
         # the foot of the farthest facet plane, or an edge facing the origin
         foot = eq[near[0], 3] * probes[0]
         inside = np.max(eq @ np.append(foot, 1.0)) <= 1e-12
         tri = hull.simplices[eq[:, 3] > 0.0]
         edges = np.stack([tri.ravel(), np.roll(tri, -1, axis=1).ravel()], axis=1)
+        rows = hull.points
     elif s[1] > _HULL_FLAT * s[0]:
         poly = ConvexHull((w - centre) @ vt[:2].T)
         foot = (centre @ normal) * normal
@@ -283,44 +386,63 @@ def _hull_solve(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         u = (w - centre) @ vt[0]
         edges = np.array([[np.argmin(u), np.argmax(u)]])
-    x = foot if inside else _nearest_on_segments(w[edges[:, 0]], w[edges[:, 1]])
+    x = foot if inside else _nearest_on_segments(rows[edges[:, 0]],
+                                                 rows[edges[:, 1]])
     norm = np.linalg.norm(x)
-    return (x / norm if norm > 1e-15 else normal), probes
+    return (x / norm if norm > 1e-15 else _centred_axes(w)[3]), probes, hull
 
 
 def best_hemisphere(points):
     """Direction h maximizing the margin min_i <p_i, h> over unit vectors.
 
     Returns (h, margin), margin = min_i <p_i, h> over every input point: the
-    signed distance from the origin to the convex hull of the points
-    (Quickhull: Barber, Dobkin & Huhdanpaa 1996), which does not depend on
-    how the cloud is placed.  Origin outside: h points at the hull's
-    least-norm point, unique and rotating with the cloud.  Origin inside or
-    on the boundary: h is minus the outward normal of the nearest facet
-    plane, the first in Qhull's order on ties.  The hull is built on about
-    512 strided points; each round adds the 64 worst violators of its
-    answer in the full cloud, and the point farthest beyond each of the 64
-    facet planes nearest the origin, until no point violates by more than
-    roundoff (Clarkson's scheme).  The working-set margin bounds the full
-    one from above and is attained on the full cloud at exit, so the two
-    coincide.  Deterministic.
+    signed distance from the origin to the convex hull of the points, which
+    does not depend on how the cloud is placed.  Origin outside: h points
+    at the hull's least-norm point, unique and rotating with the cloud.
+    Wolfe's minimum-norm-point iteration on the whole cloud tries this
+    case first and builds no hull: it returns when its dual gap certifies
+    the margin to 1e-14 (`_min_norm_margin`).  Otherwise, for a negative,
+    near-zero or uncertified margin, the hull is built (Quickhull: Barber,
+    Dobkin & Huhdanpaa 1996).  Origin inside or on the boundary: h is minus
+    the outward normal of the nearest facet plane, the first in Qhull's
+    order on ties.  The hull is built on about 64 strided points; each
+    round adds to it (Qhull's incremental mode) the 64 worst violators of
+    its answer in the full cloud, and the point farthest beyond each of
+    the 64 facet planes nearest the origin, until no point violates by
+    more than roundoff (Clarkson's scheme).  The working-set margin bounds
+    the full one from above and is attained on the full cloud at exit, so
+    the two coincide.  Deterministic.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("empty point list")
-    work = np.unique(np.linspace(0, points.shape[0] - 1,
-                                 _HULL_WORKING_SET).astype(int))
-    while True:
-        h, probes = _hull_solve(points[work])
-        margins = points @ h
-        viol = np.flatnonzero(margins < margins[work].min() - _HULL_VIOLATION)
-        if viol.size == 0:
-            return h, float(margins.min())
-        if viol.size > _HULL_BATCH:
-            viol = viol[np.argpartition(margins[viol], _HULL_BATCH)[:_HULL_BATCH]]
-        lowest = [np.argmin(probes[i:i + _HULL_PROBE_BLOCK] @ points.T, axis=1)
-                  for i in range(0, probes.shape[0], _HULL_PROBE_BLOCK)]
-        work = np.union1d(work, np.concatenate([viol, *lowest]))
+    certified = _min_norm_margin(points)
+    if certified is not None:
+        return certified
+    work = np.zeros(points.shape[0], dtype=bool)
+    work[np.linspace(0, points.shape[0] - 1,
+                     _HEMISPHERE_WORKING_SET).astype(int)] = True
+    hull = None
+    try:
+        while True:
+            h, probes, hull = _hull_solve(points[work], hull)
+            margins = points @ h
+            viol = np.flatnonzero(margins < margins[work].min() - _HULL_VIOLATION)
+            if viol.size == 0:
+                return h, float(margins.min())
+            if viol.size > _HULL_BATCH:
+                viol = viol[np.argpartition(margins[viol], _HULL_BATCH)[:_HULL_BATCH]]
+            rows = max(1, _HULL_PROBE_ENTRIES // points.shape[0])
+            lowest = [np.argmin(probes[i:i + rows] @ points.T, axis=1)
+                      for i in range(0, probes.shape[0], rows)]
+            new = np.unique(np.concatenate([viol, *lowest]))
+            new = new[~work[new]]
+            if hull is not None:
+                hull.add_points(points[new])
+            work[new] = True
+    finally:
+        if hull is not None:
+            hull.close()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -349,9 +471,9 @@ def containing_simplex(points, target, tol: ToleranceProfile = DEFAULT_TOL) -> S
     """Four of `points` whose convex combination, all weights positive, is
     `target`; a single point when one lies within 1e-9 of the target.
 
-    Builds the hull of points - target (Quickhull), first on the strided
-    working set of `best_hemisphere` and on the whole set only when that
-    hull does not hold the target strictly inside.  The ray from a hull
+    Builds the hull of points - target (Quickhull), first on about 512
+    strided points and on the whole set only when that hull does not hold
+    the target strictly inside.  The ray from a hull
     vertex v through the target leaves the hull through a facet F, so the
     target lies in the tetrahedron of v and F; its barycentric weights
     come from one 4x4 solve.  `tol.seed` orders the vertices tried: the

@@ -252,6 +252,9 @@ class TestExactNonDiffuse:
              rotate=False)
     @example(kappa1=-1.0, k=1, frac=0.835 / (0.75 * math.pi), seed=3,
              rotate=True)
+    # margin 6.1e-4: the gap between B and -B is narrower than the spacing
+    # of a fixed candidate grid on the witness fiber
+    @example(kappa1=-0.4, k=1, frac=0.1953125, seed=0, rotate=False)
     def test_k_fold_circles_match_condensed(self, kappa1, k, frac, seed,
                                             rotate):
         from conftest import random_rotation
@@ -263,6 +266,31 @@ class TestExactNonDiffuse:
         assume(status.condensed and not status.diffuse and not status.borderline)
         nu = classify.rotation_number_condensed(curve, status.hemisphere)
         assert classify.rotation_number_nondiffuse(curve, status) == nu == k
+
+    def test_narrow_gaps_of_condensed_circles(self):
+        # the cloud of a circle of radius rho about c lies within
+        # max(rho, rho0 - rho) of c, so the margin is about delta at
+        # rho = pi/2 - delta and at rho = rho0 - pi/2 + delta; under
+        # kappa0 = 1, rho < rho0 = pi/4 keeps it above cos(pi/4), so only
+        # kappa0 = -0.4 (both ends) and kappa0 = 0 have circles here
+        counted = 0
+        for kappa0 in (-0.4, 0.0, 1.0):
+            bounds = sc.CurvatureBounds(kappa0, math.inf)
+            rho0 = bounds.rho1
+            for k in (1, 2, 3):
+                for delta in (6e-4, 1e-3, 2e-3, 3e-3, 4.5e-3):
+                    for rho in (math.pi / 2 - delta, rho0 - math.pi / 2 + delta):
+                        if not 0.0 < rho < rho0:
+                            continue
+                        curve = sc.make_circle(rho, k, bounds, n=256)
+                        status = classify.condensed_status(curve)
+                        certified = (status.condensed and not status.diffuse
+                                     and not status.borderline)
+                        if certified and 5e-4 <= status.margin <= 5e-3:
+                            assert classify.rotation_number_nondiffuse(
+                                curve, status) == k
+                            counted += 1
+        assert counted == 60
 
     def test_neither_curve_and_rotations(self, neither_coarse):
         from conftest import random_rotation
@@ -794,6 +822,46 @@ class TestCapPruning:
             assert np.all(ii < jj)
             kept.append(ii.size / (idx.size * (idx.size - 1) // 2))
         assert kept[0] == 0.0 and 0.0 < kept[1] <= 0.4
+
+
+class TestWitnessScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(fiber_pairs())
+    def test_screen_keeps_crossings_and_bounds_chords(self, fibers):
+        # the screen passes every pair whose arcs cross, and bounds the
+        # least end chord of the others from below
+        g, tg, nr, lo, hi = fibers
+        ii, jj = np.array([0]), np.array([1])
+        may_cross, lower = classify._screen(g, tg, nr, ii, jj, lo, hi)
+        if classify._crossing(g, tg, nr, ii, jj, lo, hi) is not None:
+            assert may_cross[0]
+        else:
+            chord = classify._least_end_chord(g, nr, ii, jj, lo, hi)[0]
+            assert lower[0] <= chord + 1e-15
+
+    def test_diffuse_circle_tests_few_pairs_exactly(self, monkeypatch):
+        # the 3-fold circle of radius 1.8 under (-1, +inf): every fiber
+        # runs through the circle's centre, no two cross inside both arcs,
+        # and only fibers on one great circle come near each other's
+        # antipodes, so few of the meeting pairs reach the exact tests
+        circle = sc.make_circle(1.8, 3, sc.CurvatureBounds(-1.0, math.inf),
+                                n=1024)
+        sizes = []
+        for name in ("_crossing", "_least_end_chord"):
+            real = getattr(classify, name)
+            # ii is the fourth argument from the end of both
+            monkeypatch.setattr(classify, name, lambda *a, _real=real:
+                                sizes.append(a[-4].size) or _real(*a))
+        got = classify.antipodal_fiber_witness(circle)
+        monkeypatch.undo()
+        assert_matches_loop(got, loop_antipodal_fiber_witness(circle))
+        assert got[0] is not None and got[1] < 1e-12
+        idx = np.arange(0, circle.n,
+                        classify._classify_stride(circle, sc.DEFAULT_TOL))
+        kept = classify._meeting_pairs(circle.gamma[idx], circle.normal[idx],
+                                       0.0, circle.bounds.rho1,
+                                       sc.DEFAULT_TOL)[0].size
+        assert len(sizes) == 2 and max(sizes) <= 0.02 * kept
 
 
 class TestMarginCertificate:

@@ -343,8 +343,12 @@ def hull_hemisphere_oracle(points):
     points at the nearest point of the facets facing the origin, each
     triangle searched on its own.  Origin inside or on the boundary: h is
     minus the outward normal of the nearest facet plane.  Returns (h,
-    margin) with margin = min <p, h>.
+    margin) with margin = min <p, h>.  A single point is its own hull.
     """
+    points = np.atleast_2d(points)
+    if np.ptp(points, axis=0).max() == 0.0:
+        h = points[0] / np.linalg.norm(points[0])
+        return h, float(np.min(points @ h))
     hull = ConvexHull(points)
     normals, offsets = hull.equations[:, :3], hull.equations[:, 3]
     f = int(np.argmax(offsets))
@@ -552,6 +556,45 @@ class TestActiveSetHemisphere:
         h, margin = sphere.best_hemisphere(q)
         assert np.array_equal(h, q) and margin == q @ q
 
+    def test_origin_in_hull_starts_from_a_small_working_set(self, monkeypatch):
+        from spherecurve import classify
+        # the 3-fold circle of radius 1.8 under (-1, +inf): its end cloud
+        # holds the origin, and the 64 strided points already hold the
+        # facet nearest it
+        circle = make_circle(1.8, 3, CurvatureBounds(-1.0, math.inf), n=1024)
+        cloud = classify.classification_cloud(circle)
+        sizes, real = [], sphere._hull_solve
+        monkeypatch.setattr(sphere, "_hull_solve", lambda w, hull=None:
+                            sizes.append(len(w)) or real(w, hull))
+        assert sphere.best_hemisphere(cloud)[1] < -EPS
+        assert sizes == [sphere._HEMISPHERE_WORKING_SET] == [64]
+        monkeypatch.undo()
+        assert_matches_oracle(cloud)
+
+    def test_flat_working_set_then_a_solid_one(self, monkeypatch):
+        # a great circle with a point above and one below it, off the
+        # stride: the first working set is flat, the second gets a hull
+        t = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+        up = sphere.unit_vector([0.1, 0.2, 1.0])
+        down = sphere.unit_vector([0.3, -0.1, -1.0])
+        points = np.vstack([ring[:1000], up, down, ring[1000:]])
+        strided = np.linspace(0, len(points) - 1,
+                              sphere._HEMISPHERE_WORKING_SET).astype(int)
+        assert not np.isin([1000, 1001], strided).any()
+        calls, real = [], sphere._hull_solve
+
+        def recording(w, hull=None):
+            out = real(w, hull)
+            calls.append((hull is None, out[2] is None))
+            return out
+
+        monkeypatch.setattr(sphere, "_hull_solve", recording)
+        assert sphere.best_hemisphere(points)[1] < -EPS
+        assert calls[0] == (True, True) and calls[1] == (True, False)
+        monkeypatch.undo()
+        assert_matches_oracle(points)
+
     def test_degenerate_clouds_repeat_across_processes(self):
         import contextlib
         import io
@@ -585,6 +628,98 @@ for cloud in (zeta, np.array([p, -p]), np.eye(3), ring, ring[:50]):
             exec(code, {})
         assert runs[0] == runs[1] == here.getvalue()
         assert runs[0].count("\n") == 10
+
+
+def count_hulls(monkeypatch):
+    """Count the ConvexHull constructions of `sphere`."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ConvexHull(*args, **kwargs)
+
+    monkeypatch.setattr(sphere, "ConvexHull", counting)
+    return calls
+
+
+def cap_with_rim(rng, alpha, rim):
+    """2000 points within alpha - 0.05 of the north pole, then `rim`, all
+    at polar angle alpha: every cap point lies above the rim's plane."""
+    cos_ang = np.cos((alpha - 0.05) * np.sqrt(rng.uniform(size=2000)))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=2000)
+    sin_ang = np.sqrt(1.0 - cos_ang ** 2)
+    cap = np.column_stack([sin_ang * np.cos(phi), sin_ang * np.sin(phi),
+                           cos_ang])
+    ring = np.column_stack([math.sin(alpha) * np.cos(rim),
+                            math.sin(alpha) * np.sin(rim),
+                            np.full(len(rim), math.cos(alpha))])
+    return np.vstack([cap, ring])
+
+
+class TestMinNormPoint:
+    """Positive margins certified by Wolfe's iteration, with no hull."""
+
+    def test_ring_like_cloud_of_a_condensed_circle(self, monkeypatch):
+        from spherecurve import classify
+        # the 3-fold circle under (-1, +inf): its end cloud lies on three
+        # parallel circles, and the least-norm point is the centre of the
+        # nearest one's disc, whose 2048 points are coplanar to roundoff
+        bounds = CurvatureBounds(-1.0, math.inf)
+        curve = make_circle(1.2, 3, bounds, n=2048)
+        cloud = classify.classification_cloud(curve)
+        hulls = count_hulls(monkeypatch)
+        _, margin = sphere.best_hemisphere(cloud)
+        assert hulls == [] and margin > DEFAULT_TOL.borderline_margin
+        assert_matches_oracle(cloud)
+
+    def test_single_point(self, monkeypatch):
+        p = sphere.unit_vector([0.3, -0.2, 0.9])
+        hulls = count_hulls(monkeypatch)
+        assert_matches_oracle(p[None, :])
+        assert_matches_oracle(np.vstack([p, p, p]))
+        assert hulls == []
+
+    def test_nearest_point_on_an_edge_and_a_face(self, monkeypatch, rng):
+        # the rim points come last and have angle alpha, so the least-norm
+        # point is on the chord of two of them, or on the plane of three
+        alpha = 0.6
+        edge = cap_with_rim(rng, alpha, np.array([0.0, math.pi]))
+        face = cap_with_rim(rng, alpha, np.array([0.0, 2.0, 4.0]))
+        hulls = count_hulls(monkeypatch)
+        for points in (edge, face):
+            h, margin = sphere.best_hemisphere(points)
+            assert margin == pytest.approx(math.cos(alpha), abs=1e-12)
+            assert np.abs(h - [0.0, 0.0, 1.0]).max() <= 1e-12
+        assert hulls == []
+        monkeypatch.undo()
+        assert_matches_oracle(edge)
+        assert_matches_oracle(face)
+
+    def test_condensed_corpus_cloud_builds_no_hull(self, monkeypatch):
+        from spherecurve import classify
+        # classify_corpus's (1, 4) slot: six turns, reduced by translation
+        curve = make_circle(0.5, 6, CurvatureBounds(1.0, 4.0), n=2048)
+        reduced, _ = classify.reduce_to_k0(curve)
+        hulls = count_hulls(monkeypatch)
+        status = classify.condensed_status(reduced)
+        assert status.tag == "Condensed" and hulls == []
+
+    def test_negative_margin_and_iteration_cap_reach_the_hull(
+            self, monkeypatch, neither_small):
+        from spherecurve import classify, grafting
+        reduced, _ = classify.reduce_to_k0(
+            grafting.ensure_curvature_param(neither_small))
+        neither = classify.classification_cloud(reduced)
+        circle = classify.classification_cloud(
+            make_circle(1.2, 3, CurvatureBounds(-1.0, math.inf), n=1024))
+        hulls = count_hulls(monkeypatch)
+        assert sphere.best_hemisphere(neither)[1] < -EPS and hulls
+        assert sphere._min_norm_margin(circle) is not None
+        monkeypatch.setattr(sphere, "_WOLFE_ITERATIONS", 1)
+        hulls.clear()
+        assert sphere._min_norm_margin(circle) is None
+        assert sphere.best_hemisphere(circle)[1] > EPS and hulls
+        assert_matches_oracle(circle)
 
 
 class TestBatchedQuaternions:
