@@ -327,9 +327,7 @@ class CondensedStatus:
     and `hemisphere` its max-margin direction (`sphere.best_hemisphere`:
     Wolfe's minimum-norm point when the margin is positive, else the
     hull), set only on a condensed curve.  With a positive margin, the
-    band lies in <x, h> >= margin and its antipode in <x, h> <= -margin,
-    so `rotation_number_nondiffuse` takes its gap point on the equator of
-    h.
+    band lies in <x, h> >= margin and its antipode in <x, h> <= -margin.
     `antipodal_defect` bounds the chord |x + y| over band points x, y.
     When 2 margin >= `tol.antipodal_chord` it is 2 margin, certified since
     |x + y| >= <x + y, h> >= 2 margin, and `antipodal_pair` is None.
@@ -434,11 +432,85 @@ def condensed_axis(curve: AdmissibleCurve,
     return status, h, rotation_number_condensed(curve, h, tol)
 
 
-# candidates placed on each witness fiber of a curve that is not
-# condensed, and the angular margin that keeps a free candidate's roots
-# off the band edges and the seam at +-pi
-_GAP_CANDIDATES = 128
+# the angular margin that keeps a free candidate's roots off the band
+# edges and the seam at +-pi
 _GAP_MARGIN = 1e-9
+
+
+def _wrap(x):
+    """Angles reduced to [-pi, pi)."""
+    return (x + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _witness_gap_angle(curve: AdmissibleCurve, t0: int) -> float | None:
+    """Fiber angle in (rho0 - pi, 0), on the witness fiber over node t0, of
+    the middle of the widest arc of its great circle that the band misses;
+    None when the band covers the circle.
+
+    The witness circle is orthogonal to T0 = T(t0), and fiber t meets it at
+    +-w(t), w = T0 x T(t), at the angle psi = atan2(<w, n0>, <w, gamma0>)
+    on the circle and theta = atan2(<w, n(t)>, <w, gamma(t)>) on the fiber.
+    The two points differ by pi in both angles, so everything is taken mod
+    pi: the line +-w(t) is blocked when theta mod pi lies in [0, rho0].
+    The rotation about T x (s T0) that takes T onto s T0, s = sign <T, T0>,
+    maps the fiber onto the circle with its angles shifted by a twist
+    alpha, and psi = alpha + s theta (mod pi) exactly.  So a node with the
+    tilt |T0 x T| below its longer tangent step, whose w turns fast or
+    vanishes, blocks its band arc alpha + s [0, rho0], widened to the twists
+    of its two neighbours, between which alpha moves while psi sweeps; the
+    witness node itself blocks [0, rho0].  Between two other nodes w turns
+    by less than pi, and the interval blocks that short psi-arc when theta,
+    carried along it, meets [0, rho0] mod pi.  The free arcs are the gaps
+    of the sorted, merged arcs, and the witness fiber's (rho0 - pi, 0) is
+    (rho0, pi) mod pi.
+    """
+    pi, m = math.pi, _GAP_MARGIN
+    rho0 = curve.bounds.rho1
+    g, tg, nr = curve.gamma, curve.tangent, curve.normal
+    g0, T0, n0 = g[t0], tg[t0], nr[t0]
+    w = np.cross(T0, tg)
+    psi = np.arctan2(w @ n0, w @ g0)
+    theta = np.arctan2(np.einsum("ij,ij->i", w, nr),
+                       np.einsum("ij,ij->i", w, g))
+    step = np.linalg.norm(np.diff(tg, axis=0), axis=1)
+    near = np.linalg.norm(w, axis=1) <= np.maximum(np.r_[step[-1], step],
+                                                   np.r_[step, step[0]])
+
+    i = np.flatnonzero(~near[:-1] & ~near[1:])
+    turn = _wrap(psi[i + 1] - psi[i])
+    x = theta[i] % pi
+    y = x + _wrap(theta[i + 1] - theta[i])
+    hit = (np.minimum(x, y) <= rho0 + m) | (np.maximum(x, y) >= pi - m)
+
+    # never empty: the witness node has tilt 0
+    j = np.flatnonzero(near)
+    s = np.where(tg[j] @ T0 < 0.0, -1.0, 1.0)
+    axis = s[:, None] * T0
+    nb = np.stack([j, (j - 1) % curve.n, (j + 1) % curve.n])
+    v = np.cross(tg[nb], axis)
+    c = np.einsum("...i,...i->...", tg[nb], axis)
+    vg = np.cross(v, g[nb])
+    rg = g[nb] + vg + np.cross(v, vg) / (1.0 + c)[..., None]
+    twist = np.arctan2(rg @ n0, rg @ g0)
+    spread = _wrap(twist - twist[0])
+    lo, hi = twist[0] + spread.min(axis=0), twist[0] + spread.max(axis=0)
+
+    length = np.concatenate([np.abs(turn[hit]), hi - lo + rho0]) + 2.0 * m
+    if np.max(length) >= pi:
+        return None
+    start = (np.concatenate([np.minimum(psi[i], psi[i] + turn)[hit],
+                             np.where(s < 0.0, lo - rho0, lo)]) - m) % pi
+    end = start + length
+    over = end > pi
+    start = np.concatenate([start, np.zeros(np.count_nonzero(over)), [pi]])
+    end = np.concatenate([np.minimum(end, pi), end[over] - pi, [pi]])
+    order = np.argsort(start)
+    start, end = start[order], np.maximum.accumulate(end[order])
+    gaps = start[1:] - end[:-1]
+    k = int(np.argmax(gaps))
+    if gaps[k] <= 0.0:
+        return None
+    return 0.5 * (end[k] + start[k + 1]) - pi
 
 
 def _fiber_root_angles(curve: AdmissibleCurve, points: np.ndarray):
@@ -481,42 +553,38 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
     root has its angle in [0, rho0], and in -B iff some root has it in
     [-pi, rho0 - pi].  b lies in the gap between B and -B iff every root
     angle lies in (rho0 - pi, 0) u (rho0, pi), here with a margin of 1e-9
-    at each end; nu is then the number of roots in (rho0 - pi, 0).  On a
-    condensed curve the one candidate on a witness fiber is where its
-    great circle crosses <x, h> = 0 inside (rho0 - pi, 0), h =
-    `status.hemisphere`: B lies in <x, h> >= margin and -B in
-    <x, h> <= -margin, so that point is in the gap.  Otherwise 128
-    candidates strictly inside (rho0 - pi, 0) are tested at once and the
-    middle free one, in fiber order, is counted.  A second witness fiber
-    must agree.  `status.diffuse` and `status.hemisphere` are read, and
-    `tol` is unused: the signature matches the other rotation numbers.
+    at each end; nu is then the number of roots in (rho0 - pi, 0).  On
+    each witness fiber one candidate is placed, in the middle of the
+    widest arc of its great circle that the band's fibers miss
+    (`_witness_gap_angle`), and its roots are counted; a candidate with a
+    root in B or -B, or a fiber with no free arc, passes to the next
+    witness fiber.  A second witness fiber must agree.  Only
+    `status.diffuse` is read, and `tol` is unused: the signature matches
+    the other rotation numbers.
 
-    Known limit: a tangency of <b, T> between two nodes is a double root
-    without a sign change, which the scan misses.
+    Raises NoGapFound when the curve is diffuse or no witness fiber yields
+    a candidate in the gap, and FiberCountMismatch when two fibers count
+    different sheets.  Known limit: a tangency of <b, T> between two nodes
+    is a double root without a sign change, which the scan misses.
     """
     if status.diffuse:
         raise NoGapFound("curve is diffuse; the separating annulus is empty")
     rho0 = curve.bounds.rho1
     lo, m = rho0 - math.pi, _GAP_MARGIN
-    h = status.hemisphere
-    grid = np.linspace(lo, 0.0, _GAP_CANDIDATES + 2)[1:-1]
 
     counts = []
     for frac in (0.0, 0.37, 0.61, 0.13, 0.83, 0.29, 0.47, 0.71):
-        t_index = int(frac * curve.n)
-        g, nr = curve.gamma[t_index], curve.normal[t_index]
-        # <C(theta), h> runs from <= -margin at rho0 - pi to >= margin at 0
-        thetas = grid if h is None else np.array([math.atan2(-(g @ h), nr @ h)])
-        cand = np.cos(thetas)[:, None] * g + np.sin(thetas)[:, None] * nr
-        k, theta = _fiber_root_angles(curve, cand)
+        t0 = int(frac * curve.n)
+        psi = _witness_gap_angle(curve, t0)
+        if psi is None:
+            continue
+        cand = math.cos(psi) * curve.gamma[t0] + math.sin(psi) * curve.normal[t0]
+        _, theta = _fiber_root_angles(curve, cand[None])
         inner = (lo + m < theta) & (theta < -m)
         outer = (rho0 + m < theta) & (theta < math.pi - m)
-        blocked = np.bincount(k[~(inner | outer)], minlength=thetas.size)
-        free = np.flatnonzero(blocked == 0)
-        if free.size == 0:
+        if not np.all(inner | outer):
             continue
-        mid = free[free.size // 2]
-        counts.append(int(np.count_nonzero(inner[k == mid])))
+        counts.append(int(np.count_nonzero(inner)))
         if len(counts) == 2:
             break
     if not counts:

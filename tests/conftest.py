@@ -53,11 +53,12 @@ def random_rotation(rng):
 
 
 def count_calls(monkeypatch, fn):
-    """Count calls of `fn` under every spherecurve name bound to it."""
+    """Record the calls of `fn` under every spherecurve name bound to it,
+    one entry per call: its positional arguments."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):

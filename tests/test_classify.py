@@ -11,6 +11,7 @@ import spherecurve as sc
 from spherecurve import classify, factory
 from spherecurve.errors import (
     DomainError,
+    FiberCountMismatch,
     NoGapFound,
     NonPositiveSpeed,
     NotCondensed,
@@ -51,6 +52,43 @@ def nondiffuse(curve):
     """Sheet count of the covering, from a freshly computed status."""
     return classify.rotation_number_nondiffuse(
         curve, classify.condensed_status(curve))
+
+
+def grid_rotation_number(curve, status):
+    """The sheet count from a fixed grid of 128 candidates strictly inside
+    (rho0 - pi, 0) on each witness fiber: the middle free one, in fiber
+    order, is counted, and a second witness fiber must agree.  Misses any
+    gap narrower than the grid spacing."""
+    if status.diffuse:
+        raise NoGapFound("curve is diffuse; the separating annulus is empty")
+    rho0 = curve.bounds.rho1
+    lo, m = rho0 - math.pi, classify._GAP_MARGIN
+    grid = np.linspace(lo, 0.0, 130)[1:-1]
+    counts = []
+    for frac in (0.0, 0.37, 0.61, 0.13, 0.83, 0.29, 0.47, 0.71):
+        t = int(frac * curve.n)
+        cand = (np.cos(grid)[:, None] * curve.gamma[t]
+                + np.sin(grid)[:, None] * curve.normal[t])
+        k, theta = classify._fiber_root_angles(curve, cand)
+        inner = (lo + m < theta) & (theta < -m)
+        outer = (rho0 + m < theta) & (theta < math.pi - m)
+        blocked = np.bincount(k[~(inner | outer)], minlength=grid.size)
+        free = np.flatnonzero(blocked == 0)
+        if free.size == 0:
+            continue
+        mid = free[free.size // 2]
+        counts.append(int(np.count_nonzero(inner[k == mid])))
+        if len(counts) == 2:
+            break
+    if not counts:
+        raise NoGapFound("no grid candidate on any witness fiber is free")
+    if len(counts) == 2 and counts[0] != counts[1]:
+        raise FiberCountMismatch(f"witnesses disagree: {counts}")
+    return counts[0]
+
+
+def without_hemisphere(status):
+    return dataclasses.replace(status, hemisphere=None)
 
 
 def barycenter_winding(curve):
@@ -266,6 +304,18 @@ class TestExactNonDiffuse:
         assume(status.condensed and not status.diffuse and not status.borderline)
         nu = classify.rotation_number_condensed(curve, status.hemisphere)
         assert classify.rotation_number_nondiffuse(curve, status) == nu == k
+        assert classify.rotation_number_nondiffuse(
+            curve, without_hemisphere(status)) == k
+
+    def test_falsifying_input_needs_no_hemisphere(self):
+        # the @example above: the gap is about 2 margin = 1.2e-3 wide, and
+        # the grid candidates are 9.2e-3 apart
+        bounds = sc.CurvatureBounds(-0.4, math.inf)
+        curve = sc.make_circle(0.1953125 * bounds.rho1, 1, bounds, n=256)
+        status = without_hemisphere(classify.condensed_status(curve))
+        assert classify.rotation_number_nondiffuse(curve, status) == 1
+        with pytest.raises(NoGapFound):
+            grid_rotation_number(curve, status)
 
     def test_narrow_gaps_of_condensed_circles(self):
         # the cloud of a circle of radius rho about c lies within
@@ -287,8 +337,13 @@ class TestExactNonDiffuse:
                         certified = (status.condensed and not status.diffuse
                                      and not status.borderline)
                         if certified and 5e-4 <= status.margin <= 5e-3:
+                            bare = without_hemisphere(status)
                             assert classify.rotation_number_nondiffuse(
                                 curve, status) == k
+                            assert classify.rotation_number_nondiffuse(
+                                curve, bare) == k
+                            with pytest.raises(NoGapFound):
+                                grid_rotation_number(curve, bare)
                             counted += 1
         assert counted == 60
 
@@ -298,6 +353,43 @@ class TestExactNonDiffuse:
         curves = [neither_coarse] + [neither_coarse.rotated(random_rotation(rng))
                                      for _ in range(2)]
         assert [nondiffuse(c) for c in curves] == [33, 33, 33]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sweep_matches_the_grid_oracle(self, data, neither_coarse,
+                                           neither_small):
+        # wherever the grid finds a free candidate on two agreeing fibers,
+        # the one swept candidate per fiber counts the same sheets
+        from conftest import random_rotation
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        kind = data.draw(st.sampled_from(["coarse", "small", "circle"]))
+        if kind == "circle":
+            bounds = sc.CurvatureBounds(
+                data.draw(st.sampled_from([-1.0, -0.4, 0.0, 0.3, 1.0])),
+                math.inf)
+            frac = data.draw(st.floats(0.05, 0.95))
+            curve = sc.make_circle(frac * bounds.rho1,
+                                   data.draw(st.integers(1, 5)), bounds, n=256)
+        else:
+            curve = neither_coarse if kind == "coarse" else neither_small
+        curve = curve.rotated(random_rotation(rng))
+        status = classify.condensed_status(curve)
+        assume(not status.diffuse and not status.borderline)
+        status = without_hemisphere(status)
+        try:
+            want = grid_rotation_number(curve, status)
+        except (NoGapFound, FiberCountMismatch):
+            reject()
+        assert classify.rotation_number_nondiffuse(curve, status) == want
+
+    def test_one_candidate_per_witness_fiber(self, neither_coarse,
+                                            monkeypatch):
+        from conftest import count_calls
+        status = classify.condensed_status(neither_coarse)
+        calls = count_calls(monkeypatch, classify._fiber_root_angles)
+        assert classify.rotation_number_nondiffuse(neither_coarse, status) == 33
+        assert len(calls) >= 2
+        assert [points.shape for _, points in calls] == [(1, 3)] * len(calls)
 
 
 class TestNonDiffuseBound:
