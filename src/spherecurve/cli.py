@@ -2,13 +2,16 @@
 
 Outputs are deterministic for a fixed seed: floats are serialized with 17
 significant digits and dictionaries keep insertion order.  Curve streams
-are JSONL (one curve per line, trailing report object).
+are JSONL (one curve per line, trailing report object); a long float list
+or a matrix of float rows is written by formatting each distinct value
+once, with the same bytes as formatting float by float.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -23,6 +26,7 @@ from .curves import (
     CurvatureBounds,
     curve_from_json,
     curve_to_json,
+    curves_to_json,
     lift_parity,
     load_curve,
     make_circle,
@@ -31,6 +35,44 @@ from .curves import (
 from .errors import SphereCurveError
 from .homotopy import validate_path
 from .tolerances import DEFAULT_TOL, ToleranceProfile
+
+
+_FLOATS = {float, np.float64}
+# below this many floats numpy's fixed cost exceeds formatting one by one
+_BLOCK_MIN = 32
+
+
+def _float_block(seq):
+    """JSON of an all-float list or of a rectangular list of float rows,
+    each distinct bit pattern formatted once; None for any other sequence,
+    short ones and those holding a NaN or an infinity included.
+
+    `np.unique` runs on the bits, so 0.0 and -0.0 stay apart, and one
+    "%.17g" %-tuple writes exactly what `format(x, ".17g")` writes.
+    """
+    kinds = set(map(type, seq))
+    width = None
+    if kinds and kinds <= _FLOATS:
+        flat = seq
+    elif kinds and kinds <= {list, tuple} and len(set(map(len, seq))) == 1:
+        flat = list(itertools.chain.from_iterable(seq))
+        if not set(map(type, flat)) <= _FLOATS:
+            return None
+        width = len(seq[0])
+    else:
+        return None
+    if len(flat) < _BLOCK_MIN:
+        return None
+    values = np.array(flat, dtype=float)
+    if not np.isfinite(values).all():
+        return None
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = ("%.17g," * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
+    cells = [text[i] for i in inverse.tolist()]
+    if width is None:
+        return "[" + ",".join(cells) + "]"
+    row = "[" + ",".join(["%s"] * width) + "]"
+    return "[" + ",".join([row] * len(seq)) % tuple(cells) + "]"
 
 
 def _fmt(value):
@@ -49,6 +91,9 @@ def _fmt(value):
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
+        block = _float_block(value)
+        if block is not None:
+            return block
         return "[" + ",".join(_fmt(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
         return _fmt(value.tolist())
@@ -61,7 +106,11 @@ def dumps(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
     Infinities are written as the strings "-inf" / "+inf"; NaN raises
-    ValueError, since JSON has no token for it.
+    ValueError, since JSON has no token for it.  Long float lists and
+    rectangular lists of float rows (a node-sampled curve's `lift`) format
+    each distinct value once and gather the texts; the bytes are those of
+    formatting float by float, which a path frame's repeated controls make
+    much cheaper.
     """
     return _fmt(obj)
 
@@ -95,7 +144,7 @@ def _bounds_from_args(args) -> CurvatureBounds:
 
 
 def _path_to_jsonl(path_obj, report) -> str:
-    lines = [dumps(curve_to_json(c)) for c in path_obj.curves]
+    lines = [dumps(doc) for doc in curves_to_json(path_obj.curves)]
     lines.append(dumps(report))
     return "\n".join(lines)
 
@@ -197,7 +246,7 @@ def cmd_graft(args) -> int:
     else:
         out, status, history = grafting.graft_until_resolved(
             curve, step=args.step, budget=args.budget, tol=tol)
-        lines.extend(dumps(curve_to_json(c)) for c in history)
+        lines.extend(dumps(doc) for doc in curves_to_json(history))
         report = {"status": status.tag, "tot": total_curvature(out),
                   "steps": len(history) - 1}
     lines.append(dumps(report))

@@ -176,6 +176,16 @@ def _step_quats(v, w, dt) -> np.ndarray:
     return out
 
 
+def _unit_columns(q: np.ndarray) -> np.ndarray:
+    """Component-row quaternions (4, ...) scaled to unit norm.
+
+    The squares are summed in one fixed order, column by column, so a
+    column's result does not depend on the shape of the array it sits in
+    (a reduction over a lone column sums in another order than over many).
+    """
+    return q / np.sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3])
+
+
 def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
     """Cumulative right-products z_{i+1} = z_i * steps_i, (n, 4) -> (n + 1, 4).
 
@@ -183,8 +193,9 @@ def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
     component-row array holding z0 and the steps: at shift 1, 2, 4, ... <= n
     every column from `shift` on becomes the Hamilton product of the column
     `shift` earlier (the left factor) and itself, renormalized once per
-    level.  ceil(log2(n + 1)) batched levels; node i is z0 * steps_0 * ...
-    * steps_{i-1} to roundoff.
+    level by `_unit_columns`, which `_chain_ends` shares so that its last
+    node is this scan's bit for bit.  ceil(log2(n + 1)) batched levels;
+    node i is z0 * steps_0 * ... * steps_{i-1} to roundoff.
     """
     n = steps.shape[0]
     q = np.empty((4, n + 1))
@@ -193,10 +204,29 @@ def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
     shift = 1
     while shift <= n:
         # transposed views: quat_mul reads and returns component rows
-        prod = sphere.quat_mul(q[:, :-shift].T, q[:, shift:].T).T
-        q[:, shift:] = prod / np.sqrt(np.einsum("ij,ij->j", prod, prod))
+        q[:, shift:] = _unit_columns(sphere.quat_mul(q[:, :-shift].T, q[:, shift:].T).T)
         shift *= 2
     return np.ascontiguousarray(q.T)
+
+
+def _chain_ends(z0s: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Last node of `_chain_quats(z0s[f], steps[f])` for every f, bit for
+    bit: (F, 4) and (F, n, 4) -> (F, 4).
+
+    The scan's node n is a tree of right-aligned pairwise products: at
+    each level the earlier element of a pair is the left factor and an
+    unpaired first element is carried unchanged.  Reducing level by
+    level takes only those n products (Blelloch 1990's up-sweep) instead
+    of the scan's n log n, for all F chains in one batch.
+    """
+    q = np.empty((4, steps.shape[1] + 1, steps.shape[0]))
+    q[:, 0] = np.asarray(z0s, dtype=float).T
+    q[:, 1:] = steps.T
+    while q.shape[1] > 1:
+        odd = q.shape[1] % 2
+        pairs = _unit_columns(sphere.quat_mul(q[:, odd::2].T, q[:, odd + 1::2].T).T)
+        q = np.concatenate([q[:, :1], pairs], axis=1) if odd else pairs
+    return np.ascontiguousarray(q[:, 0].T)
 
 
 def lift_from_frames(frames: np.ndarray, z0=None) -> np.ndarray:
@@ -527,13 +557,56 @@ def _bound_from_json(x) -> float:
     return float(x)
 
 
-def _reintegration_closes(bounds, v_hat, w_hat, q0, tol) -> bool:
-    """Whether integrating the written controls gives a closed curve."""
-    _, h_inv, _, hb_inv = control_transforms(bounds)
-    v = h_inv(v_hat)
-    steps = _step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
-    z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
-    return _end_gap(_chain_quats(z0, steps)) <= tol.closure
+def _reintegration_closes(written, tol) -> np.ndarray:
+    """Whether integrating each written (bounds, v_hat, w_hat, q0) gives a
+    closed curve, all of one n, as `integrate_curve` would decide it."""
+    z0s, steps = [], []
+    for bounds, v_hat, w_hat, q0 in written:
+        _, h_inv, _, hb_inv = control_transforms(bounds)
+        v = h_inv(v_hat)
+        steps.append(_step_quats(v, v * hb_inv(w_hat), 1.0 / v.size))
+        z0s.append(sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0))
+    z0s = np.array(z0s)
+    ends = sphere.quat_to_rotation(np.stack([z0s, _chain_ends(z0s, np.array(steps))], axis=1))
+    return np.abs(ends[:, 1] - ends[:, 0]).max(axis=(1, 2)) <= tol.closure
+
+
+def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
+    """`curve_to_json` of every curve; the closure checks of all curves of
+    one n run as one batched end-node reduction (`_chain_ends`)."""
+    docs, pending = [], {}
+    for curve in curves:
+        if curve.domain != 1.0:
+            v, kap = curve.interval_vk()
+            h, _, hb, _ = control_transforms(curve.bounds)
+            v_hat = h(v * curve.domain)
+            w_hat = hb(kap)
+        else:
+            v_hat, w_hat = curve.controls.v_hat, curve.controls.w_hat
+        out = {
+            "kappa1": _bound_to_json(curve.bounds.kappa1),
+            "kappa2": _bound_to_json(curve.bounds.kappa2),
+            "n": curve.n,
+            "v_hat": v_hat.tolist(),
+            "w_hat": w_hat.tolist(),
+        }
+        q0 = curve.frame(0)
+        if np.abs(q0 - np.eye(3)).max() > 1e-12:
+            out["q0"] = q0.reshape(-1).tolist()
+        else:
+            q0 = None
+        docs.append(out)
+        if curve.closed and not curve.integrated:
+            pending.setdefault(v_hat.size, []).append(
+                (curve, out, (curve.bounds, v_hat, w_hat, q0)))
+    for group in pending.values():
+        closes = _reintegration_closes([written for _, _, written in group], tol)
+        for (curve, out, _), ok in zip(group, closes):
+            if not ok:
+                out["lift"] = curve.lift.tolist()
+                out["speed"] = (curve.speed * curve.domain).tolist()
+                out["kappa"] = curve.kappa.tolist()
+    return docs
 
 
 def curve_to_json(curve: AdmissibleCurve,
@@ -544,33 +617,11 @@ def curve_to_json(curve: AdmissibleCurve,
     closed curve (node-sampled curves whose controls are averages) also
     carries its node samples as `lift`, `speed` and `kappa`, from which
     `curve_from_json` rebuilds it exactly.  Curves made by `integrate_curve`
-    re-integrate by construction and skip the check.
+    re-integrate by construction and skip the check.  This is the one-curve
+    case of `curves_to_json`, which decides the closure of many curves with
+    one batched end-node reduction rather than a scan per curve.
     """
-    v, kap = curve.interval_vk()
-    if curve.domain != 1.0:
-        h, _, hb, _ = control_transforms(curve.bounds)
-        v_hat = h(v * curve.domain)
-        w_hat = hb(kap)
-    else:
-        v_hat, w_hat = curve.controls.v_hat, curve.controls.w_hat
-    out = {
-        "kappa1": _bound_to_json(curve.bounds.kappa1),
-        "kappa2": _bound_to_json(curve.bounds.kappa2),
-        "n": curve.n,
-        "v_hat": v_hat.tolist(),
-        "w_hat": w_hat.tolist(),
-    }
-    q0 = curve.frame(0)
-    if np.abs(q0 - np.eye(3)).max() > 1e-12:
-        out["q0"] = q0.reshape(-1).tolist()
-    else:
-        q0 = None
-    if curve.closed and not curve.integrated \
-            and not _reintegration_closes(curve.bounds, v_hat, w_hat, q0, tol):
-        out["lift"] = curve.lift.tolist()
-        out["speed"] = (curve.speed * curve.domain).tolist()
-        out["kappa"] = curve.kappa.tolist()
-    return out
+    return curves_to_json([curve], tol)[0]
 
 
 def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:

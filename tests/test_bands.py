@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spherecurve as sc
@@ -79,22 +79,29 @@ class TestTranslate:
         ct = bands.translate_curve(geodesicish, 0.35)
         assert sc.lift_parity(ct).sign == sc.lift_parity(geodesicish).sign
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(-0.95, 0.95))
-    def test_matches_trig_translation(self, seed, frac):
-        # the translate is built from its lift alone; its frames match
-        # Phi R_theta and the column trig formulas, and its node and
-        # interval data match the closed forms bit for bit
+    @staticmethod
+    def placed_curve(seed):
         from conftest import random_rotation
         from spherecurve import factory
-        assume(frac != 0.0)
         rng = np.random.default_rng(seed)
         bounds = sc.CurvatureBounds(-1.0, 2.0)
         curve = factory.random_open_curve(bounds, rng, n=96) if seed % 2 \
             else sc.make_circle(rng.uniform(0.6, 2.2), 2, bounds, n=64)
-        curve = curve.rotated(random_rotation(rng))
+        return curve.rotated(random_rotation(rng))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(-0.95, 0.95))
+    # a subnormal frac makes theta underflow to 0.0: the curve itself
+    # comes back (test_zero_translation_is_identity), not the closed forms
+    @example(seed=21419, frac=5e-324)
+    def test_matches_trig_translation(self, seed, frac):
+        # the translate is built from its lift alone; its frames match
+        # Phi R_theta and the column trig formulas, and its node and
+        # interval data match the closed forms bit for bit
+        curve = self.placed_curve(seed)
         lo, hi = bands.theta_range(curve)
         theta = frac * (hi if frac > 0 else -lo)
+        assume(theta != 0.0)
         ct = bands.translate_curve(curve, theta)
         c, s = math.cos(theta), math.sin(theta)
         g, t, n = curve.gamma, curve.tangent, curve.normal
@@ -112,6 +119,12 @@ class TestTranslate:
         assert np.array_equal(ct.controls.v_hat, h(v_new))
         assert np.array_equal(ct.controls.w_hat, hb(w_new / v_new))
         assert ct.closed == curve.closed and ct.domain == curve.domain
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), theta=st.sampled_from([0.0, -0.0]))
+    def test_zero_translation_is_identity(self, seed, theta):
+        curve = self.placed_curve(seed)
+        assert bands.translate_curve(curve, theta) is curve
 
 
 class TestRegularBand:

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spherecurve as sc
 from spherecurve import cli
@@ -321,3 +324,119 @@ class TestParserReuse:
         assert classify.func is cli.cmd_classify and classify.input == "b.json"
         assert not hasattr(classify, "step") and not hasattr(classify, "mode")
         assert graft.func is cli.cmd_graft and graft.input == "a.json"
+
+
+def loop_dumps(value):
+    """The writer float by float: every float through format(x, '.17g')."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("NaN has no JSON representation")
+        if math.isinf(value):
+            return '"-inf"' if value < 0 else '"+inf"'
+        return format(value, ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(loop_dumps(v) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        return loop_dumps(value.tolist())
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{loop_dumps(v)}"
+                              for k, v in value.items()) + "}"
+    raise TypeError(f"cannot serialize {type(value)}")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
+               2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max]
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_FLOATS))
+# sizes around the writer's switch to formatting distinct values once
+SIZES = st.sampled_from([0, 1, 2, 5, 31, 32, 33, 47, 64, 100])
+
+
+@st.composite
+def repeating_floats(draw, size=None):
+    """A float list drawn mostly from a small pool, so values repeat; one
+    in five holds an infinity."""
+    pool = draw(st.lists(FINITE, min_size=1, max_size=6))
+    size = draw(SIZES) if size is None else size
+    out = draw(st.lists(st.one_of(st.sampled_from(pool), st.sampled_from(pool), FINITE),
+                        min_size=size, max_size=size))
+    if out and draw(st.integers(0, 4)) == 0:
+        out[draw(st.integers(0, size - 1))] = draw(st.sampled_from([math.inf, -math.inf]))
+    return out
+
+
+@st.composite
+def float_rows(draw):
+    """Float rows, rectangular or ragged, as lists, tuples or an array."""
+    width = draw(st.integers(1, 5))
+    rows = draw(st.sampled_from([0, 1, 3, 8, 16, 40]))
+    flat = draw(repeating_floats(size=width * rows))
+    out = [flat[i:i + width] for i in range(0, len(flat), width)]
+    shape = draw(st.sampled_from(["lists", "tuples", "ragged", "array"]))
+    if shape == "tuples":
+        return [tuple(row) for row in out]
+    if shape == "ragged" and out:
+        out[draw(st.integers(0, len(out) - 1))].append(0.5)
+    if shape == "array":
+        return np.array(out).reshape(rows, width)
+    return out
+
+
+SCALARS = st.one_of(st.floats(allow_nan=False), st.booleans(), st.none(),
+                    st.integers(-10 ** 20, 10 ** 20), st.integers(-5, 5).map(np.int64),
+                    st.text(max_size=3), st.floats(allow_nan=False).map(np.float64))
+
+
+@st.composite
+def mixed_floats(draw):
+    """A long float list with one bool, int, None, string or numpy float
+    among the floats."""
+    out = draw(repeating_floats(size=draw(st.integers(32, 60))))
+    out[draw(st.integers(0, len(out) - 1))] = draw(SCALARS)
+    return out
+
+
+DOCS = st.recursive(
+    st.one_of(SCALARS, repeating_floats(), float_rows(), mixed_floats(),
+              repeating_floats().map(np.array)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=8)
+
+
+class TestDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(repeating_floats(), float_rows(), mixed_floats()))
+    @example([0.0, -0.0] * 20)
+    @example([[5e-324, -0.0, 0.0, 1.0]] * 10)
+    @example([1.0] * 40 + [math.inf, -math.inf])
+    def test_float_lists_match_the_loop(self, doc):
+        assert cli.dumps(doc) == loop_dumps(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(DOCS)
+    @example({"v_hat": [1.5] * 1024, "q0": [0.0] * 9, "n": np.int64(7)})
+    @example([[], [], ()])
+    def test_documents_match_the_loop(self, doc):
+        assert cli.dumps(doc) == loop_dumps(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(repeating_floats(), float_rows()), st.data())
+    def test_nan_anywhere_raises(self, doc, data):
+        rows = [list(r) for r in doc] if len(doc) and not isinstance(doc[0], float) \
+            else [list(doc)]
+        rows = [r for r in rows if r] or [[1.0]]
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows[row][data.draw(st.integers(0, len(rows[row]) - 1))] = math.nan
+        for bad in (rows, rows[row], {"lift": rows}):
+            with pytest.raises(ValueError):
+                cli.dumps(bad)

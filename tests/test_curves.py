@@ -437,18 +437,40 @@ class TestChainScan:
         kicked = circle.controls.w_hat + 10.0 ** log_kick * rng.normal(size=128)
         wild = factory.random_open_controls(bounds_k0, rng, n=128)
         q0 = random_rotation(rng) if rotate else None
-        for v_hat, w_hat in [(circle.controls.v_hat, circle.controls.w_hat),
-                             (circle.controls.v_hat, kicked),
-                             (wild.v_hat, wild.w_hat)]:
-            curve = sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds_k0,
-                                       q0=q0, tol=tol)
-            assert cur._reintegration_closes(bounds_k0, v_hat, w_hat, q0, tol) \
-                == (curve.closure_defect() <= tol.closure)
+        written = [(bounds_k0, v_hat, w_hat, q0)
+                   for v_hat, w_hat in [(circle.controls.v_hat, circle.controls.w_hat),
+                                        (circle.controls.v_hat, kicked),
+                                        (wild.v_hat, wild.w_hat)]]
+        want = [sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds_k0,
+                                   q0=q0, tol=tol).closure_defect() <= tol.closure
+                for _, v_hat, w_hat, _ in written]
+        # one batch and one curve at a time decide alike
+        assert cur._reintegration_closes(written, tol).tolist() == want
+        assert [cur._reintegration_closes([w], tol)[0] for w in written] == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(SCAN_SIZES, st.sampled_from([1, 2, 65]), st.integers(0, 2 ** 32 - 1))
+    def test_chain_ends_are_the_scans_last_nodes(self, n, frames, seed):
+        rng = np.random.default_rng(seed)
+        z0s = unit_rows(rng, frames)
+        steps = unit_rows(rng, frames * n).reshape(frames, n, 4)
+        got = cur._chain_ends(z0s, steps)
+        want = np.array([cur._chain_quats(z0, s)[-1] for z0, s in zip(z0s, steps)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(13)])
+    def test_chain_ends_at_powers_of_two(self, rng, n):
+        # the scan's last level is a lone column exactly at these n
+        z0s = unit_rows(rng, 65)
+        steps = unit_rows(rng, 65 * n).reshape(65, n, 4)
+        want = np.array([cur._chain_quats(z0, s)[-1] for z0, s in zip(z0s, steps)])
+        assert np.array_equal(cur._chain_ends(z0s, steps), want)
 
 
 def loop_curve_to_json(curve, tol=sc.DEFAULT_TOL):
-    """The control schema built float by float from the stacked frames;
-    `curve_to_json` must match it bit for bit."""
+    """The control schema built float by float from the stacked frames, one
+    curve at a time, its closure decided by a full re-integration;
+    `curve_to_json` and `curves_to_json` must match it bit for bit."""
     v, kap = curve.interval_vk()
     if curve.domain != 1.0:
         h, _, hb, _ = sc.control_transforms(curve.bounds)
@@ -469,7 +491,8 @@ def loop_curve_to_json(curve, tol=sc.DEFAULT_TOL):
     else:
         q0 = None
     if curve.closed and not curve.integrated \
-            and not cur._reintegration_closes(curve.bounds, v_hat, w_hat, q0, tol):
+            and sc.integrate_curve(sc.ControlPair(v_hat, w_hat), curve.bounds, q0=q0,
+                                   tol=tol).closure_defect() > tol.closure:
         out["lift"] = curve.lift.tolist()
         out["speed"] = (curve.speed * curve.domain).tolist()
         out["kappa"] = curve.kappa.tolist()
@@ -497,6 +520,51 @@ class TestEndRows:
             assert all(type(x) is float for key in ("v_hat", "w_hat", "q0")
                        for x in doc.get(key, []))
         assert "q0" in sc.curve_to_json(curves[1])
+
+
+@pytest.fixture(scope="module")
+def shrink_path(bounds_k0):
+    from spherecurve import homotopy
+    return homotopy.shrink_condensed(sc.make_circle(0.9, 1, bounds_k0), steps=65)
+
+
+class TestBatchedWriter:
+    def test_mixed_list_matches_one_curve_at_a_time(self, bounds_k0, rng,
+                                                    shrink_path):
+        from conftest import random_rotation
+        from spherecurve import factory
+        circle = sc.make_circle(0.8, 2, bounds_k0, n=256)
+        diffuse = factory.diffuse_example()
+        frames = shrink_path.curves
+        curves = [circle,                               # integrated
+                  frames[3],                            # node-sampled, closes
+                  diffuse,                              # lift written, n = 6144
+                  sc.reparametrize_by_curvature(circle),  # closes, n = 256
+                  circle.rotated(random_rotation(rng)),
+                  frames[0],                            # the input circle
+                  sc.reparametrize_by_curvature(      # closes, n = 6144
+                      sc.make_circle(0.8, 2, bounds_k0, n=diffuse.n)),
+                  frames[40].rotated(random_rotation(rng)),
+                  diffuse.rotated(random_rotation(rng)),
+                  factory.random_open_curve(bounds_k0, rng, n=200)]
+        docs = cur.curves_to_json(curves)
+        want = [loop_curve_to_json(c) for c in curves]
+        assert [json.dumps(d) for d in docs] == [json.dumps(d) for d in want]
+        assert not frames[3].integrated and frames[0].integrated
+        assert [i for i, d in enumerate(docs) if "lift" in d] == [2, 8]
+        assert [json.dumps(sc.curve_to_json(c)) for c in curves] \
+            == [json.dumps(d) for d in want]
+
+    def test_shrink_path_runs_no_scan(self, monkeypatch, shrink_path):
+        from conftest import count_calls
+        from spherecurve import cli
+        scans = count_calls(monkeypatch, cur._chain_quats)
+        ends = count_calls(monkeypatch, cur._chain_ends)
+        text = cli._path_to_jsonl(shrink_path, {"pass": True})
+        assert scans == []
+        assert len(ends) == 1 and ends[0][1].shape[0] == 64
+        # every node-sampled frame closes: the controls are written alone
+        assert text.count("\n") == 65 and '"lift"' not in text
 
 
 def loop_lift_from_frames(frames, z0=None):
