@@ -167,7 +167,9 @@ def _step_quats(v, w, dt) -> np.ndarray:
     hx = 0.5 * dt * np.asarray(w, dtype=float)
     hz = 0.5 * dt * np.asarray(v, dtype=float)
     a = np.hypot(hx, hz)
-    s = np.where(a > 1e-14, np.sin(np.where(a > 1e-14, a, 1.0)) / np.where(a > 1e-14, a, 1.0), 1.0)
+    turns = a > 1e-14
+    safe = np.where(turns, a, 1.0)
+    s = np.where(turns, np.sin(safe) / safe, 1.0)
     out = np.empty((np.size(a), 4))
     out[:, 0] = np.cos(a)
     out[:, 1] = s * hx
@@ -209,24 +211,57 @@ def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q.T)
 
 
-def _chain_ends(z0s: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Last node of `_chain_quats(z0s[f], steps[f])` for every f, bit for
-    bit: (F, 4) and (F, n, 4) -> (F, 4).
+def _chain_ends(z0s: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Last node of `_chain_quats(z0s[f], chain f's steps)` for every f, bit
+    for bit: (F, 4), (F, L, 4) and (F,) step counts -> (F, 4).
 
     The scan's node n is a tree of right-aligned pairwise products: at
     each level the earlier element of a pair is the left factor and an
     unpaired first element is carried unchanged.  Reducing level by
     level takes only those n products (Blelloch 1990's up-sweep) instead
     of the scan's n log n, for all F chains in one batch.
+
+    The batch may be ragged: chain f has `counts[f]` <= L steps, in the
+    last slots of `steps[f]`, and is left-padded with `QUAT_ONE` (z0s[f]
+    goes in the slot just before its steps).  A pair whose left factor is
+    padding carries its right factor unchanged instead of multiplying, so
+    each chain's first element is carried exactly where its own tree
+    carries it, and every chain gets its own tree's products.
     """
-    q = np.empty((4, steps.shape[1] + 1, steps.shape[0]))
-    q[:, 0] = np.asarray(z0s, dtype=float).T
+    chains, length = steps.shape[0], steps.shape[1] + 1
+    real = np.asarray(counts) + 1
+    q = np.empty((4, length, chains))
+    q[:, 0] = sphere.QUAT_ONE[:, None]
     q[:, 1:] = steps.T
-    while q.shape[1] > 1:
-        odd = q.shape[1] % 2
-        pairs = _unit_columns(sphere.quat_mul(q[:, odd::2].T, q[:, odd + 1::2].T).T)
+    q[:, length - real, np.arange(chains)] = np.asarray(z0s, dtype=float).T
+    while length > 1:
+        odd = length % 2
+        right = q[:, odd + 1::2]
+        pairs = _unit_columns(sphere.quat_mul(q[:, odd::2].T, right.T).T)
+        pairs = np.where(np.arange(odd, length - 1, 2)[:, None] < length - real, right, pairs)
         q = np.concatenate([q[:, :1], pairs], axis=1) if odd else pairs
+        length, real = (length + 1) // 2, (real + 1) // 2
     return np.ascontiguousarray(q[:, 0].T)
+
+
+def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray,
+                  dt: float):
+    """Maximal runs of equal controls and the closed-form step of each.
+
+    Returns each run's length m, its speed v and curvature kappa (the
+    transforms are elementwise, so these are the bits of every interval of
+    the run), and its step exp(m dt / 2 (w i + v k)), the exact integral
+    over its m intervals.  Controls are compared by their bits, so 0.0 and
+    -0.0 start different runs.
+    """
+    vb, wb = v_hat.view(np.uint64), w_hat.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (vb[1:] != vb[:-1]) | (wb[1:] != wb[:-1])]))
+    lengths = np.diff(np.append(starts, v_hat.size))
+    _, h_inv, _, hb_inv = control_transforms(bounds)
+    v = h_inv(v_hat[starts])
+    kap = hb_inv(w_hat[starts])
+    return lengths, v, kap, _step_quats(v, v * kap, lengths * dt)
 
 
 def lift_from_frames(frames: np.ndarray, z0=None) -> np.ndarray:
@@ -423,20 +458,36 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
 
     Each grid interval contributes the exact exponential of
     (dt/2)(w i + v k) in S^3, so the result has no renormalization drift
-    and analytic closed curves close to roundoff.  The node samples and
-    checks are those of `curve_from_node_data`; the given controls are
-    kept.
+    and analytic closed curves close to roundoff.  A maximal run of m equal
+    controls (`_control_runs`) is one exponential of m dt: the run heads
+    and node n are the `_chain_quats` scan over the r run steps, and the
+    node o intervals into run j is head_j * exp(o dt Lambda_j), filled in
+    one batch.  That is O(r log r + n) products: one run for a k-fold
+    circle, 2k + 2 for a bend frame.  When every run has length one the
+    fill is empty and the lift is the scan over the interval steps.  The
+    node samples and checks are those of `curve_from_node_data`; the given
+    controls are kept.
     """
-    _, h_inv, _, hb_inv = control_transforms(bounds)
-    v = h_inv(controls.v_hat)
-    kap = hb_inv(controls.w_hat)
-    w = v * kap
-    dt = domain / controls.n
+    n = controls.n
+    dt = domain / n
+    lengths, v, kap, run_steps = _control_runs(bounds, controls.v_hat,
+                                               controls.w_hat, dt)
     if q0 is None:
         z0 = sphere.QUAT_ONE
     else:
         z0 = sphere.rotation_to_quat(np.asarray(q0, dtype=float))
-    lift = _chain_quats(z0, _step_quats(v, w, dt))
+    heads = _chain_quats(z0, run_steps)
+    starts = np.cumsum(lengths) - lengths
+    run = np.repeat(np.arange(lengths.size), lengths)
+    offset = np.arange(n) - starts[run]
+    inner = np.flatnonzero(offset)
+    lift = np.empty((n + 1, 4))
+    lift[starts] = heads[:-1]
+    lift[-1] = heads[-1]
+    j = run[inner]
+    fill = sphere.quat_mul(heads[j], _step_quats(v[j], v[j] * kap[j], offset[inner] * dt))
+    lift[inner] = _unit_columns(fill.T).T
+    v, kap = v[run], kap[run]
     curve = curve_from_node_data(bounds, lift, np.append(v, v[-1]),
                                  np.append(kap, kap[-1]), domain=domain,
                                  tol=tol, require_closed=require_closed,
@@ -553,28 +604,58 @@ def _bound_from_json(x) -> float:
             return -math.inf
         if x in ("+inf", "inf", "Infinity"):
             return math.inf
-        raise ValueError(f"bad curvature bound: {x!r}")
-    return float(x)
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise ValueError(f"bad curvature bound: {x!r}")
+
+
+def _floats(x, key: str) -> np.ndarray:
+    """A document's number array as floats; anything else is a ValueError."""
+    try:
+        return np.asarray(x, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{key} must hold numbers") from exc
+
+
+def _rotation_from_json(x) -> np.ndarray:
+    """The 9 numbers of `q0` as a rotation matrix, checked with one 3x3
+    product: a matrix that is not orthonormal to 1e-9 with det > 0 (zeros,
+    a multiple of I, a reflection, NaN) is a ValueError, not a rotation
+    that Shepperd's method would silently project."""
+    R = _floats(x, "q0")
+    if R.size != 9:
+        raise ValueError(f"q0 must hold 9 numbers, not {R.size}")
+    R = R.reshape(3, 3)
+    if not (np.abs(R.T @ R - np.eye(3)).max() <= 1e-9 and np.linalg.det(R) > 0):
+        raise ValueError("q0 is not a rotation matrix")
+    return R
 
 
 def _reintegration_closes(written, tol) -> np.ndarray:
     """Whether integrating each written (bounds, v_hat, w_hat, q0) gives a
-    closed curve, all of one n, as `integrate_curve` would decide it."""
+    closed curve, decided exactly as `integrate_curve` decides it: node n
+    is the reduction of the same run steps (`_control_runs`), and the
+    curves, of any n and any run count, go through one ragged
+    `_chain_ends`."""
     z0s, steps = [], []
     for bounds, v_hat, w_hat, q0 in written:
-        _, h_inv, _, hb_inv = control_transforms(bounds)
-        v = h_inv(v_hat)
-        steps.append(_step_quats(v, v * hb_inv(w_hat), 1.0 / v.size))
+        steps.append(_control_runs(bounds, v_hat, w_hat, 1.0 / v_hat.size)[-1])
         z0s.append(sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0))
     z0s = np.array(z0s)
-    ends = sphere.quat_to_rotation(np.stack([z0s, _chain_ends(z0s, np.array(steps))], axis=1))
-    return np.abs(ends[:, 1] - ends[:, 0]).max(axis=(1, 2)) <= tol.closure
+    counts = np.array([s.shape[0] for s in steps])
+    width = counts.max()
+    padded = np.tile(sphere.QUAT_ONE, (counts.size, width, 1))
+    padded[np.arange(width) >= width - counts[:, None]] = np.concatenate(steps)
+    ends = _chain_ends(z0s, padded, counts)
+    frames = sphere.quat_to_rotation(np.stack([z0s, ends], axis=1))
+    return np.abs(frames[:, 1] - frames[:, 0]).max(axis=(1, 2)) <= tol.closure
 
 
 def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
-    """`curve_to_json` of every curve; the closure checks of all curves of
-    one n run as one batched end-node reduction (`_chain_ends`)."""
-    docs, pending = [], {}
+    """`curve_to_json` of every curve; the closure checks of all curves that
+    need one run as one batched end-node reduction (`_chain_ends`), whatever
+    their n."""
+    docs, pending = [], []
     for curve in curves:
         if curve.domain != 1.0:
             v, kap = curve.interval_vk()
@@ -597,11 +678,10 @@ def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
             q0 = None
         docs.append(out)
         if curve.closed and not curve.integrated:
-            pending.setdefault(v_hat.size, []).append(
-                (curve, out, (curve.bounds, v_hat, w_hat, q0)))
-    for group in pending.values():
-        closes = _reintegration_closes([written for _, _, written in group], tol)
-        for (curve, out, _), ok in zip(group, closes):
+            pending.append((curve, out, (curve.bounds, v_hat, w_hat, q0)))
+    if pending:
+        closes = _reintegration_closes([written for _, _, written in pending], tol)
+        for (curve, out, _), ok in zip(pending, closes):
             if not ok:
                 out["lift"] = curve.lift.tolist()
                 out["speed"] = (curve.speed * curve.domain).tolist()
@@ -626,20 +706,25 @@ def curve_to_json(curve: AdmissibleCurve,
 
 def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     """Parse the control schema, with or without node samples, or the raw
-    {"gamma": [...]} form."""
+    {"gamma": [...]} form.  A document that is not an object, a bound that
+    is neither a number nor an infinity string, an array of non-numbers, a
+    non-integer `n` and a `q0` that is not a rotation are each a
+    ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a curve document is a JSON object, not {type(doc).__name__}")
     if "gamma" in doc:
         bounds = CurvatureBounds(_bound_from_json(doc.get("kappa1", "-inf")),
                                  _bound_from_json(doc.get("kappa2", "+inf")))
-        return curve_from_points(np.asarray(doc["gamma"], dtype=float),
-                                 bounds, n=doc.get("n"), tol=tol)
+        n = doc.get("n")
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
+            raise ValueError(f"n must be an integer, not {n!r}")
+        return curve_from_points(_floats(doc["gamma"], "gamma"), bounds, n=n, tol=tol)
     bounds = CurvatureBounds(_bound_from_json(doc["kappa1"]),
                              _bound_from_json(doc["kappa2"]))
-    controls = ControlPair(np.asarray(doc["v_hat"], dtype=float),
-                           np.asarray(doc["w_hat"], dtype=float))
+    controls = ControlPair(_floats(doc["v_hat"], "v_hat"),
+                           _floats(doc["w_hat"], "w_hat"))
     if "lift" in doc:
-        lift = np.asarray(doc["lift"], dtype=float)
-        speed = np.asarray(doc["speed"], dtype=float)
-        kappa = np.asarray(doc["kappa"], dtype=float)
+        lift, speed, kappa = (_floats(doc[key], key) for key in ("lift", "speed", "kappa"))
         nodes = controls.n + 1
         if lift.shape != (nodes, 4) or speed.shape != (nodes,) \
                 or kappa.shape != (nodes,):
@@ -650,7 +735,7 @@ def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Admissibl
             interval_vk=(h_inv(controls.v_hat), hb_inv(controls.w_hat)))
         return dataclasses.replace(curve, controls=controls)
     q0 = doc.get("q0")
-    q0 = np.asarray(q0, dtype=float).reshape(3, 3) if q0 is not None else None
+    q0 = _rotation_from_json(q0) if q0 is not None else None
     return integrate_curve(controls, bounds, q0=q0, tol=tol)
 
 

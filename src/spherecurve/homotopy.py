@@ -108,6 +108,20 @@ def validate_path(path: HomotopyPath, bounds: CurvatureBounds | None = None,
 # Bending of the k-equator
 # ------------------------------------------------------------------ #
 
+def _sub(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def _bend_arc_data(k: int, alpha: float):
     """Length and signed curvature of one even arc of the bent k-equator.
 
@@ -116,7 +130,8 @@ def _bend_arc_data(k: int, alpha: float):
     (P_i + P_i+1)/2 at elevation alpha; the diameter of the arc's circle is
     then shortest at alpha = pi/2, where the curvature peaks at
     tan(pi/(2k+2)).  Odd arcs are the mirror image with the opposite
-    curvature sign.
+    curvature sign.  Points and vectors are float 3-tuples: the geometry
+    runs once per frame, where numpy's per-call cost exceeds the work.
     """
     delta = k * math.pi / (k + 1)          # equator angle between P_i, P_i+1
     if min(abs(alpha), abs(math.pi - alpha)) < 1e-9:
@@ -124,28 +139,30 @@ def _bend_arc_data(k: int, alpha: float):
             return delta, 0.0
         return 2.0 * math.pi - delta, 0.0
 
-    p0 = np.array([1.0, 0.0, 0.0])
-    p1 = np.array([math.cos(delta), math.sin(delta), 0.0])
-    qmid = np.array([math.cos(delta / 2), math.sin(delta / 2), 0.0])
-    north = np.array([0.0, 0.0, 1.0])
-    mid = math.cos(delta / 2) * qmid       # euclidean chord midpoint
-    d = math.cos(alpha) * qmid + math.sin(alpha) * north
-    md = float(mid @ d)
-    t_ray = -md + math.sqrt(md * md + 1.0 - float(mid @ mid))
-    qa = mid + t_ray * d
+    p0 = (1.0, 0.0, 0.0)
+    p1 = (math.cos(delta), math.sin(delta), 0.0)
+    half = math.cos(delta / 2)
+    qmid = (half, math.sin(delta / 2), 0.0)
+    mid = (half * qmid[0], half * qmid[1], 0.0)   # euclidean chord midpoint
+    d = (math.cos(alpha) * qmid[0], math.cos(alpha) * qmid[1], math.sin(alpha))
+    md = _dot(mid, d)
+    t_ray = -md + math.sqrt(md * md + 1.0 - _dot(mid, mid))
+    qa = tuple(a + t_ray * b for a, b in zip(mid, d))
 
-    m = np.cross(qa - p0, p1 - p0)
-    m /= np.linalg.norm(m)
-    d = float(m @ p0)
+    m = _cross(_sub(qa, p0), _sub(p1, p0))
+    norm = math.sqrt(_dot(m, m))
+    m = tuple(a / norm for a in m)
+    d = m[0]                                # <m, p0>
     if d < 0:
-        m, d = -m, -d
-    center = d * m
+        m, d = tuple(-a for a in m), -d
+    center = tuple(d * a for a in m)
     r_e = math.sqrt(max(0.0, 1.0 - d * d))
-    e1 = (p0 - center) / r_e
-    e2 = np.cross(m, e1)
+    e1 = tuple(a / r_e for a in _sub(p0, center))
+    e2 = _cross(m, e1)
 
     def u_of(p):
-        return math.atan2(float((p - center) @ e2), float((p - center) @ e1)) % (2 * math.pi)
+        rel = _sub(p, center)
+        return math.atan2(_dot(rel, e2), _dot(rel, e1)) % (2 * math.pi)
 
     u_q, u_p1 = u_of(qa), u_of(p1)
     if u_q < u_p1:                          # sweep counterclockwise through qa
@@ -154,11 +171,10 @@ def _bend_arc_data(k: int, alpha: float):
         sweep, direction = 2.0 * math.pi - u_p1, -1.0
     length = r_e * sweep
 
-    tangent = direction * e2                # d/du at u = 0, normalized
-    normal = np.cross(p0, tangent)
-    s = float(m @ normal)
-    c_center = m if s > 0 else -m
-    rho = math.atan2(abs(s), float(c_center @ p0))
+    # the unit tangent at u = 0 is direction * e2, and the normal there is
+    # p0 x tangent = direction * (0, -e2_z, e2_y)
+    s = direction * (m[2] * e2[1] - m[1] * e2[2])
+    rho = math.atan2(abs(s), m[0] if s > 0 else -m[0])
     return length, cot(rho)
 
 

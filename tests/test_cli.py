@@ -265,6 +265,71 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("change", [
+        [1, 2],
+        "a string",
+        {"kappa1": None},
+        {"kappa2": True},
+        {"kappa1": [0.0]},
+        {"q0": [0.0] * 9},
+        {"q0": np.eye(3).ravel() * 2.0},
+        {"q0": np.diag([-1.0, 1.0, 1.0]).ravel()},
+        {"q0": [math.nan] * 9},
+        {"q0": [1.0, 0.0, 0.0]},
+        {"q0": {"a": 1}},
+        {"v_hat": {"a": 1}},
+        {"gamma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "n": "64"},
+    ])
+    def test_malformed_document_exit_2(self, change, tmp_path, capsys):
+        c = tmp_path / "c.json"
+        run_cli("gen", "circle", "--rho", "0.8", "--k", "1", "--kappa1", "0",
+                "-n", "64", "-o", str(c))
+        if isinstance(change, dict):
+            doc = json.loads(c.read_text())
+            doc.update({key: np.asarray(value).tolist() if isinstance(value, np.ndarray)
+                        else value for key, value in change.items()})
+        else:
+            doc = change
+        c.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("classify", str(c)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+
+    def test_written_curves_load(self, rng):
+        # q0 is the rotation of a written start frame: every curve the
+        # writer emits, rotated or not, passes the rotation check on reading
+        from conftest import random_rotation
+        bounds = sc.CurvatureBounds(0.0, math.inf)
+        circle = sc.make_circle(0.8, 2, bounds, n=128)
+        bend = sc.homotopy.bend_frame(1, 0.4, n=128)
+        shrink = sc.homotopy.shrink_condensed(sc.make_circle(0.9, 1, bounds, n=128),
+                                              steps=9).curves[4]
+        curves = [c.rotated(random_rotation(rng)) for c in (circle, bend, shrink)
+                  for _ in range(20)]
+        docs = sc.curves.curves_to_json([circle, bend, shrink] + curves)
+        assert sum("q0" in doc for doc in docs) == 60
+        for curve, doc in zip([circle, bend, shrink] + curves, docs):
+            loaded = sc.curve_from_json(json.loads(json.dumps(doc)))
+            assert loaded.closed
+            assert np.abs(loaded.frames[0] - curve.frames[0]).max() < 1e-12
+
+    @pytest.mark.parametrize("digits", [7, 12])
+    def test_rounded_q0(self, tmp_path, capsys, rng, digits):
+        # q0 must be a rotation to 1e-9: a start frame rounded to 7
+        # significant digits (|R^T R - I| near 1e-7) is invalid input,
+        # one rounded to 12 digits still loads
+        from conftest import random_rotation
+        bounds = sc.CurvatureBounds(0.0, math.inf)
+        doc = sc.curve_to_json(sc.make_circle(0.8, 1, bounds, n=64).rotated(random_rotation(rng)))
+        doc["q0"] = [float(f"{x:.{digits - 1}e}") for x in doc["q0"]]
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("classify", str(c)) == (2 if digits == 7 else 0)
+        if digits == 7:
+            assert "q0 is not a rotation" in capsys.readouterr().err
+
     def test_missing_tolerance_profile_exit_2(self, tmp_path, capsys):
         assert run_cli("--tol-profile", str(tmp_path / "none.json"), "graft",
                        str(tmp_path / "c.json")) == 2

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spherecurve as sc
@@ -424,38 +424,103 @@ class TestChainScan:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
-           st.floats(-10.0, -4.0), st.booleans())
+           st.floats(-10.0, -4.0), st.booleans(), st.floats(0.05, 0.95))
     def test_reintegration_check_is_integrate_curve(self, bounds_k0, seed, k,
-                                                    log_kick, rotate):
-        # a k-fold circle's controls, kicked by 10^log_kick: the closure
-        # defect straddles tol.closure over the range of kicks
+                                                    log_kick, rotate, s):
+        # a k-fold circle's controls, kicked by 10^log_kick everywhere or at
+        # a few entries: the closure defect straddles tol.closure over the
+        # range of kicks.  With a bend frame and a pure circle the curves
+        # have 1 to 128 runs, so the batch is ragged
         from conftest import random_rotation
-        from spherecurve import factory
+        from spherecurve import factory, homotopy
         tol = sc.DEFAULT_TOL
         rng = np.random.default_rng(seed)
         circle = sc.make_circle(0.8, k, bounds_k0, n=128)
         kicked = circle.controls.w_hat + 10.0 ** log_kick * rng.normal(size=128)
+        few = circle.controls.w_hat.copy()
+        few[rng.choice(128, size=3, replace=False)] += 10.0 ** log_kick
         wild = factory.random_open_controls(bounds_k0, rng, n=128)
+        bend = homotopy.bend_frame(k, s, n=96)
         q0 = random_rotation(rng) if rotate else None
         written = [(bounds_k0, v_hat, w_hat, q0)
                    for v_hat, w_hat in [(circle.controls.v_hat, circle.controls.w_hat),
                                         (circle.controls.v_hat, kicked),
+                                        (circle.controls.v_hat, few),
                                         (wild.v_hat, wild.w_hat)]]
-        want = [sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds_k0,
-                                   q0=q0, tol=tol).closure_defect() <= tol.closure
-                for _, v_hat, w_hat, _ in written]
-        # one batch and one curve at a time decide alike
-        assert cur._reintegration_closes(written, tol).tolist() == want
-        assert [cur._reintegration_closes([w], tol)[0] for w in written] == want
+        written.append((bend.bounds, bend.controls.v_hat, bend.controls.w_hat, q0))
+        curves = [sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds, q0=q0, tol=tol)
+                  for bounds, v_hat, w_hat, _ in written]
+        want = [c.closure_defect() <= tol.closure for c in curves]
+        ends = []
+
+        def recording(*args):
+            ends.append(chain_ends(*args))
+            return ends[-1]
+
+        chain_ends = cur._chain_ends
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cur, "_chain_ends", recording)
+            # one batch and one curve at a time decide alike
+            assert cur._reintegration_closes(written, tol).tolist() == want
+            assert [cur._reintegration_closes([w], tol)[0] for w in written] == want
+        assert np.array_equal(ends[0], np.array([c.lift[-1] for c in curves]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=10),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_runs_match_sequential_loop(self, bounds_k0, inner, seed, rotate):
+        # piecewise-constant controls, with a run of one at both ends
+        from conftest import random_rotation
+        lengths = [1] + inner + [1]
+        assume(sum(lengths) >= 16)
+        rng = np.random.default_rng(seed)
+        v_hat = np.repeat(rng.normal(size=len(lengths)), lengths)
+        w_hat = np.repeat(rng.normal(size=len(lengths)), lengths)
+        q0 = random_rotation(rng) if rotate else None
+        lift = sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds_k0, q0=q0).lift
+        _, h_inv, _, hb_inv = sc.control_transforms(bounds_k0)
+        v = h_inv(v_hat)
+        steps = cur._step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
+        z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
+        assert np.abs(lift - loop_chain_quats(z0, steps)).max() <= 1e-13
+        assert np.abs(np.linalg.norm(lift, axis=1) - 1.0).max() <= sc.DEFAULT_TOL.unit_norm
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_runs_of_one_are_the_interval_scan(self, bounds_k0, rng, rotate):
+        from conftest import random_rotation
+        from spherecurve import factory
+        controls = factory.random_open_controls(bounds_k0, rng, n=300)
+        assert np.all(np.diff(controls.w_hat) != 0)
+        q0 = random_rotation(rng) if rotate else None
+        _, h_inv, _, hb_inv = sc.control_transforms(bounds_k0)
+        v = h_inv(controls.v_hat)
+        z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
+        want = cur._chain_quats(z0, cur._step_quats(v, v * hb_inv(controls.w_hat), 1.0 / 300))
+        got = sc.integrate_curve(controls, bounds_k0, q0=q0).lift
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_scan_runs_over_the_runs(self, monkeypatch, bounds_k0, k):
+        from conftest import count_calls
+        from spherecurve import homotopy
+        scans = count_calls(monkeypatch, cur._chain_quats)
+        sc.make_circle(0.8, k, bounds_k0, n=1024)
+        homotopy.bend_frame(k, 0.3, n=1024)
+        assert [len(steps) for _, steps in scans] == [1, 2 * k + 2]
 
     @settings(max_examples=30, deadline=None)
-    @given(SCAN_SIZES, st.sampled_from([1, 2, 65]), st.integers(0, 2 ** 32 - 1))
-    def test_chain_ends_are_the_scans_last_nodes(self, n, frames, seed):
+    @given(SCAN_SIZES, st.sampled_from([1, 2, 65]), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_chain_ends_are_the_scans_last_nodes(self, n, frames, seed, ragged):
+        # ragged: chain f has counts[f] <= n steps, left-padded with QUAT_ONE
         rng = np.random.default_rng(seed)
         z0s = unit_rows(rng, frames)
         steps = unit_rows(rng, frames * n).reshape(frames, n, 4)
-        got = cur._chain_ends(z0s, steps)
-        want = np.array([cur._chain_quats(z0, s)[-1] for z0, s in zip(z0s, steps)])
+        counts = rng.integers(0, n + 1, size=frames) if ragged else np.full(frames, n)
+        steps[np.arange(n) < n - counts[:, None]] = sphere.QUAT_ONE
+        got = cur._chain_ends(z0s, steps, counts)
+        want = np.array([cur._chain_quats(z0, s[n - c:])[-1]
+                         for z0, s, c in zip(z0s, steps, counts)])
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2 ** k for k in range(13)])
@@ -464,7 +529,7 @@ class TestChainScan:
         z0s = unit_rows(rng, 65)
         steps = unit_rows(rng, 65 * n).reshape(65, n, 4)
         want = np.array([cur._chain_quats(z0, s)[-1] for z0, s in zip(z0s, steps)])
-        assert np.array_equal(cur._chain_ends(z0s, steps), want)
+        assert np.array_equal(cur._chain_ends(z0s, steps, np.full(65, n)), want)
 
 
 def loop_curve_to_json(curve, tol=sc.DEFAULT_TOL):

@@ -66,6 +66,68 @@ class TestBending:
         assert a.n == 2 and a.j == b.j
 
 
+def numpy_bend_arc_data(k, alpha):
+    """The arc geometry of `homotopy._bend_arc_data` on numpy 3-vectors,
+    the reference for its float-tuple form."""
+    delta = k * math.pi / (k + 1)
+    if min(abs(alpha), abs(math.pi - alpha)) < 1e-9:
+        if alpha < math.pi / 2:
+            return delta, 0.0
+        return 2.0 * math.pi - delta, 0.0
+
+    p0 = np.array([1.0, 0.0, 0.0])
+    p1 = np.array([math.cos(delta), math.sin(delta), 0.0])
+    qmid = np.array([math.cos(delta / 2), math.sin(delta / 2), 0.0])
+    north = np.array([0.0, 0.0, 1.0])
+    mid = math.cos(delta / 2) * qmid
+    d = math.cos(alpha) * qmid + math.sin(alpha) * north
+    md = float(mid @ d)
+    t_ray = -md + math.sqrt(md * md + 1.0 - float(mid @ mid))
+    qa = mid + t_ray * d
+
+    m = np.cross(qa - p0, p1 - p0)
+    m /= np.linalg.norm(m)
+    d = float(m @ p0)
+    if d < 0:
+        m, d = -m, -d
+    center = d * m
+    r_e = math.sqrt(max(0.0, 1.0 - d * d))
+    e1 = (p0 - center) / r_e
+    e2 = np.cross(m, e1)
+
+    def u_of(p):
+        return math.atan2(float((p - center) @ e2), float((p - center) @ e1)) % (2 * math.pi)
+
+    u_q, u_p1 = u_of(qa), u_of(p1)
+    if u_q < u_p1:
+        sweep, direction = u_p1, 1.0
+    else:
+        sweep, direction = 2.0 * math.pi - u_p1, -1.0
+    length = r_e * sweep
+
+    tangent = direction * e2
+    normal = np.cross(p0, tangent)
+    s = float(m @ normal)
+    c_center = m if s > 0 else -m
+    rho = math.atan2(abs(s), float(c_center @ p0))
+    return length, sc.cot(rho)
+
+
+class TestBendArcData:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_numpy_geometry(self, k):
+        alphas = [s * math.pi for s in np.linspace(0.0, 1.0, 65)]
+        # either side of the 1e-9 cut to the equator at both ends
+        alphas += [a for e in (0.5e-9, 0.999999e-9, 1e-9, 1.000001e-9, 2e-9)
+                   for a in (e, math.pi - e)]
+        for alpha in alphas:
+            got, want = ho._bend_arc_data(k, alpha), numpy_bend_arc_data(k, alpha)
+            if min(alpha, math.pi - alpha) < 1e-9:
+                assert got == want
+            assert abs(got[0] - want[0]) <= 2e-15
+            assert abs(got[1] - want[1]) <= 2e-15
+
+
 @pytest.fixture(scope="module")
 def loops_base():
     return sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
