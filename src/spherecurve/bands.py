@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import sphere
-from .curves import AdmissibleCurve, CurvatureBounds, cot, curve_from_node_data
+from .curves import AdmissibleCurve, ControlPair, CurvatureBounds, cot, curve_from_node_data
 from .errors import ThetaOutOfRange
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -63,15 +63,15 @@ def translate_curve(curve: AdmissibleCurve, theta: float,
     if np.any(v_new <= 0):
         raise ThetaOutOfRange("translation degenerates (non-positive speed)")
 
-    rho1 = min(curve.bounds.rho1 - theta, math.pi)
-    rho2 = max(curve.bounds.rho2 - theta, 0.0)
-    rho_nodes = np.arctan2(1.0, curve.kappa) - theta
+    bounds = CurvatureBounds(cot(min(curve.bounds.rho1 - theta, math.pi)),
+                             cot(max(curve.bounds.rho2 - theta, 0.0)))
+    rho_nodes = curve.rho - theta
     return curve_from_node_data(
-        CurvatureBounds(cot(rho1), cot(rho2)),
-        sphere.quat_mul(curve.lift, _quat_r_theta(theta)),
+        bounds, sphere.quat_mul(curve.lift, _quat_r_theta(theta)),
         curve.speed * (c - s * curve.kappa),
         np.cos(rho_nodes) / np.sin(rho_nodes), domain=curve.domain,
-        closed=curve.closed, tol=tol, interval_vk=(v_new, w_new / v_new))
+        closed=curve.closed, tol=tol,
+        controls=ControlPair.of(bounds, v_new, w_new / v_new))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -255,6 +255,8 @@ def cmd_graft(args) -> int:
 
 
 def cmd_bands(args) -> int:
+    if args.profile_nodes < 1:
+        raise ValueError(f"--profile-nodes must be positive, not {args.profile_nodes}")
     tol = _tol_from_args(args)
     curve = load_curve(args.input, tol)
     band = goodbands.band_from_condensed(curve, tol)

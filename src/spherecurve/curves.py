@@ -146,6 +146,13 @@ class ControlPair:
     def n(self) -> int:
         return self.v_hat.size
 
+    @classmethod
+    def of(cls, bounds: CurvatureBounds, v, kappa) -> "ControlPair":
+        """The controls (h(v), h_bounds(kappa)) of per-interval speeds and
+        curvatures: the one place the forward transforms are applied."""
+        h, _, hb, _ = control_transforms(bounds)
+        return cls(h(np.asarray(v, dtype=float)), hb(np.asarray(kappa, dtype=float)))
+
 
 def controls_from_functions(f_vhat, f_what, n: int, domain: float = 1.0) -> ControlPair:
     """Sample smooth control functions at interval midpoints.
@@ -301,20 +308,15 @@ class LiftParity:
             raise ValueError("parity sign must be +1 or -1")
 
 
-def _end_gap(lift: np.ndarray) -> float:
-    """Largest entry of Phi(last) - Phi(first) for the frames of a lift."""
-    ends = sphere.quat_to_rotation(lift[[0, -1]])
-    return float(np.abs(ends[1] - ends[0]).max())
-
-
 @dataclasses.dataclass(frozen=True)
 class AdmissibleCurve:
     """Sampled admissible curve with lift and curvature profile.
 
     All arrays live on the n+1 nodes of the uniform grid over [0, domain];
     controls are the n per-interval constants.  The lift is the only stored
-    frame: `frames` and its columns gamma, tangent and normal are derived
-    from it once per instance.  Instances are immutable.
+    frame.  `frames` (and its columns gamma, tangent, normal), `end_frames`
+    and `interval_vk` are derived once per instance, read-only; a
+    `dataclasses.replace` copy derives its own.  Instances are immutable.
     """
 
     bounds: CurvatureBounds
@@ -359,23 +361,33 @@ class AdmissibleCurve:
     def normal(self) -> np.ndarray:
         return self.frames[:, :, 2]
 
-    def frame(self, i: int) -> np.ndarray:
-        """The frame (gamma, t, n) at node i as columns, (3, 3)."""
-        return sphere.quat_to_rotation(self.lift[i])
+    @functools.cached_property
+    def end_frames(self) -> np.ndarray:
+        """The first and last node frames, (2, 3, 3), read-only."""
+        ends = sphere.quat_to_rotation(self.lift[[0, -1]])
+        ends.flags.writeable = False
+        return ends
 
     @property
     def rho(self) -> np.ndarray:
         return np.arctan2(1.0, self.kappa)
 
-    def interval_vk(self):
-        """Per-interval (speed, kappa) recovered from the controls."""
+    @functools.cached_property
+    def _interval_vk(self) -> tuple:
         _, h_inv, _, hb_inv = control_transforms(self.bounds)
         v = h_inv(self.controls.v_hat)
-        kap = hb_inv(self.controls.w_hat)
+        # a copy: under unbounded curvature hb_inv returns w_hat itself
+        kap = np.array(hb_inv(self.controls.w_hat))
+        v.flags.writeable = kap.flags.writeable = False
         return v, kap
 
+    def interval_vk(self):
+        """Per-interval (speed, kappa) from the controls, once per instance."""
+        return self._interval_vk
+
     def closure_defect(self) -> float:
-        return _end_gap(self.lift)
+        """Largest entry of Phi(last) - Phi(first)."""
+        return float(np.abs(np.diff(self.end_frames, axis=0)).max())
 
     def eval_lift(self, ts) -> np.ndarray:
         """Lift at an array of parameters, (m,) -> (m, 4), in one batch.
@@ -384,8 +396,7 @@ class AdmissibleCurve:
         piecewise-constant controls; a parameter within 1e-12 of a node
         returns the stored node sample, which is exact.  For curves whose
         samples were constructed pointwise the in-between value is a local
-        (one-step) approximation that never accumulates.  Pass all
-        parameters in one call: each call recomputes `interval_vk`.
+        (one-step) approximation that never accumulates.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         v, kap = self.interval_vk()
@@ -409,20 +420,20 @@ class AdmissibleCurve:
         v, kap = self.interval_vk()
         if not bounds.contains(kap) or not bounds.contains(self.kappa):
             raise CurvatureOutOfBounds("curve does not fit in the new bounds")
-        h, _, hb, _ = control_transforms(bounds)
-        controls = ControlPair(h(v), hb(kap))
-        return dataclasses.replace(self, bounds=bounds, controls=controls)
+        return dataclasses.replace(self, bounds=bounds,
+                                   controls=ControlPair.of(bounds, v, kap))
 
 
 def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
                          closed=None, tol: ToleranceProfile = DEFAULT_TOL,
-                         require_closed=False, interval_vk=None) -> AdmissibleCurve:
+                         controls: ControlPair | None = None,
+                         integrated: bool = False) -> AdmissibleCurve:
     """Assemble a curve from exact node samples of the lift and controls.
 
-    Per-interval controls default to averaged node values (pass exact ones
-    via `interval_vk` when available); they are only used for in-between
-    evaluation and re-integration, the stored node samples stay
-    authoritative.
+    The record takes `controls` as given (None: those of the averaged node
+    values); they are only used for in-between evaluation and
+    re-integration, the node samples stay authoritative.  `closed=None`
+    decides closure from the end frames, which the record keeps.
     """
     lift = np.asarray(lift, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
@@ -431,23 +442,16 @@ def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
         raise NonPositiveSpeed("node speeds must be positive")
     if not bounds.contains(kappa_nodes):
         raise CurvatureOutOfBounds("node curvature escapes the open bounds")
-    if interval_vk is None:
-        v_int = 0.5 * (v_nodes[:-1] + v_nodes[1:])
-        k_int = 0.5 * (kappa_nodes[:-1] + kappa_nodes[1:])
-    else:
-        v_int, k_int = (np.asarray(a, dtype=float) for a in interval_vk)
-    h, _, hb, _ = control_transforms(bounds)
-    controls = ControlPair(h(v_int), hb(k_int))
-    if closed is None or require_closed:
-        defect = _end_gap(lift)
-        if closed is None:
-            closed = defect <= tol.closure
-        if require_closed and not closed:
-            raise NotClosed(
-                f"frame closure defect {defect:.3e} exceeds {tol.closure:.1e}")
-    return AdmissibleCurve(bounds=bounds, controls=controls,
-                           domain=float(domain), lift=lift, speed=v_nodes,
-                           kappa=kappa_nodes, closed=bool(closed))
+    if controls is None:
+        controls = ControlPair.of(bounds, 0.5 * (v_nodes[:-1] + v_nodes[1:]),
+                                  0.5 * (kappa_nodes[:-1] + kappa_nodes[1:]))
+    curve = AdmissibleCurve(bounds=bounds, controls=controls,
+                            domain=float(domain), lift=lift, speed=v_nodes,
+                            kappa=kappa_nodes, closed=bool(closed),
+                            integrated=integrated)
+    if closed is None:      # on the record, whose end frames stay cached
+        object.__setattr__(curve, "closed", curve.closure_defect() <= tol.closure)
+    return curve
 
 
 def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
@@ -465,17 +469,14 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
     one batch.  That is O(r log r + n) products: one run for a k-fold
     circle, 2k + 2 for a bend frame.  When every run has length one the
     fill is empty and the lift is the scan over the interval steps.  The
-    node samples and checks are those of `curve_from_node_data`; the given
-    controls are kept.
+    record is `curve_from_node_data`'s, with the given controls and
+    `integrated` set; `require_closed` raises NotClosed on an open result.
     """
     n = controls.n
     dt = domain / n
     lengths, v, kap, run_steps = _control_runs(bounds, controls.v_hat,
                                                controls.w_hat, dt)
-    if q0 is None:
-        z0 = sphere.QUAT_ONE
-    else:
-        z0 = sphere.rotation_to_quat(np.asarray(q0, dtype=float))
+    z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
     heads = _chain_quats(z0, run_steps)
     starts = np.cumsum(lengths) - lengths
     run = np.repeat(np.arange(lengths.size), lengths)
@@ -490,9 +491,11 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
     v, kap = v[run], kap[run]
     curve = curve_from_node_data(bounds, lift, np.append(v, v[-1]),
                                  np.append(kap, kap[-1]), domain=domain,
-                                 tol=tol, require_closed=require_closed,
-                                 interval_vk=(v, kap))
-    return dataclasses.replace(curve, controls=controls, integrated=True)
+                                 tol=tol, controls=controls, integrated=True)
+    if require_closed and not curve.closed:
+        raise NotClosed(f"frame closure defect {curve.closure_defect():.3e} "
+                        f"exceeds {tol.closure:.1e}")
+    return curve
 
 
 def make_circle(rho: float, k: int, bounds: CurvatureBounds,
@@ -509,9 +512,8 @@ def make_circle(rho: float, k: int, bounds: CurvatureBounds,
         raise RadiusOutOfBounds(
             f"rho={rho:.6f} outside ({bounds.rho2:.6f}, {bounds.rho1:.6f})")
     n = n or tol.default_n
-    h, _, hb, _ = control_transforms(bounds)
-    v = 2.0 * math.pi * k * math.sin(rho)
-    controls = ControlPair(np.full(n, h(v)), np.full(n, float(hb(cot(rho)))))
+    controls = ControlPair.of(bounds, np.full(n, 2.0 * math.pi * k * math.sin(rho)),
+                              np.full(n, cot(rho)))
     return integrate_curve(controls, bounds, tol=tol, require_closed=True)
 
 
@@ -550,7 +552,7 @@ def _resample(curve: AdmissibleCurve, cumulative: np.ndarray, rate: np.ndarray,
     v_mid = np.asarray(new_speed(k_mid), dtype=float) + np.zeros(n_out)
     return curve_from_node_data(curve.bounds, lift, v_nodes, kap_nodes,
                                 domain=total, closed=curve.closed, tol=tol,
-                                interval_vk=(v_mid, k_mid))
+                                controls=ControlPair.of(curve.bounds, v_mid, k_mid))
 
 
 def reparametrize_by_curvature(curve: AdmissibleCurve, n_out: int | None = None,
@@ -657,13 +659,11 @@ def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
     their n."""
     docs, pending = [], []
     for curve in curves:
+        controls = curve.controls
         if curve.domain != 1.0:
             v, kap = curve.interval_vk()
-            h, _, hb, _ = control_transforms(curve.bounds)
-            v_hat = h(v * curve.domain)
-            w_hat = hb(kap)
-        else:
-            v_hat, w_hat = curve.controls.v_hat, curve.controls.w_hat
+            controls = ControlPair.of(curve.bounds, v * curve.domain, kap)
+        v_hat, w_hat = controls.v_hat, controls.w_hat
         out = {
             "kappa1": _bound_to_json(curve.bounds.kappa1),
             "kappa2": _bound_to_json(curve.bounds.kappa2),
@@ -671,7 +671,7 @@ def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
             "v_hat": v_hat.tolist(),
             "w_hat": w_hat.tolist(),
         }
-        q0 = curve.frame(0)
+        q0 = curve.end_frames[0]
         if np.abs(q0 - np.eye(3)).max() > 1e-12:
             out["q0"] = q0.reshape(-1).tolist()
         else:
@@ -729,11 +729,8 @@ def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Admissibl
         if lift.shape != (nodes, 4) or speed.shape != (nodes,) \
                 or kappa.shape != (nodes,):
             raise ValueError("node samples must cover the n + 1 grid nodes")
-        _, h_inv, _, hb_inv = control_transforms(bounds)
-        curve = curve_from_node_data(
-            bounds, lift, speed, kappa, tol=tol,
-            interval_vk=(h_inv(controls.v_hat), hb_inv(controls.w_hat)))
-        return dataclasses.replace(curve, controls=controls)
+        return curve_from_node_data(bounds, lift, speed, kappa, tol=tol,
+                                    controls=controls)
     q0 = doc.get("q0")
     q0 = _rotation_from_json(q0) if q0 is not None else None
     return integrate_curve(controls, bounds, q0=q0, tol=tol)

@@ -70,6 +70,8 @@ def neither_example(rho0: float = 0.15, n_loops: int = 48,
     cot(rho0).  The caustic cloud then pokes out of every closed hemisphere
     without ever reaching antipodal points.
     """
+    if rho0 <= 0:
+        raise ValueError(f"rho0 must be positive, not {rho0}")
     bounds = CurvatureBounds(1.0 / math.tan(rho0), math.inf)
     base = rose_curve(lobes=3, colat_min=0.45,
                       colat_max=math.pi / 2 + dip, n=base_n, tol=tol)

@@ -180,24 +180,25 @@ def _meridian_profile(lam_curve, phi_curve, lam_grid, nu, take_max):
     lam_curve is the unwrapped covering longitude of a closed boundary
     curve (total increase 2 pi nu); each meridian of the grid is crossed at
     least once, and repeated crossings are resolved by max/min latitude.
+    Segment i crosses meridians j0[i] .. j1[i]; all crossings form one batch.
     """
     period = 2.0 * math.pi * nu
     k = lam_grid.size
     step = period / k
+    a, b = lam_curve[:-1], lam_curve[1:]
+    j0 = np.ceil(np.minimum(a, b) / step - 1e-12).astype(int)
+    j1 = np.floor(np.maximum(a, b) / step + 1e-12).astype(int)
+    counts = j1 - j0 + 1
+    seg = np.repeat(np.arange(a.size), counts)
+    j = j0[seg] + np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = a[seg], b[seg]
+    flat = b == a
+    f = np.where(flat, 0.5, (j * step - a) / np.where(flat, 1.0, b - a))
+    hit = (-1e-9 <= f) & (f <= 1.0 + 1e-9)
+    pa = phi_curve[seg]
+    phi = pa + np.clip(f, 0.0, 1.0) * (phi_curve[seg + 1] - pa)
     out = np.full(k, -np.inf if take_max else np.inf)
-    for i in range(lam_curve.size - 1):
-        a, b = lam_curve[i], lam_curve[i + 1]
-        pa, pb = phi_curve[i], phi_curve[i + 1]
-        lo, hi = (a, b) if a <= b else (b, a)
-        j0 = int(math.ceil(lo / step - 1e-12))
-        j1 = int(math.floor(hi / step + 1e-12))
-        for j in range(j0, j1 + 1):
-            z = j * step
-            f = 0.5 if b == a else (z - a) / (b - a)
-            if -1e-9 <= f <= 1.0 + 1e-9:
-                phi = pa + min(max(f, 0.0), 1.0) * (pb - pa)
-                jj = j % k
-                out[jj] = max(out[jj], phi) if take_max else min(out[jj], phi)
+    (np.maximum if take_max else np.minimum).at(out, j[hit] % k, phi[hit])
     if not np.all(np.isfinite(out)):
         raise MeridianMiss("a covering meridian was never crossed")
     return out
@@ -485,7 +486,9 @@ def collapse_condensed_negative(curve: AdmissibleCurve,
     good band at every step and takes central curves; the last curve is a
     geodesic circle traversed nu times on the cover.
     """
-    steps = steps or max(9, tol.path_steps // 4)
+    steps = max(9, tol.path_steps // 4) if steps is None else steps
+    if steps < 2:
+        raise ValueError(f"collapsing needs at least 2 frames, not {steps}")
     band = band_from_condensed(curve, tol)
     band = retract_to_good(band, tol=tol)
     target_p = np.full(band.k_nodes, band.R / 2.0)

@@ -24,6 +24,7 @@ from .classify import (
 )
 from .curves import (
     AdmissibleCurve,
+    ControlPair,
     _chain_quats,
     cot,
     curve_from_node_data,
@@ -245,7 +246,7 @@ def _splice_arcs(base: AdmissibleCurve, insertions, tol: ToleranceProfile):
     defect = float(np.linalg.norm(prefixes[-1] - sphere.QUAT_ONE))
     out = curve_from_node_data(base.bounds, lift, v_nodes, k_nodes,
                                domain=new_T, closed=base.closed, tol=tol,
-                               interval_vk=(v_int, k_int))
+                               controls=ControlPair.of(base.bounds, v_int, k_int))
     return out, defect
 
 

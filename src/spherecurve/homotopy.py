@@ -20,7 +20,6 @@ from .curves import (
     ControlPair,
     CurvatureBounds,
     cot,
-    control_transforms,
     curve_from_node_data,
     integrate_curve,
     lift_from_frames,
@@ -30,7 +29,6 @@ from .curves import (
 from .errors import (
     AmbiguousParity,
     CurvatureBoundTooTight,
-    CurvatureOutOfBounds,
     DomainError,
     NonpositiveRotation,
     NotClosed,
@@ -202,19 +200,19 @@ def bend_frame(k: int, s: float, kappa1: float | None = None,
     length, kap = _bend_arc_data(k, s * math.pi)
     speed = length * arcs
     bounds = CurvatureBounds(-kappa1, kappa1)
-    h, _, hb, _ = control_transforms(bounds)
-    v_hat = np.full(n, h(speed))
     signs = np.repeat([(-1.0) ** i for i in range(arcs)], per_arc)
-    w_hat = hb(kap * signs)
-    return integrate_curve(ControlPair(v_hat, w_hat), bounds, tol=tol,
-                           require_closed=True)
+    return integrate_curve(ControlPair.of(bounds, np.full(n, speed), kap * signs),
+                           bounds, tol=tol, require_closed=True)
 
 
 def bend_k_equator(k: int, steps: int | None = None,
                    kappa1: float | None = None, n: int | None = None,
                    tol: ToleranceProfile = DEFAULT_TOL) -> HomotopyPath:
-    """The bending homotopy from the k-equator to the (k+2)-equator."""
-    steps = steps or tol.path_steps
+    """The bending homotopy from the k-equator to the (k+2)-equator, in
+    `steps` >= 2 frames (default `tol.path_steps`)."""
+    steps = tol.path_steps if steps is None else steps
+    if steps < 2:
+        raise ValueError(f"bending needs at least 2 frames, not {steps}")
     s_values = np.linspace(0.0, 1.0, steps)
     curves = tuple(bend_frame(k, float(s), kappa1, n, tol) for s in s_values)
     return HomotopyPath(bounds=curves[0].bounds, s_values=s_values,
@@ -288,7 +286,7 @@ def add_loops(curve: AdmissibleCurve, t0: float, n_loops: int,
     return curve_from_node_data(curve.bounds, lift, np.append(v_tgt, v_tgt[-1]),
                                 np.append(k_tgt, k_tgt[-1]), domain=curve.domain,
                                 closed=curve.closed, tol=tol,
-                                interval_vk=(v_tgt, k_tgt))
+                                controls=ControlPair.of(curve.bounds, v_tgt, k_tgt))
 
 
 def _sigma_and_derivatives(u: np.ndarray, rho: float):
@@ -305,14 +303,14 @@ def _sigma_and_derivatives(u: np.ndarray, rho: float):
 
 def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
                  bounds: CurvatureBounds | None = None,
-                 n_out: int | None = None,
                  tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     """Compose the frame with a small circle traversed n times ("phone wire").
 
     The result winds n extra loops along the curve, keeps both endpoint
     frames, flips parity by (-1)^n and has curvature tending to cot(rho1)
     uniformly as n grows.  The input is put in constant-|Lambda| (curvature)
-    parametrization first.
+    parametrization first; the composed point and its derivatives go to
+    `_frames_from_point_data`.
     """
     if n < 1:
         raise ValueError("need n >= 1 loops")
@@ -320,7 +318,7 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
         raise RadiusOutOfBounds("loop radius must lie in (0, pi)")
     bounds = bounds or curve.bounds
 
-    n_grid = n_out or max(curve.n, 64 * n, tol.default_n)
+    n_grid = max(curve.n, 64 * n, tol.default_n)
     base = reparametrize_by_curvature(curve, n_out=n_grid, tol=tol)
     T = base.domain
     t_nodes = base.grid / T                  # unit parameter
@@ -339,36 +337,8 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
     b = lam_apply(sig) + n * dsig
     c = lam_apply(lam_apply(sig)) + 2.0 * n * lam_apply(dsig) + n * n * d2sig
 
-    frames = base.frames
-    F = np.einsum("nij,nj->ni", frames, a)
-    Fd = np.einsum("nij,nj->ni", frames, b)
-    speed = np.linalg.norm(Fd, axis=1)
-    det = np.einsum("ni,ni->n", a, np.cross(b, c))
-    kappa = det / speed ** 3
-    if not bounds.contains(kappa):
-        raise CurvatureOutOfBounds(
-            f"spread curvature range [{kappa.min():.4f}, {kappa.max():.4f}] "
-            f"escapes ({bounds.kappa1:.4f}, {bounds.kappa2:.4f}); increase n")
-
-    tangent = Fd / speed[:, None]
-    if base.closed:
-        F[-1], tangent[-1] = F[0], tangent[0]
-        speed[-1], kappa[-1] = speed[0], kappa[0]
-    normal = np.cross(F, tangent)
-    new_frames = np.stack([F, tangent, normal], axis=-1)
-    lift = _tracked_lift(new_frames, closed=base.closed)
-    return curve_from_node_data(bounds, lift, speed, kappa, domain=1.0,
-                                closed=base.closed, tol=tol)
-
-
-def _tracked_lift(frames: np.ndarray, closed: bool) -> np.ndarray:
-    """Sign-continuous lift; for closed inputs the endpoint frame is exact."""
-    lift = lift_from_frames(frames)
-    if closed:
-        # frames[-1] == frames[0] exactly; keep the tracked sign
-        sign = 1.0 if np.dot(lift[-1], lift[0]) > 0 else -1.0
-        lift[-1] = sign * lift[0]
-    return lift
+    F, Fd, Fdd = (np.einsum("nij,nj->ni", base.frames, x) for x in (a, b, c))
+    return _frames_from_point_data(F, Fd, Fdd, bounds, 1.0, base.closed, tol)
 
 
 # ------------------------------------------------------------------ #
@@ -435,19 +405,22 @@ def _curve_from_angles(theta: np.ndarray, length: float, start: np.ndarray,
 
 
 def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
-                       steps: int | None = None, recenter: bool = False,
+                       steps: int | None = None,
                        tol: ToleranceProfile = DEFAULT_TOL) -> PlanarPath:
     """Deform a positively-curved closed plane curve into a round circle.
 
-    Whitney-Graustein style: normalize the start point and the length, then
+    Whitney-Graustein style: center the curve at the origin (as every
+    frame stays, for the spherical lift) and normalize the length, then
     interpolate the tangent angle linearly toward 2 pi N t with a closure
     correction, scaling when needed to keep the curvature above kappa0.
-    The rotation number N must be positive; the final frame is a round
-    circle traversed N times.
+    N must be positive; the last of `steps` >= 3 frames (default
+    `tol.path_steps`) is a round circle traversed N times.
     """
     if kappa0 < 0:
         raise DomainError("kappa0 must be nonnegative")
-    steps = steps or tol.path_steps
+    steps = tol.path_steps if steps is None else steps
+    if steps < 3:
+        raise ValueError(f"the planar stage needs at least 3 frames, not {steps}")
     m = curve.m
     N = curve.winding(tol)
     if N <= 0:
@@ -460,17 +433,8 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     L = 2.0 * math.pi * N * R1
     f_scale = L / L_in
 
-    # normalized start data: the curve should begin at -i z in direction z;
-    # with recenter=True the curves are kept centered at the origin instead,
-    # which is what the spherical lift needs.
-    z0 = curve.vel[0] / np.linalg.norm(curve.vel[0])
-    if recenter:
-        centroid = curve.xy[:-1].mean(axis=0)
-        start = curve.xy[0] - centroid
-        shift = -centroid
-    else:
-        start = np.array([z0[1], -z0[0]])    # -i z0
-        shift = start - curve.xy[0]
+    shift = -curve.xy[:-1].mean(axis=0)
+    start = curve.xy[0] + shift
 
     frames = []
     s_vals = []
@@ -503,10 +467,8 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
         if kappa0 > 0.0:
             lam = min(1.0, 0.95 * kmin / kappa0)   # scaled curvature = kappa/lam
             pc = pc.scaled(lam)
-        if recenter:
-            mid = pc.xy[:-1].mean(axis=0)
-            pc = PlanarCurve(pc.xy - mid, pc.vel, pc.acc)
-        frames.append(pc)
+        mid = pc.xy[:-1].mean(axis=0)
+        frames.append(PlanarCurve(pc.xy - mid, pc.vel, pc.acc))
         s_vals.append(0.5 + 0.5 * s)
     return PlanarPath(np.asarray(s_vals), tuple(frames))
 
@@ -525,21 +487,21 @@ def _node_derivatives(curve: AdmissibleCurve):
 
 
 def _frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol):
-    """Assemble an admissible curve from pointwise samples and derivatives."""
+    """Assemble an admissible curve from pointwise samples and derivatives;
+    a closed curve's last node repeats its first, so lift[-1] = +-lift[0]
+    bit for bit."""
     speed = np.linalg.norm(dp, axis=1)
     tangent = dp / speed[:, None]
     kappa = np.einsum("ni,ni->n", p, np.cross(dp, d2p)) / speed ** 3
     if closed:
         p = p.copy()
-        tangent = tangent.copy()
         p[-1], tangent[-1] = p[0], tangent[0]
         speed[-1], kappa[-1] = speed[0], kappa[0]
     p = p / np.linalg.norm(p, axis=1, keepdims=True)
     tangent = tangent - p * np.einsum("ni,ni->n", tangent, p)[:, None]
     tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
     normal = np.cross(p, tangent)
-    frames = np.stack([p, tangent, normal], axis=-1)
-    lift = _tracked_lift(frames, closed)
+    lift = lift_from_frames(np.stack([p, tangent, normal], axis=-1))
     return curve_from_node_data(bounds, lift, speed, kappa, domain=domain,
                                 closed=closed, tol=tol)
 
@@ -601,9 +563,12 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     along h (no chart, no singular point), which can only raise the
     curvature of a condensed curve; stage 2 projects the small curve to the
     tangent plane, runs the planar Whitney-Graustein deformation and lifts
-    the result back.  The path ends at a circle traversed nu times.
+    the result back.  The last of `steps` >= 4 frames (default
+    `tol.path_steps`) is a circle traversed nu times.
     """
-    steps = steps or tol.path_steps
+    steps = tol.path_steps if steps is None else steps
+    if steps < 4:
+        raise ValueError(f"shrinking needs at least 4 frames, not {steps}")
     reduced, kappa0 = reduce_to_k0(curve, tol)
     if kappa0 < 0:
         raise DomainError("shrink_condensed requires kappa0 >= 0 after reduction")
@@ -634,7 +599,7 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
 
     planar = project_to_tangent_plane(frames[-1], h)
     ppath = planar_wg_homotopy(planar, kappa0=kappa_target,
-                               steps=steps - n_a + 1, recenter=True, tol=tol)
+                               steps=steps - n_a + 1, tol=tol)
     if ppath.curves[-1].winding(tol) != nu:
         raise StageToleranceFailure("planar stage changed the rotation number")
     for pc in ppath.curves[1:]:

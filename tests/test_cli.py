@@ -351,6 +351,33 @@ class TestErrorBoundary:
         assert run_cli("graft", str(c), "--mode", "antipodal") == 1
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["bands", "NEG", "--profile-nodes", "0"],
+        ["bands", "NEG", "--profile-nodes", "-2"],
+        ["gen", "neither-example", "--rho0", "0"],
+        ["gen", "neither-example", "--rho0", "-0.1"],
+        ["shrink", "POS", "--steps", "3"],
+        ["shrink", "POS", "--steps", "2"],
+        ["shrink", "POS", "--steps", "1"],
+        ["shrink", "POS", "--steps", "0"],
+        ["shrink", "POS", "--steps", "-4"],
+        ["bend", "--steps", "1", "-n", "64"],
+        ["bend", "--steps", "0", "-n", "64"],
+        ["bend", "--steps", "-3", "-n", "64"],
+    ])
+    def test_out_of_range_counts_exit_2(self, argv, tmp_path, capsys):
+        files = {"POS": (0.0, "0.8"), "NEG": (-0.4, str(math.pi / 2 - 0.15))}
+        for name, (kappa1, rho) in files.items():
+            run_cli("gen", "circle", "--rho", rho, "--k", "1", "--kappa1",
+                    str(kappa1), "-n", "64", "-o", str(tmp_path / name))
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        assert run_cli(*argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_dumps_refuses_nan(self):
         with pytest.raises(ValueError):
             cli.dumps({"margin": float("nan")})

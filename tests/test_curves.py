@@ -577,7 +577,7 @@ class TestEndRows:
         for curve in curves:
             assert curve.closure_defect() == float(
                 np.abs(curve.frames[-1] - curve.frames[0]).max())
-            assert np.array_equal(curve.frame(0), curve.frames[0])
+            assert np.array_equal(curve.end_frames, curve.frames[[0, -1]])
             doc = sc.curve_to_json(curve)
             want = loop_curve_to_json(curve)
             assert doc == want
@@ -770,10 +770,8 @@ class TestLiftIsTheFrame:
             view = getattr(curve, name)
             assert np.array_equal(view, frames[:, :, col])
             assert not view.flags.writeable
-        for i in range(curve.n + 1):
-            assert np.array_equal(curve.frame(i), frames[i])
-        assert np.array_equal(curve.frame(-1), frames[-1])
-        assert not frames.flags.writeable
+        assert np.array_equal(curve.end_frames, frames[[0, -1]])
+        assert not frames.flags.writeable and not curve.end_frames.flags.writeable
         with pytest.raises(ValueError):
             frames[0, 0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -792,3 +790,78 @@ class TestLiftIsTheFrame:
         assert np.abs(rotated.frames - R @ curve.frames).max() <= 4e-15
         assert rotated.speed is curve.speed and rotated.kappa is curve.kappa
         assert rotated.controls is curve.controls
+
+
+class TestOneAssembly:
+    """The record takes its controls as given and derives its end frames
+    and interval controls once."""
+
+    def test_bend_path_converts_each_end_pair_once(self, monkeypatch):
+        from conftest import count_calls
+        from spherecurve import homotopy
+        calls = count_calls(monkeypatch, sphere.quat_to_rotation)
+        path = homotopy.bend_k_equator(1, steps=65)
+        homotopy.validate_path(path)
+        cur.curves_to_json(path.curves)
+        # one call per frame: the closure decision, whose end frames the
+        # validation's closure defect and the written q0 reuse
+        assert len(calls) == 65
+
+    def test_integrate_curve_builds_no_control_pair(self, monkeypatch, bounds_k0):
+        controls = sc.ControlPair(np.full(64, 1.5), np.full(64, 1.5))
+        built = []
+        post_init = sc.ControlPair.__post_init__
+        monkeypatch.setattr(sc.ControlPair, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        curve = sc.integrate_curve(controls, bounds_k0)
+        assert built == [] and curve.controls is controls and curve.integrated
+        doc = sc.curve_to_json(curve)
+        assert sc.curve_from_json(doc).integrated
+        assert len(built) == 1          # the document's controls, kept as given
+
+    @pytest.mark.parametrize("bounds", [sc.UNBOUNDED, sc.CurvatureBounds(0.0, math.inf),
+                                        sc.CurvatureBounds(-1.0, 2.0)])
+    def test_interval_controls_are_derived_once(self, monkeypatch, rng, bounds):
+        from conftest import count_calls
+        from spherecurve import factory
+        curve = factory.random_open_curve(bounds, rng, n=96)
+        calls = count_calls(monkeypatch, sc.control_transforms)
+        ts = np.linspace(0.0, 1.0, 7)
+        first = curve.eval_lift(ts)
+        for _ in range(3):
+            assert np.array_equal(curve.eval_lift(ts), first)
+            sc.total_curvature(curve)
+        assert len(calls) == 1
+        v, kap = curve.interval_vk()
+        assert curve.interval_vk()[0] is v
+        assert not v.flags.writeable and not kap.flags.writeable
+        # the identity transform of unbounded curvature hands back a copy,
+        # so the controls themselves stay as they were given
+        assert kap is not curve.controls.w_hat
+        assert curve.controls.w_hat.flags.writeable
+        with pytest.raises(ValueError):
+            kap[0] = 0.0
+
+    def test_replace_drops_the_derived_values(self, rng, bounds_k0):
+        from conftest import random_rotation
+        curve = sc.make_circle(0.9, 2, bounds_k0, n=64)
+        ends, (v, kap) = curve.end_frames, curve.interval_vk()
+        rotated = curve.rotated(random_rotation(rng))
+        assert np.array_equal(rotated.end_frames,
+                              sphere.quat_to_rotation(rotated.lift[[0, -1]]))
+        assert np.abs(rotated.end_frames - ends).max() > 1e-3
+        wide = curve.with_bounds(sc.CurvatureBounds(-1.0, math.inf))
+        wv, wk = wide.interval_vk()
+        assert wv is not v and wk is not kap
+        assert np.allclose(wv, v, rtol=1e-12) and np.allclose(wk, kap, atol=1e-12)
+
+    @pytest.mark.parametrize("closed", [None, True, False, np.True_, np.False_])
+    def test_closed_keeps_its_three_states(self, bounds_k0, closed):
+        c = sc.make_circle(0.9, 1, bounds_k0, n=64)
+        out = cur.curve_from_node_data(c.bounds, c.lift, c.speed, c.kappa,
+                                      closed=closed, controls=c.controls)
+        assert type(out.closed) is bool
+        assert out.closed == (True if closed is None else bool(closed))
+        assert out.controls is c.controls and not out.integrated
+        if closed is None:
+            assert "end_frames" in vars(out)    # the decision's, kept

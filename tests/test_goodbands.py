@@ -472,3 +472,53 @@ class TestOutputSensitiveKernels:
             tracemalloc.stop()
         assert retract_peak < 32 * 2**20
         assert central_peak < 32 * 2**20
+
+
+def loop_meridian_profile(lam_curve, phi_curve, lam_grid, nu, take_max):
+    """`_meridian_profile` one segment and one crossing at a time."""
+    period = 2.0 * math.pi * nu
+    k = lam_grid.size
+    step = period / k
+    out = np.full(k, -np.inf if take_max else np.inf)
+    for i in range(lam_curve.size - 1):
+        a, b = lam_curve[i], lam_curve[i + 1]
+        pa, pb = phi_curve[i], phi_curve[i + 1]
+        lo, hi = (a, b) if a <= b else (b, a)
+        j0 = int(math.ceil(lo / step - 1e-12))
+        j1 = int(math.floor(hi / step + 1e-12))
+        for j in range(j0, j1 + 1):
+            z = j * step
+            f = 0.5 if b == a else (z - a) / (b - a)
+            if -1e-9 <= f <= 1.0 + 1e-9:
+                phi = pa + min(max(f, 0.0), 1.0) * (pb - pa)
+                jj = j % k
+                out[jj] = max(out[jj], phi) if take_max else min(out[jj], phi)
+    return out
+
+
+class TestBatchedMeridianProfile:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("take_max", [True, False])
+    def test_bit_identical_to_loop(self, seed, take_max):
+        rng = np.random.default_rng(seed)
+        nu = int(rng.integers(1, 4))
+        k = int(rng.choice([16, 64, 256]))
+        m = int(rng.integers(20, 300))
+        step = 2.0 * math.pi * nu / k
+        # a closed profile winding nu times, with backtracks that cross
+        # one meridian several times, flat segments and nodes on meridians
+        lam = np.cumsum(rng.normal(1.0, 2.0, m))
+        lam = (lam - lam[0]) * (2.0 * math.pi * nu / (lam[-1] - lam[0]))
+        lam += rng.uniform(-3.0, 3.0) * step
+        flat = rng.random(m - 1) < 0.15
+        lam[1:][flat] = lam[:-1][flat]
+        on = rng.random(m) < 0.1
+        lam[on] = np.round(lam[on] / step) * step
+        lam[-1] = lam[0] + 2.0 * math.pi * nu      # every meridian is crossed
+        phi = rng.uniform(-1.0, 1.0, m)
+        phi[-1] = phi[0]
+        lam_grid = np.arange(k) * step
+        want = loop_meridian_profile(lam, phi, lam_grid, nu, take_max)
+        assert np.all(np.isfinite(want))
+        got = gb._meridian_profile(lam, phi, lam_grid, nu, take_max)
+        assert got.tobytes() == want.tobytes()

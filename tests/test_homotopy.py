@@ -447,8 +447,93 @@ class TestNormalizeInitialFrame:
         # both signs of the lift normalize to the same curve
         for lift in (curve.lift, -curve.lift):
             out = ho.normalize_initial_frame(dataclasses.replace(curve, lift=lift))
-            assert np.abs(out.frame(0) - np.eye(3)).max() <= 1e-15
+            assert np.abs(out.end_frames[0] - np.eye(3)).max() <= 1e-15
             assert np.abs(out.lift[0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-15
             assert np.abs(out.frames - base.frames).max() <= 4e-15
             assert out.speed is base.speed and out.controls is base.controls
             assert out.closed == base.closed
+
+
+def inline_spread_loops(curve, n, rho1, bounds):
+    """spread_loops with its own speed, tangent, curvature, closure and lift
+    assembly, as it was before it ended in `_frames_from_point_data`."""
+    base = sc.reparametrize_by_curvature(curve, n_out=max(curve.n, 64 * n,
+                                                          sc.DEFAULT_TOL.default_n))
+    T = base.domain
+    t_nodes = base.grid / T
+    v_int, k_int = base.interval_vk()
+    v_n = np.append(v_int, v_int[0] if base.closed else v_int[-1]) * T
+    w_n = v_n * np.append(k_int, k_int[0] if base.closed else k_int[-1])
+    sig, dsig, d2sig = ho._sigma_and_derivatives(n * t_nodes, rho1)
+
+    def lam_apply(x):
+        return np.stack([-v_n * x[:, 1], v_n * x[:, 0] - w_n * x[:, 2],
+                         w_n * x[:, 1]], axis=1)
+
+    a = sig
+    b = lam_apply(sig) + n * dsig
+    c = lam_apply(lam_apply(sig)) + 2.0 * n * lam_apply(dsig) + n * n * d2sig
+    F = np.einsum("nij,nj->ni", base.frames, a)
+    Fd = np.einsum("nij,nj->ni", base.frames, b)
+    speed = np.linalg.norm(Fd, axis=1)
+    kappa = np.einsum("ni,ni->n", a, np.cross(b, c)) / speed ** 3
+    tangent = Fd / speed[:, None]
+    if base.closed:
+        F[-1], tangent[-1] = F[0], tangent[0]
+        speed[-1], kappa[-1] = speed[0], kappa[0]
+    lift = ho.lift_from_frames(np.stack([F, tangent, np.cross(F, tangent)], axis=-1))
+    if base.closed:
+        lift[-1] = (1.0 if np.dot(lift[-1], lift[0]) > 0 else -1.0) * lift[0]
+    return lift, kappa
+
+
+class TestOnePointAssembly:
+    """Every construction from points ends in `_frames_from_point_data`."""
+
+    @pytest.mark.parametrize("n,rho1,bounds", [
+        (8, 0.25, sc.CurvatureBounds(0.0, math.inf)),
+        (3, 0.4, sc.CurvatureBounds(-5.0, math.inf)),
+        (16, 0.25, sc.CurvatureBounds(0.0, math.inf))])
+    def test_spread_matches_the_inline_assembly(self, spread_base, n, rho1, bounds):
+        out = ho.spread_loops(spread_base, n, rho1, bounds=bounds)
+        lift, kappa = inline_spread_loops(spread_base, n, rho1, bounds)
+        assert np.abs(out.lift - lift).max() <= 1e-13
+        assert np.abs(out.kappa - kappa).max() <= 1e-12 * np.abs(kappa).max()
+
+    def test_spread_escape_is_curvature_out_of_bounds(self, spread_base):
+        from spherecurve.errors import CurvatureOutOfBounds
+        with pytest.raises(CurvatureOutOfBounds):
+            ho.spread_loops(spread_base, 1, 0.25, bounds=sc.CurvatureBounds(3.5, 4.5))
+
+    def test_closed_lifts_end_on_their_start(self, spread_base):
+        from spherecurve import factory
+        circle = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
+        _, h, _ = classify.condensed_axis(circle)
+        curves = [ho.mobius_shrink_curve(circle, r, h) for r in (0.9, 0.5, 0.2)]
+        planar = ho.project_to_tangent_plane(curves[-1], h)
+        curves += [ho.lift_from_tangent_plane(pc, h, circle.bounds)
+                   for pc in ho.planar_wg_homotopy(planar, kappa0=0.1, steps=5).curves[1:]]
+        curves += [ho.spread_loops(spread_base, n, 0.4) for n in (1, 2, 5)]
+        curves.append(factory.diffuse_example(n_loops=4))
+        for c in curves:
+            assert c.closed
+            assert np.array_equal(c.lift[-1], c.lift[0]) \
+                or np.array_equal(c.lift[-1], -c.lift[0])
+
+
+class TestStepCounts:
+    """Too few frames for a path to reach its target is a ValueError (bend
+    and shrink: `tests/test_cli.py`)."""
+
+    @pytest.mark.parametrize("steps", [2, 1, 0])
+    def test_planar(self, steps):
+        with pytest.raises(ValueError, match="at least 3 frames"):
+            ho.planar_wg_homotopy(TestPlanarWG.ellipse(), kappa0=0.3, steps=steps)
+
+    def test_fewest_frames_reach_the_targets(self, loops_base):
+        bend = ho.bend_k_equator(1, steps=2, n=64)
+        assert abs(sc.total_curvature(bend.curves[-1]) - 6 * math.pi) < 1e-9
+        shrink = ho.shrink_condensed(loops_base, steps=4)
+        assert len(shrink) == 4 and ho.validate_path(shrink).passed
+        kappa = shrink.curves[-1].kappa
+        assert kappa.max() - kappa.min() < 1e-12

@@ -71,13 +71,34 @@ def referenced_names(tree):
             yield from node.value.split(".")
 
 
+def private_defs(tree):
+    """Names of the private (`_name`, not dunder) top-level functions and
+    classes of a module."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            yield node.name
+
+
+def used_names(referring):
+    return {name for text in referring for name in referenced_names(ast.parse(text))}
+
+
 def unreferenced(defining, referring, exported, documented):
     """Public defs of the `defining` sources that no `referring` source
     names, sorted, less those `exported` or `documented`."""
-    used = {name for text in referring for name in referenced_names(ast.parse(text))}
+    used = used_names(referring)
     return sorted({name for text in defining for name in public_defs(ast.parse(text))
                    if not name.startswith("_") and name not in used
                    and name not in exported and name not in documented})
+
+
+def unreferenced_private(defining, referring):
+    """Private top-level defs of the `defining` sources that no `referring`
+    source names, sorted."""
+    used = used_names(referring)
+    return sorted({name for text in defining for name in private_defs(ast.parse(text))
+                   if name not in used})
 
 
 class TestDeadCode:
@@ -103,3 +124,20 @@ class TestDeadCode:
         caller = "K().method()\nTARGETS = ('mod', 'traced')\n"
         assert unreferenced([lib], [lib, caller], {"exported"}, {"documented"}) \
             == ["dead", "dead_method"]
+
+    def test_private_helpers_have_a_caller(self):
+        lib = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+        others = [p.read_text() for d in ("bench", "tests")
+                  for p in sorted((REPO / d).glob("*.py"))]
+        assert unreferenced_private(lib, lib + others) == [], \
+            "delete these helpers or give them a caller"
+
+    def test_detector_finds_unreferenced_private_defs(self):
+        lib = ("def _used():\n    pass\n"
+               "def _left_behind():\n    '''_used is named here'''\n"
+               "class _Dead:\n    def _method(self):\n        pass\n"
+               "def _tested():\n    pass\n"
+               "def __getattr__(name):\n    pass\n"
+               "def public():\n    return _used()\n")
+        test = "import mod\nmod._tested()\n"
+        assert unreferenced_private([lib], [lib, test]) == ["_Dead", "_left_behind"]
