@@ -328,6 +328,12 @@ class CondensedStatus:
     Wolfe's minimum-norm point when the margin is positive, else the
     hull), set only on a condensed curve.  With a positive margin, the
     band lies in <x, h> >= margin and its antipode in <x, h> <= -margin.
+    `margin_exact` is False when the solve stopped at a certified upper
+    bound at or below -`tol.borderline_margin` (the hull of the cloud's
+    support points in its principal frame) and `margin` is that bound:
+    below -`tol.borderline_margin` the margin only decides that the curve
+    is neither condensed nor borderline and that the 2m certificate does
+    not apply, and the bound decides the same.
     `antipodal_defect` bounds the chord |x + y| over band points x, y.
     When 2 margin >= `tol.antipodal_chord` it is 2 margin, certified since
     |x + y| >= <x + y, h> >= 2 margin, and `antipodal_pair` is None.
@@ -343,6 +349,7 @@ class CondensedStatus:
     diffuse: bool
     borderline: bool
     margin: float
+    margin_exact: bool
     hemisphere: np.ndarray | None
     antipodal_pair: tuple | None
     antipodal_defect: float
@@ -366,7 +373,8 @@ def condensed_status(curve: AdmissibleCurve,
     the equatorial regime where the hemisphere margin is numerically zero
     and the condensed side of the label cannot be trusted.
     """
-    h, margin = sphere.best_hemisphere(classification_cloud(curve))
+    h, margin = sphere.best_hemisphere(classification_cloud(curve),
+                                       certify_below=tol.borderline_margin)
     condensed = margin >= -tol.feasibility_margin
     borderline = abs(margin) < tol.borderline_margin
 
@@ -376,6 +384,7 @@ def condensed_status(curve: AdmissibleCurve,
         pair, defect = antipodal_fiber_witness(curve, tol=tol)
     return CondensedStatus(condensed=bool(condensed), diffuse=pair is not None,
                            borderline=bool(borderline), margin=float(margin),
+                           margin_exact=h is not None,
                            hemisphere=h if condensed else None,
                            antipodal_pair=pair,
                            antipodal_defect=float(defect))
@@ -633,6 +642,7 @@ class ComponentLabel:
     parity: LiftParity
     borderline: bool
     margin: float
+    margin_exact: bool
     status_tag: str
     # the analysis the label was decided from; not part of the label
     status: CondensedStatus | None = dataclasses.field(
@@ -654,6 +664,7 @@ class ComponentLabel:
             "borderline": self.borderline,
             "status": self.status_tag,
             "margin": self.margin,
+            "margin_exact": self.margin_exact,
         }
 
 
@@ -687,5 +698,6 @@ def classify_component(curve: AdmissibleCurve,
         j = _parity_label(n, parity)
     return ComponentLabel(n=n, j=j, condensed=status.condensed, nu=nu,
                           parity=parity, borderline=status.borderline,
-                          margin=status.margin, status_tag=status.tag,
+                          margin=status.margin,
+                          margin_exact=status.margin_exact, status_tag=status.tag,
                           status=status)

@@ -9,6 +9,7 @@ path converts in one call.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -249,6 +250,11 @@ _WOLFE_ITERATIONS = 32
 _WOLFE_ZERO = 1e-9
 _WOLFE_GAP = 1e-14
 
+# the 26 directions of the 3x3x3 cube stencil, taken in the cloud's
+# principal frame by `_support_hull_bound`
+_CUBE_STENCIL = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+                          if any(d)])
+
 
 def _affine_weights(corral: np.ndarray) -> np.ndarray:
     """Weights, summing to 1, of the least-norm point of the affine hull
@@ -328,6 +334,27 @@ def _min_norm_margin(points: np.ndarray):
     return None
 
 
+def _support_hull_bound(points: np.ndarray):
+    """The largest facet offset of the hull of the cloud's support points
+    in the 26 cube-stencil directions, or None when Qhull refuses them.
+
+    The stencil is turned into the cloud's principal frame, the
+    eigenvectors of points^T points, so it turns with the cloud (a fixed
+    stencil moved the bound of a graft cloud by 5% over 30 placements).
+    The argmax runs along the rows of the (26, N) product: down the
+    columns of the (N, 26) one it took seven times as long.  The support
+    points' hull lies inside the cloud's, so when it holds the origin (an
+    offset <= 0) the offset bounds the cloud's margin from above.
+    """
+    dirs = _CUBE_STENCIL @ np.linalg.eigh(points.T @ points)[1].T
+    support = np.unique(np.argmax(dirs @ points.T, axis=1))
+    try:
+        hull = ConvexHull(points[support])
+    except QhullError:          # under four points, or flat
+        return None
+    return float(np.max(hull.equations[:, 3]))
+
+
 def _nearest_on_segments(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Point of least norm on the union of the segments [p_i, q_i]."""
     d = q - p
@@ -392,7 +419,7 @@ def _hull_solve(w: np.ndarray, hull=None):
     return (x / norm if norm > 1e-15 else _centred_axes(w)[3]), probes, hull
 
 
-def best_hemisphere(points):
+def best_hemisphere(points, certify_below: float | None = None):
     """Direction h maximizing the margin min_i <p_i, h> over unit vectors.
 
     Returns (h, margin), margin = min_i <p_i, h> over every input point: the
@@ -412,6 +439,16 @@ def best_hemisphere(points):
     more than roundoff (Clarkson's scheme).  The working-set margin bounds
     the full one from above and is attained on the full cloud at exit, so
     the two coincide.  Deterministic.
+
+    `certify_below` (c >= 0) tells the solve that a margin below -c need
+    not be exact.  When Wolfe's iteration fails and the hull of the cloud's
+    support points in the 26 cube-stencil directions of its principal
+    frame has a largest facet offset b <= -c (`_support_hull_bound`), the
+    result is (None, b): no direction, and b, an upper bound on the margin
+    certified to roundoff, since that hull lies inside the cloud's.  The
+    stencil turns with the cloud, so wherever the principal axes are
+    distinct a rotation moves b only at roundoff.  Every other cloud runs
+    the exact solve above.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
@@ -419,6 +456,10 @@ def best_hemisphere(points):
     certified = _min_norm_margin(points)
     if certified is not None:
         return certified
+    if certify_below is not None:
+        bound = _support_hull_bound(points)
+        if bound is not None and bound <= -certify_below:
+            return None, bound
     work = np.zeros(points.shape[0], dtype=bool)
     work[np.linspace(0, points.shape[0] - 1,
                      _HEMISPHERE_WORKING_SET).astype(int)] = True

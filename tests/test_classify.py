@@ -482,7 +482,8 @@ class TestOneAnalysisPerLabel:
         bare = classify.ComponentLabel(
             n=label.n, j=label.j, condensed=label.condensed, nu=label.nu,
             parity=label.parity, borderline=label.borderline,
-            margin=label.margin, status_tag=label.status_tag)
+            margin=label.margin, margin_exact=label.margin_exact,
+            status_tag=label.status_tag)
         assert bare == label
         assert bare.status is None and label.status is not None
         assert "status" in label.to_dict() and label.to_dict() == bare.to_dict()
@@ -981,6 +982,41 @@ class TestMarginCertificate:
             assert st_.tag == tag
             assert len(witness) == 1
             monkeypatch.undo()
+
+    @settings(max_examples=30, deadline=None)
+    @given(margin_curves())
+    def test_certified_status_decides_as_the_exact_margin(self, curve):
+        # a bound in place of the margin leaves the condensed, borderline
+        # and 2m-certificate decisions those of the exact margin
+        from spherecurve import sphere
+        tol = sc.DEFAULT_TOL
+        status = classify.condensed_status(curve)
+        _, exact = sphere.best_hemisphere(classify.classification_cloud(curve))
+        if status.margin_exact:
+            assert status.margin == exact
+        else:
+            assert exact - 1e-12 <= status.margin <= -tol.borderline_margin
+            assert exact <= -tol.borderline_margin
+        assert status.condensed == (exact >= -tol.feasibility_margin)
+        assert status.borderline == (abs(exact) < tol.borderline_margin)
+        assert (status.antipodal_pair is None and status.antipodal_defect
+                == 2.0 * status.margin) == (2.0 * exact >= tol.antipodal_chord)
+
+    def test_near_zero_negative_margin_is_exact(self, monkeypatch):
+        # a kappa0 < 0 circle just past the geodesic: margin cos(rho) of
+        # about -1e-5, above the bound's cut, so the hull solves it exactly
+        from conftest import count_calls
+        from spherecurve import sphere
+        circle = sc.make_circle(math.pi / 2 + 1e-5, 1,
+                                sc.CurvatureBounds(-1.0, math.inf), n=256)
+        _, exact = sphere.best_hemisphere(classify.classification_cloud(circle))
+        solves = count_calls(monkeypatch, sphere._hull_solve)
+        label = classify.classify_component(circle)
+        assert solves
+        assert -sc.DEFAULT_TOL.borderline_margin < exact < -1e-9
+        assert label.status.margin_exact and label.margin == exact
+        assert label.to_dict()["margin_exact"] is True
+        assert label.borderline and not label.condensed
 
     @settings(max_examples=30, deadline=None)
     @given(margin_curves())

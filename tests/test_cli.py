@@ -74,12 +74,25 @@ class TestClassify:
         bad.write_text("{not json")
         assert run_cli("classify", str(bad)) == 2
 
+    @staticmethod
+    def _placed_labels(tmp_path, curve):
+        """The label files of `curve` under two seeded random rotations."""
+        from conftest import random_rotation
+        rng = np.random.default_rng(6)
+        labels = []
+        for i in range(2):
+            path, rep = tmp_path / f"c{i}.json", tmp_path / f"r{i}.json"
+            placed = curve.rotated(random_rotation(rng))
+            path.write_text(cli.dumps(sc.curve_to_json(placed)))
+            assert run_cli("classify", str(path), "-o", str(rep)) == 0
+            labels.append(json.loads(rep.read_text()))
+        return labels
+
     @pytest.mark.parametrize("bounds,turns,loops", [
         ((1.0, 4.0), 2, 2),          # a circle with two loops, n = 6
         ((2.0, math.inf), 3, 0),     # a 3-fold circle, n = 7
     ])
     def test_margin_is_placement_invariant(self, tmp_path, bounds, turns, loops):
-        from conftest import random_rotation
         bounds = sc.CurvatureBounds(*bounds)
         rho = 0.5 * (bounds.rho1 + bounds.rho2)
         if loops:
@@ -88,16 +101,27 @@ class TestClassify:
                                  loops, bounds.rho2 + 0.4 * (hi - bounds.rho2), 0.05)
         else:
             curve = sc.make_circle(rho, turns, bounds, n=1024)
-        rng = np.random.default_rng(6)
-        margins = []
-        for i in range(2):
-            path, rep = tmp_path / f"c{i}.json", tmp_path / f"r{i}.json"
-            placed = curve.rotated(random_rotation(rng))
-            path.write_text(cli.dumps(sc.curve_to_json(placed)))
-            assert run_cli("classify", str(path), "-o", str(rep)) == 0
-            margins.append(json.loads(rep.read_text())["margin"])
+        margins = [doc["margin"] for doc in self._placed_labels(tmp_path, curve)]
         assert abs(margins[0] - margins[1]) <= 1e-12
         assert margins[0] > sc.DEFAULT_TOL.borderline_margin
+
+    @pytest.mark.parametrize("case", ["diffuse", "circle"])
+    def test_certified_margin_is_placement_invariant(self, tmp_path, case):
+        # non-condensed clouds whose margin is the support-hull bound: the
+        # stencil turns with the cloud's principal frame, so the bound
+        # moves only at roundoff
+        from spherecurve import factory
+        if case == "diffuse":
+            curve = factory.diffuse_example()
+        else:        # a 3-fold circle under (-1, +inf), n = 2
+            curve = sc.make_circle(1.9, 3, sc.CurvatureBounds(-1.0, math.inf),
+                                   n=1024)
+        first, second = self._placed_labels(tmp_path, curve)
+        assert abs(first["margin"] - second["margin"]) <= 1e-12
+        assert first["margin"] < -sc.DEFAULT_TOL.borderline_margin
+        assert first["margin_exact"] is second["margin_exact"] is False
+        fields = ("n", "j", "condensed", "nu", "parity", "borderline", "status")
+        assert [first[k] for k in fields] == [second[k] for k in fields]
 
     def test_strict_borderline_exit_3(self, tmp_path):
         out, rep = tmp_path / "c.json", tmp_path / "r.json"

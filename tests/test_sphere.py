@@ -722,6 +722,84 @@ class TestMinNormPoint:
         assert_matches_oracle(circle)
 
 
+@st.composite
+def negative_margin_clouds(draw):
+    """200 to 1500 points filling a cap wider than a hemisphere, stretched
+    along three random axes: margins from about -1 to about -1e-5."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    size = draw(st.integers(200, 1500))
+    radius = draw(st.floats(math.pi / 2 + 1e-5, math.pi))
+    stretch = np.array(draw(st.lists(st.floats(0.3, 3.0), min_size=3,
+                                     max_size=3)))
+    rng = np.random.default_rng(seed)
+    axis = _unit_rows(rng.normal(size=(1, 3)))[0]
+    e, f = sphere.plane_basis(axis)
+    # uniform in area over the cap: cos of the polar angle is uniform
+    cos_ang = rng.uniform(math.cos(radius), 1.0, size=size)
+    sin_ang = np.sqrt(1.0 - cos_ang ** 2)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    pts = (cos_ang[:, None] * axis
+           + sin_ang[:, None] * (np.cos(phi)[:, None] * e
+                                 + np.sin(phi)[:, None] * f))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return pts @ (q * stretch) @ q.T
+
+
+class TestSupportHullBound:
+    """`certify_below`: negative margins bounded by the support points'
+    hull, everything else solved exactly."""
+
+    BORDER = DEFAULT_TOL.borderline_margin
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(negative_margin_clouds(), hemisphere_clouds()))
+    def test_bound_is_certified(self, points):
+        # a bound never lies below the exact margin (beyond roundoff) and
+        # is only returned when the exact margin is below the cut too;
+        # every other cloud gets the exact answer bit for bit
+        h, margin = sphere.best_hemisphere(points, certify_below=self.BORDER)
+        h_exact, exact = sphere.best_hemisphere(points)
+        if h is None:
+            assert exact - 1e-12 <= margin <= -self.BORDER
+            assert exact <= -self.BORDER
+        else:
+            assert margin == exact and np.array_equal(h, h_exact)
+
+    def test_corpus_clouds_stop_at_the_bound(self, monkeypatch, neither_coarse):
+        from spherecurve import classify, grafting
+        reduced, _ = classify.reduce_to_k0(
+            grafting.ensure_curvature_param(neither_coarse))
+        diffuse, _ = classify.reduce_to_k0(factory.diffuse_example())
+        circle = make_circle(1.9, 3, CurvatureBounds(-1.0, math.inf), n=1024)
+        for curve in (reduced, diffuse, circle):
+            cloud = classify.classification_cloud(curve)
+            _, exact = sphere.best_hemisphere(cloud)
+            hulls = count_hulls(monkeypatch)
+            solves, real = [], sphere._hull_solve
+            monkeypatch.setattr(sphere, "_hull_solve",
+                                lambda *a: solves.append(1) or real(*a))
+            h, bound = sphere.best_hemisphere(cloud, certify_below=self.BORDER)
+            monkeypatch.undo()
+            assert h is None and len(hulls) == 1 and solves == []
+            assert exact - 1e-12 <= bound <= -self.BORDER
+
+    def test_stencil_hull_missing_the_origin_is_solved_exactly(self):
+        # 40 points of the upper hemisphere, the first two turned down and
+        # shortened: the origin is inside the cloud's hull, with margin
+        # -0.22, but outside the hull of the stencil's support points
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(40, 3))
+        points[:, 2] = np.abs(points[:, 2])
+        points = _unit_rows(points)
+        points[:2] *= -0.3
+        assert sphere._support_hull_bound(points) > 0.0
+        h, margin = sphere.best_hemisphere(points, certify_below=self.BORDER)
+        h_exact, exact = sphere.best_hemisphere(points)
+        assert exact < -0.2
+        assert margin == exact and np.array_equal(h, h_exact)
+        assert_matches_oracle(points)
+
+
 class TestBatchedQuaternions:
     def test_broadcast_matches_scalar(self, rng):
         a = _unit_rows(rng.normal(size=(7, 4)))
