@@ -16,7 +16,7 @@ import numpy as np
 from . import sphere
 from .curves import AdmissibleCurve, ControlPair, CurvatureBounds, cot, curve_from_node_data
 from .errors import ThetaOutOfRange
-from .tolerances import DEFAULT_TOL, ToleranceProfile
+from .tolerances import DEFAULT_TOL, ToleranceProfile, count_or_default
 
 _PAD = 1e-9
 
@@ -121,7 +121,7 @@ def regular_band(curve: AdmissibleCurve, m: int | None = None,
                  t_stride: int = 1,
                  tol: ToleranceProfile = DEFAULT_TOL) -> BandGrid:
     """Band over theta in [rho1 - pi, rho2]: every fiber stays immersed."""
-    m = m or tol.band_theta_nodes
+    m = count_or_default(m, tol.band_theta_nodes, "m")
     b = curve.bounds
     thetas = _theta_grid(b.rho1 - math.pi, b.rho2, m)
     return _band(curve, thetas, t_stride)
@@ -135,7 +135,7 @@ def caustic_band(curve: AdmissibleCurve, m: int | None = None,
     The theta grid is refined near the sampled radii of curvature, where the
     band map stops being an immersion (along the caustic).
     """
-    m = m or tol.band_theta_nodes
+    m = count_or_default(m, tol.band_theta_nodes, "m")
     rho0 = curve.bounds.rho1
     qs = np.quantile(curve.rho, np.linspace(0.02, 0.98, max(m // 4, 9)))
     thetas = _theta_grid(0.0, rho0, m, extra=qs)

@@ -24,7 +24,7 @@ from .errors import (
     NotClosed,
     RadiusOutOfBounds,
 )
-from .tolerances import DEFAULT_TOL, ToleranceProfile
+from .tolerances import DEFAULT_TOL, ToleranceProfile, count_or_default
 
 
 def arccot(kappa: float) -> float:
@@ -511,7 +511,7 @@ def make_circle(rho: float, k: int, bounds: CurvatureBounds,
     if not bounds.rho2 < rho < bounds.rho1:
         raise RadiusOutOfBounds(
             f"rho={rho:.6f} outside ({bounds.rho2:.6f}, {bounds.rho1:.6f})")
-    n = n or tol.default_n
+    n = count_or_default(n, tol.default_n)
     controls = ControlPair.of(bounds, np.full(n, 2.0 * math.pi * k * math.sin(rho)),
                               np.full(n, cot(rho)))
     return integrate_curve(controls, bounds, tol=tol, require_closed=True)
@@ -532,7 +532,7 @@ def _resample(curve: AdmissibleCurve, cumulative: np.ndarray, rate: np.ndarray,
     reparametrized curve.  Node lifts are evaluated by exact partial steps,
     so closure is preserved to roundoff.
     """
-    n_out = n_out or curve.n
+    n_out = count_or_default(n_out, curve.n, "n_out")
     total = float(cumulative[-1])
     u = np.linspace(0.0, total, n_out + 1)
     idx = np.minimum(np.searchsorted(cumulative, u, side="right") - 1, curve.n - 1)
@@ -758,7 +758,7 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
         pts = np.vstack([pts, pts[0]])
     else:
         pts[-1] = pts[0]
-    n = n or tol.default_n
+    n = count_or_default(n, tol.default_n)
 
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])

@@ -17,7 +17,7 @@ from .curves import (
 )
 from .errors import CurvatureOutOfBounds
 from .homotopy import spread_loops
-from .tolerances import DEFAULT_TOL, ToleranceProfile
+from .tolerances import DEFAULT_TOL, ToleranceProfile, count_or_default
 
 
 def rose_curve(lobes: int = 3, colat_min: float = 0.35,
@@ -28,7 +28,7 @@ def rose_curve(lobes: int = 3, colat_min: float = 0.35,
     Imported through the raw-point fitter, so it carries unconstrained
     bounds; useful as a base path for phone-wire constructions.
     """
-    n = n or tol.default_n
+    n = count_or_default(n, tol.default_n)
     t = np.linspace(0.0, 1.0, 4 * n, endpoint=False)
     colat = 0.5 * (colat_max + colat_min) \
         - 0.5 * (colat_max - colat_min) * np.cos(2.0 * math.pi * lobes * t)
@@ -92,7 +92,7 @@ def random_open_controls(bounds: CurvatureBounds, rng: np.random.Generator,
                          amplitude: float = 1.2,
                          tol: ToleranceProfile = DEFAULT_TOL) -> ControlPair:
     """Smooth random periodic controls (Fourier series, midpoint-sampled)."""
-    n = n or tol.default_n
+    n = count_or_default(n, tol.default_n)
 
     def series(rng):
         a = rng.normal(scale=amplitude, size=modes)

@@ -470,7 +470,7 @@ def central_curve(band: GoodBand, n: int | None = None,
     pad = max(tol.band_tol, 1e-3)
     kap1 = cot(R / 2.0 - pad)
     bounds = CurvatureBounds(-kap1, kap1)
-    return curve_from_points(pts, bounds, n=n or tol.default_n, tol=tol)
+    return curve_from_points(pts, bounds, n=n, tol=tol)
 
 
 # ------------------------------------------------------------------ #

@@ -427,9 +427,13 @@ def graft_until_resolved(curve: AdmissibleCurve, step: float | None = None,
     BoundViolation if the accumulated total curvature passes the
     non-diffuse bound 4 pi nu / cos^2(rho0/2), which cannot happen for a
     consistent non-diffuse chain, and with BudgetExceeded if the inserted
-    length passes the budget.
+    length passes the budget.  `step` defaults to `tol.graft_step`; a
+    step of at most 0 raises ValueError.
     """
-    step = step or tol.graft_step
+    if step is None:
+        step = tol.graft_step
+    elif not step > 0.0:
+        raise ValueError(f"graft step must be positive, not {step}")
     cur = ensure_curvature_param(curve, tol)
     rho0 = cur.bounds.rho1
     spent = 0.0

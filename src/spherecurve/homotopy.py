@@ -36,7 +36,7 @@ from .errors import (
     RadiusOutOfBounds,
     StageToleranceFailure,
 )
-from .tolerances import DEFAULT_TOL, ToleranceProfile
+from .tolerances import DEFAULT_TOL, ToleranceProfile, count_or_default
 
 
 # ------------------------------------------------------------------ #
@@ -194,7 +194,7 @@ def bend_frame(k: int, s: float, kappa1: float | None = None,
         raise CurvatureBoundTooTight(
             f"need kappa1 > tan(pi/(2k+2)) = {kmax:.6f}")
     arcs = 2 * k + 2
-    n = n or tol.default_n
+    n = count_or_default(n, tol.default_n)
     per_arc = max(1, -(-n // arcs))        # ceil division
     n = per_arc * arcs
     length, kap = _bend_arc_data(k, s * math.pi)

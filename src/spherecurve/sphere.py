@@ -228,15 +228,12 @@ def mobius_dilate(r: float, h, p, dp, d2p):
 # Hemisphere feasibility and convexity predicates
 # ------------------------------------------------------------------ #
 
-# Sizes of the hull solves: the initial strided working sets of
-# `containing_simplex` and of `best_hemisphere`; per round, the worst
+# Sizes of the hull solves of `best_hemisphere`: per round, the worst
 # violators added and the facets nearest the origin probed for the point
 # of the full cloud farthest beyond them; and the entries of one probe
 # product (1 MB).  A point violates when it lies below the working-set
 # margin by more than roundoff; a working set is flat along any centred
 # singular value below _HULL_FLAT times the largest.
-_HULL_WORKING_SET = 512
-_HEMISPHERE_WORKING_SET = 64
 _HULL_BATCH = 64
 _HULL_PROBE_ENTRIES = 1 << 17
 _HULL_VIOLATION = 1e-13
@@ -251,7 +248,7 @@ _WOLFE_ZERO = 1e-9
 _WOLFE_GAP = 1e-14
 
 # the 26 directions of the 3x3x3 cube stencil, taken in the cloud's
-# principal frame by `_support_hull_bound`
+# principal frame by `_support_points`, the first working set of every hull
 _CUBE_STENCIL = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
                           if any(d)])
 
@@ -334,25 +331,18 @@ def _min_norm_margin(points: np.ndarray):
     return None
 
 
-def _support_hull_bound(points: np.ndarray):
-    """The largest facet offset of the hull of the cloud's support points
-    in the 26 cube-stencil directions, or None when Qhull refuses them.
+def _support_points(points: np.ndarray) -> np.ndarray:
+    """Sorted indices of the cloud's support points in the 26 cube-stencil
+    directions: the working set every hull starts from.
 
     The stencil is turned into the cloud's principal frame, the
     eigenvectors of points^T points, so it turns with the cloud (a fixed
-    stencil moved the bound of a graft cloud by 5% over 30 placements).
-    The argmax runs along the rows of the (26, N) product: down the
-    columns of the (N, 26) one it took seven times as long.  The support
-    points' hull lies inside the cloud's, so when it holds the origin (an
-    offset <= 0) the offset bounds the cloud's margin from above.
+    stencil moved the certificate of a graft cloud by 5% over 30
+    placements).  The argmax runs along the rows of the (26, N) product:
+    down the columns of the (N, 26) one it took seven times as long.
     """
     dirs = _CUBE_STENCIL @ np.linalg.eigh(points.T @ points)[1].T
-    support = np.unique(np.argmax(dirs @ points.T, axis=1))
-    try:
-        hull = ConvexHull(points[support])
-    except QhullError:          # under four points, or flat
-        return None
-    return float(np.max(hull.equations[:, 3]))
+    return np.unique(np.argmax(dirs @ points.T, axis=1))
 
 
 def _nearest_on_segments(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -432,21 +422,21 @@ def best_hemisphere(points, certify_below: float | None = None):
     near-zero or uncertified margin, the hull is built (Quickhull: Barber,
     Dobkin & Huhdanpaa 1996).  Origin inside or on the boundary: h is minus
     the outward normal of the nearest facet plane, the first in Qhull's
-    order on ties.  The hull is built on about 64 strided points; each
-    round adds to it (Qhull's incremental mode) the 64 worst violators of
-    its answer in the full cloud, and the point farthest beyond each of
+    order on ties.  The hull is built on the cloud's support points in the
+    26 cube-stencil directions of its principal frame (`_support_points`);
+    each round adds to it (Qhull's incremental mode) the 64 worst violators
+    of its answer in the full cloud, and the point farthest beyond each of
     the 64 facet planes nearest the origin, until no point violates by
     more than roundoff (Clarkson's scheme).  The working-set margin bounds
     the full one from above and is attained on the full cloud at exit, so
     the two coincide.  Deterministic.
 
     `certify_below` (c >= 0) tells the solve that a margin below -c need
-    not be exact.  When Wolfe's iteration fails and the hull of the cloud's
-    support points in the 26 cube-stencil directions of its principal
-    frame has a largest facet offset b <= -c (`_support_hull_bound`), the
-    result is (None, b): no direction, and b, an upper bound on the margin
-    certified to roundoff, since that hull lies inside the cloud's.  The
-    stencil turns with the cloud, so wherever the principal axes are
+    not be exact.  When Wolfe's iteration fails and the hull of the support
+    points holds the origin strictly with a largest facet offset b <= -c,
+    the result is (None, b): no direction, and b, an upper bound on the
+    margin certified to roundoff, since that hull lies inside the cloud's.
+    The stencil turns with the cloud, so wherever the principal axes are
     distinct a rotation moves b only at roundoff.  Every other cloud runs
     the exact solve above.
     """
@@ -456,13 +446,14 @@ def best_hemisphere(points, certify_below: float | None = None):
     certified = _min_norm_margin(points)
     if certified is not None:
         return certified
+    support = _support_points(points)
     if certify_below is not None:
-        bound = _support_hull_bound(points)
-        if bound is not None and bound <= -certify_below:
+        hull = _strict_hull(points[support])
+        bound = np.inf if hull is None else float(np.max(hull.equations[:, 3]))
+        if bound <= -certify_below:
             return None, bound
     work = np.zeros(points.shape[0], dtype=bool)
-    work[np.linspace(0, points.shape[0] - 1,
-                     _HEMISPHERE_WORKING_SET).astype(int)] = True
+    work[support] = True
     hull = None
     try:
         while True:
@@ -512,9 +503,9 @@ def containing_simplex(points, target, tol: ToleranceProfile = DEFAULT_TOL) -> S
     """Four of `points` whose convex combination, all weights positive, is
     `target`; a single point when one lies within 1e-9 of the target.
 
-    Builds the hull of points - target (Quickhull), first on about 512
-    strided points and on the whole set only when that hull does not hold
-    the target strictly inside.  The ray from a hull
+    Builds the hull of points - target (Quickhull), first on its support
+    points (`_support_points`) and on the whole set only when that hull
+    does not hold the target strictly inside.  The ray from a hull
     vertex v through the target leaves the hull through a facet F, so the
     target lies in the tetrahedron of v and F; its barycentric weights
     come from one 4x4 solve.  `tol.seed` orders the vertices tried: the
@@ -537,8 +528,7 @@ def containing_simplex(points, target, tol: ToleranceProfile = DEFAULT_TOL) -> S
                                 np.array([hit]))
 
     w = points - target
-    work = np.unique(np.linspace(0, w.shape[0] - 1,
-                                 _HULL_WORKING_SET).astype(int))
+    work = _support_points(w)
     hull = _strict_hull(w[work])
     if hull is None and work.size < w.shape[0]:
         work = np.arange(w.shape[0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,13 +39,29 @@ class ToleranceProfile:
 
     @classmethod
     def from_json(cls, path) -> "ToleranceProfile":
+        """The profile with the overrides of a JSON object, each of the
+        type of its field."""
         with open(path) as fh:
             overrides = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        bad = set(overrides) - known
+        if not isinstance(overrides, dict):
+            raise ValueError("a tolerance profile is a JSON object of overrides")
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        bad = set(overrides) - set(kinds)
         if bad:
             raise ValueError(f"unknown tolerance fields: {sorted(bad)}")
-        return cls(**overrides)
+        for name, value in overrides.items():
+            if (isinstance(value, bool) or not isinstance(value, (int, kinds[name]))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"tolerance field {name} must be a finite "
+                                 f"{kinds[name].__name__}, not {value!r}")
+        return cls(**{name: kinds[name](value) for name, value in overrides.items()})
+
+
+def count_or_default(value: int | None, default: int, name: str = "n") -> int:
+    """`default` when `value` is None, else `value`, which must be at least 1."""
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be at least 1, not {value}")
+    return default if value is None else value
 
 
 DEFAULT_TOL = ToleranceProfile()

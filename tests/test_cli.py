@@ -367,6 +367,57 @@ class TestErrorBoundary:
                        "0.8", "--k", "1", "-o", str(tmp_path / "c.json")) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", [
+        "5", "[]", '{"default_n": "x"}', '{"closure": null}',
+        '{"closure": NaN}', '{"closure": 1e400}', '{"closure": true}',
+        '{"seed": true}', '{"seed": 3.0}', '{"default_n": [64]}'])
+    def test_malformed_tolerance_profile_exit_2(self, tmp_path, capsys,
+                                                document):
+        profile = tmp_path / "tol.json"
+        profile.write_text(document)
+        assert run_cli("--tol-profile", str(profile), "gen", "circle", "--rho",
+                       "0.8", "--k", "1", "-o", str(tmp_path / "c.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
+    def test_tolerance_profile_takes_ints_for_floats(self, tmp_path):
+        profile = tmp_path / "tol.json"
+        profile.write_text('{"closure": 1, "default_n": 64, "seed": 5}')
+        tol = sc.ToleranceProfile.from_json(profile)
+        assert tol.closure == 1.0 and isinstance(tol.closure, float)
+        assert (tol.default_n, tol.seed) == (64, 5)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "circle", "--kappa1", "0", "-n", "0"],
+        ["gen", "circle", "--kappa1", "0", "-n", "-3"],
+        ["gen", "bending-frame", "-n", "0"],
+        ["bend", "-n", "0"],
+        ["graft", "NEITHER", "--mode", "auto", "--step", "0"],
+        ["graft", "NEITHER", "--mode", "auto", "--step", "-0.01"],
+    ])
+    def test_zero_size_or_step_exit_2(self, argv, tmp_path, capsys):
+        neither = tmp_path / "neither.json"
+        run_cli("gen", "neither-example", "--rho0", "0.5", "-o", str(neither))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        argv = [str(neither) if a == "NEITHER" else a for a in argv]
+        assert run_cli(*argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_zero_simplex_step_is_the_identity(self, tmp_path):
+        neither = tmp_path / "neither.json"
+        out = tmp_path / "out.jsonl"
+        run_cli("gen", "neither-example", "--rho0", "0.5", "-o", str(neither))
+        assert run_cli("graft", str(neither), "--mode", "simplex", "--step", "0",
+                       "-o", str(out)) == 0
+        doc, report = (json.loads(line) for line in out.read_text().splitlines())
+        base = sc.grafting.ensure_curvature_param(sc.load_curve(str(neither)))
+        assert report["frame_defect"] == 0.0
+        assert report["tot"] == sc.total_curvature(base)
+
     def test_library_error_exit_1(self, tmp_path, capsys):
         c = tmp_path / "c.json"
         run_cli("gen", "circle", "--rho", "0.8", "--k", "1", "--kappa1", "0",

@@ -76,6 +76,40 @@ class TestControlTransforms:
         assert np.all(h_inv(xs) > 0)
 
 
+class TestCountArguments:
+    """A size of None takes the default; a size below 1 is an error."""
+
+    BOUNDS = sc.CurvatureBounds(0.0, math.inf)
+
+    @pytest.fixture(scope="class")
+    def circle(self):
+        return sc.make_circle(0.8, 1, self.BOUNDS, n=64)
+
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("call", [
+        lambda c, v: sc.make_circle(0.8, 1, c.bounds, n=v),
+        lambda c, v: cur.reparametrize_by_curvature(c, n_out=v),
+        lambda c, v: cur.reparametrize_arclength(c, n_out=v),
+        lambda c, v: cur.curve_from_points(c.gamma, sc.UNBOUNDED, n=v),
+        lambda c, v: sc.factory.rose_curve(n=v),
+        lambda c, v: sc.factory.random_open_controls(
+            c.bounds, np.random.default_rng(0), n=v),
+        lambda c, v: sc.homotopy.bend_frame(1, 0.5, n=v),
+        lambda c, v: sc.bands.regular_band(c, m=v),
+        lambda c, v: sc.bands.caustic_band(c, m=v),
+    ])
+    def test_below_one_raises(self, circle, call, value):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            call(circle, value)
+
+    def test_none_takes_the_default(self, circle):
+        tol = sc.DEFAULT_TOL.replace(default_n=96, band_theta_nodes=12)
+        assert sc.make_circle(0.8, 1, self.BOUNDS, tol=tol).n == 96
+        assert cur.reparametrize_by_curvature(circle).n == circle.n
+        assert np.array_equal(sc.bands.regular_band(circle, tol=tol).theta,
+                              sc.bands.regular_band(circle, m=12).theta)
+
+
 class TestCircles:
     def test_matches_analytic_circle(self, bounds_k0):
         rho, k = 0.9, 1

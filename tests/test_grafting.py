@@ -283,9 +283,11 @@ class TestSimplexInsertionsInterior:
         assert abs(growth - 0.05) <= 1e-9
 
     def test_seeded_chain_with_a_vertex_at_t0(self):
-        # the fourth chain base drawn by the graft benchmark at seed 107: its
-        # second step drew a simplex with a vertex at t = 0 and raised
-        # DomainError("insertions must be interior")
+        # the fourth chain base drawn by the graft benchmark at seed 107: an
+        # earlier simplex search drew a simplex with a vertex at t = 0 on
+        # its second step and raised DomainError("insertions must be
+        # interior"); neither step draws one now, and the relabel test of
+        # TestSimplexInsertionsInterior covers the skip
         rng = np.random.default_rng([107, 2])
         curve = factory.neither_example(rho0=0.5, n_loops=8, dip=0.2, base_n=256)
         for _ in range(4):
@@ -423,6 +425,11 @@ class TestGraftUntilResolved:
     def test_budget_guard(self, neither_small):
         with pytest.raises(BudgetExceeded):
             gr.graft_until_resolved(neither_small, step=0.01, budget=0.02)
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan])
+    def test_step_must_be_positive(self, neither_small, step):
+        with pytest.raises(ValueError, match="graft step must be positive"):
+            gr.graft_until_resolved(neither_small, step=step)
 
     def test_neither_terminates_under_bound(self, neither_small):
         tol = sc.DEFAULT_TOL.replace(graft_step=2.5)

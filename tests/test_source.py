@@ -57,12 +57,14 @@ def public_defs(tree):
 
 
 def referenced_names(tree):
-    """Every name, attribute and dotted-name string constant, part by part.
+    """Every name read, attribute and dotted-name string constant, part by
+    part.
 
     Strings count so that tables naming functions (bench/tracing.py) do;
-    prose in docstrings and comments does not."""
+    prose in docstrings and comments does not, nor does the target of an
+    assignment."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -72,12 +74,18 @@ def referenced_names(tree):
 
 
 def private_defs(tree):
-    """Names of the private (`_name`, not dunder) top-level functions and
-    classes of a module."""
+    """Names of the private (`_name`, not dunder) top-level functions,
+    classes and assigned constants of a module."""
     for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_") and not node.name.startswith("__")):
-            yield node.name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
 
 
 def used_names(referring):
@@ -130,7 +138,7 @@ class TestDeadCode:
         others = [p.read_text() for d in ("bench", "tests")
                   for p in sorted((REPO / d).glob("*.py"))]
         assert unreferenced_private(lib, lib + others) == [], \
-            "delete these helpers or give them a caller"
+            "delete these helpers and constants or give them a caller"
 
     def test_detector_finds_unreferenced_private_defs(self):
         lib = ("def _used():\n    pass\n"
@@ -141,3 +149,15 @@ class TestDeadCode:
                "def public():\n    return _used()\n")
         test = "import mod\nmod._tested()\n"
         assert unreferenced_private([lib], [lib, test]) == ["_Dead", "_left_behind"]
+
+    def test_detector_finds_unreferenced_private_constants(self):
+        lib = ("_USED = 64\n"
+               "_LEFT_OVER = 512\n"
+               "_ANNOTATED: int = 3\n"
+               "_PATCHED = 1e-9\n"
+               "__version__ = '1'\n"
+               "PUBLIC = 2\n"
+               "def public(x=_USED):\n    '_LEFT_OVER is named here'\n"
+               "    _local = 1\n    return _local\n")
+        test = "import mod\nmonkeypatch.setattr(mod, '_PATCHED', 0.0)\n"
+        assert unreferenced_private([lib], [lib, test]) == ["_ANNOTATED", "_LEFT_OVER"]

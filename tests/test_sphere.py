@@ -478,7 +478,8 @@ class TestActiveSetHemisphere:
     def test_corpus_clouds_match_lp_oracle(self, bounds_k0, neither_small,
                                            diffuse_curve):
         from spherecurve import classify, curves, grafting
-        # n = 1024: the end cloud of each circle still exceeds four working sets
+        # n = 1024: the end cloud of each circle still exceeds 64
+        # support-point working sets
         circles = [curves.make_circle(0.7, k, bounds_k0, n=1024) for k in (1, 3)]
         circles.append(curves.make_circle(0.4, 2, curves.CurvatureBounds(1.0, 4.0),
                                           n=1024))
@@ -487,7 +488,7 @@ class TestActiveSetHemisphere:
                                 grafting.ensure_curvature_param(neither_small)]:
             reduced, _ = classify.reduce_to_k0(curve)
             cloud = classify.classification_cloud(reduced)
-            assert cloud.shape[0] > 4 * sphere._HULL_WORKING_SET
+            assert cloud.shape[0] > 64 * sphere._CUBE_STENCIL.shape[0]
             assert_matches_oracle(cloud)
             tags.append(classify.condensed_status(reduced).tag)
         assert tags == ["Condensed"] * 3 + ["Diffuse", "Neither"]
@@ -559,29 +560,30 @@ class TestActiveSetHemisphere:
     def test_origin_in_hull_starts_from_a_small_working_set(self, monkeypatch):
         from spherecurve import classify
         # the 3-fold circle of radius 1.8 under (-1, +inf): its end cloud
-        # holds the origin, and the 64 strided points already hold the
-        # facet nearest it
+        # holds the origin, and its at most 26 support points already
+        # hold the facet nearest it
         circle = make_circle(1.8, 3, CurvatureBounds(-1.0, math.inf), n=1024)
         cloud = classify.classification_cloud(circle)
         sizes, real = [], sphere._hull_solve
         monkeypatch.setattr(sphere, "_hull_solve", lambda w, hull=None:
                             sizes.append(len(w)) or real(w, hull))
         assert sphere.best_hemisphere(cloud)[1] < -EPS
-        assert sizes == [sphere._HEMISPHERE_WORKING_SET] == [64]
+        assert sizes == [sphere._support_points(cloud).size]
+        assert 4 <= sizes[0] <= 26
         monkeypatch.undo()
         assert_matches_oracle(cloud)
 
     def test_flat_working_set_then_a_solid_one(self, monkeypatch):
-        # a great circle with a point above and one below it, off the
-        # stride: the first working set is flat, the second gets a hull
+        # a great circle with a point above and one below it: both are
+        # support points along the normal axis, so the first working set
+        # is solid; seeded with ring points alone, the first working set
+        # is flat and the second gets a hull
         t = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
         ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
         up = sphere.unit_vector([0.1, 0.2, 1.0])
         down = sphere.unit_vector([0.3, -0.1, -1.0])
         points = np.vstack([ring[:1000], up, down, ring[1000:]])
-        strided = np.linspace(0, len(points) - 1,
-                              sphere._HEMISPHERE_WORKING_SET).astype(int)
-        assert not np.isin([1000, 1001], strided).any()
+        assert np.isin([1000, 1001], sphere._support_points(points)).all()
         calls, real = [], sphere._hull_solve
 
         def recording(w, hull=None):
@@ -590,10 +592,42 @@ class TestActiveSetHemisphere:
             return out
 
         monkeypatch.setattr(sphere, "_hull_solve", recording)
-        assert sphere.best_hemisphere(points)[1] < -EPS
+        _, margin = sphere.best_hemisphere(points)
+        assert margin < -EPS and calls[0] == (True, False)
+        calls.clear()
+        monkeypatch.setattr(sphere, "_support_points",
+                            lambda p: np.arange(3, 2002, 250))
+        assert sphere.best_hemisphere(points)[1] == margin
         assert calls[0] == (True, True) and calls[1] == (True, False)
         monkeypatch.undo()
         assert_matches_oracle(points)
+
+    def test_clarkson_loop_starts_from_the_support_set(self, monkeypatch,
+                                                       neither_coarse):
+        from spherecurve import classify, grafting
+        # the exact solve of a graft cloud, the diffuse cloud and a cloud
+        # whose support hull misses the origin, with and without the
+        # certificate: the first hull solve gets the support points, in
+        # the cloud's order
+        reduced, _ = classify.reduce_to_k0(
+            grafting.ensure_curvature_param(neither_coarse))
+        diffuse, _ = classify.reduce_to_k0(factory.diffuse_example())
+        clouds = [classify.classification_cloud(c) for c in (reduced, diffuse)]
+        firsts, real = [], sphere._hull_solve
+
+        def recording(w, hull=None):
+            if hull is None and not firsts[-1]:
+                firsts[-1].append(w.copy())
+            return real(w, hull)
+
+        monkeypatch.setattr(sphere, "_hull_solve", recording)
+        for points, certify in [(c, None) for c in clouds] + [
+                (stencil_miss_cloud(), None),
+                (stencil_miss_cloud(), DEFAULT_TOL.borderline_margin)]:
+            firsts.append([])
+            sphere.best_hemisphere(points, certify_below=certify)
+            first, = firsts[-1]
+            assert np.array_equal(first, points[sphere._support_points(points)])
 
     def test_degenerate_clouds_repeat_across_processes(self):
         import contextlib
@@ -628,6 +662,18 @@ for cloud in (zeta, np.array([p, -p]), np.eye(3), ring, ring[:50]):
             exec(code, {})
         assert runs[0] == runs[1] == here.getvalue()
         assert runs[0].count("\n") == 10
+
+
+def stencil_miss_cloud():
+    """40 points of the upper hemisphere, the first two turned down and
+    shortened: the origin is inside the cloud's hull, with margin -0.22,
+    but outside the hull of its support points."""
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(40, 3))
+    points[:, 2] = np.abs(points[:, 2])
+    points = _unit_rows(points)
+    points[:2] *= -0.3
+    return points
 
 
 def count_hulls(monkeypatch):
@@ -784,15 +830,10 @@ class TestSupportHullBound:
             assert exact - 1e-12 <= bound <= -self.BORDER
 
     def test_stencil_hull_missing_the_origin_is_solved_exactly(self):
-        # 40 points of the upper hemisphere, the first two turned down and
-        # shortened: the origin is inside the cloud's hull, with margin
-        # -0.22, but outside the hull of the stencil's support points
-        rng = np.random.default_rng(9)
-        points = rng.normal(size=(40, 3))
-        points[:, 2] = np.abs(points[:, 2])
-        points = _unit_rows(points)
-        points[:2] *= -0.3
-        assert sphere._support_hull_bound(points) > 0.0
+        points = stencil_miss_cloud()
+        support = points[sphere._support_points(points)]
+        assert np.max(ConvexHull(support).equations[:, 3]) > 0.0
+        assert sphere._strict_hull(support) is None
         h, margin = sphere.best_hemisphere(points, certify_below=self.BORDER)
         h_exact, exact = sphere.best_hemisphere(points)
         assert exact < -0.2
@@ -863,20 +904,48 @@ class TestContainingSimplex:
             with pytest.raises(NotInHull):
                 sphere.containing_simplex(points, np.zeros(3), tol)
 
-    def test_point_outside_the_working_set(self, rng):
+    def test_point_outside_the_working_set(self, monkeypatch):
+        # the origin is inside the hull of the 40 points but outside that
+        # of their support points: the search falls back to the whole set
+        points = stencil_miss_cloud()
+        support = sphere._support_points(points)
+        assert not np.isin([0, 1], support).any()
+        hulls = count_hulls(monkeypatch)
+        s = sphere.containing_simplex(points, np.zeros(3))
+        assert len(hulls) == 2
+        assert np.isin([0, 1], s.indices).any()
+        assert s.weights.shape == (4,) and np.all(s.weights > 0)
+        assert np.linalg.norm(s.weights @ s.vertices) <= 1e-12
+
+    def test_point_below_a_cap_is_a_support_point(self, rng, monkeypatch):
         # an upper cap holds no simplex around the origin; the one point
-        # below it sits where the strided working set does not look
+        # below it, in the middle of the list, is the support point along
+        # the cloud's axis, so the first hull already holds the origin
         cap = rng.normal(size=(2000, 3))
         cap[:, 2] = np.abs(cap[:, 2]) + 0.05
         cap = _unit_rows(cap)
-        work = np.unique(np.linspace(0, 2000, sphere._HULL_WORKING_SET)
-                         .astype(int))
-        k = int(np.setdiff1d(np.arange(2001), work)[100])
-        points = np.insert(cap, k, [0.0, 0.0, -1.0], axis=0)
+        points = np.insert(cap, 1234, [0.0, 0.0, -1.0], axis=0)
+        assert 1234 in sphere._support_points(points)
+        hulls = count_hulls(monkeypatch)
         s = sphere.containing_simplex(points, np.zeros(3))
-        assert k in s.indices
+        assert len(hulls) == 1 and 1234 in s.indices
         assert s.weights.shape == (4,) and np.all(s.weights > 0)
         assert np.linalg.norm(s.weights @ s.vertices) <= 1e-12
+
+    def test_graft_caustic_samples_build_one_hull(self, monkeypatch,
+                                                  neither_coarse):
+        from spherecurve import grafting
+        # the caustic samples of the graft_chain base: the support points'
+        # hull holds the origin, so no hull of the whole set is built
+        base = grafting.ensure_curvature_param(neither_coarse)
+        pts = grafting._caustic_samples_with_tags(base, DEFAULT_TOL)[0]
+        for seed in (0, 97, 601):
+            hulls = count_hulls(monkeypatch)
+            s = sphere.containing_simplex(pts, np.zeros(3),
+                                          DEFAULT_TOL.replace(seed=seed))
+            monkeypatch.undo()
+            assert len(hulls) == 1 and np.all(s.weights > 0)
+            assert np.linalg.norm(s.weights @ s.vertices) <= 1e-12
 
     def test_flat_and_small_sets_are_not_in_hull(self):
         t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
