@@ -231,21 +231,22 @@ def cmd_shrink(args) -> int:
 
 def cmd_graft(args) -> int:
     tol = _tol_from_args(args)
+    step = tol.graft_step if args.step is None else args.step
     curve = load_curve(args.input, tol)
     lines = []
     if args.mode == "antipodal":
-        out, rec = grafting.graft_antipodal_circles(curve, args.step, tol)
+        out, rec = grafting.graft_antipodal_circles(curve, step, tol)
         lines.append(dumps(curve_to_json(out)))
         report = {"status": "Diffuse", "frame_defect": rec.frame_defect,
                   "tot": total_curvature(out)}
     elif args.mode == "simplex":
-        out, rec = grafting.graft_simplex_step(curve, args.step, tol)
+        out, rec = grafting.graft_simplex_step(curve, step, tol)
         lines.append(dumps(curve_to_json(out)))
         report = {"status": "stepped", "frame_defect": rec.frame_defect,
                   "tot": total_curvature(out)}
     else:
         out, status, history = grafting.graft_until_resolved(
-            curve, step=args.step, budget=args.budget, tol=tol)
+            curve, step=step, budget=args.budget, tol=tol)
         lines.extend(dumps(doc) for doc in curves_to_json(history))
         report = {"status": status.tag, "tot": total_curvature(out),
                   "steps": len(history) - 1}
@@ -404,8 +405,6 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "step", None) is None and args.command == "graft":
-            args.step = _tol_from_args(args).graft_step
         return args.func(args)
     except SphereCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)

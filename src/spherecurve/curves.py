@@ -154,13 +154,13 @@ class ControlPair:
         return cls(h(np.asarray(v, dtype=float)), hb(np.asarray(kappa, dtype=float)))
 
 
-def controls_from_functions(f_vhat, f_what, n: int, domain: float = 1.0) -> ControlPair:
+def controls_from_functions(f_vhat, f_what, n: int) -> ControlPair:
     """Sample smooth control functions at interval midpoints.
 
     Midpoint sampling makes the piecewise-constant integrator second-order
     accurate in the grid spacing for smooth controls.
     """
-    mid = (np.arange(n) + 0.5) * (domain / n)
+    mid = (np.arange(n) + 0.5) / n
     return ControlPair(np.asarray(f_vhat(mid), dtype=float) + np.zeros(n),
                        np.asarray(f_what(mid), dtype=float) + np.zeros(n))
 
@@ -271,22 +271,19 @@ def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray,
     return lengths, v, kap, _step_quats(v, v * kap, lengths * dt)
 
 
-def lift_from_frames(frames: np.ndarray, z0=None) -> np.ndarray:
+def lift_from_frames(frames: np.ndarray) -> np.ndarray:
     """Continuous quaternion lift of a frame path (m, 3, 3) -> (m, 4).
 
     One batched `rotation_to_quat`, then sign tracking: node i keeps the
     sign of node i - 1 times sign(<q_i, q_{i-1}>), a running product.  The
-    first node is the lift closest to `z0` when given, else the one whose
-    first component of magnitude > 1e-8 is positive: the scalar part unless
-    the first frame is a half-turn, where that part is roundoff and its sign
-    would be Shepperd's branch choice.  Consecutive frames a half-turn apart
-    (<q_i, q_{i-1}> = 0) keep the previous sign.
+    first node is the lift whose first component of magnitude > 1e-8 is
+    positive: the scalar part unless the first frame is a half-turn, where
+    that part is roundoff and its sign would be Shepperd's branch choice.
+    Consecutive frames a half-turn apart (<q_i, q_{i-1}> = 0) keep the
+    previous sign.
     """
     q = sphere.rotation_to_quat(frames)
-    if z0 is None:
-        ref = q[0, np.argmax(np.abs(q[0]) > 1e-8)]
-    else:
-        ref = np.dot(q[0], z0)
+    ref = q[0, np.argmax(np.abs(q[0]) > 1e-8)]
     flips = np.empty(q.shape[0])
     flips[0] = -1.0 if ref < 0 else 1.0
     flips[1:] = np.where(np.einsum("ij,ij->i", q[1:], q[:-1]) < 0, -1.0, 1.0)
@@ -455,8 +452,7 @@ def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
 
 
 def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
-                    q0=None, domain: float = 1.0,
-                    tol: ToleranceProfile = DEFAULT_TOL,
+                    q0=None, tol: ToleranceProfile = DEFAULT_TOL,
                     require_closed: bool = False) -> AdmissibleCurve:
     """Integrate the lifted frame equation for piecewise-constant controls.
 
@@ -473,7 +469,7 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
     `integrated` set; `require_closed` raises NotClosed on an open result.
     """
     n = controls.n
-    dt = domain / n
+    dt = 1.0 / n
     lengths, v, kap, run_steps = _control_runs(bounds, controls.v_hat,
                                                controls.w_hat, dt)
     z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
@@ -490,8 +486,8 @@ def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
     lift[inner] = _unit_columns(fill.T).T
     v, kap = v[run], kap[run]
     curve = curve_from_node_data(bounds, lift, np.append(v, v[-1]),
-                                 np.append(kap, kap[-1]), domain=domain,
-                                 tol=tol, controls=controls, integrated=True)
+                                 np.append(kap, kap[-1]), tol=tol,
+                                 controls=controls, integrated=True)
     if require_closed and not curve.closed:
         raise NotClosed(f"frame closure defect {curve.closure_defect():.3e} "
                         f"exceeds {tol.closure:.1e}")

@@ -87,21 +87,24 @@ def diffuse_example(kappa0: float = 0.3, n_loops: int = 32,
     return phone_wire(base, n_loops, 0.7 * rho0, bounds, tol=tol)
 
 
-def random_open_controls(bounds: CurvatureBounds, rng: np.random.Generator,
-                         n: int | None = None, modes: int = 4,
-                         amplitude: float = 1.2,
+# Fourier modes of `random_open_controls` and the scale of their coefficients.
+_OPEN_MODES = 4
+_OPEN_AMPLITUDE = 1.2
+
+
+def random_open_controls(rng: np.random.Generator, n: int | None = None,
                          tol: ToleranceProfile = DEFAULT_TOL) -> ControlPair:
     """Smooth random periodic controls (Fourier series, midpoint-sampled)."""
     n = count_or_default(n, tol.default_n)
 
     def series(rng):
-        a = rng.normal(scale=amplitude, size=modes)
-        b = rng.normal(scale=amplitude, size=modes)
-        c = rng.normal(scale=amplitude)
+        a = rng.normal(scale=_OPEN_AMPLITUDE, size=_OPEN_MODES)
+        b = rng.normal(scale=_OPEN_AMPLITUDE, size=_OPEN_MODES)
+        c = rng.normal(scale=_OPEN_AMPLITUDE)
 
         def f(t):
             out = np.full_like(np.asarray(t, dtype=float), c)
-            for k in range(modes):
+            for k in range(_OPEN_MODES):
                 out = out + a[k] * np.cos(2 * math.pi * (k + 1) * t) \
                     + b[k] * np.sin(2 * math.pi * (k + 1) * t)
             return out
@@ -114,5 +117,5 @@ def random_open_controls(bounds: CurvatureBounds, rng: np.random.Generator,
 def random_open_curve(bounds: CurvatureBounds, rng: np.random.Generator,
                       n: int | None = None,
                       tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    controls = random_open_controls(bounds, rng, n, tol=tol)
+    controls = random_open_controls(rng, n, tol=tol)
     return integrate_curve(controls, bounds, tol=tol)

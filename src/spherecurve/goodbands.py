@@ -88,6 +88,8 @@ _WINDOW = 32
 # Rounding guard of the window certificate: the entries and the bound are
 # each within a few ulp of their exact values, far below this.
 _BOUND_GUARD = 1e-12
+# Trims `retract_to_good` makes before it gives up.
+_RETRACT_MAX_ITER = 60
 
 
 def _boundary_stride(k_nodes: int) -> int:
@@ -327,8 +329,7 @@ def _trim_profile(lam_grid, theta_move, lam_bdry, phi_bdry, cutoff, nu, upper):
     return out
 
 
-def retract_to_good(band: AcceptableBand, max_iter: int = 60,
-                    tol: ToleranceProfile = DEFAULT_TOL,
+def retract_to_good(band: AcceptableBand, tol: ToleranceProfile = DEFAULT_TOL,
                     return_history: bool = False):
     """Alternate trimming toward equidistant boundaries (geometric rate).
 
@@ -349,7 +350,7 @@ def retract_to_good(band: AcceptableBand, max_iter: int = 60,
     tm = band.theta_minus.copy()
     history = [(tp.copy(), tm.copy())]
     s = _boundary_stride(band.k_nodes)
-    for n in range(1, max_iter + 1):
+    for n in range(1, _RETRACT_MAX_ITER + 1):
         cutoff = R + 2.0 ** (-n)
         if n % 2 == 1:
             new = _trim_profile(band.lam, tp, band.lam[::s], tm[::s], cutoff,
@@ -368,7 +369,7 @@ def retract_to_good(band: AcceptableBand, max_iter: int = 60,
             good = GoodBand(nu=band.nu, R=R, frame=band.frame, lam=band.lam,
                             theta_plus=tp, theta_minus=tm)
             return (good, history) if return_history else good
-    raise NonConvergence(f"retraction did not settle in {max_iter} iterations")
+    raise NonConvergence(f"retraction did not settle in {_RETRACT_MAX_ITER} iterations")
 
 
 # ------------------------------------------------------------------ #
@@ -416,8 +417,7 @@ def _orient(p, q, r) -> np.ndarray:
             - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
 
 
-def central_curve(band: GoodBand, n: int | None = None,
-                  tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
+def central_curve(band: GoodBand, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     """The equidistant mid-locus of a good band.
 
     For every meridian node on the + boundary, shoot the minimizing
@@ -470,7 +470,7 @@ def central_curve(band: GoodBand, n: int | None = None,
     pad = max(tol.band_tol, 1e-3)
     kap1 = cot(R / 2.0 - pad)
     bounds = CurvatureBounds(-kap1, kap1)
-    return curve_from_points(pts, bounds, n=n, tol=tol)
+    return curve_from_points(pts, bounds, tol=tol)
 
 
 # ------------------------------------------------------------------ #

@@ -367,9 +367,6 @@ class PlanarCurve:
         a = self.acc
         return (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / self.speed ** 3
 
-    def closure_defect(self) -> float:
-        return float(np.linalg.norm(self.xy[-1] - self.xy[0]))
-
     def scaled(self, factor: float) -> "PlanarCurve":
         return PlanarCurve(self.xy * factor, self.vel * factor, self.acc * factor)
 

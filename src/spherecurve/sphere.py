@@ -8,6 +8,7 @@ path converts in one call.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import warnings
@@ -228,12 +229,12 @@ def mobius_dilate(r: float, h, p, dp, d2p):
 # Hemisphere feasibility and convexity predicates
 # ------------------------------------------------------------------ #
 
-# Sizes of the hull solves of `best_hemisphere`: per round, the worst
-# violators added and the facets nearest the origin probed for the point
-# of the full cloud farthest beyond them; and the entries of one probe
-# product (1 MB).  A point violates when it lies below the working-set
-# margin by more than roundoff; a working set is flat along any centred
-# singular value below _HULL_FLAT times the largest.
+# Sizes of the rounds of `_clarkson`: the worst violators added and the
+# facets nearest the origin probed for the point of the full cloud
+# farthest beyond them; and the entries of one probe product (1 MB).  A
+# point violates when it lies below the working-set margin by more than
+# roundoff.  A working set Qhull refuses is a segment when its second
+# centred singular value is below _HULL_FLAT times the largest.
 _HULL_BATCH = 64
 _HULL_PROBE_ENTRIES = 1 << 17
 _HULL_VIOLATION = 1e-13
@@ -372,17 +373,16 @@ def _hull_solve(w: np.ndarray, hull=None):
     the incremental Quickhull of w.
 
     `hull`, when given, is an incremental hull of the rows of w (in the
-    order they were added) and is used as it is: points added to a solid
-    set leave it solid.  A flat set (under four points, coplanar or
-    collinear) has no facets, no probes and no hull; when its hull holds
-    the origin, h is the normal of its plane or line whose largest entry
-    is positive.
+    order they were added) and is used as it is.  Otherwise Qhull is tried
+    on w; a set it refuses (under four points, coplanar or collinear) is
+    flat, with no probes and no hull, and only then are its centred
+    singular axes computed (`_centred_axes`).  When a flat set's hull
+    holds the origin, h is the normal of its plane or line whose largest
+    entry is positive.
     """
     if hull is None:
-        centre, s, vt, normal = _centred_axes(w)
-        if s[2] > _HULL_FLAT * s[0]:
+        with contextlib.suppress(QhullError):
             hull = ConvexHull(w, incremental=True)
-    probes, foot, inside, rows = np.empty((0, 3)), None, False, w
     if hull is not None:
         eq = hull.equations      # outward unit normal n, offset: n.x + off <= 0
         near = np.argsort(-eq[:, 3], kind="stable")[:_HULL_BATCH]
@@ -390,23 +390,69 @@ def _hull_solve(w: np.ndarray, hull=None):
         if eq[near[0], 3] <= 0.0:        # the origin is inside or on the hull
             return probes[0], probes, hull
         # the foot of the farthest facet plane, or an edge facing the origin
-        foot = eq[near[0], 3] * probes[0]
+        foot, normal = eq[near[0], 3] * probes[0], probes[0]
         inside = np.max(eq @ np.append(foot, 1.0)) <= 1e-12
         tri = hull.simplices[eq[:, 3] > 0.0]
         edges = np.stack([tri.ravel(), np.roll(tri, -1, axis=1).ravel()], axis=1)
         rows = hull.points
-    elif s[1] > _HULL_FLAT * s[0]:
-        poly = ConvexHull((w - centre) @ vt[:2].T)
-        foot = (centre @ normal) * normal
-        inside = np.max(poly.equations @ np.append(-vt[:2] @ centre, 1.0)) <= 1e-12
-        edges = poly.simplices
     else:
-        u = (w - centre) @ vt[0]
-        edges = np.array([[np.argmin(u), np.argmax(u)]])
+        probes, rows = np.empty((0, 3)), w
+        centre, s, vt, normal = _centred_axes(w)
+        if s[1] > _HULL_FLAT * s[0]:
+            poly = ConvexHull((w - centre) @ vt[:2].T)
+            foot = (centre @ normal) * normal
+            inside = np.max(poly.equations @ np.append(-vt[:2] @ centre, 1.0)) <= 1e-12
+            edges = poly.simplices
+        else:
+            u = (w - centre) @ vt[0]
+            inside = False
+            edges = np.array([[np.argmin(u), np.argmax(u)]])
     x = foot if inside else _nearest_on_segments(rows[edges[:, 0]],
                                                  rows[edges[:, 1]])
     norm = np.linalg.norm(x)
-    return (x / norm if norm > 1e-15 else _centred_axes(w)[3]), probes, hull
+    return (x / norm if norm > 1e-15 else normal), probes, hull
+
+
+def _clarkson(points: np.ndarray, stop_below: float | None):
+    """(h, margin, hull, rows): Clarkson's loop (Clarkson 1995) for the
+    max-margin direction, the incremental hull of the last working set
+    (None when flat) and the input rows of `hull.points`, in order.
+
+    The working set starts as the support points (`_support_points`).
+    Each round solves it (`_hull_solve`) and adds the `_HULL_BATCH` worst
+    violators of that answer and the point farthest beyond each probed
+    facet plane, until none violates by more than roundoff: the working
+    set's margin, an upper bound, is then the cloud's.  With `stop_below`
+    c >= 0 the loop stops after the first round whose hull holds the
+    origin strictly with a largest facet offset b <= -c and returns
+    (None, b, hull, rows): that hull lies in the cloud's, so b >= margin.
+    """
+    rows = _support_points(points)
+    hull = None
+    try:
+        while True:
+            h, probes, hull = _hull_solve(points[rows], hull)
+            bound = np.inf if hull is None else float(np.max(hull.equations[:, 3]))
+            if stop_below is not None and bound < 0.0 and bound <= -stop_below:
+                return None, bound, hull, rows
+            margins = points @ h
+            viol = np.flatnonzero(margins < margins[rows].min() - _HULL_VIOLATION)
+            if viol.size == 0:
+                return h, float(margins.min()), hull, rows
+            if viol.size > _HULL_BATCH:
+                viol = viol[np.argpartition(margins[viol], _HULL_BATCH)[:_HULL_BATCH]]
+            block = max(1, _HULL_PROBE_ENTRIES // points.shape[0])
+            lowest = [np.argmin(probes[i:i + block] @ points.T, axis=1)
+                      for i in range(0, probes.shape[0], block)]
+            new = np.setdiff1d(np.concatenate([viol, *lowest]), rows)
+            if hull is None:
+                rows = np.union1d(rows, new)
+            else:
+                hull.add_points(points[new])
+                rows = np.append(rows, new)
+    finally:
+        if hull is not None:
+            hull.close()
 
 
 def best_hemisphere(points, certify_below: float | None = None):
@@ -418,63 +464,25 @@ def best_hemisphere(points, certify_below: float | None = None):
     at the hull's least-norm point, unique and rotating with the cloud.
     Wolfe's minimum-norm-point iteration on the whole cloud tries this
     case first and builds no hull: it returns when its dual gap certifies
-    the margin to 1e-14 (`_min_norm_margin`).  Otherwise, for a negative,
-    near-zero or uncertified margin, the hull is built (Quickhull: Barber,
-    Dobkin & Huhdanpaa 1996).  Origin inside or on the boundary: h is minus
-    the outward normal of the nearest facet plane, the first in Qhull's
-    order on ties.  The hull is built on the cloud's support points in the
-    26 cube-stencil directions of its principal frame (`_support_points`);
-    each round adds to it (Qhull's incremental mode) the 64 worst violators
-    of its answer in the full cloud, and the point farthest beyond each of
-    the 64 facet planes nearest the origin, until no point violates by
-    more than roundoff (Clarkson's scheme).  The working-set margin bounds
-    the full one from above and is attained on the full cloud at exit, so
-    the two coincide.  Deterministic.
+    the margin to 1e-14 (`_min_norm_margin`).  Otherwise Clarkson's loop
+    (`_clarkson`) grows one incremental hull (Quickhull: Barber, Dobkin &
+    Huhdanpaa 1996) from the cloud's support points in the 26 cube-stencil
+    directions of its principal frame.  Origin inside or on the boundary:
+    h is minus the outward normal of the nearest facet plane, the first in
+    Qhull's order on ties.  Deterministic.
 
     `certify_below` (c >= 0) tells the solve that a margin below -c need
-    not be exact.  When Wolfe's iteration fails and the hull of the support
-    points holds the origin strictly with a largest facet offset b <= -c,
-    the result is (None, b): no direction, and b, an upper bound on the
-    margin certified to roundoff, since that hull lies inside the cloud's.
-    The stencil turns with the cloud, so wherever the principal axes are
-    distinct a rotation moves b only at roundoff.  Every other cloud runs
-    the exact solve above.
+    not be exact: the loop may stop after any round whose hull holds the
+    origin strictly with a largest facet offset b <= -c, and return
+    (None, b), b an upper bound on the margin certified to roundoff.  The
+    stencil turns with the cloud, so wherever the principal axes are
+    distinct a rotation moves b only at roundoff.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("empty point list")
     certified = _min_norm_margin(points)
-    if certified is not None:
-        return certified
-    support = _support_points(points)
-    if certify_below is not None:
-        hull = _strict_hull(points[support])
-        bound = np.inf if hull is None else float(np.max(hull.equations[:, 3]))
-        if bound <= -certify_below:
-            return None, bound
-    work = np.zeros(points.shape[0], dtype=bool)
-    work[support] = True
-    hull = None
-    try:
-        while True:
-            h, probes, hull = _hull_solve(points[work], hull)
-            margins = points @ h
-            viol = np.flatnonzero(margins < margins[work].min() - _HULL_VIOLATION)
-            if viol.size == 0:
-                return h, float(margins.min())
-            if viol.size > _HULL_BATCH:
-                viol = viol[np.argpartition(margins[viol], _HULL_BATCH)[:_HULL_BATCH]]
-            rows = max(1, _HULL_PROBE_ENTRIES // points.shape[0])
-            lowest = [np.argmin(probes[i:i + rows] @ points.T, axis=1)
-                      for i in range(0, probes.shape[0], rows)]
-            new = np.unique(np.concatenate([viol, *lowest]))
-            new = new[~work[new]]
-            if hull is not None:
-                hull.add_points(points[new])
-            work[new] = True
-    finally:
-        if hull is not None:
-            hull.close()
+    return certified if certified is not None else _clarkson(points, certify_below)[:2]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -486,54 +494,37 @@ class SphericalSimplex:
     indices: np.ndarray         # positions of the vertices in the input list
 
 
-def _strict_hull(w: np.ndarray):
-    """ConvexHull of w when its interior holds the origin, else None.
-
-    Flat sets and sets under four points have no interior; Qhull's
-    refusal to build them counts as a no.
-    """
-    try:
-        hull = ConvexHull(w)
-    except QhullError:
-        return None
-    return hull if np.max(hull.equations[:, 3]) < 0.0 else None
-
-
 def containing_simplex(points, target, tol: ToleranceProfile = DEFAULT_TOL) -> SphericalSimplex:
     """Four of `points` whose convex combination, all weights positive, is
     `target`; a single point when one lies within 1e-9 of the target.
 
-    Builds the hull of points - target (Quickhull), first on its support
-    points (`_support_points`) and on the whole set only when that hull
-    does not hold the target strictly inside.  The ray from a hull
+    Clarkson's loop on points - target (`_clarkson`) stops at the first
+    working-set hull that holds the target strictly inside, so the whole
+    set gets a hull only if the loop grows to it.  The ray from a hull
     vertex v through the target leaves the hull through a facet F, so the
     target lies in the tetrahedron of v and F; its barycentric weights
     come from one 4x4 solve.  `tol.seed` orders the vertices tried: the
     first whose tetrahedron holds the target strictly, with residual at
     most 1e-9, is returned, so another seed usually gives another simplex.
-    Raises NotInHull when the target is not strictly inside the hull:
-    outside it, on its boundary, or the set is flat or has fewer than four
-    points.  Raises DegenerateSimplex when it is, but every vertex ray
-    leaves through a facet's boundary, as at the centre of an octahedron,
-    where no four of the points hold it strictly.  Deterministic for a
-    fixed seed.
+    Raises NotInHull when the loop ends with a direction: the target is
+    outside the hull, on its boundary, or the set is flat or has fewer
+    than four points.  Raises DegenerateSimplex when it is inside, but
+    every vertex ray leaves through a facet's boundary, as at the centre
+    of an octahedron, where no four of the points hold it strictly.
+    Deterministic for a fixed seed.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float)
 
-    d0 = np.linalg.norm(points - target, axis=1)
+    w = points - target
+    d0 = np.linalg.norm(w, axis=1)
     hit = int(np.argmin(d0))
     if d0[hit] <= 1e-9:
         return SphericalSimplex(points[hit][None, :], np.array([1.0]),
                                 np.array([hit]))
 
-    w = points - target
-    work = _support_points(w)
-    hull = _strict_hull(w[work])
-    if hull is None and work.size < w.shape[0]:
-        work = np.arange(w.shape[0])
-        hull = _strict_hull(w[work])
-    if hull is None:
+    h, _, hull, work = _clarkson(w, 0.0)
+    if h is not None:
         raise NotInHull("the target is not strictly inside the hull of the points")
 
     normals, offsets = hull.equations[:, :3], hull.equations[:, 3]

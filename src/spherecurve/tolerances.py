@@ -34,6 +34,18 @@ class ToleranceProfile:
     import_kappa_slack: float = 1e-6  # clamp width for imported curvature
     seed: int = 2018                  # first hull vertex of the simplex graft
 
+    def __post_init__(self):
+        """Ints must be at least 1 (`seed` at least 0), floats finite and > 0."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float):
+                ok, want = 0.0 < value <= sys.float_info.max, "finite and positive"
+            else:
+                low = 0 if f.name == "seed" else 1
+                ok, want = value >= low, f"at least {low}"
+            if not ok:
+                raise ValueError(f"tolerance field {f.name} must be {want}, not {value!r}")
+
     def replace(self, **kw) -> "ToleranceProfile":
         return dataclasses.replace(self, **kw)
 

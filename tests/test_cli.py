@@ -381,6 +381,28 @@ class TestErrorBoundary:
         assert err.startswith("error: ValueError") and err.count("\n") == 1
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("document", [
+        '{"band_k_nodes": 0}', '{"default_n": 0}', '{"band_theta_nodes": 0}',
+        '{"classify_t_nodes": 0}', '{"lattice_size": -1}', '{"seed": -1}',
+        '{"closure": 0}', '{"band_tol": -5e-3}'])
+    def test_out_of_range_tolerance_profile_exit_2(self, tmp_path, capsys,
+                                                   document):
+        # every field is range-checked when the profile is built, before
+        # the band kernels could divide by a zero count
+        c = tmp_path / "c.json"
+        run_cli("gen", "circle", "--rho", "1.2", "--k", "1", "--kappa1", "-0.4",
+                "-n", "64", "-o", str(c))
+        profile = tmp_path / "tol.json"
+        profile.write_text(document)
+        capsys.readouterr()
+        assert run_cli("--tol-profile", str(profile), "bands", str(c),
+                       "--central", "-o", str(tmp_path / "b.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert next(iter(json.loads(document))) in err
+        with pytest.raises(ValueError):
+            sc.DEFAULT_TOL.replace(**json.loads(document))
+
     def test_tolerance_profile_takes_ints_for_floats(self, tmp_path):
         profile = tmp_path / "tol.json"
         profile.write_text('{"closure": 1, "default_n": 64, "seed": 5}')

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import spherecurve as sc
 from spherecurve import curves as cur
-from spherecurve import sphere
+from spherecurve import factory, sphere
 from spherecurve.errors import (
     AmbiguousParity,
     CurvatureOutOfBounds,
@@ -91,9 +91,8 @@ class TestCountArguments:
         lambda c, v: cur.reparametrize_by_curvature(c, n_out=v),
         lambda c, v: cur.reparametrize_arclength(c, n_out=v),
         lambda c, v: cur.curve_from_points(c.gamma, sc.UNBOUNDED, n=v),
-        lambda c, v: sc.factory.rose_curve(n=v),
-        lambda c, v: sc.factory.random_open_controls(
-            c.bounds, np.random.default_rng(0), n=v),
+        lambda c, v: factory.rose_curve(n=v),
+        lambda c, v: factory.random_open_controls(np.random.default_rng(0), n=v),
         lambda c, v: sc.homotopy.bend_frame(1, 0.5, n=v),
         lambda c, v: sc.bands.regular_band(c, m=v),
         lambda c, v: sc.bands.caustic_band(c, m=v),
@@ -187,7 +186,7 @@ class TestIntegration:
     def test_closed_flag_requires_closure(self, rng):
         from spherecurve.factory import random_open_controls
         bounds = sc.CurvatureBounds(-2.0, 2.0)
-        controls = random_open_controls(bounds, rng, n=64)
+        controls = random_open_controls(rng, n=64)
         with pytest.raises(NotClosed):
             sc.integrate_curve(controls, bounds, require_closed=True)
 
@@ -356,7 +355,7 @@ class TestBatchedEvalLift:
         # for integrated curves the partial step is the exact integral
         from spherecurve.factory import random_open_controls
         bounds = sc.CurvatureBounds(-2.0, 2.0)
-        controls = random_open_controls(bounds, rng, n=64)
+        controls = random_open_controls(rng, n=64)
         coarse = sc.integrate_curve(controls, bounds)
         fine = sc.integrate_curve(
             cur.ControlPair(np.repeat(controls.v_hat, 4),
@@ -473,7 +472,7 @@ class TestChainScan:
         kicked = circle.controls.w_hat + 10.0 ** log_kick * rng.normal(size=128)
         few = circle.controls.w_hat.copy()
         few[rng.choice(128, size=3, replace=False)] += 10.0 ** log_kick
-        wild = factory.random_open_controls(bounds_k0, rng, n=128)
+        wild = factory.random_open_controls(rng, n=128)
         bend = homotopy.bend_frame(k, s, n=96)
         q0 = random_rotation(rng) if rotate else None
         written = [(bounds_k0, v_hat, w_hat, q0)
@@ -523,7 +522,7 @@ class TestChainScan:
     def test_runs_of_one_are_the_interval_scan(self, bounds_k0, rng, rotate):
         from conftest import random_rotation
         from spherecurve import factory
-        controls = factory.random_open_controls(bounds_k0, rng, n=300)
+        controls = factory.random_open_controls(rng, n=300)
         assert np.all(np.diff(controls.w_hat) != 0)
         q0 = random_rotation(rng) if rotate else None
         _, h_inv, _, hb_inv = sc.control_transforms(bounds_k0)
@@ -666,15 +665,12 @@ class TestBatchedWriter:
         assert text.count("\n") == 65 and '"lift"' not in text
 
 
-def loop_lift_from_frames(frames, z0=None):
+def loop_lift_from_frames(frames):
     """Node by node: each quaternion takes the sign nearer its predecessor;
     the first one has its first component of magnitude > 1e-8 positive."""
     out = np.empty((frames.shape[0], 4))
     q = sphere.rotation_to_quat(frames[0])
-    if z0 is not None:
-        if np.dot(q, z0) < 0:
-            q = -q
-    elif q[np.flatnonzero(np.abs(q) > 1e-8)[0]] < 0:
+    if q[np.flatnonzero(np.abs(q) > 1e-8)[0]] < 0:
         q = -q
     out[0] = q
     for i in range(1, frames.shape[0]):
@@ -716,10 +712,6 @@ class TestBatchedLift:
         assert np.array_equal(np.abs(lift), np.abs(raw))
         assert np.all(np.einsum("ij,ij->i", lift[1:], lift[:-1]) >= 0)
         assert np.array_equal(lift, loop_lift_from_frames(frames))
-        z0 = -lift[0]
-        assert np.array_equal(cur.lift_from_frames(frames, z0=z0),
-                              loop_lift_from_frames(frames, z0=z0))
-        assert np.array_equal(cur.lift_from_frames(frames, z0=z0), -lift)
 
     def test_frame_logs_match_loop(self, bounds_k0):
         # curve_from_points recovers the controls of a circle from one-step

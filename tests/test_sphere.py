@@ -664,12 +664,12 @@ for cloud in (zeta, np.array([p, -p]), np.eye(3), ring, ring[:50]):
         assert runs[0].count("\n") == 10
 
 
-def stencil_miss_cloud():
-    """40 points of the upper hemisphere, the first two turned down and
+def stencil_miss_cloud(size=40):
+    """`size` points of the upper hemisphere, the first two turned down and
     shortened: the origin is inside the cloud's hull, with margin -0.22,
     but outside the hull of its support points."""
     rng = np.random.default_rng(9)
-    points = rng.normal(size=(40, 3))
+    points = rng.normal(size=(size, 3))
     points[:, 2] = np.abs(points[:, 2])
     points = _unit_rows(points)
     points[:2] *= -0.3
@@ -826,19 +826,39 @@ class TestSupportHullBound:
                                 lambda *a: solves.append(1) or real(*a))
             h, bound = sphere.best_hemisphere(cloud, certify_below=self.BORDER)
             monkeypatch.undo()
-            assert h is None and len(hulls) == 1 and solves == []
+            assert h is None and len(hulls) == 1 and len(solves) == 1
             assert exact - 1e-12 <= bound <= -self.BORDER
 
-    def test_stencil_hull_missing_the_origin_is_solved_exactly(self):
+    def test_stencil_hull_missing_the_origin_is_certified_after_growth(
+            self, monkeypatch):
+        # the support points' hull misses the origin, so the first round
+        # cannot stop; the loop grows that one hull until it holds the
+        # origin below the cut, and stops there
         points = stencil_miss_cloud()
         support = points[sphere._support_points(points)]
         assert np.max(ConvexHull(support).equations[:, 3]) > 0.0
-        assert sphere._strict_hull(support) is None
-        h, margin = sphere.best_hemisphere(points, certify_below=self.BORDER)
-        h_exact, exact = sphere.best_hemisphere(points)
-        assert exact < -0.2
-        assert margin == exact and np.array_equal(h, h_exact)
+        hulls = count_hulls(monkeypatch)
+        solves, real = [], sphere._hull_solve
+        monkeypatch.setattr(sphere, "_hull_solve",
+                            lambda *a: solves.append(1) or real(*a))
+        h, bound = sphere.best_hemisphere(points, certify_below=self.BORDER)
+        monkeypatch.undo()
+        assert h is None and len(hulls) == 1 and len(solves) == 2
+        _, exact = sphere.best_hemisphere(points)
+        assert exact < -0.2 and exact - 1e-12 <= bound <= -self.BORDER
         assert_matches_oracle(points)
+
+    def test_undecided_certificate_builds_one_hull(self, monkeypatch):
+        from spherecurve import classify
+        # a kappa0 < 0 circle of margin about -1e-5, above the cut: the
+        # loop solves it exactly on the hull of its support points, with
+        # no second hull of the same points for the certificate
+        circle = make_circle(math.pi / 2 + 1e-5, 1,
+                             CurvatureBounds(-1.0, math.inf), n=256)
+        hulls = count_hulls(monkeypatch)
+        status = classify.condensed_status(circle)
+        assert status.margin_exact and -self.BORDER < status.margin < -1e-9
+        assert len(hulls) == 1
 
 
 class TestBatchedQuaternions:
@@ -906,14 +926,27 @@ class TestContainingSimplex:
 
     def test_point_outside_the_working_set(self, monkeypatch):
         # the origin is inside the hull of the 40 points but outside that
-        # of their support points: the search falls back to the whole set
+        # of their support points: the loop grows that one hull until it
+        # holds the origin, and the simplex uses a point it added
         points = stencil_miss_cloud()
         support = sphere._support_points(points)
         assert not np.isin([0, 1], support).any()
         hulls = count_hulls(monkeypatch)
         s = sphere.containing_simplex(points, np.zeros(3))
-        assert len(hulls) == 2
+        assert len(hulls) == 1
         assert np.isin([0, 1], s.indices).any()
+        assert s.weights.shape == (4,) and np.all(s.weights > 0)
+        assert np.linalg.norm(s.weights @ s.vertices) <= 1e-12
+
+    def test_no_hull_of_the_whole_cloud(self, monkeypatch):
+        # 2000 points whose support hull misses the origin: the loop's
+        # hull grows by a few batches, never to the whole cloud
+        points = stencil_miss_cloud(2000)
+        made, real = [], sphere.ConvexHull
+        monkeypatch.setattr(sphere, "ConvexHull", lambda *a, **k:
+                            made.append(real(*a, **k)) or made[-1])
+        s = sphere.containing_simplex(points, np.zeros(3))
+        assert len(made) == 1 and made[0].points.shape[0] < 200
         assert s.weights.shape == (4,) and np.all(s.weights > 0)
         assert np.linalg.norm(s.weights @ s.vertices) <= 1e-12
 
