@@ -24,6 +24,7 @@ from .bands import caustic_band, regular_band
 from .classify import classify_component
 from .curves import (
     CurvatureBounds,
+    _control_docs,
     curve_from_json,
     curve_to_json,
     curves_to_json,
@@ -42,40 +43,65 @@ _FLOATS = {float, np.float64}
 _BLOCK_MIN = 32
 
 
-def _float_block(seq):
-    """JSON of an all-float list or of a rectangular list of float rows,
-    each distinct bit pattern formatted once; None for any other sequence,
-    short ones and those holding a NaN or an infinity included.
+class _Json:
+    """Text already formatted as JSON, written as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _float_blocks(arrays):
+    """JSON of finite float arrays, a list for a 1-d array and a list of
+    rows for a 2-d one, with one `np.unique` over the bits of all of them:
+    each distinct bit pattern is formatted once, so a path's stacked
+    controls cost their distinct values.  None if any value is a NaN or
+    an infinity.
 
     `np.unique` runs on the bits, so 0.0 and -0.0 stay apart, and one
     "%.17g" %-tuple writes exactly what `format(x, ".17g")` writes.
     """
-    kinds = set(map(type, seq))
-    width = None
-    if kinds and kinds <= _FLOATS:
-        flat = seq
-    elif kinds and kinds <= {list, tuple} and len(set(map(len, seq))) == 1:
-        flat = list(itertools.chain.from_iterable(seq))
-        if not set(map(type, flat)) <= _FLOATS:
-            return None
-        width = len(seq[0])
-    else:
-        return None
-    if len(flat) < _BLOCK_MIN:
-        return None
-    values = np.array(flat, dtype=float)
+    values = np.concatenate([a.reshape(-1) for a in arrays])
     if not np.isfinite(values).all():
         return None
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     text = ("%.17g," * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
-    cells = [text[i] for i in inverse.tolist()]
-    if width is None:
-        return "[" + ",".join(cells) + "]"
-    row = "[" + ",".join(["%s"] * width) + "]"
-    return "[" + ",".join([row] * len(seq)) % tuple(cells) + "]"
+    cells = np.array(text[:-1], dtype=object)[inverse]
+    blocks, at = [], 0
+    for a in arrays:
+        part = cells[at:at + a.size].reshape(a.shape).tolist()
+        if a.ndim == 1:
+            blocks.append("[" + ",".join(part) + "]")
+        else:
+            blocks.append("[" + ",".join(["[" + ",".join(row) + "]" for row in part]) + "]")
+        at += a.size
+    return blocks
+
+
+def _float_block(seq):
+    """JSON of an all-float list or of a rectangular list of float rows:
+    the one-array case of `_float_blocks`.  None for any other sequence,
+    short ones and those holding a NaN or an infinity included."""
+    kinds = set(map(type, seq))
+    if kinds and kinds <= _FLOATS:
+        values = np.array(seq, dtype=float)
+    elif kinds and kinds <= {list, tuple} and len(set(map(len, seq))) == 1:
+        flat = list(itertools.chain.from_iterable(seq))
+        if not set(map(type, flat)) <= _FLOATS:
+            return None
+        values = np.array(flat, dtype=float).reshape(len(seq), -1)
+    else:
+        return None
+    if values.size < _BLOCK_MIN:
+        return None
+    blocks = _float_blocks([values])
+    return None if blocks is None else blocks[0]
 
 
 def _fmt(value):
+    if isinstance(value, _Json):
+        return value.text
     if isinstance(value, float):
         if math.isnan(value):
             raise ValueError("NaN has no JSON representation")
@@ -144,9 +170,21 @@ def _bounds_from_args(args) -> CurvatureBounds:
 
 
 def _path_to_jsonl(path_obj, report) -> str:
-    lines = [dumps(doc) for doc in curves_to_json(path_obj.curves)]
-    lines.append(dumps(report))
-    return "\n".join(lines)
+    """A path as JSONL: one control document a frame, then the report.
+
+    The documents keep the frames' arrays as they are (`_control_docs`),
+    and one `_float_blocks` call formats all of them, so the path's
+    stacked `v_hat` and `w_hat` go through one `np.unique`; the bytes are
+    `dumps` of `curves_to_json`'s documents.
+    """
+    docs = _control_docs(path_obj.curves)
+    arrays = [v for doc in docs for v in doc.values() if isinstance(v, np.ndarray)]
+    blocks = _float_blocks(arrays) if arrays else None
+    if blocks is not None:
+        blocks = iter(blocks)
+        docs = [{key: _Json(next(blocks)) if isinstance(value, np.ndarray) else value
+                 for key, value in doc.items()} for doc in docs]
+    return "\n".join([dumps(doc) for doc in docs] + [dumps(report)])
 
 
 def _report_of(rep) -> dict:

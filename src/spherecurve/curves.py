@@ -125,7 +125,11 @@ def control_transforms(bounds: CurvatureBounds):
 
 @dataclasses.dataclass(frozen=True)
 class ControlPair:
-    """Per-interval constant controls on a uniform grid of n intervals."""
+    """Per-interval constant controls on a uniform grid of n intervals.
+
+    The arrays are (n,), or (F, n) for the F rows of a batch that
+    `integrate_curves` integrates at once.
+    """
 
     v_hat: np.ndarray
     w_hat: np.ndarray
@@ -133,9 +137,10 @@ class ControlPair:
     def __post_init__(self):
         v = np.asarray(self.v_hat, dtype=float)
         w = np.asarray(self.w_hat, dtype=float)
-        if v.shape != w.shape or v.ndim != 1:
-            raise ValueError("control arrays must be 1-d and equal length")
-        if v.size < 16:
+        if v.shape != w.shape or v.ndim not in (1, 2):
+            raise ValueError("control arrays must be 1-d (or 2-d rows of a batch) "
+                             "and of equal shape")
+        if v.shape[-1] < 16:
             raise ValueError("need at least 16 control intervals")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise ValueError("controls must be finite")
@@ -144,7 +149,7 @@ class ControlPair:
 
     @property
     def n(self) -> int:
-        return self.v_hat.size
+        return self.v_hat.shape[-1]
 
     @classmethod
     def of(cls, bounds: CurvatureBounds, v, kappa) -> "ControlPair":
@@ -170,19 +175,21 @@ def controls_from_functions(f_vhat, f_what, n: int) -> ControlPair:
 # ------------------------------------------------------------------ #
 
 def _step_quats(v, w, dt) -> np.ndarray:
-    """exp(dt/2 (w i + v k)) for per-interval arrays v, w (dt may be an array)."""
+    """exp(dt/2 (w i + v k)) for per-interval arrays v, w (dt may be an
+    array), (m, 4): a view of component rows, which `sphere.quat_mul`
+    reads without a strided pass."""
     hx = 0.5 * dt * np.asarray(w, dtype=float)
     hz = 0.5 * dt * np.asarray(v, dtype=float)
     a = np.hypot(hx, hz)
     turns = a > 1e-14
     safe = np.where(turns, a, 1.0)
     s = np.where(turns, np.sin(safe) / safe, 1.0)
-    out = np.empty((np.size(a), 4))
-    out[:, 0] = np.cos(a)
-    out[:, 1] = s * hx
-    out[:, 2] = 0.0
-    out[:, 3] = s * hz
-    return out
+    out = np.empty((4, np.size(a)))
+    out[0] = np.cos(a)
+    out[1] = s * hx
+    out[2] = 0.0
+    out[3] = s * hz
+    return out.T
 
 
 def _unit_columns(q: np.ndarray) -> np.ndarray:
@@ -196,19 +203,23 @@ def _unit_columns(q: np.ndarray) -> np.ndarray:
 
 
 def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
-    """Cumulative right-products z_{i+1} = z_i * steps_i, (n, 4) -> (n + 1, 4).
+    """Cumulative right-products z_{i+1} = z_i * steps_i, (n, 4) -> (n + 1, 4),
+    or for F chains at once (F, 4), (F, n, 4) -> (F, n + 1, 4).
 
     An inclusive Hillis-Steele scan (Hillis & Steele 1986) on one (4, n + 1)
-    component-row array holding z0 and the steps: at shift 1, 2, 4, ... <= n
-    every column from `shift` on becomes the Hamilton product of the column
-    `shift` earlier (the left factor) and itself, renormalized once per
-    level by `_unit_columns`, which `_chain_ends` shares so that its last
-    node is this scan's bit for bit.  ceil(log2(n + 1)) batched levels;
-    node i is z0 * steps_0 * ... * steps_{i-1} to roundoff.
+    component-row array holding z0 and the steps, with the chains on a
+    trailing axis: at shift 1, 2, 4, ... <= n every column from `shift` on
+    becomes the Hamilton product of the column `shift` earlier (the left
+    factor) and itself, renormalized once per level by `_unit_columns`,
+    which `_chain_ends` shares so that its last node is this scan's bit for
+    bit.  ceil(log2(n + 1)) batched levels; node i is z0 * steps_0 * ... *
+    steps_{i-1} to roundoff.  A column only reads columns before it, so a
+    chain of r < n steps right-padded to n gets its own scan in columns
+    0..r, bit for bit, whatever the padding holds.
     """
-    n = steps.shape[0]
-    q = np.empty((4, n + 1))
-    q[:, 0] = z0
+    n = steps.shape[-2]
+    q = np.empty((4, n + 1) + steps.shape[:-2])
+    q[:, 0] = np.asarray(z0, dtype=float).T
     q[:, 1:] = steps.T
     shift = 1
     while shift <= n:
@@ -251,28 +262,32 @@ def _chain_ends(z0s: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> np.nd
     return np.ascontiguousarray(q[:, 0].T)
 
 
-def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray,
-                  dt: float):
-    """Maximal runs of equal controls and the closed-form step of each.
+def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray):
+    """Maximal runs of equal controls in every row of (F, n) control arrays
+    and the closed-form step of each, over all rows in row-major order.
 
-    Returns each run's length m, its speed v and curvature kappa (the
-    transforms are elementwise, so these are the bits of every interval of
-    the run), and its step exp(m dt / 2 (w i + v k)), the exact integral
-    over its m intervals.  Controls are compared by their bits, so 0.0 and
-    -0.0 start different runs.
+    Returns each run's first interval as a flat index into the rows (row
+    f's interval i is f n + i), its length m, its speed v and curvature
+    kappa (the transforms are elementwise, so these are the bits of every
+    interval of the run), and its step exp(m dt / 2 (w i + v k)), dt = 1/n,
+    the exact integral over its m intervals.  Every row starts a run, so no
+    run crosses a row and a run ends where the next one starts.  Controls
+    are compared by their bits, so 0.0 and -0.0 start different runs.
     """
     vb, wb = v_hat.view(np.uint64), w_hat.view(np.uint64)
-    starts = np.flatnonzero(np.concatenate(
-        [[True], (vb[1:] != vb[:-1]) | (wb[1:] != wb[:-1])]))
-    lengths = np.diff(np.append(starts, v_hat.size))
+    heads = np.ones(v_hat.shape, dtype=bool)
+    heads[:, 1:] = (vb[:, 1:] != vb[:, :-1]) | (wb[:, 1:] != wb[:, :-1])
+    starts = np.flatnonzero(heads)
+    lengths = np.diff(np.append(starts, heads.size))
     _, h_inv, _, hb_inv = control_transforms(bounds)
-    v = h_inv(v_hat[starts])
-    kap = hb_inv(w_hat[starts])
-    return lengths, v, kap, _step_quats(v, v * kap, lengths * dt)
+    v = h_inv(v_hat.reshape(-1)[starts])
+    kap = hb_inv(w_hat.reshape(-1)[starts])
+    return starts, lengths, v, kap, _step_quats(v, v * kap, lengths * (1.0 / v_hat.shape[-1]))
 
 
 def lift_from_frames(frames: np.ndarray) -> np.ndarray:
-    """Continuous quaternion lift of a frame path (m, 3, 3) -> (m, 4).
+    """Continuous quaternion lift of a frame path (m, 3, 3) -> (m, 4), or of
+    F paths at once, (F, m, 3, 3) -> (F, m, 4), each tracked on its own.
 
     One batched `rotation_to_quat`, then sign tracking: node i keeps the
     sign of node i - 1 times sign(<q_i, q_{i-1}>), a running product.  The
@@ -283,11 +298,17 @@ def lift_from_frames(frames: np.ndarray) -> np.ndarray:
     previous sign.
     """
     q = sphere.rotation_to_quat(frames)
-    ref = q[0, np.argmax(np.abs(q[0]) > 1e-8)]
-    flips = np.empty(q.shape[0])
-    flips[0] = -1.0 if ref < 0 else 1.0
-    flips[1:] = np.where(np.einsum("ij,ij->i", q[1:], q[:-1]) < 0, -1.0, 1.0)
-    return q * np.cumprod(flips)[:, None]
+    first = q[..., 0, :]
+    ref = np.take_along_axis(first, np.argmax(np.abs(first) > 1e-8, axis=-1)[..., None],
+                             axis=-1)
+    flips = np.empty(q.shape[:-1])
+    flips[..., 0] = np.where(ref[..., 0] < 0, -1.0, 1.0)
+    # one (rows, 4) product for every path, so a row's sum does not depend
+    # on how many paths share the batch
+    dots = np.einsum("ij,ij->i", q[..., 1:, :].reshape(-1, 4), q[..., :-1, :].reshape(-1, 4))
+    flips[..., 1:] = np.where(dots < 0, -1.0, 1.0).reshape(flips[..., 1:].shape)
+    q *= np.cumprod(flips, axis=-1)[..., None]
+    return q
 
 
 # ------------------------------------------------------------------ #
@@ -421,18 +442,21 @@ class AdmissibleCurve:
                                    controls=ControlPair.of(bounds, v, kap))
 
 
-def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
-                         closed=None, tol: ToleranceProfile = DEFAULT_TOL,
-                         controls: ControlPair | None = None,
-                         integrated: bool = False) -> AdmissibleCurve:
-    """Assemble a curve from exact node samples of the lift and controls.
+def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
+                          closed=None, tol: ToleranceProfile = DEFAULT_TOL,
+                          controls=None, integrated: bool = False) -> tuple:
+    """Assemble F curves on one grid from exact node samples: (F, n+1, 4)
+    lifts and (F, n+1) node speeds and curvatures, one record per row.
 
-    The record takes `controls` as given (None: those of the averaged node
-    values); they are only used for in-between evaluation and
-    re-integration, the node samples stay authoritative.  `closed=None`
-    decides closure from the end frames, which the record keeps.
+    Each record takes its `controls` as given (a sequence of F pairs; None:
+    those of the averaged node values); they are only used for in-between
+    evaluation and re-integration, the node samples stay authoritative.
+    The speeds and curvatures of all rows are checked at once.  With
+    `closed=None` the first and last frames of all rows are converted in
+    one stacked call and decide each closure; every record keeps its pair
+    as its `end_frames`.  Records hold views of the given arrays.
     """
-    lift = np.asarray(lift, dtype=float)
+    lifts = np.asarray(lifts, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
     kappa_nodes = np.asarray(kappa_nodes, dtype=float)
     if np.any(v_nodes <= 0):
@@ -440,57 +464,111 @@ def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
     if not bounds.contains(kappa_nodes):
         raise CurvatureOutOfBounds("node curvature escapes the open bounds")
     if controls is None:
-        controls = ControlPair.of(bounds, 0.5 * (v_nodes[:-1] + v_nodes[1:]),
-                                  0.5 * (kappa_nodes[:-1] + kappa_nodes[1:]))
-    curve = AdmissibleCurve(bounds=bounds, controls=controls,
-                            domain=float(domain), lift=lift, speed=v_nodes,
-                            kappa=kappa_nodes, closed=bool(closed),
-                            integrated=integrated)
-    if closed is None:      # on the record, whose end frames stay cached
-        object.__setattr__(curve, "closed", curve.closure_defect() <= tol.closure)
-    return curve
+        controls = ControlPair.of(bounds, 0.5 * (v_nodes[:, :-1] + v_nodes[:, 1:]),
+                                  0.5 * (kappa_nodes[:, :-1] + kappa_nodes[:, 1:]))
+        controls = [ControlPair(*row) for row in zip(controls.v_hat, controls.w_hat)]
+    if closed is None:
+        ends = sphere.quat_to_rotation(lifts[:, [0, -1]])
+        ends.flags.writeable = False
+        shut = (np.abs(ends[:, 1] - ends[:, 0]).max(axis=(1, 2)) <= tol.closure).tolist()
+    else:
+        shut = [bool(closed)] * lifts.shape[0]
+    curves = tuple(AdmissibleCurve(bounds=bounds, controls=c, domain=float(domain),
+                                   lift=lift, speed=v, kappa=kap, closed=ok,
+                                   integrated=integrated)
+                   for c, lift, v, kap, ok in zip(controls, lifts, v_nodes,
+                                                  kappa_nodes, shut))
+    if closed is None:      # the decision's end frames stay on the records
+        for curve, pair in zip(curves, ends):
+            curve.__dict__["end_frames"] = pair
+    return curves
+
+
+def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
+                         closed=None, tol: ToleranceProfile = DEFAULT_TOL,
+                         controls: ControlPair | None = None,
+                         integrated: bool = False) -> AdmissibleCurve:
+    """Assemble a curve from exact node samples of the lift and controls:
+    the one-row case of `curves_from_node_data`."""
+    return curves_from_node_data(
+        bounds, np.asarray(lift, dtype=float)[None], np.asarray(v_nodes, dtype=float)[None],
+        np.asarray(kappa_nodes, dtype=float)[None], domain=domain, closed=closed, tol=tol,
+        controls=None if controls is None else (controls,), integrated=integrated)[0]
+
+
+def integrate_curves(controls: ControlPair, bounds: CurvatureBounds, q0=None,
+                     tol: ToleranceProfile = DEFAULT_TOL,
+                     require_closed: bool = False) -> tuple:
+    """Integrate the lifted frame equation for F rows of piecewise-constant
+    controls at once: (F, n) controls -> F curves, or (n,) -> one curve.
+
+    Each grid interval contributes the exact exponential of
+    (dt/2)(w i + v k) in S^3, so the result has no renormalization drift
+    and analytic closed curves close to roundoff.  A maximal run of m equal
+    controls (`_control_runs`, one run detection over all rows) is one
+    exponential of m dt.  The run heads and node n of every row come from
+    one `_chain_quats` scan over the rows' run steps, right-padded to the
+    longest row; the node o intervals into run j is head_j * exp(o dt
+    Lambda_j), filled for all rows in one batch.  That is O(r log r + n)
+    products a row: one run for a k-fold circle, 2k + 2 for a bend frame.
+    `q0` is None, one rotation for every row or one per row.  The records
+    are `curves_from_node_data`'s, with their rows of the given controls
+    (the pair itself when it is one row) and `integrated` set, so the
+    closure of every row is decided by one stacked end-frame conversion;
+    `require_closed` raises NotClosed on an open result.
+    """
+    v_hat, w_hat = np.atleast_2d(controls.v_hat), np.atleast_2d(controls.w_hat)
+    frames, n = v_hat.shape
+    dt = 1.0 / n
+    starts, lengths, v, kap, run_steps = _control_runs(bounds, v_hat, w_hat)
+    # run j of row f is column slot[j] of the row's right-padded scan of
+    # `longest` steps; interval i of row f is flat interval f n + i and
+    # flat lift node f (n + 1) + i
+    rows = starts // n
+    counts = np.bincount(rows, minlength=frames)
+    longest = counts.max()
+    slot = np.arange(starts.size) - (np.cumsum(counts) - counts)[rows]
+    padded = np.tile(sphere.QUAT_ONE, (frames, longest, 1))
+    padded.reshape(-1, 4)[rows * longest + slot] = run_steps
+    z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
+    nodes = _chain_quats(np.broadcast_to(z0, (frames, 4)), padded).reshape(-1, 4)
+    head = rows * (longest + 1) + slot
+    lift = np.empty((frames, n + 1, 4))
+    flat_lift = lift.reshape(-1, 4)
+    flat_lift[starts + rows] = nodes[head]
+    lift[:, -1] = nodes[np.arange(frames) * (longest + 1) + counts]
+    run = np.repeat(np.arange(starts.size), lengths)
+    offset = np.arange(v_hat.size) - starts[run]
+    inner = np.flatnonzero(offset)
+    j = run[inner]
+    # component rows keep the gather and the product contiguous
+    fill = sphere.quat_mul(nodes.T[:, head[j]].T,
+                           _step_quats(v[j], v[j] * kap[j], offset[inner] * dt))
+    flat_lift[inner + inner // n] = _unit_columns(fill.T).T
+    v_nodes = np.empty((frames, n + 1))
+    kap_nodes = np.empty((frames, n + 1))
+    v_nodes[:, :-1] = v[run].reshape(frames, n)
+    kap_nodes[:, :-1] = kap[run].reshape(frames, n)
+    v_nodes[:, -1], kap_nodes[:, -1] = v_nodes[:, -2], kap_nodes[:, -2]
+    pairs = [controls] if controls.v_hat.ndim == 1 else \
+        [ControlPair(*row) for row in zip(controls.v_hat, controls.w_hat)]
+    curves = curves_from_node_data(bounds, lift, v_nodes, kap_nodes, tol=tol,
+                                   controls=pairs, integrated=True)
+    if require_closed:
+        for curve in curves:
+            if not curve.closed:
+                raise NotClosed(f"frame closure defect {curve.closure_defect():.3e} "
+                                f"exceeds {tol.closure:.1e}")
+    return curves
 
 
 def integrate_curve(controls: ControlPair, bounds: CurvatureBounds,
                     q0=None, tol: ToleranceProfile = DEFAULT_TOL,
                     require_closed: bool = False) -> AdmissibleCurve:
-    """Integrate the lifted frame equation for piecewise-constant controls.
-
-    Each grid interval contributes the exact exponential of
-    (dt/2)(w i + v k) in S^3, so the result has no renormalization drift
-    and analytic closed curves close to roundoff.  A maximal run of m equal
-    controls (`_control_runs`) is one exponential of m dt: the run heads
-    and node n are the `_chain_quats` scan over the r run steps, and the
-    node o intervals into run j is head_j * exp(o dt Lambda_j), filled in
-    one batch.  That is O(r log r + n) products: one run for a k-fold
-    circle, 2k + 2 for a bend frame.  When every run has length one the
-    fill is empty and the lift is the scan over the interval steps.  The
-    record is `curve_from_node_data`'s, with the given controls and
-    `integrated` set; `require_closed` raises NotClosed on an open result.
-    """
-    n = controls.n
-    dt = 1.0 / n
-    lengths, v, kap, run_steps = _control_runs(bounds, controls.v_hat,
-                                               controls.w_hat, dt)
-    z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
-    heads = _chain_quats(z0, run_steps)
-    starts = np.cumsum(lengths) - lengths
-    run = np.repeat(np.arange(lengths.size), lengths)
-    offset = np.arange(n) - starts[run]
-    inner = np.flatnonzero(offset)
-    lift = np.empty((n + 1, 4))
-    lift[starts] = heads[:-1]
-    lift[-1] = heads[-1]
-    j = run[inner]
-    fill = sphere.quat_mul(heads[j], _step_quats(v[j], v[j] * kap[j], offset[inner] * dt))
-    lift[inner] = _unit_columns(fill.T).T
-    v, kap = v[run], kap[run]
-    curve = curve_from_node_data(bounds, lift, np.append(v, v[-1]),
-                                 np.append(kap, kap[-1]), tol=tol,
-                                 controls=controls, integrated=True)
-    if require_closed and not curve.closed:
-        raise NotClosed(f"frame closure defect {curve.closure_defect():.3e} "
-                        f"exceeds {tol.closure:.1e}")
+    """Integrate one row of piecewise-constant controls: the F = 1 case of
+    `integrate_curves`, whose record keeps `controls` itself."""
+    (curve,) = integrate_curves(controls, bounds, q0=q0, tol=tol,
+                                require_closed=require_closed)
     return curve
 
 
@@ -576,14 +654,28 @@ def reparametrize_arclength(curve: AdmissibleCurve, n_out: int | None = None,
     return dataclasses.replace(out, domain=1.0)
 
 
+def _lift_parities(first, last, closed):
+    """Endpoint signs of F lifts from their first and last nodes, (F, 4)
+    each, and their closed flags, in one batch: (signs, errors).  A sign is
+    +1 or -1, or 0 for a curve that is open or whose |<z(1), z(0)>| is
+    below 0.9; `errors` holds the NotClosed or AmbiguousParity of each
+    such curve, in order."""
+    dots = np.einsum("ij,ij->i", np.asarray(last), np.asarray(first))
+    closed = np.asarray(closed, dtype=bool)
+    sure = closed & (np.abs(dots) >= 0.9)
+    signs = np.where(sure, np.where(dots > 0, 1, -1), 0)
+    errors = [AmbiguousParity(f"|<z(1), z(0)>| = {abs(dots[i]):.3f} < 0.9") if closed[i]
+              else NotClosed("lift parity requires a closed curve")
+              for i in np.flatnonzero(~sure).tolist()]
+    return signs, errors
+
+
 def lift_parity(curve: AdmissibleCurve) -> LiftParity:
     """Endpoint sign of the lift; a homotopy invariant for closed curves."""
-    if not curve.closed:
-        raise NotClosed("lift parity requires a closed curve")
-    dot = float(np.dot(curve.lift[-1], curve.lift[0]))
-    if abs(dot) < 0.9:
-        raise AmbiguousParity(f"|<z(1), z(0)>| = {abs(dot):.3f} < 0.9")
-    return LiftParity(1 if dot > 0 else -1)
+    signs, errors = _lift_parities(curve.lift[None, 0], curve.lift[None, -1], [curve.closed])
+    if errors:
+        raise errors[0]
+    return LiftParity(int(signs[0]))
 
 
 # ------------------------------------------------------------------ #
@@ -631,28 +723,39 @@ def _rotation_from_json(x) -> np.ndarray:
 
 def _reintegration_closes(written, tol) -> np.ndarray:
     """Whether integrating each written (bounds, v_hat, w_hat, q0) gives a
-    closed curve, decided exactly as `integrate_curve` decides it: node n
-    is the reduction of the same run steps (`_control_runs`), and the
-    curves, of any n and any run count, go through one ragged
-    `_chain_ends`."""
-    z0s, steps = [], []
-    for bounds, v_hat, w_hat, q0 in written:
-        steps.append(_control_runs(bounds, v_hat, w_hat, 1.0 / v_hat.size)[-1])
-        z0s.append(sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0))
-    z0s = np.array(z0s)
-    counts = np.array([s.shape[0] for s in steps])
+    closed curve, decided exactly as `integrate_curves` decides it: node n
+    is the reduction of the same run steps (`_control_runs`, one call for
+    all rows of one bounds and n), and the curves, of any n and any run
+    count, go through one ragged `_chain_ends`."""
+    groups = {}
+    for i, (bounds, v_hat, _, _) in enumerate(written):
+        groups.setdefault((bounds, v_hat.size), []).append(i)
+    chains, steps = [], []
+    for (bounds, _), members in groups.items():
+        v_hat = np.array([written[i][1] for i in members])
+        starts, *_, run_steps = _control_runs(bounds, v_hat, np.array([written[i][2]
+                                                                     for i in members]))
+        chains.append(np.asarray(members)[starts // v_hat.shape[1]])
+        steps.append(run_steps)
+    chains = np.concatenate(chains)
+    order = np.argsort(chains, kind="stable")       # each chain's runs in order
+    counts = np.bincount(chains, minlength=len(written))
     width = counts.max()
     padded = np.tile(sphere.QUAT_ONE, (counts.size, width, 1))
-    padded[np.arange(width) >= width - counts[:, None]] = np.concatenate(steps)
+    padded[np.arange(width) >= width - counts[:, None]] = np.concatenate(steps)[order]
+    z0s = np.tile(sphere.QUAT_ONE, (counts.size, 1))
+    turned = [i for i, (*_, q0) in enumerate(written) if q0 is not None]
+    if turned:
+        z0s[turned] = sphere.rotation_to_quat(np.array([written[i][3] for i in turned]))
     ends = _chain_ends(z0s, padded, counts)
     frames = sphere.quat_to_rotation(np.stack([z0s, ends], axis=1))
     return np.abs(frames[:, 1] - frames[:, 0]).max(axis=(1, 2)) <= tol.closure
 
 
-def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
-    """`curve_to_json` of every curve; the closure checks of all curves that
-    need one run as one batched end-node reduction (`_chain_ends`), whatever
-    their n."""
+def _control_docs(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
+    """`curves_to_json`'s documents with every number array left an ndarray
+    (`v_hat`, `w_hat` and `q0`, and `lift`, `speed` and `kappa` where
+    written), for a writer that formats a whole path's arrays at once."""
     docs, pending = [], []
     for curve in curves:
         controls = curve.controls
@@ -664,12 +767,12 @@ def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
             "kappa1": _bound_to_json(curve.bounds.kappa1),
             "kappa2": _bound_to_json(curve.bounds.kappa2),
             "n": curve.n,
-            "v_hat": v_hat.tolist(),
-            "w_hat": w_hat.tolist(),
+            "v_hat": v_hat,
+            "w_hat": w_hat,
         }
         q0 = curve.end_frames[0]
         if np.abs(q0 - np.eye(3)).max() > 1e-12:
-            out["q0"] = q0.reshape(-1).tolist()
+            out["q0"] = q0.reshape(-1)
         else:
             q0 = None
         docs.append(out)
@@ -679,10 +782,18 @@ def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
         closes = _reintegration_closes([written for _, _, written in pending], tol)
         for (curve, out, _), ok in zip(pending, closes):
             if not ok:
-                out["lift"] = curve.lift.tolist()
-                out["speed"] = (curve.speed * curve.domain).tolist()
-                out["kappa"] = curve.kappa.tolist()
+                out["lift"] = curve.lift
+                out["speed"] = curve.speed * curve.domain
+                out["kappa"] = curve.kappa
     return docs
+
+
+def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
+    """`curve_to_json` of every curve; the closure checks of all curves that
+    need one run as one batched end-node reduction (`_chain_ends`), whatever
+    their n."""
+    return [{key: value.tolist() if isinstance(value, np.ndarray) else value
+             for key, value in doc.items()} for doc in _control_docs(curves, tol)]
 
 
 def curve_to_json(curve: AdmissibleCurve,

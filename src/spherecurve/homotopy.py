@@ -20,18 +20,17 @@ from .curves import (
     ControlPair,
     CurvatureBounds,
     cot,
+    _lift_parities,
     curve_from_node_data,
-    integrate_curve,
+    curves_from_node_data,
+    integrate_curves,
     lift_from_frames,
-    lift_parity,
     reparametrize_by_curvature,
 )
 from .errors import (
-    AmbiguousParity,
     CurvatureBoundTooTight,
     DomainError,
     NonpositiveRotation,
-    NotClosed,
     ParameterOverlap,
     RadiusOutOfBounds,
     StageToleranceFailure,
@@ -65,41 +64,55 @@ class ValidationReport:
     notes: str = ""
 
 
+def _normalized(curves) -> tuple:
+    """Left-translate curves of one grid so that Phi(0) = I and z(0) = 1:
+    one product over their stacked (F, n+1, 4) lifts and one stacked
+    conversion of their new end frames, which the records keep."""
+    lifts = np.array([c.lift for c in curves])
+    lifts = sphere.quat_mul(sphere.quat_conj(lifts[:, :1]), lifts)
+    ends = sphere.quat_to_rotation(lifts[:, [0, -1]])
+    ends.flags.writeable = False
+    out = tuple(dataclasses.replace(c, lift=lift) for c, lift in zip(curves, lifts))
+    for curve, pair in zip(out, ends):
+        curve.__dict__["end_frames"] = pair
+    return out
+
+
 def normalize_initial_frame(curve: AdmissibleCurve) -> AdmissibleCurve:
     """Left-translate so that Phi(0) = I and z(0) = 1."""
-    lift = sphere.quat_mul(sphere.quat_conj(curve.lift[0]), curve.lift)
-    return dataclasses.replace(curve, lift=lift)
-
-
-def kappa_margin(curve: AdmissibleCurve, bounds: CurvatureBounds) -> float:
-    """Distance of the sampled curvature to the open interval's ends."""
-    lo = np.inf if math.isinf(bounds.kappa1) else float(np.min(curve.kappa) - bounds.kappa1)
-    hi = np.inf if math.isinf(bounds.kappa2) else float(bounds.kappa2 - np.max(curve.kappa))
-    return min(lo, hi)
+    return _normalized([curve])[0]
 
 
 def validate_path(path: HomotopyPath, bounds: CurvatureBounds | None = None,
                   tol: ToleranceProfile = DEFAULT_TOL) -> ValidationReport:
-    """Curvature margin, closure and parity conservation along a path."""
+    """Curvature margin, closure and parity conservation along a path.
+
+    The frames' end frames, end lift nodes and curvatures are gathered
+    once and decided in one batch: the margin from the path's least and
+    largest curvature, the closure defect from the stacked end frames (the
+    records' own, so a batch-built path converts none) and the parities
+    from the stacked end nodes.
+    """
     bounds = bounds or path.bounds
+    curves = path.curves
+    ends = np.array([c.end_frames for c in curves]).reshape(-1, 2, 3, 3)
+    lifts = np.array([(c.lift[0], c.lift[-1]) for c in curves]).reshape(-1, 2, 4)
     margin = np.inf
-    defect = 0.0
-    parities = []
-    notes = []
-    for c in path.curves:
-        margin = min(margin, kappa_margin(c, bounds))
-        defect = max(defect, c.closure_defect())
-        try:
-            parities.append(lift_parity(c).sign)
-        except (NotClosed, AmbiguousParity) as exc:  # reported, not thrown
-            parities.append(0)
-            notes.append(str(exc))
+    if curves:
+        kappa = np.concatenate([c.kappa for c in curves])
+        if math.isfinite(bounds.kappa1):
+            margin = float(kappa.min() - bounds.kappa1)
+        if math.isfinite(bounds.kappa2):
+            margin = min(margin, float(bounds.kappa2 - kappa.max()))
+    defect = float(np.abs(ends[:, 1] - ends[:, 0]).max(initial=0.0))
+    signs, errors = _lift_parities(lifts[:, 0], lifts[:, 1], [c.closed for c in curves])
+    parities = signs.tolist()
     constant = len(set(parities)) == 1 and (not parities or parities[0] != 0)
     passed = bool(margin > 0 and defect < tol.closure and constant)
     return ValidationReport(min_margin=float(margin),
                             max_closure_defect=float(defect),
                             parities=tuple(parities), passed=passed,
-                            notes="; ".join(notes))
+                            notes="; ".join(str(exc) for exc in errors))
 
 
 # ------------------------------------------------------------------ #
@@ -176,15 +189,12 @@ def _bend_arc_data(k: int, alpha: float):
     return length, cot(rho)
 
 
-def bend_frame(k: int, s: float, kappa1: float | None = None,
-               n: int | None = None,
-               tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    """One member of the bending family, normalized to start frame I.
-
-    s = 0 is the equator traversed k times, s = 1 the equator traversed
-    k + 2 times; in between the curve is a concatenation of 2k + 2 circle
-    arcs with alternating curvature signs.
-    """
+def _bend_frames(k: int, s_values, kappa1: float | None, n: int | None,
+                 tol: ToleranceProfile) -> tuple:
+    """The members of the bending family at `s_values`, in one batch: each
+    s gets its arc length and curvature from `_bend_arc_data` (float
+    tuples), then one `ControlPair.of` builds the (F, n) controls and one
+    `integrate_curves` call integrates them."""
     if k < 1:
         raise ValueError("k must be positive")
     kmax = math.tan(math.pi / (2 * k + 2))
@@ -197,24 +207,43 @@ def bend_frame(k: int, s: float, kappa1: float | None = None,
     n = count_or_default(n, tol.default_n)
     per_arc = max(1, -(-n // arcs))        # ceil division
     n = per_arc * arcs
-    length, kap = _bend_arc_data(k, s * math.pi)
+    length, kap = np.array([_bend_arc_data(k, s * math.pi) for s in s_values]).T
     speed = length * arcs
     bounds = CurvatureBounds(-kappa1, kappa1)
     signs = np.repeat([(-1.0) ** i for i in range(arcs)], per_arc)
-    return integrate_curve(ControlPair.of(bounds, np.full(n, speed), kap * signs),
-                           bounds, tol=tol, require_closed=True)
+    controls = ControlPair.of(bounds, np.repeat(speed[:, None], n, axis=1),
+                              kap[:, None] * signs)
+    return integrate_curves(controls, bounds, tol=tol, require_closed=True)
+
+
+def bend_frame(k: int, s: float, kappa1: float | None = None,
+               n: int | None = None,
+               tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
+    """One member of the bending family, normalized to start frame I: the
+    one-frame case of `bend_k_equator`'s batch.
+
+    s = 0 is the equator traversed k times, s = 1 the equator traversed
+    k + 2 times; in between the curve is a concatenation of 2k + 2 circle
+    arcs with alternating curvature signs.
+    """
+    return _bend_frames(k, [s], kappa1, n, tol)[0]
 
 
 def bend_k_equator(k: int, steps: int | None = None,
                    kappa1: float | None = None, n: int | None = None,
                    tol: ToleranceProfile = DEFAULT_TOL) -> HomotopyPath:
     """The bending homotopy from the k-equator to the (k+2)-equator, in
-    `steps` >= 2 frames (default `tol.path_steps`)."""
+    `steps` >= 2 frames (default `tol.path_steps`).
+
+    Every frame is built in one batch (`_bend_frames`): the arc geometry
+    per s, then one (F, n) control array, one integration over its rows
+    and one stacked closure check, whatever the number of frames.
+    """
     steps = tol.path_steps if steps is None else steps
     if steps < 2:
         raise ValueError(f"bending needs at least 2 frames, not {steps}")
     s_values = np.linspace(0.0, 1.0, steps)
-    curves = tuple(bend_frame(k, float(s), kappa1, n, tol) for s in s_values)
+    curves = _bend_frames(k, s_values.tolist(), kappa1, n, tol)
     return HomotopyPath(bounds=curves[0].bounds, s_values=s_values,
                         curves=curves, provenance="bending")
 
@@ -338,7 +367,8 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
     c = lam_apply(lam_apply(sig)) + 2.0 * n * lam_apply(dsig) + n * n * d2sig
 
     F, Fd, Fdd = (np.einsum("nij,nj->ni", base.frames, x) for x in (a, b, c))
-    return _frames_from_point_data(F, Fd, Fdd, bounds, 1.0, base.closed, tol)
+    return _frames_from_point_data(F[None], Fd[None], Fdd[None], bounds, 1.0,
+                                   base.closed, tol)[0]
 
 
 # ------------------------------------------------------------------ #
@@ -483,24 +513,44 @@ def _node_derivatives(curve: AdmissibleCurve):
     return d1, d2
 
 
-def _frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol):
-    """Assemble an admissible curve from pointwise samples and derivatives;
-    a closed curve's last node repeats its first, so lift[-1] = +-lift[0]
-    bit for bit."""
-    speed = np.linalg.norm(dp, axis=1)
-    tangent = dp / speed[:, None]
-    kappa = np.einsum("ni,ni->n", p, np.cross(dp, d2p)) / speed ** 3
+def _rowdot(a, b):
+    """<a, b> of 3-vectors over leading axes, as one contiguous (rows, 3)
+    product: einsum sums a row in the same order whatever the number of
+    frames in the batch, but not whatever the strides."""
+    rows = (np.ascontiguousarray(x).reshape(-1, 3) for x in (a, b))
+    return np.einsum("ni,ni->n", *rows).reshape(a.shape[:-1])
+
+
+def _frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol) -> tuple:
+    """Assemble F admissible curves from pointwise samples and derivatives
+    stacked (F, m, 3), in one batch: speeds, curvatures, frames, one
+    `lift_from_frames` and one `curves_from_node_data`.  A closed curve's
+    last node repeats its first, so lift[-1] = +-lift[0] bit for bit."""
+    speed = np.linalg.norm(dp, axis=-1)
+    kappa = _rowdot(p, np.cross(dp, d2p)) / speed ** 3
+    # the frame columns are written in place, so the batch holds one
+    # (F, m, 3, 3) array rather than its three columns and their stack
+    frames = np.empty(p.shape + (3,))
+    unit, tangent, normal = frames[..., 0], frames[..., 1], frames[..., 2]
+    np.divide(dp, speed[..., None], out=tangent)
+    np.divide(p, np.linalg.norm(p, axis=-1, keepdims=True), out=unit)
     if closed:
-        p = p.copy()
-        p[-1], tangent[-1] = p[0], tangent[0]
-        speed[-1], kappa[-1] = speed[0], kappa[0]
-    p = p / np.linalg.norm(p, axis=1, keepdims=True)
-    tangent = tangent - p * np.einsum("ni,ni->n", tangent, p)[:, None]
-    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
-    normal = np.cross(p, tangent)
-    lift = lift_from_frames(np.stack([p, tangent, normal], axis=-1))
-    return curve_from_node_data(bounds, lift, speed, kappa, domain=domain,
-                                closed=closed, tol=tol)
+        unit[:, -1], tangent[:, -1] = unit[:, 0], tangent[:, 0]
+        speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
+    tangent -= unit * _rowdot(tangent, unit)[..., None]
+    tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
+    normal[...] = np.cross(unit, tangent)
+    return curves_from_node_data(bounds, lift_from_frames(frames), speed, kappa,
+                                 domain=domain, closed=closed, tol=tol)
+
+
+def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
+                   tol: ToleranceProfile) -> tuple:
+    """The dilatations T_r of one curve toward h for every factor in `rs`:
+    one `sphere.mobius_dilate` over the (F, m, 3) stack, one assembly."""
+    p, dp, d2p = sphere.mobius_dilate(np.asarray(rs, dtype=float), h, curve.gamma,
+                                      *_node_derivatives(curve))
+    return _frames_from_point_data(p, dp, d2p, bounds, curve.domain, curve.closed, tol)
 
 
 def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
@@ -511,10 +561,7 @@ def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
     T_r is the Lorentz boost along h, one linear-fractional map of R^3
     (`sphere.mobius_dilate`): no chart, and no point of S^2 is singular.
     """
-    bounds = bounds or curve.bounds
-    p, dp, d2p = sphere.mobius_dilate(r, h, curve.gamma, *_node_derivatives(curve))
-    return _frames_from_point_data(p, dp, d2p, bounds, curve.domain,
-                                   curve.closed, tol)
+    return _mobius_frames(curve, [r], h, bounds or curve.bounds, tol)[0]
 
 
 def project_to_tangent_plane(curve: AdmissibleCurve, h) -> PlanarCurve:
@@ -528,27 +575,36 @@ def project_to_tangent_plane(curve: AdmissibleCurve, h) -> PlanarCurve:
     return PlanarCurve(coords(curve.gamma), coords(d1), coords(d2))
 
 
-def lift_from_tangent_plane(planar: PlanarCurve, h, bounds: CurvatureBounds,
-                            tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    """Inverse orthogonal projection back to the hemisphere around h."""
+def _lift_planar(planar, h, bounds: CurvatureBounds, tol: ToleranceProfile) -> tuple:
+    """Inverse orthogonal projection of F plane curves of one grid back to
+    the hemisphere around h: their points and derivatives are stacked
+    (F, m+1, 2) and lifted in one batch, ending in one
+    `_frames_from_point_data`."""
     h = sphere.unit_vector(h)
     u1, u2 = sphere.plane_basis(h)
-    x, v, a = planar.xy, planar.vel, planar.acc
-    r2 = np.sum(x * x, axis=1)
+    x, v, a = (np.array([getattr(pc, key) for pc in planar]) for key in ("xy", "vel", "acc"))
+    r2 = np.sum(x * x, axis=-1)
     if np.max(r2) >= 1.0:
         raise StageToleranceFailure("planar curve leaves the unit disk")
     w = np.sqrt(1.0 - r2)
-    xv = np.sum(x * v, axis=1)
-    xa = np.sum(x * a, axis=1)
-    vv = np.sum(v * v, axis=1)
+    xv = np.sum(x * v, axis=-1)
+    xa = np.sum(x * a, axis=-1)
+    vv = np.sum(v * v, axis=-1)
 
     def embed(c):
-        return np.multiply.outer(c[:, 0], u1) + np.multiply.outer(c[:, 1], u2)
+        return np.multiply.outer(c[..., 0], u1) + np.multiply.outer(c[..., 1], u2)
 
-    p = embed(x) + w[:, None] * h
-    dp = embed(v) - (xv / w)[:, None] * h
-    d2p = embed(a) - ((vv + xa) / w + xv * xv / w ** 3)[:, None] * h
+    p = embed(x) + w[..., None] * h
+    dp = embed(v) - (xv / w)[..., None] * h
+    d2p = embed(a) - ((vv + xa) / w + xv * xv / w ** 3)[..., None] * h
+    del x, v, a, r2, w, xv, xa, vv      # the batch's peak is in the assembly
     return _frames_from_point_data(p, dp, d2p, bounds, 1.0, True, tol)
+
+
+def lift_from_tangent_plane(planar: PlanarCurve, h, bounds: CurvatureBounds,
+                            tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
+    """Inverse orthogonal projection back to the hemisphere around h."""
+    return _lift_planar([planar], h, bounds, tol)[0]
 
 
 def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
@@ -561,7 +617,10 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     curvature of a condensed curve; stage 2 projects the small curve to the
     tangent plane, runs the planar Whitney-Graustein deformation and lifts
     the result back.  The last of `steps` >= 4 frames (default
-    `tol.path_steps`) is a circle traversed nu times.
+    `tol.path_steps`) is a circle traversed nu times.  Each stage is one
+    batch over its frames: one `mobius_dilate` with a factor per frame,
+    one stacked planar lift, each ending in one `_frames_from_point_data`,
+    and one product moves every start frame to the identity.
     """
     steps = tol.path_steps if steps is None else steps
     if steps < 4:
@@ -589,23 +648,15 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
         raise StageToleranceFailure("no shrink factor reached the planar margin")
 
     n_a = max(2, steps // 2)
-    frames = [reduced]
-    for i in range(1, n_a):
-        r = 1.0 + (delta - 1.0) * i / (n_a - 1)
-        frames.append(mobius_shrink_curve(reduced, r, h, bounds, tol))
-
-    planar = project_to_tangent_plane(frames[-1], h)
+    mobius = _mobius_frames(reduced, 1.0 + (delta - 1.0) * np.arange(1, n_a) / (n_a - 1),
+                            h, bounds, tol)
+    planar = project_to_tangent_plane(mobius[-1], h)
     ppath = planar_wg_homotopy(planar, kappa0=kappa_target,
                                steps=steps - n_a + 1, tol=tol)
     if ppath.curves[-1].winding(tol) != nu:
         raise StageToleranceFailure("planar stage changed the rotation number")
-    for pc in ppath.curves[1:]:
-        lifted = lift_from_tangent_plane(pc, h, bounds, tol)
-        if kappa_margin(lifted, bounds) <= 0:
-            raise StageToleranceFailure("lifted curvature fell below kappa0")
-        frames.append(lifted)
-
-    frames = [normalize_initial_frame(c) for c in frames]
+    lifted = _lift_planar(ppath.curves[1:], h, bounds, tol)
+    frames = _normalized((reduced,) + mobius + lifted)
     s_values = np.linspace(0.0, 1.0, len(frames))
     return HomotopyPath(bounds=bounds, s_values=s_values,
-                        curves=tuple(frames), provenance="shrink")
+                        curves=frames, provenance="shrink")

@@ -111,33 +111,41 @@ def rotation_to_quat(R) -> np.ndarray:
 
     Broadcasts over leading axes: (..., 3, 3) -> (..., 4).  Each matrix
     takes the branch of its largest pivot (the trace, else the largest
-    diagonal entry), so no branch divides by a small number.
+    diagonal entry), so no branch divides by a small number.  The branch
+    masks come first and each branch is evaluated on its own matrices
+    only, so a stack of m frames costs O(m) temporaries, not four times
+    that.
     """
     R = np.asarray(R, dtype=float)
-    m00, m01, m02 = R[..., 0, 0], R[..., 0, 1], R[..., 0, 2]
-    m10, m11, m12 = R[..., 1, 0], R[..., 1, 1], R[..., 1, 2]
-    m20, m21, m22 = R[..., 2, 0], R[..., 2, 1], R[..., 2, 2]
-    tr = m00 + m11 + m22
-    # every branch is evaluated on every matrix and only the selected one
-    # kept; the others may take square roots of negative numbers
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s0 = 0.5 / np.sqrt(tr + 1.0)
-        s1 = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
-        s2 = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
-        s3 = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
-        branches = [
-            [0.25 / s0, (m21 - m12) * s0, (m02 - m20) * s0, (m10 - m01) * s0],
-            [(m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1],
-            [(m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2],
-            [(m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3],
-        ]
+    m = R.reshape(-1, 9).T
+    tr = m[0] + m[4] + m[8]
     first = tr > 0.0
-    second = ~first & (m00 > m11) & (m00 > m22)
-    third = ~first & ~second & (m11 > m22)
-    q = np.select([first[..., None], second[..., None], third[..., None]],
-                  [np.stack(b, axis=-1) for b in branches[:3]],
-                  np.stack(branches[3], axis=-1))
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    second = ~first & (m[0] > m[4]) & (m[0] > m[8])
+    third = ~first & ~second & (m[4] > m[8])
+    fourth = ~(first | second | third)
+    q = np.empty((tr.size, 4))
+    # a matrix that is not a rotation (NaN, far off SO(3)) may still take
+    # a square root of a negative number; its quaternion is then NaN
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for branch, rows in enumerate((first, second, third, fourth)):
+            if not rows.any():
+                continue
+            m00, m01, m02, m10, m11, m12, m20, m21, m22 = m[:, rows]
+            if branch == 0:
+                s = 0.5 / np.sqrt(tr[rows] + 1.0)
+                parts = 0.25 / s, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s
+            elif branch == 1:
+                s = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
+                parts = (m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s
+            elif branch == 2:
+                s = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
+                parts = (m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s
+            else:
+                s = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
+                parts = (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
+            q[rows] = np.stack(parts, axis=-1)
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    return q.reshape(R.shape[:-2] + (4,))
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
@@ -207,22 +215,38 @@ def mobius_dilate(r: float, h, p, dp, d2p):
     part along h, y = 1 - 2r^2 (1 - <p, h>) / D, has dy = 4r^2 <dp, h> / D^2
     and d2y = (4r^2 <d2p, h> / D - 2 dy D') / D, where the quotient rule
     would cancel terms of size <dp, h> down to r^2 <dp, h>.  p, dp and d2p
-    have shape (3,) or (M, 3), and so have q, dq and d2q.
+    have shape (3,) or (M, 3), and so have q, dq and d2q.  `r` may be an
+    array of F factors: the outputs then get a leading axis of F dilatations
+    of the same curve, (F, ..., 3), each the one of its factor bit for bit.
     """
-    if not 0.0 < r <= 1.0:
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 < r) & (r <= 1.0)):
         raise ValueError("dilatation factor must lie in (0, 1]")
     h = unit_vector(h)
     p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))
+    r = r.reshape(r.shape + (1,) * p.ndim)
     s, s1, s2 = (p @ h)[..., None], (dp @ h)[..., None], (d2p @ h)[..., None]
     b = 1.0 - r * r
     d, d1, d2 = 1.0 + r * r + b * s, b * s1, b * s2
-    x = 2.0 * r * (p - s * h) / d
-    dx = (2.0 * r * (dp - s1 * h) - x * d1) / d
-    d2x = (2.0 * r * (d2p - s2 * h) - 2.0 * dx * d1 - x * d2) / d
+    # in place where a full-size result is consumed, to keep an F-frame
+    # batch at a few (F, M, 3) arrays; the operations are those of the
+    # formulas above, in their order
+    x = 2.0 * r * (p - s * h)
+    x /= d
+    dx = 2.0 * r * (dp - s1 * h)
+    dx -= x * d1
+    dx /= d
+    d2x = 2.0 * r * (d2p - s2 * h)
+    d2x -= 2.0 * dx * d1
+    d2x -= x * d2
+    d2x /= d
     y = 1.0 - 2.0 * r * r * (1.0 - s) / d
     dy = 4.0 * r * r * s1 / (d * d)
     d2y = (4.0 * r * r * s2 / d - 2.0 * dy * d1) / d
-    return x + y * h, dx + dy * h, d2x + d2y * h
+    x += y * h
+    dx += dy * h
+    d2x += d2y * h
+    return x, dx, d2x
 
 
 # ------------------------------------------------------------------ #

@@ -532,6 +532,37 @@ class TestChainScan:
         got = sc.integrate_curve(controls, bounds_k0, q0=q0).lift
         assert np.array_equal(got, want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 63), max_size=12), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(["none", "one", "each"]),
+           st.sampled_from([sc.UNBOUNDED, sc.CurvatureBounds(-1.0, 2.0)]))
+    def test_ragged_batch_is_integrate_curve_per_row(self, cuts, seed, turn, bounds):
+        # each row is piecewise constant between its own cuts, its values
+        # drawn from a pool holding 0.0 and -0.0, so rows have 1 to 13 runs
+        # (equal neighbours merge, 0.0 and -0.0 do not)
+        from conftest import random_rotation
+        rng = np.random.default_rng(seed)
+        n = 64
+        pool = np.array([0.0, -0.0, 0.7, -1.3])
+        rows = []
+        for row_cuts in cuts:
+            piece = np.searchsorted(np.unique(row_cuts), np.arange(n), side="right")
+            rows.append(pool[rng.integers(0, 4, size=(2, piece[-1] + 1))][:, piece])
+        v_hat, w_hat = np.array(rows).transpose(1, 0, 2)
+        q0 = {"none": None, "one": random_rotation(rng),
+              "each": np.array([random_rotation(rng) for _ in rows])}[turn]
+        batch = cur.integrate_curves(sc.ControlPair(v_hat, w_hat), bounds, q0=q0)
+        for f, got in enumerate(batch):
+            row_q0 = q0[f] if turn == "each" else q0
+            want = sc.integrate_curve(sc.ControlPair(v_hat[f], w_hat[f]), bounds, q0=row_q0)
+            assert np.array_equal(got.lift, want.lift)
+            assert np.array_equal(got.speed, want.speed)
+            assert np.array_equal(got.kappa, want.kappa)
+            assert np.array_equal(got.end_frames, want.end_frames)
+            assert got.closed == want.closed and got.integrated
+            assert np.array_equal(got.controls.v_hat, v_hat[f])
+            assert np.array_equal(got.controls.w_hat.view(np.uint64), w_hat[f].view(np.uint64))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_scan_runs_over_the_runs(self, monkeypatch, bounds_k0, k):
         from conftest import count_calls
@@ -539,7 +570,8 @@ class TestChainScan:
         scans = count_calls(monkeypatch, cur._chain_quats)
         sc.make_circle(0.8, k, bounds_k0, n=1024)
         homotopy.bend_frame(k, 0.3, n=1024)
-        assert [len(steps) for _, steps in scans] == [1, 2 * k + 2]
+        # one chain each, of 1 and 2k + 2 run steps
+        assert [steps.shape for _, steps in scans] == [(1, 1, 4), (1, 2 * k + 2, 4)]
 
     @settings(max_examples=30, deadline=None)
     @given(SCAN_SIZES, st.sampled_from([1, 2, 65]), st.integers(0, 2 ** 32 - 1),
@@ -703,8 +735,10 @@ class TestBatchedLift:
             assert np.abs(lift - curve.lift).max() < 1e-12
 
     @pytest.mark.parametrize("step", [0.3, 1.5])
-    def test_random_paths_with_sign_flips_match_loop(self, rng, step):
-        frames = random_frame_path(rng, 400, step)
+    def test_random_paths_with_sign_flips_match_loop(self, step):
+        # its own generator: the path has sign flips at both steps whatever
+        # ran before (31 at 0.3, 70 at 1.5)
+        frames = random_frame_path(np.random.default_rng(1), 400, step)
         raw = sphere.rotation_to_quat(frames)
         # the unsigned Shepperd lifts jump sign often; the tracked one never
         assert np.any(np.einsum("ij,ij->i", raw[1:], raw[:-1]) < 0)
@@ -829,9 +863,9 @@ class TestOneAssembly:
         path = homotopy.bend_k_equator(1, steps=65)
         homotopy.validate_path(path)
         cur.curves_to_json(path.curves)
-        # one call per frame: the closure decision, whose end frames the
-        # validation's closure defect and the written q0 reuse
-        assert len(calls) == 65
+        # one stacked call for the whole path: the closure decision, whose
+        # end frames the validation's closure defect and the written q0 reuse
+        assert [args[0].shape for args in calls] == [(65, 2, 4)]
 
     def test_integrate_curve_builds_no_control_pair(self, monkeypatch, bounds_k0):
         controls = sc.ControlPair(np.full(64, 1.5), np.full(64, 1.5))

@@ -297,13 +297,15 @@ class TestShrinkAxis:
         status = classify.condensed_status(c)
         lp, bary, axes = [], [], []
         real_lp, real_bary = sphere.best_hemisphere, sphere.hemisphere_barycenter
-        real_mobius = ho.mobius_shrink_curve
+        real_dilate = sphere.mobius_dilate
         monkeypatch.setattr(sphere, "hemisphere_barycenter",
                             lambda *a, **k: bary.append(1) or real_bary(*a, **k))
         monkeypatch.setattr(sphere, "best_hemisphere",
                             lambda *a, **k: lp.append(1) or real_lp(*a, **k))
-        monkeypatch.setattr(ho, "mobius_shrink_curve",
-                            lambda cv, r, h, *a: axes.append(h) or real_mobius(cv, r, h, *a))
+        # the Mobius stage dilates all its frames in one call, past
+        # mobius_shrink_curve: every dilatation is seen here
+        monkeypatch.setattr(sphere, "mobius_dilate",
+                            lambda r, h, *a: axes.append(h) or real_dilate(r, h, *a))
         path = ho.shrink_condensed(c, steps=9)
         assert len(lp) == 1 and not bary
         assert axes and all(np.array_equal(h, status.hemisphere) for h in axes)
@@ -338,10 +340,10 @@ class TestValidatePath:
         path = ho.HomotopyPath(bounds=c.bounds, s_values=np.linspace(0, 1, 2),
                                curves=(c, c), provenance="custom")
 
-        def broken(curve):
+        def broken(*args):
             raise TypeError("not a parity failure")
 
-        monkeypatch.setattr(ho, "lift_parity", broken)
+        monkeypatch.setattr(ho, "_lift_parities", broken)
         with pytest.raises(TypeError, match="not a parity failure"):
             ho.validate_path(path)
 
@@ -543,3 +545,132 @@ class TestStepCounts:
         assert len(shrink) == 4 and ho.validate_path(shrink).passed
         kappa = shrink.curves[-1].kappa
         assert kappa.max() - kappa.min() < 1e-12
+
+
+# ------------------------------------------------------------------ #
+# A path as one batch, against the per-frame constructions
+# ------------------------------------------------------------------ #
+
+def assert_same_frames(got, want):
+    """Every frame's lift, speeds, curvatures, controls and end frames,
+    bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.lift, w.lift)
+        assert np.array_equal(g.speed, w.speed) and np.array_equal(g.kappa, w.kappa)
+        assert np.array_equal(g.controls.v_hat, w.controls.v_hat)
+        assert np.array_equal(g.controls.w_hat, w.controls.w_hat)
+        assert (g.bounds, g.domain, g.closed, g.integrated) \
+            == (w.bounds, w.domain, w.closed, w.integrated)
+        assert np.array_equal(g.end_frames, w.end_frames)
+
+
+def frame_by_frame_jsonl(curves, report):
+    """A path's JSONL written one frame at a time."""
+    from spherecurve import cli
+    return "\n".join([cli.dumps(sc.curve_to_json(c)) for c in curves] + [cli.dumps(report)])
+
+
+def frame_by_frame_report(curves, bounds):
+    """validate_path's numbers, one frame at a time."""
+    margins = [min(np.inf if math.isinf(bounds.kappa1) else float(c.kappa.min() - bounds.kappa1),
+                   np.inf if math.isinf(bounds.kappa2) else float(bounds.kappa2 - c.kappa.max()))
+               for c in curves]
+    return (min(margins), max(c.closure_defect() for c in curves),
+            tuple(sc.lift_parity(c).sign for c in curves))
+
+
+def frame_by_frame_shrink(curve, steps, tol=sc.DEFAULT_TOL):
+    """shrink_condensed with `mobius_shrink_curve` and
+    `lift_from_tangent_plane` called per frame and each frame normalized on
+    its own."""
+    reduced, kappa0 = classify.reduce_to_k0(curve, tol)
+    _, h, _ = classify.condensed_axis(reduced, tol)
+    bounds = reduced.bounds
+    kappa_target = kappa0 + max(0.02, 0.05 * abs(kappa0))
+    delta = 1.0
+    while True:
+        delta *= 0.5
+        cand = ho.mobius_shrink_curve(reduced, delta, h, bounds, tol)
+        if np.arccos(np.clip(cand.gamma @ h, -1.0, 1.0)).max() <= 0.30 \
+                and ho.project_to_tangent_plane(cand, h).curvature.min() > kappa_target:
+            break
+    n_a = max(2, steps // 2)
+    frames = [reduced] + [ho.mobius_shrink_curve(reduced, 1.0 + (delta - 1.0) * i / (n_a - 1),
+                                                 h, bounds, tol) for i in range(1, n_a)]
+    ppath = ho.planar_wg_homotopy(ho.project_to_tangent_plane(frames[-1], h),
+                                  kappa0=kappa_target, steps=steps - n_a + 1, tol=tol)
+    frames += [ho.lift_from_tangent_plane(pc, h, bounds, tol) for pc in ppath.curves[1:]]
+    return [ho.normalize_initial_frame(c) for c in frames]
+
+
+def deform_shrink_inputs(seed):
+    """The four shrink inputs of the deform_paths benchmark workload of a
+    seed (bench/workloads.py): a circle per slot, its radius drawn 15%
+    clear of both ends of the slot's range."""
+    rng = np.random.default_rng([seed, 3])
+    for (k1, k2), k in (((0.0, math.inf), 1), ((0.5, math.inf), 2),
+                        ((1.0, 4.0), 3), ((1.0, 4.0), 1)):
+        bounds = sc.CurvatureBounds(k1, k2)
+        width = bounds.rho1 - bounds.rho2
+        rho = rng.uniform(bounds.rho2 + 0.15 * width, bounds.rho1 - 0.15 * width)
+        yield sc.make_circle(rho, k, bounds)
+
+
+class TestPathBatch:
+    """Bend and shrink paths are built, validated and written as one batch;
+    the per-frame constructions are the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bend_frames_are_the_one_frame_bends(self, k):
+        from spherecurve import cli
+        path = ho.bend_k_equator(k, steps=65, n=1024)
+        want = [ho.bend_frame(k, s, n=1024) for s in np.linspace(0.0, 1.0, 65)]
+        assert_same_frames(path.curves, want)
+        rep = ho.validate_path(path)
+        assert rep.passed
+        assert (rep.min_margin, rep.max_closure_defect, rep.parities) \
+            == frame_by_frame_report(want, path.bounds)
+        report = cli._report_of(rep)
+        assert cli._path_to_jsonl(path, report) == frame_by_frame_jsonl(want, report)
+
+    @pytest.mark.parametrize("seed", [7, 601, 9801])
+    def test_shrink_frames_are_the_per_frame_constructions(self, seed):
+        from spherecurve import cli
+        for curve in deform_shrink_inputs(seed):
+            path = ho.shrink_condensed(curve, steps=65)
+            want = frame_by_frame_shrink(curve, 65)
+            assert_same_frames(path.curves, want)
+            rep = ho.validate_path(path)
+            assert rep.passed
+            assert (rep.min_margin, rep.max_closure_defect, rep.parities) \
+                == frame_by_frame_report(want, path.bounds)
+            report = cli._report_of(rep)
+            assert cli._path_to_jsonl(path, report) == frame_by_frame_jsonl(want, report)
+
+    def test_no_per_frame_loop(self, monkeypatch):
+        # the quaternion products and step exponentials of building,
+        # validating and writing a path do not grow with its frame count
+        from conftest import count_calls
+        from spherecurve import cli
+        from spherecurve import curves as cur
+        products = count_calls(monkeypatch, sphere.quat_mul)
+        steps = count_calls(monkeypatch, cur._step_quats)
+        circle = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
+
+        def count(run):
+            before = len(products), len(steps)
+            out = run()
+            return out, (len(products) - before[0], len(steps) - before[1])
+
+        per_size = []
+        for frames in (65, 129):
+            path, bend = count(lambda: ho.bend_k_equator(1, steps=frames))
+            _, validate = count(lambda: ho.validate_path(path))
+            _, write = count(lambda: cli._path_to_jsonl(path, {"pass": True}))
+            _, shrink = count(lambda: ho.shrink_condensed(circle, steps=frames))
+            per_size.append((bend, validate, write, shrink))
+        assert per_size[0] == per_size[1]
+        # the bend is a 3-level scan of its 4 run steps and one fill; the
+        # validation and the writer read the records' end frames
+        assert per_size[0][:3] == ((4, 2), (0, 0), (0, 0))

@@ -1055,6 +1055,34 @@ def scalar_rotation_to_quat(R):
     return q / np.linalg.norm(q)
 
 
+def all_branch_rotation_to_quat(R):
+    """Every Shepperd branch evaluated on every matrix and the selected one
+    kept: the batched form before each branch ran on its own matrices."""
+    R = np.asarray(R, dtype=float)
+    m00, m01, m02 = R[..., 0, 0], R[..., 0, 1], R[..., 0, 2]
+    m10, m11, m12 = R[..., 1, 0], R[..., 1, 1], R[..., 1, 2]
+    m20, m21, m22 = R[..., 2, 0], R[..., 2, 1], R[..., 2, 2]
+    tr = m00 + m11 + m22
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s0 = 0.5 / np.sqrt(tr + 1.0)
+        s1 = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
+        s2 = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
+        s3 = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
+        branches = [
+            [0.25 / s0, (m21 - m12) * s0, (m02 - m20) * s0, (m10 - m01) * s0],
+            [(m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1],
+            [(m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2],
+            [(m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3],
+        ]
+    first = tr > 0.0
+    second = ~first & (m00 > m11) & (m00 > m22)
+    third = ~first & ~second & (m11 > m22)
+    q = np.select([first[..., None], second[..., None], third[..., None]],
+                  [np.stack(b, axis=-1) for b in branches[:3]],
+                  np.stack(branches[3], axis=-1))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
 class TestBatchedRotations:
     def shepperd_cases(self, rng):
         """Rotations near the identity (trace branch) and near the half-turns
@@ -1080,6 +1108,31 @@ class TestBatchedRotations:
         for R, q in zip(Rs, qs):
             assert np.abs(q - scalar_rotation_to_quat(R)).max() <= 2.3e-16
             assert np.abs(sphere.quat_to_rotation(q) - R).max() < 1e-14
+
+    def test_branches_on_their_own_matrices_are_bit_identical(self, rng):
+        # rotations of all four branches, a stack with leading axes, and
+        # matrices that are not rotations (zero, NaN, far off SO(3))
+        Rs = np.concatenate([self.shepperd_cases(rng),
+                             sphere.quat_to_rotation(_unit_rows(rng.normal(size=(500, 4)))),
+                             np.zeros((1, 3, 3)), np.full((1, 3, 3), np.nan),
+                             rng.normal(size=(20, 3, 3))])
+        for R in (Rs, Rs[:24].reshape(2, 3, 4, 3, 3), Rs[0], Rs[-1]):
+            assert np.array_equal(sphere.rotation_to_quat(R), all_branch_rotation_to_quat(R),
+                                  equal_nan=True)
+
+    def test_temporaries_stay_linear_in_the_frames(self, rng):
+        # 65 frames of 1025 nodes: the all-branch form peaked at 4.6x its
+        # input (16 branch arrays and four (..., 4) stacks)
+        import tracemalloc
+        Rs = sphere.quat_to_rotation(_unit_rows(rng.normal(size=(65 * 1025, 4))))
+        Rs = Rs.reshape(65, 1025, 3, 3)
+        tracemalloc.start()
+        try:
+            sphere.rotation_to_quat(Rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * Rs.nbytes
 
     def test_half_turns_lift_to_their_axes(self):
         for axis in np.eye(3):
