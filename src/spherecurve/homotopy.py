@@ -377,28 +377,26 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
 
 @dataclasses.dataclass(frozen=True)
 class PlanarCurve:
-    """Closed plane curve with analytic velocity and acceleration samples."""
+    """Closed plane curve with analytic velocity and acceleration samples,
+    (m+1, 2) each, or a stack (F, m+1, 2) of F curves of one grid."""
 
-    xy: np.ndarray        # (m+1, 2)
-    vel: np.ndarray       # (m+1, 2)
-    acc: np.ndarray       # (m+1, 2)
+    xy: np.ndarray
+    vel: np.ndarray
+    acc: np.ndarray
 
     @property
     def m(self) -> int:
-        return self.xy.shape[0] - 1
+        return self.xy.shape[-2] - 1
 
     @property
     def speed(self) -> np.ndarray:
-        return np.linalg.norm(self.vel, axis=1)
+        return np.linalg.norm(self.vel, axis=-1)
 
     @property
     def curvature(self) -> np.ndarray:
         v = self.vel
         a = self.acc
-        return (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / self.speed ** 3
-
-    def scaled(self, factor: float) -> "PlanarCurve":
-        return PlanarCurve(self.xy * factor, self.vel * factor, self.acc * factor)
+        return (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / self.speed ** 3
 
     def winding(self, tol: ToleranceProfile = DEFAULT_TOL) -> int:
         return winding_number_planar(self.vel, tol)
@@ -408,27 +406,6 @@ class PlanarCurve:
 class PlanarPath:
     s_values: np.ndarray
     curves: tuple
-
-
-def _curve_from_angles(theta: np.ndarray, length: float, start: np.ndarray,
-                       theta_dot: np.ndarray) -> PlanarCurve:
-    """Closed curve with tangent angle profile theta and total length ~length.
-
-    The mean of the raw tangent field is subtracted before integrating, so
-    closure is exact by construction.
-    """
-    m = theta.size - 1
-    raw = length * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    mean = raw[:-1].mean(axis=0)
-    vel = raw - mean
-    xy = np.empty_like(vel)
-    xy[0] = start
-    # trapezoidal cumulative integral; the periodic tangent field keeps the
-    # closure exact after the mean correction
-    xy[1:] = start + np.cumsum(0.5 * (vel[:-1] + vel[1:]), axis=0) / m
-    xy[-1] = xy[0]
-    acc = length * theta_dot[:, None] * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    return PlanarCurve(xy, vel, acc)
 
 
 def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
@@ -441,7 +418,8 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     interpolate the tangent angle linearly toward 2 pi N t with a closure
     correction, scaling when needed to keep the curvature above kappa0.
     N must be positive; the last of `steps` >= 3 frames (default
-    `tol.path_steps`) is a round circle traversed N times.
+    `tol.path_steps`) is a round circle traversed N times.  Each part of
+    the path is one broadcast over its frames, (F, m+1, 2).
     """
     if kappa0 < 0:
         raise DomainError("kappa0 must be nonnegative")
@@ -463,15 +441,11 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     shift = -curve.xy[:-1].mean(axis=0)
     start = curve.xy[0] + shift
 
-    frames = []
-    s_vals = []
+    # translate + shrink, no endpoint
     n_a = max(2, steps // 4)
-    for i in range(n_a):                     # translate + shrink, no endpoint
-        s = i / n_a
-        fac = (1.0 - s) + s * f_scale
-        xy = (curve.xy[0] + s * shift) + fac * (curve.xy - curve.xy[0])
-        frames.append(PlanarCurve(xy, curve.vel * fac, curve.acc * fac))
-        s_vals.append(0.5 * s)
+    s_a = np.arange(n_a) / n_a
+    fac = ((1.0 - s_a) + s_a * f_scale)[:, None, None]
+    xy_a = (curve.xy[0] + s_a[:, None] * shift)[:, None] + fac * (curve.xy - curve.xy[0])
 
     # angle profile of the tangent, resampled by arc length
     ang = np.unwrap(np.arctan2(curve.vel[:, 1], curve.vel[:, 0]))
@@ -481,23 +455,33 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     kappa_a = np.interp(sigma, cum, curve.curvature)
     theta_lin = 2.0 * math.pi * N * np.linspace(0.0, 1.0, m + 1)
 
+    # tangent angle profiles of length L; the mean of the raw tangent field
+    # is subtracted before the trapezoidal integral, so closure is exact
     n_b = steps - n_a
-    for i in range(n_b):
-        s = i / (n_b - 1) if n_b > 1 else 1.0
-        th = ang[0] + (1.0 - s) * theta_a + s * theta_lin
-        # d theta / dt: input part scales with the resampled arclength rate
-        rate = (1.0 - s) * kappa_a * L_in + s * 2.0 * math.pi * N
-        pc = _curve_from_angles(th, L, start, rate)
-        kmin = float(np.min(pc.curvature))
-        if kmin <= 0:
-            raise StageToleranceFailure("planar curvature lost positivity")
-        if kappa0 > 0.0:
-            lam = min(1.0, 0.95 * kmin / kappa0)   # scaled curvature = kappa/lam
-            pc = pc.scaled(lam)
-        mid = pc.xy[:-1].mean(axis=0)
-        frames.append(PlanarCurve(pc.xy - mid, pc.vel, pc.acc))
-        s_vals.append(0.5 + 0.5 * s)
-    return PlanarPath(np.asarray(s_vals), tuple(frames))
+    s_b = np.arange(n_b) / (n_b - 1) if n_b > 1 else np.ones(1)
+    s = s_b[:, None]
+    th = ang[0] + (1.0 - s) * theta_a + s * theta_lin
+    # d theta / dt: input part scales with the resampled arclength rate
+    rate = (1.0 - s) * kappa_a * L_in + s * 2.0 * math.pi * N
+    cos, sin = np.cos(th), np.sin(th)
+    raw = L * np.stack([cos, sin], axis=-1)
+    vel = raw - raw[:, :-1].mean(axis=1, keepdims=True)
+    xy = np.empty_like(vel)
+    xy[:, 0] = start
+    xy[:, 1:] = start + np.cumsum(0.5 * (vel[:, :-1] + vel[:, 1:]), axis=1) / m
+    xy[:, -1] = xy[:, 0]
+    acc = (L * rate)[..., None] * np.stack([-sin, cos], axis=-1)
+    kmin = PlanarCurve(xy, vel, acc).curvature.min(axis=-1)
+    if np.any(kmin <= 0):
+        raise StageToleranceFailure("planar curvature lost positivity")
+    if kappa0 > 0.0:
+        lam = np.minimum(1.0, 0.95 * kmin / kappa0)[:, None, None]   # scaled curvature = kappa/lam
+        xy, vel, acc = xy * lam, vel * lam, acc * lam
+    xy -= xy[:, :-1].mean(axis=1, keepdims=True)
+
+    frames = map(PlanarCurve, np.concatenate([xy_a, xy]),
+                 np.concatenate([curve.vel * fac, vel]), np.concatenate([curve.acc * fac, acc]))
+    return PlanarPath(np.concatenate([0.5 * s_a, 0.5 + 0.5 * s_b]), tuple(frames))
 
 
 # ------------------------------------------------------------------ #
@@ -546,20 +530,48 @@ def _frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol) -> tuple:
 
 def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
                    tol: ToleranceProfile) -> tuple:
-    """The dilatations T_r of one curve toward h for every factor in `rs`:
-    one `sphere.mobius_dilate` over the (F, m, 3) stack, one assembly."""
-    p, dp, d2p = sphere.mobius_dilate(np.asarray(rs, dtype=float), h, curve.gamma,
-                                      *_node_derivatives(curve))
-    return _frames_from_point_data(p, dp, d2p, bounds, curve.domain, curve.closed, tol)
+    """The dilatations T_r of one curve toward h for every factor in `rs`,
+    by conformal transport, in one batch.
+
+    T_r, x -> r x in the stereographic chart from -h, is conformal: at a
+    node gamma with s = <gamma, h>, its differential is 2r/D times the
+    turn about gamma x h that takes gamma to T_r(gamma), the unit
+    quaternion along ((1 + s) + r (1 - s), (1 - r) gamma x h), where
+    D = (1 + s) + r^2 (1 - s) >= 2 r^2.  So the image lift is turn * lift,
+    its speed 2r/D times the speed and its curvature
+    (kappa + (1 - r^2) <N, h>/D) D/(2r): no point of S^2 is singular.  A
+    closed curve's last node repeats its first, lift[-1] = +-lift[0] bit
+    for bit.  One `quat_mul` over the (F, n+1, 4) stack, one
+    `curves_from_node_data`.
+    """
+    r = np.asarray(rs, dtype=float)[:, None]
+    if not np.all((0.0 < r) & (r <= 1.0)):
+        raise ValueError("dilatation factor must lie in (0, 1]")
+    h = sphere.unit_vector(h)
+    s = curve.gamma @ h
+    axis = np.cross(curve.gamma, h)
+    c, b = (1.0 + s) + r * (1.0 - s), 1.0 - r
+    norm = np.sqrt(c * c + b * b * _rowdot(axis, axis))
+    turn = np.concatenate([(c / norm)[..., None],
+                           (b / norm)[..., None] * axis], axis=-1)
+    lifts = sphere.quat_mul(turn, curve.lift[None])
+    d = (1.0 + s) + r * r * (1.0 - s)
+    speed = 2.0 * r / d * curve.speed
+    kappa = (curve.kappa + (1.0 - r * r) * (curve.normal @ h) / d) * d / (2.0 * r)
+    if curve.closed:
+        sign = 1.0 if curve.lift[-1] @ curve.lift[0] > 0 else -1.0
+        lifts[:, -1] = sign * lifts[:, 0]
+        speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
+    return curves_from_node_data(bounds, lifts, speed, kappa, domain=curve.domain,
+                                 closed=curve.closed, tol=tol)
 
 
 def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
                         bounds: CurvatureBounds | None = None,
                         tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    """Apply the dilatation T_r toward h to a curve.
-
-    T_r is the Lorentz boost along h, one linear-fractional map of R^3
-    (`sphere.mobius_dilate`): no chart, and no point of S^2 is singular.
+    """Apply the dilatation T_r toward h to a curve: the one-factor case of
+    `_mobius_frames`' conformal transport, with no chart and no singular
+    point of S^2.
     """
     return _mobius_frames(curve, [r], h, bounds or curve.bounds, tol)[0]
 
@@ -601,26 +613,21 @@ def _lift_planar(planar, h, bounds: CurvatureBounds, tol: ToleranceProfile) -> t
     return _frames_from_point_data(p, dp, d2p, bounds, 1.0, True, tol)
 
 
-def lift_from_tangent_plane(planar: PlanarCurve, h, bounds: CurvatureBounds,
-                            tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    """Inverse orthogonal projection back to the hemisphere around h."""
-    return _lift_planar([planar], h, bounds, tol)[0]
-
-
 def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
                      tol: ToleranceProfile = DEFAULT_TOL) -> HomotopyPath:
     """Deform a condensed curve (kappa0 >= 0 after reduction) into a circle.
 
     Stage 1 shrinks the curve toward the max-margin hemisphere axis h of
-    `condensed_axis` through Mobius dilatations T_r, the Lorentz boosts
-    along h (no chart, no singular point), which can only raise the
-    curvature of a condensed curve; stage 2 projects the small curve to the
-    tangent plane, runs the planar Whitney-Graustein deformation and lifts
-    the result back.  The last of `steps` >= 4 frames (default
-    `tol.path_steps`) is a circle traversed nu times.  Each stage is one
-    batch over its frames: one `mobius_dilate` with a factor per frame,
-    one stacked planar lift, each ending in one `_frames_from_point_data`,
-    and one product moves every start frame to the identity.
+    `condensed_axis` through Mobius dilatations T_r (no singular point),
+    which can only raise the curvature of a condensed curve; stage 2
+    projects the small curve to the tangent plane, runs the planar
+    Whitney-Graustein deformation and lifts the result back.  The last of
+    `steps` >= 4 frames (default `tol.path_steps`) is a circle traversed nu
+    times.  Each stage is one batch over its frames: the Mobius frames by
+    one conformal transport of the curve's lift (`_mobius_frames`), the
+    planar frames by one broadcast and one stacked lift ending in
+    `_frames_from_point_data`, and one product moves every start frame to
+    the identity.
     """
     steps = tol.path_steps if steps is None else steps
     if steps < 4:

@@ -157,7 +157,7 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ #
-# Stereographic chart and Mobius dilatations
+# Tangent-plane basis and stereographic chart
 # ------------------------------------------------------------------ #
 
 def plane_basis(pole) -> tuple[np.ndarray, np.ndarray]:
@@ -200,53 +200,6 @@ class StereoChart:
         q = (u - np.multiply.outer(uc, self.pole)) * s[..., None] \
             + (p - np.multiply.outer(c, self.pole)) * (s * s * uc)[..., None]
         return np.stack([q @ self.v1, q @ self.v2], axis=-1)
-
-
-def mobius_dilate(r: float, h, p, dp, d2p):
-    """T_r toward h along a curve p(t), with its two t-derivatives.
-
-    T_r, x -> r x in the stereographic chart from -h, is the Lorentz boost
-    along h, one linear-fractional map of R^3: T_r(p) = N(p) / D(p) with
-    N(p) = 2r p + ((1 - r)^2 <p, h> + 1 - r^2) h and
-    D(p) = 1 + r^2 + (1 - r^2) <p, h> >= 2 r^2, so no point is singular.
-    The part of q orthogonal to h, x = 2r p_perp / D, takes the quotient
-    rule: dx = (2r dp_perp - x D') / D and d2x = (2r d2p_perp - 2 dx D'
-    - x D'') / D, D' = (1 - r^2) <dp, h>, D'' = (1 - r^2) <d2p, h>.  The
-    part along h, y = 1 - 2r^2 (1 - <p, h>) / D, has dy = 4r^2 <dp, h> / D^2
-    and d2y = (4r^2 <d2p, h> / D - 2 dy D') / D, where the quotient rule
-    would cancel terms of size <dp, h> down to r^2 <dp, h>.  p, dp and d2p
-    have shape (3,) or (M, 3), and so have q, dq and d2q.  `r` may be an
-    array of F factors: the outputs then get a leading axis of F dilatations
-    of the same curve, (F, ..., 3), each the one of its factor bit for bit.
-    """
-    r = np.asarray(r, dtype=float)
-    if not np.all((0.0 < r) & (r <= 1.0)):
-        raise ValueError("dilatation factor must lie in (0, 1]")
-    h = unit_vector(h)
-    p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))
-    r = r.reshape(r.shape + (1,) * p.ndim)
-    s, s1, s2 = (p @ h)[..., None], (dp @ h)[..., None], (d2p @ h)[..., None]
-    b = 1.0 - r * r
-    d, d1, d2 = 1.0 + r * r + b * s, b * s1, b * s2
-    # in place where a full-size result is consumed, to keep an F-frame
-    # batch at a few (F, M, 3) arrays; the operations are those of the
-    # formulas above, in their order
-    x = 2.0 * r * (p - s * h)
-    x /= d
-    dx = 2.0 * r * (dp - s1 * h)
-    dx -= x * d1
-    dx /= d
-    d2x = 2.0 * r * (d2p - s2 * h)
-    d2x -= 2.0 * dx * d1
-    d2x -= x * d2
-    d2x /= d
-    y = 1.0 - 2.0 * r * r * (1.0 - s) / d
-    dy = 4.0 * r * r * s1 / (d * d)
-    d2y = (4.0 * r * r * s2 / d - 2.0 * dy * d1) / d
-    x += y * h
-    dx += dy * h
-    d2x += d2y * h
-    return x, dx, d2x
 
 
 # ------------------------------------------------------------------ #

@@ -11,6 +11,7 @@ from spherecurve.errors import (
     NonpositiveRotation,
     ParameterOverlap,
     RadiusOutOfBounds,
+    StageToleranceFailure,
 )
 
 
@@ -260,6 +261,113 @@ class TestPlanarWG:
             ho.planar_wg_homotopy(flipped, kappa0=0.0, steps=5)
 
 
+def loop_planar_wg(curve, kappa0, steps, tol=sc.DEFAULT_TOL):
+    """planar_wg_homotopy one frame at a time, each tangent angle profile
+    integrated to a curve on its own: (s_values, [(xy, vel, acc), ...])."""
+    m = curve.m
+    N = curve.winding(tol)
+    if N <= 0:
+        raise NonpositiveRotation(f"rotation number {N} <= 0")
+    speed = curve.speed
+    L_in = float(np.sum(0.5 * (speed[1:] + speed[:-1])) / m)
+    rho0 = math.inf if kappa0 == 0 else 1.0 / kappa0
+    R1 = 0.9 * min(L_in / (2.0 * math.pi * N), rho0)
+    L = 2.0 * math.pi * N * R1
+    f_scale = L / L_in
+    shift = -curve.xy[:-1].mean(axis=0)
+    start = curve.xy[0] + shift
+    frames, s_vals = [], []
+    n_a = max(2, steps // 4)
+    for i in range(n_a):
+        s = i / n_a
+        fac = (1.0 - s) + s * f_scale
+        xy = (curve.xy[0] + s * shift) + fac * (curve.xy - curve.xy[0])
+        frames.append((xy, curve.vel * fac, curve.acc * fac))
+        s_vals.append(0.5 * s)
+    ang = np.unwrap(np.arctan2(curve.vel[:, 1], curve.vel[:, 0]))
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) / m)])
+    sigma = np.linspace(0.0, cum[-1], m + 1)
+    theta_a = np.interp(sigma, cum, ang) - ang[0]
+    kappa_a = np.interp(sigma, cum, curve.curvature)
+    theta_lin = 2.0 * math.pi * N * np.linspace(0.0, 1.0, m + 1)
+    n_b = steps - n_a
+    for i in range(n_b):
+        s = i / (n_b - 1) if n_b > 1 else 1.0
+        th = ang[0] + (1.0 - s) * theta_a + s * theta_lin
+        rate = (1.0 - s) * kappa_a * L_in + s * 2.0 * math.pi * N
+        raw = L * np.stack([np.cos(th), np.sin(th)], axis=1)
+        vel = raw - raw[:-1].mean(axis=0)
+        xy = np.empty_like(vel)
+        xy[0] = start
+        xy[1:] = start + np.cumsum(0.5 * (vel[:-1] + vel[1:]), axis=0) / m
+        xy[-1] = xy[0]
+        acc = L * rate[:, None] * np.stack([-np.sin(th), np.cos(th)], axis=1)
+        kmin = float(np.min(ho.PlanarCurve(xy, vel, acc).curvature))
+        if kmin <= 0:
+            raise StageToleranceFailure("planar curvature lost positivity")
+        if kappa0 > 0.0:
+            lam = min(1.0, 0.95 * kmin / kappa0)
+            xy, vel, acc = xy * lam, vel * lam, acc * lam
+        frames.append((xy - xy[:-1].mean(axis=0), vel, acc))
+        s_vals.append(0.5 + 0.5 * s)
+    return np.asarray(s_vals), frames
+
+
+def bean(m=512):
+    """The polar curve r = 1 + 0.6 cos 3u, u = 2 pi t: rotation number 1,
+    negative curvature around u = pi/3, pi and 5 pi/3."""
+    u = 2 * np.pi * np.linspace(0, 1, m + 1)
+    r, dr, d2r = 1 + 0.6 * np.cos(3 * u), -1.8 * np.sin(3 * u), -5.4 * np.cos(3 * u)
+    c, s = np.cos(u), np.sin(u)
+    xy = 0.3 * np.stack([r * c, r * s], axis=1)
+    vel = 0.6 * np.pi * np.stack([dr * c - r * s, dr * s + r * c], axis=1)
+    acc = 1.2 * np.pi ** 2 * np.stack([d2r * c - 2 * dr * s - r * c,
+                                       d2r * s + 2 * dr * c - r * s], axis=1)
+    return ho.PlanarCurve(xy, vel, acc)
+
+
+class TestPlanarBroadcast:
+    """planar_wg_homotopy is one broadcast over its frames; the per-frame
+    loop is the oracle."""
+
+    @staticmethod
+    def assert_matches_loop(curve, kappa0, steps):
+        path = ho.planar_wg_homotopy(curve, kappa0=kappa0, steps=steps)
+        s_values, frames = loop_planar_wg(curve, kappa0, steps)
+        assert np.array_equal(path.s_values, s_values)
+        assert len(path.curves) == len(frames) == steps
+        for got, want in zip(path.curves, frames):
+            for g, w in zip((got.xy, got.vel, got.acc), want):
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+    @pytest.mark.parametrize("steps", [3, 5, 13])
+    @pytest.mark.parametrize("kappa0", [0.0, 0.4])
+    def test_ellipse_matches_loop(self, steps, kappa0):
+        self.assert_matches_loop(TestPlanarWG.ellipse(), kappa0, steps)
+
+    def test_seed_7_shrink_matches_loop(self, monkeypatch):
+        # the projected curves the planar stages of the seed-7 shrinks start from
+        calls = []
+        real = ho.planar_wg_homotopy
+        monkeypatch.setattr(ho, "planar_wg_homotopy",
+                            lambda c, **kw: calls.append((c, kw)) or real(c, **kw))
+        for curve in deform_shrink_inputs(7):
+            ho.shrink_condensed(curve, steps=65)
+        monkeypatch.undo()
+        assert len(calls) == 4
+        for planar, kw in calls:
+            self.assert_matches_loop(planar, kw["kappa0"], kw["steps"])
+
+    def test_lost_positivity_is_raised(self):
+        curve = bean()
+        assert curve.winding() == 1 and curve.curvature.min() < 0
+        with pytest.raises(StageToleranceFailure, match="lost positivity"):
+            loop_planar_wg(curve, 0.0, 9)
+        with pytest.raises(StageToleranceFailure, match="lost positivity"):
+            ho.planar_wg_homotopy(curve, kappa0=0.0, steps=9)
+
+
 class TestShrink:
     def test_circle_shrinks_to_circle_fixed_nu(self):
         c = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
@@ -297,15 +405,15 @@ class TestShrinkAxis:
         status = classify.condensed_status(c)
         lp, bary, axes = [], [], []
         real_lp, real_bary = sphere.best_hemisphere, sphere.hemisphere_barycenter
-        real_dilate = sphere.mobius_dilate
+        real_mobius = ho._mobius_frames
         monkeypatch.setattr(sphere, "hemisphere_barycenter",
                             lambda *a, **k: bary.append(1) or real_bary(*a, **k))
         monkeypatch.setattr(sphere, "best_hemisphere",
                             lambda *a, **k: lp.append(1) or real_lp(*a, **k))
-        # the Mobius stage dilates all its frames in one call, past
-        # mobius_shrink_curve: every dilatation is seen here
-        monkeypatch.setattr(sphere, "mobius_dilate",
-                            lambda r, h, *a: axes.append(h) or real_dilate(r, h, *a))
+        # the factor search and the Mobius stage both dilate through
+        # _mobius_frames: every dilatation is seen here
+        monkeypatch.setattr(ho, "_mobius_frames",
+                            lambda c, rs, h, *a: axes.append(h) or real_mobius(c, rs, h, *a))
         path = ho.shrink_condensed(c, steps=9)
         assert len(lp) == 1 and not bary
         assert axes and all(np.array_equal(h, status.hemisphere) for h in axes)
@@ -519,7 +627,7 @@ class TestOnePointAssembly:
         _, h, _ = classify.condensed_axis(circle)
         curves = [ho.mobius_shrink_curve(circle, r, h) for r in (0.9, 0.5, 0.2)]
         planar = ho.project_to_tangent_plane(curves[-1], h)
-        curves += [ho.lift_from_tangent_plane(pc, h, circle.bounds)
+        curves += [ho._lift_planar([pc], h, circle.bounds, sc.DEFAULT_TOL)[0]
                    for pc in ho.planar_wg_homotopy(planar, kappa0=0.1, steps=5).curves[1:]]
         curves += [ho.spread_loops(spread_base, n, 0.4) for n in (1, 2, 5)]
         curves.append(factory.diffuse_example(n_loops=4))
@@ -580,10 +688,10 @@ def frame_by_frame_report(curves, bounds):
             tuple(sc.lift_parity(c).sign for c in curves))
 
 
-def frame_by_frame_shrink(curve, steps, tol=sc.DEFAULT_TOL):
-    """shrink_condensed with `mobius_shrink_curve` and
-    `lift_from_tangent_plane` called per frame and each frame normalized on
-    its own."""
+def frame_by_frame_shrink(curve, steps, tol=sc.DEFAULT_TOL, mobius=ho.mobius_shrink_curve):
+    """shrink_condensed with `mobius` (default `mobius_shrink_curve`) and
+    the planar lift called per frame and each frame normalized on its
+    own."""
     reduced, kappa0 = classify.reduce_to_k0(curve, tol)
     _, h, _ = classify.condensed_axis(reduced, tol)
     bounds = reduced.bounds
@@ -591,16 +699,16 @@ def frame_by_frame_shrink(curve, steps, tol=sc.DEFAULT_TOL):
     delta = 1.0
     while True:
         delta *= 0.5
-        cand = ho.mobius_shrink_curve(reduced, delta, h, bounds, tol)
+        cand = mobius(reduced, delta, h, bounds, tol)
         if np.arccos(np.clip(cand.gamma @ h, -1.0, 1.0)).max() <= 0.30 \
                 and ho.project_to_tangent_plane(cand, h).curvature.min() > kappa_target:
             break
     n_a = max(2, steps // 2)
-    frames = [reduced] + [ho.mobius_shrink_curve(reduced, 1.0 + (delta - 1.0) * i / (n_a - 1),
-                                                 h, bounds, tol) for i in range(1, n_a)]
+    frames = [reduced] + [mobius(reduced, 1.0 + (delta - 1.0) * i / (n_a - 1), h, bounds, tol)
+                          for i in range(1, n_a)]
     ppath = ho.planar_wg_homotopy(ho.project_to_tangent_plane(frames[-1], h),
                                   kappa0=kappa_target, steps=steps - n_a + 1, tol=tol)
-    frames += [ho.lift_from_tangent_plane(pc, h, bounds, tol) for pc in ppath.curves[1:]]
+    frames += [ho._lift_planar([pc], h, bounds, tol)[0] for pc in ppath.curves[1:]]
     return [ho.normalize_initial_frame(c) for c in frames]
 
 
@@ -674,3 +782,47 @@ class TestPathBatch:
         # the bend is a 3-level scan of its 4 run steps and one fill; the
         # validation and the writer read the records' end frames
         assert per_size[0][:3] == ((4, 2), (0, 0), (0, 0))
+
+
+class TestConformalTransport:
+    """The Mobius frames by conformal transport against the chart oracle
+    of `tests/test_sphere.py`: the dilated points and derivatives,
+    assembled by `_frames_from_point_data`."""
+
+    @pytest.mark.parametrize("seed", [7, 601, 9801])
+    def test_mobius_frames_match_the_chart_oracle(self, monkeypatch, seed):
+        # every dilatation of the shrinks, the factor search's and the
+        # Mobius stage's, each of a reduced input
+        from test_sphere import assert_matches_chart_oracle
+        calls = []
+        real = ho._mobius_frames
+        monkeypatch.setattr(ho, "_mobius_frames",
+                            lambda c, rs, h, *a: calls.append((c, rs, h)) or real(c, rs, h, *a))
+        for curve in deform_shrink_inputs(seed):
+            ho.shrink_condensed(curve, steps=65)
+        monkeypatch.undo()
+        assert len({id(c) for c, _, _ in calls}) == 4
+        for curve, rs, h in calls:
+            for r, got in zip(rs, ho._mobius_frames(curve, rs, h, curve.bounds, sc.DEFAULT_TOL)):
+                assert_matches_chart_oracle(got, curve, r, h)
+                assert np.array_equal(got.lift[-1], got.lift[0]) \
+                    or np.array_equal(got.lift[-1], -got.lift[0])
+
+    @pytest.mark.parametrize("seed", [7, 601, 9801])
+    def test_shrink_paths_match_the_chart_oracle(self, seed):
+        from test_sphere import chart_mobius
+        for curve in deform_shrink_inputs(seed):
+            path = ho.shrink_condensed(curve, steps=65)
+            want = frame_by_frame_shrink(curve, 65, mobius=chart_mobius)
+            rep = ho.validate_path(path)
+            oracle = ho.validate_path(dataclasses.replace(path, curves=tuple(want)))
+            assert rep.passed and (rep.passed, rep.parities) == (oracle.passed, oracle.parities)
+            assert abs(rep.min_margin - oracle.min_margin) <= 1e-12 * abs(oracle.min_margin)
+            assert abs(rep.max_closure_defect - oracle.max_closure_defect) <= 1e-15
+            for got, w in zip(path.curves, want, strict=True):
+                lift = np.minimum(np.abs(got.lift - w.lift).max(axis=1),
+                                  np.abs(got.lift + w.lift).max(axis=1))
+                assert lift.max() <= 1e-13
+                assert (np.abs(got.speed - w.speed) / w.speed).max() <= 1e-13
+                scale = np.maximum(1.0, np.abs(w.kappa))
+                assert (np.abs(got.kappa - w.kappa) / scale).max() <= 1e-13

@@ -147,10 +147,11 @@ class TestStereographic:
         assert np.abs(fd - chart.project_d(p, u)).max() < 1e-5
 
 
-# Oracle of `mobius_dilate`: T_r through the stereographic chart from -h
+# Oracle of the Mobius frames: T_r through the stereographic chart from -h
 # (project, scale by r, map back), with derivatives by the chain rule
-# through the chart and its inverse, as the library computed it before the
-# closed form.
+# through the chart and its inverse, the frames rebuilt from the points
+# and derivatives by `_frames_from_point_data`, as the library computed
+# them before the conformal transport.
 
 def chart_project_d2(chart, p, u, w):
     c = chart._check(p)
@@ -209,6 +210,33 @@ def chart_dilate(r, h, p, dp, d2p):
             + chart_unproject_d(chart, r * x, r * d2x))
 
 
+def chart_mobius(curve, r, h, bounds=None, tol=DEFAULT_TOL):
+    """T_r of a curve toward h by the oracle: `chart_dilate` of its points
+    and node derivatives, assembled by `_frames_from_point_data`."""
+    p, dp, d2p = chart_dilate(r, h, curve.gamma, *homotopy._node_derivatives(curve))
+    return homotopy._frames_from_point_data(p[None], dp[None], d2p[None],
+                                            bounds or curve.bounds, curve.domain,
+                                            curve.closed, tol)[0]
+
+
+def assert_matches_chart_oracle(got, curve, r, h, keep=slice(None), per_node=True):
+    """A Mobius record against `chart_mobius` on the `keep` nodes: the lift
+    within 1e-14 node by node up to sign, the speed within 1e-14
+    relative, gamma within 1e-14 of `chart_dilate`'s points and kappa
+    within 1e-14 max(1, |kappa|), node by node or (`per_node=False`) with
+    the largest |kappa| of the kept nodes."""
+    want = chart_mobius(curve, r, h, got.bounds)
+    points = chart_dilate(r, h, curve.gamma, *homotopy._node_derivatives(curve))[0]
+    lift = np.minimum(np.abs(got.lift - want.lift).max(axis=1),
+                      np.abs(got.lift + want.lift).max(axis=1))
+    assert lift[keep].max() <= 1e-14
+    assert (np.abs(got.speed - want.speed) / want.speed)[keep].max() <= 1e-14
+    assert np.abs(got.gamma - points)[keep].max() <= 1e-14
+    size = np.abs(want.kappa[keep])
+    scale = np.maximum(1.0, size if per_node else size.max())
+    assert (np.abs(got.kappa - want.kappa)[keep] / scale).max() <= 1e-14
+
+
 # (bounds, turns) of the circles the deform_paths benchmark shrinks
 SHRINK_SLOTS = (((0.0, math.inf), 1), ((0.5, math.inf), 2),
                 ((1.0, 4.0), 3), ((1.0, 4.0), 1))
@@ -216,9 +244,9 @@ SHRINK_SLOTS = (((0.0, math.inf), 1), ((0.5, math.inf), 2),
 
 @st.composite
 def dilation_inputs(draw):
-    """(r, h, (p, dp, d2p)): a k-fold circle under a shrink slot's bounds or
-    a closed curve through a random open curve's points, its node
-    derivatives, a random axis h and r log-uniform in [2^-30, 1]."""
+    """(r, h, curve): a k-fold circle under a shrink slot's bounds or a
+    closed curve through a random open curve's points, a random axis h
+    and r log-uniform in [2^-30, 1]."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         (k1, k2), k = draw(st.sampled_from(SHRINK_SLOTS))
@@ -233,42 +261,38 @@ def dilation_inputs(draw):
             reject()
     r = 2.0 ** -draw(st.floats(0.0, 30.0))
     h = sphere.unit_vector(rng.normal(size=3))
-    return r, h, (curve.gamma, *homotopy._node_derivatives(curve))
+    return r, h, curve
 
 
 class TestMobius:
     def test_r_one_is_identity(self, rng):
         h = sphere.unit_vector(rng.normal(size=3))
-        pts = rng.normal(size=(50, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        dp, d2p = rng.normal(size=(2, 50, 3))
-        for got, want in zip(sphere.mobius_dilate(1.0, h, pts, dp, d2p), (pts, dp, d2p)):
-            assert np.abs(got - want).max() < 1e-12
+        curve = factory.random_open_curve(CurvatureBounds(-1.0, 1.0), rng, n=96)
+        image = homotopy.mobius_shrink_curve(curve, 1.0, h)
+        assert np.abs(image.gamma - curve.gamma).max() < 1e-12
+        assert np.abs(image.speed - curve.speed).max() < 1e-12 * curve.speed.max()
+        assert np.abs(image.kappa - curve.kappa).max() < 1e-12
 
     def test_fixed_points(self):
-        h = -sphere.unit_vector([0.1, 0.2, 0.97])
-        zero = np.zeros(3)
-        for r in (0.2, 0.5, 0.9):
-            assert np.abs(sphere.mobius_dilate(r, h, -h, zero, zero)[0] + h).max() < 1e-12
-            assert np.abs(sphere.mobius_dilate(r, h, h, zero, zero)[0] - h).max() < 1e-12
+        # make_circle starts at gamma = (1, 0, 0) exactly
+        circle = make_circle(0.6, 1, UNBOUNDED, n=64)
+        for h in (circle.gamma[0], -circle.gamma[0]):
+            for r in (0.2, 0.5, 0.9):
+                image = homotopy.mobius_shrink_curve(circle, r, h)
+                assert np.abs(image.gamma[0] - circle.gamma[0]).max() < 1e-12
 
     def test_circles_map_to_circles_plane_fit_oracle(self, rng):
         h = sphere.unit_vector(rng.normal(size=3))
-        center = sphere.unit_vector(rng.normal(size=3))
-        if center @ h < 0:
-            center = -center
-        e = sphere.unit_vector(np.cross(center, [0.0, 1.0, 0.2]))
-        f = np.cross(center, e)
-        t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-        rho = 0.5
-        circle = (math.cos(rho) * center[None, :]
-                  + math.sin(rho) * (np.cos(t)[:, None] * e + np.sin(t)[:, None] * f))
-        zero = np.zeros_like(circle)
-        image = sphere.mobius_dilate(0.4, h, circle, zero, zero)[0]
+        circle = make_circle(0.5, 1, UNBOUNDED, n=64)
+        circle = circle.rotated(sphere.rotation_about(rng.normal(size=3), 2.0))
+        if circle.gamma.mean(axis=0) @ h < 0:
+            h = -h
+        image = homotopy.mobius_shrink_curve(circle, 0.4, h)
         # plane-fit oracle: images must stay coplanar
-        centered = image - image.mean(axis=0)
+        centered = image.gamma - image.gamma.mean(axis=0)
         _, svals, _ = np.linalg.svd(centered)
         assert svals[-1] < 1e-8
+        assert np.ptp(image.kappa) < 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(dilation_inputs())
@@ -276,33 +300,30 @@ class TestMobius:
         # compared where <p, h> >= -1/2, so D >= 1/2: nearer -h, T_r
         # magnifies the inputs' roundoff by up to 1/r and neither form can
         # reproduce the other to 1e-14.  Of h and -h, the one keeping more
-        # nodes is used.
-        r, h, pdata = inputs
-        if np.count_nonzero(pdata[0] @ h >= -0.5) < np.count_nonzero(pdata[0] @ h <= 0.5):
+        # nodes is used.  Near an inflection of a random curve's image,
+        # kappa is the sum of terms of size up to 1/r that cancel, and the
+        # two forms differ there by up to 1e-11 of |kappa| (r = 2^-20):
+        # kappa is compared against the largest |kappa|, as the points and
+        # derivatives were.
+        r, h, curve = inputs
+        if np.count_nonzero(curve.gamma @ h >= -0.5) < np.count_nonzero(curve.gamma @ h <= 0.5):
             h = -h
-        keep = pdata[0] @ h >= -0.5
-        for got, want in zip(sphere.mobius_dilate(r, h, *pdata), chart_dilate(r, h, *pdata)):
-            assert np.abs(got[keep] - want[keep]).max() <= 1e-14 * np.abs(want[keep]).max()
+        got = homotopy.mobius_shrink_curve(curve, r, h, UNBOUNDED)
+        assert_matches_chart_oracle(got, curve, r, h, keep=curve.gamma @ h >= -0.5,
+                                    per_node=False)
 
     def test_antipode_of_axis_is_regular(self):
-        # a node at -h maps to -h and its velocity is scaled by 1/r; the
-        # chart from -h raised DegenerateProjection at that node
-        h = np.array([0.0, 0.0, 1.0])
+        # a node at -h maps to -h and its speed is scaled by 1/r; the
+        # chart from -h raised DegenerateProjection at that node, and
+        # D = 1 + r^2 + (1 - r^2) s evaluated to 0 there below r = 2^-27
         circle = make_circle(0.6, 1, UNBOUNDED, n=64)
-        circle = circle.rotated(sphere.rotation_about(np.cross(circle.gamma[0], -h),
-                                                      math.acos(-circle.gamma[0][2])))
-        assert np.abs(circle.gamma[0] + h).max() < 1e-15
-        p, dp, d2p = circle.gamma.copy(), *homotopy._node_derivatives(circle)
-        # exactly at -h, with a velocity exactly tangent there
-        p[0], dp[0, 2] = -h, 0.0
-        for r in (1.0, 0.5, 2.0 ** -10):
-            q, dq, d2q = sphere.mobius_dilate(r, h, p, dp, d2p)
-            assert np.all(np.isfinite(q)) and np.all(np.isfinite(dq)) and np.all(np.isfinite(d2q))
-            assert np.abs(q[0] + h).max() < 1e-15
-            assert np.abs(dq[0] - dp[0] / r).max() <= 1e-15 * np.abs(dp[0]).max() / r
-        shrunk = homotopy.mobius_shrink_curve(circle, 0.5, h)
-        assert np.abs(shrunk.gamma[0] + h).max() < 1e-15
-        assert np.all(np.isfinite(shrunk.kappa))
+        h = -circle.gamma[0]
+        assert circle.gamma[0] @ h == -1.0
+        for r in (1.0, 0.5, 2.0 ** -10, 2.0 ** -27, 2.0 ** -28, 2.0 ** -30):
+            image = homotopy.mobius_shrink_curve(circle, r, h)
+            assert np.all(np.isfinite(image.lift)) and np.all(np.isfinite(image.kappa))
+            assert np.abs(image.gamma[0] + h).max() < 1e-15
+            assert abs(image.speed[0] - circle.speed[0] / r) <= 1e-15 * circle.speed[0] / r
 
 
 def closest_on_triangle(a, b, c):
