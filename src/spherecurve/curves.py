@@ -486,14 +486,13 @@ def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
 
 def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
                          closed=None, tol: ToleranceProfile = DEFAULT_TOL,
-                         controls: ControlPair | None = None,
-                         integrated: bool = False) -> AdmissibleCurve:
+                         controls: ControlPair | None = None) -> AdmissibleCurve:
     """Assemble a curve from exact node samples of the lift and controls:
     the one-row case of `curves_from_node_data`."""
     return curves_from_node_data(
         bounds, np.asarray(lift, dtype=float)[None], np.asarray(v_nodes, dtype=float)[None],
         np.asarray(kappa_nodes, dtype=float)[None], domain=domain, closed=closed, tol=tol,
-        controls=None if controls is None else (controls,), integrated=integrated)[0]
+        controls=None if controls is None else (controls,))[0]
 
 
 def integrate_curves(controls: ControlPair, bounds: CurvatureBounds, q0=None,
@@ -855,16 +854,28 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
     A periodic cubic spline through the points (the first point closes the
     loop) is resampled uniformly by arc length; curvature comes from
     discrete frame differences and is clamped strictly inside the bounds
-    (within a small slack) or the import is rejected.
+    (within a small slack) or the import is rejected.  Points that are not
+    an (M, 3) array of finite nonzero rows, 3 or more besides a closing
+    repeat of the first and none repeating the one before, are a ValueError.
     """
     from scipy.interpolate import CubicSpline
 
     pts = np.asarray(points, dtype=float)
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"gamma must be a list of points [x, y, z], not shape {pts.shape}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(pts, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norm) & (norm > 0)):
+        raise ValueError("every gamma point must have a finite, nonzero norm")
+    pts = pts / norm
     if np.linalg.norm(pts[0] - pts[-1]) > 1e-12:
         pts = np.vstack([pts, pts[0]])
     else:
         pts[-1] = pts[0]
+    if len(pts) < 4:
+        raise ValueError("gamma must hold at least 3 distinct points")
+    if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
+        raise ValueError("gamma repeats a point consecutively")
     n = count_or_default(n, tol.default_n)
 
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)

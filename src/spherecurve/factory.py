@@ -58,24 +58,26 @@ def phone_wire(base: AdmissibleCurve, n_loops: int, rho1: float,
     raise CurvatureOutOfBounds(f"no loop count fit the bounds: {last}")
 
 
+NEITHER_LOOP_FRAC = 0.55      # loop radius of `neither_example`, as a fraction of rho0
+
+
 def neither_example(rho0: float = 0.15, n_loops: int = 48,
-                    dip: float = 0.12, rho1_frac: float = 0.55,
-                    base_n: int | None = None,
+                    dip: float = 0.12, base_n: int | None = None,
                     tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     """A closed curve that is neither condensed nor diffuse.
 
     Three lobes visit neighborhoods of the third roots of unity on the
     equator (dipping slightly below it) and return toward the north pole;
-    small loops are spread along the path so the curvature stays above
-    cot(rho0).  The caustic cloud then pokes out of every closed hemisphere
-    without ever reaching antipodal points.
+    loops of radius NEITHER_LOOP_FRAC * rho0 are spread along the path so
+    the curvature stays above cot(rho0).  The caustic cloud then pokes out
+    of every closed hemisphere without ever reaching antipodal points.
     """
     if rho0 <= 0:
         raise ValueError(f"rho0 must be positive, not {rho0}")
     bounds = CurvatureBounds(1.0 / math.tan(rho0), math.inf)
     base = rose_curve(lobes=3, colat_min=0.45,
                       colat_max=math.pi / 2 + dip, n=base_n, tol=tol)
-    return phone_wire(base, n_loops, rho1_frac * rho0, bounds, tol=tol)
+    return phone_wire(base, n_loops, NEITHER_LOOP_FRAC * rho0, bounds, tol=tol)
 
 
 def diffuse_example(kappa0: float = 0.3, n_loops: int = 32,

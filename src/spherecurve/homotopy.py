@@ -119,82 +119,39 @@ def validate_path(path: HomotopyPath, bounds: CurvatureBounds | None = None,
 # Bending of the k-equator
 # ------------------------------------------------------------------ #
 
-def _sub(a, b) -> tuple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _bend_arc_data(k: int, alpha: float):
-    """Length and signed curvature of one even arc of the bent k-equator.
+def _bend_arc_data(k: int, alpha):
+    """Length and signed curvature of one even arc of the bent k-equator,
+    for an array of elevations alpha in [0, pi] at once.
 
     The arc joins consecutive division points P_i, P_i+1 of the k-fold
-    equator through the point Q_i(alpha) seen from the chord midpoint
-    (P_i + P_i+1)/2 at elevation alpha; the diameter of the arc's circle is
-    then shortest at alpha = pi/2, where the curvature peaks at
-    tan(pi/(2k+2)).  Odd arcs are the mirror image with the opposite
-    curvature sign.  Points and vectors are float 3-tuples: the geometry
-    runs once per frame, where numpy's per-call cost exceeds the work.
+    equator, delta = k pi/(k+1) apart, through the point seen from the
+    chord midpoint at elevation alpha.  Its plane has the normal
+    sin(alpha) q_mid - cos(alpha) e3 (q_mid the unit bisector of P_i,
+    P_i+1), so with a = cos(delta/2) and b = sin(delta/2) the chord lies at
+    signed distance a cos(alpha) from the circle's centre and the circle
+    has radius r = hypot(b, a cos(alpha)): the length is
+    2 r atan2(b, a cos(alpha)) and the curvature -a sin(alpha)/r, whose
+    modulus peaks at tan(pi/(2k+2)) at alpha = pi/2.  Within 1e-9 of either
+    end the arc is exactly the equator's (delta or 2 pi - delta, 0.0).  Odd
+    arcs are the mirror image with the opposite curvature sign.
     """
+    alpha = np.asarray(alpha, dtype=float)
     delta = k * math.pi / (k + 1)          # equator angle between P_i, P_i+1
-    if min(abs(alpha), abs(math.pi - alpha)) < 1e-9:
-        if alpha < math.pi / 2:
-            return delta, 0.0
-        return 2.0 * math.pi - delta, 0.0
-
-    p0 = (1.0, 0.0, 0.0)
-    p1 = (math.cos(delta), math.sin(delta), 0.0)
-    half = math.cos(delta / 2)
-    qmid = (half, math.sin(delta / 2), 0.0)
-    mid = (half * qmid[0], half * qmid[1], 0.0)   # euclidean chord midpoint
-    d = (math.cos(alpha) * qmid[0], math.cos(alpha) * qmid[1], math.sin(alpha))
-    md = _dot(mid, d)
-    t_ray = -md + math.sqrt(md * md + 1.0 - _dot(mid, mid))
-    qa = tuple(a + t_ray * b for a, b in zip(mid, d))
-
-    m = _cross(_sub(qa, p0), _sub(p1, p0))
-    norm = math.sqrt(_dot(m, m))
-    m = tuple(a / norm for a in m)
-    d = m[0]                                # <m, p0>
-    if d < 0:
-        m, d = tuple(-a for a in m), -d
-    center = tuple(d * a for a in m)
-    r_e = math.sqrt(max(0.0, 1.0 - d * d))
-    e1 = tuple(a / r_e for a in _sub(p0, center))
-    e2 = _cross(m, e1)
-
-    def u_of(p):
-        rel = _sub(p, center)
-        return math.atan2(_dot(rel, e2), _dot(rel, e1)) % (2 * math.pi)
-
-    u_q, u_p1 = u_of(qa), u_of(p1)
-    if u_q < u_p1:                          # sweep counterclockwise through qa
-        sweep, direction = u_p1, 1.0
-    else:
-        sweep, direction = 2.0 * math.pi - u_p1, -1.0
-    length = r_e * sweep
-
-    # the unit tangent at u = 0 is direction * e2, and the normal there is
-    # p0 x tangent = direction * (0, -e2_z, e2_y)
-    s = direction * (m[2] * e2[1] - m[1] * e2[2])
-    rho = math.atan2(abs(s), m[0] if s > 0 else -m[0])
-    return length, cot(rho)
+    a, b = math.cos(delta / 2), math.sin(delta / 2)
+    chord = a * np.cos(alpha)
+    r = np.hypot(b, chord)
+    near = np.minimum(np.abs(alpha), np.abs(math.pi - alpha)) < 1e-9
+    length = np.where(near, np.where(alpha < math.pi / 2, delta, 2.0 * math.pi - delta),
+                      2.0 * r * np.arctan2(b, chord))
+    return length, np.where(near, 0.0, -a * np.sin(alpha) / r)
 
 
 def _bend_frames(k: int, s_values, kappa1: float | None, n: int | None,
                  tol: ToleranceProfile) -> tuple:
-    """The members of the bending family at `s_values`, in one batch: each
-    s gets its arc length and curvature from `_bend_arc_data` (float
-    tuples), then one `ControlPair.of` builds the (F, n) controls and one
-    `integrate_curves` call integrates them."""
+    """The members of the bending family at `s_values`, in one batch: one
+    `_bend_arc_data` call gives every arc length and curvature, one
+    `ControlPair.of` builds the (F, n) controls and one `integrate_curves`
+    call integrates them."""
     if k < 1:
         raise ValueError("k must be positive")
     kmax = math.tan(math.pi / (2 * k + 2))
@@ -207,7 +164,7 @@ def _bend_frames(k: int, s_values, kappa1: float | None, n: int | None,
     n = count_or_default(n, tol.default_n)
     per_arc = max(1, -(-n // arcs))        # ceil division
     n = per_arc * arcs
-    length, kap = np.array([_bend_arc_data(k, s * math.pi) for s in s_values]).T
+    length, kap = _bend_arc_data(k, np.asarray(s_values, dtype=float) * math.pi)
     speed = length * arcs
     bounds = CurvatureBounds(-kappa1, kappa1)
     signs = np.repeat([(-1.0) ** i for i in range(arcs)], per_arc)
@@ -235,15 +192,16 @@ def bend_k_equator(k: int, steps: int | None = None,
     """The bending homotopy from the k-equator to the (k+2)-equator, in
     `steps` >= 2 frames (default `tol.path_steps`).
 
-    Every frame is built in one batch (`_bend_frames`): the arc geometry
-    per s, then one (F, n) control array, one integration over its rows
-    and one stacked closure check, whatever the number of frames.
+    Every frame is built in one batch (`_bend_frames`): the arc data of
+    every s in one closed form, then one (F, n) control array, one
+    integration over its rows and one stacked closure check, whatever the
+    number of frames.
     """
     steps = tol.path_steps if steps is None else steps
     if steps < 2:
         raise ValueError(f"bending needs at least 2 frames, not {steps}")
     s_values = np.linspace(0.0, 1.0, steps)
-    curves = _bend_frames(k, s_values.tolist(), kappa1, n, tol)
+    curves = _bend_frames(k, s_values, kappa1, n, tol)
     return HomotopyPath(bounds=curves[0].bounds, s_values=s_values,
                         curves=curves, provenance="bending")
 
@@ -419,7 +377,8 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     correction, scaling when needed to keep the curvature above kappa0.
     N must be positive; the last of `steps` >= 3 frames (default
     `tol.path_steps`) is a round circle traversed N times.  Each part of
-    the path is one broadcast over its frames, (F, m+1, 2).
+    the path is one broadcast over its frames, (F, m+1, 2); in the second
+    the positions are the periodic antiderivative of the velocities.
     """
     if kappa0 < 0:
         raise DomainError("kappa0 must be nonnegative")
@@ -439,7 +398,6 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     f_scale = L / L_in
 
     shift = -curve.xy[:-1].mean(axis=0)
-    start = curve.xy[0] + shift
 
     # translate + shrink, no endpoint
     n_a = max(2, steps // 4)
@@ -456,7 +414,9 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     theta_lin = 2.0 * math.pi * N * np.linspace(0.0, 1.0, m + 1)
 
     # tangent angle profiles of length L; the mean of the raw tangent field
-    # is subtracted before the trapezoidal integral, so closure is exact
+    # is subtracted, and the positions are the velocities' periodic
+    # antiderivative of zero mean (one rfft over the frames, zero mode
+    # dropped), so closure is exact and every frame stays centred
     n_b = steps - n_a
     s_b = np.arange(n_b) / (n_b - 1) if n_b > 1 else np.ones(1)
     s = s_b[:, None]
@@ -466,9 +426,11 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     cos, sin = np.cos(th), np.sin(th)
     raw = L * np.stack([cos, sin], axis=-1)
     vel = raw - raw[:, :-1].mean(axis=1, keepdims=True)
+    spec = np.fft.rfft(vel[:, :-1], axis=1)
+    spec[:, 0] = 0.0
+    spec[:, 1:] /= (2j * math.pi * np.arange(1, spec.shape[1]))[:, None]
     xy = np.empty_like(vel)
-    xy[:, 0] = start
-    xy[:, 1:] = start + np.cumsum(0.5 * (vel[:, :-1] + vel[:, 1:]), axis=1) / m
+    xy[:, :-1] = np.fft.irfft(spec, n=m, axis=1)
     xy[:, -1] = xy[:, 0]
     acc = (L * rate)[..., None] * np.stack([-sin, cos], axis=-1)
     kmin = PlanarCurve(xy, vel, acc).curvature.min(axis=-1)
@@ -477,7 +439,6 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     if kappa0 > 0.0:
         lam = np.minimum(1.0, 0.95 * kmin / kappa0)[:, None, None]   # scaled curvature = kappa/lam
         xy, vel, acc = xy * lam, vel * lam, acc * lam
-    xy -= xy[:, :-1].mean(axis=1, keepdims=True)
 
     frames = map(PlanarCurve, np.concatenate([xy_a, xy]),
                  np.concatenate([curve.vel * fac, vel]), np.concatenate([curve.acc * fac, acc]))

@@ -320,6 +320,29 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("gamma", [
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0, 0], [0, 1, 0], [1, 0, 0]],
+        [[1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0], [0, 1], [1, 1]],
+        [],
+        [[1, 0, 0], [0, 1, 0], [0, 2, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [1e300, 1e300, 0], [0, 0, 1]],
+    ])
+    def test_raw_points_checked_before_arithmetic(self, gamma, tmp_path, capsys):
+        # two points, open or closed, a zero row, rows of two numbers, no
+        # points, a point that normalizes onto the one before it and a row
+        # whose norm overflows: one error line, no warning
+        import warnings
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps({"gamma": gamma}))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("classify", str(c)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+
     def test_written_curves_load(self, rng):
         # q0 is the rotation of a written start frame: every curve the
         # writer emits, rotated or not, passes the rotation check on reading

@@ -68,8 +68,8 @@ class TestBending:
 
 
 def numpy_bend_arc_data(k, alpha):
-    """The arc geometry of `homotopy._bend_arc_data` on numpy 3-vectors,
-    the reference for its float-tuple form."""
+    """The arc geometry by construction on numpy 3-vectors, one alpha at a
+    time: the reference for `homotopy._bend_arc_data`'s closed form."""
     delta = k * math.pi / (k + 1)
     if min(abs(alpha), abs(math.pi - alpha)) < 1e-9:
         if alpha < math.pi / 2:
@@ -127,6 +127,25 @@ class TestBendArcData:
                 assert got == want
             assert abs(got[0] - want[0]) <= 2e-15
             assert abs(got[1] - want[1]) <= 2e-15
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_array_call_is_the_scalar_calls(self, k):
+        alphas = np.r_[np.linspace(0.0, math.pi, 65), 1e-9, 2e-9, math.pi - 2e-9]
+        length, kappa = ho._bend_arc_data(k, alphas)
+        scalar = np.array([ho._bend_arc_data(k, float(a)) for a in alphas])
+        assert np.array_equal(length, scalar[:, 0])
+        assert np.array_equal(kappa, scalar[:, 1])
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_peak_curvature(self, k):
+        _, kappa = ho._bend_arc_data(k, math.pi / 2)
+        assert abs(abs(kappa) - math.tan(math.pi / (2 * k + 2))) <= 1e-15
+
+    def test_one_call_per_path(self, monkeypatch):
+        from conftest import count_calls
+        calls = count_calls(monkeypatch, ho._bend_arc_data)
+        ho.bend_k_equator(2, steps=65, n=96)
+        assert len(calls) == 1 and np.shape(calls[0][1]) == (65,)
 
 
 @pytest.fixture(scope="module")
@@ -262,8 +281,9 @@ class TestPlanarWG:
 
 
 def loop_planar_wg(curve, kappa0, steps, tol=sc.DEFAULT_TOL):
-    """planar_wg_homotopy one frame at a time, each tangent angle profile
-    integrated to a curve on its own: (s_values, [(xy, vel, acc), ...])."""
+    """planar_wg_homotopy one frame at a time, each velocity profile
+    integrated to its periodic antiderivative on its own:
+    (s_values, [(xy, vel, acc), ...])."""
     m = curve.m
     N = curve.winding(tol)
     if N <= 0:
@@ -275,7 +295,6 @@ def loop_planar_wg(curve, kappa0, steps, tol=sc.DEFAULT_TOL):
     L = 2.0 * math.pi * N * R1
     f_scale = L / L_in
     shift = -curve.xy[:-1].mean(axis=0)
-    start = curve.xy[0] + shift
     frames, s_vals = [], []
     n_a = max(2, steps // 4)
     for i in range(n_a):
@@ -297,10 +316,11 @@ def loop_planar_wg(curve, kappa0, steps, tol=sc.DEFAULT_TOL):
         rate = (1.0 - s) * kappa_a * L_in + s * 2.0 * math.pi * N
         raw = L * np.stack([np.cos(th), np.sin(th)], axis=1)
         vel = raw - raw[:-1].mean(axis=0)
-        xy = np.empty_like(vel)
-        xy[0] = start
-        xy[1:] = start + np.cumsum(0.5 * (vel[:-1] + vel[1:]), axis=0) / m
-        xy[-1] = xy[0]
+        spec = np.fft.rfft(vel[:-1], axis=0)
+        spec[0] = 0.0
+        spec[1:] /= (2j * np.pi * np.arange(1, len(spec)))[:, None]
+        xy = np.fft.irfft(spec, n=m, axis=0)
+        xy = np.vstack([xy, xy[:1]])
         acc = L * rate[:, None] * np.stack([-np.sin(th), np.cos(th)], axis=1)
         kmin = float(np.min(ho.PlanarCurve(xy, vel, acc).curvature))
         if kmin <= 0:
@@ -308,7 +328,7 @@ def loop_planar_wg(curve, kappa0, steps, tol=sc.DEFAULT_TOL):
         if kappa0 > 0.0:
             lam = min(1.0, 0.95 * kmin / kappa0)
             xy, vel, acc = xy * lam, vel * lam, acc * lam
-        frames.append((xy - xy[:-1].mean(axis=0), vel, acc))
+        frames.append((xy, vel, acc))
         s_vals.append(0.5 + 0.5 * s)
     return np.asarray(s_vals), frames
 
@@ -755,6 +775,16 @@ class TestPathBatch:
                 == frame_by_frame_report(want, path.bounds)
             report = cli._report_of(rep)
             assert cli._path_to_jsonl(path, report) == frame_by_frame_jsonl(want, report)
+
+    @pytest.mark.parametrize("seed", [7, 601, 9801])
+    def test_shrink_frames_reintegrate_to_their_points(self, seed):
+        # each frame's written controls re-integrate to its validated
+        # points: the planar positions are the antiderivative of the
+        # velocities the lift is built from
+        for curve in deform_shrink_inputs(seed):
+            for frame in ho.shrink_condensed(curve, steps=65).curves:
+                again = sc.integrate_curve(frame.controls, frame.bounds, q0=frame.frames[0])
+                assert np.abs(again.gamma - frame.gamma).max() <= 1e-7
 
     def test_no_per_frame_loop(self, monkeypatch):
         # the quaternion products and step exponentials of building,

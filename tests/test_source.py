@@ -41,7 +41,7 @@ DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
 # public API kept without a caller in src/ or bench/, __all__ or README.md
 UNREFERENCED_OK = {
     "with_bounds",                  # the test strategies widen bounds with it
-    "random_open_curve",            # random test and benchmark inputs
+    "random_open_curve",            # random open curves for the tests
     "equatorial_inequality_check",  # self-test of the boundary analysis
 }
 
