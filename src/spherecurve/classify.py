@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     FiberCountMismatch,
     NoGapFound,
+    NotClosed,
     NotCondensed,
     WindingResidual,
 )
@@ -371,8 +372,11 @@ def condensed_status(curve: AdmissibleCurve,
 
     The two properties are not mutually exclusive; the borderline flag marks
     the equatorial regime where the hemisphere margin is numerically zero
-    and the condensed side of the label cannot be trusted.
+    and the condensed side of the label cannot be trusted.  An open curve
+    raises NotClosed.
     """
+    if not curve.closed:
+        raise NotClosed("condensed status requires a closed curve")
     h, margin = sphere.best_hemisphere(classification_cloud(curve),
                                        certify_below=tol.borderline_margin)
     condensed = margin >= -tol.feasibility_margin

@@ -286,8 +286,7 @@ def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray)
 
 
 def lift_from_frames(frames: np.ndarray) -> np.ndarray:
-    """Continuous quaternion lift of a frame path (m, 3, 3) -> (m, 4), or of
-    F paths at once, (F, m, 3, 3) -> (F, m, 4), each tracked on its own.
+    """Continuous quaternion lift of a frame path, (m, 3, 3) -> (m, 4).
 
     One batched `rotation_to_quat`, then sign tracking: node i keeps the
     sign of node i - 1 times sign(<q_i, q_{i-1}>), a running product.  The
@@ -298,16 +297,10 @@ def lift_from_frames(frames: np.ndarray) -> np.ndarray:
     previous sign.
     """
     q = sphere.rotation_to_quat(frames)
-    first = q[..., 0, :]
-    ref = np.take_along_axis(first, np.argmax(np.abs(first) > 1e-8, axis=-1)[..., None],
-                             axis=-1)
-    flips = np.empty(q.shape[:-1])
-    flips[..., 0] = np.where(ref[..., 0] < 0, -1.0, 1.0)
-    # one (rows, 4) product for every path, so a row's sum does not depend
-    # on how many paths share the batch
-    dots = np.einsum("ij,ij->i", q[..., 1:, :].reshape(-1, 4), q[..., :-1, :].reshape(-1, 4))
-    flips[..., 1:] = np.where(dots < 0, -1.0, 1.0).reshape(flips[..., 1:].shape)
-    q *= np.cumprod(flips, axis=-1)[..., None]
+    flips = np.empty(len(q))
+    flips[0] = -1.0 if q[0, np.argmax(np.abs(q[0]) > 1e-8)] < 0 else 1.0
+    flips[1:] = np.where(np.einsum("ij,ij->i", q[1:], q[:-1]) < 0, -1.0, 1.0)
+    q *= np.cumprod(flips)[:, None]
     return q
 
 

@@ -39,6 +39,7 @@ from .errors import (
     DomainError,
     FiberCountMismatch,
     NoGapFound,
+    NotClosed,
     NotDiffuse,
     NotInHull,
     NotNonCondensed,
@@ -159,7 +160,10 @@ class GraftRecord:
 
 def ensure_curvature_param(curve: AdmissibleCurve,
                            tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
-    """Reparametrize by curvature unless the curve already is."""
+    """Reparametrize by curvature unless the curve already is; every graft
+    starts here, and an open curve raises NotClosed."""
+    if not curve.closed:
+        raise NotClosed("grafting requires a closed curve")
     dev = np.abs(curve.speed - np.sin(curve.rho)).max()
     if dev < 1e-9 and abs(curve.domain - total_curvature(curve)) < 1e-6:
         return curve

@@ -24,7 +24,6 @@ from .curves import (
     curve_from_node_data,
     curves_from_node_data,
     integrate_curves,
-    lift_from_frames,
     reparametrize_by_curvature,
 )
 from .errors import (
@@ -62,6 +61,19 @@ class ValidationReport:
     parities: tuple
     passed: bool
     notes: str = ""
+
+
+def _transported(bounds, lifts, speed, kappa, domain, closed, tol) -> tuple:
+    """The records of F curves whose (F, n+1) node lifts turn a known lift,
+    by `curves_from_node_data`.  A closed curve's last node takes its first
+    node's speed and curvature, and its lift up to their sign, so lift[-1]
+    = +-lift[0] bit for bit."""
+    if closed:
+        sign = np.where(np.einsum("fi,fi->f", lifts[:, -1], lifts[:, 0]) > 0, 1.0, -1.0)
+        lifts[:, -1] = sign[:, None] * lifts[:, 0]
+        speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
+    return curves_from_node_data(bounds, lifts, speed, kappa, domain=domain, closed=closed,
+                                 tol=tol)
 
 
 def _normalized(curves) -> tuple:
@@ -296,8 +308,12 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
     The result winds n extra loops along the curve, keeps both endpoint
     frames, flips parity by (-1)^n and has curvature tending to cot(rho1)
     uniformly as n grows.  The input is put in constant-|Lambda| (curvature)
-    parametrization first; the composed point and its derivatives go to
-    `_frames_from_point_data`.
+    parametrization first.  In its frame the point sigma(n t) of the loop
+    has velocity b = Lambda sigma + n sigma' and acceleration c, so the
+    speed is |b| and the curvature <sigma, b x c>/|b|^3, and the lift is
+    the base lift times the loop's, exp(pi u (cos rho1 i + sin rho1 k)) at
+    u = n t mod 2, times the turn about the point by the unwrapped angle
+    psi of b against the loop's tangent (records by `_transported`).
     """
     if n < 1:
         raise ValueError("need n >= 1 loops")
@@ -320,13 +336,18 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
                          v_n * x[:, 0] - w_n * x[:, 2],
                          w_n * x[:, 1]], axis=1)
 
-    a = sig
     b = lam_apply(sig) + n * dsig
     c = lam_apply(lam_apply(sig)) + 2.0 * n * lam_apply(dsig) + n * n * d2sig
-
-    F, Fd, Fdd = (np.einsum("nij,nj->ni", base.frames, x) for x in (a, b, c))
-    return _frames_from_point_data(F[None], Fd[None], Fdd[None], bounds, 1.0,
-                                   base.closed, tol)[0]
+    speed = np.linalg.norm(b, axis=1)
+    kappa = np.einsum("ni,ni->n", sig, np.cross(b, c)) / speed ** 3
+    # psi: the angle of b in the loop's (tangent, normal) plane
+    psi = np.unwrap(np.arctan2(np.einsum("ni,ni->n", b, np.cross(sig, dsig)),
+                               np.einsum("ni,ni->n", b, dsig)))
+    loop = sphere.quat_exp(np.multiply.outer(math.pi * np.mod(n * t_nodes, 2.0),
+                                             [math.cos(rho1), 0.0, math.sin(rho1)]))
+    turn = sphere.quat_exp(np.multiply.outer(0.5 * psi, [1.0, 0.0, 0.0]))
+    lift = sphere.quat_mul(base.lift, sphere.quat_mul(loop, turn))
+    return _transported(bounds, lift[None], speed[None], kappa[None], 1.0, base.closed, tol)[0]
 
 
 # ------------------------------------------------------------------ #
@@ -458,37 +479,6 @@ def _node_derivatives(curve: AdmissibleCurve):
     return d1, d2
 
 
-def _rowdot(a, b):
-    """<a, b> of 3-vectors over leading axes, as one contiguous (rows, 3)
-    product: einsum sums a row in the same order whatever the number of
-    frames in the batch, but not whatever the strides."""
-    rows = (np.ascontiguousarray(x).reshape(-1, 3) for x in (a, b))
-    return np.einsum("ni,ni->n", *rows).reshape(a.shape[:-1])
-
-
-def _frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol) -> tuple:
-    """Assemble F admissible curves from pointwise samples and derivatives
-    stacked (F, m, 3), in one batch: speeds, curvatures, frames, one
-    `lift_from_frames` and one `curves_from_node_data`.  A closed curve's
-    last node repeats its first, so lift[-1] = +-lift[0] bit for bit."""
-    speed = np.linalg.norm(dp, axis=-1)
-    kappa = _rowdot(p, np.cross(dp, d2p)) / speed ** 3
-    # the frame columns are written in place, so the batch holds one
-    # (F, m, 3, 3) array rather than its three columns and their stack
-    frames = np.empty(p.shape + (3,))
-    unit, tangent, normal = frames[..., 0], frames[..., 1], frames[..., 2]
-    np.divide(dp, speed[..., None], out=tangent)
-    np.divide(p, np.linalg.norm(p, axis=-1, keepdims=True), out=unit)
-    if closed:
-        unit[:, -1], tangent[:, -1] = unit[:, 0], tangent[:, 0]
-        speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
-    tangent -= unit * _rowdot(tangent, unit)[..., None]
-    tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
-    normal[...] = np.cross(unit, tangent)
-    return curves_from_node_data(bounds, lift_from_frames(frames), speed, kappa,
-                                 domain=domain, closed=closed, tol=tol)
-
-
 def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
                    tol: ToleranceProfile) -> tuple:
     """The dilatations T_r of one curve toward h for every factor in `rs`,
@@ -500,10 +490,8 @@ def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
     quaternion along ((1 + s) + r (1 - s), (1 - r) gamma x h), where
     D = (1 + s) + r^2 (1 - s) >= 2 r^2.  So the image lift is turn * lift,
     its speed 2r/D times the speed and its curvature
-    (kappa + (1 - r^2) <N, h>/D) D/(2r): no point of S^2 is singular.  A
-    closed curve's last node repeats its first, lift[-1] = +-lift[0] bit
-    for bit.  One `quat_mul` over the (F, n+1, 4) stack, one
-    `curves_from_node_data`.
+    (kappa + (1 - r^2) <N, h>/D) D/(2r): no point of S^2 is singular.
+    One `quat_mul` over the (F, n+1, 4) stack, then `_transported`.
     """
     r = np.asarray(rs, dtype=float)[:, None]
     if not np.all((0.0 < r) & (r <= 1.0)):
@@ -512,19 +500,14 @@ def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
     s = curve.gamma @ h
     axis = np.cross(curve.gamma, h)
     c, b = (1.0 + s) + r * (1.0 - s), 1.0 - r
-    norm = np.sqrt(c * c + b * b * _rowdot(axis, axis))
+    norm = np.sqrt(c * c + b * b * np.einsum("ni,ni->n", axis, axis))
     turn = np.concatenate([(c / norm)[..., None],
                            (b / norm)[..., None] * axis], axis=-1)
     lifts = sphere.quat_mul(turn, curve.lift[None])
     d = (1.0 + s) + r * r * (1.0 - s)
     speed = 2.0 * r / d * curve.speed
     kappa = (curve.kappa + (1.0 - r * r) * (curve.normal @ h) / d) * d / (2.0 * r)
-    if curve.closed:
-        sign = 1.0 if curve.lift[-1] @ curve.lift[0] > 0 else -1.0
-        lifts[:, -1] = sign * lifts[:, 0]
-        speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
-    return curves_from_node_data(bounds, lifts, speed, kappa, domain=curve.domain,
-                                 closed=curve.closed, tol=tol)
+    return _transported(bounds, lifts, speed, kappa, curve.domain, curve.closed, tol)
 
 
 def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
@@ -549,29 +532,44 @@ def project_to_tangent_plane(curve: AdmissibleCurve, h) -> PlanarCurve:
 
 
 def _lift_planar(planar, h, bounds: CurvatureBounds, tol: ToleranceProfile) -> tuple:
-    """Inverse orthogonal projection of F plane curves of one grid back to
-    the hemisphere around h: their points and derivatives are stacked
-    (F, m+1, 2) and lifted in one batch, ending in one
-    `_frames_from_point_data`."""
+    """Inverse orthogonal projection of F closed plane curves of one grid
+    back to the hemisphere around h, elementwise over their (F, m+1)
+    coordinates, so a frame's record does not depend on its batch.
+
+    In the basis (h, u1, u2), x lifts to p = (w, x1, x2), w = sqrt(1 - |x|^2).
+    The minimal rotation e1 -> p, (1 + w, 0, -x2, x1)/sqrt(2(1 + w)), takes
+    y = v + <x, v> x/(w(1 + w)), the velocity with its radial part
+    stretched by 1/w, to p'.  The lift is that rotation times the turn
+    about e1 by the unwrapped angle of y, moved to the world by one
+    constant quaternion; the speed is |y|, and <p, p' x p''> is a
+    determinant of basis coordinates.  Records by `_transported`.
+    """
     h = sphere.unit_vector(h)
     u1, u2 = sphere.plane_basis(h)
-    x, v, a = (np.array([getattr(pc, key) for pc in planar]) for key in ("xy", "vel", "acc"))
-    r2 = np.sum(x * x, axis=-1)
+    x1, x2, v1, v2, a1, a2 = (np.array([getattr(pc, key)[:, i] for pc in planar])
+                              for key in ("xy", "vel", "acc") for i in (0, 1))
+    r2 = x1 * x1 + x2 * x2
     if np.max(r2) >= 1.0:
         raise StageToleranceFailure("planar curve leaves the unit disk")
     w = np.sqrt(1.0 - r2)
-    xv = np.sum(x * v, axis=-1)
-    xa = np.sum(x * a, axis=-1)
-    vv = np.sum(v * v, axis=-1)
-
-    def embed(c):
-        return np.multiply.outer(c[..., 0], u1) + np.multiply.outer(c[..., 1], u2)
-
-    p = embed(x) + w[..., None] * h
-    dp = embed(v) - (xv / w)[..., None] * h
-    d2p = embed(a) - ((vv + xa) / w + xv * xv / w ** 3)[..., None] * h
-    del x, v, a, r2, w, xv, xa, vv      # the batch's peak is in the assembly
-    return _frames_from_point_data(p, dp, d2p, bounds, 1.0, True, tol)
+    xv = x1 * v1 + x2 * v2
+    stretch = xv / (w * (1.0 + w))
+    y1, y2 = v1 + stretch * x1, v2 + stretch * x2
+    speed = np.hypot(y1, y2)
+    # <p, p' x p''> with p' = (-<x, v>/w, v) and p'' = (d2, a) in the basis
+    d2 = -((v1 * v1 + v2 * v2 + x1 * a1 + x2 * a2) / w + xv * xv / w ** 3)
+    kappa = (w * (v1 * a2 - v2 * a1) + xv / w * (x1 * a2 - x2 * a1)
+             + d2 * (x1 * v2 - x2 * v1)) / speed ** 3
+    half = 0.5 * np.unwrap(np.arctan2(y2, y1), axis=-1)
+    # each (F, m+1) temporary goes once used, as the shrink's peak is here
+    del v1, v2, a1, a2, r2, xv, stretch, y1, y2, d2
+    c, s = np.cos(half), np.sin(half)
+    turn = np.array([(1.0 + w) * c, (1.0 + w) * s, x1 * s - x2 * c, x1 * c + x2 * s])
+    del c, s, half, x1, x2
+    turn /= np.sqrt(2.0 * (1.0 + w))
+    lifts = sphere.quat_mul(sphere.rotation_to_quat(np.stack([h, u1, u2], axis=1)),
+                            np.moveaxis(turn, 0, -1))
+    return _transported(bounds, lifts, speed, kappa, 1.0, True, tol)
 
 
 def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
@@ -584,11 +582,11 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     projects the small curve to the tangent plane, runs the planar
     Whitney-Graustein deformation and lifts the result back.  The last of
     `steps` >= 4 frames (default `tol.path_steps`) is a circle traversed nu
-    times.  Each stage is one batch over its frames: the Mobius frames by
-    one conformal transport of the curve's lift (`_mobius_frames`), the
-    planar frames by one broadcast and one stacked lift ending in
-    `_frames_from_point_data`, and one product moves every start frame to
-    the identity.
+    times.  Each stage is one batch over its frames, and each turns a
+    known lift: the Mobius frames by one conformal transport of the
+    curve's lift (`_mobius_frames`), the planar frames by one broadcast and
+    one stacked turn of the minimal rotations h -> p (`_lift_planar`).  One
+    product moves every start frame to the identity.
     """
     steps = tol.path_steps if steps is None else steps
     if steps < 4:

@@ -66,3 +66,28 @@ def count_calls(monkeypatch, fn):
             for key in [k for k, v in vars(mod).items() if v is fn]:
                 monkeypatch.setattr(mod, key, counting)
     return calls
+
+
+def frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol=sc.DEFAULT_TOL):
+    """The frame-matrix oracle of the point-data lifts: F admissible curves
+    from pointwise samples and derivatives stacked (F, m, 3), by speeds,
+    curvatures, (F, m, 3, 3) frames, Shepperd's method and sign tracking
+    (`lift_from_frames`).  A closed curve's last node takes its first
+    node's point, tangent, speed and curvature, so lift[-1] = +-lift[0]."""
+    from spherecurve.curves import curves_from_node_data, lift_from_frames
+
+    def rowdot(a, b):
+        return np.einsum("...i,...i->...", a, b)
+
+    speed = np.linalg.norm(dp, axis=-1)
+    kappa = rowdot(p, np.cross(dp, d2p)) / speed ** 3
+    unit = p / np.linalg.norm(p, axis=-1, keepdims=True)
+    tangent = dp / speed[..., None]
+    if closed:
+        unit[:, -1], tangent[:, -1] = unit[:, 0], tangent[:, 0]
+        speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
+    tangent -= unit * rowdot(tangent, unit)[..., None]
+    tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
+    frames = np.stack([unit, tangent, np.cross(unit, tangent)], axis=-1)
+    return curves_from_node_data(bounds, np.array([lift_from_frames(f) for f in frames]),
+                                 speed, kappa, domain=domain, closed=closed, tol=tol)

@@ -472,6 +472,28 @@ class TestErrorBoundary:
         assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["graft", "--mode", "auto"],
+        ["graft", "--mode", "simplex"],
+        ["graft", "--mode", "antipodal"],
+        ["shrink"],
+    ])
+    def test_open_curve_exit_1(self, argv, tmp_path, capsys):
+        # every command that needs a closed curve says so: NotClosed, not
+        # a label, a winding residual or a hull error
+        from spherecurve import factory
+        curve = factory.random_open_curve(sc.CurvatureBounds(0.0, math.inf),
+                                          np.random.default_rng(3), n=256)
+        assert not curve.closed
+        doc = tmp_path / "open.json"
+        doc.write_text(json.dumps(sc.curve_to_json(curve)))
+        out = tmp_path / "out.jsonl"
+        assert run_cli(argv[0], str(doc), *argv[1:], "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "requires a closed curve" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["bands", "NEG", "--profile-nodes", "0"],
         ["bands", "NEG", "--profile-nodes", "-2"],
         ["gen", "neither-example", "--rho0", "0"],

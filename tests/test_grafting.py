@@ -14,6 +14,7 @@ from spherecurve.errors import (
     ContinuationDiverged,
     DegenerateSimplex,
     DomainError,
+    NotClosed,
     NotDiffuse,
     NotNonCondensed,
 )
@@ -460,6 +461,22 @@ class TestGraftUntilResolved:
         assert status.tag != "Neither"
         assert len(nus) == len(history) - 1 >= 1
         assert all(isinstance(nu, int) for nu in nus)
+
+
+class TestOpenCurves:
+    """The status and both graft steps are for closed curves only."""
+
+    @pytest.mark.parametrize("call", [
+        classify.condensed_status,
+        lambda c: gr.graft_antipodal_circles(c, 0.01),
+        lambda c: gr.graft_simplex_step(c, 0.01),
+        lambda c: gr.graft_until_resolved(c)])
+    def test_open_curve_is_not_closed(self, call):
+        curve = factory.random_open_curve(sc.CurvatureBounds(0.0, math.inf),
+                                          np.random.default_rng(3), n=256)
+        with pytest.raises(NotClosed, match="requires a closed curve"):
+            call(curve)
+
 
 class TestRoundTripResolve:
     def test_resolve_after_json_round_trip(self, neither_small):

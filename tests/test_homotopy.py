@@ -591,8 +591,9 @@ class TestNormalizeInitialFrame:
 
 
 def inline_spread_loops(curve, n, rho1, bounds):
-    """spread_loops with its own speed, tangent, curvature, closure and lift
-    assembly, as it was before it ended in `_frames_from_point_data`."""
+    """spread_loops by the frame-matrix route: the composed point's speed,
+    tangent, curvature and closure, and `lift_from_frames` of its
+    frames."""
     base = sc.reparametrize_by_curvature(curve, n_out=max(curve.n, 64 * n,
                                                           sc.DEFAULT_TOL.default_n))
     T = base.domain
@@ -617,14 +618,16 @@ def inline_spread_loops(curve, n, rho1, bounds):
     if base.closed:
         F[-1], tangent[-1] = F[0], tangent[0]
         speed[-1], kappa[-1] = speed[0], kappa[0]
-    lift = ho.lift_from_frames(np.stack([F, tangent, np.cross(F, tangent)], axis=-1))
+    lift = sc.curves.lift_from_frames(np.stack([F, tangent, np.cross(F, tangent)], axis=-1))
     if base.closed:
         lift[-1] = (1.0 if np.dot(lift[-1], lift[0]) > 0 else -1.0) * lift[0]
     return lift, kappa
 
 
 class TestOnePointAssembly:
-    """Every construction from points ends in `_frames_from_point_data`."""
+    """The constructions from point data, loop spreading and the planar
+    lift, turn a known lift: against the frame-matrix route, and their
+    closed lifts end on their start."""
 
     @pytest.mark.parametrize("n,rho1,bounds", [
         (8, 0.25, sc.CurvatureBounds(0.0, math.inf)),
@@ -745,6 +748,25 @@ def deform_shrink_inputs(seed):
         yield sc.make_circle(rho, k, bounds)
 
 
+def condensed_ellipse():
+    """A non-circular condensed curve: a small spherical ellipse about
+    e3, its semi-axes 0.5 and 0.25 in the tangent plane, imported through
+    `curve_from_points` under (0, +inf)."""
+    t = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
+    points = np.stack([0.5 * np.cos(t), 0.25 * np.sin(t), np.ones_like(t)], axis=1)
+    curve = sc.curve_from_points(points, sc.CurvatureBounds(0.0, math.inf), n=512)
+    assert classify.condensed_status(curve).tag == "Condensed"
+    return curve
+
+
+# the benchmark's shrink inputs of three seeds, and the ellipse
+SHRINK_CASES = [7, 601, 9801, "ellipse"]
+
+
+def shrink_inputs(case):
+    return [condensed_ellipse()] if case == "ellipse" else deform_shrink_inputs(case)
+
+
 class TestPathBatch:
     """Bend and shrink paths are built, validated and written as one batch;
     the per-frame constructions are the oracle, bit for bit."""
@@ -814,12 +836,67 @@ class TestPathBatch:
         assert per_size[0][:3] == ((4, 2), (0, 0), (0, 0))
 
 
+def planar_point_data(planar, h):
+    """Points and first two derivatives on the sphere of plane curves of
+    one grid, (F, m+1, 3) each: their inverse orthogonal projection to the
+    hemisphere around h, embedded in R^3."""
+    h = sphere.unit_vector(h)
+    u1, u2 = sphere.plane_basis(h)
+    x, v, a = (np.array([getattr(pc, key) for pc in planar]) for key in ("xy", "vel", "acc"))
+    w = np.sqrt(1.0 - np.sum(x * x, axis=-1))
+    xv, xa, vv = (np.sum(p * q, axis=-1) for p, q in ((x, v), (x, a), (v, v)))
+
+    def embed(c):
+        return np.multiply.outer(c[..., 0], u1) + np.multiply.outer(c[..., 1], u2)
+
+    return (embed(x) + w[..., None] * h, embed(v) - (xv / w)[..., None] * h,
+            embed(a) - ((vv + xa) / w + xv * xv / w ** 3)[..., None] * h)
+
+
+class TestPlanarLift:
+    """The planar stage's lift, a turn of the minimal rotation h -> p,
+    against the frame-matrix oracle `frames_from_point_data` of the same
+    points and derivatives."""
+
+    @pytest.mark.parametrize("case", SHRINK_CASES)
+    def test_matches_the_frame_matrix_oracle(self, monkeypatch, case):
+        from conftest import frames_from_point_data
+        calls = []
+        real = ho._lift_planar
+
+        def recording(planar, h, bounds, tol):
+            out = real(planar, h, bounds, tol)
+            calls.append((planar, h, bounds, out))
+            return out
+
+        monkeypatch.setattr(ho, "_lift_planar", recording)
+        inputs = list(shrink_inputs(case))
+        for curve in inputs:
+            ho.shrink_condensed(curve, steps=65)
+        monkeypatch.undo()
+        assert len(calls) == len(inputs)
+        for planar, h, bounds, lifted in calls:
+            want = frames_from_point_data(*planar_point_data(planar, h), bounds, 1.0, True)
+            assert len(lifted) == len(want) == 33
+            for got, w in zip(lifted, want):
+                lift = np.minimum(np.abs(got.lift - w.lift).max(axis=1),
+                                  np.abs(got.lift + w.lift).max(axis=1))
+                assert lift.max() <= 1e-14
+                assert (np.abs(got.speed - w.speed) / w.speed).max() <= 1e-14
+                scale = np.maximum(1.0, np.abs(w.kappa))
+                assert (np.abs(got.kappa - w.kappa) / scale).max() <= 1e-14
+                assert np.array_equal(got.lift[-1], got.lift[0]) \
+                    or np.array_equal(got.lift[-1], -got.lift[0])
+
+
 class TestConformalTransport:
     """The Mobius frames by conformal transport against the chart oracle
     of `tests/test_sphere.py`: the dilated points and derivatives,
-    assembled by `_frames_from_point_data`."""
+    assembled by the frame-matrix oracle `frames_from_point_data`.  The
+    inputs are the benchmark's circles and a non-circular condensed
+    curve."""
 
-    @pytest.mark.parametrize("seed", [7, 601, 9801])
+    @pytest.mark.parametrize("seed", SHRINK_CASES)
     def test_mobius_frames_match_the_chart_oracle(self, monkeypatch, seed):
         # every dilatation of the shrinks, the factor search's and the
         # Mobius stage's, each of a reduced input
@@ -828,20 +905,21 @@ class TestConformalTransport:
         real = ho._mobius_frames
         monkeypatch.setattr(ho, "_mobius_frames",
                             lambda c, rs, h, *a: calls.append((c, rs, h)) or real(c, rs, h, *a))
-        for curve in deform_shrink_inputs(seed):
+        inputs = list(shrink_inputs(seed))
+        for curve in inputs:
             ho.shrink_condensed(curve, steps=65)
         monkeypatch.undo()
-        assert len({id(c) for c, _, _ in calls}) == 4
+        assert len({id(c) for c, _, _ in calls}) == len(inputs)
         for curve, rs, h in calls:
             for r, got in zip(rs, ho._mobius_frames(curve, rs, h, curve.bounds, sc.DEFAULT_TOL)):
                 assert_matches_chart_oracle(got, curve, r, h)
                 assert np.array_equal(got.lift[-1], got.lift[0]) \
                     or np.array_equal(got.lift[-1], -got.lift[0])
 
-    @pytest.mark.parametrize("seed", [7, 601, 9801])
+    @pytest.mark.parametrize("seed", SHRINK_CASES)
     def test_shrink_paths_match_the_chart_oracle(self, seed):
         from test_sphere import chart_mobius
-        for curve in deform_shrink_inputs(seed):
+        for curve in shrink_inputs(seed):
             path = ho.shrink_condensed(curve, steps=65)
             want = frame_by_frame_shrink(curve, 65, mobius=chart_mobius)
             rep = ho.validate_path(path)

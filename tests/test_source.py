@@ -1,8 +1,10 @@
 """Static checks on the library source."""
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 
 import spherecurve
 
@@ -161,3 +163,60 @@ class TestDeadCode:
                "    _local = 1\n    return _local\n")
         test = "import mod\nmonkeypatch.setattr(mod, '_PATCHED', 0.0)\n"
         assert unreferenced_private([lib], [lib, test]) == ["_ANNOTATED", "_LEFT_OVER"]
+
+
+BACKTICKED = re.compile(r"`([^`\n]+)`")
+PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def docs_and_comments(source):
+    """The docstrings and comments of a module's source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.string
+
+
+def defined_names(tree):
+    """Every name a module defines at any depth: functions, classes and
+    methods, assigned names and attributes, and parameters."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            yield node.id if isinstance(node, ast.Name) else node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+
+
+def stale_private_names(sources, readme):
+    """Private names (`_name`, alone or dotted) in backticks in the README
+    or in the sources' docstrings and comments that no source defines,
+    sorted."""
+    texts = [readme] + [text for source in sources for text in docs_and_comments(source)]
+    named = {name for text in texts for span in BACKTICKED.findall(text)
+             for name in PRIVATE_NAME.findall(span)}
+    defined = {name for source in sources for name in defined_names(ast.parse(source))}
+    return sorted(named - defined)
+
+
+class TestStaleNames:
+    def test_docs_name_only_defined_private_names(self):
+        lib = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+        stale = stale_private_names(lib, (REPO / "README.md").read_text())
+        assert stale == [], "these private names are not defined in src/: update the docs"
+
+    def test_detector_finds_stale_names(self):
+        lib = ('def _kept(_arg):\n'
+               '    """Calls `_kept` and `mod._gone(x)`; `a_b` is no private name."""\n'
+               '    _local = 1  # see `_local`, `_arg` and `_dropped`\n'
+               '    return _local\n'
+               'class K:\n'
+               '    def _method(self):\n'
+               '        self._cache = "not `_in_code`"\n')
+        readme = "`K._method` and `K._cache`, `_kept()`, `_old_helper` and `__init__`\n"
+        assert stale_private_names([lib], readme) == ["_dropped", "_gone", "_old_helper"]

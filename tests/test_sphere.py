@@ -150,8 +150,9 @@ class TestStereographic:
 # Oracle of the Mobius frames: T_r through the stereographic chart from -h
 # (project, scale by r, map back), with derivatives by the chain rule
 # through the chart and its inverse, the frames rebuilt from the points
-# and derivatives by `_frames_from_point_data`, as the library computed
-# them before the conformal transport.
+# and derivatives by the frame-matrix oracle `frames_from_point_data`
+# (conftest.py), as the library computed them before the conformal
+# transport.
 
 def chart_project_d2(chart, p, u, w):
     c = chart._check(p)
@@ -212,11 +213,11 @@ def chart_dilate(r, h, p, dp, d2p):
 
 def chart_mobius(curve, r, h, bounds=None, tol=DEFAULT_TOL):
     """T_r of a curve toward h by the oracle: `chart_dilate` of its points
-    and node derivatives, assembled by `_frames_from_point_data`."""
+    and node derivatives, assembled by `frames_from_point_data`."""
+    from conftest import frames_from_point_data
     p, dp, d2p = chart_dilate(r, h, curve.gamma, *homotopy._node_derivatives(curve))
-    return homotopy._frames_from_point_data(p[None], dp[None], d2p[None],
-                                            bounds or curve.bounds, curve.domain,
-                                            curve.closed, tol)[0]
+    return frames_from_point_data(p[None], dp[None], d2p[None], bounds or curve.bounds,
+                                  curve.domain, curve.closed, tol)[0]
 
 
 def assert_matches_chart_oracle(got, curve, r, h, keep=slice(None), per_node=True):
