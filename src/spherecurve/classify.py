@@ -398,12 +398,14 @@ def condensed_status(curve: AdmissibleCurve,
 # Rotation numbers
 # ------------------------------------------------------------------ #
 
-def winding_number_planar(xy_tangents: np.ndarray,
-                          tol: ToleranceProfile = DEFAULT_TOL) -> int:
+_WINDING_RESIDUAL = 0.05       # distance to integer turns
+
+
+def winding_number_planar(xy_tangents: np.ndarray) -> int:
     """Turns of a closed planar tangent field, with an integrality guard."""
     ang = np.unwrap(np.arctan2(xy_tangents[:, 1], xy_tangents[:, 0]))
     turns = (ang[-1] - ang[0]) / (2.0 * math.pi)
-    if abs(turns - round(turns)) > tol.winding_residual:
+    if abs(turns - round(turns)) > _WINDING_RESIDUAL:
         raise WindingResidual(f"tangent winding {turns:.4f} is not near an integer")
     return int(round(turns))
 
@@ -421,7 +423,7 @@ def rotation_number_condensed(curve: AdmissibleCurve, h,
         d = chart.project_d(curve.gamma, curve.tangent)
     except DegenerateProjection as exc:
         raise WindingResidual(f"projection degenerate: {exc}") from exc
-    nu = -winding_number_planar(d, tol)
+    nu = -winding_number_planar(d)
     if nu < 1:
         raise WindingResidual(f"condensed curve produced winding {nu} < 1")
     return nu

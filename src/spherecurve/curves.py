@@ -210,9 +210,8 @@ def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
     component-row array holding z0 and the steps, with the chains on a
     trailing axis: at shift 1, 2, 4, ... <= n every column from `shift` on
     becomes the Hamilton product of the column `shift` earlier (the left
-    factor) and itself, renormalized once per level by `_unit_columns`,
-    which `_chain_ends` shares so that its last node is this scan's bit for
-    bit.  ceil(log2(n + 1)) batched levels; node i is z0 * steps_0 * ... *
+    factor) and itself, renormalized once per level by `_unit_columns`.
+    ceil(log2(n + 1)) batched levels; node i is z0 * steps_0 * ... *
     steps_{i-1} to roundoff.  A column only reads columns before it, so a
     chain of r < n steps right-padded to n gets its own scan in columns
     0..r, bit for bit, whatever the padding holds.
@@ -229,37 +228,17 @@ def _chain_quats(z0, steps: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q.T)
 
 
-def _chain_ends(z0s: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Last node of `_chain_quats(z0s[f], chain f's steps)` for every f, bit
-    for bit: (F, 4), (F, L, 4) and (F,) step counts -> (F, 4).
-
-    The scan's node n is a tree of right-aligned pairwise products: at
-    each level the earlier element of a pair is the left factor and an
-    unpaired first element is carried unchanged.  Reducing level by
-    level takes only those n products (Blelloch 1990's up-sweep) instead
-    of the scan's n log n, for all F chains in one batch.
-
-    The batch may be ragged: chain f has `counts[f]` <= L steps, in the
-    last slots of `steps[f]`, and is left-padded with `QUAT_ONE` (z0s[f]
-    goes in the slot just before its steps).  A pair whose left factor is
-    padding carries its right factor unchanged instead of multiplying, so
-    each chain's first element is carried exactly where its own tree
-    carries it, and every chain gets its own tree's products.
-    """
-    chains, length = steps.shape[0], steps.shape[1] + 1
-    real = np.asarray(counts) + 1
-    q = np.empty((4, length, chains))
-    q[:, 0] = sphere.QUAT_ONE[:, None]
-    q[:, 1:] = steps.T
-    q[:, length - real, np.arange(chains)] = np.asarray(z0s, dtype=float).T
-    while length > 1:
-        odd = length % 2
-        right = q[:, odd + 1::2]
-        pairs = _unit_columns(sphere.quat_mul(q[:, odd::2].T, right.T).T)
-        pairs = np.where(np.arange(odd, length - 1, 2)[:, None] < length - real, right, pairs)
-        q = np.concatenate([q[:, :1], pairs], axis=1) if odd else pairs
-        length, real = (length + 1) // 2, (real + 1) // 2
-    return np.ascontiguousarray(q[:, 0].T)
+def _chain_products(q: np.ndarray) -> np.ndarray:
+    """Product of each of F chains of L factors, (4, L, F) component rows ->
+    (F, 4): each level multiplies every even column by the next one (an odd
+    last column by `QUAT_ONE`), so L - 1 products a chain, not a scan's."""
+    while q.shape[1] > 1:
+        if q.shape[1] % 2:
+            q = np.concatenate([q, np.broadcast_to(sphere.QUAT_ONE[:, None, None],
+                                                   (4, 1, q.shape[2]))], axis=1)
+        # transposed views: quat_mul reads and returns component rows
+        q = sphere.quat_mul(q[:, 0::2].T, q[:, 1::2].T).T
+    return q[:, 0].T
 
 
 def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray):
@@ -283,6 +262,17 @@ def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray)
     v = h_inv(v_hat.reshape(-1)[starts])
     kap = hb_inv(w_hat.reshape(-1)[starts])
     return starts, lengths, v, kap, _step_quats(v, v * kap, lengths * (1.0 / v_hat.shape[-1]))
+
+
+def _padded_runs(rows: np.ndarray, frames: int, run_steps: np.ndarray):
+    """Each run's step in its row (`rows`, nondecreasing), right-padded with
+    `QUAT_ONE`: (F, longest, 4), with each row's run count and each run's slot."""
+    counts = np.bincount(rows, minlength=frames)
+    longest = counts.max()
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    padded = np.tile(sphere.QUAT_ONE, (frames, longest, 1))
+    padded.reshape(-1, 4)[rows * longest + slot] = run_steps
+    return padded, counts, slot
 
 
 def lift_from_frames(frames: np.ndarray) -> np.ndarray:
@@ -514,21 +504,18 @@ def integrate_curves(controls: ControlPair, bounds: CurvatureBounds, q0=None,
     dt = 1.0 / n
     starts, lengths, v, kap, run_steps = _control_runs(bounds, v_hat, w_hat)
     # run j of row f is column slot[j] of the row's right-padded scan of
-    # `longest` steps; interval i of row f is flat interval f n + i and
+    # `width` nodes; interval i of row f is flat interval f n + i and
     # flat lift node f (n + 1) + i
     rows = starts // n
-    counts = np.bincount(rows, minlength=frames)
-    longest = counts.max()
-    slot = np.arange(starts.size) - (np.cumsum(counts) - counts)[rows]
-    padded = np.tile(sphere.QUAT_ONE, (frames, longest, 1))
-    padded.reshape(-1, 4)[rows * longest + slot] = run_steps
+    padded, counts, slot = _padded_runs(rows, frames, run_steps)
+    width = padded.shape[1] + 1
     z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
     nodes = _chain_quats(np.broadcast_to(z0, (frames, 4)), padded).reshape(-1, 4)
-    head = rows * (longest + 1) + slot
+    head = rows * width + slot
     lift = np.empty((frames, n + 1, 4))
     flat_lift = lift.reshape(-1, 4)
     flat_lift[starts + rows] = nodes[head]
-    lift[:, -1] = nodes[np.arange(frames) * (longest + 1) + counts]
+    lift[:, -1] = nodes[np.arange(frames) * width + counts]
     run = np.repeat(np.arange(starts.size), lengths)
     offset = np.arange(v_hat.size) - starts[run]
     inner = np.flatnonzero(offset)
@@ -713,35 +700,36 @@ def _rotation_from_json(x) -> np.ndarray:
     return R
 
 
+# bound on a frame entry's gap between the writer's pairwise product and
+# the reader's scan (3.5e-15 seen on the shrink paths' frames), with margin
+_READBACK_SLACK = 1e-12
+
+
 def _reintegration_closes(written, tol) -> np.ndarray:
-    """Whether integrating each written (bounds, v_hat, w_hat, q0) gives a
-    closed curve, decided exactly as `integrate_curves` decides it: node n
-    is the reduction of the same run steps (`_control_runs`, one call for
-    all rows of one bounds and n), and the curves, of any n and any run
-    count, go through one ragged `_chain_ends`."""
+    """Whether each written (bounds, v_hat, w_hat, q0) surely reads back
+    closed.  The reader's node n is its start times the run steps
+    `_control_runs` gives it (one call for all rows of one bounds and n).
+    Each row here holds its start in column 0 and its run steps after it,
+    right-padded with `QUAT_ONE` as `integrate_curves` lays them out, and
+    `_chain_products` multiplies them pairwise.  That product and the
+    reader's scan differ at roundoff, far below `_READBACK_SLACK` in a frame
+    entry, so a row counts as closed only when its defect is at most
+    `tol.closure` less that slack: a row said to close reads back closed."""
     groups = {}
     for i, (bounds, v_hat, _, _) in enumerate(written):
         groups.setdefault((bounds, v_hat.size), []).append(i)
-    chains, steps = [], []
-    for (bounds, _), members in groups.items():
-        v_hat = np.array([written[i][1] for i in members])
-        starts, *_, run_steps = _control_runs(bounds, v_hat, np.array([written[i][2]
-                                                                     for i in members]))
-        chains.append(np.asarray(members)[starts // v_hat.shape[1]])
-        steps.append(run_steps)
-    chains = np.concatenate(chains)
-    order = np.argsort(chains, kind="stable")       # each chain's runs in order
-    counts = np.bincount(chains, minlength=len(written))
-    width = counts.max()
-    padded = np.tile(sphere.QUAT_ONE, (counts.size, width, 1))
-    padded[np.arange(width) >= width - counts[:, None]] = np.concatenate(steps)[order]
-    z0s = np.tile(sphere.QUAT_ONE, (counts.size, 1))
+    q = np.tile(sphere.QUAT_ONE[:, None, None], (1, 1 + max(n for _, n in groups), len(written)))
+    for (bounds, n), members in groups.items():
+        starts, *_, run_steps = _control_runs(bounds, np.array([written[i][1] for i in members]),
+                                              np.array([written[i][2] for i in members]))
+        padded = _padded_runs(starts // n, len(members), run_steps)[0]
+        q[:, 1:1 + padded.shape[1], members] = padded.T
     turned = [i for i, (*_, q0) in enumerate(written) if q0 is not None]
     if turned:
-        z0s[turned] = sphere.rotation_to_quat(np.array([written[i][3] for i in turned]))
-    ends = _chain_ends(z0s, padded, counts)
-    frames = sphere.quat_to_rotation(np.stack([z0s, ends], axis=1))
-    return np.abs(frames[:, 1] - frames[:, 0]).max(axis=(1, 2)) <= tol.closure
+        q[:, 0, turned] = sphere.rotation_to_quat(np.array([written[i][3] for i in turned])).T
+    frames = sphere.quat_to_rotation(np.stack([q[:, 0].T, _chain_products(q)], axis=1))
+    defects = np.abs(frames[:, 1] - frames[:, 0]).max(axis=(1, 2))
+    return defects <= tol.closure - _READBACK_SLACK
 
 
 def _control_docs(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
@@ -768,12 +756,12 @@ def _control_docs(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
         else:
             q0 = None
         docs.append(out)
-        if curve.closed and not curve.integrated:
+        if not curve.integrated:
             pending.append((curve, out, (curve.bounds, v_hat, w_hat, q0)))
     if pending:
         closes = _reintegration_closes([written for _, _, written in pending], tol)
         for (curve, out, _), ok in zip(pending, closes):
-            if not ok:
+            if not (curve.closed and ok):
                 out["lift"] = curve.lift
                 out["speed"] = curve.speed * curve.domain
                 out["kappa"] = curve.kappa
@@ -781,9 +769,8 @@ def _control_docs(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
 
 
 def curves_to_json(curves, tol: ToleranceProfile = DEFAULT_TOL) -> list[dict]:
-    """`curve_to_json` of every curve; the closure checks of all curves that
-    need one run as one batched end-node reduction (`_chain_ends`), whatever
-    their n."""
+    """`curve_to_json` of every curve; the read-back checks of all curves
+    that need one run as one batched pairwise product, whatever their n."""
     return [{key: value.tolist() if isinstance(value, np.ndarray) else value
              for key, value in doc.items()} for doc in _control_docs(curves, tol)]
 
@@ -792,13 +779,13 @@ def curve_to_json(curve: AdmissibleCurve,
                   tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """Serializable control form; a non-unit domain is relabeled to [0, 1].
 
-    A closed curve whose written controls would not re-integrate to a
-    closed curve (node-sampled curves whose controls are averages) also
-    carries its node samples as `lift`, `speed` and `kappa`, from which
-    `curve_from_json` rebuilds it exactly.  Curves made by `integrate_curve`
-    re-integrate by construction and skip the check.  This is the one-curve
-    case of `curves_to_json`, which decides the closure of many curves with
-    one batched end-node reduction rather than a scan per curve.
+    A curve not made by `integrate_curve` (node-sampled curves, whose
+    controls are averages) also carries its node samples as `lift`, `speed`
+    and `kappa`, from which `curve_from_json` rebuilds it exactly, unless
+    it is closed and its written controls surely re-integrate closed.
+    Integrated curves re-integrate by construction and skip the check.
+    This is the one-curve case of `curves_to_json`, which checks many
+    curves with one batched product rather than a scan per curve.
     """
     return curves_to_json([curve], tol)[0]
 
@@ -807,21 +794,23 @@ def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Admissibl
     """Parse the control schema, with or without node samples, or the raw
     {"gamma": [...]} form.  A document that is not an object, a bound that
     is neither a number nor an infinity string, an array of non-numbers, a
-    non-integer `n` and a `q0` that is not a rotation are each a
-    ValueError."""
+    non-integer `n`, a control document's `n` other than its interval count
+    and a `q0` that is not a rotation are each a ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a curve document is a JSON object, not {type(doc).__name__}")
+    n = doc.get("n")
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if "gamma" in doc:
         bounds = CurvatureBounds(_bound_from_json(doc.get("kappa1", "-inf")),
                                  _bound_from_json(doc.get("kappa2", "+inf")))
-        n = doc.get("n")
-        if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
-            raise ValueError(f"n must be an integer, not {n!r}")
         return curve_from_points(_floats(doc["gamma"], "gamma"), bounds, n=n, tol=tol)
     bounds = CurvatureBounds(_bound_from_json(doc["kappa1"]),
                              _bound_from_json(doc["kappa2"]))
     controls = ControlPair(_floats(doc["v_hat"], "v_hat"),
                            _floats(doc["w_hat"], "w_hat"))
+    if n is not None and n != controls.n:
+        raise ValueError(f"n is {n}, but the controls hold {controls.n} intervals")
     if "lift" in doc:
         lift, speed, kappa = (_floats(doc[key], key) for key in ("lift", "speed", "kappa"))
         nodes = controls.n + 1
@@ -838,6 +827,9 @@ def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Admissibl
 def load_curve(path, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     with open(path) as fh:
         return curve_from_json(json.load(fh), tol)
+
+
+_IMPORT_KAPPA_SLACK = 1e-6     # clamp width for imported curvature
 
 
 def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
@@ -911,10 +903,9 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
     if np.any(v_int <= 0):
         raise NonPositiveSpeed("imported points double back on themselves")
 
-    slack = tol.import_kappa_slack
     lo, hi = bounds.kappa1, bounds.kappa2
     margin = 1e-9
-    if np.any(k_int <= lo - slack) or np.any(k_int >= hi + slack):
+    if np.any(k_int <= lo - _IMPORT_KAPPA_SLACK) or np.any(k_int >= hi + _IMPORT_KAPPA_SLACK):
         raise CurvatureOutOfBounds("imported curvature escapes the bounds")
     k_int = np.clip(k_int,
                     lo + margin if math.isfinite(lo) else -np.inf,

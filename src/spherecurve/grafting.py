@@ -384,7 +384,7 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
         weights = cand.weights[order]
         chis = pts[idx]
         try:
-            sigmas = _continuation(chis, weights, s, tol)
+            sigmas = _continuation(chis, weights, s)
         except (ContinuationDiverged, DegenerateSimplex) as exc:
             # keep the type and message, not the exception: its traceback
             # holds this frame, and that cycle would keep the caustic
@@ -399,15 +399,19 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
     raise failure[0](failure[1])
 
 
-def _continuation(chis, weights, s, tol: ToleranceProfile) -> np.ndarray:
+_CONTINUATION_TOL = 1e-12       # |G - 1| target of the Newton solve
+_CONTINUATION_MAX_ITER = 50
+
+
+def _continuation(chis, weights, s) -> np.ndarray:
     """Arc lengths with sum s whose inserted rotations multiply to 1."""
     sigmas = s * weights / weights.sum()
     chis_half = 0.5 * chis
-    for _ in range(tol.continuation_max_iter):
+    for _ in range(_CONTINUATION_MAX_ITER):
         G, grads = _exp_chain(sigmas, chis_half)
         res = np.concatenate([G[1:], [sigmas.sum() - s]])
-        if np.linalg.norm(G - sphere.QUAT_ONE) <= tol.continuation_tol \
-                and abs(res[-1]) <= tol.continuation_tol:
+        if np.linalg.norm(G - sphere.QUAT_ONE) <= _CONTINUATION_TOL \
+                and abs(res[-1]) <= _CONTINUATION_TOL:
             if np.any(sigmas < -1e-9):
                 raise ContinuationDiverged("negative arc length; bisect s")
             return np.clip(sigmas, 0.0, None)

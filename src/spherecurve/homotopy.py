@@ -377,8 +377,8 @@ class PlanarCurve:
         a = self.acc
         return (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / self.speed ** 3
 
-    def winding(self, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-        return winding_number_planar(self.vel, tol)
+    def winding(self) -> int:
+        return winding_number_planar(self.vel)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,7 +407,7 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     if steps < 3:
         raise ValueError(f"the planar stage needs at least 3 frames, not {steps}")
     m = curve.m
-    N = curve.winding(tol)
+    N = curve.winding()
     if N <= 0:
         raise NonpositiveRotation(f"rotation number {N} <= 0")
 
@@ -619,7 +619,7 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     planar = project_to_tangent_plane(mobius[-1], h)
     ppath = planar_wg_homotopy(planar, kappa0=kappa_target,
                                steps=steps - n_a + 1, tol=tol)
-    if ppath.curves[-1].winding(tol) != nu:
+    if ppath.curves[-1].winding() != nu:
         raise StageToleranceFailure("planar stage changed the rotation number")
     lifted = _lift_planar(ppath.curves[1:], h, bounds, tol)
     frames = _normalized((reduced,) + mobius + lifted)

@@ -533,9 +533,10 @@ def fibonacci_lattice(m: int) -> np.ndarray:
 
 # lattice directions tested against the cloud per matrix product
 _BARYCENTER_BLOCK = 4096
+_LATTICE_SIZE = 4096            # Fibonacci directions of the first pass
 
 
-def hemisphere_barycenter(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def hemisphere_barycenter(point_cloud) -> np.ndarray:
     """Barycenter of the set of closed hemispheres containing the cloud.
 
     Samples the dual cone {h : <p, h> >= 0 for all p} on a Fibonacci lattice,
@@ -563,7 +564,7 @@ def hemisphere_barycenter(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> n
             raise NearZeroCentroid("dual-cone centroid is numerically zero")
         return c / np.linalg.norm(c)
 
-    h1 = centroid(fibonacci_lattice(tol.lattice_size))
+    h1 = centroid(fibonacci_lattice(_LATTICE_SIZE))
     # realign a denser lattice with the first estimate and average once more;
     # this cancels the orientation bias of the boundary cut
     axis = np.cross([0.0, 0.0, 1.0], h1)
@@ -572,5 +573,5 @@ def hemisphere_barycenter(point_cloud, tol: ToleranceProfile = DEFAULT_TOL) -> n
     else:
         ang = float(np.arccos(np.clip(h1[2], -1.0, 1.0)))
         rot = rotation_about(axis, ang)
-    fine = fibonacci_lattice(8 * tol.lattice_size)
+    fine = fibonacci_lattice(8 * _LATTICE_SIZE)
     return centroid(fine @ rot.T)

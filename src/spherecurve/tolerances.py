@@ -20,18 +20,13 @@ class ToleranceProfile:
     closure: float = 1e-7             # frame defect allowed for `closed`
     borderline_margin: float = 1e-4   # |margin| below this => equatorial regime
     antipodal_chord: float = 1e-3     # |p + q| for an antipodal witness
-    winding_residual: float = 0.05    # distance to integer turns
     band_tol: float = 5e-3            # good-band width tolerance (radians)
-    lattice_size: int = 4096          # Fibonacci directions for barycenters
     default_n: int = 1024             # curve grid intervals
     band_theta_nodes: int = 64        # theta resolution of band grids
     classify_t_nodes: int = 256       # witness and graft-sample t stride
     band_k_nodes: int = 2048          # covering-cylinder meridian nodes
     path_steps: int = 65              # frames per homotopy path
     graft_step: float = 0.05          # default simplex graft increment
-    continuation_tol: float = 1e-12   # |G - 1| target of the Newton solve
-    continuation_max_iter: int = 50
-    import_kappa_slack: float = 1e-6  # clamp width for imported curvature
     seed: int = 2018                  # first hull vertex of the simplex graft
 
     def __post_init__(self):

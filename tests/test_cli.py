@@ -303,6 +303,8 @@ class TestErrorBoundary:
         {"q0": {"a": 1}},
         {"v_hat": {"a": 1}},
         {"gamma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "n": "64"},
+        {"n": 5},
+        {"n": 64.5},
     ])
     def test_malformed_document_exit_2(self, change, tmp_path, capsys):
         c = tmp_path / "c.json"
@@ -382,7 +384,9 @@ class TestErrorBoundary:
                        str(tmp_path / "c.json")) == 2
         assert capsys.readouterr().err.startswith("error: FileNotFoundError")
 
-    @pytest.mark.parametrize("field", ["orthonormality", "simplex_budget"])
+    @pytest.mark.parametrize("field", [
+        "orthonormality", "simplex_budget", "winding_residual", "continuation_tol",
+        "continuation_max_iter", "import_kappa_slack", "lattice_size"])
     def test_removed_tolerance_field_exit_2(self, tmp_path, capsys, field):
         profile = tmp_path / "tol.json"
         profile.write_text(json.dumps({field: 1}))
@@ -406,7 +410,7 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("document", [
         '{"band_k_nodes": 0}', '{"default_n": 0}', '{"band_theta_nodes": 0}',
-        '{"classify_t_nodes": 0}', '{"lattice_size": -1}', '{"seed": -1}',
+        '{"classify_t_nodes": 0}', '{"path_steps": -1}', '{"seed": -1}',
         '{"closure": 0}', '{"band_tol": -5e-3}'])
     def test_out_of_range_tolerance_profile_exit_2(self, tmp_path, capsys,
                                                    document):

@@ -481,22 +481,23 @@ class TestChainScan:
                                         (circle.controls.v_hat, few),
                                         (wild.v_hat, wild.w_hat)]]
         written.append((bend.bounds, bend.controls.v_hat, bend.controls.w_hat, q0))
-        curves = [sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds, q0=q0, tol=tol)
-                  for bounds, v_hat, w_hat, _ in written]
-        want = [c.closure_defect() <= tol.closure for c in curves]
-        ends = []
-
-        def recording(*args):
-            ends.append(chain_ends(*args))
-            return ends[-1]
-
-        chain_ends = cur._chain_ends
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cur, "_chain_ends", recording)
-            # one batch and one curve at a time decide alike
-            assert cur._reintegration_closes(written, tol).tolist() == want
-            assert [cur._reintegration_closes([w], tol)[0] for w in written] == want
-        assert np.array_equal(ends[0], np.array([c.lift[-1] for c in curves]))
+        closes = cur._reintegration_closes(written, tol).tolist()
+        # one batch and one curve at a time decide alike
+        assert [cur._reintegration_closes([w], tol)[0] for w in written] == closes
+        slack = cur._READBACK_SLACK
+        for (bounds, v_hat, w_hat, q0), ok in zip(written, closes):
+            doc = {"kappa1": cur._bound_to_json(bounds.kappa1),
+                   "kappa2": cur._bound_to_json(bounds.kappa2), "n": v_hat.size,
+                   "v_hat": v_hat.tolist(), "w_hat": w_hat.tolist()}
+            if q0 is not None:
+                doc["q0"] = q0.reshape(-1).tolist()
+            read = sc.curve_from_json(json.loads(json.dumps(doc)), tol)
+            # sound: a row said to close reads back closed
+            assert read.closed or not ok
+            defect = sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds, q0=q0,
+                                        tol=tol).closure_defect()
+            if abs(defect - tol.closure) > 2 * slack:
+                assert ok == (defect <= tol.closure)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=10),
@@ -577,30 +578,39 @@ class TestChainScan:
     @given(SCAN_SIZES, st.sampled_from([1, 2, 65]), st.integers(0, 2 ** 32 - 1),
            st.booleans())
     def test_chain_ends_are_the_scans_last_nodes(self, n, frames, seed, ragged):
-        # ragged: chain f has counts[f] <= n steps, left-padded with QUAT_ONE
+        # ragged: chain f has counts[f] <= n steps, right-padded with QUAT_ONE
         rng = np.random.default_rng(seed)
         z0s = unit_rows(rng, frames)
         steps = unit_rows(rng, frames * n).reshape(frames, n, 4)
         counts = rng.integers(0, n + 1, size=frames) if ragged else np.full(frames, n)
-        steps[np.arange(n) < n - counts[:, None]] = sphere.QUAT_ONE
-        got = cur._chain_ends(z0s, steps, counts)
-        want = np.array([cur._chain_quats(z0, s[n - c:])[-1]
+        steps[np.arange(n) >= counts[:, None]] = sphere.QUAT_ONE
+        got = cur._chain_products(np.concatenate([z0s[:, None], steps], axis=1).T)
+        want = np.array([cur._chain_quats(z0, s[:c])[-1]
                          for z0, s, c in zip(z0s, steps, counts)])
-        assert np.array_equal(got, want)
+        assert_products_near_scan(got, want)
 
     @pytest.mark.parametrize("n", [2 ** k for k in range(13)])
     def test_chain_ends_at_powers_of_two(self, rng, n):
-        # the scan's last level is a lone column exactly at these n
+        # n + 1 factors: every level of the product pads an odd last column
         z0s = unit_rows(rng, 65)
         steps = unit_rows(rng, 65 * n).reshape(65, n, 4)
         want = np.array([cur._chain_quats(z0, s)[-1] for z0, s in zip(z0s, steps)])
-        assert np.array_equal(cur._chain_ends(z0s, steps, np.full(65, n)), want)
+        got = cur._chain_products(np.concatenate([z0s[:, None], steps], axis=1).T)
+        assert_products_near_scan(got, want)
+
+
+def assert_products_near_scan(got, want):
+    """A frame entry moves by at most about 4 |dq|, so products this near
+    the scan's last nodes keep the writer's read-back check sound."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= cur._READBACK_SLACK / 8
 
 
 def loop_curve_to_json(curve, tol=sc.DEFAULT_TOL):
     """The control schema built float by float from the stacked frames, one
-    curve at a time, its closure decided by a full re-integration;
-    `curve_to_json` and `curves_to_json` must match it bit for bit."""
+    curve at a time; a record not integrated carries its node samples
+    unless it is closed and a full re-integration of its written controls
+    closes.  `curve_to_json` and `curves_to_json` must match it bit for bit."""
     v, kap = curve.interval_vk()
     if curve.domain != 1.0:
         h, _, hb, _ = sc.control_transforms(curve.bounds)
@@ -620,9 +630,9 @@ def loop_curve_to_json(curve, tol=sc.DEFAULT_TOL):
         out["q0"] = [float(x) for x in q0.reshape(-1)]
     else:
         q0 = None
-    if curve.closed and not curve.integrated \
-            and sc.integrate_curve(sc.ControlPair(v_hat, w_hat), curve.bounds, q0=q0,
-                                   tol=tol).closure_defect() > tol.closure:
+    if not curve.integrated and not (
+            curve.closed and sc.integrate_curve(sc.ControlPair(v_hat, w_hat), curve.bounds,
+                                                q0=q0, tol=tol).closure_defect() <= tol.closure):
         out["lift"] = curve.lift.tolist()
         out["speed"] = (curve.speed * curve.domain).tolist()
         out["kappa"] = curve.kappa.tolist()
@@ -660,39 +670,62 @@ def shrink_path(bounds_k0):
 
 class TestBatchedWriter:
     def test_mixed_list_matches_one_curve_at_a_time(self, bounds_k0, rng,
-                                                    shrink_path):
+                                                    shrink_path, neither_small):
         from conftest import random_rotation
-        from spherecurve import factory
+        from spherecurve import factory, goodbands, grafting, homotopy
         circle = sc.make_circle(0.8, 2, bounds_k0, n=256)
         diffuse = factory.diffuse_example()
         frames = shrink_path.curves
+        open_curve = factory.random_open_curve(bounds_k0, rng, n=200)
+        band = goodbands.band_from_condensed(
+            sc.make_circle(1.3, 1, sc.CurvatureBounds(-1.0, math.inf)))
         curves = [circle,                               # integrated
                   frames[3],                            # node-sampled, closes
-                  diffuse,                              # lift written, n = 6144
+                  diffuse,                              # lift written, n = 2048
                   sc.reparametrize_by_curvature(circle),  # closes, n = 256
                   circle.rotated(random_rotation(rng)),
                   frames[0],                            # the input circle
-                  sc.reparametrize_by_curvature(      # closes, n = 6144
+                  sc.reparametrize_by_curvature(      # closes, n = 2048
                       sc.make_circle(0.8, 2, bounds_k0, n=diffuse.n)),
                   frames[40].rotated(random_rotation(rng)),
                   diffuse.rotated(random_rotation(rng)),
-                  factory.random_open_curve(bounds_k0, rng, n=200)]
+                  open_curve,                           # integrated, open
+                  grafting.graft_simplex_step(neither_small, 0.05)[0],   # n grows
+                  homotopy.add_loops(circle, 0.3, 2, 0.2, 0.05),
+                  goodbands.central_curve(goodbands.retract_to_good(band)),
+                  homotopy.spread_loops(circle, 3, 0.3),  # closed
+                  sc.reparametrize_arclength(open_curve)]  # node-sampled, open
         docs = cur.curves_to_json(curves)
         want = [loop_curve_to_json(c) for c in curves]
         assert [json.dumps(d) for d in docs] == [json.dumps(d) for d in want]
         assert not frames[3].integrated and frames[0].integrated
-        assert [i for i, d in enumerate(docs) if "lift" in d] == [2, 8]
+        assert [c.closed for c in curves[9:]] == [False, True, True, True, True, False]
+        assert [i for i, d in enumerate(docs) if "lift" in d] == [2, 8, 10, 13, 14]
         assert [json.dumps(sc.curve_to_json(c)) for c in curves] \
             == [json.dumps(d) for d in want]
+
+    @pytest.mark.parametrize("make", ["spread_loops", "by_curvature", "arclength"])
+    def test_open_node_records_read_back_exactly(self, make):
+        # averaged controls would integrate elsewhere: the nodes are written
+        from spherecurve import homotopy
+        base = factory.random_open_curve(sc.UNBOUNDED, np.random.default_rng(3), n=256)
+        curve = {"spread_loops": lambda c: homotopy.spread_loops(c, 3, 0.3),
+                 "by_curvature": sc.reparametrize_by_curvature,
+                 "arclength": sc.reparametrize_arclength}[make](base)
+        assert not curve.closed and not curve.integrated
+        read = sc.curve_from_json(json.loads(json.dumps(sc.curve_to_json(curve))))
+        assert np.array_equal(read.lift, curve.lift)
+        assert np.array_equal(read.kappa, curve.kappa) and not read.closed
 
     def test_shrink_path_runs_no_scan(self, monkeypatch, shrink_path):
         from conftest import count_calls
         from spherecurve import cli
         scans = count_calls(monkeypatch, cur._chain_quats)
-        ends = count_calls(monkeypatch, cur._chain_ends)
+        ends = count_calls(monkeypatch, cur._chain_products)
         text = cli._path_to_jsonl(shrink_path, {"pass": True})
         assert scans == []
-        assert len(ends) == 1 and ends[0][1].shape[0] == 64
+        # one product over the 64 node-sampled frames, behind their starts
+        assert len(ends) == 1 and ends[0][0].shape[2] == 64
         # every node-sampled frame closes: the controls are written alone
         assert text.count("\n") == 65 and '"lift"' not in text
 

@@ -285,7 +285,7 @@ def loop_planar_wg(curve, kappa0, steps, tol=sc.DEFAULT_TOL):
     integrated to its periodic antiderivative on its own:
     (s_values, [(xy, vel, acc), ...])."""
     m = curve.m
-    N = curve.winding(tol)
+    N = curve.winding()
     if N <= 0:
         raise NonpositiveRotation(f"rotation number {N} <= 0")
     speed = curve.speed

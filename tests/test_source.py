@@ -49,11 +49,12 @@ UNREFERENCED_OK = {
 
 
 def public_defs(tree):
-    """Names of the public top-level functions and methods of a module."""
+    """Names of the top-level functions and classes of a module and of the
+    classes' methods."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             yield from (item.name for item in node.body
                         if isinstance(item, ast.FunctionDef))
 
@@ -130,10 +131,11 @@ class TestDeadCode:
                "class K:\n"
                "    def method(self):\n        used()\n"
                "    def dead_method(self):\n        pass\n"
-               "    def __repr__(self):\n        return ''\n")
+               "    def __repr__(self):\n        return ''\n"
+               "class DeadClass:\n    '''K is named here'''\n")
         caller = "K().method()\nTARGETS = ('mod', 'traced')\n"
         assert unreferenced([lib], [lib, caller], {"exported"}, {"documented"}) \
-            == ["dead", "dead_method"]
+            == ["DeadClass", "dead", "dead_method"]
 
     def test_private_helpers_have_a_caller(self):
         lib = [p.read_text() for p in sorted(SRC.glob("*.py"))]
