@@ -410,20 +410,19 @@ def winding_number_planar(xy_tangents: np.ndarray) -> int:
     return int(round(turns))
 
 
-def rotation_number_condensed(curve: AdmissibleCurve, h,
-                              tol: ToleranceProfile = DEFAULT_TOL) -> int:
+def rotation_number_condensed(curve: AdmissibleCurve, h) -> int:
     """Winding of the stereographic image of a condensed curve.
 
     Projects from the antipode of `h`, any hemisphere containing the
-    caustic cloud; the sign convention makes a condensed circle traversed
-    k times have rotation number k.
+    caustic cloud, by `sphere.stereo_chart`, whose basis has h as its
+    positive normal: a condensed circle traversed k times about h has
+    rotation number k.
     """
-    chart = sphere.StereoChart(-np.asarray(h, dtype=float))
     try:
-        d = chart.project_d(curve.gamma, curve.tangent)
+        _, d = sphere.stereo_chart(h, curve.gamma, curve.tangent)
     except DegenerateProjection as exc:
         raise WindingResidual(f"projection degenerate: {exc}") from exc
-    nu = -winding_number_planar(d)
+    nu = winding_number_planar(d)
     if nu < 1:
         raise WindingResidual(f"condensed curve produced winding {nu} < 1")
     return nu
@@ -444,7 +443,7 @@ def condensed_axis(curve: AdmissibleCurve,
     if not status.condensed:
         raise NotCondensed("caustic cloud is not contained in a hemisphere")
     h = status.hemisphere
-    return status, h, rotation_number_condensed(curve, h, tol)
+    return status, h, rotation_number_condensed(curve, h)
 
 
 # the angular margin that keeps a free candidate's roots off the band
@@ -574,8 +573,8 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
     (`_witness_gap_angle`), and its roots are counted; a candidate with a
     root in B or -B, or a fiber with no free arc, passes to the next
     witness fiber.  A second witness fiber must agree.  Only
-    `status.diffuse` is read, and `tol` is unused: the signature matches
-    the other rotation numbers.
+    `status.diffuse` is read; `tol` is unused and kept for the callers
+    that pass it.
 
     Raises NoGapFound when the curve is diffuse or no witness fiber yields
     a candidate in the gap, and FiberCountMismatch when two fibers count
@@ -698,7 +697,7 @@ def classify_component(curve: AdmissibleCurve,
 
     nu = None
     if status.condensed and not status.borderline and n >= 3:
-        nu = rotation_number_condensed(reduced, status.hemisphere, tol)
+        nu = rotation_number_condensed(reduced, status.hemisphere)
         j = nu if nu <= n - 2 else _parity_label(n, parity)
     else:
         j = _parity_label(n, parity)

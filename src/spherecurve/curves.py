@@ -434,10 +434,10 @@ def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
     Each record takes its `controls` as given (a sequence of F pairs; None:
     those of the averaged node values); they are only used for in-between
     evaluation and re-integration, the node samples stay authoritative.
-    The speeds and curvatures of all rows are checked at once.  With
-    `closed=None` the first and last frames of all rows are converted in
-    one stacked call and decide each closure; every record keeps its pair
-    as its `end_frames`.  Records hold views of the given arrays.
+    The speeds and curvatures of all rows are checked at once.  The first
+    and last frames of all rows are converted in one stacked call, which
+    every record keeps as its `end_frames`; with `closed=None` they decide
+    each closure.  Records hold views of the given arrays.
     """
     lifts = np.asarray(lifts, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
@@ -450,9 +450,9 @@ def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
         controls = ControlPair.of(bounds, 0.5 * (v_nodes[:, :-1] + v_nodes[:, 1:]),
                                   0.5 * (kappa_nodes[:, :-1] + kappa_nodes[:, 1:]))
         controls = [ControlPair(*row) for row in zip(controls.v_hat, controls.w_hat)]
+    ends = sphere.quat_to_rotation(lifts[:, [0, -1]])
+    ends.flags.writeable = False
     if closed is None:
-        ends = sphere.quat_to_rotation(lifts[:, [0, -1]])
-        ends.flags.writeable = False
         shut = (np.abs(ends[:, 1] - ends[:, 0]).max(axis=(1, 2)) <= tol.closure).tolist()
     else:
         shut = [bool(closed)] * lifts.shape[0]
@@ -461,9 +461,8 @@ def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
                                    integrated=integrated)
                    for c, lift, v, kap, ok in zip(controls, lifts, v_nodes,
                                                   kappa_nodes, shut))
-    if closed is None:      # the decision's end frames stay on the records
-        for curve, pair in zip(curves, ends):
-            curve.__dict__["end_frames"] = pair
+    for curve, pair in zip(curves, ends):
+        curve.__dict__["end_frames"] = pair
     return curves
 
 

@@ -76,23 +76,14 @@ def _transported(bounds, lifts, speed, kappa, domain, closed, tol) -> tuple:
                                  tol=tol)
 
 
-def _normalized(curves) -> tuple:
-    """Left-translate curves of one grid so that Phi(0) = I and z(0) = 1:
-    one product over their stacked (F, n+1, 4) lifts and one stacked
-    conversion of their new end frames, which the records keep."""
-    lifts = np.array([c.lift for c in curves])
-    lifts = sphere.quat_mul(sphere.quat_conj(lifts[:, :1]), lifts)
-    ends = sphere.quat_to_rotation(lifts[:, [0, -1]])
-    ends.flags.writeable = False
-    out = tuple(dataclasses.replace(c, lift=lift) for c, lift in zip(curves, lifts))
-    for curve, pair in zip(out, ends):
-        curve.__dict__["end_frames"] = pair
-    return out
+def _based(lifts) -> np.ndarray:
+    """(..., n+1, 4) lifts left-translated so that z(0) = 1 and Phi(0) = I."""
+    return sphere.quat_mul(sphere.quat_conj(lifts[..., :1, :]), lifts)
 
 
 def normalize_initial_frame(curve: AdmissibleCurve) -> AdmissibleCurve:
     """Left-translate so that Phi(0) = I and z(0) = 1."""
-    return _normalized([curve])[0]
+    return dataclasses.replace(curve, lift=_based(curve.lift))
 
 
 def validate_path(path: HomotopyPath, bounds: CurvatureBounds | None = None,
@@ -470,19 +461,10 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
 # Mobius shrinking of condensed curves (kappa0 >= 0)
 # ------------------------------------------------------------------ #
 
-def _node_derivatives(curve: AdmissibleCurve):
-    """Exact first and second parameter derivatives at the nodes."""
-    v = curve.speed[:, None]
-    kap = curve.kappa[:, None]
-    d1 = v * curve.tangent
-    d2 = v * v * (-curve.gamma + kap * curve.normal)
-    return d1, d2
-
-
-def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
-                   tol: ToleranceProfile) -> tuple:
+def _mobius_frames(curve: AdmissibleCurve, rs, h) -> tuple:
     """The dilatations T_r of one curve toward h for every factor in `rs`,
-    by conformal transport, in one batch.
+    by conformal transport, in one batch: their (F, n+1, 4) lifts and
+    (F, n+1) speeds and curvatures.
 
     T_r, x -> r x in the stereographic chart from -h, is conformal: at a
     node gamma with s = <gamma, h>, its differential is 2r/D times the
@@ -491,7 +473,7 @@ def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
     D = (1 + s) + r^2 (1 - s) >= 2 r^2.  So the image lift is turn * lift,
     its speed 2r/D times the speed and its curvature
     (kappa + (1 - r^2) <N, h>/D) D/(2r): no point of S^2 is singular.
-    One `quat_mul` over the (F, n+1, 4) stack, then `_transported`.
+    One `quat_mul` over the (F, n+1, 4) stack.
     """
     r = np.asarray(rs, dtype=float)[:, None]
     if not np.all((0.0 < r) & (r <= 1.0)):
@@ -503,11 +485,9 @@ def _mobius_frames(curve: AdmissibleCurve, rs, h, bounds: CurvatureBounds,
     norm = np.sqrt(c * c + b * b * np.einsum("ni,ni->n", axis, axis))
     turn = np.concatenate([(c / norm)[..., None],
                            (b / norm)[..., None] * axis], axis=-1)
-    lifts = sphere.quat_mul(turn, curve.lift[None])
     d = (1.0 + s) + r * r * (1.0 - s)
-    speed = 2.0 * r / d * curve.speed
     kappa = (curve.kappa + (1.0 - r * r) * (curve.normal @ h) / d) * d / (2.0 * r)
-    return _transported(bounds, lifts, speed, kappa, curve.domain, curve.closed, tol)
+    return sphere.quat_mul(turn, curve.lift[None]), 2.0 * r / d * curve.speed, kappa
 
 
 def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
@@ -517,76 +497,76 @@ def mobius_shrink_curve(curve: AdmissibleCurve, r: float, h,
     `_mobius_frames`' conformal transport, with no chart and no singular
     point of S^2.
     """
-    return _mobius_frames(curve, [r], h, bounds or curve.bounds, tol)[0]
+    return _transported(bounds or curve.bounds, *_mobius_frames(curve, [r], h),
+                        curve.domain, curve.closed, tol)[0]
 
 
-def project_to_tangent_plane(curve: AdmissibleCurve, h) -> PlanarCurve:
-    """Orthogonal projection onto the tangent plane at h (right-handed)."""
-    u1, u2 = sphere.plane_basis(h)
-    d1, d2 = _node_derivatives(curve)
+def _chart_image(curve: AdmissibleCurve, h) -> PlanarCurve:
+    """A closed curve in the chart from -h (`sphere.stereo_chart`), over
+    [0, 1]: at x, with t the image of the unit tangent and lam =
+    (1 + |x|^2)/2 the chart's scale, the velocity is lam |gamma'| domain t
+    and the curvature (kappa - <x, J t>)/lam, J the quarter turn; the
+    acceleration is normal."""
+    x, t = sphere.stereo_chart(h, curve.gamma, curve.tangent)
+    lam = 0.5 * (1.0 + np.sum(x * x, axis=-1))
+    jt = np.stack([-t[:, 1], t[:, 0]], axis=-1)
+    vel = (lam * curve.speed * curve.domain)[:, None] * t
+    k = (curve.kappa - np.sum(x * jt, axis=-1)) / lam
+    return PlanarCurve(x, vel, (np.sum(vel * vel, axis=-1) * k)[:, None] * jt)
 
-    def coords(w):
-        return np.stack([w @ u1, w @ u2], axis=1)
 
-    return PlanarCurve(coords(curve.gamma), coords(d1), coords(d2))
+def _chart_lift(xy, vel, acc, h) -> tuple:
+    """Plane curves back from the chart from -h, elementwise over their
+    (..., m+1, 2) coordinates, so a frame does not depend on its batch:
+    their lifts, speeds and curvatures.
 
-
-def _lift_planar(planar, h, bounds: CurvatureBounds, tol: ToleranceProfile) -> tuple:
-    """Inverse orthogonal projection of F closed plane curves of one grid
-    back to the hemisphere around h, elementwise over their (F, m+1)
-    coordinates, so a frame's record does not depend on its batch.
-
-    In the basis (h, u1, u2), x lifts to p = (w, x1, x2), w = sqrt(1 - |x|^2).
-    The minimal rotation e1 -> p, (1 + w, 0, -x2, x1)/sqrt(2(1 + w)), takes
-    y = v + <x, v> x/(w(1 + w)), the velocity with its radial part
-    stretched by 1/w, to p'.  The lift is that rotation times the turn
-    about e1 by the unwrapped angle of y, moved to the world by one
-    constant quaternion; the speed is |y|, and <p, p' x p''> is a
-    determinant of basis coordinates.  Records by `_transported`.
+    In the basis (h, u1, u2) of `plane_basis(h)`, x maps to
+    p = (1 - |x|^2, 2 x)/(1 + |x|^2), and the inverse chart's differential
+    is 1/lam times the minimal rotation e1 -> p, the unit quaternion
+    (1, 0, -x2, x1)/sqrt(1 + |x|^2), lam = (1 + |x|^2)/2.  So the lift is
+    that rotation times exp(phi/2 i), phi the unwrapped angle of the
+    velocity v, moved to the world by one constant quaternion; the speed
+    is |v|/lam and the curvature lam k + <x, J v>/|v|, k the plane
+    curvature.
     """
     h = sphere.unit_vector(h)
-    u1, u2 = sphere.plane_basis(h)
-    x1, x2, v1, v2, a1, a2 = (np.array([getattr(pc, key)[:, i] for pc in planar])
-                              for key in ("xy", "vel", "acc") for i in (0, 1))
-    r2 = x1 * x1 + x2 * x2
-    if np.max(r2) >= 1.0:
-        raise StageToleranceFailure("planar curve leaves the unit disk")
-    w = np.sqrt(1.0 - r2)
-    xv = x1 * v1 + x2 * v2
-    stretch = xv / (w * (1.0 + w))
-    y1, y2 = v1 + stretch * x1, v2 + stretch * x2
-    speed = np.hypot(y1, y2)
-    # <p, p' x p''> with p' = (-<x, v>/w, v) and p'' = (d2, a) in the basis
-    d2 = -((v1 * v1 + v2 * v2 + x1 * a1 + x2 * a2) / w + xv * xv / w ** 3)
-    kappa = (w * (v1 * a2 - v2 * a1) + xv / w * (x1 * a2 - x2 * a1)
-             + d2 * (x1 * v2 - x2 * v1)) / speed ** 3
-    half = 0.5 * np.unwrap(np.arctan2(y2, y1), axis=-1)
-    # each (F, m+1) temporary goes once used, as the shrink's peak is here
-    del v1, v2, a1, a2, r2, xv, stretch, y1, y2, d2
+    x1, x2, v1, v2 = xy[..., 0], xy[..., 1], vel[..., 0], vel[..., 1]
+    speed = np.hypot(v1, v2)
+    lam = 0.5 * (1.0 + x1 * x1 + x2 * x2)
+    kappa = lam * (v1 * acc[..., 1] - v2 * acc[..., 0]) / speed ** 3 \
+        + (x2 * v1 - x1 * v2) / speed
+    half = 0.5 * np.unwrap(np.arctan2(v2, v1), axis=-1)
     c, s = np.cos(half), np.sin(half)
-    turn = np.array([(1.0 + w) * c, (1.0 + w) * s, x1 * s - x2 * c, x1 * c + x2 * s])
-    del c, s, half, x1, x2
-    turn /= np.sqrt(2.0 * (1.0 + w))
-    lifts = sphere.quat_mul(sphere.rotation_to_quat(np.stack([h, u1, u2], axis=1)),
-                            np.moveaxis(turn, 0, -1))
-    return _transported(bounds, lifts, speed, kappa, 1.0, True, tol)
+    turn = np.stack([c, s, x1 * s - x2 * c, x1 * c + x2 * s], axis=-1)
+    turn /= np.sqrt(2.0 * lam)[..., None]
+    world = sphere.rotation_to_quat(np.stack([h, *sphere.plane_basis(h)], axis=1))
+    return sphere.quat_mul(world, turn), speed / lam, kappa
 
 
 def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
                      tol: ToleranceProfile = DEFAULT_TOL) -> HomotopyPath:
     """Deform a condensed curve (kappa0 >= 0 after reduction) into a circle.
 
-    Stage 1 shrinks the curve toward the max-margin hemisphere axis h of
-    `condensed_axis` through Mobius dilatations T_r (no singular point),
-    which can only raise the curvature of a condensed curve; stage 2
-    projects the small curve to the tangent plane, runs the planar
-    Whitney-Graustein deformation and lifts the result back.  The last of
-    `steps` >= 4 frames (default `tol.path_steps`) is a circle traversed nu
-    times.  Each stage is one batch over its frames, and each turns a
-    known lift: the Mobius frames by one conformal transport of the
-    curve's lift (`_mobius_frames`), the planar frames by one broadcast and
-    one stacked turn of the minimal rotations h -> p (`_lift_planar`).  One
-    product moves every start frame to the identity.
+    Both stages run in the stereographic chart from -h, h the max-margin
+    hemisphere axis of `condensed_axis`.  Stage 1 runs the Mobius
+    dilatations T_r, x -> r x, down to r = delta; they can only raise the
+    curvature of a condensed curve, and their frames turn the curve's lift
+    (`_mobius_frames`, no singular point).  Stage 2 runs the planar
+    Whitney-Graustein deformation on delta P, P the chart image of the
+    curve (`_chart_image`), and lifts it back (`_chart_lift`).  The last
+    of `steps` >= 4 frames (default `tol.path_steps`) is a circle
+    traversed nu times.
+
+    P turns left at every node: a condensed curve's centres of curvature
+    lie in the caustic band, and rho < rho0 <= pi/2, so no osculating disc
+    contains -h.  Scaling by delta divides the plane curvature k by delta
+    and multiplies |x| by delta, and a lifted frame has kappa >= k/2 - |x|.
+    So with reach bounding |x|/delta over stage 2 (2 max |P| for its
+    translate-and-shrink frames, half the length of P for its centred
+    ones), delta is the first power of 1/2 with min k(P)/delta >
+    2 (kappa_target + delta reach)/0.9, in closed form, and stage 2 keeps
+    k above 2 (kappa_target + delta reach).  Each stage is one batch, left-
+    translated to start at the identity and assembled by one `_transported`.
     """
     steps = tol.path_steps if steps is None else steps
     if steps < 4:
@@ -597,32 +577,29 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     _, h, nu = condensed_axis(reduced, tol)
     bounds = reduced.bounds
 
-    # find the shrink factor: small image plus a planar curvature margin
-    cap = 0.30
+    planar = _chart_image(reduced, h)
+    kmin = float(planar.curvature.min())
+    if kmin <= 0.0:
+        raise StageToleranceFailure("the chart image does not turn left at every node")
     kappa_target = kappa0 + max(0.02, 0.05 * abs(kappa0))
-    delta = 1.0
-    for _ in range(60):
-        delta *= 0.5
-        cand = mobius_shrink_curve(reduced, delta, h, bounds, tol)
-        radius = float(np.arccos(np.clip(cand.gamma @ h, -1.0, 1.0)).max())
-        if radius > cap:
-            continue
-        planar = project_to_tangent_plane(cand, h)
-        if float(np.min(planar.curvature)) > kappa_target:
-            break
-    else:
-        raise StageToleranceFailure("no shrink factor reached the planar margin")
+    speed = planar.speed
+    reach = max(2.0 * float(np.hypot(*planar.xy.T).max()),
+                0.25 * float(np.sum(speed[1:] + speed[:-1])) / planar.m)
+    # delta below the root of 2 reach d^2 + 2 kappa_target d = 0.9 kmin
+    root = 0.9 * kmin / (kappa_target + math.sqrt(kappa_target ** 2 + 1.8 * reach * kmin))
+    delta = 0.5 ** max(1, math.floor(-math.log2(root)) + 1)
 
     n_a = max(2, steps // 2)
-    mobius = _mobius_frames(reduced, 1.0 + (delta - 1.0) * np.arange(1, n_a) / (n_a - 1),
-                            h, bounds, tol)
-    planar = project_to_tangent_plane(mobius[-1], h)
-    ppath = planar_wg_homotopy(planar, kappa0=kappa_target,
-                               steps=steps - n_a + 1, tol=tol)
+    mobius = _mobius_frames(reduced, 1.0 + (delta - 1.0) * np.arange(1, n_a) / (n_a - 1), h)
+    ppath = planar_wg_homotopy(
+        PlanarCurve(delta * planar.xy, delta * planar.vel, delta * planar.acc),
+        kappa0=2.0 * (kappa_target + delta * reach), steps=steps - n_a + 1, tol=tol)
     if ppath.curves[-1].winding() != nu:
         raise StageToleranceFailure("planar stage changed the rotation number")
-    lifted = _lift_planar(ppath.curves[1:], h, bounds, tol)
-    frames = _normalized((reduced,) + mobius + lifted)
-    s_values = np.linspace(0.0, 1.0, len(frames))
-    return HomotopyPath(bounds=bounds, s_values=s_values,
-                        curves=frames, provenance="shrink")
+    lifted = _chart_lift(*(np.array([getattr(pc, key) for pc in ppath.curves[1:]])
+                           for key in ("xy", "vel", "acc")), h)
+    frames = [normalize_initial_frame(reduced)]
+    for (lifts, v, kappa), domain in ((mobius, reduced.domain), (lifted, 1.0)):
+        frames += _transported(bounds, _based(lifts), v, kappa, domain, True, tol)
+    return HomotopyPath(bounds=bounds, s_values=np.linspace(0.0, 1.0, len(frames)),
+                        curves=tuple(frames), provenance="shrink")

@@ -170,36 +170,22 @@ def plane_basis(pole) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
-class StereoChart:
-    """Stereographic projection from `pole` onto the plane through the origin.
-
-    The image plane is pole-perp, with coordinates in a basis (v1, v2) such
-    that (v1, v2, pole) is positively oriented.  The antipode of the pole maps
-    to the origin and the equator orthogonal to the pole maps to the unit
-    circle.
+def stereo_chart(h, points, tangents) -> tuple[np.ndarray, np.ndarray]:
+    """Stereographic chart from -h onto h-perp, in `plane_basis(h)`
+    coordinates: the images x = p_perp/(1 + <p, h>) of `points` (..., 3)
+    and the directions T_perp - <T, h> x of their `tangents`, which the
+    differential takes T to up to the factor 1/(1 + <p, h>).  h maps to
+    the origin and the equator orthogonal to h to the unit circle.  A point
+    within 1e-8 of -h raises DegenerateProjection.
     """
-
-    def __init__(self, pole):
-        self.pole = unit_vector(pole)
-        self.v1, self.v2 = plane_basis(self.pole)
-
-    def _check(self, p):
-        c = np.asarray(p, dtype=float) @ self.pole
-        if np.any(np.arccos(np.clip(c, -1.0, 1.0)) < 1e-8):
-            raise DegenerateProjection("point coincides with projection center")
-        return c
-
-    def project_d(self, p, u) -> np.ndarray:
-        """Differential of the projection at p (shape (3,) or (M, 3))
-        applied to a tangent vector u, in plane coordinates."""
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        c = self._check(p)
-        uc = u @ self.pole
-        s = 1.0 / (1.0 - c)
-        q = (u - np.multiply.outer(uc, self.pole)) * s[..., None] \
-            + (p - np.multiply.outer(c, self.pole)) * (s * s * uc)[..., None]
-        return np.stack([q @ self.v1, q @ self.v2], axis=-1)
+    h = unit_vector(h)
+    basis = np.stack(plane_basis(h), axis=1)
+    p, u = np.asarray(points, dtype=float), np.asarray(tangents, dtype=float)
+    c = p @ h
+    if np.any(np.arccos(np.clip(-c, -1.0, 1.0)) < 1e-8):
+        raise DegenerateProjection("point coincides with projection center")
+    x = (p @ basis) / (1.0 + c)[..., None]
+    return x, u @ basis - (u @ h)[..., None] * x
 
 
 # ------------------------------------------------------------------ #

@@ -180,10 +180,10 @@ class TestCondensedWindingErrors:
     def test_other_errors_propagate(self, bounds_k0, monkeypatch):
         from spherecurve import sphere
 
-        def broken(self, p, u):
+        def broken(h, points, tangents):
             raise TypeError("not a projection failure")
 
-        monkeypatch.setattr(sphere.StereoChart, "project_d", broken)
+        monkeypatch.setattr(sphere, "stereo_chart", broken)
         c = sc.make_circle(0.6, 1, bounds_k0, n=64)
         with pytest.raises(TypeError, match="not a projection failure"):
             classify.rotation_number_condensed(c, classify.condensed_status(c).hemisphere)

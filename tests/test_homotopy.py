@@ -425,18 +425,20 @@ class TestShrinkAxis:
         status = classify.condensed_status(c)
         lp, bary, axes = [], [], []
         real_lp, real_bary = sphere.best_hemisphere, sphere.hemisphere_barycenter
-        real_mobius = ho._mobius_frames
+        real_mobius, real_chart = ho._mobius_frames, sphere.stereo_chart
         monkeypatch.setattr(sphere, "hemisphere_barycenter",
                             lambda *a, **k: bary.append(1) or real_bary(*a, **k))
         monkeypatch.setattr(sphere, "best_hemisphere",
                             lambda *a, **k: lp.append(1) or real_lp(*a, **k))
-        # the factor search and the Mobius stage both dilate through
-        # _mobius_frames: every dilatation is seen here
+        # the Mobius stage dilates through _mobius_frames, and the rotation
+        # number and the planar stage read the chart: every axis is seen
         monkeypatch.setattr(ho, "_mobius_frames",
                             lambda c, rs, h, *a: axes.append(h) or real_mobius(c, rs, h, *a))
+        monkeypatch.setattr(sphere, "stereo_chart",
+                            lambda h, *a: axes.append(h) or real_chart(h, *a))
         path = ho.shrink_condensed(c, steps=9)
         assert len(lp) == 1 and not bary
-        assert axes and all(np.array_equal(h, status.hemisphere) for h in axes)
+        assert len(axes) == 3 and all(np.array_equal(h, status.hemisphere) for h in axes)
         assert ho.validate_path(path).passed
 
 
@@ -624,6 +626,12 @@ def inline_spread_loops(curve, n, rho1, bounds):
     return lift, kappa
 
 
+def chart_lift_record(planar, h, bounds, tol=sc.DEFAULT_TOL):
+    """The record of one plane curve lifted from the chart from -h."""
+    lifts, speed, kappa = ho._chart_lift(planar.xy, planar.vel, planar.acc, h)
+    return ho._transported(bounds, lifts[None], speed[None], kappa[None], 1.0, True, tol)[0]
+
+
 class TestOnePointAssembly:
     """The constructions from point data, loop spreading and the planar
     lift, turn a known lift: against the frame-matrix route, and their
@@ -649,8 +657,9 @@ class TestOnePointAssembly:
         circle = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
         _, h, _ = classify.condensed_axis(circle)
         curves = [ho.mobius_shrink_curve(circle, r, h) for r in (0.9, 0.5, 0.2)]
-        planar = ho.project_to_tangent_plane(curves[-1], h)
-        curves += [ho._lift_planar([pc], h, circle.bounds, sc.DEFAULT_TOL)[0]
+        image = ho._chart_image(circle, h)
+        planar = ho.PlanarCurve(0.2 * image.xy, 0.2 * image.vel, 0.2 * image.acc)
+        curves += [chart_lift_record(pc, h, circle.bounds)
                    for pc in ho.planar_wg_homotopy(planar, kappa0=0.1, steps=5).curves[1:]]
         curves += [ho.spread_loops(spread_base, n, 0.4) for n in (1, 2, 5)]
         curves.append(factory.diffuse_example(n_loops=4))
@@ -711,27 +720,38 @@ def frame_by_frame_report(curves, bounds):
             tuple(sc.lift_parity(c).sign for c in curves))
 
 
+def shrink_factor(planar, kappa_target):
+    """(delta, reach) of a chart image P by the rule's definition: reach
+    is 2 max |P| or half the length of P, whichever is larger, and delta
+    the first power of 1/2 with min k(P)/delta > 2 (kappa_target +
+    delta reach)/0.9."""
+    speed = planar.speed
+    reach = max(2.0 * float(np.hypot(*planar.xy.T).max()),
+                0.25 * float(np.sum(speed[1:] + speed[:-1])) / planar.m)
+    kmin = float(planar.curvature.min())
+    delta = 0.5
+    while kmin / delta <= 2.0 * (kappa_target + delta * reach) / 0.9:
+        delta *= 0.5
+    return delta, reach
+
+
 def frame_by_frame_shrink(curve, steps, tol=sc.DEFAULT_TOL, mobius=ho.mobius_shrink_curve):
-    """shrink_condensed with `mobius` (default `mobius_shrink_curve`) and
-    the planar lift called per frame and each frame normalized on its
-    own."""
+    """shrink_condensed per frame: the factor by its defining search
+    (`shrink_factor`), `mobius` (default `mobius_shrink_curve`) and the
+    chart lift called per frame, and each frame normalized on its own."""
     reduced, kappa0 = classify.reduce_to_k0(curve, tol)
     _, h, _ = classify.condensed_axis(reduced, tol)
     bounds = reduced.bounds
     kappa_target = kappa0 + max(0.02, 0.05 * abs(kappa0))
-    delta = 1.0
-    while True:
-        delta *= 0.5
-        cand = mobius(reduced, delta, h, bounds, tol)
-        if np.arccos(np.clip(cand.gamma @ h, -1.0, 1.0)).max() <= 0.30 \
-                and ho.project_to_tangent_plane(cand, h).curvature.min() > kappa_target:
-            break
+    image = ho._chart_image(reduced, h)
+    delta, reach = shrink_factor(image, kappa_target)
     n_a = max(2, steps // 2)
     frames = [reduced] + [mobius(reduced, 1.0 + (delta - 1.0) * i / (n_a - 1), h, bounds, tol)
                           for i in range(1, n_a)]
-    ppath = ho.planar_wg_homotopy(ho.project_to_tangent_plane(frames[-1], h),
-                                  kappa0=kappa_target, steps=steps - n_a + 1, tol=tol)
-    frames += [ho._lift_planar([pc], h, bounds, tol)[0] for pc in ppath.curves[1:]]
+    ppath = ho.planar_wg_homotopy(
+        ho.PlanarCurve(delta * image.xy, delta * image.vel, delta * image.acc),
+        kappa0=2.0 * (kappa_target + delta * reach), steps=steps - n_a + 1, tol=tol)
+    frames += [chart_lift_record(pc, h, bounds, tol) for pc in ppath.curves[1:]]
     return [ho.normalize_initial_frame(c) for c in frames]
 
 
@@ -836,57 +856,127 @@ class TestPathBatch:
         assert per_size[0][:3] == ((4, 2), (0, 0), (0, 0))
 
 
-def planar_point_data(planar, h):
+def chart_point_data(xy, vel, acc, h):
     """Points and first two derivatives on the sphere of plane curves of
-    one grid, (F, m+1, 3) each: their inverse orthogonal projection to the
-    hemisphere around h, embedded in R^3."""
-    h = sphere.unit_vector(h)
-    u1, u2 = sphere.plane_basis(h)
-    x, v, a = (np.array([getattr(pc, key) for pc in planar]) for key in ("xy", "vel", "acc"))
-    w = np.sqrt(1.0 - np.sum(x * x, axis=-1))
-    xv, xa, vv = (np.sum(p * q, axis=-1) for p, q in ((x, v), (x, a), (v, v)))
-
-    def embed(c):
-        return np.multiply.outer(c[..., 0], u1) + np.multiply.outer(c[..., 1], u2)
-
-    return (embed(x) + w[..., None] * h, embed(v) - (xv / w)[..., None] * h,
-            embed(a) - ((vv + xa) / w + xv * xv / w ** 3)[..., None] * h)
+    one grid, (F, m+1, 3) each: their inverse stereographic image from -h
+    in the basis of `plane_basis(h)`, by the chart oracle of
+    `tests/test_sphere.py`."""
+    from test_sphere import Chart, chart_unproject, chart_unproject_d, chart_unproject_d2
+    chart = Chart(-h, sphere.plane_basis(h))
+    return (chart_unproject(chart, xy), chart_unproject_d(chart, xy, vel),
+            chart_unproject_d2(chart, xy, vel, vel) + chart_unproject_d(chart, xy, acc))
 
 
 class TestPlanarLift:
-    """The planar stage's lift, a turn of the minimal rotation h -> p,
-    against the frame-matrix oracle `frames_from_point_data` of the same
-    points and derivatives."""
+    """The planar stage's lift from the chart from -h, the minimal
+    rotation h -> p times a turn about h, against the frame-matrix oracle
+    `frames_from_point_data` of the inverse chart's points and
+    derivatives."""
 
     @pytest.mark.parametrize("case", SHRINK_CASES)
     def test_matches_the_frame_matrix_oracle(self, monkeypatch, case):
         from conftest import frames_from_point_data
         calls = []
-        real = ho._lift_planar
+        real = ho._chart_lift
 
-        def recording(planar, h, bounds, tol):
-            out = real(planar, h, bounds, tol)
-            calls.append((planar, h, bounds, out))
+        def recording(xy, vel, acc, h):
+            out = real(xy, vel, acc, h)
+            calls.append((xy, vel, acc, h, out))
             return out
 
-        monkeypatch.setattr(ho, "_lift_planar", recording)
+        monkeypatch.setattr(ho, "_chart_lift", recording)
         inputs = list(shrink_inputs(case))
-        for curve in inputs:
-            ho.shrink_condensed(curve, steps=65)
+        paths = [ho.shrink_condensed(curve, steps=65) for curve in inputs]
         monkeypatch.undo()
         assert len(calls) == len(inputs)
-        for planar, h, bounds, lifted in calls:
-            want = frames_from_point_data(*planar_point_data(planar, h), bounds, 1.0, True)
-            assert len(lifted) == len(want) == 33
-            for got, w in zip(lifted, want):
-                lift = np.minimum(np.abs(got.lift - w.lift).max(axis=1),
-                                  np.abs(got.lift + w.lift).max(axis=1))
+        for (xy, vel, acc, h, (lifts, speed, kappa)), path in zip(calls, paths):
+            want = frames_from_point_data(*chart_point_data(xy, vel, acc, h), path.bounds,
+                                          1.0, True)
+            assert len(lifts) == len(want) == 33
+            for got_lift, got_speed, got_kappa, w in zip(lifts, speed, kappa, want):
+                lift = np.minimum(np.abs(got_lift - w.lift).max(axis=1),
+                                  np.abs(got_lift + w.lift).max(axis=1))
                 assert lift.max() <= 1e-14
-                assert (np.abs(got.speed - w.speed) / w.speed).max() <= 1e-14
+                assert (np.abs(got_speed - w.speed) / w.speed).max() <= 1e-14
                 scale = np.maximum(1.0, np.abs(w.kappa))
-                assert (np.abs(got.kappa - w.kappa) / scale).max() <= 1e-14
+                assert (np.abs(got_kappa - w.kappa) / scale).max() <= 1e-14
+            for got in path.curves[-33:]:
                 assert np.array_equal(got.lift[-1], got.lift[0]) \
                     or np.array_equal(got.lift[-1], -got.lift[0])
+
+    @pytest.mark.parametrize("case", SHRINK_CASES)
+    def test_chart_image_lifts_back_to_the_curve(self, case):
+        # the chart image over [0, 1] and its lift invert each other: the
+        # lift node by node up to sign, the speed times the domain, kappa
+        curves = list(shrink_inputs(case))
+        curves.append(sc.reparametrize_by_curvature(curves[0]))
+        for curve in curves:
+            reduced, _ = classify.reduce_to_k0(curve)
+            h = classify.condensed_axis(reduced)[1]
+            image = ho._chart_image(reduced, h)
+            lift, speed, kappa = ho._chart_lift(image.xy, image.vel, image.acc, h)
+            assert np.minimum(np.abs(lift - reduced.lift).max(axis=1),
+                              np.abs(lift + reduced.lift).max(axis=1)).max() <= 1e-14
+            want = reduced.speed * reduced.domain
+            assert (np.abs(speed - want) / want).max() <= 1e-14
+            assert (np.abs(kappa - reduced.kappa)
+                    / np.maximum(1.0, np.abs(reduced.kappa))).max() <= 1e-14
+
+
+class TestShrinkFactor:
+    """The closed-form shrink factor: stage 2 stays within delta reach of
+    h's image and its lifted curvature above the target, the factor is
+    the search's, and the stages build their records once."""
+
+    @pytest.mark.parametrize("case", SHRINK_CASES)
+    def test_stage_two_keeps_the_rule(self, monkeypatch, case):
+        calls = []
+        real = ho.planar_wg_homotopy
+
+        def recording(planar, kappa0, steps, tol):
+            out = real(planar, kappa0=kappa0, steps=steps, tol=tol)
+            calls.append((planar, kappa0, out))
+            return out
+
+        monkeypatch.setattr(ho, "planar_wg_homotopy", recording)
+        for curve in shrink_inputs(case):
+            path = ho.shrink_condensed(curve, steps=65)
+            planar, kappa0, ppath = calls.pop()
+            reduced, k0 = classify.reduce_to_k0(curve)
+            target = k0 + max(0.02, 0.05 * abs(k0))
+            image = ho._chart_image(reduced, classify.condensed_axis(reduced)[1])
+            delta, reach = shrink_factor(image, target)
+            assert np.array_equal(planar.xy, delta * image.xy)
+            assert kappa0 == 2.0 * (target + delta * reach)
+            for pc in ppath.curves[1:]:
+                assert np.hypot(*pc.xy.T).max() <= delta * reach
+            assert min(c.kappa.min() for c in path.curves[-33:]) >= target
+
+    def test_two_record_batches(self, monkeypatch):
+        # one per stage: no factor candidate is built as a record (the
+        # inputs are reduced first, as a translation builds one too)
+        from conftest import count_calls
+        from spherecurve.curves import curves_from_node_data
+        calls = count_calls(monkeypatch, curves_from_node_data)
+        for curve in deform_shrink_inputs(7):
+            reduced, _ = classify.reduce_to_k0(curve)
+            before = len(calls)
+            ho.shrink_condensed(reduced, steps=65)
+            assert len(calls) - before == 2
+
+    def test_domain_does_not_move_the_path(self):
+        # the chart image is taken over [0, 1]: a circle reparametrized to
+        # domain 4 pi moves between frames as the unit-domain circle does
+        circle = sc.make_circle(0.9, 2, sc.CurvatureBounds(0.0, math.inf))
+        long = sc.reparametrize_by_curvature(circle)
+        assert abs(long.domain - 4.0 * math.pi) < 1e-12
+
+        def largest_step(path):
+            gamma = np.array([c.gamma for c in path.curves])
+            return np.linalg.norm(np.diff(gamma, axis=0), axis=-1).max()
+
+        unit = largest_step(ho.shrink_condensed(circle))
+        assert largest_step(ho.shrink_condensed(long)) <= 1.1 * unit < 0.05
 
 
 class TestConformalTransport:
@@ -898,8 +988,7 @@ class TestConformalTransport:
 
     @pytest.mark.parametrize("seed", SHRINK_CASES)
     def test_mobius_frames_match_the_chart_oracle(self, monkeypatch, seed):
-        # every dilatation of the shrinks, the factor search's and the
-        # Mobius stage's, each of a reduced input
+        # every dilatation of the shrinks, each of a reduced input
         from test_sphere import assert_matches_chart_oracle
         calls = []
         real = ho._mobius_frames
@@ -911,7 +1000,9 @@ class TestConformalTransport:
         monkeypatch.undo()
         assert len({id(c) for c, _, _ in calls}) == len(inputs)
         for curve, rs, h in calls:
-            for r, got in zip(rs, ho._mobius_frames(curve, rs, h, curve.bounds, sc.DEFAULT_TOL)):
+            records = ho._transported(curve.bounds, *ho._mobius_frames(curve, rs, h),
+                                      curve.domain, curve.closed, sc.DEFAULT_TOL)
+            for r, got in zip(rs, records):
                 assert_matches_chart_oracle(got, curve, r, h)
                 assert np.array_equal(got.lift[-1], got.lift[0]) \
                     or np.array_equal(got.lift[-1], -got.lift[0])

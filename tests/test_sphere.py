@@ -108,43 +108,87 @@ class TestQuatExp:
             assert abs(np.linalg.norm(q) - 1.0) < 1e-15
 
 
+class Chart:
+    """Stereographic projection from `pole` onto pole-perp, in the
+    coordinates of a basis (v1, v2) of it (default `plane_basis(pole)`),
+    with its differential: the test oracle's chart."""
+
+    def __init__(self, pole, basis=None):
+        self.pole = sphere.unit_vector(pole)
+        self.v1, self.v2 = sphere.plane_basis(self.pole) if basis is None else basis
+
+    def _check(self, p):
+        c = np.asarray(p, dtype=float) @ self.pole
+        if np.any(np.arccos(np.clip(c, -1.0, 1.0)) < 1e-8):
+            raise DegenerateProjection("point coincides with projection center")
+        return c
+
+    def project_d(self, p, u) -> np.ndarray:
+        """The differential at p, (3,) or (M, 3), applied to u."""
+        p = np.asarray(p, dtype=float)
+        u = np.asarray(u, dtype=float)
+        c = self._check(p)
+        uc = u @ self.pole
+        s = 1.0 / (1.0 - c)
+        q = (u - np.multiply.outer(uc, self.pole)) * s[..., None] \
+            + (p - np.multiply.outer(c, self.pole)) * (s * s * uc)[..., None]
+        return np.stack([q @ self.v1, q @ self.v2], axis=-1)
+
+
 def chart_project(chart, p):
-    """Plane coordinates of points of S^2 in a `StereoChart`."""
+    """Plane coordinates of points of S^2 in a `Chart`."""
     p = np.asarray(p, dtype=float)
     c = chart._check(p)
     q = (p - np.multiply.outer(c, chart.pole)) / (1.0 - c)[..., None]
     return np.stack([q @ chart.v1, q @ chart.v2], axis=-1)
 
 
+def node_derivatives(curve):
+    """Exact first and second parameter derivatives at the nodes."""
+    v = curve.speed[:, None]
+    return v * curve.tangent, v * v * (-curve.gamma + curve.kappa[:, None] * curve.normal)
+
+
 class TestStereographic:
+    """`sphere.stereo_chart`, the chart from -h in `plane_basis(h)`
+    coordinates."""
+
     def test_antipode_of_center_maps_to_origin(self):
-        pole = sphere.unit_vector([0.3, -0.4, 0.86])
-        assert np.abs(chart_project(sphere.StereoChart(pole), -pole)).max() < 1e-15
+        # the center is -h
+        h = sphere.unit_vector([0.3, -0.4, 0.86])
+        x, _ = sphere.stereo_chart(h, h, sphere.plane_basis(h)[0])
+        assert np.abs(x).max() < 1e-15
 
     def test_equator_maps_to_unit_radius(self):
-        pole = np.array([0.0, 0.0, 1.0])
-        p = np.array([1.0, 0.0, 0.0])
-        # similar triangles: point orthogonal to the pole lands at radius 1
-        assert abs(np.linalg.norm(chart_project(sphere.StereoChart(pole), p)) - 1.0) < 1e-14
+        h = np.array([0.0, 0.0, 1.0])
+        # similar triangles: a point orthogonal to h lands at radius 1
+        x, d = sphere.stereo_chart(h, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        assert abs(np.linalg.norm(x) - 1.0) < 1e-14
+        assert abs(np.linalg.norm(d) - 1.0) < 1e-14
 
     def test_degenerate_projection(self):
-        pole = np.array([0.0, 0.0, 1.0])
+        h = np.array([0.0, 0.0, 1.0])
         with pytest.raises(DegenerateProjection):
-            sphere.StereoChart(pole).project_d(pole, np.array([1.0, 0.0, 0.0]))
+            sphere.stereo_chart(h, -h, np.array([1.0, 0.0, 0.0]))
 
     def test_projection_derivative_fd(self, rng):
-        pole = sphere.unit_vector(rng.normal(size=3))
-        chart = sphere.StereoChart(pole)
+        # the points against the oracle's chart from -h in the same basis,
+        # the directions against central differences: the differential is
+        # the direction over 1 + <p, h>
+        h = sphere.unit_vector(rng.normal(size=3))
+        chart = Chart(-h, sphere.plane_basis(h))
         p = sphere.unit_vector(rng.normal(size=3))
-        if p @ pole > 0.9:
+        if p @ h < -0.9:
             p = -p
         u = rng.normal(size=3)
         u -= p * (u @ p)
-        h = 1e-7
-        pp = sphere.unit_vector(p + h * u)
-        pm = sphere.unit_vector(p - h * u)
-        fd = (chart_project(chart, pp) - chart_project(chart, pm)) / (2 * h)
-        assert np.abs(fd - chart.project_d(p, u)).max() < 1e-5
+        x, d = sphere.stereo_chart(h, p, u)
+        assert np.abs(x - chart_project(chart, p)).max() < 1e-14
+        step = 1e-7
+        ends = [sphere.stereo_chart(h, sphere.unit_vector(p + e * step * u), u)[0]
+                for e in (1.0, -1.0)]
+        fd = (ends[0] - ends[1]) / (2 * step)
+        assert np.abs(fd - d / (1.0 + p @ h)).max() < 1e-5
 
 
 # Oracle of the Mobius frames: T_r through the stereographic chart from -h
@@ -201,7 +245,7 @@ def chart_unproject_d2(chart, x, u, v):
 
 
 def chart_dilate(r, h, p, dp, d2p):
-    chart = sphere.StereoChart(-np.asarray(h, dtype=float))
+    chart = Chart(-np.asarray(h, dtype=float))
     x = chart_project(chart, p)
     dx = chart.project_d(p, dp)
     d2x = chart_project_d2(chart, p, dp, dp) + chart.project_d(p, d2p)
@@ -215,7 +259,7 @@ def chart_mobius(curve, r, h, bounds=None, tol=DEFAULT_TOL):
     """T_r of a curve toward h by the oracle: `chart_dilate` of its points
     and node derivatives, assembled by `frames_from_point_data`."""
     from conftest import frames_from_point_data
-    p, dp, d2p = chart_dilate(r, h, curve.gamma, *homotopy._node_derivatives(curve))
+    p, dp, d2p = chart_dilate(r, h, curve.gamma, *node_derivatives(curve))
     return frames_from_point_data(p[None], dp[None], d2p[None], bounds or curve.bounds,
                                   curve.domain, curve.closed, tol)[0]
 
@@ -227,7 +271,7 @@ def assert_matches_chart_oracle(got, curve, r, h, keep=slice(None), per_node=Tru
     within 1e-14 max(1, |kappa|), node by node or (`per_node=False`) with
     the largest |kappa| of the kept nodes."""
     want = chart_mobius(curve, r, h, got.bounds)
-    points = chart_dilate(r, h, curve.gamma, *homotopy._node_derivatives(curve))[0]
+    points = chart_dilate(r, h, curve.gamma, *node_derivatives(curve))[0]
     lift = np.minimum(np.abs(got.lift - want.lift).max(axis=1),
                       np.abs(got.lift + want.lift).max(axis=1))
     assert lift[keep].max() <= 1e-14
