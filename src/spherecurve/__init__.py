@@ -28,7 +28,7 @@ from .curves import (
     reparametrize_by_curvature,
     total_curvature,
 )
-from .bands import caustic_band, caustic_curve, regular_band, translate_curve
+from .bands import caustic_band, regular_band, translate_curve
 from .classify import (
     ComponentLabel,
     CondensedStatus,
@@ -51,7 +51,6 @@ from .homotopy import (
     validate_path,
 )
 from .grafting import (
-    compose_grafting,
     graft_antipodal_circles,
     graft_simplex_step,
     graft_until_resolved,
@@ -81,12 +80,10 @@ __all__ = [
     "band_from_condensed",
     "bend_k_equator",
     "caustic_band",
-    "caustic_curve",
     "central_curve",
     "classify_component",
     "collapse_condensed_negative",
     "component_count",
-    "compose_grafting",
     "condensed_axis",
     "condensed_status",
     "contract_band",

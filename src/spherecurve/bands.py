@@ -140,19 +140,3 @@ def caustic_band(curve: AdmissibleCurve, m: int | None = None,
     qs = np.quantile(curve.rho, np.linspace(0.02, 0.98, max(m // 4, 9)))
     thetas = _theta_grid(0.0, rho0, m, extra=qs)
     return _band(curve, thetas, t_stride)
-
-
-@dataclasses.dataclass(frozen=True)
-class CausticCurve:
-    """Centers of curvature chi(t) = cos(rho) gamma + sin(rho) n."""
-
-    t: np.ndarray
-    chi: np.ndarray
-
-
-def caustic_curve(curve: AdmissibleCurve) -> CausticCurve:
-    rho = curve.rho
-    chi = (np.cos(rho)[:, None] * curve.gamma
-           + np.sin(rho)[:, None] * curve.normal)
-    return CausticCurve(t=curve.grid, chi=chi)
-

@@ -25,7 +25,6 @@ from .curves import (
 )
 from .errors import (
     DegenerateProjection,
-    DomainError,
     FiberCountMismatch,
     NoGapFound,
     NotClosed,
@@ -57,10 +56,13 @@ def reduce_to_k0(curve: AdmissibleCurve,
 # Point clouds and condensed / diffuse status
 # ------------------------------------------------------------------ #
 
-def _classify_stride(curve: AdmissibleCurve, tol: ToleranceProfile) -> int:
+_CLASSIFY_T_NODES = 256         # least strided nodes of a curve
+
+
+def _classify_stride(curve: AdmissibleCurve) -> int:
     """Decimation stride: at least eight samples per winding of the curve."""
     loops = total_curvature(curve) / (2.0 * math.pi)
-    target = max(tol.classify_t_nodes, int(8.0 * loops))
+    target = max(_CLASSIFY_T_NODES, int(8.0 * loops))
     return max(1, curve.n // target)
 
 
@@ -174,7 +176,7 @@ def antipodal_fiber_witness(curve: AdmissibleCurve, lo: float = 0.0,
     Known limit: only the fibers over strided nodes are tested, so a chord
     below the tolerance between fibers over the nodes in between is missed.
     """
-    idx = np.arange(0, curve.n, _classify_stride(curve, tol))
+    idx = np.arange(0, curve.n, _classify_stride(curve))
     pair, chord = _fiber_witness(curve.gamma[idx], curve.tangent[idx],
                                  curve.normal[idx], lo,
                                  curve.bounds.rho1 - hi_margin, tol)
@@ -330,9 +332,9 @@ class CondensedStatus:
     hull), set only on a condensed curve.  With a positive margin, the
     band lies in <x, h> >= margin and its antipode in <x, h> <= -margin.
     `margin_exact` is False when the solve stopped at a certified upper
-    bound at or below -`tol.borderline_margin` (the hull of the cloud's
+    bound at or below -`_BORDERLINE_MARGIN` (the hull of the cloud's
     support points in its principal frame) and `margin` is that bound:
-    below -`tol.borderline_margin` the margin only decides that the curve
+    below -`_BORDERLINE_MARGIN` the margin only decides that the curve
     is neither condensed nor borderline and that the 2m certificate does
     not apply, and the bound decides the same.
     `antipodal_defect` bounds the chord |x + y| over band points x, y.
@@ -366,6 +368,10 @@ class CondensedStatus:
         return "Neither"
 
 
+_FEASIBILITY_MARGIN = 1e-9      # hemisphere margin counted as zero
+_BORDERLINE_MARGIN = 1e-4       # |margin| below this: the equatorial regime
+
+
 def condensed_status(curve: AdmissibleCurve,
                      tol: ToleranceProfile = DEFAULT_TOL) -> CondensedStatus:
     """Condensed and diffuse flags for a closed curve in (kappa0, +inf) form.
@@ -378,9 +384,9 @@ def condensed_status(curve: AdmissibleCurve,
     if not curve.closed:
         raise NotClosed("condensed status requires a closed curve")
     h, margin = sphere.best_hemisphere(classification_cloud(curve),
-                                       certify_below=tol.borderline_margin)
-    condensed = margin >= -tol.feasibility_margin
-    borderline = abs(margin) < tol.borderline_margin
+                                       certify_below=_BORDERLINE_MARGIN)
+    condensed = margin >= -_FEASIBILITY_MARGIN
+    borderline = abs(margin) < _BORDERLINE_MARGIN
 
     if 2.0 * margin >= tol.antipodal_chord:    # |x + y| >= <x + y, h> >= 2m
         pair, defect = None, 2.0 * margin
@@ -609,30 +615,6 @@ def rotation_number_nondiffuse(curve: AdmissibleCurve,
 
 
 # ------------------------------------------------------------------ #
-# Equatorial inequality (self-test of the boundary analysis)
-# ------------------------------------------------------------------ #
-
-def equatorial_inequality_value(rho0: float, lambdas) -> tuple[float, float]:
-    """(sum of arcsin(cos rho0 sin lambda_i), pi - 2 rho0)."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (3,):
-        raise DomainError("need exactly three angles")
-    if abs(float(lam.sum()) - math.pi) > 1e-9:
-        raise DomainError("angles must sum to pi")
-    if np.any(lam < -1e-12) or np.any(lam > math.pi / 2 + 1e-12):
-        raise DomainError("angles must lie in [0, pi/2]")
-    if not 0.0 < rho0 <= math.pi / 2:
-        raise DomainError("rho0 must lie in (0, pi/2]")
-    lhs = float(np.sum(np.arcsin(math.cos(rho0) * np.sin(lam))))
-    return lhs, math.pi - 2.0 * rho0
-
-
-def equatorial_inequality_check(rho0: float, lambdas) -> bool:
-    lhs, rhs = equatorial_inequality_value(rho0, lambdas)
-    return lhs >= rhs - 1e-12
-
-
-# ------------------------------------------------------------------ #
 # The component label
 # ------------------------------------------------------------------ #
 
@@ -686,7 +668,7 @@ def classify_component(curve: AdmissibleCurve,
     caustic cloud, compute the rotation number when it can decide, and fall
     back to the lift parity for the two large components.  The winding is
     taken around the max-margin direction: its margin exceeds
-    `borderline_margin`, and every hemisphere containing the cloud gives
+    `_BORDERLINE_MARGIN`, and every hemisphere containing the cloud gives
     the same rotation number.  The label keeps the `CondensedStatus` it was
     decided from.
     """

@@ -90,6 +90,9 @@ _WINDOW = 32
 _BOUND_GUARD = 1e-12
 # Trims `retract_to_good` makes before it gives up.
 _RETRACT_MAX_ITER = 60
+# Width tolerance of a good band, in radians: the retraction stops below
+# it, and the central curve's curvature bound keeps this much room.
+_BAND_TOL = 5e-3
 
 
 def _boundary_stride(k_nodes: int) -> int:
@@ -329,14 +332,13 @@ def _trim_profile(lam_grid, theta_move, lam_bdry, phi_bdry, cutoff, nu, upper):
     return out
 
 
-def retract_to_good(band: AcceptableBand, tol: ToleranceProfile = DEFAULT_TOL,
-                    return_history: bool = False):
+def retract_to_good(band: AcceptableBand, return_history: bool = False):
     """Alternate trimming toward equidistant boundaries (geometric rate).
 
     Iterate n trims the + boundary to within R + 2^-n of the - boundary for
     odd n and vice versa for even n; theta+ is nonincreasing and theta-
     nondecreasing along the way.  Converges when consecutive profiles move
-    less than band_tol / 4.
+    less than `_BAND_TOL` / 4.
 
     Each trim is output-sensitive (see `_trim_profile`): a meridian whose
     neighbouring caps already reach its current latitude is certified
@@ -365,7 +367,7 @@ def retract_to_good(band: AcceptableBand, tol: ToleranceProfile = DEFAULT_TOL,
             delta = np.abs(tm_new - tm).max()
             tm = tm_new
         history.append((tp.copy(), tm.copy()))
-        if n >= 2 and delta < tol.band_tol / 4.0 and 2.0 ** (-n) < tol.band_tol:
+        if n >= 2 and delta < _BAND_TOL / 4.0 and 2.0 ** (-n) < _BAND_TOL:
             good = GoodBand(nu=band.nu, R=R, frame=band.frame, lam=band.lam,
                             theta_plus=tp, theta_minus=tm)
             return (good, history) if return_history else good
@@ -467,8 +469,7 @@ def central_curve(band: GoodBand, tol: ToleranceProfile = DEFAULT_TOL) -> Admiss
 
     pts = band.embed(lam_m % (2 * math.pi), phi_m)
     R = band.R
-    pad = max(tol.band_tol, 1e-3)
-    kap1 = cot(R / 2.0 - pad)
+    kap1 = cot(R / 2.0 - _BAND_TOL)
     bounds = CurvatureBounds(-kap1, kap1)
     return curve_from_points(pts, bounds, tol=tol)
 
@@ -490,7 +491,7 @@ def collapse_condensed_negative(curve: AdmissibleCurve,
     if steps < 2:
         raise ValueError(f"collapsing needs at least 2 frames, not {steps}")
     band = band_from_condensed(curve, tol)
-    band = retract_to_good(band, tol=tol)
+    band = retract_to_good(band)
     target_p = np.full(band.k_nodes, band.R / 2.0)
     target_m = np.full(band.k_nodes, -band.R / 2.0)
 
@@ -500,28 +501,8 @@ def collapse_condensed_negative(curve: AdmissibleCurve,
             nu=band.nu, R=band.R, frame=band.frame, lam=band.lam,
             theta_plus=(1.0 - s) * band.theta_plus + s * target_p,
             theta_minus=(1.0 - s) * band.theta_minus + s * target_m)
-        good = retract_to_good(prof, tol=tol)
+        good = retract_to_good(prof)
         curves.append(normalize_initial_frame(central_curve(good, tol=tol)))
     bounds = curves[0].bounds
     return HomotopyPath(bounds=bounds, s_values=np.linspace(0.0, 1.0, steps),
                         curves=tuple(curves), provenance="custom")
-
-
-def track_field_lipschitz(band: GoodBand) -> float:
-    """Worst local Lipschitz estimate of the track direction field.
-
-    The track directions vary Lipschitz-continuously with constant of order
-    1/sin(d0) near the boundary; since no a-priori constant is available,
-    the measured worst ratio |delta direction| / |delta base point| over
-    neighboring meridians is reported for diagnostics.
-    """
-    lq, pq = _track_ends(band)
-    base = band.embed(band.lam % (2 * math.pi), band.theta_plus)
-    q3 = band.embed(lq % (2 * math.pi), pq)
-    d = q3 - base * np.einsum("ij,ij->i", base, q3)[:, None]
-    n = np.linalg.norm(d, axis=1, keepdims=True)
-    dirs = np.where(n > 1e-15, d / np.where(n > 1e-15, n, 1.0), 0.0)
-    num = np.linalg.norm(np.diff(dirs, axis=0), axis=1)
-    den = np.linalg.norm(np.diff(base, axis=0), axis=1)
-    good = den > 1e-12
-    return float(np.max(num[good] / den[good]))

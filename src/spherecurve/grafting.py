@@ -53,89 +53,28 @@ from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 @dataclasses.dataclass(frozen=True)
 class GraftingFunction:
-    """phi(t) = t + sum_{x < t} delta_plus(x) + sum_{x <= t} delta_minus(x)."""
+    """phi(t) = t + sum_{x < t} delta(x): the graft's insertion points x
+    and the lengths delta inserted there."""
 
     s0: float
     x_plus: np.ndarray
     d_plus: np.ndarray
-    x_minus: np.ndarray
-    d_minus: np.ndarray
 
     def __post_init__(self):
-        for name in ("x_plus", "d_plus", "x_minus", "d_minus"):
+        for name in ("x_plus", "d_plus"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.d_plus <= 0) or np.any(self.d_minus <= 0):
+        if np.any(self.d_plus <= 0):
             raise ValueError("insertion weights must be positive")
-        if np.any(np.diff(self.x_plus) <= 0) or np.any(np.diff(self.x_minus) <= 0):
+        if np.any(np.diff(self.x_plus) <= 0):
             raise ValueError("insertion points must be strictly sorted")
-
-    @property
-    def s1(self) -> float:
-        return self.s0 + float(self.d_plus.sum() + self.d_minus.sum())
-
-    @classmethod
-    def identity(cls, s0: float) -> "GraftingFunction":
-        return cls(s0, np.empty(0), np.empty(0), np.empty(0), np.empty(0))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        plus = (tt[:, None] > self.x_plus[None, :]) @ self.d_plus \
-            if self.x_plus.size else np.zeros_like(tt)
-        minus = (tt[:, None] >= self.x_minus[None, :]) @ self.d_minus \
-            if self.x_minus.size else np.zeros_like(tt)
-        out = tt + plus + minus
+        out = tt + (tt[:, None] > self.x_plus[None, :]) @ self.d_plus
         return float(out[0]) if scalar else out
-
-    def right(self, t: float) -> float:
-        return t + float(self.d_plus[self.x_plus <= t].sum()
-                         + self.d_minus[self.x_minus <= t].sum())
-
-    def left(self, t: float) -> float:
-        return t + float(self.d_plus[self.x_plus < t].sum()
-                         + self.d_minus[self.x_minus < t].sum())
-
-    def preimage(self, y: float) -> float:
-        """Parameter t with phi reaching y; lands on x if y is in a jump."""
-        events = sorted([(x, d, 1) for x, d in zip(self.x_plus, self.d_plus)]
-                        + [(x, d, -1) for x, d in zip(self.x_minus, self.d_minus)])
-        offset = 0.0
-        for x, d, _ in events:
-            lo = x + offset          # value of phi just below / at the jump
-            if y <= lo:
-                return y - offset
-            if y <= lo + d:
-                return x
-            offset += d
-        return y - offset
-
-
-def compose_grafting(phi0: GraftingFunction,
-                     phi1: GraftingFunction) -> GraftingFunction:
-    """phi1 after phi0; insertion sets merge and weights only grow."""
-    if abs(phi0.s1 - phi1.s0) > 1e-9:
-        raise DomainError("codomain of phi0 must equal domain of phi1")
-
-    candidates = set(float(x) for x in phi0.x_plus)
-    candidates |= set(float(x) for x in phi0.x_minus)
-    for y in list(phi1.x_plus) + list(phi1.x_minus):
-        candidates.add(float(phi0.preimage(float(y))))
-
-    xp, dp, xm, dm = [], [], [], []
-    for x in sorted(candidates):
-        at = float(phi1(phi0(x)))
-        d_minus = at - phi1.left(phi0.left(x))
-        d_plus = phi1.right(phi0.right(x)) - at
-        if d_minus > 1e-15:
-            xm.append(x)
-            dm.append(d_minus)
-        if d_plus > 1e-15:
-            xp.append(x)
-            dp.append(d_plus)
-    return GraftingFunction(phi0.s0, np.array(xp), np.array(dp),
-                            np.array(xm), np.array(dm))
 
 
 # ------------------------------------------------------------------ #
@@ -258,8 +197,7 @@ def _record(base, result, ins, defect):
     xs = np.array([a.t for a in ins])
     ds = np.array([a.sigma for a in ins])
     order = np.argsort(xs)
-    phi = GraftingFunction(base.domain, xs[order], ds[order],
-                           np.empty(0), np.empty(0))
+    phi = GraftingFunction(base.domain, xs[order], ds[order])
     return GraftRecord(base=base, result=result, phi=phi,
                        arcs=tuple(ins[i] for i in order),
                        frame_defect=defect)
@@ -313,7 +251,7 @@ def graft_antipodal_circles(curve: AdmissibleCurve, s: float,
 def _caustic_samples_with_tags(curve: AdmissibleCurve, tol: ToleranceProfile):
     """Interior caustic-band samples, with the node and theta of each."""
     rho0 = curve.bounds.rho1
-    stride = _classify_stride(curve, tol)
+    stride = _classify_stride(curve)
     nodes = np.arange(0, curve.n, stride)
     # keep the inserted radii strictly interior but sample essentially the
     # whole fiber: the extreme points of the image sit on its edges
@@ -436,12 +374,15 @@ def graft_until_resolved(curve: AdmissibleCurve, step: float | None = None,
     non-diffuse bound 4 pi nu / cos^2(rho0/2), which cannot happen for a
     consistent non-diffuse chain, and with BudgetExceeded if the inserted
     length passes the budget.  `step` defaults to `tol.graft_step`; a
-    step of at most 0 raises ValueError.
+    step of at most 0 and a budget that is not at least 0 (NaN included)
+    raise ValueError.
     """
     if step is None:
         step = tol.graft_step
     elif not step > 0.0:
         raise ValueError(f"graft step must be positive, not {step}")
+    if not budget >= 0.0:
+        raise ValueError(f"graft budget must be at least 0, not {budget}")
     cur = ensure_curvature_param(curve, tol)
     rho0 = cur.bounds.rho1
     spent = 0.0

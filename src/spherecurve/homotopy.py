@@ -67,8 +67,10 @@ def _transported(bounds, lifts, speed, kappa, domain, closed, tol) -> tuple:
     """The records of F curves whose (F, n+1) node lifts turn a known lift,
     by `curves_from_node_data`.  A closed curve's last node takes its first
     node's speed and curvature, and its lift up to their sign, so lift[-1]
-    = +-lift[0] bit for bit."""
+    = +-lift[0] bit for bit; the records then hold copies, and the given
+    arrays are left as they are."""
     if closed:
+        lifts, speed, kappa = lifts.copy(), speed.copy(), kappa.copy()
         sign = np.where(np.einsum("fi,fi->f", lifts[:, -1], lifts[:, 0]) > 0, 1.0, -1.0)
         lifts[:, -1] = sign[:, None] * lifts[:, 0]
         speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
@@ -372,15 +374,9 @@ class PlanarCurve:
         return winding_number_planar(self.vel)
 
 
-@dataclasses.dataclass(frozen=True)
-class PlanarPath:
-    s_values: np.ndarray
-    curves: tuple
-
-
 def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
                        steps: int | None = None,
-                       tol: ToleranceProfile = DEFAULT_TOL) -> PlanarPath:
+                       tol: ToleranceProfile = DEFAULT_TOL) -> tuple:
     """Deform a positively-curved closed plane curve into a round circle.
 
     Whitney-Graustein style: center the curve at the origin (as every
@@ -388,9 +384,10 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     interpolate the tangent angle linearly toward 2 pi N t with a closure
     correction, scaling when needed to keep the curvature above kappa0.
     N must be positive; the last of `steps` >= 3 frames (default
-    `tol.path_steps`) is a round circle traversed N times.  Each part of
-    the path is one broadcast over its frames, (F, m+1, 2); in the second
-    the positions are the periodic antiderivative of the velocities.
+    `tol.path_steps`) is a round circle traversed N times.  Returns the
+    (F,) s-values and the frames as one stacked `PlanarCurve`, (F, m+1, 2)
+    each.  Each part of the path is one broadcast over its frames; in the
+    second the positions are the periodic antiderivative of the velocities.
     """
     if kappa0 < 0:
         raise DomainError("kappa0 must be nonnegative")
@@ -452,9 +449,9 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
         lam = np.minimum(1.0, 0.95 * kmin / kappa0)[:, None, None]   # scaled curvature = kappa/lam
         xy, vel, acc = xy * lam, vel * lam, acc * lam
 
-    frames = map(PlanarCurve, np.concatenate([xy_a, xy]),
-                 np.concatenate([curve.vel * fac, vel]), np.concatenate([curve.acc * fac, acc]))
-    return PlanarPath(np.concatenate([0.5 * s_a, 0.5 + 0.5 * s_b]), tuple(frames))
+    frames = PlanarCurve(np.concatenate([xy_a, xy]), np.concatenate([curve.vel * fac, vel]),
+                         np.concatenate([curve.acc * fac, acc]))
+    return np.concatenate([0.5 * s_a, 0.5 + 0.5 * s_b]), frames
 
 
 # ------------------------------------------------------------------ #
@@ -591,13 +588,12 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
 
     n_a = max(2, steps // 2)
     mobius = _mobius_frames(reduced, 1.0 + (delta - 1.0) * np.arange(1, n_a) / (n_a - 1), h)
-    ppath = planar_wg_homotopy(
+    _, pframes = planar_wg_homotopy(
         PlanarCurve(delta * planar.xy, delta * planar.vel, delta * planar.acc),
         kappa0=2.0 * (kappa_target + delta * reach), steps=steps - n_a + 1, tol=tol)
-    if ppath.curves[-1].winding() != nu:
+    if winding_number_planar(pframes.vel[-1]) != nu:
         raise StageToleranceFailure("planar stage changed the rotation number")
-    lifted = _chart_lift(*(np.array([getattr(pc, key) for pc in ppath.curves[1:]])
-                           for key in ("xy", "vel", "acc")), h)
+    lifted = _chart_lift(pframes.xy[1:], pframes.vel[1:], pframes.acc[1:], h)
     frames = [normalize_initial_frame(reduced)]
     for (lifts, v, kappa), domain in ((mobius, reduced.domain), (lifted, 1.0)):
         frames += _transported(bounds, _based(lifts), v, kappa, domain, True, tol)

@@ -76,13 +76,16 @@ def quat_exp(v) -> np.ndarray:
     return np.where(small, QUAT_ONE, out)
 
 
-def quat_to_rotation(z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+_UNIT_NORM = 1e-12              # largest drift |q|^2 - 1 left unrenormalized
+
+
+def quat_to_rotation(z) -> np.ndarray:
     """Project unit quaternions to SO(3) via v -> z v z^-1 on imaginaries.
 
     Broadcasts over leading axes: (..., 4) -> (..., 3, 3).  The kernel is
     {1, -1}: quat_to_rotation(z) == quat_to_rotation(-z).  Quaternions that
     drift off S^3 by more than 1e-9 are renormalized with a warning rather
-    than rejected; smaller drifts beyond `tol.unit_norm` are renormalized
+    than rejected; smaller drifts beyond `_UNIT_NORM` are renormalized
     silently.
     """
     z = np.asarray(z, dtype=float)
@@ -90,8 +93,8 @@ def quat_to_rotation(z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     drift = np.abs(n2 - 1.0)
     if np.any(drift > 1e-9):
         warnings.warn("quaternion drifted off S^3; renormalizing", UnitDriftWarning)
-    if np.any(drift > tol.unit_norm):
-        z = np.where(drift > tol.unit_norm, z / np.sqrt(n2), z)
+    if np.any(drift > _UNIT_NORM):
+        z = np.where(drift > _UNIT_NORM, z / np.sqrt(n2), z)
     w, x, y, zc = np.moveaxis(z, -1, 0)
     R = np.empty(z.shape[:-1] + (3, 3))
     R[..., 0, 0] = 1 - 2 * (y * y + zc * zc)

@@ -12,18 +12,13 @@ class ToleranceProfile:
     """All numerical knobs in one immutable value.
 
     The defaults are calibrated for curves sampled at ``default_n`` nodes;
-    loosen ``closure`` and ``band_tol`` together if you lower the resolution.
+    loosen ``closure`` if you lower the resolution.
     """
 
-    unit_norm: float = 1e-12          # |q| - 1 after constructors
-    feasibility_margin: float = 1e-9  # hemisphere margin counted as zero
     closure: float = 1e-7             # frame defect allowed for `closed`
-    borderline_margin: float = 1e-4   # |margin| below this => equatorial regime
     antipodal_chord: float = 1e-3     # |p + q| for an antipodal witness
-    band_tol: float = 5e-3            # good-band width tolerance (radians)
     default_n: int = 1024             # curve grid intervals
     band_theta_nodes: int = 64        # theta resolution of band grids
-    classify_t_nodes: int = 256       # witness and graft-sample t stride
     band_k_nodes: int = 2048          # covering-cylinder meridian nodes
     path_steps: int = 65              # frames per homotopy path
     graft_step: float = 0.05          # default simplex graft increment

@@ -68,6 +68,13 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
+def caustic_points(curve):
+    """The caustic curve chi = cos(rho) gamma + sin(rho) n: the centres of
+    curvature, at every node."""
+    rho = curve.rho[:, None]
+    return np.cos(rho) * curve.gamma + np.sin(rho) * curve.normal
+
+
 def frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol=sc.DEFAULT_TOL):
     """The frame-matrix oracle of the point-data lifts: F admissible curves
     from pointwise samples and derivatives stacked (F, m, 3), by speeds,

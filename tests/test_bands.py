@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spherecurve as sc
+from conftest import caustic_points
 from spherecurve import bands
 from spherecurve.errors import ThetaOutOfRange
 
@@ -51,7 +52,7 @@ class TestTranslate:
         alpha, theta = math.pi / 3, 0.2
         c = sc.make_circle(alpha, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
         ct = bands.translate_curve(c, theta)
-        chi = bands.caustic_curve(c).chi[0]
+        chi = caustic_points(c)[0]
         colat = np.arccos(np.clip(ct.gamma @ chi, -1, 1))
         assert np.abs(colat - (alpha - theta)).max() < 1e-9
 
@@ -199,14 +200,13 @@ class TestCausticBand:
         assert np.abs(grid.samples[:, j0, :] - caustic_circle.gamma).max() == 0.0
 
     def test_caustic_on_band(self, caustic_circle):
-        chi = bands.caustic_curve(caustic_circle).chi
-        rho = caustic_circle.rho
-        pts = (np.cos(rho)[:, None] * caustic_circle.gamma
-               + np.sin(rho)[:, None] * caustic_circle.normal)
-        assert np.abs(pts - chi).max() < 1e-10
+        # the band's samples at theta = rho are the centres of curvature
+        grid = bands.caustic_band(caustic_circle, m=33)
+        j = int(np.argmin(np.abs(grid.theta - 0.7)))
+        assert np.abs(grid.samples[:, j, :] - caustic_points(caustic_circle)).max() < 1e-9
 
     def test_circle_caustic_degenerates(self, caustic_circle):
-        chi = bands.caustic_curve(caustic_circle).chi
+        chi = caustic_points(caustic_circle)
         diameter = max(np.linalg.norm(chi - chi[i], axis=1).max()
                        for i in range(0, len(chi), max(1, len(chi) // 64)))
         assert diameter < 1e-8
@@ -222,7 +222,7 @@ class TestCausticBand:
         f_w = lambda t: 1.0 + 0.5 * np.sin(2 * math.pi * t)
         controls = sc.controls_from_functions(f_v, f_w, 256)
         c = sc.integrate_curve(controls, bounds)
-        chi = bands.caustic_curve(c).chi
+        chi = caustic_points(c)
         speed = np.linalg.norm(np.diff(chi, axis=0), axis=1)
         kdot = np.abs(np.diff(c.kappa))
         # correlation form: the caustic moves where kappa moves
@@ -248,7 +248,7 @@ class TestClassificationCloud:
             nodes = np.arange(c.gamma.shape[0])
             theta = np.concatenate([np.tile(grid.theta, nodes.size), c.rho])
             node = np.concatenate([np.repeat(nodes, grid.theta.size), nodes])
-            x = np.vstack([grid.points, bands.caustic_curve(c).chi])
+            x = np.vstack([grid.points, caustic_points(c)])
             assert np.all((0.0 <= theta) & (theta <= rho0))
             near = (theta <= rho0 / 2)[:, None]
             a = np.where(near, g[node], mid[node])

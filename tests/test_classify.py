@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import spherecurve as sc
+from conftest import caustic_points
 from spherecurve import classify, factory
 from spherecurve.errors import (
     DomainError,
@@ -17,6 +18,7 @@ from spherecurve.errors import (
     NotCondensed,
     WindingResidual,
 )
+from test_acceptance import equatorial_inequality_check, equatorial_inequality_value
 
 
 class TestComponentCount:
@@ -411,11 +413,11 @@ class TestEquatorialInequality:
             for lam in ([0.0, math.pi / 2, math.pi / 2],
                         [math.pi / 2, 0.0, math.pi / 2],
                         [math.pi / 2, math.pi / 2, 0.0]):
-                lhs, rhs = classify.equatorial_inequality_value(rho0, lam)
+                lhs, rhs = equatorial_inequality_value(rho0, lam)
                 assert abs(lhs - rhs) < 1e-10
 
     def test_interior_strict(self):
-        lhs, rhs = classify.equatorial_inequality_value(
+        lhs, rhs = equatorial_inequality_value(
             math.pi / 3, [math.pi / 3] * 3)
         assert lhs > rhs + 1e-6
 
@@ -425,13 +427,13 @@ class TestEquatorialInequality:
             b = rng.uniform(math.pi - a - math.pi / 2, math.pi / 2)
             lam = [a, b, math.pi - a - b]
             rho0 = rng.uniform(0.05, math.pi / 2)
-            assert classify.equatorial_inequality_check(rho0, lam)
+            assert equatorial_inequality_check(rho0, lam)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            classify.equatorial_inequality_check(0.4, [1.0, 1.0, 1.0])
+            equatorial_inequality_check(0.4, [1.0, 1.0, 1.0])
         with pytest.raises(DomainError):
-            classify.equatorial_inequality_check(2.0, [0.0, math.pi / 2, math.pi / 2])
+            equatorial_inequality_check(2.0, [0.0, math.pi / 2, math.pi / 2])
 
 
 class TestOneAnalysisPerLabel:
@@ -472,7 +474,7 @@ class TestOneAnalysisPerLabel:
             curve = sc.make_circle(0.6, k, bounds_k0, n=256).rotated(
                 random_rotation(rng))
             status = classify.condensed_status(curve)
-            assert status.margin > sc.DEFAULT_TOL.borderline_margin
+            assert status.margin > classify._BORDERLINE_MARGIN
             assert classify.rotation_number_condensed(
                 curve, status.hemisphere) == classify.condensed_axis(curve)[2] == k
 
@@ -511,7 +513,7 @@ def loop_antipodal_fiber_witness(curve, lo=0.0, hi_margin=0.0, tol=sc.DEFAULT_TO
     one first fiber at a time.  Returns (pair, chord) with the exact least
     chord over every pair when no pair is below `tol.antipodal_chord`."""
     hi = curve.bounds.rho1 - hi_margin
-    idx = np.arange(0, curve.n, classify._classify_stride(curve, tol))
+    idx = np.arange(0, curve.n, classify._classify_stride(curve))
     g, tg, nr = curve.gamma[idx], curve.tangent[idx], curve.normal[idx]
     pair = _loop_crossing(g, tg, nr, lo, hi)
     if pair is not None:
@@ -836,13 +838,13 @@ def band_cloud(curve, tol=sc.DEFAULT_TOL):
     stride, with the curve, its outer translate C(t, rho0) and its
     caustic at every node."""
     from spherecurve import bands
-    stride = classify._classify_stride(curve, tol)
+    stride = classify._classify_stride(curve)
     band = bands.caustic_band(curve, m=tol.band_theta_nodes // 2 + 1,
                               t_stride=stride, tol=tol)
     rho0 = curve.bounds.rho1
     outer = math.cos(rho0) * curve.gamma + math.sin(rho0) * curve.normal
     return np.vstack([band.points, curve.gamma, outer,
-                      bands.caustic_curve(curve).chi])
+                      caustic_points(curve)])
 
 
 @st.composite
@@ -908,7 +910,7 @@ class TestCapPruning:
         kept = []
         for curve in (neither_coarse, diffuse_curve):
             curve, _ = classify.reduce_to_k0(curve)
-            idx = np.arange(0, curve.n, classify._classify_stride(curve, sc.DEFAULT_TOL))
+            idx = np.arange(0, curve.n, classify._classify_stride(curve))
             ii, jj, _ = classify._meeting_pairs(
                 curve.gamma[idx], curve.normal[idx], 0.0, curve.bounds.rho1,
                 sc.DEFAULT_TOL)
@@ -950,7 +952,7 @@ class TestWitnessScreen:
         assert_matches_loop(got, loop_antipodal_fiber_witness(circle))
         assert got[0] is not None and got[1] < 1e-12
         idx = np.arange(0, circle.n,
-                        classify._classify_stride(circle, sc.DEFAULT_TOL))
+                        classify._classify_stride(circle))
         kept = classify._meeting_pairs(circle.gamma[idx], circle.normal[idx],
                                        0.0, circle.bounds.rho1,
                                        sc.DEFAULT_TOL)[0].size
@@ -995,10 +997,10 @@ class TestMarginCertificate:
         if status.margin_exact:
             assert status.margin == exact
         else:
-            assert exact - 1e-12 <= status.margin <= -tol.borderline_margin
-            assert exact <= -tol.borderline_margin
-        assert status.condensed == (exact >= -tol.feasibility_margin)
-        assert status.borderline == (abs(exact) < tol.borderline_margin)
+            assert exact - 1e-12 <= status.margin <= -classify._BORDERLINE_MARGIN
+            assert exact <= -classify._BORDERLINE_MARGIN
+        assert status.condensed == (exact >= -classify._FEASIBILITY_MARGIN)
+        assert status.borderline == (abs(exact) < classify._BORDERLINE_MARGIN)
         assert (status.antipodal_pair is None and status.antipodal_defect
                 == 2.0 * status.margin) == (2.0 * exact >= tol.antipodal_chord)
 
@@ -1013,7 +1015,7 @@ class TestMarginCertificate:
         solves = count_calls(monkeypatch, sphere._hull_solve)
         label = classify.classify_component(circle)
         assert solves
-        assert -sc.DEFAULT_TOL.borderline_margin < exact < -1e-9
+        assert -classify._BORDERLINE_MARGIN < exact < -1e-9
         assert label.status.margin_exact and label.margin == exact
         assert label.to_dict()["margin_exact"] is True
         assert label.borderline and not label.condensed

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spherecurve as sc
-from spherecurve import cli
+from spherecurve import classify, cli
 
 
 def run_cli(*argv):
@@ -103,7 +103,7 @@ class TestClassify:
             curve = sc.make_circle(rho, turns, bounds, n=1024)
         margins = [doc["margin"] for doc in self._placed_labels(tmp_path, curve)]
         assert abs(margins[0] - margins[1]) <= 1e-12
-        assert margins[0] > sc.DEFAULT_TOL.borderline_margin
+        assert margins[0] > classify._BORDERLINE_MARGIN
 
     @pytest.mark.parametrize("case", ["diffuse", "circle"])
     def test_certified_margin_is_placement_invariant(self, tmp_path, case):
@@ -118,7 +118,7 @@ class TestClassify:
                                    n=1024)
         first, second = self._placed_labels(tmp_path, curve)
         assert abs(first["margin"] - second["margin"]) <= 1e-12
-        assert first["margin"] < -sc.DEFAULT_TOL.borderline_margin
+        assert first["margin"] < -classify._BORDERLINE_MARGIN
         assert first["margin_exact"] is second["margin_exact"] is False
         fields = ("n", "j", "condensed", "nu", "parity", "borderline", "status")
         assert [first[k] for k in fields] == [second[k] for k in fields]
@@ -386,7 +386,8 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("field", [
         "orthonormality", "simplex_budget", "winding_residual", "continuation_tol",
-        "continuation_max_iter", "import_kappa_slack", "lattice_size"])
+        "continuation_max_iter", "import_kappa_slack", "lattice_size", "unit_norm",
+        "feasibility_margin", "borderline_margin", "classify_t_nodes", "band_tol"])
     def test_removed_tolerance_field_exit_2(self, tmp_path, capsys, field):
         profile = tmp_path / "tol.json"
         profile.write_text(json.dumps({field: 1}))
@@ -410,8 +411,8 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("document", [
         '{"band_k_nodes": 0}', '{"default_n": 0}', '{"band_theta_nodes": 0}',
-        '{"classify_t_nodes": 0}', '{"path_steps": -1}', '{"seed": -1}',
-        '{"closure": 0}', '{"band_tol": -5e-3}'])
+        '{"graft_step": 0}', '{"path_steps": -1}', '{"seed": -1}',
+        '{"closure": 0}', '{"antipodal_chord": -1e-3}'])
     def test_out_of_range_tolerance_profile_exit_2(self, tmp_path, capsys,
                                                    document):
         # every field is range-checked when the profile is built, before
@@ -454,6 +455,20 @@ class TestErrorBoundary:
         assert run_cli(*argv, "-o", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_invalid_graft_budget_exit_2(self, budget, tmp_path, capsys):
+        # checked before the status, so also on a curve already resolved
+        c = tmp_path / "c.json"
+        run_cli("gen", "circle", "--rho", "0.8", "--k", "1", "--kappa1", "0",
+                "-n", "64", "-o", str(c))
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert run_cli("graft", str(c), "--mode", "auto", "--budget", budget,
+                       "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and "budget" in err
         assert not out.exists()
 
     def test_zero_simplex_step_is_the_identity(self, tmp_path):

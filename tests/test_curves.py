@@ -446,7 +446,7 @@ class TestChainScan:
         assert np.array_equal(steps, before)
         assert np.array_equal(got[0], z0)
         assert np.abs(got - loop_chain_quats(z0, steps)).max() <= 1e-13
-        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= sc.DEFAULT_TOL.unit_norm
+        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= sphere._UNIT_NORM
 
     @pytest.mark.parametrize("n", [16, 1023, 1024, 12288])
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -517,7 +517,7 @@ class TestChainScan:
         steps = cur._step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
         z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
         assert np.abs(lift - loop_chain_quats(z0, steps)).max() <= 1e-13
-        assert np.abs(np.linalg.norm(lift, axis=1) - 1.0).max() <= sc.DEFAULT_TOL.unit_norm
+        assert np.abs(np.linalg.norm(lift, axis=1) - 1.0).max() <= sphere._UNIT_NORM
 
     @pytest.mark.parametrize("rotate", [False, True])
     def test_runs_of_one_are_the_interval_scan(self, bounds_k0, rng, rotate):

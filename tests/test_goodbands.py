@@ -89,38 +89,37 @@ class TestContractRetract:
             d_plus, d_minus = mid.boundary_distances()
             assert d_plus.min() >= mid.R - 1e-3
 
-    def test_good_band_is_fixed_point(self, circle_band, band_tol):
-        out = gb.retract_to_good(circle_band, tol=band_tol)
-        assert np.abs(out.theta_plus - circle_band.theta_plus).max() < band_tol.band_tol
-        assert np.abs(out.theta_minus - circle_band.theta_minus).max() < band_tol.band_tol
+    def test_good_band_is_fixed_point(self, circle_band):
+        out = gb.retract_to_good(circle_band)
+        assert np.abs(out.theta_plus - circle_band.theta_plus).max() < gb._BAND_TOL
+        assert np.abs(out.theta_minus - circle_band.theta_minus).max() < gb._BAND_TOL
 
-    def test_maximal_band_retracts_with_monotone_profiles(self, circle_band, band_tol):
+    def test_maximal_band_retracts_with_monotone_profiles(self, circle_band):
         maximal = gb.contract_band(circle_band, 1.0)
-        good, hist = gb.retract_to_good(maximal, tol=band_tol,
-                                        return_history=True)
+        good, hist = gb.retract_to_good(maximal, return_history=True)
         assert len(hist) - 1 <= 60
         tp = np.array([h[0] for h in hist])
         tm = np.array([h[1] for h in hist])
         assert np.all(np.diff(tp, axis=0) <= 1e-12)
         assert np.all(np.diff(tm, axis=0) >= -1e-12)
         d_plus, d_minus = good.boundary_distances()
-        assert np.abs(d_plus - good.R).max() <= 2 * band_tol.band_tol
-        assert np.abs(d_minus - good.R).max() <= 2 * band_tol.band_tol
+        assert np.abs(d_plus - good.R).max() <= 2 * gb._BAND_TOL
+        assert np.abs(d_minus - good.R).max() <= 2 * gb._BAND_TOL
 
-    def test_retracted_width(self, circle_band, band_tol):
+    def test_retracted_width(self, circle_band):
         maximal = gb.contract_band(circle_band, 1.0)
-        good = gb.retract_to_good(maximal, tol=band_tol)
+        good = gb.retract_to_good(maximal)
         d_plus, d_minus = good.boundary_distances()
         R = good.R
-        assert R - 2 * band_tol.band_tol <= d_plus.min()
-        assert d_plus.max() <= R + 2 * band_tol.band_tol
+        assert R - 2 * gb._BAND_TOL <= d_plus.min()
+        assert d_plus.max() <= R + 2 * gb._BAND_TOL
 
 
 class TestCentralCurve:
     def test_rotationally_symmetric_band_gives_midlatitude_circle(
             self, circle_band, band_tol):
         maximal = gb.contract_band(circle_band, 1.0)
-        good = gb.retract_to_good(maximal, tol=band_tol)
+        good = gb.retract_to_good(maximal)
         # rotational symmetry: constant profiles, hence a circle of constant
         # latitude halfway between the boundaries
         assert good.theta_plus.max() - good.theta_plus.min() < 1e-9
@@ -164,14 +163,6 @@ class TestCollapsePipeline:
         final = path.curves[-1]
         assert np.abs(final.kappa).max() < 2e-2
         assert abs(sc.total_curvature(final) - 2 * math.pi * 2) < 0.05
-
-
-class TestTrackDiagnostics:
-    def test_lipschitz_estimate_reported(self, circle_band):
-        lip = gb.track_field_lipschitz(circle_band)
-        assert np.isfinite(lip) and lip >= 0.0
-        # rotationally symmetric bands have slowly varying tracks
-        assert lip < 10.0
 
 
 def loop_track_ends(band):
@@ -225,30 +216,12 @@ def loop_central_points(band, ends=None):
     return band.embed(mids[:, 0] % (2 * math.pi), mids[:, 1])
 
 
-def loop_track_field_lipschitz(band):
-    ends = loop_track_ends(band)
-    dirs = np.empty((band.k_nodes, 3))
-    base = np.empty((band.k_nodes, 3))
-    for k in range(band.k_nodes):
-        p3 = band.embed(band.lam[k] % (2 * math.pi), band.theta_plus[k])
-        q3 = band.embed(ends[k, 0] % (2 * math.pi), ends[k, 1])
-        d = q3 - p3 * float(p3 @ q3)
-        n = np.linalg.norm(d)
-        dirs[k] = d / n if n > 1e-15 else 0.0
-        base[k] = p3
-    num = np.linalg.norm(np.diff(dirs, axis=0), axis=1)
-    den = np.linalg.norm(np.diff(base, axis=0), axis=1)
-    good = den > 1e-12
-    return float(np.max(num[good] / den[good]))
-
-
 class TestBatchedTracks:
     @pytest.fixture(scope="class")
     def bands(self, circle_band, band_tol):
         lopsided = sc.make_circle(0.8, 1, sc.CurvatureBounds(-0.3, math.inf), n=512)
         return [circle_band,
-                gb.retract_to_good(gb.band_from_condensed(lopsided, band_tol),
-                                   tol=band_tol)]
+                gb.retract_to_good(gb.band_from_condensed(lopsided, band_tol))]
 
     def test_central_curve_matches_loop(self, bands, band_tol, monkeypatch):
         fitted = []
@@ -262,11 +235,6 @@ class TestBatchedTracks:
             oracle = real(want, central.bounds, n=band_tol.default_n, tol=band_tol)
             assert np.abs(central.gamma - oracle.gamma).max() < 1e-13
             assert np.abs(central.lift - oracle.lift).max() < 1e-13
-
-    def test_lipschitz_matches_loop(self, bands):
-        for band in bands:
-            lip = gb.track_field_lipschitz(band)
-            assert abs(lip - loop_track_field_lipschitz(band)) <= 1e-13 * max(1.0, lip)
 
     def test_crossing_tracks_raise_like_loop(self, circle_band, monkeypatch):
         # tracks whose ends are pushed past their neighbors' by several
@@ -339,13 +307,13 @@ def dense_boundary_distances(band):
                                   band.theta_plus[::s], band.nu))
 
 
-def retraction(band, tol, trim=None):
+def retraction(band, trim=None):
     """(history, None) of retract_to_good, or (None, error type name)."""
     with pytest.MonkeyPatch.context() as mp:
         if trim is not None:
             mp.setattr(gb, "_trim_profile", trim)
         try:
-            return gb.retract_to_good(band, tol=tol, return_history=True)[1], None
+            return gb.retract_to_good(band, return_history=True)[1], None
         except SphereCurveError as exc:
             return None, type(exc).__name__
 
@@ -368,8 +336,7 @@ def oracle_bands(small_tol):
                                     small_tol)
              for nu in (1, 2, 3)]
     lopsided = sc.make_circle(0.8, 1, sc.CurvatureBounds(-0.3, math.inf), n=512)
-    bands.append(gb.retract_to_good(gb.band_from_condensed(lopsided, small_tol),
-                                    tol=small_tol))
+    bands.append(gb.retract_to_good(gb.band_from_condensed(lopsided, small_tol)))
     return bands
 
 
@@ -378,8 +345,8 @@ class TestOutputSensitiveKernels:
     @given(which=st.integers(0, 3), s=st.floats(0.0, 1.0))
     def test_bit_equal_to_dense_oracles(self, oracle_bands, small_tol, which, s):
         band = gb.contract_band(oracle_bands[which], s)
-        got, got_err = retraction(band, small_tol)
-        want, want_err = retraction(band, small_tol, trim=dense_trim_profile)
+        got, got_err = retraction(band)
+        want, want_err = retraction(band, trim=dense_trim_profile)
         assert got_err == want_err
         if want is not None:
             assert len(got) == len(want)
@@ -439,19 +406,19 @@ class TestOutputSensitiveKernels:
                 got = keep(theta, gb._trim_profile(band.lam, theta, *args))
                 assert same_bits(got, keep(theta, reach))
 
-    def test_circle_bands_certify_every_row(self, oracle_bands, small_tol, monkeypatch):
+    def test_circle_bands_certify_every_row(self, oracle_bands, monkeypatch):
         rows = []
         real = gb._all_sample_reach
         monkeypatch.setattr(gb, "_all_sample_reach",
                             lambda lam, *a: rows.append(lam.size) or real(lam, *a))
         for band in oracle_bands[:3]:
-            gb.retract_to_good(band, tol=small_tol)
+            gb.retract_to_good(band)
         assert sum(rows) == 0
 
-    def test_maximal_band_iterations_match_oracle(self, circle_band, band_tol):
+    def test_maximal_band_iterations_match_oracle(self, circle_band):
         maximal = gb.contract_band(circle_band, 1.0)
-        got, _ = retraction(maximal, band_tol)
-        want, _ = retraction(maximal, band_tol, trim=dense_trim_profile)
+        got, _ = retraction(maximal)
+        want, _ = retraction(maximal, trim=dense_trim_profile)
         assert len(got) == len(want) > 2
 
     def test_traced_peak_memory(self):

@@ -21,58 +21,28 @@ from spherecurve.errors import (
 
 
 class TestGraftingFunctions:
-    def test_identity_compose(self):
-        phi = gr.GraftingFunction(1.0, [0.3], [0.5], [], [])
-        ident = gr.GraftingFunction.identity(phi.s1)
-        comp = gr.compose_grafting(phi, ident)
-        assert np.allclose(comp.x_plus, [0.3])
-        assert np.allclose(comp.d_plus, [0.5])
-        assert comp.s1 == phi.s1
-
     def test_two_disjoint_insertions(self):
-        phi0 = gr.GraftingFunction(1.0, [0.3], [0.5], [], [])
-        phi1 = gr.GraftingFunction(1.5, [0.9], [0.25], [], [])
-        comp = gr.compose_grafting(phi0, phi1)
-        assert comp.s1 == pytest.approx(1.75)
-        # direct evaluation on a grid against the composed map
+        phi = gr.GraftingFunction(1.0, [0.3, 0.9], [0.5, 0.25])
+        assert phi(phi.s0) == pytest.approx(1.75)
+        # each insertion shifts what lies after it
         ts = np.linspace(0, 1, 41)
-        assert np.allclose(comp(ts), phi1(phi0(ts)))
-        # second insertion lands at the preimage of 0.9 under phi0
-        assert np.allclose(np.sort(comp.x_plus), [0.3, 0.4])
+        assert np.allclose(phi(ts), ts + 0.5 * (ts > 0.3) + 0.25 * (ts > 0.9))
+        assert phi(0.3) == 0.3
 
     def test_increasing_with_unit_slope_gaps(self):
-        phi = gr.GraftingFunction(2.0, [0.5, 1.2], [0.1, 0.2], [0.8], [0.3])
+        phi = gr.GraftingFunction(2.0, [0.5, 0.8, 1.2], [0.1, 0.3, 0.2])
         ts = np.linspace(0, 2, 201)
         vals = phi(ts)
         assert np.all(np.diff(vals) >= np.diff(ts) - 1e-12)
         assert phi(0.0) == 0.0
-        assert phi.s1 == pytest.approx(2.6)
+        assert phi(phi.s0) == pytest.approx(2.6)
 
     def test_antisymmetry_identity(self):
         # equal domain and codomain lengths force the identity
-        phi = gr.GraftingFunction.identity(1.3)
-        assert phi.s1 == phi.s0
+        phi = gr.GraftingFunction(1.3, [], [])
+        assert phi(phi.s0) == phi.s0
         ts = np.linspace(0, 1.3, 14)
         assert np.allclose(phi(ts), ts)
-
-    def test_subset_monotone_weights(self):
-        phi0 = gr.GraftingFunction(1.0, [0.4], [0.2], [], [])
-        phi1 = gr.GraftingFunction(1.2, [0.4], [0.3], [], [])  # same point image
-        comp = gr.compose_grafting(phi0, phi1)
-        assert 0.4 in comp.x_plus
-        j = list(comp.x_plus).index(0.4)
-        assert comp.d_plus[j] >= 0.2 - 1e-12
-
-    def test_domain_mismatch(self):
-        with pytest.raises(DomainError):
-            gr.compose_grafting(gr.GraftingFunction.identity(1.0),
-                                gr.GraftingFunction.identity(2.0))
-
-    def test_preimage_in_gap_and_in_image(self):
-        phi = gr.GraftingFunction(1.0, [0.5], [0.4], [], [])
-        assert phi.preimage(0.2) == pytest.approx(0.2)
-        assert phi.preimage(0.7) == pytest.approx(0.5)   # inside the jump
-        assert phi.preimage(1.1) == pytest.approx(0.7)
 
 
 def result_vk_at(rec, u):
@@ -245,11 +215,13 @@ class TestSimplexGraft:
             gr.graft_simplex_step(neither_small, 0.02)
 
     def test_transitivity_via_composition(self, neither_small):
+        # two steps compose: the second grafts the first's codomain, and
+        # together they insert the sum of the steps
         out1, rec1 = gr.graft_simplex_step(neither_small, 0.02)
         out2, rec2 = gr.graft_simplex_step(out1, 0.02)
-        comp = gr.compose_grafting(rec1.phi, rec2.phi)
-        assert comp.s1 == pytest.approx(rec2.phi.s1, abs=1e-9)
-        assert comp.s0 == pytest.approx(rec1.phi.s0, abs=1e-9)
+        end1, end2 = rec1.phi(rec1.phi.s0), rec2.phi(rec2.phi.s0)
+        assert rec2.phi.s0 == pytest.approx(end1, abs=1e-9)
+        assert end2 - rec1.phi.s0 == pytest.approx(0.04, abs=1e-9)
 
 
 class TestOneAnalysisPerGraft:
@@ -431,6 +403,14 @@ class TestGraftUntilResolved:
     def test_step_must_be_positive(self, neither_small, step):
         with pytest.raises(ValueError, match="graft step must be positive"):
             gr.graft_until_resolved(neither_small, step=step)
+
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+    def test_budget_must_be_at_least_zero(self, budget):
+        # on a curve already resolved too: a NaN budget never trips the
+        # guard, so it would graft without one
+        c = sc.make_circle(0.6, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
+        with pytest.raises(ValueError, match="graft budget must be at least 0"):
+            gr.graft_until_resolved(c, budget=budget)
 
     def test_neither_terminates_under_bound(self, neither_small):
         tol = sc.DEFAULT_TOL.replace(graft_step=2.5)

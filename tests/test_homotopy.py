@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import spherecurve as sc
 from spherecurve import classify, homotopy as ho, sphere
 from spherecurve.errors import (
     CurvatureBoundTooTight,
+    CurvatureOutOfBounds,
     NonpositiveRotation,
     ParameterOverlap,
     RadiusOutOfBounds,
@@ -225,6 +228,11 @@ class TestSpreadLoops:
         assert sc.lift_parity(F).sign == sc.lift_parity(spread_base).sign * (-1) ** n
 
 
+def planar_frames(frames):
+    """The frames of a stacked `PlanarCurve`, one `PlanarCurve` each."""
+    return [ho.PlanarCurve(*parts) for parts in zip(frames.xy, frames.vel, frames.acc)]
+
+
 class TestPlanarWG:
     @staticmethod
     def ellipse(a=1.0, b=0.55, m=512):
@@ -237,24 +245,24 @@ class TestPlanarWG:
 
     def test_circle_input_gives_circle_frames(self):
         pc = self.ellipse(0.8, 0.8)
-        path = ho.planar_wg_homotopy(pc, kappa0=0.5, steps=9)
-        for frame in path.curves[len(path.curves) // 2:]:
+        _, frames = ho.planar_wg_homotopy(pc, kappa0=0.5, steps=9)
+        for frame in planar_frames(frames)[len(frames.xy) // 2:]:
             r = np.linalg.norm(frame.xy - frame.xy[:-1].mean(axis=0), axis=1)
             assert r.max() - r.min() < 5e-3
 
     def test_closure_along_path(self):
-        path = ho.planar_wg_homotopy(self.ellipse(), kappa0=0.4, steps=13)
-        assert max(np.linalg.norm(c.xy[-1] - c.xy[0]) for c in path.curves) < 1e-9
+        _, frames = ho.planar_wg_homotopy(self.ellipse(), kappa0=0.4, steps=13)
+        assert np.linalg.norm(frames.xy[:, -1] - frames.xy[:, 0], axis=-1).max() < 1e-9
 
     def test_curvature_stays_above_kappa0(self):
         kappa0 = 0.4
-        path = ho.planar_wg_homotopy(self.ellipse(), kappa0=kappa0, steps=13)
-        assert min(c.curvature.min() for c in path.curves) > kappa0
+        _, frames = ho.planar_wg_homotopy(self.ellipse(), kappa0=kappa0, steps=13)
+        assert frames.curvature.min() > kappa0
 
     def test_determinant_curvature_matches_fd(self):
         pc = self.ellipse(1.0, 0.7, m=2048)
-        path = ho.planar_wg_homotopy(pc, kappa0=0.3, steps=5)
-        c = path.curves[-2]
+        _, frames = ho.planar_wg_homotopy(pc, kappa0=0.3, steps=5)
+        c = planar_frames(frames)[-2]
         xy = c.xy
         m = c.m
         d1 = (np.roll(xy[:-1], -1, axis=0) - np.roll(xy[:-1], 1, axis=0)) * (m / 2.0)
@@ -266,8 +274,8 @@ class TestPlanarWG:
     def test_final_frame_is_round_circle_with_same_winding(self):
         pc = self.ellipse(1.0, 0.4)
         N = pc.winding()
-        path = ho.planar_wg_homotopy(pc, kappa0=0.0, steps=9)
-        last = path.curves[-1]
+        _, frames = ho.planar_wg_homotopy(pc, kappa0=0.0, steps=9)
+        last = planar_frames(frames)[-1]
         assert last.winding() == N
         r = np.linalg.norm(last.xy - last.xy[:-1].mean(axis=0), axis=1)
         assert r.max() - r.min() < 5e-3
@@ -352,11 +360,11 @@ class TestPlanarBroadcast:
 
     @staticmethod
     def assert_matches_loop(curve, kappa0, steps):
-        path = ho.planar_wg_homotopy(curve, kappa0=kappa0, steps=steps)
+        got_s, stack = ho.planar_wg_homotopy(curve, kappa0=kappa0, steps=steps)
         s_values, frames = loop_planar_wg(curve, kappa0, steps)
-        assert np.array_equal(path.s_values, s_values)
-        assert len(path.curves) == len(frames) == steps
-        for got, want in zip(path.curves, frames):
+        assert np.array_equal(got_s, s_values)
+        assert stack.xy.shape[0] == len(frames) == steps
+        for got, want in zip(planar_frames(stack), frames):
             for g, w in zip((got.xy, got.vel, got.acc), want):
                 assert g.shape == w.shape
                 assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
@@ -416,6 +424,46 @@ class TestShrink:
         path = ho.shrink_condensed(c, steps=9)
         nus = {classify.condensed_axis(cv)[2] for cv in path.curves}
         assert nus == {2}
+
+
+@st.composite
+def star_condensed_curves(draw):
+    """A 1- or 2-fold circle about e3 whose radius is perturbed by one
+    Fourier mode, so star-shaped about e3, imported by `curve_from_points`
+    at n = 256 under one of six bounds with kappa0 >= 0: (curve, label).
+    Draws the import refuses or that are not condensed are rejected."""
+    k1, k2 = draw(st.sampled_from([(0.0, math.inf), (0.3, math.inf), (0.5, math.inf),
+                                   (1.0, math.inf), (1.0, 4.0), (-0.3, 3.0)]))
+    bounds = sc.CurvatureBounds(k1, k2)
+    k = draw(st.sampled_from([1, 2]))
+    rho = bounds.rho2 + draw(st.floats(0.2, 0.8)) * (bounds.rho1 - bounds.rho2)
+    mode = draw(st.integers(2, 5))
+    amp = draw(st.floats(0.0, 0.6)) / mode ** 2
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    u = np.linspace(0.0, 2.0 * math.pi * k, 64 * k + 1)[:-1]
+    r = rho * (1.0 + amp * np.cos(mode * u + phase))
+    points = np.stack([np.sin(r) * np.cos(u), np.sin(r) * np.sin(u), np.cos(r)], axis=1)
+    try:
+        curve = sc.curve_from_points(points, bounds, n=256)
+    except CurvatureOutOfBounds:
+        reject()
+    label = classify.classify_component(curve)
+    if not label.condensed or label.borderline:
+        reject()
+    return curve, label
+
+
+class TestShrinkOffCircles:
+    @settings(max_examples=40, deadline=None)
+    @given(star_condensed_curves())
+    def test_star_shaped_curves_shrink_to_circles(self, drawn):
+        curve, label = drawn
+        path = ho.shrink_condensed(curve, steps=33)
+        assert ho.validate_path(path).passed
+        last = path.curves[-1]
+        got = classify.classify_component(last)
+        assert (got.n, got.j) == (label.n, label.j)
+        assert last.kappa.max() - last.kappa.min() < 1e-3
 
 
 class TestShrinkAxis:
@@ -501,7 +549,7 @@ class TestShrinkOpenHemisphere:
         path = ho.shrink_condensed(c, steps=9)
         for cv in path.curves[1:]:
             _, margin = sphere.best_hemisphere(classification_cloud(cv))
-            assert margin > sc.DEFAULT_TOL.feasibility_margin
+            assert margin > classify._FEASIBILITY_MARGIN
 
 
 def loop_add_loops(curve, t0, n_loops, rho_small, epsilon):
@@ -659,14 +707,33 @@ class TestOnePointAssembly:
         curves = [ho.mobius_shrink_curve(circle, r, h) for r in (0.9, 0.5, 0.2)]
         image = ho._chart_image(circle, h)
         planar = ho.PlanarCurve(0.2 * image.xy, 0.2 * image.vel, 0.2 * image.acc)
-        curves += [chart_lift_record(pc, h, circle.bounds)
-                   for pc in ho.planar_wg_homotopy(planar, kappa0=0.1, steps=5).curves[1:]]
+        _, frames = ho.planar_wg_homotopy(planar, kappa0=0.1, steps=5)
+        curves += [chart_lift_record(pc, h, circle.bounds) for pc in planar_frames(frames)[1:]]
         curves += [ho.spread_loops(spread_base, n, 0.4) for n in (1, 2, 5)]
         curves.append(factory.diffuse_example(n_loops=4))
         for c in curves:
             assert c.closed
             assert np.array_equal(c.lift[-1], c.lift[0]) \
                 or np.array_equal(c.lift[-1], -c.lift[0])
+
+    def test_closing_leaves_the_given_arrays(self):
+        # the closure fix goes into the records' own copies
+        circle = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
+        _, h, _ = classify.condensed_axis(circle)
+        lifts, speed, kappa = ho._mobius_frames(circle, [0.9, 0.5], h)
+        # last nodes off the first ones, as roundoff leaves them
+        lifts[:, -1] *= 1.0 + 1e-13
+        speed[:, -1] *= 1.0 + 1e-13
+        kappa[:, -1] += 1e-13
+        given = [a.copy() for a in (lifts, speed, kappa)]
+        records = ho._transported(circle.bounds, lifts, speed, kappa, circle.domain,
+                                  True, sc.DEFAULT_TOL)
+        for a, b in zip((lifts, speed, kappa), given):
+            assert np.array_equal(a, b)
+        for c in records:
+            assert np.array_equal(c.lift[-1], c.lift[0]) \
+                or np.array_equal(c.lift[-1], -c.lift[0])
+            assert (c.speed[-1], c.kappa[-1]) == (c.speed[0], c.kappa[0])
 
 
 class TestStepCounts:
@@ -748,10 +815,10 @@ def frame_by_frame_shrink(curve, steps, tol=sc.DEFAULT_TOL, mobius=ho.mobius_shr
     n_a = max(2, steps // 2)
     frames = [reduced] + [mobius(reduced, 1.0 + (delta - 1.0) * i / (n_a - 1), h, bounds, tol)
                           for i in range(1, n_a)]
-    ppath = ho.planar_wg_homotopy(
+    _, planar = ho.planar_wg_homotopy(
         ho.PlanarCurve(delta * image.xy, delta * image.vel, delta * image.acc),
         kappa0=2.0 * (kappa_target + delta * reach), steps=steps - n_a + 1, tol=tol)
-    frames += [chart_lift_record(pc, h, bounds, tol) for pc in ppath.curves[1:]]
+    frames += [chart_lift_record(pc, h, bounds, tol) for pc in planar_frames(planar)[1:]]
     return [ho.normalize_initial_frame(c) for c in frames]
 
 
@@ -941,15 +1008,14 @@ class TestShrinkFactor:
         monkeypatch.setattr(ho, "planar_wg_homotopy", recording)
         for curve in shrink_inputs(case):
             path = ho.shrink_condensed(curve, steps=65)
-            planar, kappa0, ppath = calls.pop()
+            planar, kappa0, (_, frames) = calls.pop()
             reduced, k0 = classify.reduce_to_k0(curve)
             target = k0 + max(0.02, 0.05 * abs(k0))
             image = ho._chart_image(reduced, classify.condensed_axis(reduced)[1])
             delta, reach = shrink_factor(image, target)
             assert np.array_equal(planar.xy, delta * image.xy)
             assert kappa0 == 2.0 * (target + delta * reach)
-            for pc in ppath.curves[1:]:
-                assert np.hypot(*pc.xy.T).max() <= delta * reach
+            assert np.hypot(*frames.xy[1:].T).max() <= delta * reach
             assert min(c.kappa.min() for c in path.curves[-33:]) >= target
 
     def test_two_record_batches(self, monkeypatch):

@@ -44,7 +44,6 @@ DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
 UNREFERENCED_OK = {
     "with_bounds",                  # the test strategies widen bounds with it
     "random_open_curve",            # random open curves for the tests
-    "equatorial_inequality_check",  # self-test of the boundary analysis
 }
 
 
@@ -206,11 +205,54 @@ def stale_private_names(sources, readme):
     return sorted(named - defined)
 
 
+def module_names(tree):
+    """Every name a module defines (`defined_names`) or imports."""
+    yield from defined_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+
+
+def stale_module_names(modules, readme):
+    """`module.name` spans in backticks in the README or in the modules'
+    docstrings and comments, the module one of `modules` (a dict of module
+    name to source), whose name that module neither defines nor imports,
+    sorted as "module.name"."""
+    texts = [readme] + [text for source in modules.values()
+                        for text in docs_and_comments(source)]
+    dotted = re.compile(r"(?<![\w./])(%s)\.(?!py\b)([A-Za-z_]\w*)"
+                        % "|".join(map(re.escape, modules)))
+    named = {pair for text in texts for span in BACKTICKED.findall(text)
+             for pair in dotted.findall(span)}
+    known = {module: set(module_names(ast.parse(source)))
+             for module, source in modules.items()}
+    return sorted(f"{module}.{name}" for module, name in named if name not in known[module])
+
+
 class TestStaleNames:
     def test_docs_name_only_defined_private_names(self):
         lib = [p.read_text() for p in sorted(SRC.glob("*.py"))]
         stale = stale_private_names(lib, (REPO / "README.md").read_text())
         assert stale == [], "these private names are not defined in src/: update the docs"
+
+    def test_docs_name_only_defined_module_names(self):
+        modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))
+                   if p.stem != "__init__"}
+        stale = stale_module_names(modules, (REPO / "README.md").read_text())
+        assert stale == [], "these module members are not in src/: update the docs"
+
+    def test_detector_finds_stale_module_names(self):
+        modules = {
+            "geo": ('from math import pi as PI\n'
+                    'def kept(x):\n'
+                    '    """Calls `geo.kept(x)`, `geo.PI` and `geo.gone`, not `geo.py`."""\n'
+                    '    return x  # see `other.kept` and `other.dropped()`\n'),
+            "other": 'def kept():\n    pass\n',
+        }
+        readme = ("`geo.kept.attr` and `other.old_helper`; `mygeo.gone`, "
+                  "`tests/test_geo.py` and `tol.geo` are not module members\n")
+        assert stale_module_names(modules, readme) \
+            == ["geo.gone", "other.dropped", "other.old_helper"]
 
     def test_detector_finds_stale_names(self):
         lib = ('def _kept(_arg):\n'

@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from spherecurve import factory, homotopy, sphere
+from spherecurve import classify, factory, homotopy, sphere
 from spherecurve.curves import UNBOUNDED, CurvatureBounds, curve_from_points, make_circle
 from spherecurve.errors import (
     DegenerateProjection,
@@ -19,7 +19,7 @@ from spherecurve.tolerances import DEFAULT_TOL
 # margin tolerance of the hemisphere decision: margin > EPS means an open
 # hemisphere holds the points, margin >= -EPS a closed one, and
 # margin < -EPS puts the origin inside their convex hull
-EPS = DEFAULT_TOL.feasibility_margin
+EPS = classify._FEASIBILITY_MARGIN
 
 
 def rodrigues(axis, angle):
@@ -500,11 +500,11 @@ def assert_matches_oracle(points):
     assert abs(margin - margin_full) <= 1e-12
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
     assert margin == float(np.min(points @ h))
-    if margin > DEFAULT_TOL.borderline_margin:
+    if margin > classify._BORDERLINE_MARGIN:
         assert np.abs(h - h_full).max() <= 1e-12
     assert (margin >= -EPS) == (margin_full >= -EPS)
-    assert (abs(margin) < DEFAULT_TOL.borderline_margin) \
-        == (abs(margin_full) < DEFAULT_TOL.borderline_margin)
+    assert (abs(margin) < classify._BORDERLINE_MARGIN) \
+        == (abs(margin_full) < classify._BORDERLINE_MARGIN)
 
 
 def _unit_rows(x):
@@ -567,7 +567,7 @@ class TestActiveSetHemisphere:
         h, margin = sphere.best_hemisphere(points)
         h_rot, margin_rot = sphere.best_hemisphere(points @ R.T)
         assert abs(margin_rot - margin) <= 1e-12
-        if margin > DEFAULT_TOL.borderline_margin:
+        if margin > classify._BORDERLINE_MARGIN:
             assert np.abs(h_rot - R @ h).max() <= 1e-12
 
     def test_small_cloud_solves_directly(self):
@@ -689,7 +689,7 @@ class TestActiveSetHemisphere:
         monkeypatch.setattr(sphere, "_hull_solve", recording)
         for points, certify in [(c, None) for c in clouds] + [
                 (stencil_miss_cloud(), None),
-                (stencil_miss_cloud(), DEFAULT_TOL.borderline_margin)]:
+                (stencil_miss_cloud(), classify._BORDERLINE_MARGIN)]:
             firsts.append([])
             sphere.best_hemisphere(points, certify_below=certify)
             first, = firsts[-1]
@@ -781,7 +781,7 @@ class TestMinNormPoint:
         cloud = classify.classification_cloud(curve)
         hulls = count_hulls(monkeypatch)
         _, margin = sphere.best_hemisphere(cloud)
-        assert hulls == [] and margin > DEFAULT_TOL.borderline_margin
+        assert hulls == [] and margin > classify._BORDERLINE_MARGIN
         assert_matches_oracle(cloud)
 
     def test_single_point(self, monkeypatch):
@@ -861,7 +861,7 @@ class TestSupportHullBound:
     """`certify_below`: negative margins bounded by the support points'
     hull, everything else solved exactly."""
 
-    BORDER = DEFAULT_TOL.borderline_margin
+    BORDER = classify._BORDERLINE_MARGIN
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(negative_margin_clouds(), hemisphere_clouds()))
