@@ -2,14 +2,16 @@
 
 Outputs are deterministic for a fixed seed: floats are serialized with 17
 significant digits and dictionaries keep insertion order.  Curve streams
-are JSONL (one curve per line, trailing report object); a long float list
-or a matrix of float rows is written by formatting each distinct value
-once, with the same bytes as formatting float by float.
+are JSONL (one curve per line, trailing report object) and are written
+line by line as each line is built.  Float arrays are written by runs of
+equal values: each distinct run head is formatted once and repeated over
+its run, with the same bytes as formatting float by float.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -27,7 +29,6 @@ from .curves import (
     _control_docs,
     curve_from_json,
     curve_to_json,
-    curves_to_json,
     lift_parity,
     load_curve,
     make_circle,
@@ -53,30 +54,57 @@ class _Json:
 
 
 def _float_blocks(arrays):
-    """JSON of finite float arrays, a list for a 1-d array and a list of
-    rows for a 2-d one, with one `np.unique` over the bits of all of them:
-    each distinct bit pattern is formatted once, so a path's stacked
-    controls cost their distinct values.  None if any value is a NaN or
-    an infinity.
+    """JSON texts of finite float arrays, a list for a 1-d array and a list
+    of rows for a 2-d one (its rows not empty), formatted by runs: an
+    iterator of one text per array, in order, each built when it is taken.
+    None if any value is a NaN or an infinity.
 
-    `np.unique` runs on the bits, so 0.0 and -0.0 stay apart, and one
-    "%.17g" %-tuple writes exactly what `format(x, ".17g")` writes.
+    A run is a stretch of equal bits within one row (every row starts a
+    run, so none crosses a row or an array).  One neighbour compare finds
+    the runs of all the arrays, one `np.unique` over the run heads finds
+    the distinct values and each is formatted once; a row is its runs'
+    texts, each repeated over its run.  A path's stacked controls so cost
+    their runs, not their nodes.  `np.unique` runs on the bits, so 0.0 and
+    -0.0 stay apart, and one "%.17g" %-tuple writes exactly what
+    `format(x, ".17g")` writes.
     """
-    values = np.concatenate([a.reshape(-1) for a in arrays])
-    if not np.isfinite(values).all():
-        return None
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    text = ("%.17g," * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
-    cells = np.array(text[:-1], dtype=object)[inverse]
-    blocks, at = [], 0
+    flat = np.concatenate([a.reshape(-1) for a in arrays])
+    bits = flat.view(np.uint64)
+    # flat offset of every row of every array, then of the end
+    rows, at = [], 0
     for a in arrays:
-        part = cells[at:at + a.size].reshape(a.shape).tolist()
-        if a.ndim == 1:
-            blocks.append("[" + ",".join(part) + "]")
-        else:
-            blocks.append("[" + ",".join(["[" + ",".join(row) + "]" for row in part]) + "]")
+        rows.append(at + a.shape[1] * np.arange(len(a)) if a.ndim == 2 else [at])
         at += a.size
-    return blocks
+    rows = np.concatenate(rows + [[at]])
+    heads = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    heads[rows[rows < at]] = True
+    starts = np.flatnonzero(heads)
+    if not np.isfinite(flat[starts]).all():
+        return None
+    distinct, inverse = np.unique(bits[starts], return_inverse=True)
+    text = ("%.17g," * distinct.size % tuple(distinct.view(np.float64).tolist())).split(",")
+    runs = np.array(text[:-1], dtype=object)[inverse]
+    lengths = np.diff(np.append(starts, at))
+    first = np.searchsorted(starts, rows)       # each row's first run, then the end
+
+    def blocks():
+        r = 0
+        for a in arrays:
+            cuts = first[r:r + (len(a) if a.ndim == 2 else 1) + 1]
+            r += len(cuts) - 1
+            # this array's runs, each its text written m times, in place
+            texts, m = runs[cuts[0]:cuts[-1]], lengths[cuts[0]:cuts[-1]]
+            long = np.flatnonzero(m > 1)
+            t = texts[long]
+            texts[long] = (t + ",") * (m[long] - 1) + t
+            if a.ndim == 2:
+                # a row opens at its first run and closes at its last
+                texts[cuts[:-1] - cuts[0]] = "[" + texts[cuts[:-1] - cuts[0]]
+                texts[cuts[1:] - cuts[0] - 1] += "]"
+            yield "[" + ",".join(texts.tolist()) + "]"
+
+    return blocks()
 
 
 def _float_block(seq):
@@ -96,7 +124,7 @@ def _float_block(seq):
     if values.size < _BLOCK_MIN:
         return None
     blocks = _float_blocks([values])
-    return None if blocks is None else blocks[0]
+    return None if blocks is None else next(blocks)
 
 
 def _fmt(value):
@@ -133,22 +161,21 @@ def dumps(obj) -> str:
 
     Infinities are written as the strings "-inf" / "+inf"; NaN raises
     ValueError, since JSON has no token for it.  Long float lists and
-    rectangular lists of float rows (a node-sampled curve's `lift`) format
-    each distinct value once and gather the texts; the bytes are those of
-    formatting float by float, which a path frame's repeated controls make
-    much cheaper.
+    rectangular lists of float rows (a node-sampled curve's `lift`) are
+    formatted by runs of equal values (`_float_blocks`); the bytes are those
+    of formatting float by float.
     """
     return _fmt(obj)
 
 
-def _write(path, text):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _write(path, lines):
+    """Write JSON lines, each ended by one newline, to the file `path` or,
+    for "-", to stdout, taking each line from `lines` as it is written."""
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w")) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _tol_from_args(args) -> ToleranceProfile:
@@ -169,22 +196,28 @@ def _bounds_from_args(args) -> CurvatureBounds:
     return CurvatureBounds(parse(args.kappa1, 0.0), parse(args.kappa2, math.inf))
 
 
-def _path_to_jsonl(path_obj, report) -> str:
-    """A path as JSONL: one control document a frame, then the report.
+def _path_to_jsonl(curves, report=None):
+    """A curve stream as JSONL lines: one control document a curve, then
+    the report if there is one.  The bytes are `dumps` of
+    `curves_to_json`'s documents, but the documents keep their arrays
+    (`_control_docs`), and one `_float_blocks` call finds the runs of all
+    of them and formats their distinct values at once.
 
-    The documents keep the frames' arrays as they are (`_control_docs`),
-    and one `_float_blocks` call formats all of them, so the path's
-    stacked `v_hat` and `w_hat` go through one `np.unique`; the bytes are
-    `dumps` of `curves_to_json`'s documents.
+    Returns the lines as an iterable that builds each document's line when
+    it is taken, so a path is written line by line, never held as one text.
+    Whatever can fail runs before it returns: the report is formatted
+    first, and a stream holding a NaN or an infinity is formatted whole,
+    value by value, so a NaN raises before anything is written.
     """
-    docs = _control_docs(path_obj.curves)
-    arrays = [v for doc in docs for v in doc.values() if isinstance(v, np.ndarray)]
-    blocks = _float_blocks(arrays) if arrays else None
-    if blocks is not None:
-        blocks = iter(blocks)
-        docs = [{key: _Json(next(blocks)) if isinstance(value, np.ndarray) else value
-                 for key, value in doc.items()} for doc in docs]
-    return "\n".join([dumps(doc) for doc in docs] + [dumps(report)])
+    docs = _control_docs(curves)
+    tail = [] if report is None else [dumps(report)]
+    blocks = _float_blocks([v for doc in docs for v in doc.values()
+                            if isinstance(v, np.ndarray)])
+    if blocks is None:
+        return [dumps(doc) for doc in docs] + tail
+    lines = (dumps({key: _Json(next(blocks)) if isinstance(value, np.ndarray) else value
+                    for key, value in doc.items()}) for doc in docs)
+    return itertools.chain(lines, tail)
 
 
 def _report_of(rep) -> dict:
@@ -209,7 +242,7 @@ def cmd_gen(args) -> int:
         curve = factory.neither_example(rho0=args.rho0, tol=tol)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.kind)
-    _write(args.output, dumps(curve_to_json(curve)))
+    _write(args.output, _path_to_jsonl([curve]))
     return 0
 
 
@@ -224,7 +257,7 @@ def cmd_classify(args) -> int:
         else list(status.hemisphere),
         "antipodal_defect": status.antipodal_defect,
     }
-    _write(args.output, dumps(report))
+    _write(args.output, [dumps(report)])
     if args.strict and label.borderline:
         return 3
     return 0
@@ -235,7 +268,7 @@ def cmd_bend(args) -> int:
     path = homotopy.bend_k_equator(args.k, steps=args.steps,
                                    kappa1=args.bend_kappa1, n=args.n, tol=tol)
     rep = validate_path(path, tol=tol)
-    _write(args.output, _path_to_jsonl(path, _report_of(rep)))
+    _write(args.output, _path_to_jsonl(path.curves, _report_of(rep)))
     return 0 if rep.passed else 1
 
 
@@ -254,7 +287,7 @@ def cmd_loops(args) -> int:
         "tot_before": total_curvature(curve),
         "tot_after": total_curvature(out),
     }
-    _write(args.output, dumps(curve_to_json(out)) + "\n" + dumps(report))
+    _write(args.output, _path_to_jsonl([out], report))
     return 0
 
 
@@ -263,7 +296,7 @@ def cmd_shrink(args) -> int:
     curve = load_curve(args.input, tol)
     path = homotopy.shrink_condensed(curve, steps=args.steps, tol=tol)
     rep = validate_path(path, tol=tol)
-    _write(args.output, _path_to_jsonl(path, _report_of(rep)))
+    _write(args.output, _path_to_jsonl(path.curves, _report_of(rep)))
     return 0 if rep.passed else 1
 
 
@@ -271,25 +304,22 @@ def cmd_graft(args) -> int:
     tol = _tol_from_args(args)
     step = tol.graft_step if args.step is None else args.step
     curve = load_curve(args.input, tol)
-    lines = []
     if args.mode == "antipodal":
         out, rec = grafting.graft_antipodal_circles(curve, step, tol)
-        lines.append(dumps(curve_to_json(out)))
+        history = [out]
         report = {"status": "Diffuse", "frame_defect": rec.frame_defect,
                   "tot": total_curvature(out)}
     elif args.mode == "simplex":
         out, rec = grafting.graft_simplex_step(curve, step, tol)
-        lines.append(dumps(curve_to_json(out)))
+        history = [out]
         report = {"status": "stepped", "frame_defect": rec.frame_defect,
                   "tot": total_curvature(out)}
     else:
         out, status, history = grafting.graft_until_resolved(
             curve, step=step, budget=args.budget, tol=tol)
-        lines.extend(dumps(doc) for doc in curves_to_json(history))
         report = {"status": status.tag, "tot": total_curvature(out),
                   "steps": len(history) - 1}
-    lines.append(dumps(report))
-    _write(args.output, "\n".join(lines))
+    _write(args.output, _path_to_jsonl(history, report))
     return 0
 
 
@@ -315,7 +345,7 @@ def cmd_bands(args) -> int:
                                               band.theta_minus]),
                    fmt="%.17g", delimiter=",",
                    header="lam,theta_plus,theta_minus", comments="")
-    _write(args.output, dumps(report))
+    _write(args.output, [dumps(report)])
     return 0
 
 
@@ -339,7 +369,7 @@ def cmd_validate(args) -> int:
                                  s_values=np.linspace(0, 1, len(curves)),
                                  curves=tuple(curves), provenance="custom")
     rep = validate_path(path, tol=tol)
-    _write(args.output, dumps(_report_of(rep)))
+    _write(args.output, [dumps(_report_of(rep))])
     return 0 if rep.passed else 1
 
 

@@ -709,20 +709,24 @@ def _reintegration_closes(written, tol) -> np.ndarray:
     closed.  The reader's node n is its start times the run steps
     `_control_runs` gives it (one call for all rows of one bounds and n).
     Each row here holds its start in column 0 and its run steps after it,
-    right-padded with `QUAT_ONE` as `integrate_curves` lays them out, and
-    `_chain_products` multiplies them pairwise.  That product and the
+    right-padded with `QUAT_ONE` to the longest row's run count as
+    `integrate_curves` lays them out, and `_chain_products` multiplies them
+    pairwise.  That product and the
     reader's scan differ at roundoff, far below `_READBACK_SLACK` in a frame
     entry, so a row counts as closed only when its defect is at most
     `tol.closure` less that slack: a row said to close reads back closed."""
     groups = {}
     for i, (bounds, v_hat, _, _) in enumerate(written):
         groups.setdefault((bounds, v_hat.size), []).append(i)
-    q = np.tile(sphere.QUAT_ONE[:, None, None], (1, 1 + max(n for _, n in groups), len(written)))
+    padded = []
     for (bounds, n), members in groups.items():
         starts, *_, run_steps = _control_runs(bounds, np.array([written[i][1] for i in members]),
                                               np.array([written[i][2] for i in members]))
-        padded = _padded_runs(starts // n, len(members), run_steps)[0]
-        q[:, 1:1 + padded.shape[1], members] = padded.T
+        padded.append((members, _padded_runs(starts // n, len(members), run_steps)[0]))
+    q = np.tile(sphere.QUAT_ONE[:, None, None],
+                (1, 1 + max(rows.shape[1] for _, rows in padded), len(written)))
+    for members, rows in padded:
+        q[:, 1:1 + rows.shape[1], members] = rows.T
     turned = [i for i, (*_, q0) in enumerate(written) if q0 is not None]
     if turned:
         q[:, 0, turned] = sphere.rotation_to_quat(np.array([written[i][3] for i in turned])).T

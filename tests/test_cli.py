@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -184,6 +185,29 @@ class TestStreams:
         lines = out.read_text().strip().splitlines()
         assert json.loads(lines[-1])["pass"] is True
         assert len(lines) == 10
+
+    @pytest.mark.parametrize("argv", [
+        ["bend", "--steps", "5", "-n", "64"],
+        ["shrink", "CIRCLE", "--steps", "5"],
+        ["gen", "circle", "--rho", "0.8", "--kappa1", "0", "-n", "64"],
+        ["loops", "CIRCLE", "--n-loops", "2", "--rho", "0.3"],
+        ["graft", "CIRCLE", "--mode", "auto"],
+        ["classify", "CIRCLE"],
+    ])
+    def test_stdout_is_the_file(self, argv, tmp_path, capsys):
+        # streamed line by line, `-o -` writes the bytes of `-o FILE`,
+        # ended by exactly one newline
+        c = tmp_path / "c.json"
+        run_cli("gen", "circle", "--rho", "0.8", "--k", "1", "--kappa1", "0",
+                "-n", "64", "-o", str(c))
+        argv = [str(c) if a == "CIRCLE" else a for a in argv]
+        out = tmp_path / "out.jsonl"
+        assert run_cli(*argv, "-o", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "-o", "-") == 0
+        text = capsys.readouterr().out
+        assert text.encode() == out.read_bytes()
+        assert text.endswith("}\n") and "\n\n" not in text
 
 
 class TestBands:
@@ -539,6 +563,37 @@ class TestErrorBoundary:
         assert err.startswith("error: ValueError") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bend", "shrink"])
+    @pytest.mark.parametrize("fault", ["controls", "report"])
+    def test_stream_fails_before_the_file(self, command, fault, tmp_path, capsys,
+                                          monkeypatch):
+        # a NaN in the last frame's controls or in the report is found
+        # before the stream's first line is written: no file is left
+        c = tmp_path / "c.json"
+        run_cli("gen", "circle", "--rho", "0.8", "--k", "1", "--kappa1", "0",
+                "-n", "64", "-o", str(c))
+        if fault == "controls":
+            control_docs = cli._control_docs
+
+            def poisoned(curves):
+                docs = control_docs(curves)
+                docs[-1]["w_hat"] = np.append(docs[-1]["w_hat"][:-1], math.nan)
+                return docs
+
+            monkeypatch.setattr(cli, "_control_docs", poisoned)
+        else:
+            report_of = cli._report_of
+            monkeypatch.setattr(cli, "_report_of",
+                                lambda rep: {**report_of(rep), "min_margin": math.nan})
+        argv = {"bend": ["bend", "--steps", "5", "-n", "64"],
+                "shrink": ["shrink", str(c), "--steps", "5"]}[command]
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert run_cli(*argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_dumps_refuses_nan(self):
         with pytest.raises(ValueError):
             cli.dumps({"margin": float("nan")})
@@ -643,6 +698,26 @@ def float_rows(draw):
     return out
 
 
+@st.composite
+def run_arrays(draw):
+    """1-d and 2-d float arrays cut from one sequence of runs of equal
+    values (lengths 1-300), so runs continue across row and array
+    boundaries; half the runs are 0.0 or -0.0, often side by side.  One in
+    five holds one infinity."""
+    runs = draw(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0]), FINITE),
+                                   st.integers(1, 300)), min_size=1, max_size=10))
+    flat = [value for value, m in runs for _ in range(m)]
+    if draw(st.integers(0, 4)) == 0:
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(st.sampled_from([math.inf, -math.inf]))
+    cuts = sorted(draw(st.sets(st.integers(1, len(flat) - 1), max_size=4))) if len(flat) > 1 else []
+    arrays = []
+    for a, b in zip([0] + cuts, cuts + [len(flat)]):
+        piece = np.array(flat[a:b])
+        width = draw(st.sampled_from([w for w in (1, 2, 3, 5, 16) if piece.size % w == 0]))
+        arrays.append(piece if draw(st.booleans()) else piece.reshape(-1, width))
+    return arrays
+
+
 SCALARS = st.one_of(st.floats(allow_nan=False), st.booleans(), st.none(),
                     st.integers(-10 ** 20, 10 ** 20), st.integers(-5, 5).map(np.int64),
                     st.text(max_size=3), st.floats(allow_nan=False).map(np.float64))
@@ -681,6 +756,41 @@ class TestDumps:
     @example([[], [], ()])
     def test_documents_match_the_loop(self, doc):
         assert cli.dumps(doc) == loop_dumps(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(run_arrays())
+    @example([np.array([0.0] * 40 + [-0.0] * 40).reshape(8, 10),
+              np.array([-0.0] * 5 + [0.0] * 300), np.array([0.0] * 3)])
+    @example([np.array([1.5] * 64).reshape(4, 16), np.array([1.5] * 31 + [math.inf])])
+    def test_runs_match_the_loop(self, arrays):
+        # the path writer over documents holding these arrays: the bytes
+        # of the float-by-float loop, an infinity through the fallback
+        docs = [{"n": i, "v_hat": a} for i, a in enumerate(arrays)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_control_docs", lambda curves: docs)
+            lines = list(cli._path_to_jsonl([], {"pass": True}))
+        assert lines == [loop_dumps(doc) for doc in docs] + ['{"pass":true}']
+        finite = all(np.isfinite(a).all() for a in arrays)
+        assert (cli._float_blocks(arrays) is None) is not finite
+
+    def test_formatter_sees_the_runs(self, monkeypatch):
+        # the one np.unique of writing a bend path (65 frames x 1024
+        # intervals) sorts its run heads, not its 133k values
+        from spherecurve.curves import _control_docs
+        path = sc.homotopy.bend_k_equator(1, steps=65, n=1024)
+        arrays = [v for doc in _control_docs(path.curves) for v in doc.values()
+                  if isinstance(v, np.ndarray)]
+        runs = sum(len(list(itertools.groupby(a.view(np.uint64).tolist()))) for a in arrays)
+        sizes, unique = [], np.unique
+
+        def counting(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        text = "\n".join(cli._path_to_jsonl(path.curves, {"pass": True}))
+        assert sum(sizes) <= runs <= 65 * 2 * 8
+        assert text.count("\n") == 65
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(repeating_floats(), float_rows()), st.data())

@@ -722,7 +722,7 @@ class TestBatchedWriter:
         from spherecurve import cli
         scans = count_calls(monkeypatch, cur._chain_quats)
         ends = count_calls(monkeypatch, cur._chain_products)
-        text = cli._path_to_jsonl(shrink_path, {"pass": True})
+        text = "\n".join(cli._path_to_jsonl(shrink_path.curves, {"pass": True}))
         assert scans == []
         # one product over the 64 node-sampled frames, behind their starts
         assert len(ends) == 1 and ends[0][0].shape[2] == 64

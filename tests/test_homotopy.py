@@ -869,7 +869,8 @@ class TestPathBatch:
         assert (rep.min_margin, rep.max_closure_defect, rep.parities) \
             == frame_by_frame_report(want, path.bounds)
         report = cli._report_of(rep)
-        assert cli._path_to_jsonl(path, report) == frame_by_frame_jsonl(want, report)
+        assert "\n".join(cli._path_to_jsonl(path.curves, report)) \
+            == frame_by_frame_jsonl(want, report)
 
     @pytest.mark.parametrize("seed", [7, 601, 9801])
     def test_shrink_frames_are_the_per_frame_constructions(self, seed):
@@ -883,7 +884,8 @@ class TestPathBatch:
             assert (rep.min_margin, rep.max_closure_defect, rep.parities) \
                 == frame_by_frame_report(want, path.bounds)
             report = cli._report_of(rep)
-            assert cli._path_to_jsonl(path, report) == frame_by_frame_jsonl(want, report)
+            assert "\n".join(cli._path_to_jsonl(path.curves, report)) \
+                == frame_by_frame_jsonl(want, report)
 
     @pytest.mark.parametrize("seed", [7, 601, 9801])
     def test_shrink_frames_reintegrate_to_their_points(self, seed):
@@ -914,7 +916,7 @@ class TestPathBatch:
         for frames in (65, 129):
             path, bend = count(lambda: ho.bend_k_equator(1, steps=frames))
             _, validate = count(lambda: ho.validate_path(path))
-            _, write = count(lambda: cli._path_to_jsonl(path, {"pass": True}))
+            _, write = count(lambda: "\n".join(cli._path_to_jsonl(path.curves, {"pass": True})))
             _, shrink = count(lambda: ho.shrink_condensed(circle, steps=frames))
             per_size.append((bend, validate, write, shrink))
         assert per_size[0] == per_size[1]
