@@ -66,19 +66,20 @@ def _classify_stride(curve: AdmissibleCurve) -> int:
     return max(1, curve.n // target)
 
 
-def classification_cloud(curve: AdmissibleCurve) -> np.ndarray:
+def classification_cloud(curve: AdmissibleCurve, pad: float = 0.0) -> np.ndarray:
     """The caustic band's fibers by their ends and midpoints.
 
     Each fiber {cos theta gamma(t) + sin theta n(t) : theta in [0, rho0]}
-    is a great-circle arc of length rho0 <= pi.  The rows are gamma,
-    C(t, rho0/2) and C(t, rho0) at every node, stacked.  Every arc point
-    is c1 a + c2 b with c1, c2 >= 0 and c1 + c2 >= 1, a and b two of its
-    fiber's three points, so a positive margin of this cloud is the band's.
+    is a great-circle arc of length rho0 <= pi.  Row r is node r mod (n + 1)
+    at the r // (n + 1)-th angle of (pad, rho0/2, rho0 - pad).  At pad 0
+    every arc point is c1 a + c2 b with c1, c2 >= 0 and c1 + c2 >= 1, a and
+    b two of its fiber's three points, so a positive margin is the band's.
+    A pad moves each end, and so each support value, by 2 sin(pad/2) <= pad.
     """
     rho0 = curve.bounds.rho1
     g, nr = curve.gamma, curve.normal
-    return np.vstack([g, math.cos(rho0 / 2) * g + math.sin(rho0 / 2) * nr,
-                      math.cos(rho0) * g + math.sin(rho0) * nr])
+    return np.vstack([math.cos(th) * g + math.sin(th) * nr
+                      for th in (pad, rho0 / 2, rho0 - pad)])
 
 
 # slack of the cap bound: roundoff in the Gram of the fiber midpoints

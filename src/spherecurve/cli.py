@@ -351,16 +351,13 @@ def cmd_bands(args) -> int:
 
 def cmd_validate(args) -> int:
     tol = _tol_from_args(args)
-    curves = []
     with open(args.input) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "v_hat" not in doc and "gamma" not in doc:
-                continue  # trailing report object
-            curves.append(curve_from_json(doc, tol))
+        docs = [json.loads(line) for line in fh if line.strip()]
+    # only the last line may be the stream's report, an object with no curve
+    if docs and isinstance(docs[-1], dict) \
+            and "v_hat" not in docs[-1] and "gamma" not in docs[-1]:
+        docs.pop()
+    curves = [curve_from_json(doc, tol) for doc in docs]
     if not curves:
         print("error: no curves found", file=sys.stderr)
         return 2

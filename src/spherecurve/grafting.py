@@ -17,8 +17,8 @@ import numpy as np
 
 from . import sphere
 from .classify import (
-    _classify_stride,
     antipodal_fiber_witness,
+    classification_cloud,
     condensed_status,
     rotation_number_nondiffuse,
 )
@@ -248,19 +248,14 @@ def graft_antipodal_circles(curve: AdmissibleCurve, s: float,
 # Simplex grafting (non-condensed curves)
 # ------------------------------------------------------------------ #
 
-def _caustic_samples_with_tags(curve: AdmissibleCurve, tol: ToleranceProfile):
-    """Interior caustic-band samples, with the node and theta of each."""
+def _caustic_samples_with_tags(curve: AdmissibleCurve):
+    """`classification_cloud` padded inward by 1e-6 rho0, which keeps the
+    inserted radii inside (0, rho0), and the node and theta of each row."""
     rho0 = curve.bounds.rho1
-    stride = _classify_stride(curve)
-    nodes = np.arange(0, curve.n, stride)
-    # keep the inserted radii strictly interior but sample essentially the
-    # whole fiber: the extreme points of the image sit on its edges
     pad = 1e-6 * rho0
-    thetas = np.linspace(pad, rho0 - pad, tol.band_theta_nodes // 2 + 1)
-    pts = (np.cos(thetas)[None, :, None] * curve.gamma[nodes, None, :]
-           + np.sin(thetas)[None, :, None] * curve.normal[nodes, None, :])
-    return (pts.reshape(-1, 3), np.repeat(nodes, thetas.size),
-            np.tile(thetas, nodes.size))
+    pts = classification_cloud(curve, pad)
+    angle, node = np.divmod(np.arange(len(pts)), curve.n + 1)
+    return pts, node, np.array([pad, rho0 / 2, rho0 - pad])[angle]
 
 
 def _exp_chain(sigmas, chis_half):
@@ -287,9 +282,12 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
     Picks four caustic points in general position whose convex hull
     contains the origin, then solves for arc lengths sigma_i >= 0 with
     sum sigma_i = s such that the product of the inserted rotations is the
-    identity (Newton on S^3).  Total curvature grows by exactly s.  Raises
-    NotNonCondensed when the origin is not in the convex hull of the
-    caustic samples, the simplex search's own finding.
+    identity (Newton on S^3).  Total curvature grows by exactly s.  The
+    points are rows of `classification_cloud(base, 1e-6 rho0)`, the
+    status's fibers padded inward, so the hull holds the origin strictly
+    whenever the status reads Neither with margin at most -1e-6 rho0.
+    Raises NotNonCondensed when the origin is not strictly inside that
+    hull, the simplex search's own finding.
     """
     if s < 0:
         raise DomainError("graft length must be nonnegative")
@@ -300,7 +298,7 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
     if s == 0.0:
         return base, _record(base, base, (), 0.0)
 
-    pts, node_of, theta_of = _caustic_samples_with_tags(base, tol)
+    pts, node_of, theta_of = _caustic_samples_with_tags(base)
     failure = (DegenerateSimplex, "no four-node simplex containing the origin")
     for attempt in range(12):
         try:
@@ -308,10 +306,11 @@ def graft_simplex_step(curve: AdmissibleCurve, s: float,
                 pts, np.zeros(3), tol.replace(seed=tol.seed + 97 * attempt))
         except NotInHull as exc:
             raise NotNonCondensed(
-                "origin is not in the hull of the caustic samples") from exc
+                "origin is not strictly inside the padded caustic cloud") from exc
         nodes = node_of[cand.indices]
-        # node 0 sits at t = 0, where no arc can be inserted
-        if cand.indices.size != 4 or np.unique(nodes).size != 4 or 0 in nodes:
+        # nodes 0 and n sit at t = 0 and t = T, where no arc can be inserted
+        if cand.indices.size != 4 or np.unique(nodes).size != 4 \
+                or 0 in nodes or base.n in nodes:
             continue
         chis = pts[cand.indices]
         volume = abs(np.linalg.det(chis[1:] - chis[0]))
@@ -373,9 +372,10 @@ def graft_until_resolved(curve: AdmissibleCurve, step: float | None = None,
     BoundViolation if the accumulated total curvature passes the
     non-diffuse bound 4 pi nu / cos^2(rho0/2), which cannot happen for a
     consistent non-diffuse chain, and with BudgetExceeded if the inserted
-    length passes the budget.  `step` defaults to `tol.graft_step`; a
-    step of at most 0 and a budget that is not at least 0 (NaN included)
-    raise ValueError.
+    length passes the budget.  The step searches the status's cloud padded
+    inward, so NotNonCondensed follows only a borderline status.  `step`
+    defaults to `tol.graft_step`; a step of at most 0 and a budget that is
+    not at least 0 (NaN included) raise ValueError.
     """
     if step is None:
         step = tol.graft_step

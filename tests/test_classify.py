@@ -716,6 +716,33 @@ class TestStatusCarriesCloud:
         assert builds == []
 
 
+class TestPaddedCloud:
+    @pytest.mark.parametrize("curve", ["circle", "neither_coarse", "diffuse_curve"])
+    def test_unpadded_rows_are_gamma_and_the_two_fiber_points(self, curve, request):
+        c = (sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
+             if curve == "circle" else request.getfixturevalue(curve))
+        rho0 = c.bounds.rho1
+        g, nr = c.gamma, c.normal
+        rows = np.vstack([g, math.cos(rho0 / 2) * g + math.sin(rho0 / 2) * nr,
+                          math.cos(rho0) * g + math.sin(rho0) * nr])
+        cloud = classify.classification_cloud(c, 0.0)
+        assert cloud.dtype == rows.dtype and cloud.shape == rows.shape
+        assert cloud.tobytes() == rows.tobytes()
+        assert classify.classification_cloud(c).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("frac", [1e-6, 1e-3, 0.1])
+    def test_padded_rows_move_by_at_most_the_chord(self, neither_coarse, frac):
+        pad = frac * neither_coarse.bounds.rho1
+        plain = classify.classification_cloud(neither_coarse)
+        padded = classify.classification_cloud(neither_coarse, pad)
+        n1 = neither_coarse.n + 1
+        moved = np.linalg.norm(padded - plain, axis=1)
+        assert moved.max() <= 2.0 * math.sin(pad / 2.0) + 1e-15
+        # the midpoints do not move and the ends move inward
+        assert np.array_equal(padded[n1:2 * n1], plain[n1:2 * n1])
+        assert moved[:n1].min() > 0.0 and moved[2 * n1:].min() > 0.0
+
+
 def random_frame(rng):
     """Rows e1, e2, e3 of a random orthonormal frame."""
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))

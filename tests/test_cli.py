@@ -152,7 +152,35 @@ class TestStreams:
         rep = tmp_path / "rep.json"
         run_cli("bend", "--k", "1", "--steps", "5", "-n", "256", "-o", str(out))
         assert run_cli("validate", str(out), "-o", str(rep)) == 0
-        assert json.loads(rep.read_text())["pass"] is True
+        report = json.loads(rep.read_text())
+        assert report["pass"] is True and len(report["parities"]) == 5
+
+    @pytest.mark.parametrize("corrupt", ["no_v_hat", "list", "report_first"])
+    def test_validate_rejects_a_malformed_frame(self, corrupt, tmp_path, capsys):
+        # only the last line may be skipped, as the stream's report
+        out = tmp_path / "bend.jsonl"
+        run_cli("bend", "--k", "1", "--steps", "5", "-n", "64", "-o", str(out))
+        lines = out.read_text().splitlines()
+        doc = json.loads(lines[2])
+        del doc["v_hat"]
+        lines[2] = {"no_v_hat": json.dumps(doc), "list": "[1, 2, 3]",
+                    "report_first": lines[-1]}[corrupt]
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("validate", str(out), "-o", str(tmp_path / "rep.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_graft_auto_resolves_the_neither_example(self, tmp_path):
+        # every Neither status along the chain is far from borderline, so
+        # each has a simplex to graft at, and the loop ends resolved
+        c = tmp_path / "ne.json"
+        out = tmp_path / "g.jsonl"
+        assert run_cli("gen", "neither-example", "--rho0", "0.5", "-o", str(c)) == 0
+        assert run_cli("graft", str(c), "--mode", "auto", "-o", str(out)) == 0
+        with open(out) as fh:
+            *_, last = fh
+        assert json.loads(last)["status"] != "Neither"
 
     def test_loops_roundtrip(self, tmp_path):
         c = tmp_path / "c.json"

@@ -155,13 +155,15 @@ class TestSimplexGraft:
         assert np.abs(sigmas / s - w).max() < 0.1
 
     def test_condensed_rejected(self, monkeypatch):
-        # the simplex search decides; no cloud is built and no LP solved
+        # the simplex search on the padded cloud decides; no status cloud
+        # is built and no LP solved
         c = sc.make_circle(0.6, 1, sc.CurvatureBounds(0.0, math.inf), n=256)
         clouds = count_calls(monkeypatch, classify.classification_cloud)
         lps = count_calls(monkeypatch, sphere.best_hemisphere)
         with pytest.raises(NotNonCondensed):
             gr.graft_simplex_step(c, 0.01)
-        assert clouds == [] and lps == []
+        unpadded, padded = cloud_builds(clouds)
+        assert unpadded == 0 and padded == 1 and lps == []
 
     def test_step_cap_enforced(self, neither_small):
         with pytest.raises(DomainError):
@@ -224,6 +226,14 @@ class TestSimplexGraft:
         assert end2 - rec1.phi.s0 == pytest.approx(0.04, abs=1e-9)
 
 
+def cloud_builds(calls):
+    """(unpadded, padded) counts of `classification_cloud` calls recorded
+    by `count_calls`: the status's cloud and the graft's, whose pad is its
+    second argument."""
+    pads = [args[1] if len(args) > 1 else 0.0 for args in calls]
+    return sum(p == 0.0 for p in pads), sum(p > 0.0 for p in pads)
+
+
 class TestOneAnalysisPerGraft:
     def test_loop_body_builds_one_cloud_and_solves_one_lp(
             self, neither_small, monkeypatch):
@@ -234,26 +244,92 @@ class TestOneAnalysisPerGraft:
         assert status.tag == "Neither"
         out, rec = gr.graft_simplex_step(cur, 0.05)
         assert rec.frame_defect < 1e-12
-        assert len(clouds) == 1 and len(lps) == 1
+        assert cloud_builds(clouds) == (1, 1) and len(clouds) == 2
+        assert len(lps) == 1
+
+
+@pytest.fixture(scope="module")
+def coarse_chain(neither_coarse):
+    """graft_until_resolved on the graft_chain base with budget 10: its
+    result status and every (curve, status) the loop computed."""
+    seen = []
+
+    def recording(curve, tol=sc.DEFAULT_TOL):
+        seen.append((curve, classify.condensed_status(curve, tol)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "condensed_status", recording)
+        _, status, _ = gr.graft_until_resolved(neither_coarse, budget=10.0)
+    return status, seen
+
+
+class TestOneCloud:
+    """The graft searches the status's cloud padded inward by 1e-6 rho0, so
+    every non-borderline Neither status has a simplex to graft at."""
+
+    def test_graft_chain_base_resolves(self, coarse_chain):
+        # past step 56 the status reads Neither at margins near -0.007,
+        # which a cloud sampled apart from the status's failed to hold
+        status, seen = coarse_chain
+        assert status.tag != "Neither"
+        assert len(seen) > 57
+
+    def test_every_non_borderline_neither_has_a_simplex(
+            self, coarse_chain, neither_small, neither_coarse):
+        _, seen = coarse_chain
+        curves = [c for c, _ in seen] + [neither_small, neither_coarse]
+        statuses = [st for _, st in seen] + [classify.condensed_status(c)
+                                             for c in curves[-2:]]
+        checked = 0
+        for curve, st in zip(curves, statuses):
+            if st.tag != "Neither" or st.margin > -1e-4:
+                continue
+            pad = 1e-6 * curve.bounds.rho1
+            try:
+                sphere.containing_simplex(
+                    classify.classification_cloud(curve, pad), np.zeros(3))
+            except DegenerateSimplex:
+                pass                # inside, with no strict four-point simplex
+            checked += 1
+        assert checked >= 85
 
 
 class TestSimplexInsertionsInterior:
-    def test_candidate_on_node_zero_is_skipped(self, neither_small, monkeypatch):
-        # node 0 sits at t = 0, where no arc can be inserted; relabel the
-        # first vertex of the first simplex drawn as node 0
+    @staticmethod
+    def graft_with_first_vertex_at(curve, at_end, monkeypatch):
+        """Relabel the first vertex of the first simplex drawn as node 0,
+        or node n when `at_end`, then graft: the step must skip it."""
         tol = sc.DEFAULT_TOL
-        base = gr.ensure_curvature_param(neither_small, tol)
-        pts, node_of, theta_of = gr._caustic_samples_with_tags(base, tol)
+        base = gr.ensure_curvature_param(curve, tol)
+        pts, node_of, theta_of = gr._caustic_samples_with_tags(base)
         first = sphere.containing_simplex(pts, np.zeros(3), tol)
         moved = node_of[first.indices[0]]
-        relabeled = np.where(node_of == moved, 0, node_of)
+        relabeled = np.where(node_of == moved, base.n if at_end else 0, node_of)
         monkeypatch.setattr(gr, "_caustic_samples_with_tags",
-                            lambda curve, tol: (pts, relabeled, theta_of))
+                            lambda curve: (pts, relabeled, theta_of))
         out, rec = gr.graft_simplex_step(base, 0.05, tol)
         assert all(0.0 < arc.t < base.domain for arc in rec.arcs)
         assert rec.frame_defect <= 1e-12
         growth = sc.total_curvature(out) - sc.total_curvature(base)
         assert abs(growth - 0.05) <= 1e-9
+
+    def test_candidate_on_node_zero_is_skipped(self, neither_small, monkeypatch):
+        # node 0 sits at t = 0, where no arc can be inserted
+        self.graft_with_first_vertex_at(neither_small, False, monkeypatch)
+
+    def test_candidate_on_node_n_is_skipped(self, neither_small, monkeypatch):
+        # node n is node 0 of the closed curve, at t = T
+        self.graft_with_first_vertex_at(neither_small, True, monkeypatch)
+
+    def test_tags_follow_the_row_index(self, neither_coarse):
+        base = gr.ensure_curvature_param(neither_coarse)
+        pts, node_of, theta_of = gr._caustic_samples_with_tags(base)
+        rho0 = base.bounds.rho1
+        assert 0.0 < theta_of.min() and theta_of.max() < rho0
+        chis = (np.cos(theta_of)[:, None] * base.gamma[node_of]
+                + np.sin(theta_of)[:, None] * base.normal[node_of])
+        assert np.abs(chis - pts).max() <= 1e-15
 
     def test_seeded_chain_with_a_vertex_at_t0(self):
         # the fourth chain base drawn by the graft benchmark at seed 107: an

@@ -1037,7 +1037,7 @@ class TestContainingSimplex:
         # the caustic samples of the graft_chain base: the support points'
         # hull holds the origin, so no hull of the whole set is built
         base = grafting.ensure_curvature_param(neither_coarse)
-        pts = grafting._caustic_samples_with_tags(base, DEFAULT_TOL)[0]
+        pts = grafting._caustic_samples_with_tags(base)[0]
         for seed in (0, 97, 601):
             hulls = count_hulls(monkeypatch)
             s = sphere.containing_simplex(pts, np.zeros(3),
