@@ -537,14 +537,19 @@ def _witness_gap_angle(curve: AdmissibleCurve, t0: int) -> float | None:
 def _fiber_root_angles(curve: AdmissibleCurve, points: np.ndarray):
     """(candidate index, fiber angle) of every root of <b, tangent>.
 
-    `points` is an (m, 3) block of candidates b; f = tangent @ points.T is
-    formed once.  The closed curve is scanned over one period with the
-    seam value pinned to the start value, so a root exactly on the seam is
-    counted once.  Each sign change is located by linear interpolation and
-    its angle atan2(<b, n>, <b, gamma>) measured on the interpolated frame.
+    `points` is an (m, 3) block of candidates b; f = <tangent, b> is formed
+    once, its three products summed in one fixed order, so a candidate's
+    values and roots do not depend on the block it sits in (a matrix
+    product over many columns sums in another order than over one, and
+    that decides a root on a node).  The closed curve is scanned over one
+    period with the seam value pinned to the start value, so a root
+    exactly on the seam is counted once.  Each sign change is located by
+    linear interpolation and its angle atan2(<b, n>, <b, gamma>) measured
+    on the interpolated frame.
     """
-    g, nr = curve.gamma, curve.normal
-    f = curve.tangent @ points.T
+    g, tg, nr = curve.gamma, curve.tangent, curve.normal
+    f = (tg[:, 0, None] * points[:, 0] + tg[:, 1, None] * points[:, 1]) \
+        + tg[:, 2, None] * points[:, 2]
     f[-1] = f[0]
     a, c = f[:-1], f[1:]
     i, k = np.nonzero((a == 0.0) | (a * c < 0.0))

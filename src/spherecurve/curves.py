@@ -192,6 +192,37 @@ def _step_quats(v, w, dt) -> np.ndarray:
     return out.T
 
 
+def _arc_nodes(H: np.ndarray, wx, wz, d, counts=None, out=None) -> np.ndarray:
+    """Nodes H exp(d (wx i + wz k)) = cos(d a) H + sin(d a) (H u) of r arcs,
+    a = |(wx, wz)|, u = (wx i + wz k) / a: (4, N) component rows.
+
+    H holds the heads as component rows (4, r), wx and wz the half-angle
+    rates per unit of the offsets d; arc j has one offset, or counts[j]
+    consecutive ones.  u has no j part, so H u is 8 products an arc, and a
+    node one cos, one sin and 8 multiply-adds.  Given `out` (four targets
+    of N entries, any shape), each component is written straight into it.
+    """
+    a = np.hypot(wx, wz)
+    safe = np.where(a > 0.0, a, 1.0)
+    ux, uz = wx / safe, wz / safe
+    w, x, y, z = H
+    turned = (-(x * ux) - z * uz, w * ux + y * uz, z * ux - x * uz, w * uz - y * ux)
+    c = d * (a if counts is None else np.repeat(a, counts))     # the angles
+    s = np.sin(c)
+    np.cos(c, out=c)
+    if out is None:
+        out = np.empty((4, c.size))
+    for k, target in enumerate(out):
+        if counts is None:
+            head, turn = c * H[k], s * turned[k]
+        else:
+            head, turn = np.repeat(H[k], counts), np.repeat(turned[k], counts)
+            head *= c
+            turn *= s
+        np.add(head.reshape(target.shape), turn.reshape(target.shape), out=target)
+    return out
+
+
 def _unit_columns(q: np.ndarray) -> np.ndarray:
     """Component-row quaternions (4, ...) scaled to unit norm.
 
@@ -393,11 +424,13 @@ class AdmissibleCurve:
     def eval_lift(self, ts) -> np.ndarray:
         """Lift at an array of parameters, (m,) -> (m, 4), in one batch.
 
-        Between nodes the lift is z_i * exp(delta * Lambda_i), exact for
-        piecewise-constant controls; a parameter within 1e-12 of a node
-        returns the stored node sample, which is exact.  For curves whose
-        samples were constructed pointwise the in-between value is a local
-        (one-step) approximation that never accumulates.
+        Between nodes the lift is z_i exp(delta Lambda_i) = cos(delta a_i)
+        z_i + sin(delta a_i) (z_i u_i), a_i = |(w_i, v_i)| / 2 and u_i the
+        unit axis of interval i (`_arc_nodes`), exact for piecewise-constant
+        controls; a parameter within 1e-12 of a node returns the stored
+        node sample, which is exact.  For curves whose samples were
+        constructed pointwise the in-between value is a local (one-step)
+        approximation that never accumulates.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         v, kap = self.interval_vk()
@@ -405,8 +438,8 @@ class AdmissibleCurve:
         snap = 1e-12 * max(1.0, self.domain)
         idx = np.clip((ts / h).astype(int), 0, self.n - 1)
         near = np.clip(np.round(ts / h).astype(int), 0, self.n)
-        steps = _step_quats(v[idx], v[idx] * kap[idx], ts - idx * h)
-        out = sphere.quat_mul(self.lift[idx], steps)
+        out = _arc_nodes(self.lift[idx].T, 0.5 * v[idx] * kap[idx], 0.5 * v[idx],
+                         ts - idx * h).T
         on_node = np.abs(ts - near * h) <= snap
         out[on_node] = self.lift[near[on_node]]
         return out
@@ -489,9 +522,12 @@ def integrate_curves(controls: ControlPair, bounds: CurvatureBounds, q0=None,
     controls (`_control_runs`, one run detection over all rows) is one
     exponential of m dt.  The run heads and node n of every row come from
     one `_chain_quats` scan over the rows' run steps, right-padded to the
-    longest row; the node o intervals into run j is head_j * exp(o dt
-    Lambda_j), filled for all rows in one batch.  That is O(r log r + n)
-    products a row: one run for a k-fold circle, 2k + 2 for a bend frame.
+    longest row.  Over run j the lift is an arc: node o of it is head_j
+    exp(o dt Lambda_j) = cos(o a_j) head_j + sin(o a_j) (head_j u_j), with
+    a_j its half-angle per interval and u_j its unit axis, which
+    `_arc_nodes` writes for all rows into the lift; the heads and node n
+    are then set from the scan, bit for bit.  One run for a k-fold circle,
+    2k + 2 for a bend frame.
     `q0` is None, one rotation for every row or one per row.  The records
     are `curves_from_node_data`'s, with their rows of the given controls
     (the pair itself when it is one row) and `integrated` set, so the
@@ -510,19 +546,15 @@ def integrate_curves(controls: ControlPair, bounds: CurvatureBounds, q0=None,
     width = padded.shape[1] + 1
     z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
     nodes = _chain_quats(np.broadcast_to(z0, (frames, 4)), padded).reshape(-1, 4)
-    head = rows * width + slot
+    head = nodes[rows * width + slot]
     lift = np.empty((frames, n + 1, 4))
-    flat_lift = lift.reshape(-1, 4)
-    flat_lift[starts + rows] = nodes[head]
-    lift[:, -1] = nodes[np.arange(frames) * width + counts]
+    # every node but node n from its run's arc, component by component,
+    # then the heads (offset 0) and node n as the scan gives them
     run = np.repeat(np.arange(starts.size), lengths)
-    offset = np.arange(v_hat.size) - starts[run]
-    inner = np.flatnonzero(offset)
-    j = run[inner]
-    # component rows keep the gather and the product contiguous
-    fill = sphere.quat_mul(nodes.T[:, head[j]].T,
-                           _step_quats(v[j], v[j] * kap[j], offset[inner] * dt))
-    flat_lift[inner + inner // n] = _unit_columns(fill.T).T
+    _arc_nodes(head.T, 0.5 * dt * v * kap, 0.5 * dt * v, np.arange(v_hat.size) - starts[run],
+               counts=lengths, out=np.moveaxis(lift[:, :-1], -1, 0))
+    lift.reshape(-1, 4)[starts + rows] = head
+    lift[:, -1] = nodes[np.arange(frames) * width + counts]
     v_nodes = np.empty((frames, n + 1))
     kap_nodes = np.empty((frames, n + 1))
     v_nodes[:, :-1] = v[run].reshape(frames, n)

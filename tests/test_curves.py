@@ -599,6 +599,62 @@ class TestChainScan:
         assert_products_near_scan(got, want)
 
 
+class TestArcFill:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 2048), min_size=1, max_size=6),
+                    min_size=1, max_size=3),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(["none", "one", "each"]),
+           st.sampled_from([sc.UNBOUNDED, sc.CurvatureBounds(-1.0, math.inf),
+                            sc.CurvatureBounds(-math.inf, 2.0),
+                            sc.CurvatureBounds(-1.0, 2.0)]))
+    def test_fill_is_the_head_times_the_step(self, runs, seed, turn, bounds):
+        # ragged rows of runs of 1 to 2048 intervals (a row shorter than
+        # the longest has its last run stretched): the heads and node n are
+        # the scan's, bit for bit; every other node is within roundoff of
+        # head * exp(o dt Lambda), the product the fill replaces
+        from conftest import random_rotation
+        rng = np.random.default_rng(seed)
+        n = max(16, max(sum(row) for row in runs))
+        cuts = [np.cumsum(row)[:-1] for row in runs]
+        piece = np.array([np.searchsorted(c, np.arange(n), side="right") for c in cuts])
+        values = rng.normal(scale=2.0, size=(2, len(runs), 6))
+        v_hat, w_hat = np.take_along_axis(values, piece[None], axis=2)
+        q0 = {"none": None, "one": random_rotation(rng),
+              "each": np.array([random_rotation(rng) for _ in runs])}[turn]
+        lift = np.array([c.lift for c in cur.integrate_curves(
+            sc.ControlPair(v_hat, w_hat), bounds, q0=q0)])
+        starts, lengths, v, kap, run_steps = cur._control_runs(bounds, v_hat, w_hat)
+        rows = starts // n
+        padded, counts, slot = cur._padded_runs(rows, len(runs), run_steps)
+        z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
+        scan = cur._chain_quats(np.broadcast_to(z0, (len(runs), 4)), padded)
+        assert np.array_equal(lift.reshape(-1, 4)[starts + rows], scan[rows, slot])
+        assert np.array_equal(lift[:, -1], scan[np.arange(len(runs)), counts])
+        run = np.repeat(np.arange(starts.size), lengths)
+        offset = np.arange(v_hat.size) - starts[run]
+        inner = np.flatnonzero(offset)
+        j = run[inner]
+        dt = 1.0 / n
+        step = cur._step_quats(v[j], v[j] * kap[j], offset[inner] * dt)
+        want = cur._unit_columns(sphere.quat_mul(scan[rows[j], slot[j]], step).T).T
+        theta = offset[inner] * np.hypot(0.5 * dt * v[j] * kap[j], 0.5 * dt * v[j])
+        got = lift[:, :-1].reshape(-1, 4)[inner]
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-15 * (1.0 + theta))
+        assert np.abs(np.linalg.norm(lift, axis=-1) - 1.0).max() <= sphere._UNIT_NORM
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_k_fold_circle_is_one_arc(self, bounds_k0, k):
+        # one run: every node but the ends is the closed form of one arc
+        circle = sc.make_circle(0.8, k, bounds_k0, n=8192)
+        v, kap = circle.interval_vk()
+        dt = circle.dt
+        o = np.arange(1, circle.n)
+        step = cur._step_quats(np.full(o.size, v[0]), np.full(o.size, v[0] * kap[0]), o * dt)
+        want = cur._unit_columns(sphere.quat_mul(circle.lift[0], step).T).T
+        theta = o * np.hypot(0.5 * dt * v[0] * kap[0], 0.5 * dt * v[0])
+        assert np.all(np.abs(circle.lift[1:-1] - want).max(axis=1) <= 1e-15 * (1.0 + theta))
+
+
 def assert_products_near_scan(got, want):
     """A frame entry moves by at most about 4 |dq|, so products this near
     the scan's last nodes keep the writer's read-back check sound."""

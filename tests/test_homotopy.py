@@ -898,19 +898,20 @@ class TestPathBatch:
                 assert np.abs(again.gamma - frame.gamma).max() <= 1e-7
 
     def test_no_per_frame_loop(self, monkeypatch):
-        # the quaternion products and step exponentials of building,
-        # validating and writing a path do not grow with its frame count
+        # the quaternion products, step exponentials and arc fills of
+        # building, validating and writing a path do not grow with its
+        # frame count
         from conftest import count_calls
         from spherecurve import cli
         from spherecurve import curves as cur
-        products = count_calls(monkeypatch, sphere.quat_mul)
-        steps = count_calls(monkeypatch, cur._step_quats)
+        kernels = [count_calls(monkeypatch, fn)
+                   for fn in (sphere.quat_mul, cur._step_quats, cur._arc_nodes)]
         circle = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
 
         def count(run):
-            before = len(products), len(steps)
+            before = [len(calls) for calls in kernels]
             out = run()
-            return out, (len(products) - before[0], len(steps) - before[1])
+            return out, tuple(len(calls) - b for calls, b in zip(kernels, before))
 
         per_size = []
         for frames in (65, 129):
@@ -920,9 +921,10 @@ class TestPathBatch:
             _, shrink = count(lambda: ho.shrink_condensed(circle, steps=frames))
             per_size.append((bend, validate, write, shrink))
         assert per_size[0] == per_size[1]
-        # the bend is a 3-level scan of its 4 run steps and one fill; the
-        # validation and the writer read the records' end frames
-        assert per_size[0][:3] == ((4, 2), (0, 0), (0, 0))
+        # the bend is one step exponential of its runs, a 3-level scan of
+        # its 4 run steps and one arc fill; the validation and the writer
+        # read the records' end frames
+        assert per_size[0][:3] == ((3, 1, 1), (0, 0, 0), (0, 0, 0))
 
 
 def chart_point_data(xy, vel, acc, h):
