@@ -543,16 +543,25 @@ def _fiber_root_angles(curve: AdmissibleCurve, points: np.ndarray):
     product over many columns sums in another order than over one, and
     that decides a root on a node).  The closed curve is scanned over one
     period with the seam value pinned to the start value, so a root
-    exactly on the seam is counted once.  Each sign change is located by
-    linear interpolation and its angle atan2(<b, n>, <b, gamma>) measured
-    on the interpolated frame.
+    exactly on the seam is counted once.  A value exactly 0 on a node is a
+    root only where f changes sign across it: at the first node of a run
+    of zeros whose nearest nonzero values on either side, around the
+    closed curve, differ in sign, so a touch counts no root.  Each sign
+    change is located by linear interpolation and its angle
+    atan2(<b, n>, <b, gamma>) measured on the interpolated frame.
     """
     g, tg, nr = curve.gamma, curve.tangent, curve.normal
     f = (tg[:, 0, None] * points[:, 0] + tg[:, 1, None] * points[:, 1]) \
         + tg[:, 2, None] * points[:, 2]
     f[-1] = f[0]
     a, c = f[:-1], f[1:]
-    i, k = np.nonzero((a == 0.0) | (a * c < 0.0))
+    root = a * c < 0.0
+    for i, k in zip(*np.nonzero(a == 0.0)):
+        if a[i - 1, k] != 0.0:
+            nonzero = np.flatnonzero(a[:, k])
+            after = a[nonzero[np.searchsorted(nonzero, i) % nonzero.size], k]
+            root[i, k] = a[i - 1, k] * after < 0.0
+    i, k = np.nonzero(root)
     a, c = a[i, k], c[i, k]
     frac = np.zeros(i.size)
     moving = a != 0.0

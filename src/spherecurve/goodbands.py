@@ -56,14 +56,15 @@ class AcceptableBand:
         """d(p, dA-) for p on dA+ and d(q, dA+) for q on dA-, per meridian.
 
         The opposite boundary is sampled at every `_boundary_stride`-th node;
-        the nearest sample comes from `_nearest_samples`.
+        the nearest sample comes from `_nearest_samples`, both ways over one
+        set of windows.
         """
         s = _boundary_stride(self.k_nodes)
+        windows = _Windows(self.lam, self.lam[::s], self.nu)
 
         def dist(phi_p, phi_q):
-            _, (_, mid, _) = _nearest_samples(self.lam, phi_p, self.lam[::s],
-                                              phi_q[::s], self.nu)
-            return np.arccos(np.clip(mid, -1.0, 1.0))
+            top, _ = _nearest_samples(windows, phi_p, phi_q[::s])
+            return np.arccos(np.clip(top, -1.0, 1.0))
 
         return dist(self.theta_plus, self.theta_minus), \
             dist(self.theta_minus, self.theta_plus)
@@ -83,9 +84,7 @@ def _wrap_dlam(dlam: np.ndarray, nu: int) -> np.ndarray:
 _BOUNDARY_SAMPLES = 1024
 # Entries per row block of the kernels below (512 kB per temporary).
 _BLOCK_ENTRIES = 1 << 16
-# First half-width, in samples, of the nearest-sample search window.
-_WINDOW = 32
-# Rounding guard of the window certificate: the entries and the bound are
+# Rounding guard of the window certificates: the entries and the bounds are
 # each within a few ulp of their exact values, far below this.
 _BOUND_GUARD = 1e-12
 # Trims `retract_to_good` makes before it gives up.
@@ -105,74 +104,123 @@ def _row_blocks(rows: np.ndarray, width: int):
     return (rows[i:i + step] for i in range(0, rows.size, step))
 
 
-def _nearest_samples(lam_p, phi_p, lam_q, phi_q, nu):
+def _sinusoid_max(a, b, lo, hi):
+    """max of a sin phi + b cos phi over phi in [lo, hi] within [-pi/2, pi/2].
+
+    The sinusoid peaks at atan2(a, b); off [lo, hi] the maximum is at an end.
+    """
+    peak = np.arctan2(a, b)
+    return np.where((lo <= peak) & (peak <= hi), np.hypot(a, b),
+                    np.maximum(a * math.sin(lo) + b * math.cos(lo),
+                               a * math.sin(hi) + b * math.cos(hi)))
+
+
+class _Windows:
+    """Certified window search of a kernel over q samples, row by p meridian.
+
+    The window of half-width h around row i holds the 2h samples
+    centre[i] - h .. centre[i] + h - 1 (mod k), where centre[i] is the
+    `searchsorted` position of meridian i; at h = 1 these are the samples on
+    either side of it.  With the samples ascending within one covering
+    period, |dlam| is unimodal along the samples outside the window, so each
+    of them lies at |dlam| >= D, the smaller |dlam| of the two samples just
+    beyond the window edges.  The h = 1 windows depend only on the
+    longitudes, so they are cut once for every search on the same grid.
+    Entries are laid out (column, row), so that the reductions over a
+    narrow window run along whole rows of memory.
+    """
+
+    def __init__(self, lam_p, lam_q, nu):
+        period = 2.0 * math.pi * nu
+        self.lam_p, self.lam_q, self.nu = lam_p, lam_q, nu
+        self.ordered = bool(lam_q[0] >= 0.0 and lam_q[-1] < period
+                            and np.all(np.diff(lam_q) > 0.0))
+        self.centre = np.searchsorted(lam_q, lam_p % period)
+        self.initial = self.cut(np.arange(lam_p.size), 1)
+
+    def at(self, rows, cols):
+        """Wrapped dlam of each (column, row) pair."""
+        return _wrap_dlam(self.lam_p[rows] - self.lam_q[cols], self.nu)
+
+    def cut(self, rows, h):
+        """(cols, dlam, cos dlam, D) of the half-width-h windows of `rows`.
+
+        A window that would cover the row is the whole row, with D None.
+        """
+        k = self.lam_q.size
+        if 2 * h >= k:
+            cols = np.arange(k)[:, None]
+            dlam = self.at(rows, cols)
+            return cols, dlam, np.cos(dlam), None
+        cols = (self.centre[rows] + np.arange(-h, h)[:, None]) % k
+        edges = (self.centre[rows] + np.array([[-h - 1], [h]])) % k
+        dlam = self.at(rows, cols)
+        return cols, dlam, np.cos(dlam), np.abs(self.at(rows, edges)).min(axis=0)
+
+    def search(self, value, certify):
+        """Row maxima of a kernel and the first column that attains each.
+
+        value(rows, cols, dlam, cos_dlam) gives the kernel's entries, and
+        certify(rows, top, D) the rows whose window maximum `top` is also
+        the whole row's; with certify None every row is searched whole.  A
+        certified row's maximum and first column are the dense row's, bit
+        for bit.  Uncertified rows retry with h doubled, until the window
+        would cover the row and the whole row is searched, in blocks.
+        """
+        n, k = self.lam_p.size, self.lam_q.size
+        top = np.empty(n)
+        first = np.empty(n, dtype=np.intp)
+        todo = np.arange(n)
+        h = 1 if certify is not None and self.ordered else k
+        while todo.size:
+            left = []
+            for rows in [todo] if h == 1 else _row_blocks(todo, min(2 * h, k)):
+                cols, dlam, cos_dlam, edge = self.initial if h == 1 else self.cut(rows, h)
+                vals = value(rows, cols, dlam, cos_dlam)
+                top[rows] = best = vals.max(axis=0)
+                first[rows] = np.where(vals == best, cols, k).min(axis=0)
+                if edge is not None:
+                    left.append(rows[~certify(rows, best, edge)])
+            todo = np.concatenate(left) if left else todo[:0]
+            h *= 2
+        return top, first
+
+
+def _cos_dist(dlam, cos_dlam, sin_p, cos_p, sin_q, cos_q):
+    """cos d between (0, phi_p) and (dlam, phi_q); -1 where |dlam| exceeds pi."""
+    cos_d = sin_p * sin_q + cos_p * cos_q * cos_dlam
+    return np.where(np.abs(dlam) <= math.pi, cos_d, -1.0)
+
+
+def _nearest_samples(windows, phi_p, phi_q):
     """Sample of the q profile nearest to each p, in the covering metric.
 
-    Returns (idx, (left, mid, right)): idx is the first column of the
-    largest cos d(p, q_j) -- the argmax of the dense row, ties to the
-    smallest column -- and left, mid, right are cos d at columns
-    idx - 1, idx, idx + 1 (mod the sample count).
+    Returns (top, idx): the largest cos d(p, q_j) of each row and its first
+    column, the argmax of the dense row (ties to the smallest column).
 
-    Each row is searched in a window of 2W + 2 samples around its meridian,
-    W = _WINDOW at first.  Outside the window every usable sample lies at
-    |dlam| >= D, the smaller |dlam| of the two samples just beyond the
-    window edges (with the samples ascending within one covering period,
-    |dlam| is unimodal along the rest of the circle).  Since
-    cos phi_p cos phi_q >= 0 and cos is decreasing on [0, pi], such a sample
+    The window search (`_Windows.search`) certifies a row when no sample
+    outside its window comes as near.  Such a sample lies at |dlam| >= D,
+    and since cos phi_p cos phi_q >= 0 and cos is decreasing on [0, pi], it
     has cos d <= max over phi in [min phi_q, max phi_q] of
-    sin phi_p sin phi + cos phi_p cos phi cos D, a sinusoid in phi whose
-    maximum is at its peak or an interval end; unusable samples have -1.
-    A row whose window maximum exceeds that bound by _BOUND_GUARD has no
-    equal or larger entry outside, so its window argmax is the dense one,
-    bit for bit.  Uncertified rows retry with W doubled, and search the
-    whole row in blocks once the window would cover it.
+    sin phi_p sin phi + cos phi_p cos phi cos D (`_sinusoid_max`); unusable
+    samples have -1.  A row whose window maximum exceeds that bound by
+    _BOUND_GUARD has no equal or larger entry outside.
     """
-    n, k = lam_p.size, lam_q.size
-    period = 2.0 * math.pi * nu
     sin_p, cos_p = np.sin(phi_p), np.cos(phi_p)
     sin_q, cos_q = np.sin(phi_q), np.cos(phi_q)
+    lo, hi = phi_q.min(), phi_q.max()
 
-    def cosd(rows, cols):
-        """cos d(p_row, q_col), -1 where |dlam| exceeds pi."""
-        dlam = _wrap_dlam(lam_p[rows, None] - lam_q[cols], nu)
-        cos_d = (sin_p[rows, None] * sin_q[cols]
-                 + cos_p[rows, None] * cos_q[cols] * np.cos(dlam))
-        return np.where(np.abs(dlam) <= math.pi, cos_d, -1.0)
+    def value(rows, cols, dlam, cos_dlam):
+        return _cos_dist(dlam, cos_dlam, sin_p[rows], cos_p[rows],
+                         sin_q[cols], cos_q[cols])
 
-    idx = np.empty(n, dtype=np.intp)
-    todo = np.arange(n)
-    if (lam_q[0] >= 0.0 and lam_q[-1] < period and np.all(np.diff(lam_q) > 0.0)
-            and np.all(cos_p >= 0.0) and np.all(cos_q >= 0.0)):
-        centre = np.searchsorted(lam_q, lam_p % period)
-        lo, hi = phi_q.min(), phi_q.max()
-        half = _WINDOW
-        while todo.size and 2 * half + 2 < k:
-            offsets = np.arange(-half - 1, half + 1)
-            left = []
-            for rows in _row_blocks(todo, offsets.size):
-                cols = (centre[rows, None] + offsets) % k
-                vals = cosd(rows, cols)
-                top = vals.max(axis=1)
-                edge = np.minimum(
-                    np.abs(_wrap_dlam(lam_p[rows] - lam_q[(centre[rows] - half - 2) % k], nu)),
-                    np.abs(_wrap_dlam(lam_p[rows] - lam_q[(centre[rows] + half + 1) % k], nu)))
-                a = sin_p[rows]
-                b = cos_p[rows] * np.cos(np.minimum(edge, math.pi))
-                peak = np.arctan2(a, b)
-                bound = np.where((lo <= peak) & (peak <= hi), np.hypot(a, b),
-                                 np.maximum(a * math.sin(lo) + b * math.cos(lo),
-                                            a * math.sin(hi) + b * math.cos(hi)))
-                done = bound + _BOUND_GUARD < top
-                first = np.where(vals == top[:, None], cols, k).min(axis=1)
-                idx[rows[done]] = first[done]
-                left.append(rows[~done])
-            todo = np.concatenate(left)
-            half *= 2
-    everything = np.arange(k)
-    for rows in _row_blocks(todo, k):
-        idx[rows] = np.argmax(cosd(rows, everything), axis=1)
-    around = cosd(np.arange(n), (idx[:, None] + np.arange(-1, 2)) % k)
-    return idx, tuple(around.T)
+    def certify(rows, top, edge):
+        cos_edge = np.cos(np.minimum(edge, math.pi))
+        return _sinusoid_max(sin_p[rows], cos_p[rows] * cos_edge, lo, hi) \
+            + _BOUND_GUARD < top
+
+    latitudes = np.all(cos_p >= 0.0) and np.all(cos_q >= 0.0)
+    return windows.search(value, certify if latitudes else None)
 
 
 # ------------------------------------------------------------------ #
@@ -271,15 +319,15 @@ def contract_band(band: AcceptableBand, s: float) -> AcceptableBand:
         theta_minus=(1.0 - s) * band.theta_minus - s * band.R)
 
 
-def _cap_reach(dlam, sin_q, cos_q, cos_cutoff, upper) -> np.ndarray:
+def _cap_reach(dlam, cos_dlam, sin_q, cos_q, cos_cutoff, upper) -> np.ndarray:
     """Highest (lowest) latitude of each cutoff cap on the meridian dlam away.
 
     The cutoff circle around (lam_q, phi_q) meets that meridian in the
     latitudes atan2(B, A) +- acos(cos c / r); caps that miss it, or lie more
     than half a turn away, give -inf (+inf).
     """
-    A = cos_q * np.cos(dlam)
-    B = sin_q * np.ones_like(dlam)
+    A = cos_q * cos_dlam
+    B = sin_q
     r = np.hypot(A, B)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = cos_cutoff / r
@@ -290,46 +338,76 @@ def _cap_reach(dlam, sin_q, cos_q, cos_cutoff, upper) -> np.ndarray:
     return np.where(ok, cand, -np.inf if upper else np.inf)
 
 
-def _all_sample_reach(lam_rows, lam_bdry, sin_q, cos_q, cos_cutoff, nu, upper):
-    """Extreme cap reach on the given meridians over every boundary sample."""
-    dlam = _wrap_dlam(lam_rows[:, None] - lam_bdry[None, :], nu)
-    cand = _cap_reach(dlam, sin_q[None, :], cos_q[None, :], cos_cutoff, upper)
-    return cand.max(axis=1) if upper else cand.min(axis=1)
+def _outside_reach_below(w, edge, lo, hi, cos_cutoff):
+    """Whether no cap of a sample outside the window reaches latitude w.
+
+    For the upper trim, with every boundary latitude in [lo, hi], hi < 0,
+    and the outside samples at |dlam| >= D (`edge`).  Such a sample q has
+    B = sin phi_q < 0, so center = atan2(B, A) lies in (-pi, 0).  If its
+    reach center + half were >= w, with -pi/2 < w < pi/2, then either w is
+    within half of center, so the meridian point P(w) is inside its cap,
+    or center - half > w, so P(center - half), in (w, 0), is on the cap's
+    rim.  Either way some t in [w, max(w, 0)] has cos d(P(t), q) >= cos c.
+    But cos d(P(t), q) = sin t sin phi_q + cos t cos phi_q cos dlam is at
+    most f(t) = sin t sin phi_q + cos t cos phi_q cos D, a sinusoid in t
+    that peaks at alpha = atan2(sin phi_q, cos phi_q cos D) in (-pi, 0) and
+    decreases on [alpha, alpha + pi], which holds [w, max(w, 0)] once
+    w > alpha.  So no outside cap reaches w when w exceeds alpha (monotone
+    in phi_q, so largest at lo or hi) and the max of f(w) over phi_q in
+    [lo, hi] (`_sinusoid_max`) is below cos c, each by _BOUND_GUARD, which
+    also covers the rounding of each entry.
+    """
+    cos_edge = np.cos(np.minimum(edge, math.pi))
+    alpha = np.maximum(np.arctan2(math.sin(lo), math.cos(lo) * cos_edge),
+                       np.arctan2(math.sin(hi), math.cos(hi) * cos_edge))
+    inside = (np.maximum(alpha, -0.5 * math.pi) + _BOUND_GUARD < w) \
+        & (w + _BOUND_GUARD < 0.5 * math.pi)
+    w = np.where(inside, w, 0.0)
+    f = _sinusoid_max(np.sin(w), np.cos(w) * cos_edge, lo, hi)
+    return inside & (f + _BOUND_GUARD < cos_cutoff)
 
 
-def _trim_profile(lam_grid, theta_move, lam_bdry, phi_bdry, cutoff, nu, upper):
+def _trim_profile(windows, theta_move, phi_bdry, cutoff, upper):
     """Largest (smallest) latitude within `cutoff` of the opposite boundary.
 
     By the monotonicity of the distance in latitude the reachable set on
     each meridian is an interval, so its extreme is a max (min) of the
-    closed-form cap reach (`_cap_reach`) over the boundary samples.  The
+    closed-form cap reach (`_cap_reach`) over the boundary samples at
+    `windows.lam_q`, the rows being the meridians `windows.lam_p`.  The
     caller keeps min(theta_move, result) for the upper trim and
     max(theta_move, result) for the lower one.
 
-    Certificate: each meridian first tries only the samples next to it in
-    covering longitude (the three around its `searchsorted` position).  If
-    one of those caps already reaches theta_move (cand >= theta_move for the
-    upper trim, cand <= theta_move for the lower), the all-sample extreme
-    does too, and the caller's min (max) returns theta_move whatever that
-    extreme is; such rows return theta_move itself.  Only the other rows
-    evaluate the closed form over all samples, in row blocks, so the trimmed
-    profile is bit-identical to the all-sample one.
+    The lower trim is the upper one with latitudes negated (negation is
+    exact), and the window search (`_Windows.search`) certifies a row in
+    either of two ways.  If a window cap already reaches theta_move
+    (cand >= theta_move for the upper trim), the all-sample extreme does
+    too, and the caller's min returns theta_move whatever that extreme is.
+    Otherwise, if no cap of a sample outside the window reaches the window
+    extreme (`_outside_reach_below`, which needs every boundary latitude
+    strictly below the equator in the negated frame), the window extreme is
+    the all-sample one.  So the trimmed profile is bit-identical to the
+    all-sample one.
     """
+    sign = 1.0 if upper else -1.0
     sin_q, cos_q = np.sin(phi_bdry), np.cos(phi_bdry)
     cos_cutoff = math.cos(cutoff)
-    m = lam_bdry.size
-    near = (np.searchsorted(lam_bdry, lam_grid)[:, None] + np.arange(-1, 2)) % m
-    dlam = _wrap_dlam(lam_grid[:, None] - lam_bdry[near], nu)
-    cand = _cap_reach(dlam, sin_q[near], cos_q[near], cos_cutoff, upper)
-    if upper:
-        moved = np.flatnonzero(~(cand.max(axis=1) >= theta_move))
-    else:
-        moved = np.flatnonzero(~(cand.min(axis=1) <= theta_move))
-    out = theta_move.copy()
-    for rows in _row_blocks(moved, m):
-        out[rows] = _all_sample_reach(lam_grid[rows], lam_bdry, sin_q, cos_q,
-                                      cos_cutoff, nu, upper)
-    return out
+    lo, hi = sorted((sign * phi_bdry.min(), sign * phi_bdry.max()))
+    target = sign * theta_move
+
+    def value(rows, cols, dlam, cos_dlam):
+        return sign * _cap_reach(dlam, cos_dlam, sin_q[cols], cos_q[cols],
+                                 cos_cutoff, upper)
+
+    def certify(rows, top, edge):
+        done = top >= target[rows]
+        if -0.5 * math.pi <= lo and hi < 0.0 and not done.all():
+            open_ = ~done
+            done[open_] = _outside_reach_below(top[open_], edge[open_], lo, hi,
+                                               cos_cutoff)
+        return done
+
+    top, _ = windows.search(value, certify)
+    return sign * top
 
 
 def retract_to_good(band: AcceptableBand, return_history: bool = False):
@@ -340,29 +418,28 @@ def retract_to_good(band: AcceptableBand, return_history: bool = False):
     nondecreasing along the way.  Converges when consecutive profiles move
     less than `_BAND_TOL` / 4.
 
-    Each trim is output-sensitive (see `_trim_profile`): a meridian whose
-    neighbouring caps already reach its current latitude is certified
-    unchanged without the all-sample closed form.  The certificate only
-    skips rows whose trimmed value is provably the old one, so every
-    iterate, the iteration count and the result are exactly those of the
-    all-sample trim.
+    Each trim is a certified window search (see `_trim_profile`): a meridian
+    looks first at the boundary samples on either side of it and widens
+    only while neither its current latitude nor the outside bound settles
+    it.  The windows are cut once for all trims.  Every iterate, the
+    iteration count and the result are exactly those of the all-sample
+    trim.
     """
     R = band.R
     tp = band.theta_plus.copy()
     tm = band.theta_minus.copy()
     history = [(tp.copy(), tm.copy())]
     s = _boundary_stride(band.k_nodes)
+    windows = _Windows(band.lam, band.lam[::s], band.nu)
     for n in range(1, _RETRACT_MAX_ITER + 1):
         cutoff = R + 2.0 ** (-n)
         if n % 2 == 1:
-            new = _trim_profile(band.lam, tp, band.lam[::s], tm[::s], cutoff,
-                                band.nu, upper=True)
+            new = _trim_profile(windows, tp, tm[::s], cutoff, upper=True)
             tp_new = np.minimum(tp, new)
             delta = np.abs(tp_new - tp).max()
             tp = tp_new
         else:
-            new = _trim_profile(band.lam, tm, band.lam[::s], tp[::s], cutoff,
-                                band.nu, upper=False)
+            new = _trim_profile(windows, tm, tp[::s], cutoff, upper=False)
             tm_new = np.maximum(tm, new)
             delta = np.abs(tm_new - tm).max()
             tm = tm_new
@@ -384,11 +461,16 @@ def _nearest_indices(lam_p, phi_p, lam_q, phi_q, nu):
     Returns (indices, fractional offsets in [-1/2, 1/2]) so that callers can
     interpolate the boundary between samples; this keeps adjacent tracks
     ordered instead of snapping to shared grid points.  The nearest sample
-    and its two neighbours come from the windowed search of
-    `_nearest_samples`, whose certificate makes them identical to the
-    argmax of the full covering-distance row.
+    comes from the certified window search of `_nearest_samples`, identical
+    to the argmax of the full covering-distance row; its two neighbours are
+    evaluated alongside.
     """
-    idx, (left, mid, right) = _nearest_samples(lam_p, phi_p, lam_q, phi_q, nu)
+    windows = _Windows(lam_p, lam_q, nu)
+    mid, idx = _nearest_samples(windows, phi_p, phi_q)
+    cols = (idx + np.array([[-1], [1]])) % lam_q.size
+    dlam = windows.at(np.arange(lam_p.size), cols)
+    left, right = _cos_dist(dlam, np.cos(dlam), np.sin(phi_p), np.cos(phi_p),
+                            np.sin(phi_q)[cols], np.cos(phi_q)[cols])
     denom = left - 2.0 * mid + right
     frac = np.where(np.abs(denom) > 1e-15,
                     0.5 * (left - right) / np.where(np.abs(denom) > 1e-15, denom, 1.0),

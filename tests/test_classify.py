@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -595,15 +596,28 @@ def _loop_end_chords(ends, g, nr, i, js, lo, hi):
 
 
 def loop_count_fiber_hits(curve, b):
-    """Sign changes of <b, tangent> visited one interval at a time."""
+    """Sign changes of <b, tangent> visited one interval at a time.
+
+    A node where f is exactly 0 counts only as the first of its run of
+    zeros, and only when the nearest nonzero values on either side, around
+    the closed curve, differ in sign."""
     rho0 = curve.bounds.rho1
     g, tg, nr = curve.gamma, curve.tangent, curve.normal
+    n = curve.n
     f = tg @ b
     f[-1] = f[0]
+
+    def nearest_nonzero(i, step):
+        return next((f[(i + step * j) % n] for j in range(1, n)
+                     if f[(i + step * j) % n] != 0.0), 0.0)
+
     count = 0
-    for i in range(curve.n):
+    for i in range(n):
         a, c = f[i], f[i + 1]
         if a == 0.0:
+            if f[(i - 1) % n] == 0.0 \
+                    or nearest_nonzero(i, -1) * nearest_nonzero(i, 1) >= 0.0:
+                continue
             frac = 0.0
         elif a * c < 0.0:
             frac = a / (a - c)
@@ -690,6 +704,41 @@ class TestBatchedWitness:
         k, theta = classify._fiber_root_angles(circle, seam)
         inner = (rho0 - math.pi < theta) & (theta < 0.0)
         assert np.bincount(k[inner], minlength=th.size).tolist() == [3] * th.size
+
+
+    @pytest.mark.parametrize("f, roots", [
+        ([1, 0, 2, 3, -1, -2], 2),      # a touch; a crossing; the seam
+        ([1, 0, 0, -1, -2, -3], 2),     # a crossing through a run of zeros
+        ([0, 1, 2, -1, -2, 0], 2),      # a run of zeros across the seam
+        ([0, 1, 0, 1, 0, 1], 0),        # touches only
+        ([0, 0, 0, 0, 0, 0], 0),
+    ])
+    def test_zero_on_a_node_is_a_root_only_across_a_sign_change(self, f, roots):
+        # f = <b, T> with b = e3 is the third tangent component; node n
+        # repeats node 0
+        n = len(f)
+        t = np.linspace(0.0, 2.0 * math.pi, n + 1)
+        gamma = np.stack([np.cos(t), np.sin(t), np.zeros(n + 1)], axis=1)
+        tangent = np.zeros((n + 1, 3))
+        tangent[:, 2] = f + f[:1]
+        curve = types.SimpleNamespace(gamma=gamma, tangent=tangent,
+                                      normal=np.tile([0.0, 0.0, 1.0], (n + 1, 1)))
+        k, _ = classify._fiber_root_angles(curve, np.array([[0.0, 0.0, 1.0]]))
+        assert k.size == roots
+
+    def test_touch_on_a_node_counts_no_root(self, neither_small):
+        # the on-fiber candidate at node 37 above (angle index 4): f is
+        # exactly 0 there between two positive values, a touch of the fiber
+        curve = neither_small
+        th = curve.bounds.rho1 - math.pi + 4.5 * math.pi / 6
+        b = math.cos(th) * curve.gamma[37] + math.sin(th) * curve.normal[37]
+        tg = curve.tangent
+        f = (tg[:, 0] * b[0] + tg[:, 1] * b[1]) + tg[:, 2] * b[2]
+        f[-1] = f[0]
+        assert f[37] == 0.0 < min(f[36], f[38])
+        assert np.flatnonzero(f == 0.0).tolist() == [37]
+        k, _ = classify._fiber_root_angles(curve, b[None])
+        assert k.size == np.count_nonzero(f[:-1] * f[1:] < 0.0)
 
 
 class TestCondensedAxis:

@@ -300,7 +300,7 @@ def dense_dist_to_profile(lam_p, phi_p, lam_q, phi_q, nu):
 
 
 def dense_boundary_distances(band):
-    s = max(1, band.k_nodes // 1024)
+    s = max(1, band.k_nodes // gb._BOUNDARY_SAMPLES)
     return (dense_dist_to_profile(band.lam, band.theta_plus, band.lam[::s],
                                   band.theta_minus[::s], band.nu),
             dense_dist_to_profile(band.lam, band.theta_minus, band.lam[::s],
@@ -311,11 +311,22 @@ def retraction(band, trim=None):
     """(history, None) of retract_to_good, or (None, error type name)."""
     with pytest.MonkeyPatch.context() as mp:
         if trim is not None:
-            mp.setattr(gb, "_trim_profile", trim)
+            mp.setattr(gb, "_trim_profile",
+                       lambda w, theta, phi, cutoff, upper:
+                       trim(w.lam_p, theta, w.lam_q, phi, cutoff, w.nu, upper))
         try:
             return gb.retract_to_good(band, return_history=True)[1], None
         except SphereCurveError as exc:
             return None, type(exc).__name__
+
+
+def count_entries(monkeypatch, name):
+    """(columns, rows) of every entry block the kernel `name` evaluates."""
+    shapes = []
+    real = getattr(gb, name)
+    monkeypatch.setattr(gb, name,
+                        lambda dlam, *a: shapes.append(np.shape(dlam)) or real(dlam, *a))
+    return shapes
 
 
 def same_bits(a, b):
@@ -340,25 +351,80 @@ def oracle_bands(small_tol):
     return bands
 
 
+def assert_bit_equal_to_dense(band):
+    """Retraction history, tracks and boundary distances, bit for bit."""
+    got, got_err = retraction(band)
+    want, want_err = retraction(band, trim=dense_trim_profile)
+    assert got_err == want_err
+    if want is not None:
+        assert len(got) == len(want)
+        assert all(same_bits(g[0], w[0]) and same_bits(g[1], w[1])
+                   for g, w in zip(got, want))
+    args = (band.lam, band.theta_plus, band.lam, band.theta_minus, band.nu)
+    idx, frac = gb._nearest_indices(*args)
+    want_idx, want_frac = dense_nearest_indices(*args)
+    assert same_bits(idx, want_idx) and same_bits(frac, want_frac)
+    for got_d, want_d in zip(band.boundary_distances(),
+                             dense_boundary_distances(band)):
+        assert same_bits(got_d, want_d)
+
+
+@st.composite
+def fourier_bands(draw):
+    """A non-circular acceptable band: smooth random Fourier profiles in
+    [0, R] and [-R, 0], contracted by s, some samples maybe on the equator.
+    With `far`, the contracted - profile rises near the equator only in a
+    bump of three samples and stays below -R/5 elsewhere, so the rows away
+    from the bump must widen their first window in the track search."""
+    nu = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([256, 512]))
+    R = draw(st.floats(0.6, 1.4))
+    far = draw(st.booleans())
+    lam = np.arange(k) * (2.0 * math.pi * nu / k)
+    unit = st.floats(0.0, 1.0)
+
+    def profile(base, amplitude):
+        terms = draw(st.integers(1, 6))
+        wave = sum(draw(unit) * np.cos(j * lam / nu + 2.0 * math.pi * draw(unit))
+                   for j in range(1, terms + 1))
+        return R * np.clip(base + amplitude * wave / terms, 0.0, 1.0)
+
+    band = gb.contract_band(
+        gb.AcceptableBand(
+            nu=nu, R=R, frame=np.eye(3), lam=lam,
+            theta_plus=profile(draw(st.floats(0.0, 0.8)), draw(unit)),
+            theta_minus=-(profile(draw(st.floats(0.4, 0.8)), draw(st.floats(0.0, 0.2)))
+                          if far else profile(draw(st.floats(0.0, 0.8)), draw(unit)))),
+        draw(unit))
+    if far:
+        at = draw(st.integers(0, k - 1))
+        band.theta_minus[np.arange(at - 1, at + 2) % k] = -0.02 * R
+    if draw(st.booleans()):
+        # samples on the equator, with the sign of zero that sends a cap's
+        # centre atan2(B, A) across its branch for the trim they bound
+        band.theta_minus[draw(st.lists(st.integers(0, k - 1), max_size=4))] = 0.0
+        band.theta_plus[draw(st.lists(st.integers(0, k - 1), max_size=4))] = -0.0
+    return band, far
+
+
 class TestOutputSensitiveKernels:
+    @settings(max_examples=12, deadline=None)
+    @given(drawn=fourier_bands(), stride=st.sampled_from([1, 2]))
+    def test_random_bands_bit_equal_to_dense_oracles(self, drawn, stride):
+        band, far = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            # with a boundary stride of 2 every other meridian lies midway
+            # between two samples, as on the K = 2048 bands
+            mp.setattr(gb, "_BOUNDARY_SAMPLES", band.k_nodes // stride)
+            shapes = count_entries(mp, "_cos_dist")
+            assert_bit_equal_to_dense(band)
+        if far:
+            assert any(w > 2 for w, _ in shapes)
+
     @settings(max_examples=12, deadline=None)
     @given(which=st.integers(0, 3), s=st.floats(0.0, 1.0))
     def test_bit_equal_to_dense_oracles(self, oracle_bands, small_tol, which, s):
-        band = gb.contract_band(oracle_bands[which], s)
-        got, got_err = retraction(band)
-        want, want_err = retraction(band, trim=dense_trim_profile)
-        assert got_err == want_err
-        if want is not None:
-            assert len(got) == len(want)
-            assert all(same_bits(g[0], w[0]) and same_bits(g[1], w[1])
-                       for g, w in zip(got, want))
-        args = (band.lam, band.theta_plus, band.lam, band.theta_minus, band.nu)
-        idx, frac = gb._nearest_indices(*args)
-        want_idx, want_frac = dense_nearest_indices(*args)
-        assert same_bits(idx, want_idx) and same_bits(frac, want_frac)
-        for got_d, want_d in zip(band.boundary_distances(),
-                                 dense_boundary_distances(band)):
-            assert same_bits(got_d, want_d)
+        assert_bit_equal_to_dense(gb.contract_band(oracle_bands[which], s))
 
     def test_wrap_tie_breaks_to_smallest_column(self):
         # row 0 sits on column 0, which is pushed away; columns 1 and K - 1
@@ -378,8 +444,9 @@ class TestOutputSensitiveKernels:
 
     def test_far_nearest_sample_widens_window(self):
         # the - profile comes close to the + one only in a bump 0.6 rad east
-        # of every meridian's own window of 2 * 32 samples (0.39 rad each
-        # way), so the first window must fail its bound and widen
+        # of every meridian, far beyond its first window (the samples on
+        # either side of it, 0.012 rad each way), so that window must fail
+        # its bound and widen
         k, nu = 512, 1
         lam = np.arange(k) * (2.0 * math.pi * nu / k)
         phi_p = np.zeros(k)
@@ -398,28 +465,51 @@ class TestOutputSensitiveKernels:
             for upper in (True, False):
                 move, bdry = ((band.theta_plus, band.theta_minus) if upper
                               else (band.theta_minus, band.theta_plus))
-                args = (band.lam, bdry, band.R + 2.0 ** -5, band.nu, upper)
-                reach = dense_trim_profile(band.lam, move, *args)
+                cutoff = band.R + 2.0 ** -5
+                reach = dense_trim_profile(band.lam, move, band.lam, bdry, cutoff,
+                                           band.nu, upper)
                 step = np.array([np.inf, 0.0, -np.inf])[np.arange(band.k_nodes) % 3]
                 theta = np.where(step == 0.0, reach, np.nextafter(reach, step))
                 keep = np.minimum if upper else np.maximum
-                got = keep(theta, gb._trim_profile(band.lam, theta, *args))
+                windows = gb._Windows(band.lam, band.lam, band.nu)
+                got = keep(theta, gb._trim_profile(windows, theta, bdry, cutoff, upper))
                 assert same_bits(got, keep(theta, reach))
 
     def test_circle_bands_certify_every_row(self, oracle_bands, monkeypatch):
-        rows = []
-        real = gb._all_sample_reach
-        monkeypatch.setattr(gb, "_all_sample_reach",
-                            lambda lam, *a: rows.append(lam.size) or real(lam, *a))
+        shapes = count_entries(monkeypatch, "_cap_reach")
         for band in oracle_bands[:3]:
             gb.retract_to_good(band)
-        assert sum(rows) == 0
+        assert shapes and all(w == 2 for w, _ in shapes)
 
     def test_maximal_band_iterations_match_oracle(self, circle_band):
         maximal = gb.contract_band(circle_band, 1.0)
         got, _ = retraction(maximal)
         want, _ = retraction(maximal, trim=dense_trim_profile)
         assert len(got) == len(want) > 2
+
+    def test_maximal_band_all_sample_rows(self, monkeypatch):
+        # the acceptance band (K = 2048, 1024 boundary samples): every row of
+        # all 10 trims, 20,480 rows, took the all-sample form before the
+        # trims had an outside bound; now each settles on its first window
+        bounds = sc.CurvatureBounds(-0.4, math.inf)
+        band = gb.band_from_condensed(sc.make_circle(math.pi / 2 - 0.15, 2, bounds, n=512))
+        maximal = gb.contract_band(band, 1.0)
+        shapes = count_entries(monkeypatch, "_cap_reach")
+        _, hist = gb.retract_to_good(maximal, return_history=True)
+        assert len(hist) - 1 == 10
+        assert sum(n for w, n in shapes if w == 1024) == 0
+        assert sum(n * w for w, n in shapes) == 40_960
+
+    def test_track_search_entries(self, oracle_bands, monkeypatch):
+        # each circle band row settles on the two samples around its
+        # meridian, then evaluates the argmax's two neighbours: 4 entries a
+        # row, 512 rows a band (the first window of 66 samples and the
+        # three around the argmax took 35,328 a band)
+        shapes = count_entries(monkeypatch, "_cos_dist")
+        for band in oracle_bands[:3]:
+            gb._nearest_indices(band.lam, band.theta_plus, band.lam,
+                                band.theta_minus, band.nu)
+        assert sum(n * w for w, n in shapes) == 3 * 2048
 
     def test_traced_peak_memory(self):
         # the dense kernels peaked at 148 MB (retraction) and 132 MB
