@@ -2,9 +2,10 @@
 
 A curve is carried on a uniform grid over [0, T] by per-interval constant
 controls (v_hat, w_hat) together with exact node samples of the frame lift
-z in S^3.  Piecewise-constant controls integrate exactly: each step is one
-quaternion exponential, so the lift never drifts off S^3 and closed curves
-built analytically close to roundoff.
+z in S^3.  Between nodes the lift is an arc z_i exp(delta Lambda_i), which
+one kernel, `_arc_nodes`, evaluates for `integrate_curves`, `eval_lift`, the
+graft splice, `add_loops` and `spread_loops`: the lift never drifts off S^3
+and closed curves built analytically close to roundoff.
 """
 
 from __future__ import annotations
@@ -171,36 +172,21 @@ def controls_from_functions(f_vhat, f_what, n: int) -> ControlPair:
 
 
 # ------------------------------------------------------------------ #
-# Quaternion step kernels
+# The one arc evaluator, `_arc_nodes`, and the run scans
 # ------------------------------------------------------------------ #
-
-def _step_quats(v, w, dt) -> np.ndarray:
-    """exp(dt/2 (w i + v k)) for per-interval arrays v, w (dt may be an
-    array), (m, 4): a view of component rows, which `sphere.quat_mul`
-    reads without a strided pass."""
-    hx = 0.5 * dt * np.asarray(w, dtype=float)
-    hz = 0.5 * dt * np.asarray(v, dtype=float)
-    a = np.hypot(hx, hz)
-    turns = a > 1e-14
-    safe = np.where(turns, a, 1.0)
-    s = np.where(turns, np.sin(safe) / safe, 1.0)
-    out = np.empty((4, np.size(a)))
-    out[0] = np.cos(a)
-    out[1] = s * hx
-    out[2] = 0.0
-    out[3] = s * hz
-    return out.T
-
 
 def _arc_nodes(H: np.ndarray, wx, wz, d, counts=None, out=None) -> np.ndarray:
     """Nodes H exp(d (wx i + wz k)) = cos(d a) H + sin(d a) (H u) of r arcs,
     a = |(wx, wz)|, u = (wx i + wz k) / a: (4, N) component rows.
 
-    H holds the heads as component rows (4, r), wx and wz the half-angle
-    rates per unit of the offsets d; arc j has one offset, or counts[j]
-    consecutive ones.  u has no j part, so H u is 8 products an arc, and a
-    node one cos, one sin and 8 multiply-adds.  Given `out` (four targets
-    of N entries, any shape), each component is written straight into it.
+    The one arc evaluator of the library, behind `integrate_curves` (run
+    steps and fill), `eval_lift`, the graft splice, `add_loops` and
+    `spread_loops`.  H holds the heads as component rows (4, r), or one
+    column (4, 1) broadcast against the offsets; wx and wz are the
+    half-angle rates per unit of the offsets d; arc j has one offset, or
+    counts[j] consecutive ones.  u has no j part, so H u is 8 products an
+    arc, and a node one cos, one sin and 8 multiply-adds.  Given `out` (four
+    targets of N entries, any shape), each component is written into it.
     """
     a = np.hypot(wx, wz)
     safe = np.where(a > 0.0, a, 1.0)
@@ -280,9 +266,11 @@ def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray)
     f's interval i is f n + i), its length m, its speed v and curvature
     kappa (the transforms are elementwise, so these are the bits of every
     interval of the run), and its step exp(m dt / 2 (w i + v k)), dt = 1/n,
-    the exact integral over its m intervals.  Every row starts a run, so no
-    run crosses a row and a run ends where the next one starts.  Controls
-    are compared by their bits, so 0.0 and -0.0 start different runs.
+    the exact integral over its m intervals, as the `_arc_nodes` arc from
+    the identity (r steps: an (r, 4) view of component rows).  Every row
+    starts a run, so no run crosses a row and a run ends where the next one
+    starts.  Controls are compared by their bits, so 0.0 and -0.0 start
+    different runs.
     """
     vb, wb = v_hat.view(np.uint64), w_hat.view(np.uint64)
     heads = np.ones(v_hat.shape, dtype=bool)
@@ -292,7 +280,8 @@ def _control_runs(bounds: CurvatureBounds, v_hat: np.ndarray, w_hat: np.ndarray)
     _, h_inv, _, hb_inv = control_transforms(bounds)
     v = h_inv(v_hat.reshape(-1)[starts])
     kap = hb_inv(w_hat.reshape(-1)[starts])
-    return starts, lengths, v, kap, _step_quats(v, v * kap, lengths * (1.0 / v_hat.shape[-1]))
+    return starts, lengths, v, kap, _arc_nodes(sphere.QUAT_ONE[:, None], 0.5 * v * kap, 0.5 * v,
+                                               lengths * (1.0 / v_hat.shape[-1])).T
 
 
 def _padded_runs(rows: np.ndarray, frames: int, run_steps: np.ndarray):
@@ -827,10 +816,10 @@ def curve_to_json(curve: AdmissibleCurve,
 
 def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
     """Parse the control schema, with or without node samples, or the raw
-    {"gamma": [...]} form.  A document that is not an object, a bound that
-    is neither a number nor an infinity string, an array of non-numbers, a
-    non-integer `n`, a control document's `n` other than its interval count
-    and a `q0` that is not a rotation are each a ValueError."""
+    {"gamma": [...]} form.  A non-object document, a bound neither a number
+    nor an infinity string, an array of non-numbers, controls that are not
+    flat, a non-integer `n`, a control document's `n` other than its
+    interval count and a `q0` that is not a rotation are each a ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a curve document is a JSON object, not {type(doc).__name__}")
     n = doc.get("n")
@@ -842,8 +831,10 @@ def curve_from_json(doc: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Admissibl
         return curve_from_points(_floats(doc["gamma"], "gamma"), bounds, n=n, tol=tol)
     bounds = CurvatureBounds(_bound_from_json(doc["kappa1"]),
                              _bound_from_json(doc["kappa2"]))
-    controls = ControlPair(_floats(doc["v_hat"], "v_hat"),
-                           _floats(doc["w_hat"], "w_hat"))
+    v_hat, w_hat = (_floats(doc[key], key) for key in ("v_hat", "w_hat"))
+    if v_hat.ndim != 1 or w_hat.ndim != 1:
+        raise ValueError("v_hat and w_hat must each be one flat list of numbers")
+    controls = ControlPair(v_hat, w_hat)
     if n is not None and n != controls.n:
         raise ValueError(f"n is {n}, but the controls hold {controls.n} intervals")
     if "lift" in doc:

@@ -25,6 +25,7 @@ from .classify import (
 from .curves import (
     AdmissibleCurve,
     ControlPair,
+    _arc_nodes,
     _chain_quats,
     cot,
     curve_from_node_data,
@@ -126,16 +127,14 @@ def _splice_arcs(base: AdmissibleCurve, insertions, tol: ToleranceProfile):
     total_extra = sum(a.sigma for a in ins)
     t_ins = np.array([a.t for a in ins])
     sigma = np.array([a.sigma for a in ins])
-    lam = np.array([[math.cos(a.rho), 0.0, math.sin(a.rho)]
-                    for a in ins]).reshape(-1, 3)
+    c_arc = np.array([math.cos(a.rho) for a in ins])
     v_arc = np.array([math.sin(a.rho) for a in ins])
     k_arc = np.array([cot(a.rho) for a in ins])
 
     # prefix quaternions exp(sigma chi / 2) accumulated left to right
     z_t = base.lift[np.rint(t_ins / base.dt).astype(int)]
-    rot = sphere.quat_mul(
-        sphere.quat_mul(z_t, sphere.quat_exp(0.5 * sigma[:, None] * lam)),
-        sphere.quat_conj(z_t))
+    rot = sphere.quat_mul(_arc_nodes(z_t.T, 0.5 * c_arc, 0.5 * v_arc, sigma).T,
+                          sphere.quat_conj(z_t))
     prefixes = _chain_quats(sphere.QUAT_ONE, rot)
     arc_starts = sphere.quat_mul(prefixes[:-1], z_t)
 
@@ -170,8 +169,8 @@ def _splice_arcs(base: AdmissibleCurve, insertions, tol: ToleranceProfile):
     k_nodes[copy] = base.kappa[node]
     arc = ~copy
     a = pi[arc] // 2
-    step = sphere.quat_exp((0.5 * (u[arc] - lo[pi[arc]]))[:, None] * lam[a])
-    lift[arc] = sphere.quat_mul(arc_starts[a], step)
+    lift[arc] = _arc_nodes(arc_starts[a].T, 0.5 * c_arc[a], 0.5 * v_arc[a],
+                           u[arc] - lo[pi[arc]]).T
     v_nodes[arc] = v_arc[a]
     k_nodes[arc] = k_arc[a]
     lift /= np.linalg.norm(lift, axis=1, keepdims=True)

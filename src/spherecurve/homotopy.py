@@ -20,6 +20,7 @@ from .curves import (
     ControlPair,
     CurvatureBounds,
     cot,
+    _arc_nodes,
     _lift_parities,
     curve_from_node_data,
     curves_from_node_data,
@@ -270,9 +271,8 @@ def add_loops(curve: AdmissibleCurve, t0: float, n_loops: int,
     lift[d_end + 1:] *= sign
     lift[a_end + 1:b_end + 1] = curve.lift[w0 + 1:t0_i + 1]
     axis = math.pi * n_loops * (np.arange(1, 4 * eps_i + 1) / (4.0 * eps_i))
-    lift[b_end + 1:c_end + 1] = sphere.quat_mul(curve.lift[t0_i], sphere.quat_exp(
-        np.stack([axis * math.cos(rho_small), np.zeros_like(axis),
-                  axis * math.sin(rho_small)], axis=1)))
+    lift[b_end + 1:c_end + 1] = _arc_nodes(curve.lift[t0_i][:, None], math.cos(rho_small),
+                                           math.sin(rho_small), axis).T
     lift[c_end + 1:d_end + 1] = sign * curve.lift[t0_i + 1:t0_i + 2 * eps_i + 1]
 
     return curve_from_node_data(curve.bounds, lift, np.append(v_tgt, v_tgt[-1]),
@@ -336,10 +336,9 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
     # psi: the angle of b in the loop's (tangent, normal) plane
     psi = np.unwrap(np.arctan2(np.einsum("ni,ni->n", b, np.cross(sig, dsig)),
                                np.einsum("ni,ni->n", b, dsig)))
-    loop = sphere.quat_exp(np.multiply.outer(math.pi * np.mod(n * t_nodes, 2.0),
-                                             [math.cos(rho1), 0.0, math.sin(rho1)]))
-    turn = sphere.quat_exp(np.multiply.outer(0.5 * psi, [1.0, 0.0, 0.0]))
-    lift = sphere.quat_mul(base.lift, sphere.quat_mul(loop, turn))
+    looped = _arc_nodes(base.lift.T, math.cos(rho1), math.sin(rho1),
+                        math.pi * np.mod(n * t_nodes, 2.0))
+    lift = _arc_nodes(looped, 1.0, 0.0, 0.5 * psi).T
     return _transported(bounds, lift[None], speed[None], kappa[None], 1.0, base.closed, tol)[0]
 
 

@@ -374,6 +374,30 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    @pytest.mark.parametrize("samples", [False, True])
+    @pytest.mark.parametrize("rows", [("v_hat",), ("w_hat",), ("v_hat", "w_hat")])
+    def test_control_rows_exit_2(self, command, samples, rows, tmp_path, capsys):
+        # controls given as lists of rows have their interval count on the
+        # last axis, so they pass the n check; they are refused before the
+        # node samples or the integration read them
+        c = tmp_path / "c.json"
+        run_cli("gen", "circle", "--rho", "0.8", "--k", "1", "--kappa1", "0",
+                "-n", "64", "-o", str(c))
+        doc = json.loads(c.read_text())
+        if samples:
+            curve = sc.curve_from_json(doc)
+            doc.update(lift=curve.lift.tolist(), speed=curve.speed.tolist(),
+                       kappa=curve.kappa.tolist())
+        for key in rows:
+            doc[key] = [doc[key]]
+        c.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(command, str(c), "-o", str(tmp_path / "out.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert "v_hat" in err and "w_hat" in err
+
     @pytest.mark.parametrize("gamma", [
         [[1, 0, 0], [0, 1, 0]],
         [[1, 0, 0], [0, 1, 0], [1, 0, 0]],

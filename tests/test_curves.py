@@ -426,6 +426,17 @@ def unit_rows(rng, m):
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
+def arc_steps(wx, wz, d):
+    """exp(d (wx i + wz k)) in closed form, element by element: (cos(d a),
+    sin(d a) wx / a, 0, sin(d a) wz / a) with a = |(wx, wz)|, as (m, 4) rows."""
+    wx, wz, d = np.broadcast_arrays(wx, wz, d)
+    a = np.hypot(wx, wz)
+    a_safe = np.where(a > 0.0, a, 1.0)
+    c = d * a
+    return np.stack([np.cos(c), np.sin(c) * (wx / a_safe), np.zeros(c.shape),
+                     np.sin(c) * (wz / a_safe)], axis=-1)
+
+
 # interval counts at and around the scan's level boundaries
 SCAN_SIZES = st.one_of(
     st.sampled_from([0, 1, 2, 3] + [2 ** k + d for k in range(2, 12)
@@ -514,7 +525,7 @@ class TestChainScan:
         lift = sc.integrate_curve(sc.ControlPair(v_hat, w_hat), bounds_k0, q0=q0).lift
         _, h_inv, _, hb_inv = sc.control_transforms(bounds_k0)
         v = h_inv(v_hat)
-        steps = cur._step_quats(v, v * hb_inv(w_hat), 1.0 / v.size)
+        steps = arc_steps(0.5 * v * hb_inv(w_hat), 0.5 * v, 1.0 / v.size)
         z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
         assert np.abs(lift - loop_chain_quats(z0, steps)).max() <= 1e-13
         assert np.abs(np.linalg.norm(lift, axis=1) - 1.0).max() <= sphere._UNIT_NORM
@@ -529,7 +540,8 @@ class TestChainScan:
         _, h_inv, _, hb_inv = sc.control_transforms(bounds_k0)
         v = h_inv(controls.v_hat)
         z0 = sphere.QUAT_ONE if q0 is None else sphere.rotation_to_quat(q0)
-        want = cur._chain_quats(z0, cur._step_quats(v, v * hb_inv(controls.w_hat), 1.0 / 300))
+        want = cur._chain_quats(z0, arc_steps(0.5 * v * hb_inv(controls.w_hat), 0.5 * v,
+                                              1.0 / 300))
         got = sc.integrate_curve(controls, bounds_k0, q0=q0).lift
         assert np.array_equal(got, want)
 
@@ -635,7 +647,7 @@ class TestArcFill:
         inner = np.flatnonzero(offset)
         j = run[inner]
         dt = 1.0 / n
-        step = cur._step_quats(v[j], v[j] * kap[j], offset[inner] * dt)
+        step = arc_steps(0.5 * dt * v[j] * kap[j], 0.5 * dt * v[j], offset[inner])
         want = cur._unit_columns(sphere.quat_mul(scan[rows[j], slot[j]], step).T).T
         theta = offset[inner] * np.hypot(0.5 * dt * v[j] * kap[j], 0.5 * dt * v[j])
         got = lift[:, :-1].reshape(-1, 4)[inner]
@@ -649,10 +661,79 @@ class TestArcFill:
         v, kap = circle.interval_vk()
         dt = circle.dt
         o = np.arange(1, circle.n)
-        step = cur._step_quats(np.full(o.size, v[0]), np.full(o.size, v[0] * kap[0]), o * dt)
+        step = arc_steps(0.5 * dt * v[0] * kap[0], 0.5 * dt * v[0], o)
         want = cur._unit_columns(sphere.quat_mul(circle.lift[0], step).T).T
         theta = o * np.hypot(0.5 * dt * v[0] * kap[0], 0.5 * dt * v[0])
         assert np.all(np.abs(circle.lift[1:-1] - want).max(axis=1) <= 1e-15 * (1.0 + theta))
+
+
+def assert_same_bits(got, want):
+    """Equal entries with equal sign bits: the same floats, signed zeros too."""
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestArcKernel:
+    """`_arc_nodes`, the one arc evaluator: H exp(d (wx i + wz k)) of heads
+    H as component rows, against its contract."""
+
+    def test_zero_offset_is_the_head(self, rng):
+        H = unit_rows(rng, 50).T
+        wx, wz = rng.normal(size=(2, 50))
+        assert_same_bits(cur._arc_nodes(H, wx, wz, np.zeros(50)), H)
+
+    def test_zero_rates_are_the_head(self, rng):
+        H = unit_rows(rng, 50).T
+        d = rng.normal(scale=10.0, size=50)
+        assert_same_bits(cur._arc_nodes(H, np.zeros(50), np.zeros(50), d), H)
+        # one head broadcast against the offsets
+        assert_same_bits(cur._arc_nodes(H[:, :1], 0.0, 0.0, d), np.repeat(H[:, :1], 50, axis=1))
+
+    def test_identity_head_is_the_run_step(self, bounds_k0, rng):
+        wx, wz = rng.normal(size=(2, 200))
+        d = rng.uniform(0.0, 3.0, 200)
+        got = cur._arc_nodes(sphere.QUAT_ONE[:, None], wx, wz, d).T
+        assert np.array_equal(got, arc_steps(wx, wz, d))
+        # the steps of a row's runs are their closed forms over m dt
+        lengths = rng.integers(1, 40, 12)
+        v_hat, w_hat = (np.repeat(x, lengths) for x in rng.normal(size=(2, 12)))
+        starts, m, v, kap, steps = cur._control_runs(bounds_k0, v_hat[None], w_hat[None])
+        assert np.array_equal(m, lengths)
+        assert np.array_equal(steps, arc_steps(0.5 * v * kap, 0.5 * v, m * (1.0 / v_hat.size)))
+
+    def test_matches_head_times_exponential(self, rng):
+        # rates over six decades, signed angles d a log-uniform in
+        # [1e-14, 2 pi]; below 1e-14 `quat_exp` returns the identity, so
+        # tiny angles down to 1e-300 are held to the first-order form
+        m = 20000
+        H = unit_rows(rng, m)
+        wx, wz = rng.normal(size=(2, m)) * 10.0 ** rng.uniform(-3, 3, (2, m))
+        a = np.hypot(wx, wz)
+        theta = 10.0 ** rng.uniform(-14, math.log10(2 * math.pi), m) * rng.choice([-1, 1], m)
+        d = theta / a
+        got = cur._arc_nodes(H.T, wx, wz, d).T
+        want = sphere.quat_mul(H, sphere.quat_exp(d[:, None] * np.stack([wx, 0 * wx, wz], 1)))
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-15 * np.maximum(1.0, np.abs(theta)))
+        d = 10.0 ** rng.uniform(-300, -14, m) / a
+        got = cur._arc_nodes(H.T, wx, wz, d).T
+        first = sphere.quat_mul(H, np.stack([np.ones(m), d * wx, 0 * wx, d * wz], 1))
+        assert np.abs(got - first).max() <= 1e-15
+
+    def test_batch_is_per_column_calls(self, rng):
+        r = 9
+        H = unit_rows(rng, r).T
+        wx, wz = rng.normal(size=(2, r))
+        wx[0] = wz[0] = 0.0
+        d = rng.normal(scale=3.0, size=r)
+        per_column = [cur._arc_nodes(H[:, j:j + 1], wx[j], wz[j], d[j:j + 1]) for j in range(r)]
+        assert_same_bits(cur._arc_nodes(H, wx, wz, d), np.concatenate(per_column, axis=1))
+        # arc j over counts[j] consecutive offsets, as the run fill calls it
+        counts = rng.integers(1, 30, r)
+        d = rng.uniform(0.0, 40.0, counts.sum())
+        cuts = np.cumsum(counts)[:-1]
+        per_arc = [cur._arc_nodes(H[:, j:j + 1], wx[j], wz[j], dj)
+                   for j, dj in enumerate(np.split(d, cuts))]
+        assert_same_bits(cur._arc_nodes(H, wx, wz, d, counts=counts),
+                         np.concatenate(per_arc, axis=1))
 
 
 def assert_products_near_scan(got, want):

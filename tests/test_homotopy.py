@@ -571,6 +571,10 @@ def loop_add_loops(curve, t0, n_loops, rho_small, epsilon):
     loop_speed = 2.0 * math.pi * n_loops * math.sin(rho_small) / (2.0 * eps_i * h_step)
     loop_kappa = sc.cot(rho_small)
     z_ins = curve.lift[t0_i]
+    # the loops' arc from z_ins in closed form: cos(o a) z_ins + sin(o a) z_ins u
+    cr, sr = math.cos(rho_small), math.sin(rho_small)
+    a = np.hypot(cr, sr)
+    z_u = sphere.quat_mul(z_ins, [0.0, cr / a, 0.0, sr / a])
     sign = (-1.0) ** n_loops
     for j in range(n_tgt):
         if j < a_end:
@@ -593,9 +597,8 @@ def loop_add_loops(curve, t0, n_loops, rho_small, epsilon):
         elif j <= b_end:
             lift[j] = curve.lift[(t0_i - 2 * eps_i) + (j - a_end)]
         elif j <= c_end:
-            axis = math.pi * n_loops * ((j - b_end) / (4.0 * eps_i))
-            lift[j] = sphere.quat_mul(z_ins, sphere.quat_exp(
-                [axis * math.cos(rho_small), 0.0, axis * math.sin(rho_small)]))
+            angle = math.pi * n_loops * ((j - b_end) / (4.0 * eps_i)) * a
+            lift[j] = np.cos(angle) * z_ins + np.sin(angle) * z_u
         elif j <= d_end:
             lift[j] = sign * curve.lift[t0_i + (j - c_end)]
         else:
@@ -898,14 +901,14 @@ class TestPathBatch:
                 assert np.abs(again.gamma - frame.gamma).max() <= 1e-7
 
     def test_no_per_frame_loop(self, monkeypatch):
-        # the quaternion products, step exponentials and arc fills of
-        # building, validating and writing a path do not grow with its
+        # the quaternion products and arc evaluations (run steps and fills)
+        # of building, validating and writing a path do not grow with its
         # frame count
         from conftest import count_calls
         from spherecurve import cli
         from spherecurve import curves as cur
         kernels = [count_calls(monkeypatch, fn)
-                   for fn in (sphere.quat_mul, cur._step_quats, cur._arc_nodes)]
+                   for fn in (sphere.quat_mul, cur._arc_nodes)]
         circle = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
 
         def count(run):
@@ -921,10 +924,10 @@ class TestPathBatch:
             _, shrink = count(lambda: ho.shrink_condensed(circle, steps=frames))
             per_size.append((bend, validate, write, shrink))
         assert per_size[0] == per_size[1]
-        # the bend is one step exponential of its runs, a 3-level scan of
-        # its 4 run steps and one arc fill; the validation and the writer
-        # read the records' end frames
-        assert per_size[0][:3] == ((3, 1, 1), (0, 0, 0), (0, 0, 0))
+        # the bend is a 3-level scan of its 4 run steps and two arc
+        # evaluations, its run steps and its fill; the validation and the
+        # writer read the records' end frames
+        assert per_size[0][:3] == ((3, 2), (0, 0), (0, 0))
 
 
 def chart_point_data(xy, vel, acc, h):

@@ -264,3 +264,49 @@ class TestStaleNames:
                '        self._cache = "not `_in_code`"\n')
         readme = "`K._method` and `K._cache`, `_kept()`, `_old_helper` and `__init__`\n"
         assert stale_private_names([lib], readme) == ["_dropped", "_gone", "_old_helper"]
+
+
+def quat_exp_users(tree):
+    """The functions of a module that name `quat_exp` in code (a call or
+    an alias, bare or as an attribute), as "function" or "Class.method",
+    the outermost enclosing def; "<module>" for top-level code."""
+    def names(node):
+        return any((isinstance(n, ast.Name) and n.id == "quat_exp")
+                   or (isinstance(n, ast.Attribute) and n.attr == "quat_exp")
+                   for n in ast.walk(node))
+
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and names(item))
+        elif isinstance(node, ast.FunctionDef):
+            if names(node):
+                yield node.name
+        elif names(node):
+            yield "<module>"
+
+
+class TestOneArcKernel:
+    """Arcs H exp(d (wx i + wz k)) of a record go through `curves._arc_nodes`;
+    `sphere.quat_exp` keeps one caller, `grafting._exp_chain`, whose axes
+    are world-frame vectors with a j part."""
+
+    def test_only_exp_chain_uses_quat_exp(self):
+        found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                 for name in quat_exp_users(ast.parse(path.read_text()))]
+        assert found == ["grafting._exp_chain"], "evaluate arcs with curves._arc_nodes"
+
+    def test_detector_finds_quat_exp_users(self):
+        code = ("from .sphere import quat_exp\n"
+                "def _exp_chain(v):\n    return sphere.quat_exp(v)\n"
+                "def bare(v):\n    return quat_exp(v)\n"
+                "def documented(v):\n    '''quat_exp is named here'''\n"
+                "    return sphere.quat_mul(v, v)  # and quat_exp here\n"
+                "class K:\n"
+                "    def method(self, v):\n"
+                "        def inner():\n            return sphere.quat_exp(v)\n"
+                "        return inner()\n"
+                "    def alias(self):\n        f = quat_exp\n        return f\n"
+                "X = sphere.quat_exp([0.0, 0.0, 1.0])\n")
+        assert list(quat_exp_users(ast.parse(code))) \
+            == ["_exp_chain", "bare", "K.method", "K.alias", "<module>"]
