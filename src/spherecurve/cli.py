@@ -361,8 +361,11 @@ def cmd_validate(args) -> int:
     if not curves:
         print("error: no curves found", file=sys.stderr)
         return 2
-    bounds = curves[0].bounds
-    path = homotopy.HomotopyPath(bounds=bounds,
+    pairs = list(dict.fromkeys((c.bounds.kappa1, c.bounds.kappa2) for c in curves))
+    if len(pairs) > 1:          # a path keeps one bound contract, judging every frame
+        raise ValueError("the stream's curves declare different curvature bounds: "
+                         f"{pairs[0]} and {pairs[1]}")
+    path = homotopy.HomotopyPath(bounds=curves[0].bounds,
                                  s_values=np.linspace(0, 1, len(curves)),
                                  curves=tuple(curves), provenance="custom")
     rep = validate_path(path, tol=tol)

@@ -258,20 +258,15 @@ def _caustic_samples_with_tags(curve: AdmissibleCurve):
 
 
 def _exp_chain(sigmas, chis_half):
-    """Product of exp(sigma_i chi_i / 2) and its partial derivatives."""
-    qs = [sphere.quat_exp(s * c) for s, c in zip(sigmas, chis_half)]
-    pre = [sphere.QUAT_ONE.copy()]
-    for q in qs:
-        pre.append(sphere.quat_mul(pre[-1], q))
-    post = [sphere.QUAT_ONE.copy()]
-    for q in reversed(qs):
-        post.insert(0, sphere.quat_mul(q, post[0]))
-    G = pre[-1]
-    grads = []
-    for i, c in enumerate(chis_half):
-        dq = sphere.quat_mul(np.concatenate(([0.0], c)), qs[i])
-        grads.append(sphere.quat_mul(sphere.quat_mul(pre[i], dq), post[i + 1]))
-    return G, np.array(grads)
+    """Product G of exp(sigma_i c_i), c_i = chi_i / 2, and its partial
+    derivatives: one `quat_exp` of the factors, one `_chain_quats` scan of
+    their prefixes p_0 = 1, ..., p_k = G and one sandwich.  With s_i the
+    product of the factors after the i-th, G = p_i exp(sigma_i c_i) s_i, so
+    dG/dsigma_i = p_i c_i exp(sigma_i c_i) s_i = (p_i c_i conj(p_i)) G."""
+    pre = _chain_quats(sphere.QUAT_ONE, sphere.quat_exp(sigmas[:, None] * chis_half))
+    c = np.concatenate([np.zeros((len(chis_half), 1)), chis_half], axis=1)
+    turned = sphere.quat_mul(sphere.quat_mul(pre[:-1], c), sphere.quat_conj(pre[:-1]))
+    return pre[-1], sphere.quat_mul(turned, pre[-1])
 
 
 def graft_simplex_step(curve: AdmissibleCurve, s: float,

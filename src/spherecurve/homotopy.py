@@ -115,8 +115,7 @@ def validate_path(path: HomotopyPath, bounds: CurvatureBounds | None = None,
     parities = signs.tolist()
     constant = len(set(parities)) == 1 and (not parities or parities[0] != 0)
     passed = bool(margin > 0 and defect < tol.closure and constant)
-    return ValidationReport(min_margin=float(margin),
-                            max_closure_defect=float(defect),
+    return ValidationReport(min_margin=float(margin), max_closure_defect=defect,
                             parities=tuple(parities), passed=passed,
                             notes="; ".join(str(exc) for exc in errors))
 
@@ -157,12 +156,14 @@ def _bend_frames(k: int, s_values, kappa1: float | None, n: int | None,
     """The members of the bending family at `s_values`, in one batch: one
     `_bend_arc_data` call gives every arc length and curvature, one
     `ControlPair.of` builds the (F, n) controls and one `integrate_curves`
-    call integrates them."""
+    call integrates them.  An s outside [0, 1], NaN included, is a ValueError."""
     if k < 1:
         raise ValueError("k must be positive")
+    s_values = np.asarray(s_values, dtype=float)
+    if not np.all((0.0 <= s_values) & (s_values <= 1.0)):
+        raise ValueError(f"bending parameter s must lie in [0, 1], not {s_values.tolist()}")
     kmax = math.tan(math.pi / (2 * k + 2))
-    if kappa1 is None:
-        kappa1 = 2.0 * kmax
+    kappa1 = 2.0 * kmax if kappa1 is None else kappa1
     if kappa1 <= kmax:
         raise CurvatureBoundTooTight(
             f"need kappa1 > tan(pi/(2k+2)) = {kmax:.6f}")
@@ -170,7 +171,7 @@ def _bend_frames(k: int, s_values, kappa1: float | None, n: int | None,
     n = count_or_default(n, tol.default_n)
     per_arc = max(1, -(-n // arcs))        # ceil division
     n = per_arc * arcs
-    length, kap = _bend_arc_data(k, np.asarray(s_values, dtype=float) * math.pi)
+    length, kap = _bend_arc_data(k, s_values * math.pi)
     speed = length * arcs
     bounds = CurvatureBounds(-kappa1, kappa1)
     signs = np.repeat([(-1.0) ** i for i in range(arcs)], per_arc)
@@ -238,9 +239,8 @@ def add_loops(curve: AdmissibleCurve, t0: float, n_loops: int,
     if not (0 < t0_i - 2 * eps_i and t0_i + 2 * eps_i < curve.n):
         raise ParameterOverlap("insertion window leaves the parameter domain")
 
-    n_src = curve.n
-    v_src, k_src = curve.interval_vk()
-    n_tgt = 2 * n_src
+    vk_src = np.stack(curve.interval_vk())
+    n_tgt = 2 * curve.n
     w0 = t0_i - 2 * eps_i                   # source node where the window opens
     a_end = 2 * w0                          # plain copy, halves of intervals
     b_end = a_end + 2 * eps_i               # pre-window, compressed 2:1
@@ -248,20 +248,18 @@ def add_loops(curve: AdmissibleCurve, t0: float, n_loops: int,
     d_end = c_end + 2 * eps_i               # post-window, compressed 2:1
 
     loop_speed = 2.0 * math.pi * n_loops * math.sin(rho_small) / (2.0 * eps_i * h_step)
-    loop_kappa = cot(rho_small)
     sign = (-1.0) ** n_loops
 
-    v_tgt = np.empty(n_tgt)
-    k_tgt = np.empty(n_tgt)
-    for tgt, src in ((v_tgt, v_src), (k_tgt, k_src)):
-        tgt[:a_end] = np.repeat(src[:w0], 2)
-        tgt[a_end:b_end] = src[w0:t0_i]
-        tgt[c_end:d_end] = src[t0_i:t0_i + 2 * eps_i]
-        tgt[d_end:] = np.repeat(src[t0_i + 2 * eps_i:], 2)
+    vk = np.empty((2, n_tgt))
+    vk[:, :a_end] = np.repeat(vk_src[:, :w0], 2, axis=1)
+    vk[:, a_end:b_end] = vk_src[:, w0:t0_i]
+    vk[:, c_end:d_end] = vk_src[:, t0_i:t0_i + 2 * eps_i]
+    vk[:, d_end:] = np.repeat(vk_src[:, t0_i + 2 * eps_i:], 2, axis=1)
+    v_tgt, k_tgt = vk
     v_tgt[a_end:b_end] *= 2.0
     v_tgt[c_end:d_end] *= 2.0
     v_tgt[b_end:c_end] = loop_speed
-    k_tgt[b_end:c_end] = loop_kappa
+    k_tgt[b_end:c_end] = cot(rho_small)
 
     # node lifts: the plain copies at half-steps in one batched evaluation,
     # the compressed windows from the node samples, the loops in closed form
@@ -314,8 +312,7 @@ def spread_loops(curve: AdmissibleCurve, n: int, rho1: float,
         raise RadiusOutOfBounds("loop radius must lie in (0, pi)")
     bounds = bounds or curve.bounds
 
-    n_grid = max(curve.n, 64 * n, tol.default_n)
-    base = reparametrize_by_curvature(curve, n_out=n_grid, tol=tol)
+    base = reparametrize_by_curvature(curve, n_out=max(curve.n, 64 * n, tol.default_n), tol=tol)
     T = base.domain
     t_nodes = base.grid / T                  # unit parameter
     v_int, k_int = base.interval_vk()
@@ -365,8 +362,7 @@ class PlanarCurve:
 
     @property
     def curvature(self) -> np.ndarray:
-        v = self.vel
-        a = self.acc
+        v, a = self.vel, self.acc
         return (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / self.speed ** 3
 
     def winding(self) -> int:
@@ -393,8 +389,7 @@ def planar_wg_homotopy(curve: PlanarCurve, kappa0: float = 0.0,
     steps = tol.path_steps if steps is None else steps
     if steps < 3:
         raise ValueError(f"the planar stage needs at least 3 frames, not {steps}")
-    m = curve.m
-    N = curve.winding()
+    m, N = curve.m, curve.winding()
     if N <= 0:
         raise NonpositiveRotation(f"rotation number {N} <= 0")
 
@@ -479,8 +474,7 @@ def _mobius_frames(curve: AdmissibleCurve, rs, h) -> tuple:
     axis = np.cross(curve.gamma, h)
     c, b = (1.0 + s) + r * (1.0 - s), 1.0 - r
     norm = np.sqrt(c * c + b * b * np.einsum("ni,ni->n", axis, axis))
-    turn = np.concatenate([(c / norm)[..., None],
-                           (b / norm)[..., None] * axis], axis=-1)
+    turn = np.concatenate([(c / norm)[..., None], (b / norm)[..., None] * axis], axis=-1)
     d = (1.0 + s) + r * r * (1.0 - s)
     kappa = (curve.kappa + (1.0 - r * r) * (curve.normal @ h) / d) * d / (2.0 * r)
     return sphere.quat_mul(turn, curve.lift[None]), 2.0 * r / d * curve.speed, kappa
@@ -561,8 +555,9 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     translate-and-shrink frames, half the length of P for its centred
     ones), delta is the first power of 1/2 with min k(P)/delta >
     2 (kappa_target + delta reach)/0.9, in closed form, and stage 2 keeps
-    k above 2 (kappa_target + delta reach).  Each stage is one batch, left-
-    translated to start at the identity and assembled by one `_transported`.
+    k above 2 (kappa_target + delta reach).  Both stages are based straight
+    into one stack on [0, 1], the Mobius speeds taken times the domain, and
+    one `_transported` builds every record.
     """
     steps = tol.path_steps if steps is None else steps
     if steps < 4:
@@ -571,30 +566,34 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     if kappa0 < 0:
         raise DomainError("shrink_condensed requires kappa0 >= 0 after reduction")
     _, h, nu = condensed_axis(reduced, tol)
-    bounds = reduced.bounds
 
     planar = _chart_image(reduced, h)
     kmin = float(planar.curvature.min())
     if kmin <= 0.0:
         raise StageToleranceFailure("the chart image does not turn left at every node")
     kappa_target = kappa0 + max(0.02, 0.05 * abs(kappa0))
-    speed = planar.speed
     reach = max(2.0 * float(np.hypot(*planar.xy.T).max()),
-                0.25 * float(np.sum(speed[1:] + speed[:-1])) / planar.m)
+                0.25 * float(np.sum(planar.speed[1:] + planar.speed[:-1])) / planar.m)
     # delta below the root of 2 reach d^2 + 2 kappa_target d = 0.9 kmin
     root = 0.9 * kmin / (kappa_target + math.sqrt(kappa_target ** 2 + 1.8 * reach * kmin))
     delta = 0.5 ** max(1, math.floor(-math.log2(root)) + 1)
 
-    n_a = max(2, steps // 2)
-    mobius = _mobius_frames(reduced, 1.0 + (delta - 1.0) * np.arange(1, n_a) / (n_a - 1), h)
+    m = max(1, steps // 2 - 1)              # the Mobius frames; the planar ones follow
     _, pframes = planar_wg_homotopy(
         PlanarCurve(delta * planar.xy, delta * planar.vel, delta * planar.acc),
-        kappa0=2.0 * (kappa_target + delta * reach), steps=steps - n_a + 1, tol=tol)
+        kappa0=2.0 * (kappa_target + delta * reach), steps=steps - m, tol=tol)
     if winding_number_planar(pframes.vel[-1]) != nu:
         raise StageToleranceFailure("planar stage changed the rotation number")
-    lifted = _chart_lift(pframes.xy[1:], pframes.vel[1:], pframes.acc[1:], h)
-    frames = [normalize_initial_frame(reduced)]
-    for (lifts, v, kappa), domain in ((mobius, reduced.domain), (lifted, 1.0)):
-        frames += _transported(bounds, _based(lifts), v, kappa, domain, True, tol)
-    return HomotopyPath(bounds=bounds, s_values=np.linspace(0.0, 1.0, len(frames)),
-                        curves=tuple(frames), provenance="shrink")
+    lifts = np.empty((steps - 1, reduced.n + 1, 4))
+    speed, kappa = np.empty((2, steps - 1, reduced.n + 1))
+
+    def stage(rows, z, v, k):               # a stage's raw lifts die once based
+        lifts[rows], speed[rows], kappa[rows] = _based(z), v, k
+    stage(np.s_[:m], *_mobius_frames(reduced, 1.0 + (delta - 1.0) * np.arange(1, m + 1) / m, h))
+    stage(np.s_[m:], *_chart_lift(pframes.xy[1:], pframes.vel[1:], pframes.acc[1:], h))
+    speed[:m] *= reduced.domain
+    del pframes                             # freed before the records copy the stack
+    frames = (normalize_initial_frame(reduced),) \
+        + _transported(reduced.bounds, lifts, speed, kappa, 1.0, True, tol)
+    return HomotopyPath(bounds=reduced.bounds, s_values=np.linspace(0.0, 1.0, steps),
+                        curves=frames, provenance="shrink")

@@ -65,15 +65,14 @@ def quat_conj(q) -> np.ndarray:
 def quat_exp(v) -> np.ndarray:
     """Exponential of pure-imaginary quaternions given by their 3-vector parts.
 
-    Broadcasts over leading axes: (..., 3) -> (..., 4).  Vectors shorter
-    than 1e-14 map to the identity exactly.
+    Broadcasts over leading axes: (..., 3) -> (..., 4).  A vector v of norm
+    a maps to (cos a, sin(a) v / a); where a is 0 (v = 0, or |v| below about
+    1e-162, where the squares underflow) sin(a)/a is its limit 1.
     """
     v = np.asarray(v, dtype=float)
     a = np.linalg.norm(v, axis=-1, keepdims=True)
-    small = a < 1e-14
-    safe = np.where(small, 1.0, a)
-    out = np.concatenate([np.cos(a), (np.sin(safe) / safe) * v], axis=-1)
-    return np.where(small, QUAT_ONE, out)
+    safe = np.where(a > 0, a, 1.0)
+    return np.concatenate([np.cos(a), np.where(a > 0, np.sin(safe) / safe, 1.0) * v], axis=-1)
 
 
 _UNIT_NORM = 1e-12              # largest drift |q|^2 - 1 left unrenormalized

@@ -171,6 +171,26 @@ class TestStreams:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_validate_rejects_mixed_bounds(self, order, tmp_path, capsys):
+        # one bound contract per path: judged in the first frame's bounds,
+        # the verdict would depend on the order of the lines
+        docs = []
+        for rho, kappa1 in (("1.0", "-1"), ("0.3", "2")):
+            c = tmp_path / "c.json"
+            run_cli("gen", "circle", "--rho", rho, "--k", "1", "--kappa1", kappa1,
+                    "-n", "64", "-o", str(c))
+            docs.append(c.read_text().strip())
+        stream = tmp_path / "mixed.jsonl"
+        stream.write_text("\n".join(docs[i] for i in order) + "\n")
+        rep = tmp_path / "rep.json"
+        capsys.readouterr()
+        assert run_cli("validate", str(stream), "-o", str(rep)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and err.count("\n") == 1
+        assert "(-1.0, inf)" in err and "(2.0, inf)" in err
+        assert not rep.exists()
+
     def test_graft_auto_resolves_the_neither_example(self, tmp_path):
         # every Neither status along the chain is far from borderline, so
         # each has a simplex to graft at, and the loop ends resolved
@@ -601,6 +621,9 @@ class TestErrorBoundary:
         ["bend", "--steps", "1", "-n", "64"],
         ["bend", "--steps", "0", "-n", "64"],
         ["bend", "--steps", "-3", "-n", "64"],
+        ["gen", "bending-frame", "--s", "2", "-n", "64"],
+        ["gen", "bending-frame", "--s", "-0.1", "-n", "64"],
+        ["gen", "bending-frame", "--s", "nan", "-n", "64"],
     ])
     def test_out_of_range_counts_exit_2(self, argv, tmp_path, capsys):
         files = {"POS": (0.0, "0.8"), "NEG": (-0.4, str(math.pi / 2 - 0.15))}

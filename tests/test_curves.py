@@ -702,21 +702,18 @@ class TestArcKernel:
 
     def test_matches_head_times_exponential(self, rng):
         # rates over six decades, signed angles d a log-uniform in
-        # [1e-14, 2 pi]; below 1e-14 `quat_exp` returns the identity, so
-        # tiny angles down to 1e-300 are held to the first-order form
+        # [1e-14, 2 pi] and, tiny, in [1e-300, 1e-14]
         m = 20000
-        H = unit_rows(rng, m)
-        wx, wz = rng.normal(size=(2, m)) * 10.0 ** rng.uniform(-3, 3, (2, m))
-        a = np.hypot(wx, wz)
-        theta = 10.0 ** rng.uniform(-14, math.log10(2 * math.pi), m) * rng.choice([-1, 1], m)
-        d = theta / a
-        got = cur._arc_nodes(H.T, wx, wz, d).T
-        want = sphere.quat_mul(H, sphere.quat_exp(d[:, None] * np.stack([wx, 0 * wx, wz], 1)))
-        assert np.all(np.abs(got - want).max(axis=1) <= 1e-15 * np.maximum(1.0, np.abs(theta)))
-        d = 10.0 ** rng.uniform(-300, -14, m) / a
-        got = cur._arc_nodes(H.T, wx, wz, d).T
-        first = sphere.quat_mul(H, np.stack([np.ones(m), d * wx, 0 * wx, d * wz], 1))
-        assert np.abs(got - first).max() <= 1e-15
+        for lo, hi in ((-14, math.log10(2 * math.pi)), (-300, -14)):
+            H = unit_rows(rng, m)
+            wx, wz = rng.normal(size=(2, m)) * 10.0 ** rng.uniform(-3, 3, (2, m))
+            a = np.hypot(wx, wz)
+            theta = 10.0 ** rng.uniform(lo, hi, m) * rng.choice([-1, 1], m)
+            d = theta / a
+            got = cur._arc_nodes(H.T, wx, wz, d).T
+            want = sphere.quat_mul(H, sphere.quat_exp(d[:, None] * np.stack([wx, 0 * wx, wz], 1)))
+            assert np.all(np.abs(got - want).max(axis=1)
+                          <= 1e-15 * np.maximum(1.0, np.abs(theta)))
 
     def test_batch_is_per_column_calls(self, rng):
         r = 9

@@ -459,6 +459,65 @@ def reference_splice(base, insertions):
     return lift, v_nodes, k_nodes, v_int, k_int, defect
 
 
+def loop_exp_chain(sigmas, chis_half):
+    """The product of exp(sigma_i chi_i / 2) and its partial derivatives
+    factor by factor: prefix and suffix products in Python loops, and each
+    derivative the prefix times chi_i / 2 times the factor times the
+    suffix."""
+    qs = [sphere.quat_exp(s * c) for s, c in zip(sigmas, chis_half)]
+    pre = [sphere.QUAT_ONE.copy()]
+    for q in qs:
+        pre.append(sphere.quat_mul(pre[-1], q))
+    post = [sphere.QUAT_ONE.copy()]
+    for q in reversed(qs):
+        post.insert(0, sphere.quat_mul(q, post[0]))
+    grads = [sphere.quat_mul(sphere.quat_mul(pre[i], sphere.quat_mul(np.r_[0.0, c], qs[i])),
+                             post[i + 1])
+             for i, c in enumerate(chis_half)]
+    return pre[-1], np.array(grads)
+
+
+def chain_inputs(rng, k, scale):
+    chis = rng.normal(size=(k, 3))
+    chis /= np.linalg.norm(chis, axis=1, keepdims=True)
+    return rng.uniform(0.0, scale, k), 0.5 * chis
+
+
+class TestExpChain:
+    """`_exp_chain`, one prefix scan and one sandwich, against the
+    factor-by-factor products and against central differences."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_matches_factor_loop(self, rng, k):
+        for scale in (1e-6, 0.05, 1.0):
+            for _ in range(50):
+                sigmas, chis_half = chain_inputs(rng, k, scale)
+                G, grads = gr._exp_chain(sigmas, chis_half)
+                G_loop, grads_loop = loop_exp_chain(sigmas, chis_half)
+                assert G.shape == (4,) and grads.shape == (k, 4)
+                assert np.abs(G - G_loop).max() <= 1e-15
+                assert np.abs(grads - grads_loop).max() <= 1e-15
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_jacobian_is_the_central_difference(self, rng, k):
+        h = 1e-6
+        for _ in range(20):
+            sigmas, chis_half = chain_inputs(rng, k, 0.05)
+            _, grads = gr._exp_chain(sigmas, chis_half)
+            for i in range(k):
+                e = h * np.eye(k)[i]
+                fd = (gr._exp_chain(sigmas + e, chis_half)[0]
+                      - gr._exp_chain(sigmas - e, chis_half)[0]) / (2.0 * h)
+                assert np.linalg.norm(fd - grads[i]) <= 1e-7 * np.linalg.norm(grads[i])
+
+    def test_zero_lengths_give_the_axes(self, rng):
+        # G = 1 and dG/dsigma_i = (0, chi_i / 2)
+        _, chis_half = chain_inputs(rng, 4, 0.0)
+        G, grads = gr._exp_chain(np.zeros(4), chis_half)
+        assert np.array_equal(G, sphere.QUAT_ONE)
+        assert np.array_equal(grads, np.c_[np.zeros(4), chis_half])
+
+
 class TestGraftUntilResolved:
     def test_condensed_returns_immediately(self):
         c = sc.make_circle(0.6, 1, sc.CurvatureBounds(0.0, math.inf), n=256)

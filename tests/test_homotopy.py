@@ -46,6 +46,15 @@ class TestBending:
             assert rep.passed
             assert set(rep.parities) == {(-1) ** k}
 
+    @pytest.mark.parametrize("s", [-1e-12, 1.0 + 1e-12, 2.0, math.nan, math.inf])
+    def test_s_outside_the_unit_interval_rejected(self, s):
+        # the family ends at s = 1; at s = 2 the arc closed form would
+        # read the s = 0 equator
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ho.bend_frame(1, s, n=64)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ho._bend_frames(2, [0.0, 0.5, s], None, 64, sc.DEFAULT_TOL)
+
     def test_bound_too_tight_rejected(self):
         with pytest.raises(CurvatureBoundTooTight):
             ho.bend_frame(1, 0.5, kappa1=0.99, n=64)
@@ -1025,8 +1034,8 @@ class TestShrinkFactor:
             assert np.hypot(*frames.xy[1:].T).max() <= delta * reach
             assert min(c.kappa.min() for c in path.curves[-33:]) >= target
 
-    def test_two_record_batches(self, monkeypatch):
-        # one per stage: no factor candidate is built as a record (the
+    def test_one_record_batch(self, monkeypatch):
+        # both stages in one: no factor candidate is built as a record (the
         # inputs are reduced first, as a translation builds one too)
         from conftest import count_calls
         from spherecurve.curves import curves_from_node_data
@@ -1035,7 +1044,7 @@ class TestShrinkFactor:
             reduced, _ = classify.reduce_to_k0(curve)
             before = len(calls)
             ho.shrink_condensed(reduced, steps=65)
-            assert len(calls) - before == 2
+            assert len(calls) - before == 1
 
     def test_domain_does_not_move_the_path(self):
         # the chart image is taken over [0, 1]: a circle reparametrized to

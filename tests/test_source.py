@@ -310,3 +310,98 @@ class TestOneArcKernel:
                 "X = sphere.quat_exp([0.0, 0.0, 1.0])\n")
         assert list(quat_exp_users(ast.parse(code))) \
             == ["_exp_chain", "bare", "K.method", "K.alias", "<module>"]
+
+
+BATCHED = {"quat_mul", "quat_exp", "quat_conj", "_arc_nodes", "_based", "quat_to_rotation",
+           "rotation_to_quat"}
+# the log-depth level loops of the two quaternion scans
+LEVEL_LOOPS = {"curves._chain_quats", "curves._chain_products"}
+
+
+def looped_calls(tree, module):
+    """The functions of a module that call one of `BATCHED` (bare or as an
+    attribute) inside the body of a `for` or `while` loop, or inside a
+    comprehension past its first iterable, which runs once; as
+    "module.function" or "module.Class.method", the outermost enclosing
+    def, "module.<module>" for top-level code, each once."""
+    found = []
+
+    def visit(node, owner, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = node.name
+        if isinstance(node, ast.ClassDef) and owner is None:
+            for item in node.body:
+                visit(item, f"{node.name}.{item.name}"
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) else None,
+                      looped)
+            return
+        if looped and isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            where = f"{module}.{owner or '<module>'}"
+            if name in BATCHED and where not in found:
+                found.append(where)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            visit(node.iter if isinstance(node, (ast.For, ast.AsyncFor)) else node.test,
+                  owner, looped or isinstance(node, ast.While))
+            for child in node.body + node.orelse:
+                visit(child, owner, True)
+            return
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            visit(node.generators[0].iter, owner, looped)
+            for child in ast.iter_child_nodes(node):
+                if child is not node.generators[0]:
+                    visit(child, owner, True)
+            first = node.generators[0]
+            for child in [first.target] + first.ifs:
+                visit(child, owner, True)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, looped)
+
+    visit(tree, None, False)
+    return found
+
+
+class TestBatchedQuaternionLayer:
+    """The quaternion and arc kernels run once over a batch: no src/
+    function calls them per item in a Python loop, save the scans' log-depth
+    level loops."""
+
+    def test_no_kernel_call_in_a_loop(self):
+        found = [where for path in sorted(SRC.glob("*.py"))
+                 for where in looped_calls(ast.parse(path.read_text()), path.stem)]
+        assert sorted(set(found) - LEVEL_LOOPS) == [], "batch these calls"
+
+    def test_level_loops_are_found(self):
+        # the exemptions name loops that are there
+        found = {where for path in sorted(SRC.glob("*.py"))
+                 for where in looped_calls(ast.parse(path.read_text()), path.stem)}
+        assert LEVEL_LOOPS <= found
+
+    def test_detector_finds_looped_calls(self):
+        code = ("def batched(q):\n    return sphere.quat_mul(q, quat_conj(q))\n"
+                "def per_item(qs):\n    out = []\n"
+                "    for q in sphere.quat_exp(qs):\n        out.append(quat_mul(q, q))\n"
+                "    return out\n"
+                "def comprehension(qs):\n    return [sphere.quat_exp(q) for q in qs]\n"
+                "def first_iterable(qs):\n    return [q for q in _based(qs)]\n"
+                "def condition(qs):\n    return [q for q in qs if quat_to_rotation(q)[0, 0]]\n"
+                "def inner_generator(qs):\n"
+                "    return [p for q in qs for p in rotation_to_quat(q)]\n"
+                "def while_test(q):\n    while quat_mul(q, q)[0] > 0:\n        q = -q\n"
+                "def documented(qs):\n    '''quat_mul in a for loop'''\n"
+                "    for q in qs:\n        print(q)  # quat_mul(q, q)\n"
+                "def other(qs):\n    for q in qs:\n        sphere.quat_pow(q)\n"
+                "class K:\n"
+                "    def method(self, qs):\n"
+                "        def inner(q):\n            return _arc_nodes(q, 1.0, 0.0, q)\n"
+                "        return list(map(inner, qs))\n"
+                "    def looped(self, qs):\n"
+                "        while qs:\n"
+                "            def inner():\n                return _arc_nodes(qs, 1.0, 0.0, qs)\n"
+                "            qs = inner()\n"
+                "for q in QS:\n    X = quat_mul(q, q)\n")
+        assert looped_calls(ast.parse(code), "m") \
+            == ["m.per_item", "m.comprehension", "m.condition", "m.inner_generator",
+                "m.while_test", "m.K.looped", "m.<module>"]

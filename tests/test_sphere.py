@@ -940,11 +940,15 @@ class TestBatchedQuaternions:
             [sphere.quat_mul(a[0], q) for q in b]))
         assert np.array_equal(sphere.quat_conj(a)[:, 1:], -a[:, 1:])
 
-    def test_exp_of_tiny_vectors_is_identity(self):
-        out = sphere.quat_exp(np.array([[0.0, 0.0, 0.0], [1e-15, 0.0, 0.0],
-                                        [0.3, 0.0, 0.0]]))
-        assert np.array_equal(out[:2], np.tile(sphere.QUAT_ONE, (2, 1)))
-        assert out[2] == pytest.approx([math.cos(0.3), math.sin(0.3), 0, 0])
+    def test_exp_of_tiny_vectors_is_first_order(self):
+        # cos a = 1 and sin(a)/a = 1 in double precision, so exp v = (1, v)
+        # exactly, also where the squares underflow and a reads 0
+        tiny = np.array([[0.0, 0.0, 0.0], [1e-15, 0.0, 0.0], [9e-15, -3e-15, 2e-15],
+                         [1e-200, 0.0, -1e-300], [5e-324, 0.0, 0.0]])
+        out = sphere.quat_exp(np.concatenate([tiny, [[0.3, 0.0, 0.0]]]))
+        assert np.array_equal(out[:-1], np.c_[np.ones(len(tiny)), tiny])
+        assert np.array_equal(out[0], sphere.QUAT_ONE)
+        assert out[-1] == pytest.approx([math.cos(0.3), math.sin(0.3), 0, 0])
 
 
 class TestContainingSimplex:
