@@ -100,13 +100,11 @@ class BandGrid:
                    header="t,theta,x,y,z", comments="")
 
 
-def _band(curve: AdmissibleCurve, thetas: np.ndarray, t_stride: int) -> BandGrid:
-    sl = slice(None, None, t_stride) if t_stride > 1 else slice(None)
-    g, nrm = curve.gamma[sl], curve.normal[sl]
+def _band(curve: AdmissibleCurve, thetas: np.ndarray) -> BandGrid:
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    samples = (cos_t[None, :, None] * g[:, None, :]
-               + sin_t[None, :, None] * nrm[:, None, :])
-    return BandGrid(t=curve.grid[sl], theta=thetas, samples=samples)
+    samples = (cos_t[None, :, None] * curve.gamma[:, None, :]
+               + sin_t[None, :, None] * curve.normal[:, None, :])
+    return BandGrid(t=curve.grid, theta=thetas, samples=samples)
 
 
 def _theta_grid(lo: float, hi: float, m: int, extra=()) -> np.ndarray:
@@ -118,17 +116,15 @@ def _theta_grid(lo: float, hi: float, m: int, extra=()) -> np.ndarray:
 
 
 def regular_band(curve: AdmissibleCurve, m: int | None = None,
-                 t_stride: int = 1,
                  tol: ToleranceProfile = DEFAULT_TOL) -> BandGrid:
     """Band over theta in [rho1 - pi, rho2]: every fiber stays immersed."""
     m = count_or_default(m, tol.band_theta_nodes, "m")
     b = curve.bounds
     thetas = _theta_grid(b.rho1 - math.pi, b.rho2, m)
-    return _band(curve, thetas, t_stride)
+    return _band(curve, thetas)
 
 
 def caustic_band(curve: AdmissibleCurve, m: int | None = None,
-                 t_stride: int = 1,
                  tol: ToleranceProfile = DEFAULT_TOL) -> BandGrid:
     """Band over theta in [0, rho0] for a curve in (kappa0, +inf) form.
 
@@ -139,4 +135,4 @@ def caustic_band(curve: AdmissibleCurve, m: int | None = None,
     rho0 = curve.bounds.rho1
     qs = np.quantile(curve.rho, np.linspace(0.02, 0.98, max(m // 4, 9)))
     thetas = _theta_grid(0.0, rho0, m, extra=qs)
-    return _band(curve, thetas, t_stride)
+    return _band(curve, thetas)

@@ -381,6 +381,13 @@ def cmd_export_band(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """The argparse type of a flag whose value must be a finite number."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: every `parse_args` call
@@ -396,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rho", type=float, default=math.pi / 4)
     g.add_argument("--k", type=int, default=1)
     g.add_argument("--s", type=float, default=0.5)
-    g.add_argument("--rho0", type=float, default=0.15)
+    g.add_argument("--rho0", type=_finite, default=0.15)
     g.add_argument("--kappa1", default=None)
     g.add_argument("--kappa2", default=None)
     g.add_argument("--bend-kappa1", type=float, default=None)
@@ -420,10 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lo = sub.add_parser("loops", help="add or spread loops")
     lo.add_argument("input")
-    lo.add_argument("--t0", type=float, default=0.5)
+    lo.add_argument("--t0", type=_finite, default=0.5)
     lo.add_argument("--n-loops", type=int, default=1)
     lo.add_argument("--rho", type=float, default=0.2)
-    lo.add_argument("--epsilon", type=float, default=0.05)
+    lo.add_argument("--epsilon", type=_finite, default=0.05)
     lo.add_argument("--spread", action="store_true")
     lo.add_argument("-o", "--output", default="-")
     lo.set_defaults(func=cmd_loops)
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("input")
     gr.add_argument("--mode", choices=["antipodal", "simplex", "auto"],
                     default="auto")
-    gr.add_argument("--step", type=float, default=None)
+    gr.add_argument("--step", type=_finite, default=None)
     gr.add_argument("--budget", type=float, default=10.0)
     gr.add_argument("-o", "--output", default="-")
     gr.set_defaults(func=cmd_graft)

@@ -447,15 +447,15 @@ class AdmissibleCurve:
                                    controls=ControlPair.of(bounds, v, kap))
 
 
-def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
+def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, controls, domain=1.0,
                           closed=None, tol: ToleranceProfile = DEFAULT_TOL,
-                          controls=None, integrated: bool = False) -> tuple:
+                          integrated: bool = False) -> tuple:
     """Assemble F curves on one grid from exact node samples: (F, n+1, 4)
     lifts and (F, n+1) node speeds and curvatures, one record per row.
 
-    Each record takes its `controls` as given (a sequence of F pairs; None:
-    those of the averaged node values); they are only used for in-between
-    evaluation and re-integration, the node samples stay authoritative.
+    Each record takes its row of its producer's `controls`, (F, n) arrays
+    or one (n,) pair kept as it is; they are used for in-between evaluation
+    and re-integration, the node samples stay authoritative.
     The speeds and curvatures of all rows are checked at once.  The first
     and last frames of all rows are converted in one stacked call, which
     every record keeps as its `end_frames`; with `closed=None` they decide
@@ -468,10 +468,8 @@ def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
         raise NonPositiveSpeed("node speeds must be positive")
     if not bounds.contains(kappa_nodes):
         raise CurvatureOutOfBounds("node curvature escapes the open bounds")
-    if controls is None:
-        controls = ControlPair.of(bounds, 0.5 * (v_nodes[:, :-1] + v_nodes[:, 1:]),
-                                  0.5 * (kappa_nodes[:, :-1] + kappa_nodes[:, 1:]))
-        controls = [ControlPair(*row) for row in zip(controls.v_hat, controls.w_hat)]
+    rows = [controls] if controls.v_hat.ndim == 1 else \
+        [ControlPair(*row) for row in zip(controls.v_hat, controls.w_hat)]
     ends = sphere.quat_to_rotation(lifts[:, [0, -1]])
     ends.flags.writeable = False
     if closed is None:
@@ -481,22 +479,21 @@ def curves_from_node_data(bounds, lifts, v_nodes, kappa_nodes, domain=1.0,
     curves = tuple(AdmissibleCurve(bounds=bounds, controls=c, domain=float(domain),
                                    lift=lift, speed=v, kappa=kap, closed=ok,
                                    integrated=integrated)
-                   for c, lift, v, kap, ok in zip(controls, lifts, v_nodes,
+                   for c, lift, v, kap, ok in zip(rows, lifts, v_nodes,
                                                   kappa_nodes, shut))
     for curve, pair in zip(curves, ends):
         curve.__dict__["end_frames"] = pair
     return curves
 
 
-def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, domain=1.0,
-                         closed=None, tol: ToleranceProfile = DEFAULT_TOL,
-                         controls: ControlPair | None = None) -> AdmissibleCurve:
-    """Assemble a curve from exact node samples of the lift and controls:
-    the one-row case of `curves_from_node_data`."""
+def curve_from_node_data(bounds, lift, v_nodes, kappa_nodes, controls: ControlPair,
+                         domain=1.0, closed=None,
+                         tol: ToleranceProfile = DEFAULT_TOL) -> AdmissibleCurve:
+    """Assemble a curve from exact node samples of the lift and its producer's
+    interval controls: the one-row case of `curves_from_node_data`."""
     return curves_from_node_data(
-        bounds, np.asarray(lift, dtype=float)[None], np.asarray(v_nodes, dtype=float)[None],
-        np.asarray(kappa_nodes, dtype=float)[None], domain=domain, closed=closed, tol=tol,
-        controls=None if controls is None else (controls,))[0]
+        bounds, *(np.asarray(a, dtype=float)[None] for a in (lift, v_nodes, kappa_nodes)),
+        controls, domain=domain, closed=closed, tol=tol)[0]
 
 
 def integrate_curves(controls: ControlPair, bounds: CurvatureBounds, q0=None,
@@ -549,10 +546,8 @@ def integrate_curves(controls: ControlPair, bounds: CurvatureBounds, q0=None,
     v_nodes[:, :-1] = v[run].reshape(frames, n)
     kap_nodes[:, :-1] = kap[run].reshape(frames, n)
     v_nodes[:, -1], kap_nodes[:, -1] = v_nodes[:, -2], kap_nodes[:, -2]
-    pairs = [controls] if controls.v_hat.ndim == 1 else \
-        [ControlPair(*row) for row in zip(controls.v_hat, controls.w_hat)]
-    curves = curves_from_node_data(bounds, lift, v_nodes, kap_nodes, tol=tol,
-                                   controls=pairs, integrated=True)
+    curves = curves_from_node_data(bounds, lift, v_nodes, kap_nodes, controls, tol=tol,
+                                   integrated=True)
     if require_closed:
         for curve in curves:
             if not curve.closed:
@@ -865,7 +860,9 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
     A periodic cubic spline through the points (the first point closes the
     loop) is resampled uniformly by arc length; curvature comes from
     discrete frame differences and is clamped strictly inside the bounds
-    (within a small slack) or the import is rejected.  Points that are not
+    (within a small slack) or the import is rejected.  These one-step frame
+    logarithms are the record's controls, so the arc of interval i ends on
+    node i + 1 up to the dropped j part and the clamp.  Points that are not
     an (M, 3) array of finite nonzero rows, 3 or more besides a closing
     repeat of the first and none repeating the one before, are a ValueError.
     """
@@ -930,13 +927,9 @@ def curve_from_points(points, bounds: CurvatureBounds, n: int | None = None,
         raise NonPositiveSpeed("imported points double back on themselves")
 
     lo, hi = bounds.kappa1, bounds.kappa2
-    margin = 1e-9
     if np.any(k_int <= lo - _IMPORT_KAPPA_SLACK) or np.any(k_int >= hi + _IMPORT_KAPPA_SLACK):
         raise CurvatureOutOfBounds("imported curvature escapes the bounds")
-    k_int = np.clip(k_int,
-                    lo + margin if math.isfinite(lo) else -np.inf,
-                    hi - margin if math.isfinite(hi) else np.inf)
-    k_nodes = np.append(k_int, k_int[0])
-    v_nodes = np.append(v_int, v_int[0])
-    return curve_from_node_data(bounds, lift, v_nodes, k_nodes, domain=1.0,
+    k_int = np.clip(k_int, lo + 1e-9, hi - 1e-9)      # an infinite bound stays infinite
+    return curve_from_node_data(bounds, lift, np.append(v_int, v_int[0]),
+                                np.append(k_int, k_int[0]), ControlPair.of(bounds, v_int, k_int),
                                 closed=True, tol=tol)

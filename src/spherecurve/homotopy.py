@@ -69,14 +69,17 @@ def _transported(bounds, lifts, speed, kappa, domain, closed, tol) -> tuple:
     by `curves_from_node_data`.  A closed curve's last node takes its first
     node's speed and curvature, and its lift up to their sign, so lift[-1]
     = +-lift[0] bit for bit; the records then hold copies, and the given
-    arrays are left as they are."""
+    arrays are left as they are.  Controls are node averages after the closure
+    fix: they repeat bit for bit along constant arcs, and the writer pays by run."""
     if closed:
         lifts, speed, kappa = lifts.copy(), speed.copy(), kappa.copy()
         sign = np.where(np.einsum("fi,fi->f", lifts[:, -1], lifts[:, 0]) > 0, 1.0, -1.0)
         lifts[:, -1] = sign[:, None] * lifts[:, 0]
         speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
-    return curves_from_node_data(bounds, lifts, speed, kappa, domain=domain, closed=closed,
-                                 tol=tol)
+    averages = ControlPair.of(bounds, 0.5 * (speed[:, :-1] + speed[:, 1:]),
+                              0.5 * (kappa[:, :-1] + kappa[:, 1:]))
+    return curves_from_node_data(bounds, lifts, speed, kappa, averages, domain=domain,
+                                 closed=closed, tol=tol)
 
 
 def _based(lifts) -> np.ndarray:

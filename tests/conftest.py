@@ -80,7 +80,8 @@ def frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol=sc.DEFAULT_TO
     from pointwise samples and derivatives stacked (F, m, 3), by speeds,
     curvatures, (F, m, 3, 3) frames, Shepperd's method and sign tracking
     (`lift_from_frames`).  A closed curve's last node takes its first
-    node's point, tangent, speed and curvature, so lift[-1] = +-lift[0]."""
+    node's point, tangent, speed and curvature, so lift[-1] = +-lift[0];
+    the interval controls are node averages, as `_transported` forms them."""
     from spherecurve.curves import curves_from_node_data, lift_from_frames
 
     def rowdot(a, b):
@@ -96,5 +97,7 @@ def frames_from_point_data(p, dp, d2p, bounds, domain, closed, tol=sc.DEFAULT_TO
     tangent -= unit * rowdot(tangent, unit)[..., None]
     tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
     frames = np.stack([unit, tangent, np.cross(unit, tangent)], axis=-1)
+    controls = sc.ControlPair.of(bounds, 0.5 * (speed[:, :-1] + speed[:, 1:]),
+                                 0.5 * (kappa[:, :-1] + kappa[:, 1:]))
     return curves_from_node_data(bounds, np.array([lift_from_frames(f) for f in frames]),
-                                 speed, kappa, domain=domain, closed=closed, tol=tol)
+                                 speed, kappa, controls, domain=domain, closed=closed, tol=tol)

@@ -161,7 +161,7 @@ class TestRegularBand:
         assert det.min() > 0.0
 
     def test_csv_export(self, geodesicish, tmp_path):
-        grid = bands.regular_band(geodesicish, m=5, t_stride=64)
+        grid = bands.regular_band(geodesicish, m=5)
         path = tmp_path / "band.csv"
         grid.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -169,7 +169,7 @@ class TestRegularBand:
         assert len(lines) == 1 + grid.samples.shape[0] * grid.samples.shape[1]
 
     def test_csv_bytes_match_row_loop(self, caustic_circle, tmp_path):
-        grid = bands.caustic_band(caustic_circle, m=17, t_stride=4)
+        grid = bands.caustic_band(caustic_circle, m=17)
         path = tmp_path / "band.csv"
         grid.to_csv(path)
         assert path.read_bytes() == loop_band_csv(grid).encode()

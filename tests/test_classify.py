@@ -726,19 +726,23 @@ class TestBatchedWitness:
         k, _ = classify._fiber_root_angles(curve, np.array([[0.0, 0.0, 1.0]]))
         assert k.size == roots
 
-    def test_touch_on_a_node_counts_no_root(self, neither_small):
-        # the on-fiber candidate at node 37 above (angle index 4): f is
-        # exactly 0 there between two positive values, a touch of the fiber
-        curve = neither_small
-        th = curve.bounds.rho1 - math.pi + 4.5 * math.pi / 6
-        b = math.cos(th) * curve.gamma[37] + math.sin(th) * curve.normal[37]
-        tg = curve.tangent
-        f = (tg[:, 0] * b[0] + tg[:, 1] * b[1]) + tg[:, 2] * b[2]
+    def test_touch_on_a_node_counts_no_root(self):
+        # f = <e3, T> = -(i - 37)^2 cos(2 pi i / n) on the nodes i: exactly 0
+        # at node 37 between two positive values, a touch of the fiber, and
+        # two sign changes elsewhere
+        n = 64
+        i = np.arange(n + 1)
+        t = 2.0 * math.pi * i / n
+        gamma = np.stack([np.cos(t), np.sin(t), np.zeros(n + 1)], axis=1)
+        tangent = np.stack([-np.sin(t), np.cos(t), -(i - 37.0) ** 2 * np.cos(t)], axis=1)
+        curve = types.SimpleNamespace(gamma=gamma, tangent=tangent,
+                                      normal=np.tile([0.0, 0.0, 1.0], (n + 1, 1)))
+        f = tangent[:, 2].copy()
         f[-1] = f[0]
         assert f[37] == 0.0 < min(f[36], f[38])
         assert np.flatnonzero(f == 0.0).tolist() == [37]
-        k, _ = classify._fiber_root_angles(curve, b[None])
-        assert k.size == np.count_nonzero(f[:-1] * f[1:] < 0.0)
+        k, _ = classify._fiber_root_angles(curve, np.array([[0.0, 0.0, 1.0]]))
+        assert k.size == np.count_nonzero(f[:-1] * f[1:] < 0.0) == 2
 
 
 class TestCondensedAxis:
@@ -915,11 +919,10 @@ def band_cloud(curve, tol=sc.DEFAULT_TOL):
     caustic at every node."""
     from spherecurve import bands
     stride = classify._classify_stride(curve)
-    band = bands.caustic_band(curve, m=tol.band_theta_nodes // 2 + 1,
-                              t_stride=stride, tol=tol)
+    band = bands.caustic_band(curve, m=tol.band_theta_nodes // 2 + 1, tol=tol)
     rho0 = curve.bounds.rho1
     outer = math.cos(rho0) * curve.gamma + math.sin(rho0) * curve.normal
-    return np.vstack([band.points, curve.gamma, outer,
+    return np.vstack([band.samples[::stride].reshape(-1, 3), curve.gamma, outer,
                       caustic_points(curve)])
 
 

@@ -394,6 +394,40 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError") and err.count("\n") == 1
 
+    @pytest.fixture(scope="class")
+    def flag_inputs(self, tmp_path_factory):
+        from spherecurve import factory
+        d = tmp_path_factory.mktemp("flags")
+        curves = {"CIRCLE": sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=64),
+                  "DIFFUSE": factory.diffuse_example(),
+                  "NEITHER": factory.neither_example(rho0=0.5, n_loops=8, dip=0.2,
+                                                     base_n=256)}
+        for name, curve in curves.items():
+            (d / name).write_text(cli.dumps(sc.curve_to_json(curve)))
+        return {name: str(d / name) for name in curves}
+
+    @pytest.mark.parametrize("argv", [
+        ["loops", "CIRCLE", "--t0", "inf"],
+        ["loops", "CIRCLE", "--t0", "nan"],
+        ["loops", "CIRCLE", "--epsilon", "inf"],
+        ["loops", "CIRCLE", "--epsilon", "nan"],
+        ["graft", "DIFFUSE", "--mode", "antipodal", "--step", "inf"],
+        ["graft", "NEITHER", "--mode", "simplex", "--step", "nan"],
+        ["gen", "neither-example", "--rho0", "inf"],
+        ["gen", "neither-example", "--rho0=-inf"],
+    ])
+    def test_non_finite_flag_exit_2(self, argv, flag_inputs, tmp_path, capsys):
+        # the argument parser refuses the value and names the flag, before
+        # add_loops, the splice or the Newton retries could see it
+        flag = next(a for a in argv if a.startswith("--") and a != "--mode").split("=")[0]
+        argv = [flag_inputs.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "-o", str(tmp_path / "out.json"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "not a finite number" in err
+        assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("command", ["classify", "validate"])
     @pytest.mark.parametrize("samples", [False, True])
     @pytest.mark.parametrize("rows", [("v_hat",), ("w_hat",), ("v_hat", "w_hat")])

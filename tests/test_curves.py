@@ -919,20 +919,7 @@ class TestBatchedLift:
         # frame logarithms; the batched logs equal the per-interval ones
         c = sc.make_circle(0.8, 2, bounds_k0, n=256)
         fitted = cur.curve_from_points(c.gamma, bounds_k0, n=128)
-        lift = fitted.lift
-        dt = 1.0 / 128
-        v_loop = np.empty(128)
-        k_loop = np.empty(128)
-        for i in range(128):
-            rel = sphere.quat_mul(sphere.quat_conj(lift[i]), lift[i + 1])
-            if rel[0] < 0:
-                rel = -rel
-            vec = rel[1:]
-            norm = np.linalg.norm(vec)
-            ang = 2.0 * math.atan2(norm, rel[0])
-            omega = (ang / norm) * vec if norm > 1e-15 else np.zeros(3)
-            v_loop[i] = omega[2] / dt
-            k_loop[i] = omega[0] / omega[2] if abs(omega[2]) > 1e-15 else 0.0
+        v_loop, k_loop = loop_frame_logs(fitted.lift)
         assert np.abs(fitted.speed[:-1] - v_loop).max() <= 1e-12 * v_loop.max()
         assert np.abs(fitted.kappa[:-1] - k_loop).max() <= 1e-9
         assert np.abs(fitted.kappa - sc.cot(0.8)).max() < 1e-2
@@ -951,6 +938,61 @@ class TestBatchedLift:
         assert np.abs(lifts[0][0, 1:] - axis).max() < 1e-13
         for lift in lifts[1:]:
             assert np.abs(lift - lifts[0]).max() <= 1e-13
+
+
+def loop_frame_logs(lift):
+    """Per-interval (speed, curvature) of a lift's one-step frame
+    logarithms on [0, 1], interval by interval."""
+    n = len(lift) - 1
+    v_loop = np.empty(n)
+    k_loop = np.empty(n)
+    for i in range(n):
+        rel = sphere.quat_mul(sphere.quat_conj(lift[i]), lift[i + 1])
+        if rel[0] < 0:
+            rel = -rel
+        vec = rel[1:]
+        norm = np.linalg.norm(vec)
+        ang = 2.0 * math.atan2(norm, rel[0])
+        omega = (ang / norm) * vec if norm > 1e-15 else np.zeros(3)
+        v_loop[i] = omega[2] * n
+        k_loop[i] = omega[0] / omega[2] if abs(omega[2]) > 1e-15 else 0.0
+    return v_loop, k_loop
+
+
+def one_step_defect(curve):
+    """max |z_i exp(dt Lambda_i) - z_{i+1}|: how far the arc of each
+    interval's controls ends from the next node."""
+    v, kap = curve.interval_vk()
+    arc = cur._arc_nodes(curve.lift[:-1].T, 0.5 * v * kap, 0.5 * v, curve.dt).T
+    return float(np.linalg.norm(arc - curve.lift[1:], axis=1).max())
+
+
+class TestRawPointControls:
+    """A raw-point record's controls are the one-step frame logarithms of
+    its own lift, so each interval's arc ends on the next node."""
+
+    @pytest.fixture(scope="class")
+    def ellipse(self):
+        t = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+        points = np.stack([0.5 * np.cos(t), 0.3 * np.sin(t), np.ones_like(t)], axis=1)
+        return cur.curve_from_points(points, sc.UNBOUNDED)
+
+    def test_ellipse_arcs_end_on_their_nodes(self, ellipse):
+        assert one_step_defect(ellipse) <= 1e-7
+
+    def test_rose_arcs_end_on_their_nodes(self):
+        assert one_step_defect(factory.rose_curve()) <= 5e-4
+
+    @pytest.mark.parametrize("bounds", [sc.UNBOUNDED, sc.CurvatureBounds(-1.0, math.inf)])
+    def test_controls_are_the_one_step_logs(self, ellipse, bounds):
+        fitted = cur.curve_from_points(ellipse.gamma[:-1], bounds, n=256)
+        v_loop, k_loop = loop_frame_logs(fitted.lift)
+        want = sc.ControlPair.of(bounds, fitted.speed[:-1], fitted.kappa[:-1])
+        assert np.array_equal(fitted.controls.v_hat, want.v_hat)
+        assert np.array_equal(fitted.controls.w_hat, want.w_hat)
+        v, kap = fitted.interval_vk()
+        assert np.abs(v - v_loop).max() <= 1e-12 * v_loop.max()
+        assert np.abs(kap - k_loop).max() <= 1e-9
 
 
 def frame_curve(kind, base, seed):
