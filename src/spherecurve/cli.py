@@ -6,6 +6,9 @@ are JSONL (one curve per line, trailing report object) and are written
 line by line as each line is built.  Float arrays are written by runs of
 equal values: each distinct run head is formatted once and repeated over
 its run, with the same bytes as formatting float by float.
+
+Each `cmd_*` takes the parsed arguments and the tolerance profile and
+returns its output lines and exit code; `main` does the rest.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -171,29 +173,15 @@ def dumps(obj) -> str:
 def _write(path, lines):
     """Write JSON lines, each ended by one newline, to the file `path` or,
     for "-", to stdout, taking each line from `lines` as it is written."""
-    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
-          else open(path, "w")) as fh:
+    with (contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
 
 
 def _tol_from_args(args) -> ToleranceProfile:
-    tol = (ToleranceProfile.from_json(args.tol_profile)
-           if args.tol_profile else DEFAULT_TOL)
-    seed_env = os.environ.get("SPHERECURVE_SEED")
-    if seed_env is not None:
-        tol = tol.replace(seed=int(seed_env))
-    if getattr(args, "seed", None) is not None:
-        tol = tol.replace(seed=args.seed)
-    return tol
-
-
-def _bounds_from_args(args) -> CurvatureBounds:
-    def parse(x, default):
-        return default if x is None else float(x)
-
-    return CurvatureBounds(parse(args.kappa1, 0.0), parse(args.kappa2, math.inf))
+    tol = ToleranceProfile.from_json(args.tol_profile) if args.tol_profile else DEFAULT_TOL
+    return tol if args.seed is None else tol.replace(seed=args.seed)
 
 
 def _path_to_jsonl(curves, report=None):
@@ -230,11 +218,10 @@ def _report_of(rep) -> dict:
     }
 
 
-def cmd_gen(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_gen(args, tol) -> tuple:
     if args.kind == "circle":
-        bounds = _bounds_from_args(args)
-        curve = make_circle(args.rho, args.k, bounds, n=args.n, tol=tol)
+        curve = make_circle(args.rho, args.k, CurvatureBounds(args.kappa1, args.kappa2),
+                            n=args.n, tol=tol)
     elif args.kind == "bending-frame":
         curve = homotopy.bend_frame(args.k, args.s, args.bend_kappa1,
                                     n=args.n, tol=tol)
@@ -242,12 +229,10 @@ def cmd_gen(args) -> int:
         curve = factory.neither_example(rho0=args.rho0, tol=tol)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.kind)
-    _write(args.output, _path_to_jsonl([curve]))
-    return 0
+    return _path_to_jsonl([curve]), 0
 
 
-def cmd_classify(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_classify(args, tol) -> tuple:
     curve = load_curve(args.input, tol)
     label = classify_component(curve, tol)
     status = label.status
@@ -257,23 +242,17 @@ def cmd_classify(args) -> int:
         else list(status.hemisphere),
         "antipodal_defect": status.antipodal_defect,
     }
-    _write(args.output, [dumps(report)])
-    if args.strict and label.borderline:
-        return 3
-    return 0
+    return [dumps(report)], 3 if args.strict and label.borderline else 0
 
 
-def cmd_bend(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_bend(args, tol) -> tuple:
     path = homotopy.bend_k_equator(args.k, steps=args.steps,
                                    kappa1=args.bend_kappa1, n=args.n, tol=tol)
     rep = validate_path(path, tol=tol)
-    _write(args.output, _path_to_jsonl(path.curves, _report_of(rep)))
-    return 0 if rep.passed else 1
+    return _path_to_jsonl(path.curves, _report_of(rep)), 0 if rep.passed else 1
 
 
-def cmd_loops(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_loops(args, tol) -> tuple:
     curve = load_curve(args.input, tol)
     if args.spread:
         out = homotopy.spread_loops(curve, args.n_loops, args.rho, tol=tol)
@@ -287,21 +266,17 @@ def cmd_loops(args) -> int:
         "tot_before": total_curvature(curve),
         "tot_after": total_curvature(out),
     }
-    _write(args.output, _path_to_jsonl([out], report))
-    return 0
+    return _path_to_jsonl([out], report), 0
 
 
-def cmd_shrink(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_shrink(args, tol) -> tuple:
     curve = load_curve(args.input, tol)
     path = homotopy.shrink_condensed(curve, steps=args.steps, tol=tol)
     rep = validate_path(path, tol=tol)
-    _write(args.output, _path_to_jsonl(path.curves, _report_of(rep)))
-    return 0 if rep.passed else 1
+    return _path_to_jsonl(path.curves, _report_of(rep)), 0 if rep.passed else 1
 
 
-def cmd_graft(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_graft(args, tol) -> tuple:
     step = tol.graft_step if args.step is None else args.step
     curve = load_curve(args.input, tol)
     if args.mode == "antipodal":
@@ -319,14 +294,12 @@ def cmd_graft(args) -> int:
             curve, step=step, budget=args.budget, tol=tol)
         report = {"status": status.tag, "tot": total_curvature(out),
                   "steps": len(history) - 1}
-    _write(args.output, _path_to_jsonl(history, report))
-    return 0
+    return _path_to_jsonl(history, report), 0
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args, tol) -> tuple:
     if args.profile_nodes < 1:
         raise ValueError(f"--profile-nodes must be positive, not {args.profile_nodes}")
-    tol = _tol_from_args(args)
     curve = load_curve(args.input, tol)
     band = goodbands.band_from_condensed(curve, tol)
     stride = max(1, band.k_nodes // args.profile_nodes)
@@ -345,12 +318,10 @@ def cmd_bands(args) -> int:
                                               band.theta_minus]),
                    fmt="%.17g", delimiter=",",
                    header="lam,theta_plus,theta_minus", comments="")
-    _write(args.output, [dumps(report)])
-    return 0
+    return [dumps(report)], 0
 
 
-def cmd_validate(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_validate(args, tol) -> tuple:
     with open(args.input) as fh:
         docs = [json.loads(line) for line in fh if line.strip()]
     # only the last line may be the stream's report, an object with no curve
@@ -359,26 +330,20 @@ def cmd_validate(args) -> int:
         docs.pop()
     curves = [curve_from_json(doc, tol) for doc in docs]
     if not curves:
-        print("error: no curves found", file=sys.stderr)
-        return 2
+        raise ValueError("no curves found")
     pairs = list(dict.fromkeys((c.bounds.kappa1, c.bounds.kappa2) for c in curves))
     if len(pairs) > 1:          # a path keeps one bound contract, judging every frame
         raise ValueError("the stream's curves declare different curvature bounds: "
                          f"{pairs[0]} and {pairs[1]}")
-    path = homotopy.HomotopyPath(bounds=curves[0].bounds,
-                                 s_values=np.linspace(0, 1, len(curves)),
-                                 curves=tuple(curves), provenance="custom")
-    rep = validate_path(path, tol=tol)
-    _write(args.output, [dumps(_report_of(rep))])
-    return 0 if rep.passed else 1
+    rep = validate_path(homotopy.HomotopyPath(curves[0].bounds, tuple(curves)), tol=tol)
+    return [dumps(_report_of(rep))], 0 if rep.passed else 1
 
 
-def cmd_export_band(args) -> int:
-    tol = _tol_from_args(args)
+def cmd_export_band(args, tol) -> tuple:
     curve = load_curve(args.input, tol)
     grid = (caustic_band if args.caustic else regular_band)(curve, tol=tol)
     grid.to_csv(args.csv)
-    return 0
+    return [], 0
 
 
 def _finite(text: str) -> float:
@@ -388,99 +353,107 @@ def _finite(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise ValueError, so that `main`
+    reports them like any other bad input; its subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: every `parse_args` call
     returns a fresh namespace, and no default is mutable."""
-    p = argparse.ArgumentParser(prog="spherecurve")
+    p = _Parser(prog="spherecurve")
     p.add_argument("--tol-profile", default=None,
                    help="JSON file of tolerance overrides")
     p.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
+    inp = _Parser(add_help=False)
+    inp.add_argument("input")
+    out = _Parser(add_help=False)
+    out.add_argument("-o", "--output", default="-")
 
-    g = sub.add_parser("gen", help="generate example curves")
+    g = sub.add_parser("gen", parents=[out], help="generate example curves")
     g.add_argument("kind", choices=["circle", "bending-frame", "neither-example"])
     g.add_argument("--rho", type=float, default=math.pi / 4)
     g.add_argument("--k", type=int, default=1)
     g.add_argument("--s", type=float, default=0.5)
     g.add_argument("--rho0", type=_finite, default=0.15)
-    g.add_argument("--kappa1", default=None)
-    g.add_argument("--kappa2", default=None)
+    g.add_argument("--kappa1", type=float, default=0.0)
+    g.add_argument("--kappa2", type=float, default=math.inf)
     g.add_argument("--bend-kappa1", type=float, default=None)
     g.add_argument("-n", type=int, default=None)
-    g.add_argument("-o", "--output", default="-")
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("classify", help="component label of a curve")
-    c.add_argument("input")
+    c = sub.add_parser("classify", parents=[inp, out], help="component label of a curve")
     c.add_argument("--strict", action="store_true")
-    c.add_argument("-o", "--output", default="-")
     c.set_defaults(func=cmd_classify)
 
-    b = sub.add_parser("bend", help="bending of the k-equator")
+    b = sub.add_parser("bend", parents=[out], help="bending of the k-equator")
     b.add_argument("--k", type=int, default=1)
     b.add_argument("--steps", type=int, default=None)
     b.add_argument("--bend-kappa1", type=float, default=None)
     b.add_argument("-n", type=int, default=None)
-    b.add_argument("-o", "--output", default="-")
     b.set_defaults(func=cmd_bend)
 
-    lo = sub.add_parser("loops", help="add or spread loops")
-    lo.add_argument("input")
+    lo = sub.add_parser("loops", parents=[inp, out], help="add or spread loops")
     lo.add_argument("--t0", type=_finite, default=0.5)
     lo.add_argument("--n-loops", type=int, default=1)
     lo.add_argument("--rho", type=float, default=0.2)
     lo.add_argument("--epsilon", type=_finite, default=0.05)
     lo.add_argument("--spread", action="store_true")
-    lo.add_argument("-o", "--output", default="-")
     lo.set_defaults(func=cmd_loops)
 
-    sh = sub.add_parser("shrink", help="shrink a condensed curve to a circle")
-    sh.add_argument("input")
+    sh = sub.add_parser("shrink", parents=[inp, out],
+                        help="shrink a condensed curve to a circle")
     sh.add_argument("--steps", type=int, default=None)
-    sh.add_argument("-o", "--output", default="-")
     sh.set_defaults(func=cmd_shrink)
 
-    gr = sub.add_parser("graft", help="graft circle arcs")
-    gr.add_argument("input")
+    gr = sub.add_parser("graft", parents=[inp, out], help="graft circle arcs")
     gr.add_argument("--mode", choices=["antipodal", "simplex", "auto"],
                     default="auto")
     gr.add_argument("--step", type=_finite, default=None)
     gr.add_argument("--budget", type=float, default=10.0)
-    gr.add_argument("-o", "--output", default="-")
     gr.set_defaults(func=cmd_graft)
 
-    ba = sub.add_parser("bands", help="good-band profiles and central curve")
-    ba.add_argument("input")
+    ba = sub.add_parser("bands", parents=[inp, out],
+                        help="good-band profiles and central curve")
     ba.add_argument("--csv", default=None)
     ba.add_argument("--central", action="store_true")
     ba.add_argument("--profile-nodes", type=int, default=64)
-    ba.add_argument("-o", "--output", default="-")
     ba.set_defaults(func=cmd_bands)
 
-    va = sub.add_parser("validate", help="validate a JSONL curve stream")
-    va.add_argument("input")
-    va.add_argument("-o", "--output", default="-")
+    va = sub.add_parser("validate", parents=[inp, out],
+                        help="validate a JSONL curve stream")
     va.set_defaults(func=cmd_validate)
 
-    ex = sub.add_parser("export-band", help="band grid as CSV (t,theta,x,y,z)")
-    ex.add_argument("input")
+    ex = sub.add_parser("export-band", parents=[inp],
+                        help="band grid as CSV (t,theta,x,y,z)")
     ex.add_argument("csv")
     ex.add_argument("--caustic", action="store_true")
-    ex.set_defaults(func=cmd_export_band)
+    ex.set_defaults(func=cmd_export_band, output="-")
     return p
 
 
 def main(argv=None) -> int:
     """Run one subcommand; the exit codes are documented in README.md.
 
-    Library errors exit with 1, unreadable or invalid input (missing files,
-    malformed JSON, missing keys, out-of-range values) with 2, each with
-    one line on stderr.
+    The CLI's one boundary: it parses the arguments, reads the tolerance
+    profile, runs the command and writes the lines it returns to `-o`
+    (stdout by default), then returns the command's exit code (1 for a
+    failed validation, 3 for a borderline `classify --strict`).  A library
+    error returns 1 and unreadable or invalid input 2: an argument the
+    parser refuses, a missing file, malformed JSON, a missing key or an
+    out-of-range value.  Either writes one `error:` line to stderr and no
+    output.  `--help` prints the help and exits with 0.
     """
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        lines, code = args.func(args, _tol_from_args(args))
+        _write(args.output, lines)
+        return code
     except SphereCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

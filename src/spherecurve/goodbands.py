@@ -585,6 +585,4 @@ def collapse_condensed_negative(curve: AdmissibleCurve,
             theta_minus=(1.0 - s) * band.theta_minus + s * target_m)
         good = retract_to_good(prof)
         curves.append(normalize_initial_frame(central_curve(good, tol=tol)))
-    bounds = curves[0].bounds
-    return HomotopyPath(bounds=bounds, s_values=np.linspace(0.0, 1.0, steps),
-                        curves=tuple(curves), provenance="custom")
+    return HomotopyPath(bounds=curves[0].bounds, curves=tuple(curves))

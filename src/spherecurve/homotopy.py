@@ -47,9 +47,7 @@ class HomotopyPath:
     """Ordered family of closed curves inside one curvature-bound contract."""
 
     bounds: CurvatureBounds
-    s_values: np.ndarray
     curves: tuple
-    provenance: str
 
     def __len__(self):
         return len(self.curves)
@@ -68,11 +66,11 @@ def _transported(bounds, lifts, speed, kappa, domain, closed, tol) -> tuple:
     """The records of F curves whose (F, n+1) node lifts turn a known lift,
     by `curves_from_node_data`.  A closed curve's last node takes its first
     node's speed and curvature, and its lift up to their sign, so lift[-1]
-    = +-lift[0] bit for bit; the records then hold copies, and the given
-    arrays are left as they are.  Controls are node averages after the closure
-    fix: they repeat bit for bit along constant arcs, and the writer pays by run."""
+    = +-lift[0] bit for bit: set in place, as every caller made the arrays for
+    this one call, and the records hold views of them.  Controls are node
+    averages after the closure fix: they repeat bit for bit along constant
+    arcs, and the writer pays by run."""
     if closed:
-        lifts, speed, kappa = lifts.copy(), speed.copy(), kappa.copy()
         sign = np.where(np.einsum("fi,fi->f", lifts[:, -1], lifts[:, 0]) > 0, 1.0, -1.0)
         lifts[:, -1] = sign[:, None] * lifts[:, 0]
         speed[:, -1], kappa[:, -1] = speed[:, 0], kappa[:, 0]
@@ -117,7 +115,7 @@ def validate_path(path: HomotopyPath, bounds: CurvatureBounds | None = None,
     signs, errors = _lift_parities(lifts[:, 0], lifts[:, 1], [c.closed for c in curves])
     parities = signs.tolist()
     constant = len(set(parities)) == 1 and (not parities or parities[0] != 0)
-    passed = bool(margin > 0 and defect < tol.closure and constant)
+    passed = bool(margin > 0 and defect <= tol.closure and constant)
     return ValidationReport(min_margin=float(margin), max_closure_defect=defect,
                             parities=tuple(parities), passed=passed,
                             notes="; ".join(str(exc) for exc in errors))
@@ -210,10 +208,8 @@ def bend_k_equator(k: int, steps: int | None = None,
     steps = tol.path_steps if steps is None else steps
     if steps < 2:
         raise ValueError(f"bending needs at least 2 frames, not {steps}")
-    s_values = np.linspace(0.0, 1.0, steps)
-    curves = _bend_frames(k, s_values, kappa1, n, tol)
-    return HomotopyPath(bounds=curves[0].bounds, s_values=s_values,
-                        curves=curves, provenance="bending")
+    curves = _bend_frames(k, np.linspace(0.0, 1.0, steps), kappa1, n, tol)
+    return HomotopyPath(bounds=curves[0].bounds, curves=curves)
 
 
 # ------------------------------------------------------------------ #
@@ -595,8 +591,7 @@ def shrink_condensed(curve: AdmissibleCurve, steps: int | None = None,
     stage(np.s_[:m], *_mobius_frames(reduced, 1.0 + (delta - 1.0) * np.arange(1, m + 1) / m, h))
     stage(np.s_[m:], *_chart_lift(pframes.xy[1:], pframes.vel[1:], pframes.acc[1:], h))
     speed[:m] *= reduced.domain
-    del pframes                             # freed before the records copy the stack
+    del pframes                             # freed before the records' controls are formed
     frames = (normalize_initial_frame(reduced),) \
         + _transported(reduced.bounds, lifts, speed, kappa, 1.0, True, tol)
-    return HomotopyPath(bounds=reduced.bounds, s_values=np.linspace(0.0, 1.0, steps),
-                        curves=frames, provenance="shrink")
+    return HomotopyPath(bounds=reduced.bounds, curves=frames)

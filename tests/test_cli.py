@@ -318,20 +318,11 @@ class TestBoundsArgs:
         ("-Infinity", "2", (-math.inf, 2.0)),
     ])
     def test_parse(self, k1, k2, want):
-        import argparse
-        b = cli._bounds_from_args(argparse.Namespace(kappa1=k1, kappa2=k2))
-        assert (b.kappa1, b.kappa2) == want
-
-
-class TestSeedEnv:
-    def test_env_seed_changes_tolerance_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPHERECURVE_SEED", "123")
-        out = tmp_path / "c.json"
-        assert run_cli("gen", "circle", "--rho", "0.8", "--k", "1",
-                       "--kappa1", "0", "-n", "64", "-o", str(out)) == 0
-        # deterministic generation is unaffected by the seed for circles
-        doc = json.loads(out.read_text())
-        assert doc["n"] == 64
+        # an absent bound takes its default; float reads the infinities
+        argv = ["gen", "circle"] + [f"--{name}={value}" for name, value
+                                    in (("kappa1", k1), ("kappa2", k2)) if value is not None]
+        args = cli.build_parser().parse_args(argv)
+        assert (args.kappa1, args.kappa2) == want
 
 
 class TestErrorBoundary:
@@ -421,12 +412,43 @@ class TestErrorBoundary:
         # add_loops, the splice or the Newton retries could see it
         flag = next(a for a in argv if a.startswith("--") and a != "--mode").split("=")[0]
         argv = [flag_inputs.get(a, a) for a in argv]
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, "-o", str(tmp_path / "out.json"))
-        assert exc.value.code == 2
+        assert run_cli(*argv, "-o", str(tmp_path / "out.json")) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and "not a finite number" in err
         assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope", "CIRCLE"],
+        ["classify"],
+        ["classify", "CIRCLE", "--bogus"],
+        ["loops", "CIRCLE", "--t0"],
+        ["graft", "CIRCLE", "--mode", "sideways"],
+        ["gen", "circle", "--k", "x"],
+        ["loops", "CIRCLE", "--t0", "inf"],
+        ["validate", "EMPTY"],
+    ], ids=["no-command", "unknown-command", "missing-input", "unknown-flag",
+            "flag-without-value", "bad-choice", "bad-int", "non-finite", "no-curves"])
+    def test_refusal_is_one_line_and_exit_2(self, argv, flag_inputs, tmp_path, capsys):
+        # the parser's refusals reach main's one boundary like any bad input:
+        # a return of 2, one error line and no output file
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out.json"
+        argv = [str(empty) if a == "EMPTY" else flag_inputs.get(a, a) for a in argv]
+        if argv:
+            argv += ["-o", str(out)]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("classify", "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: spherecurve classify")
 
     @pytest.mark.parametrize("command", ["classify", "validate"])
     @pytest.mark.parametrize("samples", [False, True])

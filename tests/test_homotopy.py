@@ -502,12 +502,20 @@ class TestShrinkAxis:
 class TestValidatePath:
     def test_constant_circle_path_passes(self):
         c = sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=128)
-        path = ho.HomotopyPath(bounds=c.bounds, s_values=np.linspace(0, 1, 4),
-                               curves=(c, c, c, c), provenance="custom")
+        path = ho.HomotopyPath(bounds=c.bounds, curves=(c, c, c, c))
         rep = ho.validate_path(path)
         assert rep.passed
         assert rep.max_closure_defect < 1e-12
         assert set(rep.parities) == {-1}
+
+    def test_closure_tolerance_is_inclusive(self):
+        # a defect equal to the tolerance closes a path, as it closes a
+        # record read by curves_from_node_data
+        path = ho.bend_k_equator(1)
+        defect = ho.validate_path(path).max_closure_defect
+        assert defect > 0.0
+        rep = ho.validate_path(path, tol=sc.ToleranceProfile(closure=defect))
+        assert rep.max_closure_defect == defect and rep.passed
 
     def test_ambiguous_parity_is_reported(self):
         c = sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=128)
@@ -515,8 +523,7 @@ class TestValidatePath:
         # z(1) orthogonal to z(0): the parity is undecided
         lift[-1] = sphere.quat_mul(lift[0], [0.0, 1.0, 0.0, 0.0])
         odd = dataclasses.replace(c, lift=lift)
-        path = ho.HomotopyPath(bounds=c.bounds, s_values=np.linspace(0, 1, 2),
-                               curves=(c, odd), provenance="custom")
+        path = ho.HomotopyPath(bounds=c.bounds, curves=(c, odd))
         rep = ho.validate_path(path)
         assert rep.parities == (-1, 0)
         assert not rep.passed
@@ -524,8 +531,7 @@ class TestValidatePath:
 
     def test_other_errors_propagate(self, monkeypatch):
         c = sc.make_circle(0.8, 1, sc.CurvatureBounds(0.0, math.inf), n=128)
-        path = ho.HomotopyPath(bounds=c.bounds, s_values=np.linspace(0, 1, 2),
-                               curves=(c, c), provenance="custom")
+        path = ho.HomotopyPath(bounds=c.bounds, curves=(c, c))
 
         def broken(*args):
             raise TypeError("not a parity failure")
@@ -728,8 +734,9 @@ class TestOnePointAssembly:
             assert np.array_equal(c.lift[-1], c.lift[0]) \
                 or np.array_equal(c.lift[-1], -c.lift[0])
 
-    def test_closing_leaves_the_given_arrays(self):
-        # the closure fix goes into the records' own copies
+    def test_records_hold_the_producer_stacks(self):
+        # the closure fix goes into the producer's arrays, which the
+        # records hold as views; only the last nodes change
         circle = sc.make_circle(0.7, 2, sc.CurvatureBounds(0.0, math.inf), n=256)
         _, h, _ = classify.condensed_axis(circle)
         lifts, speed, kappa = ho._mobius_frames(circle, [0.9, 0.5], h)
@@ -741,8 +748,11 @@ class TestOnePointAssembly:
         records = ho._transported(circle.bounds, lifts, speed, kappa, circle.domain,
                                   True, sc.DEFAULT_TOL)
         for a, b in zip((lifts, speed, kappa), given):
-            assert np.array_equal(a, b)
-        for c in records:
+            assert np.array_equal(a[:, :-1], b[:, :-1])
+            assert not np.array_equal(a[:, -1], b[:, -1])
+        for i, c in enumerate(records):
+            assert all(np.shares_memory(*pair) for pair in
+                       ((c.lift, lifts[i]), (c.speed, speed[i]), (c.kappa, kappa[i])))
             assert np.array_equal(c.lift[-1], c.lift[0]) \
                 or np.array_equal(c.lift[-1], -c.lift[0])
             assert (c.speed[-1], c.kappa[-1]) == (c.speed[0], c.kappa[0])

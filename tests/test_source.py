@@ -405,3 +405,64 @@ class TestBatchedQuaternionLayer:
         assert looped_calls(ast.parse(code), "m") \
             == ["m.per_item", "m.comprehension", "m.condition", "m.inner_generator",
                 "m.while_test", "m.K.looped", "m.<module>"]
+
+
+def environment_reads(tree):
+    """Line numbers of the names `environ` and `getenv`, bare or as an
+    attribute (`os.environ`, `os.getenv`)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")) \
+                or (isinstance(node, ast.Name) and node.id in ("environ", "getenv")):
+            yield node.lineno
+
+
+BOUNDARY = {"stderr", "_write", "_tol_from_args"}
+
+
+def boundary_users(tree):
+    """The top-level defs of a module other than `main` that name
+    `sys.stderr`, `_write` or `_tol_from_args`, and "<module>" for module
+    code that does; a def's own name does not count."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "main":
+            continue
+        if any((isinstance(sub, ast.Attribute) and sub.attr in BOUNDARY)
+               or (isinstance(sub, ast.Name) and sub.id in BOUNDARY)
+               for sub in ast.walk(node)):
+            yield node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                else "<module>"
+
+
+class TestOneCliBoundary:
+    """Settings come from the command line and the tolerance profile, never
+    from the environment; `cli.main` alone reads the profile, writes the
+    output and reports errors."""
+
+    def test_no_environment_reads(self):
+        found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in environment_reads(ast.parse(path.read_text()))]
+        assert not found, f"take the setting as a flag or a profile field: {found}"
+
+    def test_only_main_is_the_boundary(self):
+        assert list(boundary_users(ast.parse((SRC / "cli.py").read_text()))) == []
+
+    def test_detector_finds_environment_reads(self):
+        code = ("import os\nfrom os import getenv\n"
+                "A = os.environ.get('A')\n"
+                "def f():\n    '''os.environ is named here'''\n    return os.getenv('B')\n"
+                "def g(env=environ):\n    return env\n"
+                "def h():\n    return os.path.join('a')  # os.environ\n")
+        assert sorted(environment_reads(ast.parse(code))) == [3, 6, 7]
+
+    def test_detector_finds_boundary_users(self):
+        code = ("import sys\n"
+                "def _write(path, lines):\n    pass\n"
+                "def _tol_from_args(args):\n    '''_write is named here'''\n"
+                "def cmd_a(args, tol):\n    _write(args.output, [])\n"
+                "def cmd_b(args, tol):\n    print('x', file=sys.stderr)\n"
+                "def cmd_c(args, tol):\n    return [], 0\n"
+                "class K:\n    def m(self, args):\n        return _tol_from_args(args)\n"
+                "def main(argv=None):\n"
+                "    print('x', file=sys.stderr)\n    _write('-', _tol_from_args(argv))\n"
+                "sys.stderr.write('x')\n")
+        assert list(boundary_users(ast.parse(code))) == ["cmd_a", "cmd_b", "K", "<module>"]
